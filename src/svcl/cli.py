@@ -23,7 +23,8 @@ from pathlib import Path
 import numpy as np
 
 from .config import ConfigError, RunConfig, parse_config, parse_config_text
-from .ergodic import (default_burn_in, ergodic_average, tightness_diagnostic)
+from .ergodic import (coupling_passage, default_burn_in, ergodic_average,
+                      tightness_diagnostic)
 from .integrator import (ModelSpec, SolverConfig, State, read_snapshot,
                          run_coupled, run_single, write_snapshot)
 from .flux import FluxSpec
@@ -80,27 +81,21 @@ def _write_summary(out: Path, cfg: RunConfig, command: str, results: dict,
     (out / "summary.json").write_text(_json17(doc) + "\n", encoding="utf-8")
 
 
-def _write_csv(path: Path, buf, cfg: RunConfig) -> None:
+def _write_csv(path: Path, buf, cfg: RunConfig, kept=()) -> None:
+    """Write the run's rows; `kept` holds the comment, header and data lines
+    of the segment a resumed run continues, and replaces the fresh echo."""
     with open(path, "w", encoding="utf-8", newline="\n") as fp:
-        buf.write_csv(fp, config_echo=cfg.echo())
+        if not kept:
+            buf.write_csv(fp, config_echo=cfg.echo())
+            return
+        fp.writelines(kept)
+        s = StringIO()
+        buf.write_csv(s)
+        fp.writelines(s.getvalue().splitlines(keepends=True)[1:])  # drop the header
 
 
-def _csv_data_lines(buf) -> list:
-    """Data rows only, formatted exactly as write_csv formats them."""
-    s = StringIO()
-    buf.write_csv(s)
-    return s.getvalue().splitlines(keepends=True)[1:]  # drop the header line
-
-
-def _snapshot_writer(out: Path, model: ModelSpec, solver: SolverConfig, seed: int):
-    def write(state: State):
-        with open(out / f"snap_{state.step:09d}.snap", "wb") as fp:
-            write_snapshot(fp, state, model, solver, seed)
-    return write
-
-
-def _write_final_snapshot(path: Path, state: State, model: ModelSpec,
-                          solver: SolverConfig, seed: int) -> None:
+def _write_snap(path: Path, state: State, model: ModelSpec, solver: SolverConfig,
+                seed: int) -> None:
     with open(path, "wb") as fp:
         write_snapshot(fp, state, model, solver, seed)
 
@@ -132,29 +127,60 @@ def _prepare(cfg: RunConfig):
 # --- subcommand bodies -------------------------------------------------------
 
 
-def _cmd_single(cfg: RunConfig) -> int:
+def _run_and_write(cfg: RunConfig, snap=None, kept=(), history=None):
+    """Drive the single trajectory of `run`, `ergodic` and `resume` and write
+    observables.csv, the periodic snapshots and final.snap.
+
+    A resumed run starts from `snap` and continues the CSV lines in `kept`,
+    with `history` the (t, l2_sq, h1_sq) tail of those rows.
+    """
     out, basis, model, solver = _prepare(cfg)
-    u0 = cfg.initial.build(basis)
-    writer = _snapshot_writer(out, model, solver, cfg.seed) if cfg.snapshot_every else None
-    res = run_single(model, solver, u0, seed=cfg.seed, n_steps=cfg.n_steps(),
+    if snap is None:
+        u0, t0, step0 = cfg.initial.build(basis), 0.0, 0
+    else:
+        u0, t0, step0 = SpectralField(snap.coeffs.copy(), basis), snap.t, snap.step
+
+    def writer(state: State):
+        _write_snap(out / f"snap_{state.step:09d}.snap", state, model, solver, cfg.seed)
+
+    res = run_single(model, solver, u0, seed=cfg.seed, n_steps=cfg.n_steps() - step0,
                      record_every=cfg.record_every, lp_orders=cfg.observables,
-                     residual_window=cfg.residual_window,
-                     snapshot_every=cfg.snapshot_every, snapshot_writer=writer)
-    _write_csv(out / "observables.csv", res.records, cfg)
-    _write_final_snapshot(out / "final.snap", res.state, model, solver, cfg.seed)
+                     residual_window=cfg.residual_window, residual_history=history,
+                     t0=t0, step0=step0, snapshot_every=cfg.snapshot_every,
+                     snapshot_writer=writer if cfg.snapshot_every else None)
+    _write_csv(out / "observables.csv", res.records, cfg, kept)
+    _write_snap(out / "final.snap", res.state, model, solver, cfg.seed)
+    return out, model, u0, res
+
+
+def _blowup(trip, out: Path) -> int:
+    print(f"blowup trip ({trip.reason}) at t = {trip.t:.6g}; "
+          f"partial artifacts in {out}")
+    return EXIT_BLOWUP
+
+
+def _cmd_single(cfg: RunConfig, snap=None, head=(), rows=(), history=None) -> int:
+    """`run`; also the body of `resume`, which passes the snapshot and the
+    CSV comment/header lines and data rows the new rows continue."""
+    out, model, u0, res = _run_and_write(cfg, snap, list(head) + list(rows), history)
     c = res.state.u.coeffs
     results = {"kind": "single", "steps": res.state.step,
                "final_time": res.state.t,
                "final_l2_sq": float(np.dot(c, c)),
-               "final_h1_sq": float(np.dot(-basis.eigenvalues, c * c)),
-               "rows": len(res.records), "trip": _trip_dict(res.trip)}
-    _write_summary(out, cfg, "run", results)
+               "final_h1_sq": float(np.dot(-u0.basis.eigenvalues, c * c)),
+               "rows": len(rows) + len(res.records)}
+    if snap is not None:
+        results["resumed_from_step"] = snap.step
+    results["trip"] = _trip_dict(res.trip)
+    _write_summary(out, cfg, "run" if snap is None else "resume", results)
     if res.trip is not None:
-        print(f"blowup trip ({res.trip.reason}) at t = {res.trip.t:.6g}; "
-              f"partial artifacts in {out}")
-        return EXIT_BLOWUP
-    print(f"run {cfg.run_id()}: {res.state.step} steps to t = {res.state.t:.6g}, "
-          f"{len(res.records)} rows -> {out}")
+        return _blowup(res.trip, out)
+    if snap is None:
+        print(f"run {cfg.run_id()}: {res.state.step} steps to t = {res.state.t:.6g}, "
+              f"{len(res.records)} rows -> {out}")
+    else:
+        print(f"resume {cfg.run_id()}: steps {snap.step} -> {res.state.step} "
+              f"-> {out}")
     return EXIT_OK
 
 
@@ -168,46 +194,29 @@ def _cmd_coupled(cfg: RunConfig) -> int:
                       stop_l1_below=min(cfg.epsilons))
     _write_csv(out / "observables_a.csv", res.records_a, cfg)
     _write_csv(out / "observables_b.csv", res.records_b, cfg)
-    _write_final_snapshot(out / "final_a.snap", res.state_a, model, solver, cfg.seed)
-    _write_final_snapshot(out / "final_b.snap", res.state_b, model, solver, cfg.seed)
-    l1, times = res.l1_series, res.times
-    passage = {}
-    for e in sorted(cfg.epsilons, reverse=True):
-        hit = np.nonzero(l1 < e)[0]
-        passage[FLOAT_FMT % e] = float(times[hit[0]]) if hit.size else float("nan")
-    inc = np.diff(l1)
+    _write_snap(out / "final_a.snap", res.state_a, model, solver, cfg.seed)
+    _write_snap(out / "final_b.snap", res.state_b, model, solver, cfg.seed)
+    l1 = res.l1_series
+    first, monotone, reached = coupling_passage(res.times, l1, cfg.epsilons)
     results = {"kind": "coupled",
                "initial_l1": float(l1[0]), "final_l1": float(l1[-1]),
-               "first_passage": passage,
-               "monotone": bool(np.all(inc <= 1e-8 * l1[:-1])),
-               "reached_target": bool(l1[-1] < min(cfg.epsilons)),
+               "first_passage": {FLOAT_FMT % e: v for e, v in first.items()},
+               "monotone": monotone, "reached_target": reached,
                "steps": res.state_a.step, "trip": _trip_dict(res.trip)}
     _write_summary(out, cfg, "couple", results)
     if res.trip is not None:
-        print(f"blowup trip ({res.trip.reason}) at t = {res.trip.t:.6g}; "
-              f"partial artifacts in {out}")
-        return EXIT_BLOWUP
+        return _blowup(res.trip, out)
     print(f"couple {cfg.run_id()}: l1 {l1[0]:.6g} -> {l1[-1]:.6g} "
           f"in {res.state_a.step} steps -> {out}")
     return EXIT_OK
 
 
 def _cmd_ergodic(cfg: RunConfig) -> int:
-    out, basis, model, solver = _prepare(cfg)
-    u0 = cfg.initial.build(basis)
-    writer = _snapshot_writer(out, model, solver, cfg.seed) if cfg.snapshot_every else None
-    res = run_single(model, solver, u0, seed=cfg.seed, n_steps=cfg.n_steps(),
-                     record_every=cfg.record_every, lp_orders=cfg.observables,
-                     residual_window=cfg.residual_window,
-                     snapshot_every=cfg.snapshot_every, snapshot_writer=writer)
-    _write_csv(out / "observables.csv", res.records, cfg)
-    _write_final_snapshot(out / "final.snap", res.state, model, solver, cfg.seed)
+    out, model, u0, res = _run_and_write(cfg)
     if res.trip is not None:
         _write_summary(out, cfg, "ergodic",
                        {"kind": "ergodic", "trip": _trip_dict(res.trip)})
-        print(f"blowup trip ({res.trip.reason}) at t = {res.trip.t:.6g}; "
-              f"partial artifacts in {out}")
-        return EXIT_BLOWUP
+        return _blowup(res.trip, out)
     burn = cfg.effective_burn_in()
     names = ["l2_sq", "h1_sq"] + [f"lp{p}_p" for p in cfg.observables]
     try:
@@ -221,7 +230,7 @@ def _cmd_ergodic(cfg: RunConfig) -> int:
         print(f"ergodic analysis impossible under this config: {e}",
               file=sys.stderr)
         return EXIT_CONFIG
-    tr = trace_h2(model.noise, basis).l2
+    tr = trace_h2(model.noise, u0.basis).l2
     two_nu_h1 = 2.0 * cfg.nu * estimates["h1_sq"]["value"]
     results = {
         "kind": "ergodic", "burn_in": burn, "estimates": estimates,
@@ -397,35 +406,7 @@ def _cmd_resume(cfg: RunConfig, snap_path) -> int:
     tail = slice(max(0, keep - cfg.residual_window), keep)
     history = (cols["t"][tail], cols["l2_sq"][tail], cols["h1_sq"][tail])
 
-    basis, model, solver = cfg.basis(), cfg.model(), cfg.solver()
-    u0 = SpectralField(snap.coeffs.copy(), basis)
-    writer = _snapshot_writer(out, model, solver, cfg.seed) if cfg.snapshot_every else None
-    res = run_single(model, solver, u0, seed=cfg.seed,
-                     n_steps=n_total - snap.step,
-                     record_every=cfg.record_every, lp_orders=cfg.observables,
-                     residual_window=cfg.residual_window,
-                     residual_history=history, t0=snap.t, step0=snap.step,
-                     snapshot_every=cfg.snapshot_every, snapshot_writer=writer)
-    with open(csv_path, "w", encoding="utf-8", newline="") as fp:
-        fp.writelines(lines[: n_comment + 1])
-        fp.writelines(data[:keep])
-        fp.writelines(_csv_data_lines(res.records))
-    _write_final_snapshot(out / "final.snap", res.state, model, solver, cfg.seed)
-    c = res.state.u.coeffs
-    results = {"kind": "single", "steps": res.state.step,
-               "final_time": res.state.t,
-               "final_l2_sq": float(np.dot(c, c)),
-               "final_h1_sq": float(np.dot(-basis.eigenvalues, c * c)),
-               "rows": keep + len(res.records),
-               "resumed_from_step": snap.step, "trip": _trip_dict(res.trip)}
-    _write_summary(out, cfg, "resume", results)
-    if res.trip is not None:
-        print(f"blowup trip ({res.trip.reason}) at t = {res.trip.t:.6g}; "
-              f"partial artifacts in {out}")
-        return EXIT_BLOWUP
-    print(f"resume {cfg.run_id()}: steps {snap.step} -> {res.state.step} "
-          f"-> {out}")
-    return EXIT_OK
+    return _cmd_single(cfg, snap, lines[: n_comment + 1], data[:keep], history)
 
 
 # --- entry -------------------------------------------------------------------

@@ -147,6 +147,23 @@ class CouplingReport:
     trip_time: float  # nan unless a guard/overflow trip ended the run
 
 
+def coupling_passage(times, l1, epsilons) -> tuple[dict, bool, bool]:
+    """First passages, monotonicity and reached target of an L1 distance series.
+
+    Returns ({epsilon: first time l1 < epsilon, nan if never}, keyed from
+    the largest epsilon down; whether the series never rises by more than
+    1e-8 of its current value in one step; whether it ends below the
+    smallest epsilon).
+    """
+    eps = np.sort(np.atleast_1d(np.asarray(epsilons, dtype=float)))[::-1]
+    first = {}
+    for e in eps:
+        hit = np.nonzero(l1 < e)[0]
+        first[float(e)] = float(times[hit[0]]) if hit.size else float("nan")
+    monotone = bool(np.all(np.diff(l1) <= 1e-8 * l1[:-1]))
+    return first, monotone, bool(l1[-1] < eps[-1])
+
+
 def _descriptor(u: SpectralField) -> str:
     l2 = float(np.dot(u.coeffs, u.coeffs))
     lead = int(np.argmax(np.abs(u.coeffs)))
@@ -167,12 +184,7 @@ def confluence_experiment(u0: SpectralField, v0: SpectralField, model: ModelSpec
                       stop_l1_below=float(eps[-1]))
     l1 = res.l1_series
     times = res.times
-    first = {}
-    for e in eps:
-        hit = np.nonzero(l1 < e)[0]
-        first[float(e)] = float(times[hit[0]]) if hit.size else float("nan")
-    inc = np.diff(l1)
-    monotone = bool(np.all(inc <= 1e-8 * l1[:-1]))
+    first, monotone, reached = coupling_passage(times, l1, eps)
     return CouplingReport(
         seed=seed,
         u0_descriptor=_descriptor(u0),
@@ -184,7 +196,7 @@ def confluence_experiment(u0: SpectralField, v0: SpectralField, model: ModelSpec
         initial_distance=float(l1[0]),
         final_distance=float(l1[-1]),
         horizon=float(n_steps) * cfg.dt,
-        reached_target=bool(l1[-1] < eps[-1]),
+        reached_target=reached,
         monotone=monotone,
         trip_time=res.trip.t if res.trip is not None else float("nan"),
     )

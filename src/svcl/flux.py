@@ -20,7 +20,7 @@ from typing import Callable
 
 import numpy as np
 
-from .spectral import ModeBasis, SpectralField, analyze, synthesize
+from .spectral import ModeBasis, SpectralField, analyze, rotate_pairs, synthesize
 
 FLUX_KINDS = ("burgers", "polynomial", "zero", "callback")
 
@@ -182,25 +182,28 @@ def dealias_points(spec: FluxSpec, basis: ModeBasis) -> int:
     return n + (n % 2)
 
 
-def nonlinear_term(spec: FluxSpec, u: SpectralField) -> SpectralField:
-    """N(u) = -dx A(u) projected on the retained modes.
+def dx_flux(spec: FluxSpec, c: np.ndarray, n_pad: int, w: np.ndarray) -> np.ndarray:
+    """Dealiased dx A(u) on raw coefficients, differentiated with wavenumbers w.
 
-    Pads to the degree-sized grid, applies A pointwise, projects back (the
+    Pads to the n_pad-point grid, applies A pointwise, projects back (the
     mean of A(u) is annihilated by the derivative, so it is dropped), and
-    differentiates exactly in coefficient space.  The result is mean-zero
-    by construction.
+    differentiates exactly in coefficient space.  With w = -wavenumbers
+    this is N(u) = -dx A(u), the one nonlinear kernel every caller uses.
+    """
+    if spec.kind == "zero":
+        return np.zeros_like(c)
+    a, _ = analyze(flux_value(spec, synthesize(c, n_pad)), len(c))
+    return rotate_pairs(a, w)
+
+
+def nonlinear_term(spec: FluxSpec, u: SpectralField) -> SpectralField:
+    """N(u) = -dx A(u) projected on the retained modes, on the dealiasing grid.
+
+    The result is mean-zero by construction.
     """
     basis = u.basis
-    if spec.kind == "zero":
-        return SpectralField(basis.zeros(), basis)
-    vals = synthesize(u.coeffs, dealias_points(spec, basis))
-    a, _ = analyze(flux_value(spec, vals), basis.m_max)
-    out = np.empty_like(a)
-    w = basis.wavenumbers
-    # -d/dx of (sin, cos) pairs: negated rotation
-    out[0::2] = w[0::2] * a[1::2]
-    out[1::2] = -w[1::2] * a[0::2]
-    return SpectralField(out, basis)
+    return SpectralField(
+        dx_flux(spec, u.coeffs, dealias_points(spec, basis), -basis.wavenumbers), basis)
 
 
 def flux_energy_pairing(spec: FluxSpec, u: SpectralField, p: int = 2) -> float:
@@ -219,9 +222,5 @@ def flux_energy_pairing(spec: FluxSpec, u: SpectralField, p: int = 2) -> float:
     n = max((p + spec.degree - 1) * k + 2, 3 * k + 2)
     n += n % 2
     uv = synthesize(u.coeffs, n)
-    dcoef = np.empty_like(u.coeffs)
-    w = basis.wavenumbers
-    dcoef[0::2] = -w[0::2] * u.coeffs[1::2]
-    dcoef[1::2] = w[1::2] * u.coeffs[0::2]
-    ux = synthesize(dcoef, n)
+    ux = synthesize(rotate_pairs(u.coeffs, basis.wavenumbers), n)
     return float(np.mean(uv ** (p - 1) * flux_derivative(spec, uv) * ux))

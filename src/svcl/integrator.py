@@ -22,9 +22,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import observables
-from .flux import FluxOverflowError, FluxSpec, dealias_points, flux_value
+from .flux import FluxOverflowError, FluxSpec, dealias_points, dx_flux
 from .noise import NoisePath, NoiseSpec, trace_h2
-from .spectral import ModeBasis, SpectralField, analyze, synthesize
+from .spectral import ModeBasis, SpectralField, synthesize
 
 SCHEMES = ("exp_euler", "exp_midpoint_flux")
 
@@ -100,25 +100,19 @@ class Stepper:
         self.basis = basis
         lam = basis.eigenvalues
         self.neg_lam = -lam
+        self.lam_sq = lam * lam
+        self.n_fine = observables.DEFAULT_FINE_FACTOR * basis.m_max
         self.decay = np.exp(model.nu * lam * cfg.dt)
         self.half_decay = np.exp(model.nu * lam * 0.5 * cfg.dt)
         self.dt = cfg.dt
         self._zero_flux = model.flux.kind == "zero"
         self._n_pad = dealias_points(model.flux, basis)
-        self._k = basis.n_pairs
-        self._w = basis.wavenumbers
+        self._neg_w = -basis.wavenumbers
         self._midpoint = cfg.scheme == "exp_midpoint_flux"
 
     def nonlin(self, c: np.ndarray) -> np.ndarray:
-        """-dx A(u) on raw coefficients (see flux.nonlinear_term)."""
-        if self._zero_flux:
-            return np.zeros_like(c)
-        vals = synthesize(c, self._n_pad)
-        a, _ = analyze(flux_value(self.model.flux, vals), self.basis.m_max)
-        out = np.empty_like(a)
-        out[0::2] = self._w[0::2] * a[1::2]
-        out[1::2] = -self._w[1::2] * a[0::2]
-        return out
+        """N(u) = -dx A(u) on raw coefficients."""
+        return dx_flux(self.model.flux, c, self._n_pad, self._neg_w)
 
     def advance(self, c: np.ndarray, xi: np.ndarray) -> np.ndarray:
         if self._zero_flux:
@@ -146,32 +140,6 @@ def _advance_checked(stepper: Stepper, c, xi, t_next):
     return out
 
 
-def step(state: State, model: ModelSpec, cfg: SolverConfig, path: NoisePath) -> State:
-    """Advance one step, consuming exactly one draw index from the path."""
-    stepper = Stepper(model, cfg, state.u.basis)
-    xi = path.ou_increment(model.nu, cfg.dt)
-    c = _advance_checked(stepper, state.u.coeffs, xi, state.t + cfg.dt)
-    return State(SpectralField(c, state.u.basis), state.t + cfg.dt, state.step + 1)
-
-
-def coupled_step(
-    state_a: State, state_b: State, model: ModelSpec, cfg: SolverConfig, path: NoisePath
-) -> tuple[State, State]:
-    """Advance two trajectories with the identical noise increment."""
-    if state_a.t != state_b.t or state_a.step != state_b.step:
-        raise ValueError("coupled states must share the same time and step")
-    stepper = Stepper(model, cfg, state_a.u.basis)
-    xi = path.ou_increment(model.nu, cfg.dt)
-    t_next = state_a.t + cfg.dt
-    ca = _advance_checked(stepper, state_a.u.coeffs, xi, t_next)
-    cb = _advance_checked(stepper, state_b.u.coeffs, xi, t_next)
-    basis = state_a.u.basis
-    return (
-        State(SpectralField(ca, basis), t_next, state_a.step + 1),
-        State(SpectralField(cb, basis), t_next, state_b.step + 1),
-    )
-
-
 # --- run drivers ----------------------------------------------------------
 
 
@@ -195,6 +163,16 @@ def _lp_powers(c, n_fine, orders):
     return tuple(np.mean(vals**p) for p in orders)
 
 
+def _record(buf, stepper: Stepper, t, c, l1_dist=np.nan):
+    """Append the observable row of coefficients c at time t."""
+    cc = c * c
+    h1s = float(np.dot(stepper.neg_lam, cc))
+    r = stepper.cfg.guard_radius
+    buf.append(t, float(np.dot(c, c)), h1s, float(np.dot(stepper.lam_sq, cc)),
+               _lp_powers(c, stepper.n_fine, buf.lp_orders), l1_dist=l1_dist,
+               guard_margin=np.nan if r is None else r - h1s)
+
+
 def _fill_residual_column(buf, model, basis, window, history=None):
     """Windowed balance residual over the trailing `window` records.
 
@@ -204,42 +182,14 @@ def _fill_residual_column(buf, model, basis, window, history=None):
     same rows in the same order an uninterrupted run would use, so resumed
     rows come out bitwise identical.
     """
-    n = len(buf)
-    if n == 0:
-        return
-    bt = buf.column("t")
-    bl2 = buf.column("l2_sq")
-    bh1 = buf.column("h1_sq")
+    cols = [buf.column(k) for k in ("t", "l2_sq", "h1_sq")]
+    off = 0
     if history is not None:
-        ht, hl2, hh1 = (np.asarray(a, dtype=float) for a in history)
-        off = len(ht)
-        t = np.concatenate([ht, bt])
-        l2 = np.concatenate([hl2, bl2])
-        h1 = np.concatenate([hh1, bh1])
-    else:
-        off = 0
-        t, l2, h1 = bt, bl2, bh1
-    tr = trace_h2(model.noise, basis).l2
-    seg = 0.5 * (h1[1:] + h1[:-1]) * np.diff(t)  # per-interval trapezoid areas
-    res = np.full(n, np.nan)
-    nu2 = 2.0 * model.nu
-    full_start = max(0, window - off)  # first buffer row with a full window
-    for i in range(min(full_start, n)):  # truncated windows at the run start
-        ia = off + i
-        if ia == 0:
-            continue
-        span = t[ia] - t[0]
-        if span > 0:
-            res[i] = (l2[ia] - l2[0]) / span + nu2 * np.sum(seg[:ia]) / span - tr
-    if n > full_start and len(seg) >= window:
-        sw = np.lib.stride_tricks.sliding_window_view(seg, window)
-        for s0 in range(full_start, n, 65536):
-            s1 = min(n, s0 + 65536)
-            ia = off + np.arange(s0, s1)
-            k = ia - window
-            span = t[ia] - t[k]
-            res[s0:s1] = (l2[ia] - l2[k]) / span + nu2 * sw[k].sum(axis=1) / span - tr
-    buf.set_column("energy_residual", res)
+        off = len(history[0])
+        cols = [np.concatenate([np.asarray(h, dtype=float), c])
+                for h, c in zip(history, cols)]
+    buf.set_column("energy_residual", observables.balance_residuals(
+        *cols, window, model.nu, trace_h2(model.noise, basis).l2, first=off))
 
 
 def run_single(
@@ -271,9 +221,6 @@ def run_single(
     stepper = Stepper(model, cfg, basis)
     path = NoisePath(model.noise, basis, seed)
     path.draw_index = step0
-    lam = basis.eigenvalues
-    lam2 = lam * lam
-    n_fine = observables.DEFAULT_FINE_FACTOR * basis.m_max
     buf = observables.RecordBuffer(lp_orders, capacity=n_steps // max(record_every, 1) + 4)
     c = u0.coeffs.copy()
     t = t0
@@ -281,18 +228,8 @@ def run_single(
     if keep_coeffs:
         hist[0] = c
     nu, dt = model.nu, cfg.dt
-    r = cfg.guard_radius
-
-    def add_row(tt, cc):
-        l2s = float(np.dot(cc, cc))
-        h1s = float(np.dot(-lam, cc * cc))
-        h2s = float(np.dot(lam2, cc * cc))
-        margin = np.nan if r is None else r - h1s
-        buf.append(tt, l2s, h1s, h2s, _lp_powers(cc, n_fine, buf.lp_orders),
-                   guard_margin=margin)
-
     if step0 == 0:
-        add_row(t, c)
+        _record(buf, stepper, t, c)
     trip = None
     final_step = step0
     for n in range(step0, step0 + n_steps):
@@ -307,7 +244,7 @@ def run_single(
         if keep_coeffs:
             hist[final_step - step0] = c
         if final_step % record_every == 0:
-            add_row(t, c)
+            _record(buf, stepper, t, c)
         if snapshot_every and snapshot_writer and final_step % snapshot_every == 0:
             snapshot_writer(State(SpectralField(c, basis), t, final_step))
     _fill_residual_column(buf, model, basis, residual_window, residual_history)
@@ -358,9 +295,6 @@ def run_coupled(
     basis = u0.basis
     stepper = Stepper(model, cfg, basis)
     path = NoisePath(model.noise, basis, seed)
-    lam = basis.eigenvalues
-    lam2 = lam * lam
-    n_fine = observables.DEFAULT_FINE_FACTOR * basis.m_max
     cap = n_steps // max(record_every, 1) + 4
     buf_a = observables.RecordBuffer(lp_orders, capacity=cap)
     buf_b = observables.RecordBuffer(lp_orders, capacity=cap)
@@ -368,29 +302,20 @@ def run_coupled(
     cb = v0.coeffs.copy()
     t = 0.0
     nu, dt = model.nu, cfg.dt
-    r = cfg.guard_radius
     times = np.empty(n_steps + 1)
     l1 = np.empty(n_steps + 1)
     h1a = np.empty(n_steps + 1)
     h1b = np.empty(n_steps + 1)
 
     def l1_now(d):
-        return float(np.mean(np.abs(synthesize(d, n_fine))))
-
-    def add_rows(tt, xa, xb, dist_now):
-        for buf, cc in ((buf_a, xa), (buf_b, xb)):
-            l2s = float(np.dot(cc, cc))
-            h1s = float(np.dot(-lam, cc * cc))
-            h2s = float(np.dot(lam2, cc * cc))
-            margin = np.nan if r is None else r - h1s
-            buf.append(tt, l2s, h1s, h2s, _lp_powers(cc, n_fine, buf.lp_orders),
-                       l1_dist=dist_now, guard_margin=margin)
+        return float(np.mean(np.abs(synthesize(d, stepper.n_fine))))
 
     times[0] = 0.0
     l1[0] = l1_now(ca - cb)
-    h1a[0] = np.dot(-lam, ca * ca)
-    h1b[0] = np.dot(-lam, cb * cb)
-    add_rows(0.0, ca, cb, l1[0])
+    h1a[0] = stepper.h1_sq(ca)
+    h1b[0] = stepper.h1_sq(cb)
+    _record(buf_a, stepper, 0.0, ca, l1[0])
+    _record(buf_b, stepper, 0.0, cb, l1[0])
     trip = None
     k = 0
     for n in range(n_steps):
@@ -405,10 +330,11 @@ def run_coupled(
         k = n + 1
         times[k] = t
         l1[k] = l1_now(ca - cb)
-        h1a[k] = np.dot(-lam, ca * ca)
-        h1b[k] = np.dot(-lam, cb * cb)
+        h1a[k] = stepper.h1_sq(ca)
+        h1b[k] = stepper.h1_sq(cb)
         if k % record_every == 0:
-            add_rows(t, ca, cb, l1[k])
+            _record(buf_a, stepper, t, ca, l1[k])
+            _record(buf_b, stepper, t, cb, l1[k])
         if stop_l1_below is not None and l1[k] < stop_l1_below:
             break
     for buf in (buf_a, buf_b):
@@ -611,7 +537,10 @@ def write_snapshot(fp, state: State, model: ModelSpec, cfg: SolverConfig, seed: 
 
 
 def read_snapshot(fp) -> Snapshot:
-    raw = fp.read(struct.calcsize(_HEADER_FMT))
+    size = struct.calcsize(_HEADER_FMT)
+    raw = fp.read(size)
+    if len(raw) != size:
+        raise ValueError("snapshot truncated: header incomplete")
     magic, version, m_max, t, nu, scheme_code, seed, step_n = struct.unpack(
         _HEADER_FMT, raw
     )

@@ -29,7 +29,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .spectral import ModeBasis, SpectralField
+from .spectral import ModeBasis
 
 # q at or below this makes sum_m lam_m^2 sigma_m^2 ~ sum mp^(4 - 2q) diverge
 MIN_PROFILE_Q = 2.5
@@ -190,21 +190,6 @@ class NoisePath:
         self.conv_state = decay * self.conv_state + xi
         self.t += dt
         return xi
-
-
-def sample_wiener_increment(path: NoisePath, dt: float) -> SpectralField:
-    """Q-Wiener increment over dt as a field; advances the path in place."""
-    if dt <= 0:
-        raise ValueError("dt must be positive")
-    return SpectralField(path.wiener_increment(dt), path.basis)
-
-
-def ou_convolution_step(path: NoisePath, nu: float, dt: float) -> NoisePath:
-    """Exact transition of the stochastic convolution; returns the path."""
-    if dt <= 0:
-        raise ValueError("dt must be positive")
-    path.ou_increment(nu, dt)
-    return path
 
 
 def stationary_variance(spec: NoiseSpec, basis: ModeBasis, nu: float) -> np.ndarray:

@@ -25,25 +25,11 @@ FLOAT_FMT = "%.17g"
 DEFAULT_FINE_FACTOR = 8  # quadrature grid for L1/Lp rendering, per m_max
 
 
-@dataclass
-class ObservableRecord:
-    """One row of the observable stream."""
-
-    t: float
-    l2_sq: float
-    h1_sq: float
-    h2_sq: float
-    lp: dict
-    l1_dist: float = np.nan
-    energy_residual: float = np.nan
-    guard_margin: float = np.nan
-
-
 class RecordBuffer:
     """Columnar store for the observable stream of one run.
 
     Preallocated and grown geometrically; hot run loops append plain floats
-    and the CSV/record views are materialized on demand.
+    and the CSV view is materialized on demand.
     """
 
     def __init__(self, lp_orders=(), capacity: int = 1024):
@@ -85,30 +71,11 @@ class RecordBuffer:
     def __len__(self):
         return self.n
 
-    def __getattr__(self, name):
-        cols = self.__dict__.get("_cols")
-        if cols is not None and name in cols:
-            return cols[name][: self.n]
-        raise AttributeError(name)
-
     def column(self, name) -> np.ndarray:
         return self._cols[name][: self.n]
 
     def set_column(self, name, values):
         self._cols[name][: self.n] = values
-
-    def record(self, i: int) -> ObservableRecord:
-        c = self._cols
-        return ObservableRecord(
-            t=c["t"][i],
-            l2_sq=c["l2_sq"][i],
-            h1_sq=c["h1_sq"][i],
-            h2_sq=c["h2_sq"][i],
-            lp={p: c[f"lp{p}_p"][i] for p in self.lp_orders},
-            l1_dist=c["l1_dist"][i],
-            energy_residual=c["energy_residual"][i],
-            guard_margin=c["guard_margin"][i],
-        )
 
     def write_csv(self, fp, config_echo: str | None = None):
         """Stream the buffer as delimited text; fp is a writable text file."""
@@ -139,15 +106,44 @@ def read_csv_columns(path):
 
 
 def _window_arrays(window):
-    """Accept a RecordBuffer, a (t, l2, h1) triple, or a record list."""
+    """Accept a RecordBuffer or a (t, l2, h1) triple."""
     if hasattr(window, "column"):
         return window.column("t"), window.column("l2_sq"), window.column("h1_sq")
-    if isinstance(window, tuple) and len(window) == 3:
-        return tuple(np.asarray(w, dtype=float) for w in window)
-    t = np.array([r.t for r in window])
-    l2 = np.array([r.l2_sq for r in window])
-    h1 = np.array([r.h1_sq for r in window])
-    return t, l2, h1
+    return tuple(np.asarray(w, dtype=float) for w in window)
+
+
+def balance_residuals(t, l2, h1, window, nu, trace, first=0) -> np.ndarray:
+    """Windowed balance residuals of rows first, first+1, ... of a record stream.
+
+    Row i is measured over its trailing window, rows k = max(0, i - window)
+    through i, with span = t[i] - t[k]:
+
+        (l2[i] - l2[k]) / span + 2 nu (trapezoid integral of h1) / span - trace
+
+    Row 0 has no window and is nan, as is a row whose window is still
+    filling and spans no time.  Each window sum runs over the same
+    trapezoid areas in the same order wherever the row sits, so a residual
+    does not depend on how the stream was split into segments.
+    """
+    seg = 0.5 * (h1[1:] + h1[:-1]) * np.diff(t)  # per-interval trapezoid areas
+    n = len(t)
+    res = np.full(n - first, np.nan)
+    nu2 = 2.0 * nu
+    for i in range(max(first, 1), min(window, n)):  # windows still filling
+        span = t[i] - t[0]
+        if span > 0:
+            res[i - first] = (l2[i] - l2[0]) / span + nu2 * np.sum(seg[:i]) / span - trace
+    full = max(first, window)
+    if n > full:
+        sw = np.lib.stride_tricks.sliding_window_view(seg, window)
+        for s0 in range(full, n, 65536):
+            s1 = min(n, s0 + 65536)
+            i = np.arange(s0, s1)
+            k = i - window
+            span = t[i] - t[k]
+            res[s0 - first : s1 - first] = (
+                (l2[i] - l2[k]) / span + nu2 * sw[k].sum(axis=1) / span - trace)
+    return res
 
 
 def energy_balance_residual(window, model, basis) -> float:
@@ -157,17 +153,16 @@ def energy_balance_residual(window, model, basis) -> float:
     the H1 mean is the trapezoid time average, so in a distributional steady
     state the residual fluctuates around zero and any systematic forcing or
     dissipation mismatch shows up as a bias.  The basis fixes the retained
-    band the noise trace is summed over.
+    band the noise trace is summed over.  This is the last row of
+    balance_residuals with the whole window as its trailing window, so it
+    equals the energy_residual column bit for bit.
     """
     t, l2, h1 = _window_arrays(window)
-    if len(t) < 2:
+    if len(t) < 2 or t[-1] - t[0] <= 0:
         return np.nan
-    span = t[-1] - t[0]
-    if span <= 0:
-        return np.nan
-    dl2 = (l2[-1] - l2[0]) / span
-    h1_mean = np.trapezoid(h1, t) / span
-    return float(dl2 + 2.0 * model.nu * h1_mean - trace_h2(model.noise, basis).l2)
+    last = len(t) - 1
+    tr = trace_h2(model.noise, basis).l2
+    return float(balance_residuals(t, l2, h1, last, model.nu, tr, first=last)[0])
 
 
 def l1_distance(a: SpectralField, b: SpectralField, n: int | None = None) -> float:

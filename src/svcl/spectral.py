@@ -16,13 +16,9 @@ the Nyquist bin.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
-
-# Discarded means below this are silently dropped by to_spectral; larger
-# means are an error, because a growing mean signals a broken nonlinear term.
-MEAN_TOL = 1e-12
 
 
 class ModeBasis:
@@ -85,8 +81,6 @@ class SpectralField:
 
     coeffs: np.ndarray
     basis: ModeBasis
-    # magnitude of the mean discarded by the projection that produced this field
-    discarded_mean: float = field(default=0.0, compare=False)
 
     def __post_init__(self):
         self.coeffs = np.asarray(self.coeffs, dtype=float)
@@ -100,19 +94,6 @@ class SpectralField:
         return SpectralField(self.coeffs.copy(), self.basis)
 
 
-@dataclass
-class PhysicalField:
-    """Point samples at the equispaced quadrature points j/n."""
-
-    samples: np.ndarray
-    basis: ModeBasis
-
-    def __post_init__(self):
-        self.samples = np.asarray(self.samples, dtype=float)
-        if self.samples.ndim != 1:
-            raise ValueError("samples must be one-dimensional")
-
-
 def mode_field(basis: ModeBasis, m: int, amplitude: float = 1.0) -> SpectralField:
     """Field amplitude * e_m, a convenient initial condition."""
     c = basis.zeros()
@@ -123,8 +104,8 @@ def mode_field(basis: ModeBasis, m: int, amplitude: float = 1.0) -> SpectralFiel
 def synthesize(coeffs: np.ndarray, n: int) -> np.ndarray:
     """Evaluate a coefficient vector on the grid j/n, j = 0..n-1.
 
-    Raw-array fast path shared by the typed transforms and the dealiased
-    nonlinear term.  Requires n >= len(coeffs) + 2.
+    Used by the dealiased nonlinear term and every quadrature-based
+    observable.  Requires n >= len(coeffs) + 2.
     """
     m_max = len(coeffs)
     k = m_max // 2
@@ -153,27 +134,15 @@ def analyze(samples: np.ndarray, m_max: int) -> tuple[np.ndarray, float]:
     return coeffs, mean
 
 
-def to_physical(f: SpectralField, n: int | None = None) -> PhysicalField:
-    """Synthesis on the basis grid (or an n-point refinement of it)."""
-    n = f.basis.n_x if n is None else int(n)
-    return PhysicalField(synthesize(f.coeffs, n), f.basis)
+def rotate_pairs(c: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """d/dx on raw coefficients with per-mode wavenumbers w.
 
-
-def to_spectral(g: PhysicalField) -> SpectralField:
-    """Projection onto the retained modes.
-
-    The sample mean is subtracted and its magnitude recorded on the result;
-    a mean above MEAN_TOL raises, since fields here are mean-zero by
-    construction and a drifting mean means an upstream operator is broken.
+    Each (sin, cos) pair (s, k) maps to (-w k, w s).  Passing -w yields
+    -d/dx bit for bit, since IEEE negation is exact.
     """
-    coeffs, mean = analyze(g.samples, g.basis.m_max)
-    if abs(mean) > MEAN_TOL:
-        raise ValueError(
-            f"input violates the mean-zero invariant: |mean| = {abs(mean):.3e} "
-            f"> {MEAN_TOL:.0e}"
-        )
-    out = SpectralField(coeffs, g.basis)
-    out.discarded_mean = abs(mean)
+    out = np.empty_like(c)
+    out[0::2] = -w[1::2] * c[1::2]
+    out[1::2] = w[0::2] * c[0::2]
     return out
 
 
@@ -182,12 +151,7 @@ def spectral_derivative(f: SpectralField) -> SpectralField:
 
     d/dx e_{2mp-1} = (2 pi mp) e_{2mp} and d/dx e_{2mp} = -(2 pi mp) e_{2mp-1}.
     """
-    c = f.coeffs
-    out = np.empty_like(c)
-    w = f.basis.wavenumbers
-    out[0::2] = -w[1::2] * c[1::2]
-    out[1::2] = w[0::2] * c[0::2]
-    return SpectralField(out, f.basis)
+    return SpectralField(rotate_pairs(f.coeffs, f.basis.wavenumbers), f.basis)
 
 
 def heat_apply(f: SpectralField, nu: float, t: float) -> SpectralField:
@@ -203,21 +167,3 @@ def sobolev_norm(f: SpectralField, s: float) -> float:
         return float(np.sqrt(np.dot(f.coeffs, f.coeffs)))
     weights = np.abs(f.basis.eigenvalues) ** s
     return float(np.sqrt(np.sum(weights * f.coeffs**2)))
-
-
-def lp_norm(g: PhysicalField, p: float) -> float:
-    """L^p quadrature norm with the equal trapezoid weights 1/n of a periodic grid.
-
-    p = inf returns max |g|, consistent with the strengthened Poincare chain
-    ||v||_Lp <= ||v||_Linf <= ||v||_H1 used by the moment bounds.
-    """
-    a = np.abs(g.samples)
-    if np.isinf(p):
-        return float(a.max())
-    if p < 1:
-        raise ValueError("p must be >= 1 or inf")
-    if p == 1:
-        return float(a.mean())
-    if p == 2:
-        return float(np.sqrt(np.mean(a * a)))
-    return float(np.mean(a**p) ** (1.0 / p))

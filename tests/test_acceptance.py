@@ -117,7 +117,7 @@ def test_criterion_4_stationary_energy_balance_holds(balance_run):
     t0 = time.perf_counter()
     basis = ModeBasis(16)
     tr = trace_h2(model.noise, basis).l2
-    horizon = float(res.records.t[-1])
+    horizon = float(res.records.column("t")[-1])
     est_b = ergodic_average(res, "h1_sq", burn_in=horizon / 2)
     bal_b = 2.0 * model.nu * est_b.value
     rel_b = abs(bal_b - tr) / tr
@@ -204,7 +204,7 @@ def test_criterion_7_moment_averages_stable_under_horizon_doubling(balance_run):
     t0 = time.perf_counter()
     changes = {}
     for p in (2, 4, 6):
-        col = getattr(res.records, f"lp{p}_p")
+        col = res.records.column(f"lp{p}_p")
         half = float(np.mean(col[: 500_000 + 1]))
         full = float(np.mean(col))
         changes[p] = abs(full - half) / half

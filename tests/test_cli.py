@@ -13,6 +13,7 @@ from svcl.cli import (
     entry,
 )
 from svcl.config import parse_config
+from svcl.ergodic import confluence_experiment
 from svcl.integrator import read_snapshot
 from svcl.observables import FLOAT_FMT, read_csv_columns
 
@@ -215,6 +216,25 @@ dir = {tmp_path / 'cp'}
         assert res["first_passage"][FLOAT_FMT % 1e-9] is None
         assert not res["reached_target"]
 
+    def test_passage_table_matches_confluence_experiment(self, tmp_path):
+        cfgp = self.make_config(tmp_path, epsilons="0.5,0.2,1e-9", horizon="1")
+        cfgp.write_text(cfgp.read_text().replace("c = 0\n", "c = 0.2\n"))
+        assert entry(["couple", "--config", str(cfgp)]) == EXIT_OK
+        res = json.loads((tmp_path / "cp" / "summary.json").read_text())["results"]
+        cfg = parse_config(cfgp)
+        basis = cfg.basis()
+        rep = confluence_experiment(cfg.initial.build(basis), cfg.initial_b.build(basis),
+                                    cfg.model(), cfg.solver(), cfg.seed, cfg.epsilons,
+                                    cfg.horizon)
+        assert res["first_passage"] == {
+            FLOAT_FMT % e: (None if np.isnan(v) else v)
+            for e, v in rep.first_passage.items()}
+        assert res["first_passage"][FLOAT_FMT % 0.2] is not None
+        assert res["monotone"] == rep.monotone
+        assert res["reached_target"] == rep.reached_target
+        assert res["initial_l1"] == rep.initial_distance
+        assert res["final_l1"] == rep.final_distance
+
 
 class TestErgodic:
     def make_config(self, tmp_path, horizon="12"):
@@ -343,6 +363,17 @@ class TestResume:
                       "--resume", str(snap)])
         assert code == EXIT_CONFIG
         assert "single-run" in capsys.readouterr().err
+
+    def test_truncated_snapshot_exits_4(self, ini, tmp_path, capsys):
+        entry(["run", "--config", str(ini)])
+        raw = (tmp_path / "out" / "final.snap").read_bytes()
+        assert len(raw) == 48 + 8 * 8  # header + m_max float64 coefficients
+        cut = tmp_path / "cut.snap"
+        for n in range(len(raw)):
+            cut.write_bytes(raw[:n])
+            code = entry(["resume", "--config", str(ini), "--resume", str(cut)])
+            assert code == EXIT_IO, f"snapshot cut at byte {n}"
+        assert "truncated" in capsys.readouterr().err
 
     def test_resume_requires_the_flag(self, ini, capsys):
         assert entry(["resume", "--config", str(ini)]) == EXIT_CONFIG

@@ -13,8 +13,8 @@ from svcl.integrator import (
     ModelSpec,
     SolverConfig,
     State,
+    Stepper,
     convolution_grid,
-    coupled_step,
     guard_check,
     increments_from_grid,
     picard_solve,
@@ -22,7 +22,6 @@ from svcl.integrator import (
     run_coupled,
     run_on_increments,
     run_single,
-    step,
     write_snapshot,
 )
 from svcl.noise import NoisePath, NoiseSpec
@@ -94,10 +93,11 @@ class TestSchemes:
         model = ModelSpec(0.1, FluxSpec("burgers"), NoiseSpec(c=0.3, q=3.0))
         cfg = SolverConfig(dt=0.01)
         u0 = random_field(basis, 3)
-        st = step(State(u0), model, cfg, NoisePath(model.noise, basis, 5))
+        xi = NoisePath(model.noise, basis, 5).ou_increment(model.nu, cfg.dt)
+        c = Stepper(model, cfg, basis).advance(u0.coeffs, xi)
         res = run_single(model, cfg, u0, seed=5, n_steps=1)
-        assert np.array_equal(st.u.coeffs, res.state.u.coeffs)
-        assert st.t == res.state.t and st.step == 1
+        assert np.array_equal(c, res.state.u.coeffs)
+        assert res.state.t == cfg.dt and res.state.step == 1
 
     def test_mean_stays_zero(self):
         # No constant mode exists; physical samples stay mean-zero to rounding.
@@ -199,10 +199,10 @@ class TestGuard:
         basis = ModeBasis(8)
         model = ModelSpec(0.1, FluxSpec("zero"), NoiseSpec(c=2.0, q=3.0))
         cfg = SolverConfig(dt=0.01, guard_radius=1e-8)
+        path = NoisePath(model.noise, basis, 3)
+        xis = np.array([path.ou_increment(model.nu, cfg.dt) for _ in range(50)])
         with pytest.raises(BlowupError) as err:
-            st = State(SpectralField(basis.zeros(), basis))
-            for _ in range(50):
-                st = step(st, model, cfg, NoisePath(model.noise, basis, 3))
+            run_on_increments(model, cfg, SpectralField(basis.zeros(), basis), xis)
         assert err.value.reason == "guard"
         assert err.value.h1_sq >= 1e-8
 
@@ -223,7 +223,7 @@ class TestGuard:
         cfg = SolverConfig(dt=0.01)
         u0 = mode_field(basis, 1, 1e110)
         with pytest.raises(BlowupError) as err:
-            step(State(u0), model, cfg, NoisePath(model.noise, basis, 0))
+            run_on_increments(model, cfg, u0, np.zeros((1, 8)))
         assert err.value.reason == "flux_overflow"
         res = run_single(model, cfg, u0, seed=0, n_steps=10)
         assert res.tripped and res.trip.reason == "flux_overflow"
@@ -257,11 +257,9 @@ class TestCoupled:
         model = ModelSpec(0.05, FluxSpec("burgers"), NoiseSpec(c=0.5, q=3.0))
         cfg = SolverConfig(dt=1e-3)
         u0 = random_field(basis, 10)
-        a, b = State(u0.copy()), State(u0.copy())
-        path = NoisePath(model.noise, basis, 17)
-        for _ in range(200):
-            a, b = coupled_step(a, b, model, cfg, path)
-        assert np.array_equal(a.u.coeffs, b.u.coeffs)
+        res = run_coupled(model, cfg, u0, u0.copy(), seed=17, n_steps=200)
+        assert res.state_a.step == 200
+        assert np.array_equal(res.state_a.u.coeffs, res.state_b.u.coeffs)
 
     def test_first_trajectory_matches_single_run(self):
         # The coupled driver consumes one draw per step, exactly like the
@@ -274,15 +272,6 @@ class TestCoupled:
         cres = run_coupled(model, cfg, u0, v0, seed=23, n_steps=150)
         sres = run_single(model, cfg, u0, seed=23, n_steps=150)
         assert np.array_equal(cres.state_a.u.coeffs, sres.state.u.coeffs)
-
-    def test_time_mismatch_rejected(self):
-        basis = ModeBasis(8)
-        model = silent_model(m=8)
-        cfg = SolverConfig(dt=0.01)
-        a = State(random_field(basis, 1), t=0.0, step=0)
-        b = State(random_field(basis, 2), t=0.01, step=1)
-        with pytest.raises(ValueError, match="same time"):
-            coupled_step(a, b, model, cfg, NoisePath(model.noise, basis, 0))
 
     def test_noiseless_l1_contraction_is_monotone(self):
         basis = ModeBasis(16)

@@ -14,8 +14,6 @@ from svcl.noise import (
     NoisePath,
     NoiseSpec,
     continuity_check,
-    ou_convolution_step,
-    sample_wiener_increment,
     stationary_variance,
     trace_h2,
 )
@@ -137,10 +135,10 @@ class TestDrawDiscipline:
         basis = ModeBasis(4)
         path = NoisePath(e1_spec(), basis, 3)
         for _ in range(4):
-            ou_convolution_step(path, 1.0, 0.01)
+            path.ou_increment(1.0, 0.01)
         twin = path.fork()
-        ou_convolution_step(path, 1.0, 0.01)
-        ou_convolution_step(twin, 1.0, 0.01)
+        path.ou_increment(1.0, 0.01)
+        twin.ou_increment(1.0, 0.01)
         assert np.array_equal(path.conv_state, twin.conv_state)
 
     def test_negative_seed_accepted(self):
@@ -190,12 +188,6 @@ class TestWienerIncrements:
         cov = np.cov(draws.T) / dt
         assert np.allclose(cov, G.T @ G, atol=0.01)
 
-    def test_invalid_dt(self):
-        basis = ModeBasis(4)
-        path = NoisePath(e1_spec(), basis, 0)
-        with pytest.raises(ValueError):
-            sample_wiener_increment(path, 0.0)
-
 
 class TestOUConvolution:
     def test_one_step_variance_frozen(self):
@@ -204,7 +196,7 @@ class TestOUConvolution:
         samples = np.empty(40000)
         for k in range(len(samples)):
             path = NoisePath(e1_spec(), basis, 50000 + k)
-            ou_convolution_step(path, 1.0, 0.1)
+            path.ou_increment(1.0, 0.1)
             samples[k] = path.conv_state[0]
         assert samples.mean() == pytest.approx(0.0, abs=4 * np.sqrt(OU_STEP_VAR / 4e4))
         assert samples.var() == pytest.approx(OU_STEP_VAR, rel=0.05)
@@ -216,7 +208,7 @@ class TestOUConvolution:
         n = 100000
         vals = np.empty(n)
         for k in range(n):
-            ou_convolution_step(path, 1.0, 0.01)
+            path.ou_increment(1.0, 0.01)
             vals[k] = path.conv_state[0]
         assert vals.var() == pytest.approx(OU_STAT_VAR, rel=0.05)
 
@@ -229,7 +221,7 @@ class TestOUConvolution:
         for k in range(m):
             path = NoisePath(NoiseSpec(sigma=[1.0, 0.0]), basis, 200000 + k)
             for _ in range(n):
-                ou_convolution_step(path, nu, dt)
+                path.ou_increment(nu, dt)
             composed[k] = path.conv_state[0]
         lam = basis.eigenvalue(1)
         big_var = (1.0 - np.exp(2 * nu * lam * n * dt)) / (-2 * nu * lam)
@@ -241,7 +233,7 @@ class TestOUConvolution:
         basis = ModeBasis(4)
         path = NoisePath(NoiseSpec(sigma=[0.0, 0.0, 0.0, 0.0]), basis, 1)
         path.conv_state = np.array([1.0, 1.0, 1.0, 1.0])
-        ou_convolution_step(path, 2.0, 0.003)
+        path.ou_increment(2.0, 0.003)
         assert np.allclose(
             path.conv_state, np.exp(2.0 * basis.eigenvalues * 0.003), rtol=1e-14
         )
@@ -262,7 +254,7 @@ class TestContinuity:
         out = np.empty(n + 1)
         out[0] = 0.0
         for k in range(n):
-            ou_convolution_step(path, 1.0, dt)
+            path.ou_increment(1.0, dt)
             out[k + 1] = np.sqrt(np.sum(lam2 * path.conv_state**2))
         return basis, spec, out
 

@@ -5,9 +5,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from svcl.flux import FluxSpec
-from svcl.integrator import ModelSpec, SolverConfig, run_single
+from svcl.integrator import ModelSpec, SolverConfig, _fill_residual_column, run_single
 from svcl.noise import NoiseSpec, trace_h2
 from svcl.observables import (
     RecordBuffer,
@@ -48,11 +51,11 @@ class TestRecordBuffer:
         for i in range(5):  # force growth past the tiny capacity
             buf.append(0.1 * i, 1.0 + i, 2.0 + i, 3.0 + i, (4.0 + i,))
         assert len(buf) == 5
-        np.testing.assert_array_equal(buf.t, 0.1 * np.arange(5))
+        np.testing.assert_array_equal(buf.column("t"), 0.1 * np.arange(5))
         np.testing.assert_array_equal(buf.column("lp2_p"), 4.0 + np.arange(5))
-        rec = buf.record(3)
-        assert rec.l2_sq == 4.0 and rec.lp == {2: 7.0}
-        assert np.isnan(rec.l1_dist) and np.isnan(rec.guard_margin)
+        assert buf.column("l2_sq")[3] == 4.0 and buf.column("lp2_p")[3] == 7.0
+        assert np.isnan(buf.column("l1_dist")[3])
+        assert np.isnan(buf.column("guard_margin")[3])
 
     def test_csv_round_trip_is_bitwise(self, tmp_path):
         rng = np.random.default_rng(99)
@@ -119,11 +122,48 @@ class TestEnergyBalanceResidual:
                          seed=0, n_steps=50)
         buf = run.records
         triple = (buf.column("t"), buf.column("l2_sq"), buf.column("h1_sq"))
-        recs = [buf.record(i) for i in range(len(buf))]
         r1 = energy_balance_residual(buf, model, basis)
         r2 = energy_balance_residual(triple, model, basis)
-        r3 = energy_balance_residual(recs, model, basis)
-        assert r1 == r2 == r3
+        assert r1 == r2
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(data=st.data())
+    def test_residual_column_matches_residual_function(self, data):
+        """Every row of the energy_residual column, resumed or not, is
+        energy_balance_residual over that row's trailing window, bit for bit."""
+        n_hist = data.draw(st.integers(0, 40), label="history rows")
+        n_new = data.draw(st.integers(1, 60), label="buffer rows")
+        window = data.draw(st.integers(2, 30), label="window")
+        nu = data.draw(st.floats(1e-3, 2.0), label="nu")
+        n = n_hist + n_new
+        t = data.draw(st.floats(0.0, 100.0), label="t0") + np.cumsum(
+            data.draw(arrays(float, n, elements=st.floats(1e-3, 10.0)), label="dt"))
+        mass = st.floats(0.0, 1e3)
+        l2 = data.draw(arrays(float, n, elements=mass), label="l2_sq")
+        h1 = data.draw(arrays(float, n, elements=mass), label="h1_sq")
+        basis = ModeBasis(8)
+        model = ModelSpec(nu, FluxSpec("zero"), NoiseSpec(c=0.5, q=3.0))
+
+        def column(start, history):
+            buf = RecordBuffer()
+            for i in range(start, n):
+                buf.append(t[i], l2[i], h1[i], 0.0)
+            _fill_residual_column(buf, model, basis, window, history)
+            return buf.column("energy_residual").view(np.int64)
+
+        whole = column(0, None)
+        expected = [energy_balance_residual((t[max(0, i - window):i + 1],
+                                             l2[max(0, i - window):i + 1],
+                                             h1[max(0, i - window):i + 1]), model, basis)
+                    for i in range(n)]
+        np.testing.assert_array_equal(whole, np.array(expected).view(np.int64))
+        if n_hist:
+            # a resumed segment, seeded with the whole prefix or only the
+            # trailing window of it, continues the column bit for bit
+            for k in (0, max(0, n_hist - window)):
+                tail = slice(k, n_hist)
+                resumed = column(n_hist, (t[tail], l2[tail], h1[tail]))
+                np.testing.assert_array_equal(resumed, whole[n_hist:])
 
     def test_short_window_is_nan(self):
         model = heat_model()

@@ -10,17 +10,14 @@ import numpy as np
 import pytest
 
 from svcl.spectral import (
-    MEAN_TOL,
     ModeBasis,
-    PhysicalField,
     SpectralField,
+    analyze,
     heat_apply,
-    lp_norm,
     mode_field,
     sobolev_norm,
     spectral_derivative,
-    to_physical,
-    to_spectral,
+    synthesize,
 )
 
 LAM1 = -39.47841760435743  # -(2 pi)^2
@@ -81,56 +78,49 @@ class TestModeBasis:
 class TestTransforms:
     @pytest.mark.parametrize("m_max", [2, 8, 32, 64])
     def test_round_trip(self, m_max):
-        """to_spectral(to_physical(f)) recovers band-limited f to 1e-12."""
+        """analyze(synthesize(f)) recovers band-limited f to 1e-12."""
         basis = ModeBasis(m_max)
         for seed in range(5):
             f = random_field(basis, seed)
-            g = to_physical(f)
-            back = to_spectral(g)
-            assert np.max(np.abs(back.coeffs - f.coeffs)) < 1e-12
+            back, _ = analyze(synthesize(f.coeffs, basis.n_x), m_max)
+            assert np.max(np.abs(back - f.coeffs)) < 1e-12
 
     def test_round_trip_fine_grid(self):
         basis = ModeBasis(16)
         f = random_field(basis, 3)
-        back = to_spectral(to_physical(f, n=200))
-        assert np.max(np.abs(back.coeffs - f.coeffs)) < 1e-12
+        back, _ = analyze(synthesize(f.coeffs, 200), 16)
+        assert np.max(np.abs(back - f.coeffs)) < 1e-12
 
     def test_single_mode_samples(self):
         """Synthesis of e_m matches direct evaluation on the grid."""
         basis = ModeBasis(8)
         x = basis.grid()
         for m in range(1, 9):
-            g = to_physical(mode_field(basis, m))
-            assert np.max(np.abs(g.samples - basis.basis_eval(m, x))) < 1e-13
+            g = synthesize(mode_field(basis, m).coeffs, basis.n_x)
+            assert np.max(np.abs(g - basis.basis_eval(m, x))) < 1e-13
 
     def test_projection_truncates_high_modes(self):
         """Content above the retained band is dropped, not aliased in."""
-        basis = ModeBasis(8)
         x = np.arange(64) / 64
         high = np.sqrt(2.0) * np.sin(2 * np.pi * 7 * x)  # pair 7 > m_max/2 = 4
-        f = to_spectral(PhysicalField(high, basis))
-        assert np.max(np.abs(f.coeffs)) < 1e-13
+        coeffs, _ = analyze(high, 8)
+        assert np.max(np.abs(coeffs)) < 1e-13
 
-    def test_mean_removal_silent_below_tol(self):
+    def test_mean_is_reported_apart_from_modes(self):
+        """A constant offset is reported as the mean and kept out of the modes."""
         basis = ModeBasis(8)
         f = random_field(basis, 1)
-        g = to_physical(f)
-        g.samples = g.samples + 0.5 * MEAN_TOL
-        back = to_spectral(g)
-        assert np.max(np.abs(back.coeffs - f.coeffs)) < 1e-12
-        assert 0 < back.discarded_mean <= MEAN_TOL
-
-    def test_mean_removal_error_above_tol(self):
-        basis = ModeBasis(8)
-        g = to_physical(random_field(basis, 1))
-        g.samples = g.samples + 1e-6
-        with pytest.raises(ValueError, match="mean-zero"):
-            to_spectral(g)
+        offset = 5e-13
+        back, mean = analyze(synthesize(f.coeffs, basis.n_x) + offset, 8)
+        assert np.max(np.abs(back - f.coeffs)) < 1e-12
+        assert mean == pytest.approx(offset, rel=1e-3)
 
     def test_coarse_grid_rejected(self):
         basis = ModeBasis(16)
         with pytest.raises(ValueError):
-            to_physical(random_field(basis, 0), n=17)
+            synthesize(random_field(basis, 0).coeffs, 17)
+        with pytest.raises(ValueError):
+            analyze(np.zeros(17), 16)
 
 
 class TestDerivative:
@@ -222,13 +212,19 @@ class TestHeatSemigroup:
                 assert lhs <= fitted / np.sqrt(t) * sobolev_norm(f, 1) * (1 + 1e-9)
 
 
+def quad_lp(f, n, p):
+    """L^p quadrature norm of f's samples on n points (p = inf: max)."""
+    a = np.abs(synthesize(f.coeffs, n))
+    return float(a.max()) if np.isinf(p) else float(np.mean(a**p) ** (1.0 / p))
+
+
 class TestNorms:
     def test_parseval(self):
         """sobolev_norm(f, 0) equals the L2 quadrature norm of the samples."""
         basis = ModeBasis(32)
         for seed in range(4):
             f = random_field(basis, seed)
-            quad = lp_norm(to_physical(f), 2)
+            quad = quad_lp(f, basis.n_x, 2)
             assert sobolev_norm(f, 0) == pytest.approx(quad, rel=1e-12)
 
     def test_h1_frozen_value(self):
@@ -243,32 +239,19 @@ class TestNorms:
         f = mode_field(basis, 3, 2.0)
         assert sobolev_norm(f, 2) == pytest.approx(2.0 * (-LAM3), rel=1e-13)
 
-    def test_lp_inf_is_max(self):
-        basis = ModeBasis(16)
-        g = to_physical(random_field(basis, 9))
-        assert lp_norm(g, np.inf) == np.max(np.abs(g.samples))
-
-    def test_lp_invalid_p(self):
-        basis = ModeBasis(8)
-        g = to_physical(mode_field(basis, 1))
-        with pytest.raises(ValueError):
-            lp_norm(g, 0.5)
-
     @pytest.mark.parametrize("p", [1, 2, 4])
     def test_poincare_chain(self, p):
         """||v||_Lp <= ||v||_Linf <= ||v||_H1 on random fields."""
         basis = ModeBasis(32)
         for seed in range(6):
             f = random_field(basis, seed, decay=1.2)
-            g = to_physical(f, n=4 * basis.m_max)
-            vp = lp_norm(g, p)
-            vinf = lp_norm(g, np.inf)
+            vp = quad_lp(f, 4 * basis.m_max, p)
+            vinf = quad_lp(f, 4 * basis.m_max, np.inf)
             assert vp <= vinf * (1 + 1e-13)
             assert vinf <= sobolev_norm(f, 1) * (1 + 1e-13)
 
     def test_lp_known_values(self):
         """||e_1||_2 = 1 and ||e_1||_inf = sqrt(2) on a fine grid."""
-        basis = ModeBasis(8)
-        g = to_physical(mode_field(basis, 1), n=4096)
-        assert lp_norm(g, 2) == pytest.approx(1.0, rel=1e-12)
-        assert lp_norm(g, np.inf) == pytest.approx(np.sqrt(2), rel=1e-6)
+        e1 = mode_field(ModeBasis(8), 1)
+        assert quad_lp(e1, 4096, 2) == pytest.approx(1.0, rel=1e-12)
+        assert quad_lp(e1, 4096, np.inf) == pytest.approx(np.sqrt(2), rel=1e-6)
