@@ -82,16 +82,17 @@ def _write_summary(out: Path, cfg: RunConfig, command: str, results: dict,
 
 
 def _write_csv(path: Path, buf, cfg: RunConfig, kept=()) -> None:
-    """Write the run's rows; `kept` holds the comment, header and data lines
-    of the segment a resumed run continues, and replaces the fresh echo."""
+    """Write the config echo, the header and the run's rows; `kept`, the data
+    rows of the segment a resumed run continues, go between header and rows."""
     with open(path, "w", encoding="utf-8", newline="\n") as fp:
-        if not kept:
+        if not kept:  # a fresh run streams its rows
             buf.write_csv(fp, config_echo=cfg.echo())
             return
-        fp.writelines(kept)
         s = StringIO()
-        buf.write_csv(s)
-        fp.writelines(s.getvalue().splitlines(keepends=True)[1:])  # drop the header
+        buf.write_csv(s, config_echo=cfg.echo())
+        lines = s.getvalue().splitlines(keepends=True)
+        head = len(lines) - len(buf)
+        fp.writelines(lines[:head] + list(kept) + lines[head:])
 
 
 def _write_snap(path: Path, state: State, model: ModelSpec, solver: SolverConfig,
@@ -131,8 +132,8 @@ def _run_and_write(cfg: RunConfig, snap=None, kept=(), history=None):
     """Drive the single trajectory of `run`, `ergodic` and `resume` and write
     observables.csv, the periodic snapshots and final.snap.
 
-    A resumed run starts from `snap` and continues the CSV lines in `kept`,
-    with `history` the (t, l2_sq, h1_sq) tail of those rows.
+    A resumed run starts from `snap` and continues the CSV data rows in
+    `kept`, with `history` the (t, l2_sq, h1_sq) tail of those rows.
     """
     out, basis, model, solver = _prepare(cfg)
     if snap is None:
@@ -159,10 +160,10 @@ def _blowup(trip, out: Path) -> int:
     return EXIT_BLOWUP
 
 
-def _cmd_single(cfg: RunConfig, snap=None, head=(), rows=(), history=None) -> int:
+def _cmd_single(cfg: RunConfig, snap=None, rows=(), history=None) -> int:
     """`run`; also the body of `resume`, which passes the snapshot and the
-    CSV comment/header lines and data rows the new rows continue."""
-    out, model, u0, res = _run_and_write(cfg, snap, list(head) + list(rows), history)
+    CSV data rows the new rows continue."""
+    out, model, u0, res = _run_and_write(cfg, snap, rows, history)
     c = res.state.u.coeffs
     results = {"kind": "single", "steps": res.state.step,
                "final_time": res.state.t,
@@ -406,7 +407,7 @@ def _cmd_resume(cfg: RunConfig, snap_path) -> int:
     tail = slice(max(0, keep - cfg.residual_window), keep)
     history = (cols["t"][tail], cols["l2_sq"][tail], cols["h1_sq"][tail])
 
-    return _cmd_single(cfg, snap, lines[: n_comment + 1], data[:keep], history)
+    return _cmd_single(cfg, snap, data[:keep], history)
 
 
 # --- entry -------------------------------------------------------------------

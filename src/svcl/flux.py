@@ -40,7 +40,9 @@ class FluxSpec:
     kind = "burgers" is A(v) = v^2/2, "zero" switches the nonlinearity off,
     "polynomial" takes coefficients [a_0, a_1, ...] meaning sum a_j v^j, and
     "callback" takes explicit value/derivative callables with declared
-    growth, taken on trust.
+    growth, taken on trust.  value_fn and deriv_fn must act elementwise on
+    arrays of any shape: the nonlinear term applies them to a whole block
+    of same-noise states at once.
     """
 
     kind: str = "burgers"
@@ -185,14 +187,15 @@ def dealias_points(spec: FluxSpec, basis: ModeBasis) -> int:
 def dx_flux(spec: FluxSpec, c: np.ndarray, n_pad: int, w: np.ndarray) -> np.ndarray:
     """Dealiased dx A(u) on raw coefficients, differentiated with wavenumbers w.
 
-    Pads to the n_pad-point grid, applies A pointwise, projects back (the
-    mean of A(u) is annihilated by the derivative, so it is dropped), and
-    differentiates exactly in coefficient space.  With w = -wavenumbers
-    this is N(u) = -dx A(u), the one nonlinear kernel every caller uses.
+    Pads c, one vector or a block (..., m_max) of them, to the n_pad-point
+    grid, applies A pointwise, projects back (the mean of A(u) is
+    annihilated by the derivative, so it is dropped), and differentiates
+    exactly in coefficient space.  With w = -wavenumbers this is
+    N(u) = -dx A(u), the one nonlinear kernel every caller uses.
     """
     if spec.kind == "zero":
         return np.zeros_like(c)
-    a, _ = analyze(flux_value(spec, synthesize(c, n_pad)), len(c))
+    a, _ = analyze(flux_value(spec, synthesize(c, n_pad)), c.shape[-1])
     return rotate_pairs(a, w)
 
 

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -83,14 +84,6 @@ class BlowupError(RuntimeError):
         self.reason = reason
 
 
-def guard_check(state: State, radius: float) -> GuardTrip | None:
-    """Trip report if ||u||_H1^2 has reached the radius, else None."""
-    h1_sq = float(np.sum(-state.u.basis.eigenvalues * state.u.coeffs**2))
-    if h1_sq >= radius:
-        return GuardTrip(t=state.t, h1_sq=h1_sq)
-    return None
-
-
 class Stepper:
     """Precomputed per-(model, cfg, basis) plan for the hot step loop."""
 
@@ -115,6 +108,9 @@ class Stepper:
         return dx_flux(self.model.flux, c, self._n_pad, self._neg_w)
 
     def advance(self, c: np.ndarray, xi: np.ndarray) -> np.ndarray:
+        """One scheme update of c, a state (m,) or a block (R, m) of states
+        driven by the same increment xi; each row of a block comes out
+        bitwise equal to advancing it alone."""
         if self._zero_flux:
             return self.decay * c + xi
         if not self._midpoint:
@@ -126,18 +122,37 @@ class Stepper:
         return float(np.dot(self.neg_lam, c * c))
 
 
+def _rows(c):
+    """The states held by c, one state (m,) or a block (R, m), in row order."""
+    return c if c.ndim > 1 else (c,)
+
+
 def _advance_checked(stepper: Stepper, c, xi, t_next):
-    """One scheme update with the blow-up contract applied."""
+    """One scheme update with the blow-up contract applied row by row.
+
+    Returns (c', None), or (c'', trip) for the first row in order that
+    overflows or reaches the guard radius, with c'' as stepping the rows
+    one at a time and stopping at that row leaves them.
+    """
     try:
         out = stepper.advance(c, xi)
-    except FluxOverflowError as err:
-        raise BlowupError(t_next - stepper.dt, stepper.h1_sq(c), "flux_overflow") from err
+    except FluxOverflowError:
+        if c.ndim == 1:
+            return c, GuardTrip(t_next - stepper.dt, stepper.h1_sq(c), "flux_overflow")
+        # redo a block one row at a time to find the first row that fails
+        out = c.copy()
+        for i, row in enumerate(c):
+            out[i], trip = _advance_checked(stepper, row, xi, t_next)
+            if trip is not None:
+                break
+        return out, trip
     r = stepper.cfg.guard_radius
     if r is not None:
-        h1 = stepper.h1_sq(out)
-        if h1 >= r:
-            raise BlowupError(t_next, h1, "guard")
-    return out
+        for i, row in enumerate(_rows(out)):
+            h1 = stepper.h1_sq(row)
+            if h1 >= r:
+                return np.concatenate((out[:i], c[i:])), GuardTrip(t_next, h1)
+    return out, None
 
 
 # --- run drivers ----------------------------------------------------------
@@ -156,20 +171,16 @@ class RunResult:
         return self.trip is not None
 
 
-def _lp_powers(c, n_fine, orders):
-    if not orders:
-        return ()
-    vals = np.abs(synthesize(c, n_fine))
-    return tuple(np.mean(vals**p) for p in orders)
-
-
-def _record(buf, stepper: Stepper, t, c, l1_dist=np.nan):
+def _record(buf, stepper: Stepper, t, c):
     """Append the observable row of coefficients c at time t."""
     cc = c * c
     h1s = float(np.dot(stepper.neg_lam, cc))
     r = stepper.cfg.guard_radius
-    buf.append(t, float(np.dot(c, c)), h1s, float(np.dot(stepper.lam_sq, cc)),
-               _lp_powers(c, stepper.n_fine, buf.lp_orders), l1_dist=l1_dist,
+    lp = ()
+    if buf.lp_orders:
+        vals = np.abs(synthesize(c, stepper.n_fine))
+        lp = tuple(np.mean(vals**p) for p in buf.lp_orders)
+    buf.append(t, float(np.dot(c, c)), h1s, float(np.dot(stepper.lam_sq, cc)), lp,
                guard_margin=np.nan if r is None else r - h1s)
 
 
@@ -190,6 +201,46 @@ def _fill_residual_column(buf, model, basis, window, history=None):
                 for h, c in zip(history, cols)]
     buf.set_column("energy_residual", observables.balance_residuals(
         *cols, window, model.nu, trace_h2(model.noise, basis).l2, first=off))
+
+
+def _drive(stepper: Stepper, c, draw, n_steps, bufs=(), record_every=1, t=0.0,
+           step0=0, keep_coeffs=False, on_step=None, snapshot_every=0,
+           snapshot_writer=None):
+    """The one step loop: advance c, a state (m,) or a same-noise block
+    (R, m), by up to n_steps increments draw(), from time t and step step0.
+
+    Row r goes to bufs[r] on a fresh start and at every record_every-th
+    step; on_step(step, t, c) runs after each step and stops the run by
+    returning True.  Returns (c, t, step, trip, history); history holds c
+    at step0 and after each step when keep_coeffs is set, else None.
+    """
+    hist = np.empty((n_steps + 1, *c.shape)) if keep_coeffs else None
+    if keep_coeffs:
+        hist[0] = c
+    if step0 == 0:
+        for buf, row in zip(bufs, _rows(c)):
+            _record(buf, stepper, t, row)
+    dt = stepper.dt
+    trip = None
+    step = step0
+    for n in range(step0, step0 + n_steps):
+        c, trip = _advance_checked(stepper, c, draw(), t + dt)
+        if trip is not None:
+            break
+        t += dt
+        step = n + 1
+        if keep_coeffs:
+            hist[step - step0] = c
+        if step % record_every == 0:
+            for buf, row in zip(bufs, _rows(c)):
+                _record(buf, stepper, t, row)
+        if snapshot_every and snapshot_writer and step % snapshot_every == 0:
+            snapshot_writer(State(SpectralField(c, stepper.basis), t, step))
+        if on_step is not None and on_step(step, t, c):
+            break
+    if keep_coeffs and trip is not None:
+        hist = hist[: step - step0 + 1]
+    return c, t, step, trip, hist
 
 
 def run_single(
@@ -222,37 +273,13 @@ def run_single(
     path = NoisePath(model.noise, basis, seed)
     path.draw_index = step0
     buf = observables.RecordBuffer(lp_orders, capacity=n_steps // max(record_every, 1) + 4)
-    c = u0.coeffs.copy()
-    t = t0
-    hist = np.empty((n_steps + 1, basis.m_max)) if keep_coeffs else None
-    if keep_coeffs:
-        hist[0] = c
-    nu, dt = model.nu, cfg.dt
-    if step0 == 0:
-        _record(buf, stepper, t, c)
-    trip = None
-    final_step = step0
-    for n in range(step0, step0 + n_steps):
-        xi = path.ou_increment(nu, dt)
-        try:
-            c = _advance_checked(stepper, c, xi, t + dt)
-        except BlowupError as err:
-            trip = GuardTrip(err.t, err.h1_sq, err.reason)
-            break
-        t += dt
-        final_step = n + 1
-        if keep_coeffs:
-            hist[final_step - step0] = c
-        if final_step % record_every == 0:
-            _record(buf, stepper, t, c)
-        if snapshot_every and snapshot_writer and final_step % snapshot_every == 0:
-            snapshot_writer(State(SpectralField(c, basis), t, final_step))
+    c, t, step, trip, hist = _drive(
+        stepper, u0.coeffs.copy(), partial(path.ou_increment, model.nu, cfg.dt),
+        n_steps, (buf,), record_every, t0, step0, keep_coeffs,
+        snapshot_every=snapshot_every, snapshot_writer=snapshot_writer)
     _fill_residual_column(buf, model, basis, residual_window, residual_history)
-    state = State(SpectralField(c, basis), t, final_step)
-    if keep_coeffs and trip is not None:
-        hist = hist[: final_step - step0 + 1]
-    return RunResult(records=buf, state=state, seed=seed, trip=trip,
-                     coeff_history=hist)
+    return RunResult(records=buf, state=State(SpectralField(c, basis), t, step),
+                     seed=seed, trip=trip, coeff_history=hist)
 
 
 @dataclass
@@ -287,70 +314,39 @@ def run_coupled(
 ) -> CoupledRunResult:
     """Drive two trajectories under one realization of the forcing.
 
-    The L1 distance and both H1 masses are tracked at every step (the
-    contraction property is a per-step statement), while full records keep
-    the configured cadence.  Stops early once the distance drops below
+    The pair is stepped as one (2, m) block by the shared driver.  The L1
+    distance and both H1 masses are tracked at every step (the contraction
+    property is a per-step statement), while full records keep the
+    configured cadence.  Stops early once the distance drops below
     stop_l1_below, if given.
     """
     basis = u0.basis
     stepper = Stepper(model, cfg, basis)
     path = NoisePath(model.noise, basis, seed)
     cap = n_steps // max(record_every, 1) + 4
-    buf_a = observables.RecordBuffer(lp_orders, capacity=cap)
-    buf_b = observables.RecordBuffer(lp_orders, capacity=cap)
-    ca = u0.coeffs.copy()
-    cb = v0.coeffs.copy()
-    t = 0.0
-    nu, dt = model.nu, cfg.dt
+    bufs = (observables.RecordBuffer(lp_orders, capacity=cap),
+            observables.RecordBuffer(lp_orders, capacity=cap))
     times = np.empty(n_steps + 1)
     l1 = np.empty(n_steps + 1)
-    h1a = np.empty(n_steps + 1)
-    h1b = np.empty(n_steps + 1)
+    h1 = np.empty((2, n_steps + 1))
 
-    def l1_now(d):
-        return float(np.mean(np.abs(synthesize(d, stepper.n_fine))))
-
-    times[0] = 0.0
-    l1[0] = l1_now(ca - cb)
-    h1a[0] = stepper.h1_sq(ca)
-    h1b[0] = stepper.h1_sq(cb)
-    _record(buf_a, stepper, 0.0, ca, l1[0])
-    _record(buf_b, stepper, 0.0, cb, l1[0])
-    trip = None
-    k = 0
-    for n in range(n_steps):
-        xi = path.ou_increment(nu, dt)
-        try:
-            ca = _advance_checked(stepper, ca, xi, t + dt)
-            cb = _advance_checked(stepper, cb, xi, t + dt)
-        except BlowupError as err:
-            trip = GuardTrip(err.t, err.h1_sq, err.reason)
-            break
-        t += dt
-        k = n + 1
+    def track(k, t, c):
         times[k] = t
-        l1[k] = l1_now(ca - cb)
-        h1a[k] = stepper.h1_sq(ca)
-        h1b[k] = stepper.h1_sq(cb)
-        if k % record_every == 0:
-            _record(buf_a, stepper, t, ca, l1[k])
-            _record(buf_b, stepper, t, cb, l1[k])
-        if stop_l1_below is not None and l1[k] < stop_l1_below:
-            break
-    for buf in (buf_a, buf_b):
+        l1[k] = float(np.mean(np.abs(synthesize(c[0] - c[1], stepper.n_fine))))
+        h1[:, k] = [stepper.h1_sq(row) for row in c]
+        return stop_l1_below is not None and l1[k] < stop_l1_below
+
+    c = np.stack([u0.coeffs, v0.coeffs])
+    track(0, 0.0, c)
+    c, t, k, trip, _ = _drive(stepper, c, partial(path.ou_increment, model.nu, cfg.dt),
+                              n_steps, bufs, record_every, on_step=track)
+    for buf in bufs:
+        buf.set_column("l1_dist", l1[: k + 1 : record_every])
         _fill_residual_column(buf, model, basis, residual_window)
-    return CoupledRunResult(
-        records_a=buf_a,
-        records_b=buf_b,
-        state_a=State(SpectralField(ca, basis), t, k),
-        state_b=State(SpectralField(cb, basis), t, k),
-        seed=seed,
-        times=times[: k + 1],
-        l1_series=l1[: k + 1],
-        h1_sq_a=h1a[: k + 1],
-        h1_sq_b=h1b[: k + 1],
-        trip=trip,
-    )
+    states = [State(SpectralField(row, basis), t, k) for row in c]
+    return CoupledRunResult(*bufs, *states, seed=seed, times=times[: k + 1],
+                            l1_series=l1[: k + 1], h1_sq_a=h1[0, : k + 1],
+                            h1_sq_b=h1[1, : k + 1], trip=trip)
 
 
 # --- fixed-realization refinement helpers ---------------------------------
@@ -377,26 +373,21 @@ def increments_from_grid(w: np.ndarray, nu: float, basis: ModeBasis,
     it, so refinement studies measure pure time-discretization error.
     """
     decay = np.exp(nu * basis.eigenvalues * dt_coarse)
-    n_coarse = (len(w) - 1) // stride
-    out = np.empty((n_coarse, w.shape[1]))
-    for i in range(n_coarse):
-        out[i] = w[(i + 1) * stride] - decay * w[i * stride]
-    return out
+    end = (len(w) - 1) // stride * stride
+    return w[stride : end + 1 : stride] - decay * w[:end:stride]
 
 
 def run_on_increments(model: ModelSpec, cfg: SolverConfig, u0: SpectralField,
                       xis: np.ndarray) -> np.ndarray:
-    """Trajectory driven by precomputed noise increments; returns (n+1, M)."""
-    stepper = Stepper(model, cfg, u0.basis)
-    c = u0.coeffs.copy()
-    out = np.empty((len(xis) + 1, u0.basis.m_max))
-    out[0] = c
-    t = 0.0
-    for i, xi in enumerate(xis):
-        c = _advance_checked(stepper, c, xi, t + cfg.dt)
-        t += cfg.dt
-        out[i + 1] = c
-    return out
+    """Trajectory driven by precomputed noise increments; returns (n+1, M).
+
+    Raises BlowupError on a guard trip or a flux overflow.
+    """
+    _, _, _, trip, hist = _drive(Stepper(model, cfg, u0.basis), u0.coeffs.copy(),
+                                 iter(xis).__next__, len(xis), keep_coeffs=True)
+    if trip is not None:
+        raise BlowupError(trip.t, trip.h1_sq, trip.reason)
+    return hist
 
 
 # --- mild-form fixed point -------------------------------------------------

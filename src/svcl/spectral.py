@@ -20,6 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+_SQRT2 = np.sqrt(2.0)  # once here, not one ufunc call per transform
+
 
 class ModeBasis:
     """Truncated mean-zero Fourier basis with m_max retained real modes.
@@ -102,47 +104,49 @@ def mode_field(basis: ModeBasis, m: int, amplitude: float = 1.0) -> SpectralFiel
 
 
 def synthesize(coeffs: np.ndarray, n: int) -> np.ndarray:
-    """Evaluate a coefficient vector on the grid j/n, j = 0..n-1.
+    """Evaluate coefficient vectors (last axis) on the grid j/n, j = 0..n-1.
 
-    Used by the dealiased nonlinear term and every quadrature-based
-    observable.  Requires n >= len(coeffs) + 2.
+    Each row of a block comes out bitwise equal to its own call.  Used by
+    the dealiased nonlinear term and every quadrature-based observable.
+    Requires n >= m_max + 2.
     """
-    m_max = len(coeffs)
+    m_max = coeffs.shape[-1]
     k = m_max // 2
     if n < m_max + 2:
         raise ValueError("grid too coarse for the retained band")
-    spec = np.zeros(n // 2 + 1, dtype=complex)
+    spec = np.zeros((*coeffs.shape[:-1], n // 2 + 1), dtype=complex)
     # rfft bin mp holds (n/sqrt(2)) * (cos_coeff - i sin_coeff)
-    scale = n / np.sqrt(2.0)
-    spec.real[1 : k + 1] = scale * coeffs[1::2]
-    spec.imag[1 : k + 1] = -scale * coeffs[0::2]
+    scale = n / _SQRT2
+    spec.real[..., 1 : k + 1] = scale * coeffs[..., 1::2]
+    spec.imag[..., 1 : k + 1] = -scale * coeffs[..., 0::2]
     return np.fft.irfft(spec, n)
 
 
 def analyze(samples: np.ndarray, m_max: int) -> tuple[np.ndarray, float]:
-    """Project samples onto the first m_max modes; returns (coeffs, mean)."""
-    n = len(samples)
+    """Project samples (last axis) onto the first m_max modes; returns
+    (coeffs, mean), with a scalar mean for one sample vector."""
+    n = samples.shape[-1]
     k = m_max // 2
     if n < m_max + 2:
         raise ValueError("grid too coarse for the retained band")
     spec = np.fft.rfft(samples)
-    mean = spec[0].real / n
-    scale = np.sqrt(2.0) / n
-    coeffs = np.empty(m_max)
-    coeffs[0::2] = -scale * spec.imag[1 : k + 1]
-    coeffs[1::2] = scale * spec.real[1 : k + 1]
+    mean = spec.real[..., 0][()] / n  # [()]: a scalar, not a 0-d array, for one vector
+    scale = _SQRT2 / n
+    coeffs = np.empty((*samples.shape[:-1], m_max))
+    coeffs[..., 0::2] = -scale * spec.imag[..., 1 : k + 1]
+    coeffs[..., 1::2] = scale * spec.real[..., 1 : k + 1]
     return coeffs, mean
 
 
 def rotate_pairs(c: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """d/dx on raw coefficients with per-mode wavenumbers w.
+    """d/dx on raw coefficients (last axis) with per-mode wavenumbers w.
 
     Each (sin, cos) pair (s, k) maps to (-w k, w s).  Passing -w yields
     -d/dx bit for bit, since IEEE negation is exact.
     """
     out = np.empty_like(c)
-    out[0::2] = -w[1::2] * c[1::2]
-    out[1::2] = w[0::2] * c[0::2]
+    out[..., 0::2] = -w[1::2] * c[..., 1::2]
+    out[..., 1::2] = w[0::2] * c[..., 0::2]
     return out
 
 

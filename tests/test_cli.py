@@ -12,7 +12,7 @@ from svcl.cli import (
     EXIT_OK,
     entry,
 )
-from svcl.config import parse_config
+from svcl.config import parse_config, parse_config_text
 from svcl.ergodic import confluence_experiment
 from svcl.integrator import read_snapshot
 from svcl.observables import FLOAT_FMT, read_csv_columns
@@ -339,6 +339,11 @@ class TestResume:
         cols = read_csv_columns(out / "observables.csv")
         assert len(cols["t"]) == 181
         assert cols["t"][-1] == pytest.approx(0.18)
+        # the echo names the config that produced every row, the new horizon
+        lines = (out / "observables.csv").read_text().splitlines()
+        echo = [ln[2:] for ln in lines if ln.startswith("#")]
+        echo[0] = echo[0].removeprefix("config: ")
+        assert parse_config_text("\n".join(echo)).horizon == 0.18
 
     def test_mismatched_seed_exits_2(self, ini, tmp_path, capsys):
         entry(["run", "--config", str(ini)])

@@ -6,16 +6,19 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
-from svcl.flux import FluxSpec
+from svcl.flux import FluxSpec, dealias_points
 from svcl.integrator import (
+    SCHEMES,
     BlowupError,
     ModelSpec,
     SolverConfig,
     State,
     Stepper,
     convolution_grid,
-    guard_check,
     increments_from_grid,
     picard_solve,
     read_snapshot,
@@ -25,7 +28,8 @@ from svcl.integrator import (
     write_snapshot,
 )
 from svcl.noise import NoisePath, NoiseSpec
-from svcl.spectral import ModeBasis, SpectralField, heat_apply, mode_field, synthesize
+from svcl.spectral import (ModeBasis, SpectralField, analyze, heat_apply, mode_field,
+                           synthesize)
 
 FOUR_PI_SQ = 39.47841760435743
 
@@ -159,6 +163,35 @@ class TestSchemes:
         np.testing.assert_allclose(traj, res.coeff_history, atol=1e-13)
 
 
+class TestBlock:
+    FLUXES = {"burgers": FluxSpec("burgers"), "zero": FluxSpec("zero"),
+              "cubic": FluxSpec("polynomial", coefficients=[0.0, 0.5, -0.2, 1.0 / 3.0])}
+
+    @settings(max_examples=80, deadline=None, derandomize=True, database=None)
+    @given(data=st.data(), rows=st.integers(1, 4), m=st.sampled_from([8, 16, 32]),
+           flux=st.sampled_from(sorted(FLUXES)), scheme=st.sampled_from(SCHEMES))
+    def test_block_equals_rows_bitwise(self, data, rows, m, flux, scheme):
+        # one call on an (R, m) block of same-noise states must give each
+        # row's own 1-D result bit for bit, as must the transforms under it
+        block = data.draw(arrays(float, (rows, m), elements=st.floats(-2.0, 2.0)))
+        xi = data.draw(arrays(float, m, elements=st.floats(-0.1, 0.1)))
+        basis = ModeBasis(m)
+        model = ModelSpec(0.1, self.FLUXES[flux], NoiseSpec(sigma=np.zeros(m)))
+        stepper = Stepper(model, SolverConfig(dt=1e-3, scheme=scheme), basis)
+        out = stepper.advance(block, xi)
+        n = dealias_points(model.flux, basis)
+        samples = synthesize(block, n)
+        coeffs, means = analyze(samples, m)
+        assert out.shape == block.shape and means.shape == (rows,)
+        for i, row in enumerate(block):
+            assert stepper.advance(row, xi).tobytes() == out[i].tobytes()
+            assert synthesize(row, n).tobytes() == samples[i].tobytes()
+            c, mean = analyze(samples[i], m)
+            assert c.tobytes() == coeffs[i].tobytes()
+            assert isinstance(mean, float) and np.ndim(mean) == 0
+            assert np.float64(mean).tobytes() == means[i].tobytes()
+
+
 class TestContinuousDependence:
     def test_h2_gap_proportional_to_perturbation(self):
         # Fixed noise path, u0 vs u0 + delta e_1: sup_t H2 distance scales
@@ -184,16 +217,26 @@ class TestContinuousDependence:
 class TestGuard:
     def test_zero_field_never_trips(self):
         basis = ModeBasis(8)
-        st = State(SpectralField(basis.zeros(), basis))
-        assert guard_check(st, 1e-6) is None
+        cfg = SolverConfig(dt=0.01, guard_radius=1e-6)
+        res = run_single(silent_model(m=8), cfg, SpectralField(basis.zeros(), basis),
+                         seed=0, n_steps=50)
+        assert not res.tripped and res.state.step == 50
 
     def test_single_mode_trips_exactly_at_threshold(self):
+        # A = 0, sigma = 0: the first stepped state is E e_1, and a radius
+        # equal to its H1 mass trips at step 1 while a hair more never does
         basis = ModeBasis(8)
-        st = State(mode_field(basis, 1, 1.0))
-        r = -basis.eigenvalues[0]  # ||e_1||_H1^2 = 4 pi^2
-        trip = guard_check(st, r)
-        assert trip is not None and trip.h1_sq == r
-        assert guard_check(st, r * (1 + 1e-12)) is None
+        model = silent_model(m=8)
+        u0 = mode_field(basis, 1, 1.0)
+        stepper = Stepper(model, SolverConfig(dt=0.01), basis)
+        r = stepper.h1_sq(stepper.advance(u0.coeffs, np.zeros(8)))
+        res = run_single(model, SolverConfig(dt=0.01, guard_radius=r), u0,
+                         seed=0, n_steps=20)
+        assert res.tripped and res.trip.reason == "guard" and res.trip.h1_sq == r
+        assert res.trip.t == 0.01 and res.state.step == 0
+        res = run_single(model, SolverConfig(dt=0.01, guard_radius=r * (1 + 1e-12)),
+                         u0, seed=0, n_steps=20)
+        assert not res.tripped and res.state.step == 20
 
     def test_step_raises_on_guard(self):
         basis = ModeBasis(8)
@@ -296,6 +339,46 @@ class TestCoupled:
                               record_every=500)
             inc = np.diff(res.l1_series)
             assert np.all(inc <= 1e-8 * res.l1_series[:-1])
+
+    def _trip_pair(self, flux, guard_radius, a0, b0):
+        basis = ModeBasis(8)
+        model = ModelSpec(0.1, flux, NoiseSpec(sigma=np.zeros(8)))
+        cfg = SolverConfig(dt=0.01, guard_radius=guard_radius)
+        res = run_coupled(model, cfg, SpectralField(a0, basis), SpectralField(b0, basis),
+                          seed=0, n_steps=10)
+        return Stepper(model, SolverConfig(dt=0.01), basis), res
+
+    def test_guard_trip_in_second_row(self):
+        # a is the zero state, which the silent step keeps; b trips at step 1
+        basis = ModeBasis(8)
+        b0 = mode_field(basis, 1, 2.0).coeffs
+        stepper = Stepper(silent_model(m=8), SolverConfig(dt=0.01), basis)
+        r = stepper.h1_sq(stepper.advance(b0, np.zeros(8)))
+        _, res = self._trip_pair(FluxSpec("zero"), r, basis.zeros(), b0)
+        assert res.trip.reason == "guard" and res.trip.h1_sq == r
+        assert res.trip.t == 0.01 and res.state_a.step == res.state_b.step == 0
+        assert np.array_equal(res.state_a.u.coeffs, basis.zeros())
+        assert np.array_equal(res.state_b.u.coeffs, b0)
+        assert len(res.l1_series) == 1 and len(res.records_b) == 1
+
+    def test_flux_overflow_in_second_row(self):
+        basis = ModeBasis(8)
+        cubic = FluxSpec("polynomial", coefficients=[0.0, 0.0, 0.0, 1.0 / 3.0])
+        b0 = mode_field(basis, 1, 1e110).coeffs
+        stepper, res = self._trip_pair(cubic, None, basis.zeros(), b0)
+        assert res.trip.reason == "flux_overflow"
+        assert res.trip.h1_sq == stepper.h1_sq(b0) and res.trip.t == 0.0
+        assert np.array_equal(res.state_b.u.coeffs, b0)
+
+    def test_first_row_guard_wins_over_second_row_overflow(self):
+        # rows trip in row order: a's guard is reported, not b's overflow
+        basis = ModeBasis(8)
+        cubic = FluxSpec("polynomial", coefficients=[0.0, 0.0, 0.0, 1.0 / 3.0])
+        a0 = mode_field(basis, 1, 1.0).coeffs
+        stepper, res = self._trip_pair(cubic, 1.0, a0, mode_field(basis, 1, 1e110).coeffs)
+        assert res.trip.reason == "guard"
+        assert res.trip.h1_sq == stepper.h1_sq(stepper.advance(a0, np.zeros(8)))
+        assert res.trip.t == 0.01
 
     def test_early_stop_on_confluence(self):
         basis = ModeBasis(16)
