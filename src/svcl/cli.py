@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 import time
 from dataclasses import replace
@@ -71,6 +72,20 @@ def _json17(obj, indent: int = 0) -> str:
     raise TypeError(f"cannot serialize {type(obj)!r}")
 
 
+def _write_atomic(path: Path, write, binary: bool = False) -> None:
+    """Call write(fp) on a sibling temporary file and move it over path only
+    once it is complete, so a failure or a kill mid-write leaves the file
+    path held before (or no file) rather than a partial one."""
+    tmp = path.with_name(path.name + ".part")
+    try:
+        with (open(tmp, "wb") if binary
+              else open(tmp, "w", encoding="utf-8", newline="\n")) as fp:
+            write(fp)
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
+
+
 def _write_summary(out: Path, cfg: RunConfig, command: str, results: dict,
                    assumptions=()) -> None:
     meta = {"timestamp_utc": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())}
@@ -78,27 +93,26 @@ def _write_summary(out: Path, cfg: RunConfig, command: str, results: dict,
         meta["assumptions"] = list(assumptions)
     doc = {"run_id": cfg.run_id(), "command": command, "results": results,
            "metadata": meta, "config": cfg.echo()}
-    (out / "summary.json").write_text(_json17(doc) + "\n", encoding="utf-8")
+    _write_atomic(out / "summary.json", lambda fp: fp.write(_json17(doc) + "\n"))
 
 
 def _write_csv(path: Path, buf, cfg: RunConfig, kept=()) -> None:
     """Write the config echo, the header and the run's rows; `kept`, the data
     rows of the segment a resumed run continues, go between header and rows."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fp:
-        if not kept:  # a fresh run streams its rows
-            buf.write_csv(fp, config_echo=cfg.echo())
-            return
-        s = StringIO()
-        buf.write_csv(s, config_echo=cfg.echo())
-        lines = s.getvalue().splitlines(keepends=True)
-        head = len(lines) - len(buf)
-        fp.writelines(lines[:head] + list(kept) + lines[head:])
+    if not kept:  # a fresh run streams its rows
+        _write_atomic(path, lambda fp: buf.write_csv(fp, config_echo=cfg.echo()))
+        return
+    s = StringIO()
+    buf.write_csv(s, config_echo=cfg.echo())
+    lines = s.getvalue().splitlines(keepends=True)
+    head = len(lines) - len(buf)
+    _write_atomic(path, lambda fp: fp.writelines(lines[:head] + list(kept) + lines[head:]))
 
 
 def _write_snap(path: Path, state: State, model: ModelSpec, solver: SolverConfig,
                 seed: int) -> None:
-    with open(path, "wb") as fp:
-        write_snapshot(fp, state, model, solver, seed)
+    _write_atomic(path, lambda fp: write_snapshot(fp, state, model, solver, seed),
+                  binary=True)
 
 
 def _trip_dict(trip):

@@ -130,9 +130,10 @@ def _rows(c):
 def _advance_checked(stepper: Stepper, c, xi, t_next):
     """One scheme update with the blow-up contract applied row by row.
 
-    Returns (c', None), or (c'', trip) for the first row in order that
-    overflows or reaches the guard radius, with c'' as stepping the rows
-    one at a time and stopping at that row leaves them.
+    Returns (c', None), or (c, trip) for the first row in order that
+    overflows or reaches the guard radius: on a trip every row keeps its
+    state from before the step, so each row's state matches the step count
+    and time the run reports.
     """
     try:
         out = stepper.advance(c, xi)
@@ -140,18 +141,17 @@ def _advance_checked(stepper: Stepper, c, xi, t_next):
         if c.ndim == 1:
             return c, GuardTrip(t_next - stepper.dt, stepper.h1_sq(c), "flux_overflow")
         # redo a block one row at a time to find the first row that fails
-        out = c.copy()
-        for i, row in enumerate(c):
-            out[i], trip = _advance_checked(stepper, row, xi, t_next)
+        for row in c:
+            trip = _advance_checked(stepper, row, xi, t_next)[1]
             if trip is not None:
-                break
-        return out, trip
+                return c, trip
+        raise  # no row fails alone, so the block's overflow stands
     r = stepper.cfg.guard_radius
     if r is not None:
-        for i, row in enumerate(_rows(out)):
+        for row in _rows(out):
             h1 = stepper.h1_sq(row)
             if h1 >= r:
-                return np.concatenate((out[:i], c[i:])), GuardTrip(t_next, h1)
+                return c, GuardTrip(t_next, h1)
     return out, None
 
 
@@ -171,17 +171,32 @@ class RunResult:
         return self.trip is not None
 
 
-def _record(buf, stepper: Stepper, t, c):
-    """Append the observable row of coefficients c at time t."""
+# fine-grid samples one record flush synthesizes: bounds the flush's
+# temporaries (a few of this many float64s) whatever m_max is
+_RECORD_BLOCK_POINTS = 1 << 15
+
+
+def _record_rows(bufs, stepper: Stepper, times, states):
+    """Append one record row per kept state: states[k], kept at times[k], is
+    a state (m,) or a block (R, m) whose row r goes to bufs[r].
+
+    Each column is reduced over all kept states at once, one batched
+    synthesize for the Lp columns and row-wise vecdot for the norms; every
+    value equals the one reduced from its state alone, bit for bit (unlike
+    a matrix-vector product or einsum, which sum in another order).
+    """
+    n, n_bufs = len(times), len(bufs)
+    c = states[:n].reshape(n * n_bufs, -1)
     cc = c * c
-    h1s = float(np.dot(stepper.neg_lam, cc))
-    r = stepper.cfg.guard_radius
-    lp = ()
-    if buf.lp_orders:
+    cols = [np.vecdot(c, c), np.vecdot(cc, stepper.neg_lam), np.vecdot(cc, stepper.lam_sq)]
+    if bufs[0].lp_orders:
         vals = np.abs(synthesize(c, stepper.n_fine))
-        lp = tuple(np.mean(vals**p) for p in buf.lp_orders)
-    buf.append(t, float(np.dot(c, c)), h1s, float(np.dot(stepper.lam_sq, cc)), lp,
-               guard_margin=np.nan if r is None else r - h1s)
+        cols += [np.mean(vals**p, axis=-1) for p in bufs[0].lp_orders]
+    cols = [col.reshape(n, n_bufs) for col in cols]
+    r = stepper.cfg.guard_radius
+    for i, buf in enumerate(bufs):
+        l2, h1, h2, *lp = (col[:, i] for col in cols)
+        buf.append(times, l2, h1, h2, lp, guard_margin=np.nan if r is None else r - h1)
 
 
 def _fill_residual_column(buf, model, basis, window, history=None):
@@ -210,16 +225,22 @@ def _drive(stepper: Stepper, c, draw, n_steps, bufs=(), record_every=1, t=0.0,
     (R, m), by up to n_steps increments draw(), from time t and step step0.
 
     Row r goes to bufs[r] on a fresh start and at every record_every-th
-    step; on_step(step, t, c) runs after each step and stops the run by
-    returning True.  Returns (c, t, step, trip, history); history holds c
-    at step0 and after each step when keep_coeffs is set, else None.
+    step; recorded states are kept in a block that is reduced to record
+    rows when it fills and when the run ends.  on_step(step, t, c) runs
+    after each step and stops the run by returning True.  Returns
+    (c, t, step, trip, history); history holds c at step0 and after each
+    step when keep_coeffs is set, else None.
     """
     hist = np.empty((n_steps + 1, *c.shape)) if keep_coeffs else None
     if keep_coeffs:
         hist[0] = c
-    if step0 == 0:
-        for buf, row in zip(bufs, _rows(c)):
-            _record(buf, stepper, t, row)
+    times = []
+    if bufs:
+        rows = max(1, _RECORD_BLOCK_POINTS // (len(bufs) * stepper.n_fine))
+        kept = np.empty((rows, *c.shape))
+        if step0 == 0:
+            kept[0] = c
+            times.append(t)
     dt = stepper.dt
     trip = None
     step = step0
@@ -231,13 +252,18 @@ def _drive(stepper: Stepper, c, draw, n_steps, bufs=(), record_every=1, t=0.0,
         step = n + 1
         if keep_coeffs:
             hist[step - step0] = c
-        if step % record_every == 0:
-            for buf, row in zip(bufs, _rows(c)):
-                _record(buf, stepper, t, row)
+        if bufs and step % record_every == 0:
+            kept[len(times)] = c
+            times.append(t)
+            if len(times) == rows:
+                _record_rows(bufs, stepper, times, kept)
+                times = []
         if snapshot_every and snapshot_writer and step % snapshot_every == 0:
             snapshot_writer(State(SpectralField(c, stepper.basis), t, step))
         if on_step is not None and on_step(step, t, c):
             break
+    if times:
+        _record_rows(bufs, stepper, times, kept)
     if keep_coeffs and trip is not None:
         hist = hist[: step - step0 + 1]
     return c, t, step, trip, hist

@@ -28,8 +28,8 @@ DEFAULT_FINE_FACTOR = 8  # quadrature grid for L1/Lp rendering, per m_max
 class RecordBuffer:
     """Columnar store for the observable stream of one run.
 
-    Preallocated and grown geometrically; hot run loops append plain floats
-    and the CSV view is materialized on demand.
+    Preallocated and grown geometrically; run loops append whole blocks of
+    rows and the CSV view is materialized on demand.
     """
 
     def __init__(self, lp_orders=(), capacity: int = 1024):
@@ -44,8 +44,9 @@ class RecordBuffer:
         names += ["l1_dist", "energy_residual", "guard_margin"]
         return names
 
-    def _grow(self):
-        self._cap *= 2
+    def _grow(self, need):
+        while self._cap < need:
+            self._cap *= 2
         for k, v in self._cols.items():
             new = np.empty(self._cap)
             new[: self.n] = v[: self.n]
@@ -53,20 +54,24 @@ class RecordBuffer:
 
     def append(self, t, l2_sq, h1_sq, h2_sq, lp_powers=(),
                l1_dist=np.nan, energy_residual=np.nan, guard_margin=np.nan):
-        if self.n == self._cap:
-            self._grow()
-        i = self.n
+        """Append a block of rows: t holds one time per row (a scalar is a
+        block of one), every other column one value per row or one value
+        broadcast to all, and lp_powers one such column per Lp order."""
+        t = np.atleast_1d(t)
+        i, j = self.n, self.n + len(t)
+        if j > self._cap:
+            self._grow(j)
         c = self._cols
-        c["t"][i] = t
-        c["l2_sq"][i] = l2_sq
-        c["h1_sq"][i] = h1_sq
-        c["h2_sq"][i] = h2_sq
+        c["t"][i:j] = t
+        c["l2_sq"][i:j] = l2_sq
+        c["h1_sq"][i:j] = h1_sq
+        c["h2_sq"][i:j] = h2_sq
         for p, v in zip(self.lp_orders, lp_powers):
-            c[f"lp{p}_p"][i] = v
-        c["l1_dist"][i] = l1_dist
-        c["energy_residual"][i] = energy_residual
-        c["guard_margin"][i] = guard_margin
-        self.n = i + 1
+            c[f"lp{p}_p"][i:j] = v
+        c["l1_dist"][i:j] = l1_dist
+        c["energy_residual"][i:j] = energy_residual
+        c["guard_margin"][i:j] = guard_margin
+        self.n = j
 
     def __len__(self):
         return self.n

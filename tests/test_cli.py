@@ -1,6 +1,7 @@
 """End-to-end command line behavior: artifacts, determinism, exit codes."""
 
 import json
+import os
 
 import numpy as np
 import pytest
@@ -320,6 +321,28 @@ class TestResume:
         assert (out / "observables.csv").read_bytes() == full_csv
         assert (out / "final.snap").read_bytes() == full_snap
         assert (out / "snap_000000090.snap").exists()
+
+    def test_failed_rewrite_keeps_the_old_artifacts(self, ini, tmp_path, monkeypatch):
+        # the resumed run dies while moving its new CSV into place: the CSV
+        # and snapshots a next resume needs must be the ones on disk before
+        entry(["run", "--config", str(ini)])
+        out = tmp_path / "out"
+        snap = self.interrupt(tmp_path, keep_rows=61, snap_step=60)
+        before = {p.name: p.read_bytes() for p in out.iterdir()}
+        real_replace = os.replace
+
+        def replace(src, dst):
+            if os.path.basename(dst) == "observables.csv":
+                raise OSError("disk full")
+            real_replace(src, dst)
+
+        monkeypatch.setattr(os, "replace", replace)
+        code = entry(["resume", "--config", str(ini), "--resume", str(snap)])
+        assert code == EXIT_IO
+        after = {p.name: p.read_bytes() for p in out.iterdir()}
+        assert not [name for name in after if name.endswith(".part")]
+        for name, data in before.items():
+            assert after[name] == data, name
 
     def test_resume_discards_rows_past_the_snapshot(self, ini, tmp_path):
         # crash after the snapshot: stale rows beyond it must be replaced

@@ -12,6 +12,7 @@ from hypothesis.extra.numpy import arrays
 
 from svcl.flux import FluxSpec, dealias_points
 from svcl.integrator import (
+    _RECORD_BLOCK_POINTS,
     SCHEMES,
     BlowupError,
     ModelSpec,
@@ -28,6 +29,7 @@ from svcl.integrator import (
     write_snapshot,
 )
 from svcl.noise import NoisePath, NoiseSpec
+from svcl.observables import DEFAULT_FINE_FACTOR
 from svcl.spectral import (ModeBasis, SpectralField, analyze, heat_apply, mode_field,
                            synthesize)
 
@@ -190,6 +192,94 @@ class TestBlock:
             assert c.tobytes() == coeffs[i].tobytes()
             assert isinstance(mean, float) and np.ndim(mean) == 0
             assert np.float64(mean).tobytes() == means[i].tobytes()
+
+
+class TestRecordBlock:
+    """Records reduced a block of kept states at a time equal rows reduced
+    from one state at a time, whatever the block boundaries."""
+
+    MODEL = ModelSpec(0.1, FluxSpec("burgers"), NoiseSpec(c=0.5, q=3.0))
+    DT = 4e-3
+
+    @staticmethod
+    def reference_rows(stepper, states, times, lp_orders, r):
+        """The record columns but l1_dist and energy_residual, per state."""
+        rows = []
+        for t, c in zip(times, states):
+            cc = c * c
+            h1 = np.dot(stepper.neg_lam, cc)
+            vals = np.abs(synthesize(c, stepper.n_fine))
+            rows.append([t, np.dot(c, c), h1, np.dot(stepper.lam_sq, cc)]
+                        + [np.mean(vals**p) for p in lp_orders]
+                        + [np.nan if r is None else r - h1])
+        return np.array(rows, dtype=float).reshape(len(rows), 5 + len(lp_orders))
+
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(data=st.data(), coupled=st.booleans(), m=st.sampled_from([8, 16]),
+           every=st.sampled_from([1, 3, 7]),
+           lp_orders=st.lists(st.sampled_from([1, 2, 3, 4, 6]), unique=True, max_size=3),
+           guard=st.sampled_from(["none", "loose", "trip"]))
+    def test_block_records_equal_per_row_records(self, data, coupled, m, every,
+                                                 lp_orders, guard):
+        n_bufs = 2 if coupled else 1
+        rows = _RECORD_BLOCK_POINTS // (n_bufs * DEFAULT_FINE_FACTOR * m)
+        n_rec = data.draw(st.sampled_from([rows - 1, rows, rows + 1, 2 * rows + 3]),
+                          label="records")
+        step0 = 0 if coupled else data.draw(st.sampled_from([0, 1, 5, 40]), label="step0")
+        # steps to the n_rec-th record (counting the initial row of a fresh
+        # start), plus a tail that records nothing
+        first = step0 // every + (step0 > 0)
+        n_steps = (first + n_rec - 1) * every - step0 + data.draw(
+            st.integers(0, every - 1), label="tail")
+        basis = ModeBasis(m)
+        u0 = [random_field(basis, 5, amp=0.01), random_field(basis, 6, amp=0.01)][:n_bufs]
+        seed = 11
+
+        # the trajectory, stepped one state at a time from the same path
+        stepper = Stepper(self.MODEL, SolverConfig(dt=self.DT), basis)
+        path = NoisePath(self.MODEL.noise, basis, seed)
+        path.draw_index = step0
+        states = np.empty((n_steps + 1, n_bufs, m))
+        states[0] = [u.coeffs for u in u0]
+        times = [step0 * self.DT]
+        for k in range(n_steps):
+            xi = path.ou_increment(self.MODEL.nu, self.DT)
+            states[k + 1] = [stepper.advance(c, xi) for c in states[k]]
+            times.append(times[-1] + self.DT)
+        h1 = np.array([[stepper.h1_sq(c) for c in s] for s in states])
+        radius, stop = None, n_steps  # stop: last step the run completes
+        if guard == "loose":
+            radius = 2.0 * h1.max()
+        elif guard == "trip":
+            # the largest h1 up to a step in the second half; the run trips
+            # at the first step any row reaches it and keeps the state before
+            radius = h1[1 : data.draw(st.integers(n_steps // 2, n_steps)) + 1].max()
+            stop = int(np.argmax(h1[1:].max(axis=1) >= radius))
+
+        cfg = SolverConfig(dt=self.DT, guard_radius=radius)
+        if coupled:
+            res = run_coupled(self.MODEL, cfg, *u0, seed=seed, n_steps=n_steps,
+                              record_every=every, lp_orders=lp_orders)
+            bufs, ends = (res.records_a, res.records_b), (res.state_a, res.state_b)
+        else:
+            res = run_single(self.MODEL, cfg, u0[0], seed=seed, n_steps=n_steps,
+                             record_every=every, lp_orders=lp_orders,
+                             t0=times[0], step0=step0)
+            bufs, ends = (res.records,), (res.state,)
+        assert res.tripped == (stop < n_steps)
+        for r, end in enumerate(ends):
+            assert end.step == step0 + stop and end.t == times[stop]
+            assert end.u.coeffs.tobytes() == states[stop, r].tobytes()
+        kept = [k for k in range(stop + 1)
+                if (k == 0 and step0 == 0) or (k > 0 and (step0 + k) % every == 0)]
+        names = ["t", "l2_sq", "h1_sq", "h2_sq", *(f"lp{p}_p" for p in lp_orders),
+                 "guard_margin"]
+        for r, buf in enumerate(bufs):
+            want = self.reference_rows(stepper, states[kept, r],
+                                       [times[k] for k in kept], lp_orders, radius)
+            got = np.column_stack([buf.column(name) for name in names])
+            assert got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
 
 
 class TestContinuousDependence:
@@ -379,6 +469,21 @@ class TestCoupled:
         assert res.trip.reason == "guard"
         assert res.trip.h1_sq == stepper.h1_sq(stepper.advance(a0, np.zeros(8)))
         assert res.trip.t == 0.01
+
+    def test_second_row_trip_keeps_both_rows_before_the_step(self):
+        # b reaches the guard at step 1 while a is still below it; both
+        # states must be the ones at step 0, the step and time reported
+        basis = ModeBasis(8)
+        model = ModelSpec(0.1, FluxSpec("burgers"), NoiseSpec(c=0.5, q=3.0))
+        a0 = mode_field(basis, 1, 0.3).coeffs
+        b0 = mode_field(basis, 1, 0.9).coeffs
+        res = run_coupled(model, SolverConfig(dt=0.01, guard_radius=30.0),
+                          SpectralField(a0, basis), SpectralField(b0, basis),
+                          seed=3, n_steps=10)
+        assert res.trip.reason == "guard" and res.trip.t == 0.01
+        assert res.state_a.step == res.state_b.step == 0 and res.state_a.t == 0.0
+        assert res.state_a.u.coeffs.tobytes() == a0.tobytes()
+        assert res.state_b.u.coeffs.tobytes() == b0.tobytes()
 
     def test_early_stop_on_confluence(self):
         basis = ModeBasis(16)
