@@ -133,7 +133,9 @@ def _advance_checked(stepper: Stepper, c, xi, t_next):
     Returns (c', None), or (c, trip) for the first row in order that
     overflows or reaches the guard radius: on a trip every row keeps its
     state from before the step, so each row's state matches the step count
-    and time the run reports.
+    and time the run reports.  A block overflow that no row reproduces when
+    advanced alone is re-raised as FluxOverflowError: it means the flux
+    broke the elementwise contract in FluxSpec's docstring.
     """
     try:
         out = stepper.advance(c, xi)
@@ -253,11 +255,11 @@ def _drive(stepper: Stepper, c, draw, n_steps, bufs=(), record_every=1, t=0.0,
         if keep_coeffs:
             hist[step - step0] = c
         if bufs and step % record_every == 0:
-            kept[len(times)] = c
-            times.append(t)
             if len(times) == rows:
                 _record_rows(bufs, stepper, times, kept)
                 times = []
+            kept[len(times)] = c
+            times.append(t)
         if snapshot_every and snapshot_writer and step % snapshot_every == 0:
             snapshot_writer(State(SpectralField(c, stepper.basis), t, step))
         if on_step is not None and on_step(step, t, c):

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from svcl import integrator
 from svcl.flux import FluxSpec, dealias_points
 from svcl.integrator import (
     _RECORD_BLOCK_POINTS,
@@ -279,6 +280,47 @@ class TestRecordBlock:
                                        [times[k] for k in kept], lp_orders, radius)
             got = np.column_stack([buf.column(name) for name in names])
             assert got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("coupled, step0", [(False, 0), (False, 3), (True, 0)])
+    def test_one_row_blocks(self, monkeypatch, coupled, step0):
+        # a flush budget below one row's fine grid gives blocks of one row,
+        # which must be reduced before the next recorded state is kept
+        monkeypatch.setattr(integrator, "_RECORD_BLOCK_POINTS", 1)
+        self.check_against_rows(ModeBasis(8), coupled, step0, n_steps=5)
+
+    def test_one_row_blocks_at_large_m(self):
+        # m = 4096: one row already fills the flush budget
+        self.check_against_rows(ModeBasis(4096), False, 0, n_steps=2)
+
+    def check_against_rows(self, basis, coupled, step0, n_steps):
+        lp_orders = (2, 4)
+        n_bufs = 2 if coupled else 1
+        u0 = [random_field(basis, 5, amp=0.01), random_field(basis, 6, amp=0.01)][:n_bufs]
+        stepper = Stepper(self.MODEL, SolverConfig(dt=self.DT), basis)
+        path = NoisePath(self.MODEL.noise, basis, 11)
+        path.draw_index = step0
+        states = [np.stack([u.coeffs for u in u0])]
+        times = [step0 * self.DT]
+        for _ in range(n_steps):
+            states.append(stepper.advance(states[-1], path.ou_increment(self.MODEL.nu,
+                                                                        self.DT)))
+            times.append(times[-1] + self.DT)
+        if step0:  # a resumed segment records no initial row
+            states, times = states[1:], times[1:]
+        if coupled:
+            res = run_coupled(self.MODEL, stepper.cfg, *u0, seed=11, n_steps=n_steps,
+                              lp_orders=lp_orders)
+            bufs = (res.records_a, res.records_b)
+        else:
+            res = run_single(self.MODEL, stepper.cfg, u0[0], seed=11, n_steps=n_steps,
+                             lp_orders=lp_orders, t0=step0 * self.DT, step0=step0)
+            bufs = (res.records,)
+        names = ["t", "l2_sq", "h1_sq", "h2_sq", "lp2_p", "lp4_p", "guard_margin"]
+        for r, buf in enumerate(bufs):
+            want = self.reference_rows(stepper, [s[r] for s in states], times,
+                                       lp_orders, None)
+            got = np.column_stack([buf.column(name) for name in names])
             assert got.tobytes() == want.tobytes()
 
 
