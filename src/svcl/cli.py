@@ -18,7 +18,6 @@ import os
 import sys
 import time
 from dataclasses import replace
-from io import StringIO
 from pathlib import Path
 
 import numpy as np
@@ -99,14 +98,7 @@ def _write_summary(out: Path, cfg: RunConfig, command: str, results: dict,
 def _write_csv(path: Path, buf, cfg: RunConfig, kept=()) -> None:
     """Write the config echo, the header and the run's rows; `kept`, the data
     rows of the segment a resumed run continues, go between header and rows."""
-    if not kept:  # a fresh run streams its rows
-        _write_atomic(path, lambda fp: buf.write_csv(fp, config_echo=cfg.echo()))
-        return
-    s = StringIO()
-    buf.write_csv(s, config_echo=cfg.echo())
-    lines = s.getvalue().splitlines(keepends=True)
-    head = len(lines) - len(buf)
-    _write_atomic(path, lambda fp: fp.writelines(lines[:head] + list(kept) + lines[head:]))
+    _write_atomic(path, lambda fp: buf.write_csv(fp, cfg.echo(), kept))
 
 
 def _write_snap(path: Path, state: State, model: ModelSpec, solver: SolverConfig,

@@ -24,7 +24,7 @@ O(dt) instead of zero.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -111,7 +111,7 @@ def trace_h2(spec: NoiseSpec, basis: ModeBasis) -> TraceInfo:
 class NoisePath:
     """One realization of the forcing, owned by a single run.
 
-    State is (seed, draw_index, conv_state, t).  The Philox generator is
+    State is (seed, draw_index, conv_state).  The Philox generator is
     recreated logically per draw by resetting its counter, which is bitwise
     identical to constructing Philox(key=seed, counter=[0, index, 0, 0])
     fresh and far cheaper.
@@ -124,7 +124,6 @@ class NoisePath:
         self.sigma = spec.resolve(basis)
         self.draw_index = 0
         self.conv_state = basis.zeros()
-        self.t = 0.0
         self._n_draws = spec.matrix.shape[0] if spec.matrix is not None else basis.m_max
         self._bg = np.random.Philox(key=self.seed)
         self._gen = np.random.Generator(self._bg)
@@ -136,7 +135,6 @@ class NoisePath:
         other = NoisePath(self.spec, self.basis, self.seed)
         other.draw_index = self.draw_index
         other.conv_state = self.conv_state.copy()
-        other.t = self.t
         return other
 
     def block(self, index: int) -> np.ndarray:
@@ -166,7 +164,6 @@ class NoisePath:
     def wiener_increment(self, dt: float) -> np.ndarray:
         """Raw increment W(t+dt) - W(t): mode variance sigma_m^2 dt."""
         z = self._next_block()
-        self.t += dt
         if self.spec.matrix is not None:
             return np.sqrt(dt) * (z @ self.spec.matrix)
         return np.sqrt(dt) * self.sigma * z
@@ -180,7 +177,7 @@ class NoisePath:
         tracked convolution with the explicit drift.
         """
         if self.spec.matrix is not None:
-            dw = self.wiener_increment(dt)  # advances t
+            dw = self.wiener_increment(dt)
             self.conv_state = (
                 self.conv_state + nu * self.basis.eigenvalues * self.conv_state * dt + dw
             )
@@ -188,7 +185,6 @@ class NoisePath:
         decay, ou_std = self._ou_factors(nu, dt)
         xi = ou_std * self._next_block()
         self.conv_state = decay * self.conv_state + xi
-        self.t += dt
         return xi
 
 
@@ -196,47 +192,3 @@ def stationary_variance(spec: NoiseSpec, basis: ModeBasis, nu: float) -> np.ndar
     """Mode-wise invariant variance sigma_m^2 / (-2 nu lam_m) of the convolution."""
     sig = spec.resolve(basis)
     return sig**2 / (-2.0 * nu * basis.eigenvalues)
-
-
-@dataclass
-class ContinuityReport:
-    max_jump: float
-    predicted_sd: float
-    multiplier: float
-    flagged: np.ndarray = field(repr=False)
-
-    @property
-    def ok(self) -> bool:
-        return len(self.flagged) == 0
-
-
-def continuity_check(
-    h2_norms: np.ndarray,
-    spec: NoiseSpec,
-    basis: ModeBasis,
-    nu: float,
-    dt: float,
-    multiplier: float = 6.0,
-) -> ContinuityReport:
-    """Flag steps of a recorded ||w||_H2 trajectory that jump implausibly far.
-
-    The predicted per-step scale is the root mean square H2 mass of one
-    fresh OU increment; norm differences are bounded by increment norms, so
-    honest paths stay within a few multiples while splices, restarts and
-    corrupted segments jump far outside.
-    """
-    h2_norms = np.asarray(h2_norms, dtype=float)
-    if h2_norms.ndim != 1 or len(h2_norms) < 2:
-        raise ValueError("need a trajectory of at least two H2 norms")
-    lam = basis.eigenvalues
-    sig = spec.resolve(basis)
-    var = sig**2 * (1.0 - np.exp(2.0 * nu * lam * dt)) / (-2.0 * nu * lam)
-    predicted = float(np.sqrt(np.sum(lam**2 * var)))
-    jumps = np.abs(np.diff(h2_norms))
-    flagged = np.nonzero(jumps > multiplier * predicted)[0]
-    return ContinuityReport(
-        max_jump=float(jumps.max()),
-        predicted_sd=predicted,
-        multiplier=multiplier,
-        flagged=flagged,
-    )

@@ -1,5 +1,5 @@
-"""Norm trajectories, balance residuals, contraction distances and structure
-functions, plus the delimited on-disk form every run emits.
+"""Norm trajectories, balance residuals and contraction distances, plus the
+delimited on-disk form every run emits.
 
 The CSV layout is fixed: a `# config: ...` echo comment, then the header
 
@@ -13,8 +13,6 @@ window fills) hold nan.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -82,8 +80,13 @@ class RecordBuffer:
     def set_column(self, name, values):
         self._cols[name][: self.n] = values
 
-    def write_csv(self, fp, config_echo: str | None = None):
-        """Stream the buffer as delimited text; fp is a writable text file."""
+    def write_csv(self, fp, config_echo: str | None = None, kept=()):
+        """Stream the buffer as delimited text; fp is a writable text file.
+
+        `kept`, data rows already rendered (the rows a resumed run
+        continues, each ending in its newline), go between the header and
+        this buffer's rows.
+        """
         if config_echo is not None:
             lines = config_echo.splitlines() or [""]
             fp.write("# config: " + lines[0] + "\n")
@@ -91,6 +94,7 @@ class RecordBuffer:
                 fp.write("# " + ln + "\n")
         names = self.column_names()
         fp.write(",".join(names) + "\n")
+        fp.writelines(kept)
         cols = [self._cols[k][: self.n] for k in names]
         for row in zip(*cols):
             fp.write(",".join(FLOAT_FMT % v for v in row) + "\n")
@@ -177,82 +181,3 @@ def l1_distance(a: SpectralField, b: SpectralField, n: int | None = None) -> flo
     if n is None:
         n = DEFAULT_FINE_FACTOR * a.basis.m_max
     return float(np.mean(np.abs(synthesize(a.coeffs - b.coeffs, n))))
-
-
-@dataclass
-class MomentReport:
-    """Time-integral diagnostics of ||u||_p^p along one run."""
-
-    p: int
-    integral: float  # int_0^T ||u||_p^p dt
-    average: float  # integral / T
-    times: np.ndarray
-    running_avg: np.ndarray
-    tail_slope: float  # d(running avg)/dt fitted over the last half
-    stabilized: bool
-
-
-def moment_bound_check(records, p: int, rel_tol: float = 0.05) -> MomentReport:
-    """Running time-average of ||u||_p^p and whether it has flattened.
-
-    The moment identity makes E int_0^T ||u||_p^p dt grow at most linearly,
-    so the running average must approach a constant; `stabilized` compares
-    the average over the full horizon with the average at half horizon.
-    """
-    t = np.asarray(records.column("t") if hasattr(records, "column") else records[0],
-                   dtype=float)
-    if hasattr(records, "column"):
-        vals = records.column(f"lp{p}_p")
-    else:
-        vals = np.asarray(records[1], dtype=float)
-    if len(t) < 4:
-        raise ValueError("need at least four records")
-    dt = np.diff(t)
-    seg = 0.5 * (vals[1:] + vals[:-1]) * dt
-    cumint = np.concatenate([[0.0], np.cumsum(seg)])
-    span = t - t[0]
-    with np.errstate(invalid="ignore", divide="ignore"):
-        running = np.where(span > 0, cumint / np.where(span > 0, span, 1.0), vals[0])
-    half = len(t) // 2
-    coeffs = np.polyfit(t[half:], running[half:], 1)
-    full, mid = running[-1], running[half]
-    stabilized = abs(full - mid) <= rel_tol * max(abs(full), 1e-300)
-    return MomentReport(
-        p=int(p),
-        integral=float(cumint[-1]),
-        average=float(running[-1]),
-        times=t,
-        running_avg=running,
-        tail_slope=float(coeffs[0]),
-        stabilized=bool(stabilized),
-    )
-
-
-@dataclass
-class StructureTable:
-    """S_q(l) = mean_j |u(x_j + l) - u(x_j)|^q over the periodic grid."""
-
-    separations: np.ndarray
-    orders: np.ndarray
-    values: np.ndarray  # shape (len(separations), len(orders))
-
-
-def increment_moments(u: SpectralField, separations, orders,
-                      n: int | None = None) -> StructureTable:
-    """Structure functions of u at grid-aligned separations."""
-    if n is None:
-        n = DEFAULT_FINE_FACTOR * u.basis.m_max
-    separations = np.atleast_1d(np.asarray(separations, dtype=float))
-    orders = np.atleast_1d(np.asarray(orders, dtype=float))
-    samples = synthesize(u.coeffs, n)
-    values = np.empty((len(separations), len(orders)))
-    for i, sep in enumerate(separations):
-        shift = sep * n
-        if abs(shift - round(shift)) > 1e-9:
-            raise ValueError(
-                f"separation {sep} is not a multiple of the grid spacing 1/{n}"
-            )
-        diff = np.abs(np.roll(samples, -int(round(shift))) - samples)
-        for j, q in enumerate(orders):
-            values[i, j] = np.mean(diff**q)
-    return StructureTable(separations, orders, values)

@@ -11,7 +11,6 @@ import numpy as np
 import pytest
 
 from svcl.flux import (
-    FluxOverflowError,
     FluxSpec,
     dealias_points,
     flux_derivative,
@@ -115,12 +114,16 @@ class TestFluxSpec:
         with pytest.raises(ValueError):
             FluxSpec("cubic")
 
-    def test_overflow_raises_structured(self):
+    def test_overflow_returns_nonfinite(self):
+        # past the float range A and A' come back as inf, elementwise, and
+        # nothing is raised: the step loop finds the blow-up in its output
         f = FluxSpec("polynomial", coefficients=[0.0, 0.0, 0.0, 1.0],
                      growth_constant=3.0, growth_exponent=2)
-        with pytest.raises(FluxOverflowError) as e:
-            flux_value(f, np.array([1e150]))
-        assert e.value.vmax == pytest.approx(1e150)
+        with np.errstate(over="ignore", invalid="ignore"):
+            val = flux_value(f, np.array([1e150, -1e150, 2.0]))
+            der = flux_derivative(f, np.array([1e200, 2.0]))
+        assert val[0] == np.inf and val[1] == -np.inf and val[2] == 8.0
+        assert der[0] == np.inf and der[1] == 12.0
 
     def test_huge_coefficients_accepted_when_declared(self):
         """The growth check itself must not overflow for extreme coefficients."""
@@ -177,10 +180,12 @@ class TestNonlinearTerm:
         assert dealias_points(cubic, basis) >= 34  # (3+1)*8 + 2
 
     def test_overflow_carries_through(self):
+        # the overflowed flux reaches the coefficients as non-finite values
         basis = ModeBasis(8)
         u = mode_field(basis, 1, 1e200)
-        with pytest.raises(FluxOverflowError):
-            nonlinear_term(FluxSpec("burgers"), u)
+        with np.errstate(over="ignore", invalid="ignore"):
+            out = nonlinear_term(FluxSpec("burgers"), u)
+        assert out.coeffs.shape == (8,) and not np.isfinite(out.coeffs).any()
 
     def test_lipschitz_fit_stable_under_refinement(self):
         """Fitted L(m) with ||u||_H1, ||v||_H1 <= m barely moves with M_max."""

@@ -173,10 +173,15 @@ class TestBlock:
     @settings(max_examples=80, deadline=None, derandomize=True, database=None)
     @given(data=st.data(), rows=st.integers(1, 4), m=st.sampled_from([8, 16, 32]),
            flux=st.sampled_from(sorted(FLUXES)), scheme=st.sampled_from(SCHEMES))
+    @np.errstate(over="ignore", invalid="ignore")
     def test_block_equals_rows_bitwise(self, data, rows, m, flux, scheme):
         # one call on an (R, m) block of same-noise states must give each
-        # row's own 1-D result bit for bit, as must the transforms under it
+        # row's own 1-D result bit for bit, as must the transforms under it;
+        # rows scaled by 1e160 overflow any nonzero flux, and the block's
+        # trip must be the first one found by stepping each row alone, with
+        # no guard or a guard at the H1 mass of one row's step
         block = data.draw(arrays(float, (rows, m), elements=st.floats(-2.0, 2.0)))
+        block *= data.draw(arrays(float, (rows, 1), elements=st.sampled_from([1e160, 1.0])))
         xi = data.draw(arrays(float, m, elements=st.floats(-0.1, 0.1)))
         basis = ModeBasis(m)
         model = ModelSpec(0.1, self.FLUXES[flux], NoiseSpec(sigma=np.zeros(m)))
@@ -193,6 +198,16 @@ class TestBlock:
             assert c.tobytes() == coeffs[i].tobytes()
             assert isinstance(mean, float) and np.ndim(mean) == 0
             assert np.float64(mean).tobytes() == means[i].tobytes()
+        finite = [i for i, row in enumerate(out) if np.isfinite(row).all()]
+        guard_row = data.draw(st.sampled_from([None, *finite]))
+        r = None if guard_row is None else stepper.h1_sq(out[guard_row])
+        cfg = SolverConfig(dt=1e-3, scheme=scheme,
+                           guard_radius=r if r is not None and 0 < r < np.inf else None)
+        checked = Stepper(model, cfg, basis)
+        got, trip = integrator._advance_checked(checked, block, xi, 1e-3)
+        alone = [integrator._advance_checked(checked, row, xi, 1e-3)[1] for row in block]
+        assert trip == next((a for a in alone if a is not None), None)
+        assert got.tobytes() == (out if trip is None else block).tobytes()
 
 
 class TestRecordBlock:
@@ -404,6 +419,22 @@ class TestGuard:
         assert res.tripped and res.trip.reason == "flux_overflow"
         assert res.state.step == 0  # nothing advanced
 
+    @pytest.mark.parametrize("guard", [None, 1.0])
+    def test_non_finite_step_trips_before_the_guard(self, guard):
+        # 1e154 e1 sits at the edge of the float range: its flux values stay
+        # finite, the transform of them overflows, and the step's output
+        # holds +-inf but no nan, so its H1 mass (inf) is past any guard.
+        # The non-finite check comes first: the run stops before the step
+        # with its last finite state, whether a guard is set or not
+        basis = ModeBasis(8)
+        model = ModelSpec(0.1, FluxSpec("burgers"), NoiseSpec(sigma=np.zeros(8)))
+        u0 = mode_field(basis, 1, 1e154)
+        res = run_single(model, SolverConfig(dt=0.01, guard_radius=guard), u0,
+                         seed=0, n_steps=10)
+        assert res.trip.reason == "flux_overflow" and res.trip.t == 0.0
+        assert res.trip.h1_sq == np.inf  # 4 pi^2 1e308 is past the float range too
+        assert res.state.step == 0 and res.state.u.coeffs.tobytes() == u0.coeffs.tobytes()
+
     def test_trip_frequency_decays_at_least_like_markov(self):
         # P(T_r < t) <= E[...]/r, so r * freq(r) must not grow in r.
         basis = ModeBasis(16)
@@ -600,6 +631,22 @@ class TestPicard:
                           path=NoisePath(model.noise, basis, 1))
         assert pr.halvings > 0 or not pr.converged
         assert pr.horizon <= 2.0
+
+    def test_overflow_in_every_attempt_is_reported(self):
+        # the cubic flux of 1e110 e1 overflows at once: every attempt fails
+        # after 0 iterations until the horizon can halve no further, and the
+        # reported trajectory holds u0 at every time
+        basis = ModeBasis(8)
+        cubic = FluxSpec("polynomial", coefficients=[0.0, 0.0, 0.0, 1.0 / 3.0])
+        model = ModelSpec(0.1, cubic, NoiseSpec(sigma=np.zeros(8)))
+        u0 = mode_field(basis, 1, 1e110)
+        pr = picard_solve(u0, model, SolverConfig(dt=0.01), horizon=0.1,
+                          path=NoisePath(model.noise, basis, 0))
+        assert not pr.converged and pr.iterations == 0
+        assert pr.gap == np.inf and pr.gaps.tolist() == [np.inf]
+        assert pr.halvings == 2 and pr.horizon == 0.02  # 10 -> 5 -> 2 steps
+        assert pr.times.tolist() == [0.0, 0.01, 0.02]
+        assert pr.coeffs.tobytes() == np.tile(u0.coeffs, (3, 1)).tobytes()
 
 
 class TestSnapshotResume:

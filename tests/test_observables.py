@@ -15,9 +15,7 @@ from svcl.noise import NoiseSpec, trace_h2
 from svcl.observables import (
     RecordBuffer,
     energy_balance_residual,
-    increment_moments,
     l1_distance,
-    moment_bound_check,
     read_csv_columns,
 )
 from svcl.spectral import ModeBasis, SpectralField, mode_field
@@ -214,6 +212,8 @@ class TestL1Distance:
 
 
 class TestMomentBoundCheck:
+    """The time integral of an lp{p}_p column against its closed form."""
+
     def test_heat_decay_integral_closed_form(self):
         # A = 0, sigma = 0, u0 = e_1: ||u(t)||_2^2 = e^{2 nu lam_1 t} and
         # int_0^1 = (e^a - 1)/a with a = 2 nu lam_1.  The scheme is exact for
@@ -223,65 +223,9 @@ class TestMomentBoundCheck:
         model = heat_model(nu)
         run = run_single(model, SolverConfig(dt=2e-4), mode_field(basis, 1, 1.0),
                          seed=0, n_steps=5000, lp_orders=(2,))
-        report = moment_bound_check(run.records, p=2)
+        t = run.records.column("t")
+        integral = np.trapezoid(run.records.column("lp2_p"), t)
         a = 2.0 * nu * LAM1
         exact = (math.exp(a) - 1.0) / a
-        assert report.integral == pytest.approx(exact, abs=1e-8)
-        assert report.average == pytest.approx(exact, abs=1e-8)
-        assert report.p == 2
-
-    def test_stationary_series_stabilizes(self):
-        t = np.linspace(0.0, 10.0, 501)
-        vals = np.full_like(t, 3.25)
-        report = moment_bound_check((t, vals), p=2)
-        assert report.stabilized
-        assert report.tail_slope == pytest.approx(0.0, abs=1e-12)
-        assert report.average == pytest.approx(3.25, rel=1e-12)
-
-    def test_growing_series_flagged(self):
-        t = np.linspace(0.0, 10.0, 501)
-        vals = 1.0 + t  # running average keeps climbing
-        report = moment_bound_check((t, vals), p=2)
-        assert not report.stabilized
-        assert report.tail_slope > 0.1
-
-    def test_too_few_records(self):
-        with pytest.raises(ValueError, match="four"):
-            moment_bound_check((np.array([0.0, 1.0]), np.array([1.0, 1.0])), p=2)
-
-
-class TestIncrementMoments:
-    def test_zero_field(self):
-        basis = ModeBasis(8)
-        u = SpectralField(basis.zeros(), basis)
-        table = increment_moments(u, [0.25, 0.5], [1, 2, 4])
-        assert np.all(table.values == 0.0)
-
-    def test_single_mode_second_order_closed_form(self):
-        # u = e_1: S_2(l) = 4 sin^2(pi l), exact on any full grid.
-        basis = ModeBasis(8)
-        e1 = mode_field(basis, 1, 1.0)
-        seps = [0.125, 0.25, 0.375, 0.5]
-        table = increment_moments(e1, seps, [2])
-        expected = 4.0 * np.sin(np.pi * np.asarray(seps)) ** 2
-        np.testing.assert_allclose(table.values[:, 0], expected, atol=1e-12)
-        assert table.values[1, 0] == pytest.approx(2.0, abs=1e-12)
-
-    def test_zero_separation_vanishes(self):
-        basis = ModeBasis(8)
-        u = random_field(basis, 21)
-        table = increment_moments(u, [0.0], [1, 2, 3, 6])
-        assert np.all(table.values == 0.0)
-
-    def test_first_order_half_shift(self):
-        # |u(x+1/2) - u(x)| = |2 sqrt(2) sin(2 pi x)| for e_1
-        basis = ModeBasis(8)
-        e1 = mode_field(basis, 1, 1.0)
-        table = increment_moments(e1, [0.5], [1], n=4096)
-        assert table.values[0, 0] == pytest.approx(2.0 * L1_E1, abs=1e-5)
-
-    def test_off_grid_separation_rejected(self):
-        basis = ModeBasis(8)
-        u = random_field(basis, 2)
-        with pytest.raises(ValueError, match="grid"):
-            increment_moments(u, [1.0 / 3.0], [2])
+        assert t[-1] == pytest.approx(1.0, rel=1e-12)
+        assert integral == pytest.approx(exact, abs=1e-8)
