@@ -20,7 +20,8 @@ from typing import Callable
 
 import numpy as np
 
-from .spectral import ModeBasis, SpectralField, analyze, rotate_pairs, synthesize
+from .spectral import (ModeBasis, SpectralField, Workspace, analyze, rotate_pairs,
+                       synthesize)
 
 FLUX_KINDS = ("burgers", "polynomial", "zero", "callback")
 
@@ -111,8 +112,8 @@ class FluxSpec:
         bb = np.zeros(pa + 1)
         bb[pa - np.arange(len(b))] = b
         worst = max(
-            (np.abs(np.polynomial.polynomial.polyval(vs, b)) / denom).max(),
-            (np.abs(np.polynomial.polynomial.polyval(vs, bb)) / denom).max(),
+            (np.abs(_horner(b, vs)) / denom).max(),
+            (np.abs(_horner(bb, vs)) / denom).max(),
         )
         if worst > c1 * (1 + 1e-9):
             raise ValueError(
@@ -130,6 +131,18 @@ class FluxSpec:
         return int(nz[-1]) if len(nz) else 1
 
 
+def _horner(c: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """sum c_j v^j by Horner's rule in polyval's order, so the result equals
+    np.polynomial.polynomial.polyval(v, c) bit for bit, inf and nan included,
+    without its per-call argument handling."""
+    acc = v * 0
+    acc += c[-1]
+    for a in c[-2::-1]:
+        acc *= v
+        acc += a
+    return acc
+
+
 def flux_value(spec: FluxSpec, v: np.ndarray) -> np.ndarray:
     """A(v), elementwise; past the float range the value is inf or nan and
     nothing is raised (callers set numpy's error state for the warning)."""
@@ -139,7 +152,7 @@ def flux_value(spec: FluxSpec, v: np.ndarray) -> np.ndarray:
     if spec.kind == "zero":
         return np.zeros_like(v)
     if spec.kind == "polynomial":
-        return np.polynomial.polynomial.polyval(v, spec.coefficients)
+        return _horner(spec.coefficients, v)
     return np.asarray(spec.value_fn(v), dtype=float)
 
 
@@ -152,7 +165,7 @@ def flux_derivative(spec: FluxSpec, v: np.ndarray) -> np.ndarray:
         return np.zeros_like(v)
     if spec.kind == "polynomial":
         b = spec.coefficients[1:] * np.arange(1, len(spec.coefficients))
-        return np.polynomial.polynomial.polyval(v, b) if len(b) else np.zeros_like(v)
+        return _horner(b, v) if len(b) else np.zeros_like(v)
     return np.asarray(spec.deriv_fn(v), dtype=float)
 
 
@@ -163,29 +176,22 @@ def dealias_points(spec: FluxSpec, basis: ModeBasis) -> int:
     return n + (n % 2)
 
 
-def dx_flux(spec: FluxSpec, c: np.ndarray, n_pad: int, w: np.ndarray) -> np.ndarray:
+def dx_flux(spec: FluxSpec, c: np.ndarray, n_pad: int, w: np.ndarray,
+            work: Workspace) -> np.ndarray:
     """Dealiased dx A(u) on raw coefficients, differentiated with wavenumbers w.
 
     Pads c, one vector or a block (..., m_max) of them, to the n_pad-point
     grid, applies A pointwise, projects back (the mean of A(u) is
     annihilated by the derivative, so it is dropped), and differentiates
     exactly in coefficient space.  With w = -wavenumbers this is
-    N(u) = -dx A(u), the one nonlinear kernel every caller uses.
+    N(u) = -dx A(u), the one nonlinear kernel every caller uses.  The
+    transforms run on `work`, a Workspace for c's shape on n_pad points;
+    the result is a fresh array.
     """
     if spec.kind == "zero":
         return np.zeros_like(c)
-    a, _ = analyze(flux_value(spec, synthesize(c, n_pad)), c.shape[-1])
+    a, _ = analyze(flux_value(spec, synthesize(c, n_pad, work)), c.shape[-1], work)
     return rotate_pairs(a, w)
-
-
-def nonlinear_term(spec: FluxSpec, u: SpectralField) -> SpectralField:
-    """N(u) = -dx A(u) projected on the retained modes, on the dealiasing grid.
-
-    The result is mean-zero by construction.
-    """
-    basis = u.basis
-    return SpectralField(
-        dx_flux(spec, u.coeffs, dealias_points(spec, basis), -basis.wavenumbers), basis)
 
 
 def flux_energy_pairing(spec: FluxSpec, u: SpectralField, p: int = 2) -> float:

@@ -25,7 +25,7 @@ import numpy as np
 from . import observables
 from .flux import FluxSpec, dealias_points, dx_flux
 from .noise import NoisePath, NoiseSpec, trace_h2
-from .spectral import ModeBasis, SpectralField, synthesize
+from .spectral import ModeBasis, SpectralField, Workspace, synthesize
 
 SCHEMES = ("exp_euler", "exp_midpoint_flux")
 
@@ -85,7 +85,13 @@ class BlowupError(RuntimeError):
 
 
 class Stepper:
-    """Precomputed per-(model, cfg, basis) plan for the hot step loop."""
+    """Precomputed per-(model, cfg, basis) plan for the hot step loop.
+
+    The transforms of the nonlinear term run on one Workspace per block
+    shape, (m,) for a single state and (2, m) for a coupled pair, built by
+    the first step on that shape.  Only temporaries inside a step live
+    there: every state `advance` returns is a fresh array.
+    """
 
     def __init__(self, model: ModelSpec, cfg: SolverConfig, basis: ModeBasis):
         self.model = model
@@ -98,40 +104,63 @@ class Stepper:
         self.decay = np.exp(model.nu * lam * cfg.dt)
         self.half_decay = np.exp(model.nu * lam * 0.5 * cfg.dt)
         self.dt = cfg.dt
+        self._half_dt = 0.5 * cfg.dt
+        self._dt_half_decay = cfg.dt * self.half_decay
         self._zero_flux = model.flux.kind == "zero"
         self._n_pad = dealias_points(model.flux, basis)
         self._neg_w = -basis.wavenumbers
         self._midpoint = cfg.scheme == "exp_midpoint_flux"
+        self._work = {}  # block shape -> Workspace
 
     def nonlin(self, c: np.ndarray) -> np.ndarray:
-        """N(u) = -dx A(u) on raw coefficients."""
-        return dx_flux(self.model.flux, c, self._n_pad, self._neg_w)
+        """N(u) = -dx A(u) on raw coefficients, into a fresh array."""
+        work = self._work.get(c.shape)
+        if work is None:
+            work = self._work[c.shape] = Workspace(c.shape, self._n_pad)
+        return dx_flux(self.model.flux, c, self._n_pad, self._neg_w, work)
 
     def advance(self, c: np.ndarray, xi: np.ndarray) -> np.ndarray:
         """One scheme update of c, a state (m,) or a block (R, m) of states
         driven by the same increment xi; each row of a block comes out
-        bitwise equal to advancing it alone."""
+        bitwise equal to advancing it alone.
+
+        The updates run in place on the fresh nonlinear term, operand by
+        operand as decay * (c + dt N(c)) + xi and
+        decay * c + (dt half_decay) N(u*) + xi evaluate, so the bits match.
+        """
         if self._zero_flux:
             return self.decay * c + xi
+        out = self.nonlin(c)
         if not self._midpoint:
-            return self.decay * (c + self.dt * self.nonlin(c)) + xi
-        pred = self.half_decay * (c + 0.5 * self.dt * self.nonlin(c))
-        return self.decay * c + self.dt * self.half_decay * self.nonlin(pred) + xi
+            out *= self.dt
+            out += c
+            out *= self.decay
+            out += xi
+            return out
+        out *= self._half_dt
+        out += c
+        out *= self.half_decay
+        out = self.nonlin(out)
+        out *= self._dt_half_decay
+        out += self.decay * c
+        out += xi
+        return out
 
     def h1_sq(self, c: np.ndarray) -> float:
         return float(np.dot(self.neg_lam, c * c))
 
 
-def _advance_checked(stepper: Stepper, c, xi, t_next):
-    """One scheme update with the blow-up contract applied row by row.
+def _advance_checked(stepper: Stepper, c, xi, t):
+    """One scheme update from time t with the blow-up contract applied row
+    by row.
 
     The flux never raises, so this is the one blow-up check: the step's
     output is tested once.  Returns (c', None), or (c, trip) for the first
     row in order that fails: a row whose output is not finite trips as
-    "flux_overflow" at the pre-step time with its pre-step H1 mass, then a
-    row reaching the guard radius trips as "guard" at t_next.  On a trip
-    every row keeps its state from before the step, so each row's state
-    matches the step count and time the run reports.
+    "flux_overflow" at t with its pre-step H1 mass, then a row reaching
+    the guard radius trips as "guard" at t + dt.  On a trip every row
+    keeps its state from before the step, so each row's state matches the
+    step count and time the run reports.
     """
     out = stepper.advance(c, xi)
     r = stepper.cfg.guard_radius
@@ -139,11 +168,11 @@ def _advance_checked(stepper: Stepper, c, xi, t_next):
         return out, None
     for row, new in zip(np.atleast_2d(c), np.atleast_2d(out)):
         if not np.isfinite(new).all():
-            return c, GuardTrip(t_next - stepper.dt, stepper.h1_sq(row), "flux_overflow")
+            return c, GuardTrip(t, stepper.h1_sq(row), "flux_overflow")
         if r is not None:
             h1 = stepper.h1_sq(new)
             if h1 >= r:
-                return c, GuardTrip(t_next, h1)
+                return c, GuardTrip(t + stepper.dt, h1)
     return out, None
 
 
@@ -240,7 +269,7 @@ def _drive(stepper: Stepper, c, draw, n_steps, bufs=(), record_every=1, t=0.0,
     trip = None
     step = step0
     for n in range(step0, step0 + n_steps):
-        c, trip = _advance_checked(stepper, c, draw(), t + dt)
+        c, trip = _advance_checked(stepper, c, draw(), t)
         if trip is not None:
             break
         t += dt
@@ -374,14 +403,22 @@ def run_coupled(
 
 
 def convolution_grid(path: NoisePath, nu: float, dt: float, n: int) -> np.ndarray:
-    """w(t_i) on the step grid, i = 0..n, from a fork of the path."""
+    """w(t_i) on the step grid, i = 0..n, from w(t_0) = 0 and a fork of the path.
+
+    The exact transition w' = exp(nu lam dt) w + xi for diagonal noise; for
+    a dense covariance the Euler-Maruyama step w' = w + nu lam w dt + dW,
+    with the path's own increments.
+    """
     p = path.fork()
-    m = p.basis.m_max
-    w = np.empty((n + 1, m))
-    w[0] = p.conv_state
-    for i in range(n):
-        p.ou_increment(nu, dt)
-        w[i + 1] = p.conv_state
+    lam = p.basis.eigenvalues
+    w = np.zeros((n + 1, p.basis.m_max))
+    if p.spec.diagonal:
+        decay = np.exp(nu * lam * dt)
+        for i in range(n):
+            w[i + 1] = decay * w[i] + p.ou_increment(nu, dt)
+    else:
+        for i in range(n):
+            w[i + 1] = w[i] + nu * lam * w[i] * dt + p.ou_increment(nu, dt)
     return w
 
 

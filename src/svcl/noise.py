@@ -111,10 +111,11 @@ def trace_h2(spec: NoiseSpec, basis: ModeBasis) -> TraceInfo:
 class NoisePath:
     """One realization of the forcing, owned by a single run.
 
-    State is (seed, draw_index, conv_state).  The Philox generator is
-    recreated logically per draw by resetting its counter, which is bitwise
-    identical to constructing Philox(key=seed, counter=[0, index, 0, 0])
-    fresh and far cheaper.
+    State is (seed, draw_index): the path only draws, and the convolution
+    itself is built from its draws by `integrator.convolution_grid`.  The
+    Philox generator is recreated logically per draw by resetting its
+    counter, which is bitwise identical to constructing
+    Philox(key=seed, counter=[0, index, 0, 0]) fresh and far cheaper.
     """
 
     def __init__(self, spec: NoiseSpec, basis: ModeBasis, seed: int):
@@ -123,7 +124,6 @@ class NoisePath:
         self.seed = int(seed) & (2**64 - 1)
         self.sigma = spec.resolve(basis)
         self.draw_index = 0
-        self.conv_state = basis.zeros()
         self._n_draws = spec.matrix.shape[0] if spec.matrix is not None else basis.m_max
         self._bg = np.random.Philox(key=self.seed)
         self._gen = np.random.Generator(self._bg)
@@ -134,7 +134,6 @@ class NoisePath:
         """Independent handle on the same realization at the same position."""
         other = NoisePath(self.spec, self.basis, self.seed)
         other.draw_index = self.draw_index
-        other.conv_state = self.conv_state.copy()
         return other
 
     def block(self, index: int) -> np.ndarray:
@@ -152,14 +151,13 @@ class NoisePath:
         self.draw_index += 1
         return z
 
-    def _ou_factors(self, nu: float, dt: float):
+    def _ou_std(self, nu: float, dt: float) -> np.ndarray:
         key = (nu, dt)
         if self._ou_cache is None or self._ou_cache[0] != key:
             lam = self.basis.eigenvalues
-            decay = np.exp(nu * lam * dt)
             var = self.sigma**2 * (1.0 - np.exp(2.0 * nu * lam * dt)) / (-2.0 * nu * lam)
-            self._ou_cache = (key, decay, np.sqrt(var))
-        return self._ou_cache[1], self._ou_cache[2]
+            self._ou_cache = (key, np.sqrt(var))
+        return self._ou_cache[1]
 
     def wiener_increment(self, dt: float) -> np.ndarray:
         """Raw increment W(t+dt) - W(t): mode variance sigma_m^2 dt."""
@@ -169,23 +167,15 @@ class NoisePath:
         return np.sqrt(dt) * self.sigma * z
 
     def ou_increment(self, nu: float, dt: float) -> np.ndarray:
-        """Advance the convolution one step; returns the fresh-noise part
+        """Draw one step's fresh-noise part of the convolution,
         w(t+dt) - exp(nu lam dt) w(t), exactly what the integrator adds.
 
         Dense covariance has no diagonal transition, so it falls back to the
-        Euler-Maruyama increment (the raw Wiener increment) and updates the
-        tracked convolution with the explicit drift.
+        Euler-Maruyama increment, the raw Wiener increment.
         """
         if self.spec.matrix is not None:
-            dw = self.wiener_increment(dt)
-            self.conv_state = (
-                self.conv_state + nu * self.basis.eigenvalues * self.conv_state * dt + dw
-            )
-            return dw
-        decay, ou_std = self._ou_factors(nu, dt)
-        xi = ou_std * self._next_block()
-        self.conv_state = decay * self.conv_state + xi
-        return xi
+            return self.wiener_increment(dt)
+        return self._ou_std(nu, dt) * self._next_block()
 
 
 def stationary_variance(spec: NoiseSpec, basis: ModeBasis, nu: float) -> np.ndarray:

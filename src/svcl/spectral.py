@@ -103,50 +103,96 @@ def mode_field(basis: ModeBasis, m: int, amplitude: float = 1.0) -> SpectralFiel
     return SpectralField(c, basis)
 
 
-def synthesize(coeffs: np.ndarray, n: int) -> np.ndarray:
+def _band(spec: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """(real, imag) views of the band bins 1..k of spectra (last axis)."""
+    return spec.real[..., 1 : k + 1], spec.imag[..., 1 : k + 1]
+
+
+def _pairs(c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(sin, cos) member views of coefficient vectors (last axis)."""
+    return c[..., 0::2], c[..., 1::2]
+
+
+class Workspace:
+    """Preallocated buffers for `synthesize` and `analyze` of one block shape
+    (..., m_max) on an n-point grid, with their band views made once.
+
+    The padded spectrum is zero outside the band bins 1..m_max/2, and every
+    call overwrites all of those bins, so nothing carries over from one call
+    to the next.  Results are views of these buffers, valid until the next
+    call with the same workspace.
+    """
+
+    def __init__(self, shape: tuple, n: int):
+        lead, k = shape[:-1], shape[-1] // 2
+        self.padded = np.zeros((*lead, n // 2 + 1), dtype=complex)
+        self.samples = np.empty((*lead, n))
+        self.spectrum = np.empty((*lead, n // 2 + 1), dtype=complex)
+        self.coeffs = np.empty(shape)
+        self.padded_band = _band(self.padded, k)
+        self.spectrum_band = _band(self.spectrum, k)
+        self.coeff_pairs = _pairs(self.coeffs)
+
+
+def synthesize(coeffs: np.ndarray, n: int, work: Workspace | None = None) -> np.ndarray:
     """Evaluate coefficient vectors (last axis) on the grid j/n, j = 0..n-1.
 
-    Each row of a block comes out bitwise equal to its own call.  Used by
-    the dealiased nonlinear term and every quadrature-based observable.
-    Requires n >= m_max + 2.
+    Each row of a block comes out bitwise equal to its own call, and a call
+    on a workspace bitwise equal to one without.  Used by the dealiased
+    nonlinear term and every quadrature-based observable.  Requires
+    n >= m_max + 2.
     """
     m_max = coeffs.shape[-1]
     k = m_max // 2
     if n < m_max + 2:
         raise ValueError("grid too coarse for the retained band")
-    spec = np.zeros((*coeffs.shape[:-1], n // 2 + 1), dtype=complex)
+    if work is None:
+        spec, out = np.zeros((*coeffs.shape[:-1], n // 2 + 1), dtype=complex), None
+        re, im = _band(spec, k)
+    else:
+        spec, out, (re, im) = work.padded, work.samples, work.padded_band
     # rfft bin mp holds (n/sqrt(2)) * (cos_coeff - i sin_coeff)
     scale = n / _SQRT2
-    spec.real[..., 1 : k + 1] = scale * coeffs[..., 1::2]
-    spec.imag[..., 1 : k + 1] = -scale * coeffs[..., 0::2]
-    return np.fft.irfft(spec, n)
+    sin, cos = _pairs(coeffs)
+    np.multiply(cos, scale, out=re)
+    np.multiply(sin, -scale, out=im)
+    return np.fft.irfft(spec, n, out=out)
 
 
-def analyze(samples: np.ndarray, m_max: int) -> tuple[np.ndarray, float]:
+def analyze(samples: np.ndarray, m_max: int,
+            work: Workspace | None = None) -> tuple[np.ndarray, float]:
     """Project samples (last axis) onto the first m_max modes; returns
-    (coeffs, mean), with a scalar mean for one sample vector."""
+    (coeffs, mean), with a scalar mean for one sample vector.  On a
+    workspace, coeffs is its buffer, bitwise equal to the allocating call."""
     n = samples.shape[-1]
     k = m_max // 2
     if n < m_max + 2:
         raise ValueError("grid too coarse for the retained band")
-    spec = np.fft.rfft(samples)
+    if work is None:
+        spec = np.fft.rfft(samples)
+        coeffs = np.empty((*samples.shape[:-1], m_max))
+        (re, im), (sin, cos) = _band(spec, k), _pairs(coeffs)
+    else:
+        spec = np.fft.rfft(samples, out=work.spectrum)
+        coeffs, (re, im), (sin, cos) = work.coeffs, work.spectrum_band, work.coeff_pairs
     mean = spec.real[..., 0][()] / n  # [()]: a scalar, not a 0-d array, for one vector
     scale = _SQRT2 / n
-    coeffs = np.empty((*samples.shape[:-1], m_max))
-    coeffs[..., 0::2] = -scale * spec.imag[..., 1 : k + 1]
-    coeffs[..., 1::2] = scale * spec.real[..., 1 : k + 1]
+    np.multiply(im, -scale, out=sin)
+    np.multiply(re, scale, out=cos)
     return coeffs, mean
 
 
 def rotate_pairs(c: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """d/dx on raw coefficients (last axis) with per-mode wavenumbers w.
+    """d/dx on raw coefficients (last axis) with per-mode wavenumbers w,
+    into a fresh array.
 
     Each (sin, cos) pair (s, k) maps to (-w k, w s).  Passing -w yields
     -d/dx bit for bit, since IEEE negation is exact.
     """
     out = np.empty_like(c)
-    out[..., 0::2] = -w[1::2] * c[..., 1::2]
-    out[..., 1::2] = w[0::2] * c[..., 0::2]
+    (s, k), (out_s, out_k) = _pairs(c), _pairs(out)
+    np.multiply(k, -w[1::2], out=out_s)
+    np.multiply(s, w[0::2], out=out_k)
     return out
 
 

@@ -16,8 +16,9 @@ from svcl.flux import (
     flux_derivative,
     flux_energy_pairing,
     flux_value,
-    nonlinear_term,
 )
+from svcl.integrator import ModelSpec, SolverConfig, Stepper
+from svcl.noise import NoiseSpec
 from svcl.spectral import ModeBasis, SpectralField, mode_field, sobolev_norm
 
 NEG_PI_SQRT2 = -4.442882938158366  # -pi sqrt(2), the burgers e_1 -> e_3 coefficient
@@ -44,6 +45,13 @@ def oracle_nonlinear(coeffs, a_of_u):
     out[0::2] = 2 * np.pi * pair[0::2] * proj[1::2]
     out[1::2] = -2 * np.pi * pair[1::2] * proj[0::2]
     return out
+
+
+def nonlin(flux, u: SpectralField) -> SpectralField:
+    """N(u) = -dx A(u) through the production kernel, Stepper.nonlin."""
+    model = ModelSpec(nu=1.0, flux=flux, noise=NoiseSpec(c=0.0, q=3.0))
+    stepper = Stepper(model, SolverConfig(dt=1e-3), u.basis)
+    return SpectralField(stepper.nonlin(u.coeffs), u.basis)
 
 
 class TestFluxSpec:
@@ -136,7 +144,7 @@ class TestNonlinearTerm:
     def test_burgers_single_mode_frozen(self):
         """N(e_1) = -2 pi sin(4 pi x) lands on mode 3 with coefficient -pi sqrt(2)."""
         basis = ModeBasis(8)
-        out = nonlinear_term(FluxSpec("burgers"), mode_field(basis, 1))
+        out = nonlin(FluxSpec("burgers"), mode_field(basis, 1))
         expected = np.zeros(8)
         expected[2] = NEG_PI_SQRT2
         assert np.max(np.abs(out.coeffs - expected)) < 1e-12
@@ -149,7 +157,7 @@ class TestNonlinearTerm:
             c = rng.standard_normal(m_max) / np.repeat(
                 np.arange(1, m_max // 2 + 1), 2
             )
-            got = nonlinear_term(FluxSpec("burgers"), SpectralField(c, basis))
+            got = nonlin(FluxSpec("burgers"), SpectralField(c, basis))
             want = oracle_nonlinear(c, lambda v: 0.5 * v * v)
             assert np.max(np.abs(got.coeffs - want)) < 1e-12
 
@@ -161,7 +169,7 @@ class TestNonlinearTerm:
                         growth_constant=1.0, growth_exponent=2)
         for _ in range(4):
             c = rng.standard_normal(8) / np.repeat(np.arange(1, 5), 2)
-            got = nonlinear_term(flux, SpectralField(c, basis))
+            got = nonlin(flux, SpectralField(c, basis))
             want = oracle_nonlinear(c, lambda v: v**3 / 3.0)
             assert np.max(np.abs(got.coeffs - want)) < 1e-12
 
@@ -169,7 +177,7 @@ class TestNonlinearTerm:
         basis = ModeBasis(16)
         rng = np.random.default_rng(0)
         u = SpectralField(rng.standard_normal(16), basis)
-        out = nonlinear_term(FluxSpec("zero"), u)
+        out = nonlin(FluxSpec("zero"), u)
         assert np.all(out.coeffs == 0.0)
 
     def test_dealias_grid_sizing(self):
@@ -184,7 +192,7 @@ class TestNonlinearTerm:
         basis = ModeBasis(8)
         u = mode_field(basis, 1, 1e200)
         with np.errstate(over="ignore", invalid="ignore"):
-            out = nonlinear_term(FluxSpec("burgers"), u)
+            out = nonlin(FluxSpec("burgers"), u)
         assert out.coeffs.shape == (8,) and not np.isfinite(out.coeffs).any()
 
     def test_lipschitz_fit_stable_under_refinement(self):
@@ -208,8 +216,8 @@ class TestNonlinearTerm:
                 du = sobolev_norm(SpectralField(u.coeffs - v.coeffs, basis), 1)
                 if du < 1e-12:
                     continue
-                nu_ = nonlinear_term(FluxSpec("burgers"), u)
-                nv = nonlinear_term(FluxSpec("burgers"), v)
+                nu_ = nonlin(FluxSpec("burgers"), u)
+                nv = nonlin(FluxSpec("burgers"), v)
                 dn = sobolev_norm(SpectralField(nu_.coeffs - nv.coeffs, basis), 0)
                 worst = max(worst, dn / du)
             fitted[m_max] = worst

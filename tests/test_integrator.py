@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from svcl import integrator
-from svcl.flux import FluxSpec, dealias_points
+from svcl.flux import FluxSpec, dealias_points, flux_value
 from svcl.integrator import (
     _RECORD_BLOCK_POINTS,
     SCHEMES,
@@ -32,7 +32,7 @@ from svcl.integrator import (
 from svcl.noise import NoisePath, NoiseSpec
 from svcl.observables import DEFAULT_FINE_FACTOR
 from svcl.spectral import (ModeBasis, SpectralField, analyze, heat_apply, mode_field,
-                           synthesize)
+                           rotate_pairs, synthesize)
 
 FOUR_PI_SQ = 39.47841760435743
 
@@ -208,6 +208,95 @@ class TestBlock:
         alone = [integrator._advance_checked(checked, row, xi, 1e-3)[1] for row in block]
         assert trip == next((a for a in alone if a is not None), None)
         assert got.tobytes() == (out if trip is None else block).tobytes()
+
+
+def _ref_flux(spec, v):
+    if spec.kind == "burgers":
+        return 0.5 * v * v
+    if spec.kind == "polynomial":
+        return np.polynomial.polynomial.polyval(v, spec.coefficients)
+    return np.asarray(spec.value_fn(v), dtype=float)
+
+
+def _ref_nonlin(spec, c, basis):
+    """N(c) with allocating transforms and polyval, no workspace."""
+    if spec.kind == "zero":
+        return np.zeros_like(c)
+    v = synthesize(c, dealias_points(spec, basis))
+    return rotate_pairs(analyze(_ref_flux(spec, v), basis.m_max)[0], -basis.wavenumbers)
+
+
+def _ref_advance(stepper, c, xi):
+    """The scheme update written out as one expression per scheme."""
+    def n(x):
+        return _ref_nonlin(stepper.model.flux, x, stepper.basis)
+
+    dt = stepper.dt
+    if stepper.model.flux.kind == "zero":
+        return stepper.decay * c + xi
+    if stepper.cfg.scheme == "exp_euler":
+        return stepper.decay * (c + dt * n(c)) + xi
+    pred = stepper.half_decay * (c + 0.5 * dt * n(c))
+    return stepper.decay * c + dt * stepper.half_decay * n(pred) + xi
+
+
+class TestPlan:
+    """Stepper's per-shape workspaces and the Horner flux reproduce the
+    allocating kernels with polyval bit for bit."""
+
+    FLUXES = {
+        "burgers": FluxSpec("burgers"), "zero": FluxSpec("zero"),
+        "cubic": FluxSpec("polynomial", coefficients=[0.0, 0.5, -0.2, 1.0 / 3.0]),
+        "callback": FluxSpec("callback", value_fn=lambda v: v * np.sin(v),
+                             deriv_fn=lambda v: np.sin(v) + v * np.cos(v),
+                             growth_constant=2.0, growth_exponent=1),
+    }
+
+    @settings(max_examples=120, deadline=None, derandomize=True, database=None)
+    @given(data=st.data(), rows=st.sampled_from([None, 1, 2, 3]),
+           m=st.sampled_from([4, 8, 16, 32]), flux=st.sampled_from(sorted(FLUXES)),
+           scheme=st.sampled_from(SCHEMES), exp=st.sampled_from([*range(-5, 4), 160]))
+    @np.errstate(over="ignore", invalid="ignore")
+    def test_plan_matches_reference_bitwise(self, data, rows, m, flux, scheme, exp):
+        shape = (m,) if rows is None else (rows, m)
+        c = data.draw(arrays(float, shape, elements=st.floats(-2.0, 2.0))) * 10.0**exp
+        xi = data.draw(arrays(float, m, elements=st.floats(-0.1, 0.1)))
+        basis = ModeBasis(m)
+        model = ModelSpec(0.1, self.FLUXES[flux], NoiseSpec(sigma=np.zeros(m)))
+        stepper = Stepper(model, SolverConfig(dt=1e-3, scheme=scheme), basis)
+        # a state past the float range first fills the plan's buffers with
+        # inf and nan; nothing of it may reach the next call
+        big = np.full(shape, 1e160)
+        n_big = stepper.nonlin(big)
+        a_big = stepper.advance(big, xi)
+        keep = n_big.tobytes(), a_big.tobytes()
+        ref = _ref_nonlin(model.flux, c, basis)
+        assert stepper.nonlin(c).tobytes() == ref.tobytes()
+        out = stepper.advance(c, xi)
+        assert out.tobytes() == _ref_advance(stepper, c, xi).tobytes()
+        # returned arrays are fresh: later calls leave them as they were
+        assert (n_big.tobytes(), a_big.tobytes()) == keep
+        before = out.tobytes()
+        stepper.advance(out, xi)
+        stepper.nonlin(c)
+        assert out.tobytes() == before
+
+    def test_horner_matches_polyval_bitwise(self):
+        # coefficient counts 1..5 with signed zeros, magnitudes to 1e80 so
+        # that some values overflow, and inf and nan inputs
+        rng = np.random.default_rng(2)
+        v = np.concatenate([rng.standard_normal(200) * 10.0 ** rng.integers(-5, 81, 200),
+                            [0.0, -0.0, np.inf, -np.inf, np.nan]])
+        for _ in range(300):
+            n = int(rng.integers(1, 6))
+            coef = rng.standard_normal(n) * 10.0 ** rng.integers(-3, 4, n)
+            coef[rng.random(n) < 0.3] = rng.choice([0.0, -0.0])
+            spec = FluxSpec("polynomial", coefficients=coef, growth_constant=1e9,
+                            growth_exponent=max(n - 2, 1))
+            with np.errstate(over="ignore", invalid="ignore"):
+                got = flux_value(spec, v)
+                want = np.polynomial.polynomial.polyval(v, coef)
+            assert got.tobytes() == want.tobytes()
 
 
 class TestRecordBlock:
@@ -434,6 +523,18 @@ class TestGuard:
         assert res.trip.reason == "flux_overflow" and res.trip.t == 0.0
         assert res.trip.h1_sq == np.inf  # 4 pi^2 1e308 is past the float range too
         assert res.state.step == 0 and res.state.u.coeffs.tobytes() == u0.coeffs.tobytes()
+
+    def test_flux_overflow_trip_time_is_the_state_time(self):
+        # the cubic overflows at step 2, after t = 0.01 + 0.01; the trip
+        # reports the pre-step time itself, not (t + dt) - dt, which here
+        # is one ulp below it
+        basis = ModeBasis(8)
+        cubic = FluxSpec("polynomial", coefficients=[0.0, 0.0, 0.0, 1.0 / 3.0])
+        model = ModelSpec(0.1, cubic, NoiseSpec(sigma=np.zeros(8)))
+        res = run_single(model, SolverConfig(dt=0.01), mode_field(basis, 1, 1.149e12),
+                         seed=0, n_steps=10)
+        assert res.trip.reason == "flux_overflow" and res.state.step == 2
+        assert res.trip.t == res.state.t
 
     def test_trip_frequency_decays_at_least_like_markov(self):
         # P(T_r < t) <= E[...]/r, so r * freq(r) must not grow in r.

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from svcl.integrator import convolution_grid
 from svcl.noise import NoisePath, NoiseSpec, stationary_variance, trace_h2
 from svcl.spectral import ModeBasis
 
@@ -130,9 +131,9 @@ class TestDrawDiscipline:
         for _ in range(4):
             path.ou_increment(1.0, 0.01)
         twin = path.fork()
-        path.ou_increment(1.0, 0.01)
-        twin.ou_increment(1.0, 0.01)
-        assert np.array_equal(path.conv_state, twin.conv_state)
+        assert np.array_equal(convolution_grid(path, 1.0, 0.01, 1),
+                              convolution_grid(twin, 1.0, 0.01, 1))
+        assert np.array_equal(path.ou_increment(1.0, 0.01), twin.ou_increment(1.0, 0.01))
 
     def test_negative_seed_accepted(self):
         basis = ModeBasis(4)
@@ -189,8 +190,7 @@ class TestOUConvolution:
         samples = np.empty(40000)
         for k in range(len(samples)):
             path = NoisePath(e1_spec(), basis, 50000 + k)
-            path.ou_increment(1.0, 0.1)
-            samples[k] = path.conv_state[0]
+            samples[k] = convolution_grid(path, 1.0, 0.1, 1)[1, 0]
         assert samples.mean() == pytest.approx(0.0, abs=4 * np.sqrt(OU_STEP_VAR / 4e4))
         assert samples.var() == pytest.approx(OU_STEP_VAR, rel=0.05)
 
@@ -199,10 +199,7 @@ class TestOUConvolution:
         basis = ModeBasis(4)
         path = NoisePath(e1_spec(), basis, 8)
         n = 100000
-        vals = np.empty(n)
-        for k in range(n):
-            path.ou_increment(1.0, 0.01)
-            vals[k] = path.conv_state[0]
+        vals = convolution_grid(path, 1.0, 0.01, n)[1:, 0]
         assert vals.var() == pytest.approx(OU_STAT_VAR, rel=0.05)
 
     def test_n_small_steps_match_one_big_step(self):
@@ -213,23 +210,51 @@ class TestOUConvolution:
         composed = np.empty(m)
         for k in range(m):
             path = NoisePath(NoiseSpec(sigma=[1.0, 0.0]), basis, 200000 + k)
-            for _ in range(n):
-                path.ou_increment(nu, dt)
-            composed[k] = path.conv_state[0]
+            composed[k] = convolution_grid(path, nu, dt, n)[n, 0]
         lam = basis.eigenvalue(1)
         big_var = (1.0 - np.exp(2 * nu * lam * n * dt)) / (-2 * nu * lam)
         direct = np.sqrt(big_var) * np.random.default_rng(99).standard_normal(m)
         assert stats.ks_2samp(composed, direct).pvalue > 0.01
 
     def test_decay_factor_exact(self):
-        """With silent noise the convolution state decays by exp(nu lam dt)."""
+        """Between draws the convolution decays by exp(nu lam dt): w(t_2) is
+        exp(nu lam dt) w(t_1) plus the second draw, bit for bit; with silent
+        noise it stays exactly zero."""
         basis = ModeBasis(4)
-        path = NoisePath(NoiseSpec(sigma=[0.0, 0.0, 0.0, 0.0]), basis, 1)
-        path.conv_state = np.array([1.0, 1.0, 1.0, 1.0])
-        path.ou_increment(2.0, 0.003)
-        assert np.allclose(
-            path.conv_state, np.exp(2.0 * basis.eigenvalues * 0.003), rtol=1e-14
-        )
+        path = NoisePath(NoiseSpec(sigma=[1.0, 1.0, 1.0, 1.0]), basis, 1)
+        w = convolution_grid(path, 2.0, 0.003, 2)
+        xi = [path.ou_increment(2.0, 0.003) for _ in range(2)]
+        assert np.array_equal(w[1], xi[0])
+        assert np.array_equal(w[2], np.exp(2.0 * basis.eigenvalues * 0.003) * w[1] + xi[1])
+        silent = NoisePath(NoiseSpec(sigma=[0.0, 0.0, 0.0, 0.0]), basis, 1)
+        assert np.all(convolution_grid(silent, 2.0, 0.003, 3) == 0.0)
+
+    @pytest.mark.parametrize("dense", [False, True])
+    def test_grid_equals_tracked_recursion_bitwise(self, dense):
+        """convolution_grid equals the convolution tracked draw by draw with
+        the same operations: exp(nu lam dt) w + xi on the diagonal path, the
+        Euler drift w + nu lam w dt + dW on the dense one."""
+        basis = ModeBasis(8)
+        spec = (NoiseSpec(matrix=np.random.default_rng(4).standard_normal((3, 8)))
+                if dense else NoiseSpec(c=0.7, q=3.0))
+        nu, dt, n = 0.3, 0.01, 50
+        path = NoisePath(spec, basis, 12)
+        path.draw_index = 7
+        lam = basis.eigenvalues
+        want = np.zeros((n + 1, 8))
+        draws = NoisePath(spec, basis, 12)
+        for i in range(n):
+            z = draws.block(7 + i)
+            w = want[i]
+            if dense:
+                want[i + 1] = w + nu * lam * w * dt + np.sqrt(dt) * (z @ spec.matrix)
+            else:
+                sig = spec.resolve(basis)
+                std = np.sqrt(sig**2 * (1.0 - np.exp(2.0 * nu * lam * dt)) / (-2.0 * nu * lam))
+                want[i + 1] = np.exp(nu * lam * dt) * w + std * z
+        got = convolution_grid(path, nu, dt, n)
+        assert got.tobytes() == want.tobytes()
+        assert path.draw_index == 7  # the grid is drawn from a fork
 
     def test_stationary_variance_helper(self):
         basis = ModeBasis(4)
@@ -243,12 +268,7 @@ class TestContinuity:
         basis = ModeBasis(8)
         path = NoisePath(NoiseSpec(c=1.0, q=3.0), basis, seed)
         lam2 = basis.eigenvalues**2
-        out = np.empty(n + 1)
-        out[0] = 0.0
-        for k in range(n):
-            path.ou_increment(1.0, dt)
-            out[k + 1] = np.sqrt(np.sum(lam2 * path.conv_state**2))
-        return out
+        return np.sqrt(np.sum(lam2 * convolution_grid(path, 1.0, dt, n) ** 2, axis=1))
 
     def test_sqrt_dt_scaling(self):
         """Typical H2 jumps scale like sqrt(dt): log-log slope 0.5 +- 0.1."""

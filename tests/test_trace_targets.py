@@ -1,9 +1,19 @@
 """The benchmark tracer's contract: every name in bench/spans.py's TARGETS
-resolves in svcl, so renaming or deleting a traced layer fails here."""
+resolves in svcl, so renaming or deleting a traced layer fails here, and the
+step path still goes through the traced kernels."""
 
 import importlib
 import importlib.util
+import sys
 from pathlib import Path
+
+import numpy as np
+import pytest
+
+from svcl.flux import FluxSpec
+from svcl.integrator import ModelSpec, SolverConfig, Stepper
+from svcl.noise import NoiseSpec
+from svcl.spectral import ModeBasis, mode_field
 
 SPANS = Path(__file__).resolve().parents[1] / "bench" / "spans.py"
 
@@ -24,3 +34,34 @@ def test_every_traced_name_resolves():
             assert hasattr(obj, part), f"{name}: {modname}.{attr} does not exist"
             obj = getattr(obj, part)
         assert callable(obj), f"{name}: {modname}.{attr} is not callable"
+
+
+@pytest.mark.parametrize("scheme,per_advance", [("exp_euler", 1), ("exp_midpoint_flux", 2)])
+def test_step_path_calls_the_traced_kernels(monkeypatch, scheme, per_advance):
+    # wrap each kernel under every svcl module name that holds it, as the
+    # tracer does; a step path that reaches a kernel some other way would
+    # drop the benchmark's per-layer counts to zero without failing a run
+    counts = {}
+    for modname, attr in (("svcl.spectral", "synthesize"), ("svcl.spectral", "analyze"),
+                          ("svcl.flux", "flux_value")):
+        original = getattr(importlib.import_module(modname), attr)
+
+        def counted(*args, _fn=original, _key=attr, **kwargs):
+            counts[_key] += 1
+            return _fn(*args, **kwargs)
+
+        counts[attr] = 0
+        for name, mod in list(sys.modules.items()):
+            if (name == "svcl" or name.startswith("svcl.")) and mod is not None:
+                for key, value in list(vars(mod).items()):
+                    if value is original:
+                        monkeypatch.setattr(mod, key, counted)
+    basis = ModeBasis(16)
+    model = ModelSpec(0.1, FluxSpec("burgers"), NoiseSpec(c=0.5, q=3.0))
+    stepper = Stepper(model, SolverConfig(dt=1e-3, scheme=scheme), basis)
+    c, xi = mode_field(basis, 1).coeffs, np.zeros(16)
+    for shape in ((16,), (2, 16)):
+        for _ in range(3):  # the first call on a shape builds its workspace
+            counts.update(dict.fromkeys(counts, 0))
+            stepper.advance(np.broadcast_to(c, shape).copy(), xi)
+            assert counts == dict.fromkeys(counts, per_advance), shape
