@@ -196,6 +196,13 @@ class RunResult:
 # temporaries (a few of this many float64s) whatever m_max is
 _RECORD_BLOCK_POINTS = 1 << 15
 
+# run_coupled's stop test: each coefficient of a difference d is a
+# fine-grid mean of d times a basis function bounded by sqrt(2), so its L1
+# distance is at least max|d_m| / sqrt(2), and a step with max|d_m| at or
+# above _STOP_GATE * stop cannot stop; the 1e-6 margin is orders of
+# magnitude above the transform's rounding
+_STOP_GATE = np.sqrt(2.0) * (1.0 + 1e-6)
+
 
 def _record_rows(bufs, stepper: Stepper, times, states):
     """Append one record row per kept state: states[k], kept at times[k], is
@@ -365,11 +372,18 @@ def run_coupled(
     """Drive two trajectories under one realization of the forcing.
 
     The pair is stepped as one (2, m) block by the shared driver.  The L1
-    distance and both H1 masses are tracked at every step (the contraction
+    distance and both H1 masses are series over every step (the contraction
     property is a per-step statement), while full records keep the
-    configured cadence.  Stops early once the distance drops below
-    stop_l1_below, if given.
+    configured cadence.  Each step's pair is kept in a block that is
+    reduced to the series when it fills and when the run ends, one batched
+    synthesize and row-wise vecdot per block, bit for bit the values of one
+    step at a time.  Stops at the first step whose distance is below
+    stop_l1_below, if given: a step whose largest coefficient difference
+    rules that out (see _STOP_GATE) skips the test, and only the others
+    compute their own distance first.
     """
+    if stop_l1_below is not None and not stop_l1_below > 0:
+        raise ValueError("stop_l1_below must be positive")
     basis = u0.basis
     stepper = Stepper(model, cfg, basis)
     path = NoisePath(model.noise, basis, seed)
@@ -379,17 +393,34 @@ def run_coupled(
     times = np.empty(n_steps + 1)
     l1 = np.empty(n_steps + 1)
     h1 = np.empty((2, n_steps + 1))
+    n_fine, neg_lam = stepper.n_fine, stepper.neg_lam
+    kept = np.empty((max(1, _RECORD_BLOCK_POINTS // n_fine), 2, basis.m_max))
+    gate = None if stop_l1_below is None else _STOP_GATE * stop_l1_below
+    done = 0  # steps whose series entries are filled
+
+    def reduce(k):
+        """Fill the series at steps done..k-1 from their kept pairs."""
+        nonlocal done
+        pairs = kept[: k - done]
+        l1[done:k] = observables.l1_norms(pairs[:, 0] - pairs[:, 1], n_fine)
+        h1[:, done:k] = np.vecdot(pairs * pairs, neg_lam).T
+        done = k
 
     def track(k, t, c):
+        if k - done == len(kept):
+            reduce(k)
+        kept[k - done] = c
         times[k] = t
-        l1[k] = float(np.mean(np.abs(synthesize(c[0] - c[1], stepper.n_fine))))
-        h1[:, k] = [stepper.h1_sq(row) for row in c]
-        return stop_l1_below is not None and l1[k] < stop_l1_below
+        if gate is None:
+            return False
+        d = c[0] - c[1]
+        return np.abs(d).max() < gate and observables.l1_norms(d, n_fine) < stop_l1_below
 
     c = np.stack([u0.coeffs, v0.coeffs])
     track(0, 0.0, c)
     c, t, k, trip, _ = _drive(stepper, c, partial(path.ou_increment, model.nu, cfg.dt),
                               n_steps, bufs, record_every, on_step=track)
+    reduce(k + 1)
     for buf in bufs:
         buf.set_column("l1_dist", l1[: k + 1 : record_every])
         _fill_residual_column(buf, model, basis, residual_window)

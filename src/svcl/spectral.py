@@ -8,10 +8,13 @@ semigroup, Sobolev norms and the spatial derivative all act diagonally
 (or pairwise, for the derivative) on the real coefficient vector.
 
 Coefficient storage is a flat float64 array of length m_max with the sine
-member first inside each pair.  Transforms go through numpy's real FFT;
-on a grid of n points the pair mp occupies the complex rfft bin mp, which
-requires n >= m_max + 2 so the highest retained pair stays strictly below
-the Nyquist bin.
+member first inside each pair.  Transforms call the pocketfft gufuncs
+under numpy's real FFT (`numpy.fft._pocketfft_umath`, numpy >= 2.0)
+directly, with the arguments `np.fft.rfft`/`irfft` pass them, so the
+results are theirs bit for bit without their per-call norm, dtype and axis
+handling; on a grid of n points the pair mp occupies the complex rfft bin
+mp, which requires n >= m_max + 2 so the highest retained pair stays
+strictly below the Nyquist bin.
 """
 
 from __future__ import annotations
@@ -19,6 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.fft import _pocketfft_umath as _pocketfft
 
 _SQRT2 = np.sqrt(2.0)  # once here, not one ufunc call per transform
 
@@ -147,7 +151,8 @@ def synthesize(coeffs: np.ndarray, n: int, work: Workspace | None = None) -> np.
     if n < m_max + 2:
         raise ValueError("grid too coarse for the retained band")
     if work is None:
-        spec, out = np.zeros((*coeffs.shape[:-1], n // 2 + 1), dtype=complex), None
+        lead = coeffs.shape[:-1]
+        spec, out = np.zeros((*lead, n // 2 + 1), dtype=complex), np.empty((*lead, n))
         re, im = _band(spec, k)
     else:
         spec, out, (re, im) = work.padded, work.samples, work.padded_band
@@ -156,7 +161,8 @@ def synthesize(coeffs: np.ndarray, n: int, work: Workspace | None = None) -> np.
     sin, cos = _pairs(coeffs)
     np.multiply(cos, scale, out=re)
     np.multiply(sin, -scale, out=im)
-    return np.fft.irfft(spec, n, out=out)
+    # np.fft.irfft's call: the 1/n norm, with n taken from out
+    return _pocketfft.irfft(spec, 1.0 / n, out=out)
 
 
 def analyze(samples: np.ndarray, m_max: int,
@@ -169,12 +175,14 @@ def analyze(samples: np.ndarray, m_max: int,
     if n < m_max + 2:
         raise ValueError("grid too coarse for the retained band")
     if work is None:
-        spec = np.fft.rfft(samples)
-        coeffs = np.empty((*samples.shape[:-1], m_max))
+        lead = samples.shape[:-1]
+        spec, coeffs = np.empty((*lead, n // 2 + 1), dtype=complex), np.empty((*lead, m_max))
         (re, im), (sin, cos) = _band(spec, k), _pairs(coeffs)
     else:
-        spec = np.fft.rfft(samples, out=work.spectrum)
-        coeffs, (re, im), (sin, cos) = work.coeffs, work.spectrum_band, work.coeff_pairs
+        spec, coeffs = work.spectrum, work.coeffs
+        (re, im), (sin, cos) = work.spectrum_band, work.coeff_pairs
+    # np.fft.rfft's call: no norm, the even or odd kernel by n
+    (_pocketfft.rfft_n_even if n % 2 == 0 else _pocketfft.rfft_n_odd)(samples, 1, out=spec)
     mean = spec.real[..., 0][()] / n  # [()]: a scalar, not a 0-d array, for one vector
     scale = _SQRT2 / n
     np.multiply(im, -scale, out=sin)

@@ -3,6 +3,7 @@ the Picard cross-check, and snapshot/resume determinism."""
 
 import io
 import math
+from functools import partial
 
 import numpy as np
 import pytest
@@ -30,7 +31,7 @@ from svcl.integrator import (
     write_snapshot,
 )
 from svcl.noise import NoisePath, NoiseSpec
-from svcl.observables import DEFAULT_FINE_FACTOR
+from svcl.observables import DEFAULT_FINE_FACTOR, RecordBuffer
 from svcl.spectral import (ModeBasis, SpectralField, analyze, heat_apply, mode_field,
                            rotate_pairs, synthesize)
 
@@ -668,6 +669,113 @@ class TestCoupled:
                           stop_l1_below=1e-4)
         assert res.l1_series[-1] < 1e-4
         assert len(res.l1_series) < 50001
+
+    @pytest.mark.parametrize("stop", [math.nan, 0.0, -1e-3, -math.inf])
+    def test_rejects_a_stop_threshold_that_is_not_positive(self, stop):
+        # a NaN would pass no step's stop test and run to the horizon
+        basis = ModeBasis(8)
+        with pytest.raises(ValueError, match="stop_l1_below must be positive"):
+            run_coupled(silent_model(m=8), SolverConfig(dt=1e-3), mode_field(basis, 1, 1.0),
+                        mode_field(basis, 1, -1.0), seed=0, n_steps=5, stop_l1_below=stop)
+
+
+class TestCoupledSeries:
+    """run_coupled's series, reduced a block of kept pairs at a time behind
+    the max-coefficient stop test, equal the per-step tracking they replace,
+    bit for bit, wherever a stop or trip falls against the block."""
+
+    FLUXES = {"burgers": FluxSpec("burgers"),
+              "cubic": FluxSpec("polynomial", coefficients=[0.0, 0.5, -0.2, 1.0 / 3.0])}
+    RECORD_EVERY, LP_ORDERS = 3, (2, 4)
+
+    @classmethod
+    def reference(cls, model, cfg, u0, v0, seed, n_steps, stop):
+        """run_coupled with its series tracked at every step: an L1 distance
+        and two H1 masses computed from each step's pair as it is made."""
+        basis = u0.basis
+        stepper = Stepper(model, cfg, basis)
+        path = NoisePath(model.noise, basis, seed)
+        cap = n_steps // cls.RECORD_EVERY + 4
+        bufs = (RecordBuffer(cls.LP_ORDERS, capacity=cap),
+                RecordBuffer(cls.LP_ORDERS, capacity=cap))
+        times, l1, h1 = np.empty(n_steps + 1), np.empty(n_steps + 1), np.empty((2, n_steps + 1))
+
+        def track(k, t, c):
+            times[k] = t
+            l1[k] = float(np.mean(np.abs(synthesize(c[0] - c[1], stepper.n_fine))))
+            h1[:, k] = [stepper.h1_sq(row) for row in c]
+            return stop is not None and l1[k] < stop
+
+        c = np.stack([u0.coeffs, v0.coeffs])
+        track(0, 0.0, c)
+        c, t, k, trip, _ = integrator._drive(
+            stepper, c, partial(path.ou_increment, model.nu, cfg.dt), n_steps, bufs,
+            cls.RECORD_EVERY, on_step=track)
+        for buf in bufs:
+            buf.set_column("l1_dist", l1[: k + 1 : cls.RECORD_EVERY])
+            integrator._fill_residual_column(buf, model, basis, 64)
+        return dict(times=times[: k + 1], l1=l1[: k + 1], h1_a=h1[0, : k + 1],
+                    h1_b=h1[1, : k + 1], c=c, t=t, step=k, trip=trip, bufs=bufs)
+
+    @staticmethod
+    def outputs(res):
+        return dict(times=res.times, l1=res.l1_series, h1_a=res.h1_sq_a, h1_b=res.h1_sq_b,
+                    c=np.stack([res.state_a.u.coeffs, res.state_b.u.coeffs]),
+                    t=res.state_a.t, step=res.state_a.step, trip=res.trip,
+                    bufs=(res.records_a, res.records_b))
+
+    @settings(max_examples=80, deadline=None, derandomize=True, database=None)
+    @given(data=st.data(), m=st.sampled_from([8, 16, 32]), flux=st.sampled_from(sorted(FLUXES)),
+           scheme=st.sampled_from(SCHEMES), block=st.sampled_from([1, 2, 5, 16]),
+           case=st.sampled_from(["stop", "none", "trip"]))
+    def test_block_series_equal_per_step_reference(self, data, m, flux, scheme, block, case):
+        basis = ModeBasis(m)
+        model = ModelSpec(0.05, self.FLUXES[flux], NoiseSpec(c=0.2, q=3.0))
+        n_steps = 3 * block + 4
+        seed = data.draw(st.integers(0, 50), label="seed")
+        if case == "trip":  # states small enough for the noise to grow them
+            u0, v0 = (random_field(basis, seed, amp=1e-3),
+                      random_field(basis, seed + 1, amp=1e-3))
+        elif data.draw(st.booleans(), label="pm_e1"):  # a sine-mode difference
+            a = data.draw(st.sampled_from([0.25, 0.5, 1.0]), label="amplitude")
+            u0, v0 = mode_field(basis, 1, a), mode_field(basis, 1, -a)
+        else:
+            u0, v0 = random_field(basis, seed, amp=0.3), random_field(basis, seed + 1, amp=0.3)
+        free = self.reference(model, SolverConfig(dt=1e-3, scheme=scheme), u0, v0, seed,
+                              n_steps, None)
+        assert free["trip"] is None
+        # a step on the last row of a series block, the first or the second
+        s = max(1, data.draw(st.integers(1, 3), label="block") * block
+                + data.draw(st.sampled_from([-1, 0, 1]), label="row"))
+        radius, stops = None, [None]
+        if case == "stop":
+            # thresholds at, and one ulp either side of, that step's distance
+            stops = [free["l1"][s], np.nextafter(free["l1"][s], np.inf),
+                     np.nextafter(free["l1"][s], -np.inf)]
+        elif case == "trip":
+            # the largest H1 mass up to that step, first reached there while
+            # the noise grows the states; a stop threshold below every
+            # distance keeps the stop test running
+            radius = float(np.maximum(free["h1_a"], free["h1_b"])[1 : s + 1].max())
+            stops = [None, 0.5 * float(free["l1"].min())]
+        cfg = SolverConfig(dt=1e-3, scheme=scheme, guard_radius=radius)
+        for stop in stops:
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(integrator, "_RECORD_BLOCK_POINTS", block * DEFAULT_FINE_FACTOR * m)
+                want = self.reference(model, cfg, u0, v0, seed, n_steps, stop)
+                got = self.outputs(run_coupled(
+                    model, cfg, u0, v0, seed=seed, n_steps=n_steps,
+                    record_every=self.RECORD_EVERY, lp_orders=self.LP_ORDERS,
+                    stop_l1_below=stop))
+            assert (got["trip"] is not None) == (case == "trip")
+            assert got["step"] == want["step"] and got["t"] == want["t"]
+            assert got["trip"] == want["trip"]
+            for key in ("times", "l1", "h1_a", "h1_b", "c"):
+                assert got[key].tobytes() == want[key].tobytes(), key
+            for buf, ref in zip(got["bufs"], want["bufs"]):
+                assert buf.column_names() == ref.column_names()
+                for name in buf.column_names():
+                    assert buf.column(name).tobytes() == ref.column(name).tobytes(), name
 
 
 class TestPicard:

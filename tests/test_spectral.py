@@ -8,10 +8,14 @@ sup_x sqrt(x) exp(-nu x t) = (2 e nu t)^(-1/2).
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from svcl.spectral import (
     ModeBasis,
     SpectralField,
+    Workspace,
     analyze,
     heat_apply,
     mode_field,
@@ -75,7 +79,51 @@ class TestModeBasis:
         assert ModeBasis(16, n_x=18).n_x == 18
 
 
+def np_fft_synthesize(coeffs, n):
+    """synthesize through the public np.fft.irfft."""
+    k = coeffs.shape[-1] // 2
+    spec = np.zeros((*coeffs.shape[:-1], n // 2 + 1), dtype=complex)
+    scale = n / np.sqrt(2.0)
+    spec.real[..., 1 : k + 1] = coeffs[..., 1::2] * scale
+    spec.imag[..., 1 : k + 1] = coeffs[..., 0::2] * -scale
+    return np.fft.irfft(spec, n)
+
+
+def np_fft_analyze(samples, m_max):
+    """analyze through the public np.fft.rfft."""
+    n, k = samples.shape[-1], m_max // 2
+    spec = np.fft.rfft(samples)
+    coeffs = np.empty((*samples.shape[:-1], m_max))
+    scale = np.sqrt(2.0) / n
+    coeffs[..., 0::2] = spec.imag[..., 1 : k + 1] * -scale
+    coeffs[..., 1::2] = spec.real[..., 1 : k + 1] * scale
+    return coeffs, spec.real[..., 0] / n
+
+
 class TestTransforms:
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(data=st.data(), m=st.sampled_from([2, 4, 8, 16, 32]),
+           rows=st.sampled_from([None, 1, 2, 5]), extra=st.integers(2, 40),
+           exp=st.sampled_from([-300, -5, 0, 5, 300]))
+    def test_gufunc_transforms_equal_np_fft_bitwise(self, data, m, rows, extra, exp):
+        # the transforms call numpy's pocketfft gufuncs directly; a numpy
+        # whose private module no longer matches np.fft fails here.  n runs
+        # over even and odd sizes from m + 2 up
+        shape, n = (m,) if rows is None else (rows, m), m + extra
+        coeffs = data.draw(arrays(float, shape, elements=st.floats(-2.0, 2.0))) * 10.0**exp
+        samples = data.draw(arrays(float, (*shape[:-1], n), elements=st.floats(-2.0, 2.0)))
+        samples *= 10.0**exp
+        want_s = np_fft_synthesize(coeffs, n)
+        want_c, want_mean = np_fft_analyze(samples, m)
+        work = Workspace(shape, n)
+        for w in (None, work, work):  # a reused workspace too
+            got_s = synthesize(coeffs, n, w)
+            got_c, got_mean = analyze(samples, m, w)
+            assert got_s.shape == want_s.shape and got_c.shape == want_c.shape
+            assert got_s.tobytes() == want_s.tobytes()
+            assert got_c.tobytes() == want_c.tobytes()
+            assert np.float64(got_mean).tobytes() == np.float64(want_mean).tobytes()
+
     @pytest.mark.parametrize("m_max", [2, 8, 32, 64])
     def test_round_trip(self, m_max):
         """analyze(synthesize(f)) recovers band-limited f to 1e-12."""

@@ -10,8 +10,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from svcl import integrator
 from svcl.flux import FluxSpec
-from svcl.integrator import ModelSpec, SolverConfig, Stepper
+from svcl.integrator import ModelSpec, SolverConfig, Stepper, run_coupled
 from svcl.noise import NoiseSpec
 from svcl.spectral import ModeBasis, mode_field
 
@@ -36,11 +37,9 @@ def test_every_traced_name_resolves():
         assert callable(obj), f"{name}: {modname}.{attr} is not callable"
 
 
-@pytest.mark.parametrize("scheme,per_advance", [("exp_euler", 1), ("exp_midpoint_flux", 2)])
-def test_step_path_calls_the_traced_kernels(monkeypatch, scheme, per_advance):
-    # wrap each kernel under every svcl module name that holds it, as the
-    # tracer does; a step path that reaches a kernel some other way would
-    # drop the benchmark's per-layer counts to zero without failing a run
+def _count_kernel_calls(monkeypatch):
+    """Wrap each kernel under every svcl module name that holds it, as the
+    tracer does, and return the call counts they keep."""
     counts = {}
     for modname, attr in (("svcl.spectral", "synthesize"), ("svcl.spectral", "analyze"),
                           ("svcl.flux", "flux_value")):
@@ -56,6 +55,15 @@ def test_step_path_calls_the_traced_kernels(monkeypatch, scheme, per_advance):
                 for key, value in list(vars(mod).items()):
                     if value is original:
                         monkeypatch.setattr(mod, key, counted)
+    return counts
+
+
+@pytest.mark.parametrize("scheme,per_advance", [("exp_euler", 1), ("exp_midpoint_flux", 2)])
+def test_step_path_calls_the_traced_kernels(monkeypatch, scheme, per_advance):
+    # a step path that reaches a kernel some other way than through the
+    # wrapped names would drop the benchmark's per-layer counts to zero
+    # without failing a run
+    counts = _count_kernel_calls(monkeypatch)
     basis = ModeBasis(16)
     model = ModelSpec(0.1, FluxSpec("burgers"), NoiseSpec(c=0.5, q=3.0))
     stepper = Stepper(model, SolverConfig(dt=1e-3, scheme=scheme), basis)
@@ -65,3 +73,30 @@ def test_step_path_calls_the_traced_kernels(monkeypatch, scheme, per_advance):
             counts.update(dict.fromkeys(counts, 0))
             stepper.advance(np.broadcast_to(c, shape).copy(), xi)
             assert counts == dict.fromkeys(counts, per_advance), shape
+
+
+@pytest.mark.parametrize("stop", [None, 0.05])
+def test_coupled_series_synthesizes_once_per_block(monkeypatch, stop):
+    # a zero flux makes no transform in the step, so every synthesize call
+    # is the coupled series': one per block of kept pairs and one per step
+    # whose largest coefficient difference lets it pass the stop threshold,
+    # not one per step
+    counts = _count_kernel_calls(monkeypatch)
+    basis = ModeBasis(16)
+    model = ModelSpec(0.1, FluxSpec("zero"), NoiseSpec(sigma=np.zeros(16)))
+    cfg = SolverConfig(dt=1e-3)
+    u0, v0 = mode_field(basis, 1, 1.0), mode_field(basis, 1, -1.0)
+    res = run_coupled(model, cfg, u0, v0, seed=0, n_steps=2000, record_every=2000,
+                      stop_l1_below=stop)
+    steps = res.state_a.step
+    assert (steps < 2000) == (stop is not None)
+    # the same states, stepped here without the run's series
+    stepper, c, gated = Stepper(model, cfg, basis), np.stack([u0.coeffs, v0.coeffs]), 0
+    gate = -np.inf if stop is None else integrator._STOP_GATE * stop
+    for _ in range(steps):
+        c = stepper.advance(c, np.zeros(16))
+        gated += bool(np.abs(c[0] - c[1]).max() < gate)
+    rows = integrator._RECORD_BLOCK_POINTS // stepper.n_fine
+    blocks = -(-(steps + 1) // rows)
+    assert counts["synthesize"] == blocks + gated
+    assert counts["synthesize"] < steps // 10
