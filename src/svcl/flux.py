@@ -20,8 +20,8 @@ from typing import Callable
 
 import numpy as np
 
-from .spectral import (ModeBasis, SpectralField, Workspace, analyze, rotate_pairs,
-                       synthesize)
+from .spectral import (ModeBasis, SpectralField, Workspace, analyze, pair_weights,
+                       rotate_pairs, synthesize)
 
 FLUX_KINDS = ("burgers", "polynomial", "zero", "callback")
 
@@ -176,9 +176,10 @@ def dealias_points(spec: FluxSpec, basis: ModeBasis) -> int:
     return n + (n % 2)
 
 
-def dx_flux(spec: FluxSpec, c: np.ndarray, n_pad: int, w: np.ndarray,
+def dx_flux(spec: FluxSpec, c: np.ndarray, n_pad: int, wp: np.ndarray,
             work: Workspace) -> np.ndarray:
-    """Dealiased dx A(u) on raw coefficients, differentiated with wavenumbers w.
+    """Dealiased dx A(u) on raw coefficients, differentiated with the
+    `rotate_pairs` weights wp = pair_weights(w) of wavenumbers w.
 
     Pads c, one vector or a block (..., m_max) of them, to the n_pad-point
     grid, applies A pointwise, projects back (the mean of A(u) is
@@ -190,8 +191,8 @@ def dx_flux(spec: FluxSpec, c: np.ndarray, n_pad: int, w: np.ndarray,
     """
     if spec.kind == "zero":
         return np.zeros_like(c)
-    a, _ = analyze(flux_value(spec, synthesize(c, n_pad, work)), c.shape[-1], work)
-    return rotate_pairs(a, w)
+    samples = flux_value(spec, synthesize(c, n_pad, work))
+    return rotate_pairs(analyze(samples, c.shape[-1], work), wp)
 
 
 def flux_energy_pairing(spec: FluxSpec, u: SpectralField, p: int = 2) -> float:
@@ -210,5 +211,5 @@ def flux_energy_pairing(spec: FluxSpec, u: SpectralField, p: int = 2) -> float:
     n = max((p + spec.degree - 1) * k + 2, 3 * k + 2)
     n += n % 2
     uv = synthesize(u.coeffs, n)
-    ux = synthesize(rotate_pairs(u.coeffs, basis.wavenumbers), n)
+    ux = synthesize(rotate_pairs(u.coeffs, pair_weights(basis.wavenumbers)), n)
     return float(np.mean(uv ** (p - 1) * flux_derivative(spec, uv) * ux))

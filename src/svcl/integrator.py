@@ -16,6 +16,7 @@ the counter-keyed path, so coupled trajectories can share realizations.
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass, field
 from functools import partial
@@ -25,7 +26,7 @@ import numpy as np
 from . import observables
 from .flux import FluxSpec, dealias_points, dx_flux
 from .noise import NoisePath, NoiseSpec, trace_h2
-from .spectral import ModeBasis, SpectralField, Workspace, synthesize
+from .spectral import ModeBasis, SpectralField, Workspace, pair_weights, synthesize
 
 SCHEMES = ("exp_euler", "exp_midpoint_flux")
 
@@ -108,7 +109,7 @@ class Stepper:
         self._dt_half_decay = cfg.dt * self.half_decay
         self._zero_flux = model.flux.kind == "zero"
         self._n_pad = dealias_points(model.flux, basis)
-        self._neg_w = -basis.wavenumbers
+        self.neg_dx = pair_weights(-basis.wavenumbers)  # rotate_pairs weights of -d/dx
         self._midpoint = cfg.scheme == "exp_midpoint_flux"
         self._work = {}  # block shape -> Workspace
 
@@ -117,7 +118,7 @@ class Stepper:
         work = self._work.get(c.shape)
         if work is None:
             work = self._work[c.shape] = Workspace(c.shape, self._n_pad)
-        return dx_flux(self.model.flux, c, self._n_pad, self._neg_w, work)
+        return dx_flux(self.model.flux, c, self._n_pad, self.neg_dx, work)
 
     def advance(self, c: np.ndarray, xi: np.ndarray) -> np.ndarray:
         """One scheme update of c, a state (m,) or a block (R, m) of states
@@ -160,11 +161,13 @@ def _advance_checked(stepper: Stepper, c, xi, t):
     "flux_overflow" at t with its pre-step H1 mass, then a row reaching
     the guard radius trips as "guard" at t + dt.  On a trip every row
     keeps its state from before the step, so each row's state matches the
-    step count and time the run reports.
+    step count and time the run reports.  Without a guard, a finite sum of
+    squares (one dot) clears every entry at once; only an output with a
+    non-finite entry or squares past the float range walks its rows.
     """
     out = stepper.advance(c, xi)
     r = stepper.cfg.guard_radius
-    if r is None and np.isfinite(out).all():
+    if r is None and math.isfinite(np.vdot(out, out)):
         return out, None
     for row, new in zip(np.atleast_2d(c), np.atleast_2d(out)):
         if not np.isfinite(new).all():
@@ -629,9 +632,11 @@ def read_snapshot(fp) -> Snapshot:
         raise ValueError(f"unsupported snapshot version {version}")
     if scheme_code >= len(SCHEMES):
         raise ValueError(f"unknown scheme code {scheme_code}")
-    coeffs = np.frombuffer(fp.read(8 * m_max), dtype="<f8").astype(float)
-    if len(coeffs) != m_max:
+    # what the file holds, never a read sized by the header's m_max
+    raw = fp.read()
+    if len(raw) < 8 * m_max:
         raise ValueError("snapshot truncated: coefficient block incomplete")
+    coeffs = np.frombuffer(raw, dtype="<f8", count=m_max).astype(float)
     return Snapshot(
         m_max=m_max,
         t=t,

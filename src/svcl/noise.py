@@ -115,7 +115,10 @@ class NoisePath:
     itself is built from its draws by `integrator.convolution_grid`.  The
     Philox generator is recreated logically per draw by resetting its
     counter, which is bitwise identical to constructing
-    Philox(key=seed, counter=[0, index, 0, 0]) fresh and far cheaper.
+    Philox(key=seed, counter=[0, index, 0, 0]) fresh and far cheaper.  The
+    state dict it is reset from holds Python lists and ints, which the
+    generator's state setter reads faster than numpy arrays, and an empty
+    buffer (buffer_pos 4), as a fresh generator has.
     """
 
     def __init__(self, spec: NoiseSpec, basis: ModeBasis, seed: int):
@@ -127,7 +130,10 @@ class NoisePath:
         self._n_draws = spec.matrix.shape[0] if spec.matrix is not None else basis.m_max
         self._bg = np.random.Philox(key=self.seed)
         self._gen = np.random.Generator(self._bg)
-        self._state = self._bg.state
+        self._counter = [0, 0, 0, 0]  # block sets [1], the draw index
+        key = self._bg.state["state"]["key"].tolist()
+        self._state = {"bit_generator": "Philox", "state": {"counter": self._counter, "key": key},
+                       "buffer": [0, 0, 0, 0], "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
         self._ou_cache = None
 
     def fork(self) -> "NoisePath":
@@ -138,12 +144,8 @@ class NoisePath:
 
     def block(self, index: int) -> np.ndarray:
         """The fixed Gaussian block of draw index `index` (pure lookup)."""
-        st = self._state
-        st["state"]["counter"][:] = (0, index, 0, 0)
-        st["buffer_pos"] = 4
-        st["has_uint32"] = 0
-        st["uinteger"] = 0
-        self._bg.state = st
+        self._counter[1] = index
+        self._bg.state = self._state
         return self._gen.standard_normal(self._n_draws)
 
     def _next_block(self) -> np.ndarray:

@@ -4,8 +4,8 @@ Everything lives in the mean-zero subspace of L2[0, 1).  Modes come in
 wavenumber pairs: for pair index mp = 1, 2, ... the odd mode 2*mp - 1 is
 sqrt(2) sin(2 pi mp x) and the even mode 2*mp is sqrt(2) cos(2 pi mp x).
 Both members share the Laplacian eigenvalue -(2 pi mp)^2, so the heat
-semigroup, Sobolev norms and the spatial derivative all act diagonally
-(or pairwise, for the derivative) on the real coefficient vector.
+semigroup and Sobolev norms act diagonally, and the spatial derivative
+pairwise, on the real coefficient vector.
 
 Coefficient storage is a flat float64 array of length m_max with the sine
 member first inside each pair.  Transforms call the pocketfft gufuncs
@@ -20,6 +20,7 @@ strictly below the Nyquist bin.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 from numpy.fft import _pocketfft_umath as _pocketfft
@@ -107,19 +108,33 @@ def mode_field(basis: ModeBasis, m: int, amplitude: float = 1.0) -> SpectralFiel
     return SpectralField(c, basis)
 
 
-def _band(spec: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """(real, imag) views of the band bins 1..k of spectra (last axis)."""
-    return spec.real[..., 1 : k + 1], spec.imag[..., 1 : k + 1]
+def _band(spec: np.ndarray, k: int) -> np.ndarray:
+    """Band bins 1..k of spectra (last axis) as a (..., k, 2) float view of
+    swapped (imag, real) parts, lined up with `_pairs` of the coefficients."""
+    return spec.view(float).reshape(*spec.shape, 2)[..., 1 : k + 1, ::-1]
 
 
-def _pairs(c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(sin, cos) member views of coefficient vectors (last axis)."""
-    return c[..., 0::2], c[..., 1::2]
+def _pairs(c: np.ndarray, k: int) -> np.ndarray:
+    """(..., k, 2) view of coefficient vectors (last axis) as (sin, cos) pairs."""
+    return c.reshape(*c.shape[:-1], k, 2)
+
+
+@cache
+def _scales(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Per-pair factors on an n-point grid: rfft bin mp holds
+    (n/sqrt(2)) * (cos_coeff - i sin_coeff), so a (sin, cos) pair packs
+    into (imag, real) times [-n/sqrt(2), n/sqrt(2)] and unpacks from it
+    times [-sqrt(2)/n, sqrt(2)/n]."""
+    s, a = n / _SQRT2, _SQRT2 / n
+    pack, unpack = np.array([-s, s]), np.array([-a, a])
+    pack.flags.writeable = unpack.flags.writeable = False  # shared by every caller
+    return pack, unpack
 
 
 class Workspace:
     """Preallocated buffers for `synthesize` and `analyze` of one block shape
-    (..., m_max) on an n-point grid, with their band views made once.
+    (..., m_max) on an n-point grid, with their pair views and scale pairs
+    made once.
 
     The padded spectrum is zero outside the band bins 1..m_max/2, and every
     call overwrites all of those bins, so nothing carries over from one call
@@ -135,7 +150,8 @@ class Workspace:
         self.coeffs = np.empty(shape)
         self.padded_band = _band(self.padded, k)
         self.spectrum_band = _band(self.spectrum, k)
-        self.coeff_pairs = _pairs(self.coeffs)
+        self.coeff_pairs = _pairs(self.coeffs, k)
+        self.pack, self.unpack = _scales(n)
 
 
 def synthesize(coeffs: np.ndarray, n: int, work: Workspace | None = None) -> np.ndarray:
@@ -153,23 +169,18 @@ def synthesize(coeffs: np.ndarray, n: int, work: Workspace | None = None) -> np.
     if work is None:
         lead = coeffs.shape[:-1]
         spec, out = np.zeros((*lead, n // 2 + 1), dtype=complex), np.empty((*lead, n))
-        re, im = _band(spec, k)
+        band, scale = _band(spec, k), _scales(n)[0]
     else:
-        spec, out, (re, im) = work.padded, work.samples, work.padded_band
-    # rfft bin mp holds (n/sqrt(2)) * (cos_coeff - i sin_coeff)
-    scale = n / _SQRT2
-    sin, cos = _pairs(coeffs)
-    np.multiply(cos, scale, out=re)
-    np.multiply(sin, -scale, out=im)
+        spec, out, band, scale = work.padded, work.samples, work.padded_band, work.pack
+    np.multiply(_pairs(coeffs, k), scale, out=band)
     # np.fft.irfft's call: the 1/n norm, with n taken from out
     return _pocketfft.irfft(spec, 1.0 / n, out=out)
 
 
-def analyze(samples: np.ndarray, m_max: int,
-            work: Workspace | None = None) -> tuple[np.ndarray, float]:
-    """Project samples (last axis) onto the first m_max modes; returns
-    (coeffs, mean), with a scalar mean for one sample vector.  On a
-    workspace, coeffs is its buffer, bitwise equal to the allocating call."""
+def analyze(samples: np.ndarray, m_max: int, work: Workspace | None = None) -> np.ndarray:
+    """Project samples (last axis) onto the first m_max modes; the mean is
+    dropped.  On a workspace the result is its buffer, bitwise equal to
+    the allocating call."""
     n = samples.shape[-1]
     k = m_max // 2
     if n < m_max + 2:
@@ -177,51 +188,30 @@ def analyze(samples: np.ndarray, m_max: int,
     if work is None:
         lead = samples.shape[:-1]
         spec, coeffs = np.empty((*lead, n // 2 + 1), dtype=complex), np.empty((*lead, m_max))
-        (re, im), (sin, cos) = _band(spec, k), _pairs(coeffs)
+        band, pairs, scale = _band(spec, k), _pairs(coeffs, k), _scales(n)[1]
     else:
         spec, coeffs = work.spectrum, work.coeffs
-        (re, im), (sin, cos) = work.spectrum_band, work.coeff_pairs
+        band, pairs, scale = work.spectrum_band, work.coeff_pairs, work.unpack
     # np.fft.rfft's call: no norm, the even or odd kernel by n
     (_pocketfft.rfft_n_even if n % 2 == 0 else _pocketfft.rfft_n_odd)(samples, 1, out=spec)
-    mean = spec.real[..., 0][()] / n  # [()]: a scalar, not a 0-d array, for one vector
-    scale = _SQRT2 / n
-    np.multiply(im, -scale, out=sin)
-    np.multiply(re, scale, out=cos)
-    return coeffs, mean
+    np.multiply(band, scale, out=pairs)
+    return coeffs
 
 
-def rotate_pairs(c: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """d/dx on raw coefficients (last axis) with per-mode wavenumbers w,
+def pair_weights(w: np.ndarray) -> np.ndarray:
+    """`rotate_pairs` weights for per-mode wavenumbers w: the (m_max/2, 2)
+    pairs (-w_cos, w_sin), built once per operator."""
+    return np.stack([-w[1::2], w[0::2]], axis=-1)
+
+
+def rotate_pairs(c: np.ndarray, wp: np.ndarray) -> np.ndarray:
+    """d/dx on raw coefficients (last axis) with weights wp = pair_weights(w),
     into a fresh array.
 
-    Each (sin, cos) pair (s, k) maps to (-w k, w s).  Passing -w yields
-    -d/dx bit for bit, since IEEE negation is exact.
+    Each (sin, cos) pair (s, k) maps to (-w k, w s), the swapped pair times
+    wp.  Weights of -w yield -d/dx bit for bit, since IEEE negation is exact.
     """
-    out = np.empty_like(c)
-    (s, k), (out_s, out_k) = _pairs(c), _pairs(out)
-    np.multiply(k, -w[1::2], out=out_s)
-    np.multiply(s, w[0::2], out=out_k)
+    out = np.empty(c.shape)
+    k = c.shape[-1] // 2
+    np.multiply(_pairs(c, k)[..., ::-1], wp, out=_pairs(out, k))
     return out
-
-
-def spectral_derivative(f: SpectralField) -> SpectralField:
-    """Exact d/dx: rotates each (sin, cos) pair and scales by 2 pi mp.
-
-    d/dx e_{2mp-1} = (2 pi mp) e_{2mp} and d/dx e_{2mp} = -(2 pi mp) e_{2mp-1}.
-    """
-    return SpectralField(rotate_pairs(f.coeffs, f.basis.wavenumbers), f.basis)
-
-
-def heat_apply(f: SpectralField, nu: float, t: float) -> SpectralField:
-    """Heat semigroup: multiply mode m by exp(nu * lambda_m * t), t >= 0."""
-    if t < 0:
-        raise ValueError("heat semigroup requires t >= 0")
-    return SpectralField(np.exp(nu * f.basis.eigenvalues * t) * f.coeffs, f.basis)
-
-
-def sobolev_norm(f: SpectralField, s: float) -> float:
-    """Fractional Sobolev norm (sum_m |lambda_m|^s <f, e_m>^2)^(1/2); s=0 is L2."""
-    if s == 0:
-        return float(np.sqrt(np.dot(f.coeffs, f.coeffs)))
-    weights = np.abs(f.basis.eigenvalues) ** s
-    return float(np.sqrt(np.sum(weights * f.coeffs**2)))

@@ -403,6 +403,17 @@ class TestResume:
             assert code == EXIT_IO, f"snapshot cut at byte {n}"
         assert "truncated" in capsys.readouterr().err
 
+    def test_snapshot_claiming_more_modes_than_it_holds_exits_4(self, ini, tmp_path, capsys):
+        # the header's m_max (bytes 8..12) says 2^32 - 1 coefficients, 32 GiB,
+        # while the file holds 8: a truncated snapshot, not a MemoryError
+        entry(["run", "--config", str(ini)])
+        raw = bytearray((tmp_path / "out" / "final.snap").read_bytes())
+        raw[8:12] = (2**32 - 1).to_bytes(4, "little")
+        bad = tmp_path / "bad.snap"
+        bad.write_bytes(bytes(raw))
+        assert entry(["resume", "--config", str(ini), "--resume", str(bad)]) == EXIT_IO
+        assert "truncated" in capsys.readouterr().err
+
     def test_resume_requires_the_flag(self, ini, capsys):
         assert entry(["resume", "--config", str(ini)]) == EXIT_CONFIG
 

@@ -32,7 +32,7 @@ from svcl.integrator import (
 )
 from svcl.noise import NoisePath, NoiseSpec
 from svcl.observables import DEFAULT_FINE_FACTOR, RecordBuffer
-from svcl.spectral import (ModeBasis, SpectralField, analyze, heat_apply, mode_field,
+from svcl.spectral import (ModeBasis, SpectralField, analyze, mode_field, pair_weights,
                            rotate_pairs, synthesize)
 
 FOUR_PI_SQ = 39.47841760435743
@@ -75,7 +75,7 @@ class TestSchemes:
         cfg = SolverConfig(dt=0.005, scheme=scheme)
         u0 = random_field(basis, 1)
         res = run_single(model, cfg, u0, seed=0, n_steps=200, record_every=200)
-        exact = heat_apply(u0, 0.02, 200 * 0.005).coeffs
+        exact = np.exp(0.02 * basis.eigenvalues * (200 * 0.005)) * u0.coeffs
         rel = np.abs(res.state.u.coeffs - exact) / np.abs(exact)
         assert np.max(rel) < 1e-13
 
@@ -190,15 +190,12 @@ class TestBlock:
         out = stepper.advance(block, xi)
         n = dealias_points(model.flux, basis)
         samples = synthesize(block, n)
-        coeffs, means = analyze(samples, m)
-        assert out.shape == block.shape and means.shape == (rows,)
+        coeffs = analyze(samples, m)
+        assert out.shape == block.shape and coeffs.shape == block.shape
         for i, row in enumerate(block):
             assert stepper.advance(row, xi).tobytes() == out[i].tobytes()
             assert synthesize(row, n).tobytes() == samples[i].tobytes()
-            c, mean = analyze(samples[i], m)
-            assert c.tobytes() == coeffs[i].tobytes()
-            assert isinstance(mean, float) and np.ndim(mean) == 0
-            assert np.float64(mean).tobytes() == means[i].tobytes()
+            assert analyze(samples[i], m).tobytes() == coeffs[i].tobytes()
         finite = [i for i, row in enumerate(out) if np.isfinite(row).all()]
         guard_row = data.draw(st.sampled_from([None, *finite]))
         r = None if guard_row is None else stepper.h1_sq(out[guard_row])
@@ -224,7 +221,7 @@ def _ref_nonlin(spec, c, basis):
     if spec.kind == "zero":
         return np.zeros_like(c)
     v = synthesize(c, dealias_points(spec, basis))
-    return rotate_pairs(analyze(_ref_flux(spec, v), basis.m_max)[0], -basis.wavenumbers)
+    return rotate_pairs(analyze(_ref_flux(spec, v), basis.m_max), pair_weights(-basis.wavenumbers))
 
 
 def _ref_advance(stepper, c, xi):
@@ -537,6 +534,24 @@ class TestGuard:
         assert res.trip.reason == "flux_overflow" and res.state.step == 2
         assert res.trip.t == res.state.t
 
+    def test_finite_state_with_overflowing_squares_never_trips(self):
+        # 1e200 e1 under a zero flux: every entry stays finite while the sum
+        # of squares is past the float range, so the one-dot check cannot
+        # clear the step and the row walk must; with no guard the run goes
+        # to its end, each state exactly the decayed one before it
+        basis = ModeBasis(8)
+        model, cfg = silent_model(m=8), SolverConfig(dt=0.01)
+        u0 = mode_field(basis, 1, 1e200)
+        xis = np.zeros((30, 8))
+        hist = run_on_increments(model, cfg, u0, xis)
+        assert len(hist) == 31 and np.isfinite(hist).all()
+        with np.errstate(over="ignore"):
+            assert np.vdot(hist[-1], hist[-1]) == np.inf
+        decay, c = Stepper(model, cfg, basis).decay, u0.coeffs
+        for row, xi in zip(hist[1:], xis):
+            c = decay * c + xi
+            assert row.tobytes() == c.tobytes()
+
     def test_trip_frequency_decays_at_least_like_markov(self):
         # P(T_r < t) <= E[...]/r, so r * freq(r) must not grow in r.
         basis = ModeBasis(16)
@@ -634,6 +649,38 @@ class TestCoupled:
         assert res.trip.reason == "flux_overflow"
         assert res.trip.h1_sq == stepper.h1_sq(b0) and res.trip.t == 0.0
         assert np.array_equal(res.state_b.u.coeffs, b0)
+
+    def test_nan_in_second_row_trips_at_its_step(self):
+        # a callback flux equal to burgers' that puts a nan into row b's
+        # flux samples on its 4th call, the 4th exp_euler step: the rows
+        # are checked in order, so a passes and b trips as flux_overflow
+        # from the state time and H1 mass before that step, and both rows
+        # keep their states from before it, those of a 3-step burgers run
+        basis = ModeBasis(8)
+        calls = []
+
+        def value(v):
+            calls.append(v.shape)
+            out = 0.5 * v * v
+            if len(calls) == 4:
+                out[1, 3] = np.nan
+            return out
+
+        flux = FluxSpec("callback", value_fn=value, deriv_fn=lambda v: v,
+                        growth_constant=1.0, growth_exponent=1)
+        noise, cfg = NoiseSpec(c=0.5, q=3.0), SolverConfig(dt=0.01)
+        u0, v0 = mode_field(basis, 1, 0.5), mode_field(basis, 2, -0.7)
+        res = run_coupled(ModelSpec(0.1, flux, noise), cfg, u0, v0, seed=4, n_steps=10)
+        burgers = ModelSpec(0.1, FluxSpec("burgers"), noise)
+        ref = run_coupled(burgers, cfg, u0, v0, seed=4, n_steps=3)
+        assert len(calls) == 4 and calls[-1][0] == 2
+        assert res.trip.reason == "flux_overflow"
+        assert res.state_a.step == res.state_b.step == 3
+        assert res.trip.t == res.state_a.t == ref.state_a.t
+        assert res.state_a.u.coeffs.tobytes() == ref.state_a.u.coeffs.tobytes()
+        assert res.state_b.u.coeffs.tobytes() == ref.state_b.u.coeffs.tobytes()
+        assert res.trip.h1_sq == Stepper(burgers, cfg, basis).h1_sq(ref.state_b.u.coeffs)
+        assert res.l1_series.tobytes() == ref.l1_series.tobytes()
 
     def test_first_row_guard_wins_over_second_row_overflow(self):
         # rows trip in row order: a's guard is reported, not b's overflow
@@ -889,6 +936,28 @@ class TestSnapshotResume:
             read_snapshot(io.BytesIO(raw[:4] + b"\x63\x00\x00\x00" + raw[8:]))
         with pytest.raises(ValueError, match="truncated"):
             read_snapshot(io.BytesIO(raw[:-8]))
+
+    @pytest.mark.parametrize("m_max", [2**24, 2**32 - 1])
+    def test_header_m_max_never_sizes_a_read(self, m_max):
+        # a header claiming more coefficients than the file holds (bytes
+        # 8..12 are m_max) is a truncated snapshot, found without asking
+        # the file for more than it holds
+        basis, model, cfg, u0 = self._setup()
+        buf = io.BytesIO()
+        write_snapshot(buf, State(u0), model, cfg, 1)
+        raw = bytearray(buf.getvalue())
+        raw[8:12] = m_max.to_bytes(4, "little")
+
+        class Reads(io.BytesIO):
+            def read(self, n=-1):
+                self.asked.append(n)
+                return super().read(n)
+
+        fp = Reads(bytes(raw))
+        fp.asked = []
+        with pytest.raises(ValueError, match="truncated"):
+            read_snapshot(fp)
+        assert fp.asked and all(n is None or 0 <= n <= len(raw) or n == -1 for n in fp.asked)
 
     def test_resume_is_bitwise(self):
         basis, model, cfg, u0 = self._setup()

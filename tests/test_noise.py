@@ -103,6 +103,23 @@ class TestDrawDiscipline:
             ).standard_normal(8)
             assert np.array_equal(path.block(idx), fresh)
 
+    @pytest.mark.parametrize("seed", [0, 2**64 - 1])
+    def test_block_matches_fresh_construction_at_extreme_indices(self, seed):
+        """The reset from a dict of Python ints holds over the whole 64-bit
+        index range, out of order and on a fork.  The fresh counter is a
+        uint64 array: numpy turns a list holding 2^64 - 1 into float64 and
+        casts it to 0."""
+        basis = ModeBasis(16)
+        path = NoisePath(NoiseSpec(c=1.0, q=3.0), basis, seed)
+        path.block(5)
+        twin = path.fork()
+        for idx in (2**63, 0, 2**64 - 1, 2**32, 0, 2**63):
+            counter = np.array([0, idx, 0, 0], dtype=np.uint64)
+            fresh = np.random.Generator(np.random.Philox(key=seed, counter=counter))
+            want = fresh.standard_normal(16).tobytes()
+            assert path.block(idx).tobytes() == want
+            assert twin.block(idx).tobytes() == want
+
     def test_silent_modes_exact_zero_and_stable(self):
         """sigma_m = 0 gives exactly 0.0 and does not shift other modes."""
         basis = ModeBasis(6)

@@ -12,8 +12,8 @@ import pytest
 
 from svcl import integrator
 from svcl.flux import FluxSpec
-from svcl.integrator import ModelSpec, SolverConfig, Stepper, run_coupled
-from svcl.noise import NoiseSpec
+from svcl.integrator import ModelSpec, SolverConfig, Stepper, run_coupled, run_single
+from svcl.noise import NoisePath, NoiseSpec
 from svcl.spectral import ModeBasis, mode_field
 
 SPANS = Path(__file__).resolve().parents[1] / "bench" / "spans.py"
@@ -100,3 +100,29 @@ def test_coupled_series_synthesizes_once_per_block(monkeypatch, stop):
     blocks = -(-(steps + 1) // rows)
     assert counts["synthesize"] == blocks + gated
     assert counts["synthesize"] < steps // 10
+
+
+@pytest.mark.parametrize("coupled", [False, True])
+def test_one_noise_draw_per_step(monkeypatch, coupled):
+    # the tracer wraps NoisePath.ou_increment on the class; a step path that
+    # drew its noise some other way would drop noise.ou_increment from the
+    # benchmark's per-layer counts without failing a run
+    calls = []
+    original = NoisePath.ou_increment
+
+    def counted(self, nu, dt):
+        calls.append(dt)
+        return original(self, nu, dt)
+
+    monkeypatch.setattr(NoisePath, "ou_increment", counted)
+    basis = ModeBasis(16)
+    model = ModelSpec(0.1, FluxSpec("burgers"), NoiseSpec(c=0.5, q=3.0))
+    cfg = SolverConfig(dt=1e-3)
+    u0 = mode_field(basis, 1, 1.0)
+    if coupled:
+        res = run_coupled(model, cfg, u0, mode_field(basis, 1, -1.0), seed=1, n_steps=300,
+                          record_every=7)
+        steps = res.state_a.step
+    else:
+        steps = run_single(model, cfg, u0, seed=1, n_steps=300, record_every=7).state.step
+    assert steps == 300 and calls == [cfg.dt] * 300
