@@ -12,6 +12,7 @@ Exit codes: 0 success, 1 failed validation checks, 2 config error,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -29,7 +30,7 @@ from .integrator import (ModelSpec, SolverConfig, State, read_snapshot,
                          run_coupled, run_single, write_snapshot)
 from .flux import FluxSpec
 from .noise import NoiseSpec, trace_h2
-from .observables import FLOAT_FMT, read_csv_columns
+from .observables import FLOAT_FMT, RecordBuffer, read_csv_columns
 from .spectral import ModeBasis, SpectralField, mode_field
 
 EXIT_OK = 0
@@ -408,12 +409,30 @@ def _cmd_resume(cfg: RunConfig, snap_path) -> int:
         print(f"cannot resume: {csv_path} has {len(data)} rows, the snapshot "
               f"step implies {keep}", file=sys.stderr)
         return EXIT_IO
+    # the kept rows are copied as they stand under the header the config
+    # writes, so each must be a whole row of its fields; only the residual
+    # tail is parsed
+    header = ",".join(RecordBuffer(cfg.observables).column_names()) + "\n"
+    if lines[n_comment] != header:
+        print(f"cannot resume: the header of {csv_path} is not {header.strip()}",
+              file=sys.stderr)
+        return EXIT_IO
+    width = header.count(",")
+    kept = data[:keep]
+    bad = next((i for i, row in enumerate(kept)
+                if row.count(",") != width or row[-1:] != "\n"), None)
+    if bad is not None:
+        print(f"cannot resume: line {n_comment + 2 + bad} of {csv_path} is not "
+              f"a whole row of {width + 1} fields", file=sys.stderr)
+        return EXIT_IO
+    try:
+        cols = read_csv_columns(lines, slice(max(0, keep - cfg.residual_window), keep))
+    except ValueError as e:
+        print(f"cannot resume: {csv_path}: {e}", file=sys.stderr)
+        return EXIT_IO
+    history = (cols["t"], cols["l2_sq"], cols["h1_sq"])
 
-    cols = read_csv_columns(csv_path)
-    tail = slice(max(0, keep - cfg.residual_window), keep)
-    history = (cols["t"][tail], cols["l2_sq"][tail], cols["h1_sq"][tail])
-
-    return _cmd_single(cfg, snap, data[:keep], history)
+    return _cmd_single(cfg, snap, kept, history)
 
 
 # --- entry -------------------------------------------------------------------
@@ -427,6 +446,7 @@ _HELP = {
 }
 
 
+@functools.cache  # built by the first entry call, not on import
 def _build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="svcl",

@@ -230,6 +230,7 @@ def _record_rows(bufs, stepper: Stepper, times, states):
         buf.append(times, l2, h1, h2, lp, guard_margin=np.nan if r is None else r - h1)
 
 
+@np.errstate(over="ignore", invalid="ignore")  # rows whose norms overflowed
 def _fill_residual_column(buf, model, basis, window, history=None):
     """Windowed balance residual over the trailing `window` records.
 
@@ -423,7 +424,8 @@ def run_coupled(
     track(0, 0.0, c)
     c, t, k, trip, _ = _drive(stepper, c, partial(path.ou_increment, model.nu, cfg.dt),
                               n_steps, bufs, record_every, on_step=track)
-    reduce(k + 1)
+    with np.errstate(over="ignore", invalid="ignore"):  # as in _drive
+        reduce(k + 1)
     for buf in bufs:
         buf.set_column("l1_dist", l1[: k + 1 : record_every])
         _fill_residual_column(buf, model, basis, residual_window)

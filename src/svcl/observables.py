@@ -14,12 +14,15 @@ window fills) hold nan.
 
 from __future__ import annotations
 
+import os
+
 import numpy as np
 
 from .noise import trace_h2
 from .spectral import SpectralField, synthesize
 
 FLOAT_FMT = "%.17g"
+CSV_CHUNK_ROWS = 4096  # rows rendered per write, so memory does not grow with the run
 DEFAULT_FINE_FACTOR = 8  # quadrature grid for L1/Lp rendering, per m_max
 
 
@@ -85,7 +88,8 @@ class RecordBuffer:
 
         `kept`, data rows already rendered (the rows a resumed run
         continues, each ending in its newline), go between the header and
-        this buffer's rows.
+        this buffer's rows.  Rows are rendered by one template over Python
+        floats, CSV_CHUNK_ROWS at a time with one write per chunk.
         """
         if config_echo is not None:
             lines = config_echo.splitlines() or [""]
@@ -95,23 +99,42 @@ class RecordBuffer:
         names = self.column_names()
         fp.write(",".join(names) + "\n")
         fp.writelines(kept)
-        cols = [self._cols[k][: self.n] for k in names]
-        for row in zip(*cols):
-            fp.write(",".join(FLOAT_FMT % v for v in row) + "\n")
+        row = ",".join([FLOAT_FMT] * len(names)) + "\n"
+        for i in range(0, self.n, CSV_CHUNK_ROWS):
+            j = min(self.n, i + CSV_CHUNK_ROWS)
+            cols = [self._cols[k][i:j].tolist() for k in names]
+            fp.write("".join([row % r for r in zip(*cols)]))
 
 
-def read_csv_columns(path):
-    """Read a run CSV back into {column: array}; tolerant of the echo comment."""
-    with open(path) as fp:
-        skip = 0
-        for line in fp:
-            if not line.startswith("#"):
-                break
-            skip += 1
-    data = np.genfromtxt(path, delimiter=",", names=True, skip_header=skip)
-    if data.ndim == 0:
-        data = data.reshape(1)
-    return {name: np.asarray(data[name], dtype=float) for name in data.dtype.names}
+def read_csv_columns(source, rows=slice(None)):
+    """Read a run CSV back into {column: array}, skipping the echo comment.
+
+    source is a path or the file's lines; rows selects data rows, and only
+    those are parsed.  float() is correctly rounded, so every %.17g value
+    comes back bit for bit.  A selected row whose field count differs from
+    the header's, or a field that is not a float, raises ValueError.
+    """
+    if isinstance(source, (str, os.PathLike)):
+        with open(source, encoding="utf-8", newline="") as fp:
+            source = fp.read().splitlines(keepends=True)
+    head = 0
+    while head < len(source) and source[head].startswith("#"):
+        head += 1
+    if head == len(source):
+        raise ValueError("no header line")
+    names = source[head].rstrip("\r\n").split(",")
+    table = []
+    for i in range(head + 1, len(source))[rows]:
+        fields = source[i].split(",")
+        if len(fields) != len(names):
+            raise ValueError(f"line {i + 1}: {len(fields)} fields, "
+                             f"the header has {len(names)}")
+        try:
+            table.append(list(map(float, fields)))
+        except ValueError as e:
+            raise ValueError(f"line {i + 1}: {e}") from None
+    cols = np.array(table, dtype=float).reshape(-1, len(names)).T.copy()
+    return dict(zip(names, cols))
 
 
 def _window_arrays(window):

@@ -6,6 +6,7 @@ import os
 import numpy as np
 import pytest
 
+from svcl import cli
 from svcl.cli import (
     EXIT_BLOWUP,
     EXIT_CONFIG,
@@ -162,6 +163,30 @@ class TestExitCodes:
         code = entry(["resume", "--config", str(ini),
                       "--resume", str(tmp_path / "nope.snap")])
         assert code == EXIT_IO
+
+
+class TestEntry:
+    def test_parser_is_built_once_and_keeps_no_argv(self, ini, tmp_path):
+        # the cached parser serves every call; a call's flags must not
+        # leak into the next one, which omits them
+        assert entry(["run", "--config", str(ini), "--seed", "6"]) == EXIT_OK
+        seeded = (tmp_path / "out" / "observables.csv").read_bytes()
+        assert entry(["run", "--config", str(ini)]) == EXIT_OK
+        summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+        assert parse_config_text(summary["config"]).seed == 5
+        assert (tmp_path / "out" / "observables.csv").read_bytes() != seeded
+        assert cli._build_parser() is cli._build_parser()
+
+    def test_parse_error_does_not_affect_the_next_call(self, ini, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            entry(["run", "--config", str(ini), "--bogus", "1"])
+        assert exc.value.code == 2
+        assert "--bogus" in capsys.readouterr().err
+        with pytest.raises(SystemExit):
+            entry(["run", "--seed"])
+        assert entry(["run", "--config", str(ini), "--horizon", "0.05"]) == EXIT_OK
+        cols = read_csv_columns(tmp_path / "out" / "observables.csv")
+        assert len(cols["t"]) == 51
 
 
 class TestCouple:
@@ -367,6 +392,85 @@ class TestResume:
         echo = [ln[2:] for ln in lines if ln.startswith("#")]
         echo[0] = echo[0].removeprefix("config: ")
         assert parse_config_text("\n".join(echo)).horizon == 0.18
+
+    def test_resume_history_is_the_tail_of_a_full_read(self, ini, tmp_path, monkeypatch):
+        # window 64 over 91 kept rows: only rows 27..90 are parsed, and they
+        # must be the bits a read of the whole file gives
+        entry(["run", "--config", str(ini)])
+        snap = self.interrupt(tmp_path, keep_rows=97, snap_step=90)
+        full = read_csv_columns(tmp_path / "out" / "observables.csv")
+        seen = []
+        real = cli._cmd_single
+
+        def spy(cfg, snap=None, rows=(), history=None):
+            seen.append(history)
+            return real(cfg, snap, rows, history)
+
+        monkeypatch.setattr(cli, "_cmd_single", spy)
+        assert entry(["resume", "--config", str(ini), "--resume", str(snap)]) == EXIT_OK
+        (history,) = seen
+        for got, name in zip(history, ("t", "l2_sq", "h1_sq")):
+            assert got.tobytes() == full[name][27:91].tobytes(), name
+
+    def _corrupt_resume(self, ini, tmp_path, capsys, edit):
+        """Cut the run at step 90, apply edit to the CSV's lines and resume:
+        the resume must exit 4 with one line on stderr and leave every
+        artifact as it was."""
+        entry(["run", "--config", str(ini)])
+        out = tmp_path / "out"
+        snap = self.interrupt(tmp_path, keep_rows=91, snap_step=90)
+        csv = out / "observables.csv"
+        lines = csv.read_text().splitlines(keepends=True)
+        csv.write_text("".join(edit(lines)))
+        before = {p.name: p.read_bytes() for p in out.iterdir()}
+        capsys.readouterr()
+        code = entry(["resume", "--config", str(ini), "--resume", str(snap)])
+        err = capsys.readouterr().err
+        assert code == EXIT_IO
+        assert err.startswith("cannot resume: ") and err.count("\n") == 1
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+        return err
+
+    @staticmethod
+    def _cut_row(lines, i):
+        head = sum(1 for ln in lines if ln.startswith("#")) + 1
+        lines[head + i] = lines[head + i][:25] + "\n"
+        return lines
+
+    def test_corrupt_row_in_the_residual_tail_exits_4(self, ini, tmp_path, capsys):
+        # row 80 of 91 kept rows is parsed for the residual window
+        err = self._corrupt_resume(ini, tmp_path, capsys, lambda ls: self._cut_row(ls, 80))
+        assert "fields" in err
+
+    def test_corrupt_row_before_the_residual_tail_exits_4(self, ini, tmp_path, capsys):
+        # row 5 is not parsed, but would be copied into the new file
+        err = self._corrupt_resume(ini, tmp_path, capsys, lambda ls: self._cut_row(ls, 5))
+        assert "fields" in err
+
+    def test_non_numeric_field_in_the_residual_tail_exits_4(self, ini, tmp_path, capsys):
+        def edit(lines):
+            lines[-1] = "x" + lines[-1][1:]
+            return lines
+
+        err = self._corrupt_resume(ini, tmp_path, capsys, edit)
+        assert "could not convert" in err
+
+    def test_last_kept_row_without_newline_exits_4(self, ini, tmp_path, capsys):
+        def edit(lines):
+            lines[-1] = lines[-1].rstrip("\n")
+            return lines
+
+        err = self._corrupt_resume(ini, tmp_path, capsys, edit)
+        assert "whole row" in err
+
+    def test_corrupt_header_exits_4(self, ini, tmp_path, capsys):
+        def edit(lines):
+            head = sum(1 for ln in lines if ln.startswith("#"))
+            lines[head] = lines[head].replace("l2_sq", "l3_sq")
+            return lines
+
+        err = self._corrupt_resume(ini, tmp_path, capsys, edit)
+        assert "header" in err
 
     def test_mismatched_seed_exits_2(self, ini, tmp_path, capsys):
         entry(["run", "--config", str(ini)])

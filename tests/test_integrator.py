@@ -3,6 +3,7 @@ the Picard cross-check, and snapshot/resume determinism."""
 
 import io
 import math
+import warnings
 from functools import partial
 
 import numpy as np
@@ -552,6 +553,21 @@ class TestGuard:
             c = decay * c + xi
             assert row.tobytes() == c.tobytes()
 
+    def test_overflowing_norms_fill_records_without_a_warning(self):
+        # the same 1e200 e1 state through run_single: every recorded norm is
+        # inf and every windowed residual nan (inf - inf), and the residual
+        # fill after the step loop must not leak a RuntimeWarning
+        basis = ModeBasis(8)
+        model = ModelSpec(0.1, FluxSpec("zero"), NoiseSpec(c=0.5, q=3.0))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            res = run_single(model, SolverConfig(dt=0.01), mode_field(basis, 1, 1e200),
+                             seed=1, n_steps=30)
+        assert res.trip is None and res.state.step == 30
+        assert np.isfinite(res.state.u.coeffs).all()
+        assert np.all(res.records.column("l2_sq") == np.inf)
+        assert np.isnan(res.records.column("energy_residual")).all()
+
     def test_trip_frequency_decays_at_least_like_markov(self):
         # P(T_r < t) <= E[...]/r, so r * freq(r) must not grow in r.
         basis = ModeBasis(16)
@@ -706,6 +722,20 @@ class TestCoupled:
         assert res.state_a.step == res.state_b.step == 0 and res.state_a.t == 0.0
         assert res.state_a.u.coeffs.tobytes() == a0.tobytes()
         assert res.state_b.u.coeffs.tobytes() == b0.tobytes()
+
+    def test_overflowing_squares_leak_no_warning(self):
+        # b = 1e150 e2 is finite but its squares are not: the series and
+        # residuals reduced after the step loop overflow, and must do so
+        # under the same errstate as the loop instead of warning
+        basis = ModeBasis(8)
+        model = ModelSpec(0.08, FluxSpec("burgers"), NoiseSpec(c=0.5, q=3.0))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            res = run_coupled(model, SolverConfig(dt=2e-3), mode_field(basis, 1, 1.0),
+                              mode_field(basis, 2, 1e150), seed=1, n_steps=20)
+        assert res.trip.reason == "flux_overflow" and res.state_b.step == 1
+        assert res.h1_sq_b[-1] == np.inf and np.isfinite(res.l1_series).all()
+        assert res.records_b.column("l2_sq")[-1] == np.inf
 
     def test_early_stop_on_confluence(self):
         basis = ModeBasis(16)

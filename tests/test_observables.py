@@ -2,6 +2,7 @@
 
 import io
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -9,10 +10,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from svcl import observables
 from svcl.flux import FluxSpec
 from svcl.integrator import ModelSpec, SolverConfig, _fill_residual_column, run_single
 from svcl.noise import NoiseSpec, trace_h2
 from svcl.observables import (
+    FLOAT_FMT,
     RecordBuffer,
     energy_balance_residual,
     l1_distance,
@@ -83,6 +86,125 @@ class TestRecordBuffer:
             buf.write_csv(fp)
         cols = read_csv_columns(path)
         assert cols["t"].shape == (1,) and cols["h2_sq"][0] == 3.0
+
+
+# values whose %.17g text is easy to get wrong: signed zeros, non-finite
+# values, the smallest subnormal, a subnormal, the largest finite float
+_SPECIAL = [0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, -5e-324,
+            2.2250738585072014e-308, 1.2345678901234567e-310,
+            1.7976931348623157e308, -1.7976931348623157e308]
+_VALUES = st.one_of(st.sampled_from(_SPECIAL), st.floats())
+
+
+def _reference_csv(buf, config_echo=None, kept=()):
+    """The writer the row template replaced: one FLOAT_FMT % v per numpy
+    scalar, one join and one write per row."""
+    fp = io.StringIO()
+    if config_echo is not None:
+        lines = config_echo.splitlines() or [""]
+        fp.write("# config: " + lines[0] + "\n")
+        for ln in lines[1:]:
+            fp.write("# " + ln + "\n")
+    names = buf.column_names()
+    fp.write(",".join(names) + "\n")
+    fp.writelines(kept)
+    for row in zip(*(buf.column(k) for k in names)):
+        fp.write(",".join(FLOAT_FMT % v for v in row) + "\n")
+    return fp.getvalue()
+
+
+def _genfromtxt_columns(path):
+    """The reader read_csv_columns replaced: np.genfromtxt over every row."""
+    with open(path) as fp:
+        skip = 0
+        for line in fp:
+            if not line.startswith("#"):
+                break
+            skip += 1
+    data = np.genfromtxt(path, delimiter=",", names=True, skip_header=skip)
+    if data.ndim == 0:
+        data = data.reshape(1)
+    return {name: np.asarray(data[name], dtype=float) for name in data.dtype.names}
+
+
+def _filled_buffer(lp_orders, table):
+    """A RecordBuffer whose rows are the rows of table, one column each."""
+    buf = RecordBuffer(lp_orders, capacity=1)
+    if len(table):
+        t, l2, h1, h2, *rest = table.T
+        k = len(lp_orders)
+        buf.append(t, l2, h1, h2, rest[:k], *rest[k:])
+    return buf
+
+
+class TestCsvText:
+    """write_csv renders every byte the per-value writer did, in chunks of
+    any size; read_csv_columns returns the bits genfromtxt returned."""
+
+    @settings(derandomize=True, max_examples=150, deadline=None)
+    @given(data=st.data(), lp_orders=st.sampled_from([(), (2,), (2, 4)]),
+           n=st.sampled_from([0, 1, 2, 3, 6, 7, 8, 14, 15, 40]),
+           chunk=st.sampled_from([1, 2, 7, observables.CSV_CHUNK_ROWS]),
+           echo=st.sampled_from([None, "", "nu = 0.1", "[model]\nnu = 0.1\n"]),
+           n_kept=st.integers(0, 3))
+    def test_writer_bytes_equal_per_value_reference(self, data, lp_orders, n, chunk,
+                                                    echo, n_kept):
+        ncols = len(RecordBuffer(lp_orders).column_names())
+        table = data.draw(arrays(np.float64, (n, ncols), elements=_VALUES))
+        kept = [",".join(FLOAT_FMT % v for v in row) + "\n"
+                for row in data.draw(arrays(np.float64, (n_kept, ncols), elements=_VALUES))]
+        buf = _filled_buffer(lp_orders, table)
+        fp = io.StringIO()
+        with mock.patch.object(observables, "CSV_CHUNK_ROWS", chunk):
+            buf.write_csv(fp, echo, kept)
+        assert fp.getvalue() == _reference_csv(buf, echo, kept)
+
+    def test_writer_bytes_across_default_chunks(self):
+        rng = np.random.default_rng(7)
+        n = 2 * observables.CSV_CHUNK_ROWS + 3
+        table = rng.standard_normal((n, 10)) * 10.0 ** rng.integers(-300, 300, (n, 10))
+        table[::97] = np.nan
+        buf = _filled_buffer((2, 4, 6), table)
+        fp = io.StringIO()
+        buf.write_csv(fp, "nu = 0.1", ["1,2\n"])
+        assert fp.getvalue() == _reference_csv(buf, "nu = 0.1", ["1,2\n"])
+
+    @settings(derandomize=True, max_examples=60, deadline=None)
+    @given(data=st.data(), lp_orders=st.sampled_from([(), (2,), (2, 4)]),
+           n=st.integers(1, 12), echo=st.sampled_from([None, "nu = 0.1\nseed = 3"]))
+    def test_reader_bits_equal_genfromtxt(self, tmp_path_factory, data, lp_orders, n, echo):
+        ncols = len(RecordBuffer(lp_orders).column_names())
+        table = data.draw(arrays(np.float64, (n, ncols), elements=_VALUES))
+        buf = _filled_buffer(lp_orders, table)
+        path = tmp_path_factory.mktemp("csv") / "run.csv"
+        with open(path, "w", encoding="utf-8", newline="\n") as fp:
+            buf.write_csv(fp, echo)
+        full = read_csv_columns(path)
+        ref = _genfromtxt_columns(path)
+        assert list(full) == list(ref) == buf.column_names()
+        for name in ref:
+            assert full[name].tobytes() == ref[name].tobytes(), name
+        rows = data.draw(st.slices(n))
+        lines = path.read_text().splitlines(keepends=True)
+        part = read_csv_columns(lines, rows)
+        assert list(part) == list(ref)
+        for name in ref:
+            assert part[name].tobytes() == ref[name][rows].tobytes(), name
+
+    @pytest.mark.parametrize("line, reason", [
+        ("1,2,3\n", "3 fields, the header has 4"),
+        ("1,2,3,4,5\n", "5 fields, the header has 4"),
+        ("1,2,x,4\n", "could not convert"),
+        ("1,2,,4\n", "could not convert"),
+    ])
+    def test_reader_rejects_a_malformed_selected_row(self, line, reason):
+        lines = ["# config: nu = 0.1\n", "t,l2_sq,h1_sq,h2_sq\n", "0,1,2,3\n", line,
+                 "2,1,2,3\n"]
+        with pytest.raises(ValueError, match=f"line 4: .*{reason}"):
+            read_csv_columns(lines)
+        # rows outside the selection are not parsed
+        assert read_csv_columns(lines, slice(2, 3))["t"].tolist() == [2.0]
+        assert read_csv_columns(lines, slice(0, 1))["h2_sq"].tolist() == [3.0]
 
 
 class TestEnergyBalanceResidual:
