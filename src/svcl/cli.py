@@ -172,10 +172,10 @@ def _cmd_single(cfg: RunConfig, snap=None, rows=(), history=None) -> int:
     CSV data rows the new rows continue."""
     out, model, u0, res = _run_and_write(cfg, snap, rows, history)
     c = res.state.u.coeffs
+    with np.errstate(over="ignore", invalid="ignore"):  # as in the step loop
+        l2_sq, h1_sq = float(np.dot(c, c)), float(np.dot(-u0.basis.eigenvalues, c * c))
     results = {"kind": "single", "steps": res.state.step,
-               "final_time": res.state.t,
-               "final_l2_sq": float(np.dot(c, c)),
-               "final_h1_sq": float(np.dot(-u0.basis.eigenvalues, c * c)),
+               "final_time": res.state.t, "final_l2_sq": l2_sq, "final_h1_sq": h1_sq,
                "rows": len(rows) + len(res.records)}
     if snap is not None:
         results["resumed_from_step"] = snap.step

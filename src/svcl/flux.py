@@ -20,8 +20,7 @@ from typing import Callable
 
 import numpy as np
 
-from .spectral import (ModeBasis, SpectralField, Workspace, analyze, pair_weights,
-                       rotate_pairs, synthesize)
+from .spectral import ModeBasis, SpectralField, pair_weights, rotate_pairs, synthesize
 
 FLUX_KINDS = ("burgers", "polynomial", "zero", "callback")
 
@@ -131,11 +130,11 @@ class FluxSpec:
         return int(nz[-1]) if len(nz) else 1
 
 
-def _horner(c: np.ndarray, v: np.ndarray) -> np.ndarray:
+def _horner(c: np.ndarray, v: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """sum c_j v^j by Horner's rule in polyval's order, so the result equals
     np.polynomial.polynomial.polyval(v, c) bit for bit, inf and nan included,
-    without its per-call argument handling."""
-    acc = v * 0
+    without its per-call argument handling; into out if given."""
+    acc = np.multiply(v, 0, out=out)
     acc += c[-1]
     for a in c[-2::-1]:
         acc *= v
@@ -143,17 +142,28 @@ def _horner(c: np.ndarray, v: np.ndarray) -> np.ndarray:
     return acc
 
 
-def flux_value(spec: FluxSpec, v: np.ndarray) -> np.ndarray:
+def flux_value(spec: FluxSpec, v: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """A(v), elementwise; past the float range the value is inf or nan and
-    nothing is raised (callers set numpy's error state for the warning)."""
+    nothing is raised (callers set numpy's error state for the warning).
+
+    out, a float array of v's shape other than v itself, receives the
+    values bit for bit as the allocating call returns them, and is
+    returned; "burgers" and "polynomial" compute them in it.
+    """
     v = np.asarray(v, dtype=float)
     if spec.kind == "burgers":
-        return 0.5 * v * v
-    if spec.kind == "zero":
-        return np.zeros_like(v)
+        if out is None:
+            return 0.5 * v * v
+        np.multiply(0.5, v, out=out)
+        out *= v
+        return out
     if spec.kind == "polynomial":
-        return _horner(spec.coefficients, v)
-    return np.asarray(spec.value_fn(v), dtype=float)
+        return _horner(spec.coefficients, v, out)
+    values = np.zeros_like(v) if spec.kind == "zero" else np.asarray(spec.value_fn(v), dtype=float)
+    if out is None:
+        return values
+    out[...] = values
+    return out
 
 
 def flux_derivative(spec: FluxSpec, v: np.ndarray) -> np.ndarray:
@@ -174,25 +184,6 @@ def dealias_points(spec: FluxSpec, basis: ModeBasis) -> int:
     k = basis.n_pairs
     n = max((spec.degree + 1) * k + 2, 3 * k + 2)
     return n + (n % 2)
-
-
-def dx_flux(spec: FluxSpec, c: np.ndarray, n_pad: int, wp: np.ndarray,
-            work: Workspace) -> np.ndarray:
-    """Dealiased dx A(u) on raw coefficients, differentiated with the
-    `rotate_pairs` weights wp = pair_weights(w) of wavenumbers w.
-
-    Pads c, one vector or a block (..., m_max) of them, to the n_pad-point
-    grid, applies A pointwise, projects back (the mean of A(u) is
-    annihilated by the derivative, so it is dropped), and differentiates
-    exactly in coefficient space.  With w = -wavenumbers this is
-    N(u) = -dx A(u), the one nonlinear kernel every caller uses.  The
-    transforms run on `work`, a Workspace for c's shape on n_pad points;
-    the result is a fresh array.
-    """
-    if spec.kind == "zero":
-        return np.zeros_like(c)
-    samples = flux_value(spec, synthesize(c, n_pad, work))
-    return rotate_pairs(analyze(samples, c.shape[-1], work), wp)
 
 
 def flux_energy_pairing(spec: FluxSpec, u: SpectralField, p: int = 2) -> float:

@@ -23,8 +23,8 @@ from functools import partial
 
 import numpy as np
 
-from . import observables
-from .flux import FluxSpec, dealias_points, dx_flux
+from . import flux, observables, spectral
+from .flux import FluxSpec, dealias_points
 from .noise import NoisePath, NoiseSpec, trace_h2
 from .spectral import ModeBasis, SpectralField, Workspace, pair_weights, synthesize
 
@@ -88,10 +88,12 @@ class BlowupError(RuntimeError):
 class Stepper:
     """Precomputed per-(model, cfg, basis) plan for the hot step loop.
 
-    The transforms of the nonlinear term run on one Workspace per block
-    shape, (m,) for a single state and (2, m) for a coupled pair, built by
-    the first step on that shape.  Only temporaries inside a step live
-    there: every state `advance` returns is a fresh array.
+    The nonlinear term runs on one plan per block shape, (m,) for a single
+    state and (2, m) for a coupled pair, built by the first step on that
+    shape: a Workspace for the transforms, the reversed (sin, cos) pair
+    view of its coefficients that the -d/dx multiply reads, and a buffer
+    for the flux values on the padded grid.  Only temporaries inside a
+    step live there: every state `advance` returns is a fresh array.
     """
 
     def __init__(self, model: ModelSpec, cfg: SolverConfig, basis: ModeBasis):
@@ -111,14 +113,30 @@ class Stepper:
         self._n_pad = dealias_points(model.flux, basis)
         self.neg_dx = pair_weights(-basis.wavenumbers)  # rotate_pairs weights of -d/dx
         self._midpoint = cfg.scheme == "exp_midpoint_flux"
-        self._work = {}  # block shape -> Workspace
+        self._plans = {}  # block shape -> (Workspace, reversed pairs, flux buffer)
+
+    def _plan(self, shape: tuple):
+        work = Workspace(shape, self._n_pad)
+        plan = self._plans[shape] = (work, work.coeff_pairs[..., ::-1],
+                                     np.empty(work.samples.shape))
+        return plan
 
     def nonlin(self, c: np.ndarray) -> np.ndarray:
-        """N(u) = -dx A(u) on raw coefficients, into a fresh array."""
-        work = self._work.get(c.shape)
-        if work is None:
-            work = self._work[c.shape] = Workspace(c.shape, self._n_pad)
-        return dx_flux(self.model.flux, c, self._n_pad, self.neg_dx, work)
+        """N(u) = -dx A(u) on raw coefficients, one state (m,) or a block
+        (..., m), into a fresh array: the one nonlinear kernel.
+
+        Pads c to the dealiasing grid, applies A pointwise, projects back
+        (the mean of A(u) is annihilated by the derivative, so it is
+        dropped) and differentiates exactly in coefficient space, the
+        `rotate_pairs` multiply by `neg_dx`, bit for bit.
+        """
+        if self._zero_flux:
+            return np.zeros_like(c)
+        work, pairs, buf = self._plans.get(c.shape) or self._plan(c.shape)
+        values = flux.flux_value(self.model.flux, spectral.synthesize(c, self._n_pad, work),
+                                 out=buf)
+        spectral.analyze(values, self.basis.m_max, work)
+        return np.multiply(pairs, self.neg_dx).reshape(c.shape)
 
     def advance(self, c: np.ndarray, xi: np.ndarray) -> np.ndarray:
         """One scheme update of c, a state (m,) or a block (R, m) of states
@@ -151,32 +169,27 @@ class Stepper:
         return float(np.dot(self.neg_lam, c * c))
 
 
-def _advance_checked(stepper: Stepper, c, xi, t):
-    """One scheme update from time t with the blow-up contract applied row
-    by row.
+def _find_trip(stepper: Stepper, c, out, t):
+    """The blow-up contract of the step from c (at time t) to out, row by
+    row: the first row in order that fails trips.  A row whose output is
+    not finite trips as "flux_overflow" at t with its pre-step H1 mass,
+    then a row reaching the guard radius trips as "guard" at t + dt.
+    Returns the trip or None.
 
-    The flux never raises, so this is the one blow-up check: the step's
-    output is tested once.  Returns (c', None), or (c, trip) for the first
-    row in order that fails: a row whose output is not finite trips as
-    "flux_overflow" at t with its pre-step H1 mass, then a row reaching
-    the guard radius trips as "guard" at t + dt.  On a trip every row
-    keeps its state from before the step, so each row's state matches the
-    step count and time the run reports.  Without a guard, a finite sum of
-    squares (one dot) clears every entry at once; only an output with a
-    non-finite entry or squares past the float range walks its rows.
+    The flux never raises, so this is the one blow-up check.  `_drive`
+    calls it only with a guard set or when one dot, the output's sum of
+    squares, is not finite; an output with no non-finite entry whose
+    squares passed the float range walks its rows and goes on.
     """
-    out = stepper.advance(c, xi)
     r = stepper.cfg.guard_radius
-    if r is None and math.isfinite(np.vdot(out, out)):
-        return out, None
     for row, new in zip(np.atleast_2d(c), np.atleast_2d(out)):
         if not np.isfinite(new).all():
-            return c, GuardTrip(t, stepper.h1_sq(row), "flux_overflow")
+            return GuardTrip(t, stepper.h1_sq(row), "flux_overflow")
         if r is not None:
             h1 = stepper.h1_sq(new)
             if h1 >= r:
-                return c, GuardTrip(t + stepper.dt, h1)
-    return out, None
+                return GuardTrip(t + stepper.dt, h1)
+    return None
 
 
 # --- run drivers ----------------------------------------------------------
@@ -276,13 +289,18 @@ def _drive(stepper: Stepper, c, draw, n_steps, bufs=(), record_every=1, t=0.0,
         if step0 == 0:
             kept[0] = c
             times.append(t)
-    dt = stepper.dt
+    dt, advance, guarded = stepper.dt, stepper.advance, stepper.cfg.guard_radius is not None
     trip = None
     step = step0
     for n in range(step0, step0 + n_steps):
-        c, trip = _advance_checked(stepper, c, draw(), t)
-        if trip is not None:
-            break
+        out = advance(c, draw())
+        # on a trip every row keeps its state from before the step, so each
+        # row's state matches the step count and time the run reports
+        if guarded or not math.isfinite(np.vdot(out, out)):
+            trip = _find_trip(stepper, c, out, t)
+            if trip is not None:
+                break
+        c = out
         t += dt
         step = n + 1
         if keep_coeffs:

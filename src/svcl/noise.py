@@ -134,7 +134,7 @@ class NoisePath:
         key = self._bg.state["state"]["key"].tolist()
         self._state = {"bit_generator": "Philox", "state": {"counter": self._counter, "key": key},
                        "buffer": [0, 0, 0, 0], "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
-        self._ou_cache = None
+        self._ou_key = self._ou_std = None  # ou_increment's std and its (nu, dt)
 
     def fork(self) -> "NoisePath":
         """Independent handle on the same realization at the same position."""
@@ -148,39 +148,30 @@ class NoisePath:
         self._bg.state = self._state
         return self._gen.standard_normal(self._n_draws)
 
-    def _next_block(self) -> np.ndarray:
-        z = self.block(self.draw_index)
-        self.draw_index += 1
-        return z
-
-    def _ou_std(self, nu: float, dt: float) -> np.ndarray:
-        key = (nu, dt)
-        if self._ou_cache is None or self._ou_cache[0] != key:
-            lam = self.basis.eigenvalues
-            var = self.sigma**2 * (1.0 - np.exp(2.0 * nu * lam * dt)) / (-2.0 * nu * lam)
-            self._ou_cache = (key, np.sqrt(var))
-        return self._ou_cache[1]
-
     def wiener_increment(self, dt: float) -> np.ndarray:
         """Raw increment W(t+dt) - W(t): mode variance sigma_m^2 dt."""
-        z = self._next_block()
+        z = self.block(self.draw_index)
+        self.draw_index += 1
         if self.spec.matrix is not None:
             return np.sqrt(dt) * (z @ self.spec.matrix)
         return np.sqrt(dt) * self.sigma * z
 
     def ou_increment(self, nu: float, dt: float) -> np.ndarray:
         """Draw one step's fresh-noise part of the convolution,
-        w(t+dt) - exp(nu lam dt) w(t), exactly what the integrator adds.
+        w(t+dt) - exp(nu lam dt) w(t), exactly what the integrator adds:
+        the step's block times the per-mode std, cached for the last
+        (nu, dt).
 
         Dense covariance has no diagonal transition, so it falls back to the
         Euler-Maruyama increment, the raw Wiener increment.
         """
         if self.spec.matrix is not None:
             return self.wiener_increment(dt)
-        return self._ou_std(nu, dt) * self._next_block()
-
-
-def stationary_variance(spec: NoiseSpec, basis: ModeBasis, nu: float) -> np.ndarray:
-    """Mode-wise invariant variance sigma_m^2 / (-2 nu lam_m) of the convolution."""
-    sig = spec.resolve(basis)
-    return sig**2 / (-2.0 * nu * basis.eigenvalues)
+        if self._ou_key != (nu, dt):
+            lam = self.basis.eigenvalues
+            var = self.sigma**2 * (1.0 - np.exp(2.0 * nu * lam * dt)) / (-2.0 * nu * lam)
+            self._ou_key, self._ou_std = (nu, dt), np.sqrt(var)
+        z = self.block(self.draw_index)
+        self.draw_index += 1
+        z *= self._ou_std
+        return z

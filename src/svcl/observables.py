@@ -18,7 +18,6 @@ import os
 
 import numpy as np
 
-from .noise import trace_h2
 from .spectral import SpectralField, synthesize
 
 FLOAT_FMT = "%.17g"
@@ -137,13 +136,6 @@ def read_csv_columns(source, rows=slice(None)):
     return dict(zip(names, cols))
 
 
-def _window_arrays(window):
-    """Accept a RecordBuffer or a (t, l2, h1) triple."""
-    if hasattr(window, "column"):
-        return window.column("t"), window.column("l2_sq"), window.column("h1_sq")
-    return tuple(np.asarray(w, dtype=float) for w in window)
-
-
 def balance_residuals(t, l2, h1, window, nu, trace, first=0) -> np.ndarray:
     """Windowed balance residuals of rows first, first+1, ... of a record stream.
 
@@ -176,25 +168,6 @@ def balance_residuals(t, l2, h1, window, nu, trace, first=0) -> np.ndarray:
             res[s0 - first : s1 - first] = (
                 (l2[i] - l2[k]) / span + nu2 * sw[k].sum(axis=1) / span - trace)
     return res
-
-
-def energy_balance_residual(window, model, basis) -> float:
-    """(d/dt mean ||u||_L2^2) + 2 nu mean ||u||_H1^2 - sum_k sigma_k^2.
-
-    The derivative is the endpoint difference quotient over the window and
-    the H1 mean is the trapezoid time average, so in a distributional steady
-    state the residual fluctuates around zero and any systematic forcing or
-    dissipation mismatch shows up as a bias.  The basis fixes the retained
-    band the noise trace is summed over.  This is the last row of
-    balance_residuals with the whole window as its trailing window, so it
-    equals the energy_residual column bit for bit.
-    """
-    t, l2, h1 = _window_arrays(window)
-    if len(t) < 2 or t[-1] - t[0] <= 0:
-        return np.nan
-    last = len(t) - 1
-    tr = trace_h2(model.noise, basis).l2
-    return float(balance_residuals(t, l2, h1, last, model.nu, tr, first=last)[0])
 
 
 def l1_norms(coeffs: np.ndarray, n: int) -> np.ndarray:

@@ -133,8 +133,9 @@ def _scales(n: int) -> tuple[np.ndarray, np.ndarray]:
 
 class Workspace:
     """Preallocated buffers for `synthesize` and `analyze` of one block shape
-    (..., m_max) on an n-point grid, with their pair views and scale pairs
-    made once.
+    (..., m_max) on an n-point grid, with their pair views, scale pairs and
+    rfft kernel made once; the constructor makes the grid check the calls
+    on it then skip.
 
     The padded spectrum is zero outside the band bins 1..m_max/2, and every
     call overwrites all of those bins, so nothing carries over from one call
@@ -143,7 +144,10 @@ class Workspace:
     """
 
     def __init__(self, shape: tuple, n: int):
+        if n < shape[-1] + 2:
+            raise ValueError("grid too coarse for the retained band")
         lead, k = shape[:-1], shape[-1] // 2
+        self.pair_shape = (*lead, k, 2)
         self.padded = np.zeros((*lead, n // 2 + 1), dtype=complex)
         self.samples = np.empty((*lead, n))
         self.spectrum = np.empty((*lead, n // 2 + 1), dtype=complex)
@@ -152,49 +156,50 @@ class Workspace:
         self.spectrum_band = _band(self.spectrum, k)
         self.coeff_pairs = _pairs(self.coeffs, k)
         self.pack, self.unpack = _scales(n)
+        self.inv_n = 1.0 / n
+        # np.fft.rfft's kernel: the even or odd one by n
+        self.rfft = _pocketfft.rfft_n_even if n % 2 == 0 else _pocketfft.rfft_n_odd
 
 
 def synthesize(coeffs: np.ndarray, n: int, work: Workspace | None = None) -> np.ndarray:
     """Evaluate coefficient vectors (last axis) on the grid j/n, j = 0..n-1.
 
     Each row of a block comes out bitwise equal to its own call, and a call
-    on a workspace bitwise equal to one without.  Used by the dealiased
-    nonlinear term and every quadrature-based observable.  Requires
-    n >= m_max + 2.
+    on a workspace (built for coeffs' shape and n, which it checked)
+    bitwise equal to one without.  Used by the dealiased nonlinear term and
+    every quadrature-based observable.  Requires n >= m_max + 2.
     """
+    if work is not None:
+        np.multiply(coeffs.reshape(work.pair_shape), work.pack, out=work.padded_band)
+        return _pocketfft.irfft(work.padded, work.inv_n, out=work.samples)
     m_max = coeffs.shape[-1]
     k = m_max // 2
     if n < m_max + 2:
         raise ValueError("grid too coarse for the retained band")
-    if work is None:
-        lead = coeffs.shape[:-1]
-        spec, out = np.zeros((*lead, n // 2 + 1), dtype=complex), np.empty((*lead, n))
-        band, scale = _band(spec, k), _scales(n)[0]
-    else:
-        spec, out, band, scale = work.padded, work.samples, work.padded_band, work.pack
-    np.multiply(_pairs(coeffs, k), scale, out=band)
+    lead = coeffs.shape[:-1]
+    spec = np.zeros((*lead, n // 2 + 1), dtype=complex)
+    np.multiply(_pairs(coeffs, k), _scales(n)[0], out=_band(spec, k))
     # np.fft.irfft's call: the 1/n norm, with n taken from out
-    return _pocketfft.irfft(spec, 1.0 / n, out=out)
+    return _pocketfft.irfft(spec, 1.0 / n, out=np.empty((*lead, n)))
 
 
 def analyze(samples: np.ndarray, m_max: int, work: Workspace | None = None) -> np.ndarray:
     """Project samples (last axis) onto the first m_max modes; the mean is
-    dropped.  On a workspace the result is its buffer, bitwise equal to
-    the allocating call."""
+    dropped.  On a workspace (built for m_max and the samples' grid) the
+    result is its buffer, bitwise equal to the allocating call."""
+    if work is not None:
+        work.rfft(samples, 1, out=work.spectrum)
+        np.multiply(work.spectrum_band, work.unpack, out=work.coeff_pairs)
+        return work.coeffs
     n = samples.shape[-1]
     k = m_max // 2
     if n < m_max + 2:
         raise ValueError("grid too coarse for the retained band")
-    if work is None:
-        lead = samples.shape[:-1]
-        spec, coeffs = np.empty((*lead, n // 2 + 1), dtype=complex), np.empty((*lead, m_max))
-        band, pairs, scale = _band(spec, k), _pairs(coeffs, k), _scales(n)[1]
-    else:
-        spec, coeffs = work.spectrum, work.coeffs
-        band, pairs, scale = work.spectrum_band, work.coeff_pairs, work.unpack
+    lead = samples.shape[:-1]
+    spec, coeffs = np.empty((*lead, n // 2 + 1), dtype=complex), np.empty((*lead, m_max))
     # np.fft.rfft's call: no norm, the even or odd kernel by n
     (_pocketfft.rfft_n_even if n % 2 == 0 else _pocketfft.rfft_n_odd)(samples, 1, out=spec)
-    np.multiply(band, scale, out=pairs)
+    np.multiply(_band(spec, k), _scales(n)[1], out=_pairs(coeffs, k))
     return coeffs
 
 

@@ -117,6 +117,43 @@ class TestRun:
         assert snap.nu == 0.08 and snap.scheme == "exp_euler"
         assert np.all(np.isfinite(snap.coeffs))
 
+    def test_final_squares_past_the_float_range_stay_silent(self, tmp_path, capsys):
+        # a finite final state whose squares overflow: the summary's norms
+        # are inf, written as null, with no RuntimeWarning on the way (the
+        # suite turns one into an error)
+        p = tmp_path / "big.ini"
+        p.write_text(f"""
+[model]
+nu = 0.1
+flux = zero
+
+[noise]
+c = 0.5
+q = 3
+
+[solver]
+modes = 8
+dt = 0.01
+
+[experiment]
+kind = single
+horizon = 0.3
+seed = 1
+
+[initial]
+kind = mode
+mode = 1
+amplitude = 1e200
+
+[output]
+dir = {tmp_path / 'out'}
+""")
+        assert entry(["run", "--config", str(p)]) == EXIT_OK
+        results = json.loads((tmp_path / "out" / "summary.json").read_text())["results"]
+        assert results["steps"] == 30 and results["trip"] is None
+        assert results["final_l2_sq"] is None and results["final_h1_sq"] is None
+        assert "Warning" not in capsys.readouterr().err
+
     def test_nested_out_dir_is_created(self, ini, tmp_path):
         deep = tmp_path / "a" / "b" / "c"
         assert entry(["run", "--config", str(ini), "--out", str(deep)]) == EXIT_OK

@@ -228,6 +228,32 @@ class TestNonlinearTerm:
         assert fitted[32] >= 0.4 * fitted[16]
 
 
+class TestFluxValueOut:
+    FLUXES = [FluxSpec("burgers"), FluxSpec("zero"),
+              FluxSpec("polynomial", coefficients=[0.3, 0.5, -0.2, 1.0 / 3.0]),
+              FluxSpec("polynomial", coefficients=[-0.0]),
+              FluxSpec("callback", value_fn=lambda v: v * np.sin(v),
+                       deriv_fn=lambda v: np.sin(v) + v * np.cos(v),
+                       growth_constant=2.0, growth_exponent=1)]
+
+    @pytest.mark.parametrize("spec", FLUXES, ids=lambda s: s.kind)
+    def test_out_equals_allocating_call_bitwise(self, spec):
+        # out, prefilled with nan, receives every value the allocating call
+        # returns, overflow, inf, nan and signed zeros included; squares
+        # near the ends of the float range round differently in another
+        # operation order
+        rng = np.random.default_rng(7)
+        v = np.concatenate([rng.standard_normal(56) * 10.0 ** rng.integers(-5, 200, 56),
+                            [1.5e154, -1.9e154, 3.3e-162, 7.7e-159],
+                            [0.0, -0.0, np.inf, -np.inf, np.nan]]).reshape(5, 13)
+        with np.errstate(over="ignore", invalid="ignore"):
+            want = flux_value(spec, v)
+            buf = np.full(v.shape, np.nan)
+            got = flux_value(spec, v, out=buf)
+        assert got is buf
+        assert got.tobytes() == want.tobytes()
+
+
 class TestEnergyPairing:
     def test_burgers_p2_vanishes(self):
         basis = ModeBasis(16)

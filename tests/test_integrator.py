@@ -203,10 +203,10 @@ class TestBlock:
         cfg = SolverConfig(dt=1e-3, scheme=scheme,
                            guard_radius=r if r is not None and 0 < r < np.inf else None)
         checked = Stepper(model, cfg, basis)
-        got, trip = integrator._advance_checked(checked, block, xi, 1e-3)
-        alone = [integrator._advance_checked(checked, row, xi, 1e-3)[1] for row in block]
+        trip = integrator._find_trip(checked, block, checked.advance(block, xi), 1e-3)
+        alone = [integrator._find_trip(checked, row, checked.advance(row, xi), 1e-3)
+                 for row in block]
         assert trip == next((a for a in alone if a is not None), None)
-        assert got.tobytes() == (out if trip is None else block).tobytes()
 
 
 def _ref_flux(spec, v):
@@ -425,6 +425,103 @@ class TestRecordBlock:
                                        lp_orders, None)
             got = np.column_stack([buf.column(name) for name in names])
             assert got.tobytes() == want.tobytes()
+
+
+class TestLeanStep:
+    """Whole runs, on the planned kernels with the in-place draw and the
+    inline blow-up test, equal a loop of the allocating `_ref_advance` on
+    increments drawn from freshly built Philox generators, bit for bit:
+    records, final states and trips."""
+
+    NU, DT = 0.1, 2e-3
+
+    def increment(self, model, basis, seed, step):
+        lam = basis.eigenvalues
+        var = (model.noise.resolve(basis) ** 2 * (1.0 - np.exp(2.0 * self.NU * lam * self.DT))
+               / (-2.0 * self.NU * lam))
+        gen = np.random.Generator(np.random.Philox(key=seed, counter=[0, step, 0, 0]))
+        return np.sqrt(var) * gen.standard_normal(basis.m_max)
+
+    def ref_run(self, stepper, c, xis, radius):
+        """States and times up to the last completed step, and the trip as
+        (t, h1_sq, reason): the rows of each step's output are checked in
+        order, a non-finite row trips at t with its pre-step mass, then a
+        row at the radius at t + dt."""
+        neg_lam = -stepper.basis.eigenvalues
+        states, times = [c], [0.0]
+        for xi in xis:
+            out, t = _ref_advance(stepper, c, xi), times[-1]
+            for row, new in zip(np.atleast_2d(c), np.atleast_2d(out)):
+                if not np.isfinite(new).all():
+                    return states, times, (t, float(np.dot(neg_lam, row * row)), "flux_overflow")
+                h1 = float(np.dot(neg_lam, new * new))
+                if radius is not None and h1 >= radius:
+                    return states, times, (t + self.DT, h1, "guard")
+            c = out
+            states.append(c)
+            times.append(t + self.DT)
+        return states, times, None
+
+    def check_records(self, stepper, buf, states, times, every, radius):
+        kept = range(0, len(states), every)
+        want = TestRecordBlock.reference_rows(stepper, [states[k] for k in kept],
+                                              [times[k] for k in kept], (), radius)
+        names = ("t", "l2_sq", "h1_sq", "h2_sq", "guard_margin")
+        assert np.column_stack([buf.column(k) for k in names]).tobytes() == want.tobytes()
+
+    @staticmethod
+    def trip_of(trip):
+        return None if trip is None else (trip.t, trip.h1_sq, trip.reason)
+
+    @pytest.mark.parametrize("guard", ["none", "trip", "overflow"])
+    @pytest.mark.parametrize("flux", sorted(TestPlan.FLUXES))
+    @settings(max_examples=12, deadline=None, derandomize=True, database=None)
+    @given(data=st.data(), m=st.sampled_from([8, 16]), scheme=st.sampled_from(SCHEMES),
+           n_steps=st.integers(1, 30), every=st.sampled_from([1, 4]))
+    @np.errstate(over="ignore", invalid="ignore")
+    def test_runs_equal_reference_loop(self, flux, guard, data, m, scheme, n_steps, every):
+        basis = ModeBasis(m)
+        model = ModelSpec(self.NU, TestPlan.FLUXES[flux], NoiseSpec(c=0.5, q=3.0))
+        seed = data.draw(st.integers(0, 2**64 - 1), label="seed")
+        u0 = data.draw(arrays(float, (2, m), elements=st.floats(-2.0, 2.0)), label="u0")
+        if guard == "overflow":  # squares past the float range; a nonzero flux overflows
+            u0[data.draw(st.integers(0, 1), label="row")] *= 1e160
+        xis = [self.increment(model, basis, seed, k) for k in range(n_steps)]
+        ref = Stepper(model, SolverConfig(dt=self.DT, scheme=scheme), basis)
+        radius = None
+        if guard == "trip":
+            # the largest H1 mass of either row up to a step in the second
+            # half: the runs trip at the first step a row reaches it
+            states = self.ref_run(ref, u0, xis, None)[0]
+            last = data.draw(st.integers(max(1, n_steps // 2), n_steps), label="last")
+            radius = max(ref.h1_sq(row) for c in states[1 : last + 1] for row in c)
+        cfg = SolverConfig(dt=self.DT, scheme=scheme, guard_radius=radius)
+        fields = [SpectralField(row, basis) for row in u0]
+
+        states, times, trip = self.ref_run(ref, u0[0], xis, radius)
+        res = run_single(model, cfg, fields[0], seed, n_steps, record_every=every,
+                         keep_coeffs=True)
+        assert self.trip_of(res.trip) == trip
+        assert (res.state.step, res.state.t) == (len(states) - 1, times[-1])
+        assert res.coeff_history.tobytes() == np.array(states).tobytes()
+        self.check_records(ref, res.records, states, times, every, radius)
+        if trip is None:
+            got = run_on_increments(model, cfg, fields[0], np.array(xis))
+            assert got.tobytes() == np.array(states).tobytes()
+        else:
+            with pytest.raises(BlowupError) as err:
+                run_on_increments(model, cfg, fields[0], np.array(xis))
+            assert (err.value.t, err.value.h1_sq, err.value.reason) == trip
+
+        states, times, trip = self.ref_run(ref, u0, xis, radius)
+        res = run_coupled(model, cfg, *fields, seed, n_steps, record_every=every)
+        assert self.trip_of(res.trip) == trip
+        for r, end in enumerate((res.state_a, res.state_b)):
+            assert (end.step, end.t) == (len(states) - 1, times[-1])
+            assert end.u.coeffs.tobytes() == states[-1][r].tobytes()
+        assert res.times.tobytes() == np.array(times).tobytes()
+        for r, buf in enumerate((res.records_a, res.records_b)):
+            self.check_records(ref, buf, [c[r] for c in states], times, every, radius)
 
 
 class TestContinuousDependence:

@@ -10,7 +10,7 @@ import pytest
 from scipy import stats
 
 from svcl.integrator import convolution_grid
-from svcl.noise import NoisePath, NoiseSpec, stationary_variance, trace_h2
+from svcl.noise import NoisePath, NoiseSpec, trace_h2
 from svcl.spectral import ModeBasis
 
 D0_SINGLE_MODE = 1558.5454565440386  # 16 pi^4 = lam_1^2
@@ -272,12 +272,6 @@ class TestOUConvolution:
         got = convolution_grid(path, nu, dt, n)
         assert got.tobytes() == want.tobytes()
         assert path.draw_index == 7  # the grid is drawn from a fork
-
-    def test_stationary_variance_helper(self):
-        basis = ModeBasis(4)
-        v = stationary_variance(e1_spec(), basis, 1.0)
-        assert v[0] == pytest.approx(OU_STAT_VAR, rel=1e-13)
-        assert np.all(v[1:] == 0)
 
 
 class TestContinuity:

@@ -17,7 +17,7 @@ from svcl.noise import NoiseSpec, trace_h2
 from svcl.observables import (
     FLOAT_FMT,
     RecordBuffer,
-    energy_balance_residual,
+    balance_residuals,
     l1_distance,
     read_csv_columns,
 )
@@ -207,6 +207,14 @@ class TestCsvText:
         assert read_csv_columns(lines, slice(0, 1))["h2_sq"].tolist() == [3.0]
 
 
+def window_residual(t, l2, h1, nu, trace):
+    """The balance residual of the last row over the whole of t as its
+    trailing window: (l2[-1] - l2[0]) / span + 2 nu (trapezoid of h1) / span
+    - trace."""
+    last = len(t) - 1
+    return balance_residuals(t, l2, h1, max(last, 1), nu, trace, first=last)[0]
+
+
 class TestEnergyBalanceResidual:
     def test_heat_decay_closed_form(self):
         # sigma = 0, A = 0, u = e_1: d/dt e^{2 nu lam t} + 2 nu (4 pi^2) e^{...} = 0.
@@ -216,41 +224,39 @@ class TestEnergyBalanceResidual:
         t = 0.1 + 1e-5 * np.arange(101)
         l2 = np.exp(a * t)
         h1 = -LAM1 * np.exp(a * t)
-        model = heat_model(nu)
-        basis = ModeBasis(8)
-        res = energy_balance_residual((t, l2, h1), model, basis)
-        assert abs(res) < 1e-10
+        res = balance_residuals(t, l2, h1, 100, nu, 0.0)
+        assert np.isnan(res[0]) and np.all(np.abs(res[1:]) < 1e-10)
 
     def test_frozen_field_reports_dissipation_gap(self):
         # No dynamics: residual = 2 nu ||u||_H1^2 - sum sigma_m^2 exactly.
         basis = ModeBasis(4)
-        u = mode_field(basis, 1, 1.0)
         h1 = -LAM1
         spec = NoiseSpec(c=0.5, q=3.0)
-        model = ModelSpec(0.1, FluxSpec("zero"), spec)
+        tr = trace_h2(spec, basis).l2
         t = np.array([0.0, 1.0, 2.0])
-        window = (t, np.ones(3), np.full(3, h1))
-        res = energy_balance_residual(window, model, basis)
-        expected = 2 * 0.1 * h1 - trace_h2(spec, basis).l2
-        assert res == pytest.approx(expected, abs=1e-15)
+        res = balance_residuals(t, np.ones(3), np.full(3, h1), 2, 0.1, tr)
+        expected = 2 * 0.1 * h1 - tr
+        assert np.isnan(res[0])
+        assert res[1:] == pytest.approx([expected, expected], abs=1e-15)
 
-    def test_window_forms_agree(self):
+    def test_run_column_matches_balance_residuals(self):
+        # a run's energy_residual column is balance_residuals over its own
+        # (t, l2_sq, h1_sq) columns, bit for bit
         nu = 0.05
-        model = heat_model(nu)
         basis = ModeBasis(8)
+        model = ModelSpec(nu, FluxSpec("burgers"), NoiseSpec(c=0.5, q=3.0))
         run = run_single(model, SolverConfig(dt=0.01), random_field(basis, 3),
-                         seed=0, n_steps=50)
+                         seed=0, n_steps=50, residual_window=16)
         buf = run.records
-        triple = (buf.column("t"), buf.column("l2_sq"), buf.column("h1_sq"))
-        r1 = energy_balance_residual(buf, model, basis)
-        r2 = energy_balance_residual(triple, model, basis)
-        assert r1 == r2
+        want = balance_residuals(buf.column("t"), buf.column("l2_sq"), buf.column("h1_sq"),
+                                 16, nu, trace_h2(model.noise, basis).l2)
+        assert buf.column("energy_residual").tobytes() == want.tobytes()
 
     @settings(max_examples=150, deadline=None, derandomize=True, database=None)
     @given(data=st.data())
     def test_residual_column_matches_residual_function(self, data):
-        """Every row of the energy_residual column, resumed or not, is
-        energy_balance_residual over that row's trailing window, bit for bit."""
+        """Every row of the energy_residual column, resumed or not, is the
+        balance residual over that row's trailing window alone, bit for bit."""
         n_hist = data.draw(st.integers(0, 40), label="history rows")
         n_new = data.draw(st.integers(1, 60), label="buffer rows")
         window = data.draw(st.integers(2, 30), label="window")
@@ -263,6 +269,7 @@ class TestEnergyBalanceResidual:
         h1 = data.draw(arrays(float, n, elements=mass), label="h1_sq")
         basis = ModeBasis(8)
         model = ModelSpec(nu, FluxSpec("zero"), NoiseSpec(c=0.5, q=3.0))
+        tr = trace_h2(model.noise, basis).l2
 
         def column(start, history):
             buf = RecordBuffer()
@@ -272,9 +279,8 @@ class TestEnergyBalanceResidual:
             return buf.column("energy_residual").view(np.int64)
 
         whole = column(0, None)
-        expected = [energy_balance_residual((t[max(0, i - window):i + 1],
-                                             l2[max(0, i - window):i + 1],
-                                             h1[max(0, i - window):i + 1]), model, basis)
+        expected = [window_residual(t[max(0, i - window):i + 1], l2[max(0, i - window):i + 1],
+                                    h1[max(0, i - window):i + 1], nu, tr)
                     for i in range(n)]
         np.testing.assert_array_equal(whole, np.array(expected).view(np.int64))
         if n_hist:
@@ -286,10 +292,10 @@ class TestEnergyBalanceResidual:
                 np.testing.assert_array_equal(resumed, whole[n_hist:])
 
     def test_short_window_is_nan(self):
-        model = heat_model()
-        basis = ModeBasis(8)
-        assert np.isnan(energy_balance_residual(
-            (np.array([1.0]), np.array([2.0]), np.array([3.0])), model, basis))
+        # a first row has no window, and a window spanning no time is nan
+        for t in ([1.0], [1.0, 1.0]):
+            res = balance_residuals(np.array(t), np.ones(len(t)), np.ones(len(t)), 4, 0.1, 0.0)
+            assert np.isnan(res).all()
 
 
 class TestL1Distance:

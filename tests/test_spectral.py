@@ -216,6 +216,26 @@ class TestTransforms:
             assert got_s.tobytes() == want_s.tobytes()
             assert got_c.tobytes() == want_c.tobytes()
 
+    @pytest.mark.parametrize("m", [2, 16])
+    def test_workspace_rejects_a_coarse_grid(self, m):
+        # calls on a workspace skip the grid check, so its constructor makes it
+        for shape in ((m,), (2, m)):
+            with pytest.raises(ValueError, match="too coarse"):
+                Workspace(shape, m + 1)
+            Workspace(shape, m + 2)
+
+    @pytest.mark.parametrize("n", [18, 19, 34, 35])
+    def test_workspace_calls_equal_allocating_calls(self, n):
+        # the workspace picks the rfft kernel for the parity of n once
+        rng = np.random.default_rng(n)
+        for shape in ((16,), (2, 16)):
+            coeffs = rng.standard_normal(shape)
+            samples = rng.standard_normal((*shape[:-1], n))
+            work = Workspace(shape, n)
+            for _ in range(2):
+                assert synthesize(coeffs, n, work).tobytes() == synthesize(coeffs, n).tobytes()
+                assert analyze(samples, 16, work).tobytes() == analyze(samples, 16).tobytes()
+
     @pytest.mark.parametrize("m_max", [2, 8, 32, 64])
     def test_round_trip(self, m_max):
         """analyze(synthesize(f)) recovers band-limited f to 1e-12."""
