@@ -470,8 +470,9 @@ def _build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--out", default=None, help="output directory")
         sp.add_argument("--experiment", default=None,
                         help="experiment kind (single|coupled|ergodic|validate)")
-        sp.add_argument("--resume", dest="resume", default=None,
-                        metavar="SNAPSHOT", help="snapshot file to continue from")
+        if name == "resume":
+            sp.add_argument("--resume", default=None, metavar="SNAPSHOT",
+                            help="snapshot file to continue from")
     return p
 
 

@@ -306,7 +306,9 @@ def parse_config_text(text: str, overrides=None) -> RunConfig:
                       "model.flux_coefficients: only the polynomial flux takes coefficients")
 
     modes = r.int("solver", "modes", 32)
-    r.require(modes >= 2, f"solver.modes: need at least 2 retained modes (got {modes})")
+    r.require(modes >= 2 and modes % 2 == 0,
+              f"solver.modes: need an even number of at least 2 retained modes "
+              f"(got {modes})")
 
     sigma = r.floats("noise", "sigma", ())
     has_profile = r.has("noise", "c") or r.has("noise", "q")
@@ -344,7 +346,10 @@ def parse_config_text(text: str, overrides=None) -> RunConfig:
               f"experiment.kind: unknown kind {kind!r}, choose from {EXPERIMENT_KINDS}")
     horizon = r.float("experiment", "horizon", 1.0)
     r.require(horizon > 0, f"experiment.horizon: horizon > 0 is violated (got {horizon})")
-    if horizon > 0 and dt > 0:
+    if horizon > 0 and dt > 0 and r.require(
+            np.isfinite(horizon / dt),
+            f"experiment.horizon: horizon / dt is not a finite step count "
+            f"(horizon = {horizon}, dt = {dt})"):
         r.require(int(round(horizon / dt)) >= 1,
                   f"experiment.horizon: below one step of dt = {dt}")
     seed = r.int("experiment", "seed", 0)

@@ -38,28 +38,16 @@ class ErgodicEstimate:
     n_batches: int
 
 
-def _records_of(run):
-    return run.records if hasattr(run, "records") else run
-
-
-def ergodic_average(run, observable, burn_in: float,
+def ergodic_average(run, observable: str, burn_in: float,
                     n_batches: int = DEFAULT_BATCHES) -> ErgodicEstimate:
-    """Time average of an observable with a batch-means standard error.
-
-    `observable` is a record column name or a callable mapping the record
-    buffer to a series.  Records are assumed equally spaced in time, so the
-    time average is the plain mean over retained rows.
+    """Time average of a run's record column with a batch-means standard
+    error.  Records are assumed equally spaced in time, so the time average
+    is the plain mean over retained rows.
     """
     if n_batches < MIN_BATCHES:
         raise ValueError(f"need at least {MIN_BATCHES} batches for the error bar")
-    buf = _records_of(run)
-    t = buf.column("t")
-    if callable(observable):
-        series = np.asarray(observable(buf), dtype=float)
-        name = getattr(observable, "__name__", "custom")
-    else:
-        series = buf.column(observable)
-        name = observable
+    t = run.records.column("t")
+    series = run.records.column(observable)
     keep = t >= t[0] + burn_in
     if np.count_nonzero(keep) < 2 * n_batches:
         raise ValueError(
@@ -73,7 +61,7 @@ def ergodic_average(run, observable, burn_in: float,
     value = float(series.mean())
     stderr = float(batches.std(ddof=1) / math.sqrt(n_batches))
     return ErgodicEstimate(
-        observable=name,
+        observable=observable,
         value=value,
         stderr=stderr,
         horizon=float(tk[-1] - tk[0]),
@@ -106,9 +94,8 @@ def tightness_diagnostic(run, model: ModelSpec, epsilons,
     that into a time-fraction bound.  Rows with bound >= 1 are vacuous and
     reported as such, never failed.
     """
-    buf = _records_of(run)
-    t = buf.column("t")
-    h1 = buf.column("h1_sq")
+    t = run.records.column("t")
+    h1 = run.records.column("h1_sq")
     if len(t) < 2:
         raise ValueError("need at least two records")
     span = float(t[-1] - t[0])

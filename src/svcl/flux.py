@@ -20,7 +20,7 @@ from typing import Callable
 
 import numpy as np
 
-from .spectral import ModeBasis, SpectralField, pair_weights, rotate_pairs, synthesize
+from .spectral import ModeBasis
 
 FLUX_KINDS = ("burgers", "polynomial", "zero", "callback")
 
@@ -31,12 +31,11 @@ class FluxSpec:
 
     kind = "burgers" is A(v) = v^2/2, "zero" switches the nonlinearity off,
     "polynomial" takes coefficients [a_0, a_1, ...] meaning sum a_j v^j, and
-    "callback" takes explicit value/derivative callables with declared
-    growth, taken on trust.  value_fn and deriv_fn must act elementwise on
-    arrays of any shape: the nonlinear term applies them to a whole block
-    of same-noise states at once.  Past the float range they return inf or
-    nan rather than raise; the step loop finds a blow-up from the step's
-    output.
+    "callback" takes a value callable with declared growth (C_1, p_A),
+    taken on trust.  value_fn must act elementwise on arrays of any shape:
+    the nonlinear term applies it to a whole block of same-noise states at
+    once.  Past the float range it returns inf or nan rather than raise;
+    the step loop finds a blow-up from the step's output.
     """
 
     kind: str = "burgers"
@@ -44,7 +43,6 @@ class FluxSpec:
     growth_constant: float | None = None  # C_1
     growth_exponent: int | None = None  # p_A
     value_fn: Callable | None = field(default=None, repr=False)
-    deriv_fn: Callable | None = field(default=None, repr=False)
 
     def __post_init__(self):
         if self.kind not in FLUX_KINDS:
@@ -58,8 +56,8 @@ class FluxSpec:
                 raise ValueError("polynomial flux requires coefficients")
             self.coefficients = np.atleast_1d(np.asarray(self.coefficients, dtype=float))
         else:  # callback
-            if self.value_fn is None or self.deriv_fn is None:
-                raise ValueError("callback flux requires value_fn and deriv_fn")
+            if self.value_fn is None:
+                raise ValueError("callback flux requires value_fn")
             if self.growth_constant is None or self.growth_exponent is None:
                 raise ValueError("callback flux requires declared (C_1, p_A)")
         if self.kind != "callback":
@@ -166,41 +164,9 @@ def flux_value(spec: FluxSpec, v: np.ndarray, out: np.ndarray | None = None) -> 
     return out
 
 
-def flux_derivative(spec: FluxSpec, v: np.ndarray) -> np.ndarray:
-    """A'(v), elementwise, with the same non-finite contract as flux_value."""
-    v = np.asarray(v, dtype=float)
-    if spec.kind == "burgers":
-        return v.copy()
-    if spec.kind == "zero":
-        return np.zeros_like(v)
-    if spec.kind == "polynomial":
-        b = spec.coefficients[1:] * np.arange(1, len(spec.coefficients))
-        return _horner(b, v) if len(b) else np.zeros_like(v)
-    return np.asarray(spec.deriv_fn(v), dtype=float)
-
-
 def dealias_points(spec: FluxSpec, basis: ModeBasis) -> int:
     """Padded grid size: beyond (degree+1)*K to keep aliases off the band."""
     k = basis.n_pairs
     n = max((spec.degree + 1) * k + 2, 3 * k + 2)
     return n + (n % 2)
 
-
-def flux_energy_pairing(spec: FluxSpec, u: SpectralField, p: int = 2) -> float:
-    """Quadrature of u^(p-1) * dx A(u) over the torus.
-
-    Vanishes identically for any smooth flux because the integrand is a
-    perfect derivative, so the returned value is a pure dealiasing and
-    discretization diagnostic.  The grid is sized for the full band
-    (p - 1 + degree) * K of the integrand.
-    """
-    if p < 2 or p != int(p):
-        raise ValueError("p must be an integer >= 2")
-    p = int(p)
-    basis = u.basis
-    k = basis.n_pairs
-    n = max((p + spec.degree - 1) * k + 2, 3 * k + 2)
-    n += n % 2
-    uv = synthesize(u.coeffs, n)
-    ux = synthesize(rotate_pairs(u.coeffs, pair_weights(basis.wavenumbers)), n)
-    return float(np.mean(uv ** (p - 1) * flux_derivative(spec, uv) * ux))

@@ -203,10 +203,6 @@ class RunResult:
     trip: GuardTrip | None = None
     coeff_history: np.ndarray | None = field(default=None, repr=False)
 
-    @property
-    def tripped(self) -> bool:
-        return self.trip is not None
-
 
 # fine-grid samples one record flush synthesizes: bounds the flush's
 # temporaries (a few of this many float64s) whatever m_max is
@@ -373,10 +369,6 @@ class CoupledRunResult:
     h1_sq_a: np.ndarray
     h1_sq_b: np.ndarray
     trip: GuardTrip | None = None
-
-    @property
-    def tripped(self) -> bool:
-        return self.trip is not None
 
 
 def run_coupled(

@@ -31,55 +31,26 @@ _SQRT2 = np.sqrt(2.0)  # once here, not one ufunc call per transform
 class ModeBasis:
     """Truncated mean-zero Fourier basis with m_max retained real modes.
 
-    Parameters
-    ----------
-    m_max : int
-        Number of retained modes.  Must be even and >= 2; pairs are
-        (sine, cosine) members of wavenumbers mp = 1 .. m_max/2.
-    n_x : int, optional
-        Physical quadrature grid size.  Defaults to 2*m_max, which leaves
-        headroom for dealiased products.  Must satisfy n_x >= m_max + 2.
+    m_max must be even and >= 2; pairs are (sine, cosine) members of
+    wavenumbers mp = 1 .. m_max/2.
     """
 
-    def __init__(self, m_max: int, n_x: int | None = None):
+    def __init__(self, m_max: int):
         m_max = int(m_max)
         if m_max < 2 or m_max % 2 != 0:
             raise ValueError("m_max must be even and >= 2")
         self.m_max = m_max
         self.n_pairs = m_max // 2
-        self.n_x = 2 * m_max if n_x is None else int(n_x)
-        if self.n_x < m_max + 2:
-            raise ValueError("n_x must be >= m_max + 2")
         # pair index mp for each mode m = 1..m_max, stored 0-based
         self.pair_index = np.repeat(np.arange(1, self.n_pairs + 1), 2)
         self.wavenumbers = 2.0 * np.pi * self.pair_index
         self.eigenvalues = -(self.wavenumbers**2)
 
-    def eigenvalue(self, m: int) -> float:
-        """Laplacian eigenvalue of mode m (1-based)."""
-        if not 1 <= m <= self.m_max:
-            raise ValueError(f"mode index {m} outside 1..{self.m_max}")
-        return float(self.eigenvalues[m - 1])
-
-    def basis_eval(self, m: int, x):
-        """Evaluate basis function e_m at x (scalar or array)."""
-        if not 1 <= m <= self.m_max:
-            raise ValueError(f"mode index {m} outside 1..{self.m_max}")
-        arg = self.wavenumbers[m - 1] * np.asarray(x, dtype=float)
-        if m % 2 == 1:
-            return np.sqrt(2.0) * np.sin(arg)
-        return np.sqrt(2.0) * np.cos(arg)
-
-    def grid(self, n: int | None = None) -> np.ndarray:
-        """Equispaced quadrature points j/n on [0, 1)."""
-        n = self.n_x if n is None else int(n)
-        return np.arange(n) / n
-
     def zeros(self) -> np.ndarray:
         return np.zeros(self.m_max)
 
     def __repr__(self):
-        return f"ModeBasis(m_max={self.m_max}, n_x={self.n_x})"
+        return f"ModeBasis(m_max={self.m_max})"
 
 
 @dataclass
@@ -96,9 +67,6 @@ class SpectralField:
                 f"coefficient array has shape {self.coeffs.shape}, "
                 f"expected ({self.basis.m_max},)"
             )
-
-    def copy(self) -> "SpectralField":
-        return SpectralField(self.coeffs.copy(), self.basis)
 
 
 def mode_field(basis: ModeBasis, m: int, amplitude: float = 1.0) -> SpectralField:

@@ -196,6 +196,28 @@ class TestExitCodes:
         cols = read_csv_columns(tmp_path / "g" / "observables.csv")
         assert len(cols["t"]) == 1  # partial rows survive the trip
 
+    @pytest.mark.parametrize("flags,violation", [
+        (["--modes", "3"], "solver.modes: need an even number"),
+        (["--horizon", "inf"], "experiment.horizon: horizon / dt is not a finite step count"),
+    ])
+    def test_unrunnable_grid_exits_2_and_lists_it(self, ini, capsys, flags, violation):
+        assert entry(["run", "--config", str(ini), *flags]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("invalid configuration:") and violation in err
+
+    def test_resume_flag_is_refused_outside_resume(self, ini, tmp_path, capsys):
+        # only `resume` reads --resume: elsewhere argparse refuses it before
+        # anything runs, so the artifacts on disk stay as they are
+        assert entry(["run", "--config", str(ini)]) == EXIT_OK
+        out = tmp_path / "out"
+        before = {p.name: p.read_bytes() for p in out.iterdir()}
+        for command in ("run", "couple", "ergodic", "validate"):
+            with pytest.raises(SystemExit) as exc:
+                entry([command, "--config", str(ini), "--resume", str(out / "final.snap")])
+            assert exc.value.code == 2
+            assert "--resume" in capsys.readouterr().err
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
     def test_missing_snapshot_exits_4(self, ini, tmp_path, capsys):
         code = entry(["resume", "--config", str(ini),
                       "--resume", str(tmp_path / "nope.snap")])

@@ -162,6 +162,26 @@ class TestValidation:
         with pytest.raises(ConfigError, match="below one step"):
             parse_config_text("[solver]\ndt = 1\n[experiment]\nhorizon = 0.4\n")
 
+    def test_odd_modes_is_a_listed_violation(self):
+        # the basis holds whole (sine, cosine) pairs: an odd count is listed
+        # with every other violation rather than raised by ModeBasis
+        for modes in (3, 7):
+            with pytest.raises(ConfigError) as exc:
+                parse_config_text(f"[model]\nnu = -1\n[solver]\nmodes = {modes}\n")
+            want = f"solver.modes: need an even number of at least 2 retained modes (got {modes})"
+            assert len(exc.value.violations) == 2 and want in exc.value.violations
+        assert parse_config_text("[solver]\nmodes = 2\n").basis().m_max == 2
+
+    def test_non_finite_step_count_is_a_listed_violation(self):
+        # horizon / dt past the float range has no step count to round
+        for horizon, dt in (("inf", "0.001"), ("1e300", "1e-320")):
+            with pytest.raises(ConfigError) as exc:
+                parse_config_text(f"[model]\nnu = -1\n[solver]\ndt = {dt}\n"
+                                  f"[experiment]\nhorizon = {horizon}\n")
+            assert len(exc.value.violations) == 2
+            assert exc.value.violations[1].startswith(
+                "experiment.horizon: horizon / dt is not a finite step count")
+
     def test_unparseable_text_is_one_violation(self):
         with pytest.raises(ConfigError, match="unparseable"):
             parse_config_text("not an ini file at all [oops")

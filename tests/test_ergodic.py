@@ -42,9 +42,13 @@ def ou_runs():
 
 
 class TestErgodicAverage:
-    def test_constant_observable(self, ou_runs):
-        est = ergodic_average(ou_runs[0], lambda buf: np.ones(len(buf)), BURN)
-        assert est.value == 1.0 and est.stderr == 0.0
+    def test_constant_observable(self):
+        # a silent run from zero keeps l2_sq = 0 at every row
+        silent = ModelSpec(NU, FluxSpec("zero"), NoiseSpec(sigma=np.zeros(BASIS.m_max)))
+        run = run_single(silent, CFG, SpectralField(BASIS.zeros(), BASIS), seed=1,
+                         n_steps=int(BURN / CFG.dt) + 4 * MIN_BATCHES)
+        est = ergodic_average(run, "l2_sq", BURN)
+        assert est.value == 0.0 and est.stderr == 0.0
         assert est.n_batches >= MIN_BATCHES
 
     def test_stationary_energy_balance(self):
@@ -123,7 +127,7 @@ class TestConfluence:
     def test_identical_initial_conditions(self):
         model = ModelSpec(0.1, FluxSpec("burgers"), NoiseSpec(c=0.3, q=3.0))
         u0 = mode_field(BASIS, 1, 1.0)
-        rep = confluence_experiment(u0, u0.copy(), model, SolverConfig(dt=1e-3),
+        rep = confluence_experiment(u0, u0, model, SolverConfig(dt=1e-3),
                                     seed=0, epsilons=[1e-2, 1e-6], horizon=1.0)
         assert rep.initial_distance == 0.0
         assert rep.final_distance == 0.0
@@ -175,7 +179,7 @@ class TestDissipationEntry:
     def test_zero_initial_enters_immediately(self):
         model = ModelSpec(0.1, FluxSpec("zero"), NoiseSpec(sigma=np.zeros(8)))
         z = SpectralField(BASIS.zeros(), BASIS)
-        run = run_coupled(model, SolverConfig(dt=1e-3), z, z.copy(), seed=0,
+        run = run_coupled(model, SolverConfig(dt=1e-3), z, z, seed=0,
                           n_steps=10)
         assert dissipation_entry_time(run, 1e-12) == 0.0
 
@@ -225,7 +229,7 @@ class TestDissipationEntry:
     def test_radius_validated(self):
         model = ModelSpec(0.1, FluxSpec("zero"), NoiseSpec(sigma=np.zeros(8)))
         z = SpectralField(BASIS.zeros(), BASIS)
-        run = run_coupled(model, SolverConfig(dt=1e-3), z, z.copy(), seed=0,
+        run = run_coupled(model, SolverConfig(dt=1e-3), z, z, seed=0,
                           n_steps=2)
         with pytest.raises(ValueError, match="positive"):
             dissipation_entry_time(run, 0.0)

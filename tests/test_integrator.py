@@ -247,7 +247,6 @@ class TestPlan:
         "burgers": FluxSpec("burgers"), "zero": FluxSpec("zero"),
         "cubic": FluxSpec("polynomial", coefficients=[0.0, 0.5, -0.2, 1.0 / 3.0]),
         "callback": FluxSpec("callback", value_fn=lambda v: v * np.sin(v),
-                             deriv_fn=lambda v: np.sin(v) + v * np.cos(v),
                              growth_constant=2.0, growth_exponent=1),
     }
 
@@ -370,7 +369,7 @@ class TestRecordBlock:
                              record_every=every, lp_orders=lp_orders,
                              t0=times[0], step0=step0)
             bufs, ends = (res.records,), (res.state,)
-        assert res.tripped == (stop < n_steps)
+        assert (res.trip is not None) == (stop < n_steps)
         for r, end in enumerate(ends):
             assert end.step == step0 + stop and end.t == times[stop]
             assert end.u.coeffs.tobytes() == states[stop, r].tobytes()
@@ -552,7 +551,7 @@ class TestGuard:
         cfg = SolverConfig(dt=0.01, guard_radius=1e-6)
         res = run_single(silent_model(m=8), cfg, SpectralField(basis.zeros(), basis),
                          seed=0, n_steps=50)
-        assert not res.tripped and res.state.step == 50
+        assert res.trip is None and res.state.step == 50
 
     def test_single_mode_trips_exactly_at_threshold(self):
         # A = 0, sigma = 0: the first stepped state is E e_1, and a radius
@@ -564,11 +563,11 @@ class TestGuard:
         r = stepper.h1_sq(stepper.advance(u0.coeffs, np.zeros(8)))
         res = run_single(model, SolverConfig(dt=0.01, guard_radius=r), u0,
                          seed=0, n_steps=20)
-        assert res.tripped and res.trip.reason == "guard" and res.trip.h1_sq == r
+        assert res.trip is not None and res.trip.reason == "guard" and res.trip.h1_sq == r
         assert res.trip.t == 0.01 and res.state.step == 0
         res = run_single(model, SolverConfig(dt=0.01, guard_radius=r * (1 + 1e-12)),
                          u0, seed=0, n_steps=20)
-        assert not res.tripped and res.state.step == 20
+        assert res.trip is None and res.state.step == 20
 
     def test_step_raises_on_guard(self):
         basis = ModeBasis(8)
@@ -587,7 +586,7 @@ class TestGuard:
         cfg = SolverConfig(dt=0.01, guard_radius=1e-8)
         res = run_single(model, cfg, SpectralField(basis.zeros(), basis),
                          seed=3, n_steps=100)
-        assert res.tripped and res.trip.reason == "guard"
+        assert res.trip is not None and res.trip.reason == "guard"
         assert res.state.t < 100 * 0.01  # halted early
         assert len(res.records) < 101
 
@@ -601,7 +600,7 @@ class TestGuard:
             run_on_increments(model, cfg, u0, np.zeros((1, 8)))
         assert err.value.reason == "flux_overflow"
         res = run_single(model, cfg, u0, seed=0, n_steps=10)
-        assert res.tripped and res.trip.reason == "flux_overflow"
+        assert res.trip is not None and res.trip.reason == "flux_overflow"
         assert res.state.step == 0  # nothing advanced
 
     @pytest.mark.parametrize("guard", [None, 1.0])
@@ -676,7 +675,7 @@ class TestGuard:
             cfg = SolverConfig(dt=2e-3, guard_radius=r)
             trips = sum(
                 run_single(model, cfg, u0, seed=s, n_steps=1200,
-                           record_every=400).tripped
+                           record_every=400).trip is not None
                 for s in range(30))
             freqs.append(trips / 30.0)
         assert freqs[0] > 0.5  # regime check: excursions actually happen
@@ -693,7 +692,7 @@ class TestCoupled:
         model = ModelSpec(0.05, FluxSpec("burgers"), NoiseSpec(c=0.5, q=3.0))
         cfg = SolverConfig(dt=1e-3)
         u0 = random_field(basis, 10)
-        res = run_coupled(model, cfg, u0, u0.copy(), seed=17, n_steps=200)
+        res = run_coupled(model, cfg, u0, u0, seed=17, n_steps=200)
         assert res.state_a.step == 200
         assert np.array_equal(res.state_a.u.coeffs, res.state_b.u.coeffs)
 
@@ -779,7 +778,7 @@ class TestCoupled:
                 out[1, 3] = np.nan
             return out
 
-        flux = FluxSpec("callback", value_fn=value, deriv_fn=lambda v: v,
+        flux = FluxSpec("callback", value_fn=value,
                         growth_constant=1.0, growth_exponent=1)
         noise, cfg = NoiseSpec(c=0.5, q=3.0), SolverConfig(dt=0.01)
         u0, v0 = mode_field(basis, 1, 0.5), mode_field(basis, 2, -0.7)

@@ -228,7 +228,7 @@ class TestOUConvolution:
         for k in range(m):
             path = NoisePath(NoiseSpec(sigma=[1.0, 0.0]), basis, 200000 + k)
             composed[k] = convolution_grid(path, nu, dt, n)[n, 0]
-        lam = basis.eigenvalue(1)
+        lam = basis.eigenvalues[0]
         big_var = (1.0 - np.exp(2 * nu * lam * n * dt)) / (-2 * nu * lam)
         direct = np.sqrt(big_var) * np.random.default_rng(99).standard_normal(m)
         assert stats.ks_2samp(composed, direct).pvalue > 0.01

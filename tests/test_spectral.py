@@ -55,46 +55,39 @@ def random_field(basis, seed, decay=1.5, amp=1.0):
     return SpectralField(c, basis)
 
 
+def closed_form_mode(m, x):
+    """e_m at x from its closed form: sqrt(2) sin(2 pi mp x) for odd m,
+    sqrt(2) cos(2 pi mp x) for even m, mp = (m + 1) // 2."""
+    fn = np.sin if m % 2 else np.cos
+    return np.sqrt(2.0) * fn(TWO_PI * ((m + 1) // 2) * np.asarray(x, dtype=float))
+
+
 class TestModeBasis:
     def test_eigenvalue_pairing(self):
         """Sine and cosine members of a pair share -(2 pi mp)^2."""
-        basis = ModeBasis(16)
-        assert basis.eigenvalue(1) == pytest.approx(LAM1, rel=1e-14)
-        assert basis.eigenvalue(2) == basis.eigenvalue(1)
-        assert basis.eigenvalue(3) == pytest.approx(LAM3, rel=1e-14)
-        assert basis.eigenvalue(4) == basis.eigenvalue(3)
-
-    def test_eigenvalue_bounds(self):
-        basis = ModeBasis(8)
-        for m in (0, 9, -1):
-            with pytest.raises(ValueError):
-                basis.eigenvalue(m)
-
-    def test_basis_eval_values(self):
-        basis = ModeBasis(8)
-        s2 = np.sqrt(2.0)
-        assert basis.basis_eval(1, 0.25) == pytest.approx(s2, rel=1e-14)
-        assert basis.basis_eval(2, 0.0) == pytest.approx(s2, rel=1e-14)
-        assert basis.basis_eval(3, 0.125) == pytest.approx(s2, rel=1e-14)
-        assert basis.basis_eval(1, 0.0) == pytest.approx(0.0, abs=1e-15)
+        lam = ModeBasis(16).eigenvalues
+        assert lam.shape == (16,)
+        assert lam[0] == pytest.approx(LAM1, rel=1e-14)
+        assert lam[1] == lam[0]
+        assert lam[2] == pytest.approx(LAM3, rel=1e-14)
+        assert lam[3] == lam[2]
 
     def test_orthonormality_quadrature(self):
-        """Gram matrix of the sampled basis is the identity on a resolving grid."""
-        basis = ModeBasis(12)
-        x = basis.grid()
-        E = np.stack([basis.basis_eval(m, x) for m in range(1, basis.m_max + 1)])
-        gram = E @ E.T / basis.n_x
-        assert np.max(np.abs(gram - np.eye(basis.m_max))) < 1e-12
+        """analyze(synthesize(e_m, n)) = e_m for every m, and the sampled
+        basis has the identity Gram matrix, on resolving grids even and odd."""
+        m_max = 12
+        for n in (14, 24, 41):
+            samples = synthesize(np.eye(m_max), n)  # row m - 1 samples e_m
+            assert np.max(np.abs(analyze(samples, m_max) - np.eye(m_max))) < 1e-13
+            gram = samples @ samples.T / n
+            assert np.max(np.abs(gram - np.eye(m_max))) < 1e-12
 
     def test_constructor_validation(self):
         with pytest.raises(ValueError):
             ModeBasis(7)
         with pytest.raises(ValueError):
             ModeBasis(0)
-        with pytest.raises(ValueError):
-            ModeBasis(16, n_x=17)
-        assert ModeBasis(16).n_x == 32
-        assert ModeBasis(16, n_x=18).n_x == 18
+        assert repr(ModeBasis(16)) == "ModeBasis(m_max=16)"
 
 
 def np_fft_synthesize(coeffs, n):
@@ -242,7 +235,7 @@ class TestTransforms:
         basis = ModeBasis(m_max)
         for seed in range(5):
             f = random_field(basis, seed)
-            back = analyze(synthesize(f.coeffs, basis.n_x), m_max)
+            back = analyze(synthesize(f.coeffs, 2 * m_max), m_max)
             assert np.max(np.abs(back - f.coeffs)) < 1e-12
 
     def test_round_trip_fine_grid(self):
@@ -252,12 +245,17 @@ class TestTransforms:
         assert np.max(np.abs(back - f.coeffs)) < 1e-12
 
     def test_single_mode_samples(self):
-        """Synthesis of e_m matches direct evaluation on the grid."""
-        basis = ModeBasis(8)
-        x = basis.grid()
+        """Synthesis of e_m samples sqrt(2) sin/cos(2 pi mp j/n), with the
+        closed form's peaks and zeros where it has them."""
+        samples = synthesize(np.eye(8), 16)  # row m - 1 samples e_m
+        x = np.arange(16) / 16
         for m in range(1, 9):
-            g = synthesize(mode_field(basis, m).coeffs, basis.n_x)
-            assert np.max(np.abs(g - basis.basis_eval(m, x))) < 1e-13
+            assert np.max(np.abs(samples[m - 1] - closed_form_mode(m, x))) < 1e-13
+        s2 = np.sqrt(2.0)
+        assert samples[0, 4] == pytest.approx(s2, rel=1e-14)  # e_1 at 1/4
+        assert samples[1, 0] == pytest.approx(s2, rel=1e-14)  # e_2 at 0
+        assert samples[2, 2] == pytest.approx(s2, rel=1e-14)  # e_3 at 1/8
+        assert samples[0, 0] == pytest.approx(0.0, abs=1e-15)  # e_1 at 0
 
     def test_projection_truncates_high_modes(self):
         """Content above the retained band is dropped, not aliased in."""
@@ -271,7 +269,7 @@ class TestTransforms:
         basis = ModeBasis(8)
         f = random_field(basis, 1)
         for offset in (5e-13, 3.0):
-            back = analyze(synthesize(f.coeffs, basis.n_x) + offset, 8)
+            back = analyze(synthesize(f.coeffs, 16) + offset, 8)
             assert back.shape == (8,)
             assert np.max(np.abs(back - f.coeffs)) < 1e-12
 
@@ -312,12 +310,12 @@ class TestDerivative:
         fx = np.zeros_like(x)
         for m in range(1, 17):
             fx += f.coeffs[m - 1] * (
-                basis.basis_eval(m, x + h) - basis.basis_eval(m, x - h)
+                closed_form_mode(m, x + h) - closed_form_mode(m, x - h)
             ) / (2 * h)
         df = ddx(f.coeffs, basis)
         vals = np.zeros_like(x)
         for m in range(1, 17):
-            vals += df[m - 1] * basis.basis_eval(m, x)
+            vals += df[m - 1] * closed_form_mode(m, x)
         assert np.max(np.abs(vals - fx)) < 1e-4
 
     def test_second_derivative_is_laplacian(self):
@@ -405,7 +403,7 @@ class TestNorms:
         basis = ModeBasis(32)
         for seed in range(4):
             f = random_field(basis, seed)
-            quad = quad_lp(f, basis.n_x, 2)
+            quad = quad_lp(f, 2 * basis.m_max, 2)
             assert np.sqrt(np.vecdot(f.coeffs, f.coeffs)) == pytest.approx(quad, rel=1e-12)
 
     def test_h1_frozen_value(self):
