@@ -72,6 +72,16 @@ class TestModeBasis:
         assert lam[2] == pytest.approx(LAM3, rel=1e-14)
         assert lam[3] == lam[2]
 
+    def test_basis_eval_values(self):
+        """e_m takes its closed form's peaks and zeros: the synthesized
+        samples on j/16 at the points where the closed form is known."""
+        samples = synthesize(np.eye(8), 16)  # row m - 1 samples e_m at j/16
+        s2 = np.sqrt(2.0)
+        assert samples[0, 4] == pytest.approx(s2, rel=1e-14)  # e_1 at 1/4
+        assert samples[1, 0] == pytest.approx(s2, rel=1e-14)  # e_2 at 0
+        assert samples[2, 2] == pytest.approx(s2, rel=1e-14)  # e_3 at 1/8
+        assert samples[0, 0] == pytest.approx(0.0, abs=1e-15)  # e_1 at 0
+
     def test_orthonormality_quadrature(self):
         """analyze(synthesize(e_m, n)) = e_m for every m, and the sampled
         basis has the identity Gram matrix, on resolving grids even and odd."""
@@ -245,17 +255,11 @@ class TestTransforms:
         assert np.max(np.abs(back - f.coeffs)) < 1e-12
 
     def test_single_mode_samples(self):
-        """Synthesis of e_m samples sqrt(2) sin/cos(2 pi mp j/n), with the
-        closed form's peaks and zeros where it has them."""
+        """Synthesis of e_m samples sqrt(2) sin/cos(2 pi mp j/n)."""
         samples = synthesize(np.eye(8), 16)  # row m - 1 samples e_m
         x = np.arange(16) / 16
         for m in range(1, 9):
             assert np.max(np.abs(samples[m - 1] - closed_form_mode(m, x))) < 1e-13
-        s2 = np.sqrt(2.0)
-        assert samples[0, 4] == pytest.approx(s2, rel=1e-14)  # e_1 at 1/4
-        assert samples[1, 0] == pytest.approx(s2, rel=1e-14)  # e_2 at 0
-        assert samples[2, 2] == pytest.approx(s2, rel=1e-14)  # e_3 at 1/8
-        assert samples[0, 0] == pytest.approx(0.0, abs=1e-15)  # e_1 at 0
 
     def test_projection_truncates_high_modes(self):
         """Content above the retained band is dropped, not aliased in."""
