@@ -148,14 +148,15 @@ def _run_and_write(cfg: RunConfig, snap=None, kept=(), history=None):
     else:
         u0, t0, step0 = SpectralField(snap.coeffs.copy(), basis), snap.t, snap.step
 
-    def writer(state: State):
-        _write_snap(out / f"snap_{state.step:09d}.snap", state, model, solver, cfg.seed)
+    def snapshot(step, t, c):
+        if step % cfg.snapshot_every == 0:
+            _write_snap(out / f"snap_{step:09d}.snap", State(SpectralField(c, basis), t, step),
+                        model, solver, cfg.seed)
 
     res = run_single(model, solver, u0, seed=cfg.seed, n_steps=cfg.n_steps() - step0,
                      record_every=cfg.record_every, lp_orders=cfg.observables,
                      residual_window=cfg.residual_window, residual_history=history,
-                     t0=t0, step0=step0, snapshot_every=cfg.snapshot_every,
-                     snapshot_writer=writer if cfg.snapshot_every else None)
+                     t0=t0, step0=step0, on_step=snapshot if cfg.snapshot_every else None)
     _write_csv(out / "observables.csv", res.records, cfg, kept)
     _write_snap(out / "final.snap", res.state, model, solver, cfg.seed)
     return out, model, u0, res

@@ -350,8 +350,11 @@ def parse_config_text(text: str, overrides=None) -> RunConfig:
             np.isfinite(horizon / dt),
             f"experiment.horizon: horizon / dt is not a finite step count "
             f"(horizon = {horizon}, dt = {dt})"):
-        r.require(int(round(horizon / dt)) >= 1,
-                  f"experiment.horizon: below one step of dt = {dt}")
+        n_steps = int(round(horizon / dt))
+        r.require(n_steps >= 1, f"experiment.horizon: below one step of dt = {dt}")
+        r.require(n_steps < 2**64,
+                  f"experiment.horizon: horizon / dt = {horizon / dt:.6g} steps is not "
+                  f"below 2^64, the step range of a snapshot")
     seed = r.int("experiment", "seed", 0)
     r.require(0 <= seed < 2**64,
               f"experiment.seed: must be an unsigned 64-bit integer (got {seed})")

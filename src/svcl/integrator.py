@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
@@ -73,16 +73,6 @@ class GuardTrip:
     t: float
     h1_sq: float
     reason: str = "guard"
-
-
-class BlowupError(RuntimeError):
-    """Integration halted: guard radius reached or the flux overflowed."""
-
-    def __init__(self, t, h1_sq, reason):
-        super().__init__(f"blow-up ({reason}) at t = {t:.6g}, ||u||_H1^2 = {h1_sq:.6g}")
-        self.t = t
-        self.h1_sq = h1_sq
-        self.reason = reason
 
 
 class Stepper:
@@ -201,11 +191,10 @@ class RunResult:
     state: State
     seed: int
     trip: GuardTrip | None = None
-    coeff_history: np.ndarray | None = field(default=None, repr=False)
 
 
-# fine-grid samples one record flush synthesizes: bounds the flush's
-# temporaries (a few of this many float64s) whatever m_max is
+# fine-grid samples one reduction of the kept-state block synthesizes:
+# bounds its temporaries (a few of this many float64s) whatever m_max is
 _RECORD_BLOCK_POINTS = 1 << 15
 
 # run_coupled's stop test: each coefficient of a difference d is a
@@ -226,7 +215,7 @@ def _record_rows(bufs, stepper: Stepper, times, states):
     a matrix-vector product or einsum, which sum in another order).
     """
     n, n_bufs = len(times), len(bufs)
-    c = states[:n].reshape(n * n_bufs, -1)
+    c = states.reshape(n * n_bufs, -1)
     cc = c * c
     cols = [np.vecdot(c, c), np.vecdot(cc, stepper.neg_lam), np.vecdot(cc, stepper.lam_sq)]
     if bufs[0].lp_orders:
@@ -262,29 +251,21 @@ def _fill_residual_column(buf, model, basis, window, history=None):
 # a blow-up is found from the step output, so the kernels may meet inf and
 # nan on the way there without a warning
 @np.errstate(over="ignore", invalid="ignore")
-def _drive(stepper: Stepper, c, draw, n_steps, bufs=(), record_every=1, t=0.0,
-           step0=0, keep_coeffs=False, on_step=None, snapshot_every=0,
-           snapshot_writer=None):
+def _drive(stepper: Stepper, c, draw, n_steps, t, step0, every, reduce, on_step=None):
     """The one step loop: advance c, a state (m,) or a same-noise block
     (R, m), by up to n_steps increments draw(), from time t and step step0.
 
-    Row r goes to bufs[r] on a fresh start and at every record_every-th
-    step; recorded states are kept in a block that is reduced to record
-    rows when it fills and when the run ends.  on_step(step, t, c) runs
-    after each step and stops the run by returning True.  Returns
-    (c, t, step, trip, history); history holds c at step0 and after each
-    step when keep_coeffs is set, else None.
+    The state of a fresh start and of every `every`-th step is kept in one
+    block of max(1, _RECORD_BLOCK_POINTS // (R n_fine)) rows, and
+    reduce(times, states) consumes the kept rows when the block fills and
+    once when the run ends, inside this errstate; the rows are reused after
+    the call returns.  on_step(step, t, c) runs after each step and stops
+    the run by returning True.  Returns (c, t, step, trip).
     """
-    hist = np.empty((n_steps + 1, *c.shape)) if keep_coeffs else None
-    if keep_coeffs:
-        hist[0] = c
-    times = []
-    if bufs:
-        rows = max(1, _RECORD_BLOCK_POINTS // (len(bufs) * stepper.n_fine))
-        kept = np.empty((rows, *c.shape))
-        if step0 == 0:
-            kept[0] = c
-            times.append(t)
+    rows = max(1, _RECORD_BLOCK_POINTS // (c.size // c.shape[-1] * stepper.n_fine))
+    kept, times, k = np.empty((rows, *c.shape)), np.empty(rows), 0
+    if step0 == 0:
+        kept[0], times[0], k = c, t, 1
     dt, advance, guarded = stepper.dt, stepper.advance, stepper.cfg.guard_radius is not None
     trip = None
     step = step0
@@ -299,23 +280,17 @@ def _drive(stepper: Stepper, c, draw, n_steps, bufs=(), record_every=1, t=0.0,
         c = out
         t += dt
         step = n + 1
-        if keep_coeffs:
-            hist[step - step0] = c
-        if bufs and step % record_every == 0:
-            if len(times) == rows:
-                _record_rows(bufs, stepper, times, kept)
-                times = []
-            kept[len(times)] = c
-            times.append(t)
-        if snapshot_every and snapshot_writer and step % snapshot_every == 0:
-            snapshot_writer(State(SpectralField(c, stepper.basis), t, step))
+        if step % every == 0:
+            if k == rows:
+                reduce(times, kept)
+                k = 0
+            kept[k], times[k] = c, t
+            k += 1
         if on_step is not None and on_step(step, t, c):
             break
-    if times:
-        _record_rows(bufs, stepper, times, kept)
-    if keep_coeffs and trip is not None:
-        hist = hist[: step - step0 + 1]
-    return c, t, step, trip, hist
+    if k:
+        reduce(times[:k], kept[:k])
+    return c, t, step, trip
 
 
 def run_single(
@@ -330,9 +305,7 @@ def run_single(
     residual_history=None,
     t0: float = 0.0,
     step0: int = 0,
-    keep_coeffs: bool = False,
-    snapshot_every: int = 0,
-    snapshot_writer=None,
+    on_step=None,
 ) -> RunResult:
     """Drive one trajectory for n_steps, recording at the given cadence.
 
@@ -341,20 +314,22 @@ def run_single(
     uninterrupted run.  The initial record row is only written for a fresh
     start, which keeps resumed CSV output concatenable; residual_history
     carries the (t, l2_sq, h1_sq) tail of the rows already on disk so the
-    windowed residual column also continues bitwise.
+    windowed residual column also continues bitwise.  on_step(step, t, c)
+    runs after each step (the CLI writes its snapshots there) and stops the
+    run by returning True.
     """
     basis = u0.basis
     stepper = Stepper(model, cfg, basis)
     path = NoisePath(model.noise, basis, seed)
     path.draw_index = step0
     buf = observables.RecordBuffer(lp_orders, capacity=n_steps // max(record_every, 1) + 4)
-    c, t, step, trip, hist = _drive(
-        stepper, u0.coeffs.copy(), partial(path.ou_increment, model.nu, cfg.dt),
-        n_steps, (buf,), record_every, t0, step0, keep_coeffs,
-        snapshot_every=snapshot_every, snapshot_writer=snapshot_writer)
+    c, t, step, trip = _drive(stepper, u0.coeffs.copy(),
+                              partial(path.ou_increment, model.nu, cfg.dt), n_steps, t0,
+                              step0, record_every, partial(_record_rows, (buf,), stepper),
+                              on_step)
     _fill_residual_column(buf, model, basis, residual_window, residual_history)
     return RunResult(records=buf, state=State(SpectralField(c, basis), t, step),
-                     seed=seed, trip=trip, coeff_history=hist)
+                     seed=seed, trip=trip)
 
 
 @dataclass
@@ -385,13 +360,14 @@ def run_coupled(
 ) -> CoupledRunResult:
     """Drive two trajectories under one realization of the forcing.
 
-    The pair is stepped as one (2, m) block by the shared driver.  The L1
-    distance and both H1 masses are series over every step (the contraction
-    property is a per-step statement), while full records keep the
-    configured cadence.  Each step's pair is kept in a block that is
-    reduced to the series when it fills and when the run ends, one batched
-    synthesize and row-wise vecdot per block, bit for bit the values of one
-    step at a time.  Stops at the first step whose distance is below
+    The pair is stepped as one (2, m) block by the shared driver, which
+    keeps every step's pair.  The L1 distance and both H1 masses are series
+    over every step (the contraction property is a per-step statement),
+    while full records keep the configured cadence: each block of kept
+    pairs is reduced to its series, one batched synthesize and row-wise
+    vecdot, bit for bit the values of one step at a time, and to the record
+    rows among its steps.  The series are this run's output, sized by
+    n_steps.  Stops at the first step whose distance is below
     stop_l1_below, if given: a step whose largest coefficient difference
     rules that out (see _STOP_GATE) skips the test, and only the others
     compute their own distance first.
@@ -407,35 +383,29 @@ def run_coupled(
     times = np.empty(n_steps + 1)
     l1 = np.empty(n_steps + 1)
     h1 = np.empty((2, n_steps + 1))
-    n_fine, neg_lam = stepper.n_fine, stepper.neg_lam
-    kept = np.empty((max(1, _RECORD_BLOCK_POINTS // n_fine), 2, basis.m_max))
+    n_fine = stepper.n_fine
     gate = None if stop_l1_below is None else _STOP_GATE * stop_l1_below
     done = 0  # steps whose series entries are filled
 
-    def reduce(k):
-        """Fill the series at steps done..k-1 from their kept pairs."""
+    def reduce(ts, pairs):
+        """The series at the block's steps, and the record rows among them."""
         nonlocal done
-        pairs = kept[: k - done]
+        k = done + len(ts)
+        times[done:k] = ts
         l1[done:k] = observables.l1_norms(pairs[:, 0] - pairs[:, 1], n_fine)
-        h1[:, done:k] = np.vecdot(pairs * pairs, neg_lam).T
+        h1[:, done:k] = np.vecdot(pairs * pairs, stepper.neg_lam).T
+        first = -done % record_every
+        if first < len(ts):
+            _record_rows(bufs, stepper, ts[first::record_every], pairs[first::record_every])
         done = k
 
-    def track(k, t, c):
-        if k - done == len(kept):
-            reduce(k)
-        kept[k - done] = c
-        times[k] = t
-        if gate is None:
-            return False
+    def stop(step, t, c):
         d = c[0] - c[1]
         return np.abs(d).max() < gate and observables.l1_norms(d, n_fine) < stop_l1_below
 
-    c = np.stack([u0.coeffs, v0.coeffs])
-    track(0, 0.0, c)
-    c, t, k, trip, _ = _drive(stepper, c, partial(path.ou_increment, model.nu, cfg.dt),
-                              n_steps, bufs, record_every, on_step=track)
-    with np.errstate(over="ignore", invalid="ignore"):  # as in _drive
-        reduce(k + 1)
+    c, t, k, trip = _drive(stepper, np.stack([u0.coeffs, v0.coeffs]),
+                           partial(path.ou_increment, model.nu, cfg.dt), n_steps, 0.0, 0, 1,
+                           reduce, None if gate is None else stop)
     for buf in bufs:
         buf.set_column("l1_dist", l1[: k + 1 : record_every])
         _fill_residual_column(buf, model, basis, residual_window)
@@ -482,16 +452,16 @@ def increments_from_grid(w: np.ndarray, nu: float, basis: ModeBasis,
 
 
 def run_on_increments(model: ModelSpec, cfg: SolverConfig, u0: SpectralField,
-                      xis: np.ndarray) -> np.ndarray:
-    """Trajectory driven by precomputed noise increments; returns (n+1, M).
-
-    Raises BlowupError on a guard trip or a flux overflow.
+                      xis: np.ndarray):
+    """Trajectory driven by precomputed noise increments: returns the
+    (n+1, M) history of u0 and each completed step, and the trip (None
+    unless a guard trip or a flux overflow stopped the run after n steps).
     """
-    _, _, _, trip, hist = _drive(Stepper(model, cfg, u0.basis), u0.coeffs.copy(),
-                                 iter(xis).__next__, len(xis), keep_coeffs=True)
-    if trip is not None:
-        raise BlowupError(trip.t, trip.h1_sq, trip.reason)
-    return hist
+    parts = []
+    _, _, _, trip = _drive(Stepper(model, cfg, u0.basis), u0.coeffs.copy(),
+                           iter(xis).__next__, len(xis), 0.0, 0, 1,
+                           lambda _, states: parts.append(states.copy()))
+    return np.concatenate(parts), trip
 
 
 # --- mild-form fixed point -------------------------------------------------

@@ -28,14 +28,18 @@ DEFAULT_FINE_FACTOR = 8  # quadrature grid for L1/Lp rendering, per m_max
 class RecordBuffer:
     """Columnar store for the observable stream of one run.
 
-    Preallocated and grown geometrically; run loops append whole blocks of
-    rows and the CSV view is materialized on demand.
+    Preallocated for `capacity` rows, at most FIRST_CAPACITY_MAX of them,
+    and grown geometrically, so a run's expected row count allocates
+    nothing it does not fill; run loops append whole blocks of rows and the
+    CSV view is materialized on demand.
     """
+
+    FIRST_CAPACITY_MAX = 1 << 14
 
     def __init__(self, lp_orders=(), capacity: int = 1024):
         self.lp_orders = tuple(int(p) for p in lp_orders)
         self.n = 0
-        self._cap = max(int(capacity), 16)
+        self._cap = min(max(int(capacity), 16), self.FIRST_CAPACITY_MAX)
         self._cols = {name: np.empty(self._cap) for name in self.column_names()}
 
     def column_names(self):

@@ -71,6 +71,8 @@ class SpectralField:
 
 def mode_field(basis: ModeBasis, m: int, amplitude: float = 1.0) -> SpectralField:
     """Field amplitude * e_m, a convenient initial condition."""
+    if not 1 <= m <= basis.m_max:
+        raise ValueError(f"mode index m = {m} is outside 1..{basis.m_max}")
     c = basis.zeros()
     c[m - 1] = amplitude
     return SpectralField(c, basis)

@@ -187,7 +187,8 @@ def test_criterion_6_picard_and_stepper_gap_is_first_order():
                              path=NoisePath(model.noise, basis, 5), w_grid=w[::stride])
         converged.append(fixed.converged)
         xis = increments_from_grid(w, model.nu, basis, ddt, stride)
-        traj = run_on_increments(model, cfg, u0, xis)
+        traj, trip = run_on_increments(model, cfg, u0, xis)
+        assert trip is None, trip
         diff = traj - fixed.coeffs
         gaps.append(float(np.sqrt(np.max(np.sum(-basis.eigenvalues * diff**2, axis=1)))))
     ratio = gaps[0] / gaps[1]

@@ -196,9 +196,22 @@ class TestExitCodes:
         cols = read_csv_columns(tmp_path / "g" / "observables.csv")
         assert len(cols["t"]) == 1  # partial rows survive the trip
 
+    def test_huge_horizon_trip_exits_3(self, tmp_path, capsys):
+        # 10^16 steps is a valid step count; nothing is sized by it, so the
+        # run starts and the guard stops it at step 1
+        p = tmp_path / "hot.ini"
+        text = (BASE.replace("amplitude = 1.0", "amplitude = 3.0")
+                .replace("dt = 0.001", "dt = 0.001\nguard = 200"))
+        p.write_text(text + f"\n[output]\ndir = {tmp_path / 'g'}\n")
+        assert entry(["run", "--config", str(p), "--horizon", "1e13"]) == EXIT_BLOWUP
+        summary = json.loads((tmp_path / "g" / "summary.json").read_text())
+        assert summary["results"]["trip"]["reason"] == "guard"
+        assert summary["results"]["steps"] == 0
+
     @pytest.mark.parametrize("flags,violation", [
         (["--modes", "3"], "solver.modes: need an even number"),
         (["--horizon", "inf"], "experiment.horizon: horizon / dt is not a finite step count"),
+        (["--horizon", "1e300"], "horizon / dt = 1e+303 steps is not below 2^64"),
     ])
     def test_unrunnable_grid_exits_2_and_lists_it(self, ini, capsys, flags, violation):
         assert entry(["run", "--config", str(ini), *flags]) == EXIT_CONFIG

@@ -182,6 +182,17 @@ class TestValidation:
             assert exc.value.violations[1].startswith(
                 "experiment.horizon: horizon / dt is not a finite step count")
 
+    def test_step_count_past_64_bits_is_a_listed_violation(self):
+        # a snapshot stores the step as an unsigned 64-bit integer
+        with pytest.raises(ConfigError) as exc:
+            parse_config_text("[model]\nnu = -1\n[solver]\ndt = 0.001\n"
+                              "[experiment]\nhorizon = 1.9e16\n")
+        assert len(exc.value.violations) == 2
+        assert exc.value.violations[1] == ("experiment.horizon: horizon / dt = 1.9e+19 steps "
+                                           "is not below 2^64, the step range of a snapshot")
+        cfg = parse_config_text("[solver]\ndt = 0.001\n[experiment]\nhorizon = 1.8e16\n")
+        assert cfg.n_steps() == 18_000_000_000_000_000_000 < 2**64
+
     def test_unparseable_text_is_one_violation(self):
         with pytest.raises(ConfigError, match="unparseable"):
             parse_config_text("not an ini file at all [oops")

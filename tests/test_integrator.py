@@ -17,7 +17,6 @@ from svcl.flux import FluxSpec, dealias_points, flux_value
 from svcl.integrator import (
     _RECORD_BLOCK_POINTS,
     SCHEMES,
-    BlowupError,
     ModelSpec,
     SolverConfig,
     State,
@@ -146,13 +145,13 @@ class TestSchemes:
         for seed in (3, 4):
             w = convolution_grid(NoisePath(model.noise, basis, seed),
                                  model.nu, dt / 4, 4 * n)
-            ref = run_on_increments(
+            ref, _ = run_on_increments(
                 model, SolverConfig(dt=dt / 4), u0,
                 increments_from_grid(w, model.nu, basis, dt / 4, 1))
             errs = []
             for stride, ddt in ((4, dt), (2, dt / 2)):
                 xis = increments_from_grid(w, model.nu, basis, ddt, stride)
-                traj = run_on_increments(model, SolverConfig(dt=ddt), u0, xis)
+                traj, _ = run_on_increments(model, SolverConfig(dt=ddt), u0, xis)
                 errs.append(np.max(h1_norm(basis, traj - ref[::stride])))
             assert errs[0] / errs[1] > 1.7  # order >= 1 strong
 
@@ -161,11 +160,14 @@ class TestSchemes:
         model = ModelSpec(0.1, FluxSpec("burgers"), NoiseSpec(c=0.4, q=3.0))
         cfg = SolverConfig(dt=0.005)
         u0 = random_field(basis, 9)
-        res = run_single(model, cfg, u0, seed=21, n_steps=100, keep_coeffs=True)
+        states = [u0.coeffs]
+        run_single(model, cfg, u0, seed=21, n_steps=100,
+                   on_step=lambda step, t, c: states.append(c.copy()))
         w = convolution_grid(NoisePath(model.noise, basis, 21), model.nu, cfg.dt, 100)
-        traj = run_on_increments(model, cfg, u0,
-                                 increments_from_grid(w, model.nu, basis, cfg.dt, 1))
-        np.testing.assert_allclose(traj, res.coeff_history, atol=1e-13)
+        traj, trip = run_on_increments(model, cfg, u0,
+                                       increments_from_grid(w, model.nu, basis, cfg.dt, 1))
+        assert trip is None
+        np.testing.assert_allclose(traj, np.array(states), atol=1e-13)
 
 
 class TestBlock:
@@ -498,19 +500,14 @@ class TestLeanStep:
         fields = [SpectralField(row, basis) for row in u0]
 
         states, times, trip = self.ref_run(ref, u0[0], xis, radius)
-        res = run_single(model, cfg, fields[0], seed, n_steps, record_every=every,
-                         keep_coeffs=True)
+        res = run_single(model, cfg, fields[0], seed, n_steps, record_every=every)
         assert self.trip_of(res.trip) == trip
         assert (res.state.step, res.state.t) == (len(states) - 1, times[-1])
-        assert res.coeff_history.tobytes() == np.array(states).tobytes()
+        assert res.state.u.coeffs.tobytes() == states[-1].tobytes()
         self.check_records(ref, res.records, states, times, every, radius)
-        if trip is None:
-            got = run_on_increments(model, cfg, fields[0], np.array(xis))
-            assert got.tobytes() == np.array(states).tobytes()
-        else:
-            with pytest.raises(BlowupError) as err:
-                run_on_increments(model, cfg, fields[0], np.array(xis))
-            assert (err.value.t, err.value.h1_sq, err.value.reason) == trip
+        hist, hist_trip = run_on_increments(model, cfg, fields[0], np.array(xis))
+        assert self.trip_of(hist_trip) == trip
+        assert hist.tobytes() == np.array(states).tobytes()
 
         states, times, trip = self.ref_run(ref, u0, xis, radius)
         res = run_coupled(model, cfg, *fields, seed, n_steps, record_every=every)
@@ -532,14 +529,14 @@ class TestContinuousDependence:
         cfg = SolverConfig(dt=1e-3)
         u0 = random_field(basis, 7)
         lam2 = basis.eigenvalues**2
-        base = run_single(model, cfg, u0, seed=9, n_steps=300,
-                          keep_coeffs=True).coeff_history
+        path = NoisePath(model.noise, basis, 9)
+        xis = np.array([path.ou_increment(model.nu, cfg.dt) for _ in range(300)])
+        base, _ = run_on_increments(model, cfg, u0, xis)
         ratios = []
         for delta in (1e-2, 1e-3, 1e-4):
             pert = SpectralField(u0.coeffs + delta * mode_field(basis, 1).coeffs,
                                  basis)
-            other = run_single(model, cfg, pert, seed=9, n_steps=300,
-                               keep_coeffs=True).coeff_history
+            other, _ = run_on_increments(model, cfg, pert, xis)
             sup = np.max(np.sqrt(np.sum(lam2 * (other - base) ** 2, axis=1)))
             ratios.append(sup / delta)
         assert max(ratios) / min(ratios) < 1.5
@@ -569,16 +566,37 @@ class TestGuard:
                          u0, seed=0, n_steps=20)
         assert res.trip is None and res.state.step == 20
 
-    def test_step_raises_on_guard(self):
+    def test_guard_trip_ends_the_history(self):
+        # the path's own draws: the history is run_single's states, up to
+        # the state before the step that reached the radius
         basis = ModeBasis(8)
         model = ModelSpec(0.1, FluxSpec("zero"), NoiseSpec(c=2.0, q=3.0))
         cfg = SolverConfig(dt=0.01, guard_radius=1e-8)
         path = NoisePath(model.noise, basis, 3)
         xis = np.array([path.ou_increment(model.nu, cfg.dt) for _ in range(50)])
-        with pytest.raises(BlowupError) as err:
-            run_on_increments(model, cfg, SpectralField(basis.zeros(), basis), xis)
-        assert err.value.reason == "guard"
-        assert err.value.h1_sq >= 1e-8
+        u0 = SpectralField(basis.zeros(), basis)
+        hist, trip = run_on_increments(model, cfg, u0, xis)
+        assert trip.reason == "guard"
+        assert trip.h1_sq >= 1e-8
+        states = [u0.coeffs]
+        res = run_single(model, cfg, u0, seed=3, n_steps=50,
+                         on_step=lambda step, t, c: states.append(c.copy()))
+        assert (trip.t, trip.h1_sq) == (res.trip.t, res.trip.h1_sq)
+        assert len(hist) == res.state.step + 1 < 51
+        assert hist.tobytes() == np.array(states).tobytes()
+
+    def test_huge_step_count_returns_at_its_trip(self):
+        # nothing is sized by n_steps: a run of 10^16 steps whose guard
+        # trips at step 1 returns at once
+        basis = ModeBasis(8)
+        model = silent_model(m=8)
+        u0 = mode_field(basis, 1, 1.0)
+        stepper = Stepper(model, SolverConfig(dt=0.01), basis)
+        r = stepper.h1_sq(stepper.advance(u0.coeffs, np.zeros(8)))
+        res = run_single(model, SolverConfig(dt=0.01, guard_radius=r), u0,
+                         seed=0, n_steps=10**16, lp_orders=(2,))
+        assert res.trip is not None and res.trip.reason == "guard"
+        assert res.state.step == 0 and len(res.records) == 1
 
     def test_run_single_captures_trip(self):
         basis = ModeBasis(8)
@@ -596,9 +614,9 @@ class TestGuard:
         model = ModelSpec(0.1, cubic, NoiseSpec(sigma=np.zeros(8)))
         cfg = SolverConfig(dt=0.01)
         u0 = mode_field(basis, 1, 1e110)
-        with pytest.raises(BlowupError) as err:
-            run_on_increments(model, cfg, u0, np.zeros((1, 8)))
-        assert err.value.reason == "flux_overflow"
+        hist, trip = run_on_increments(model, cfg, u0, np.zeros((1, 8)))
+        assert trip.reason == "flux_overflow"
+        assert hist.tobytes() == u0.coeffs.tobytes()  # only the start
         res = run_single(model, cfg, u0, seed=0, n_steps=10)
         assert res.trip is not None and res.trip.reason == "flux_overflow"
         assert res.state.step == 0  # nothing advanced
@@ -640,8 +658,8 @@ class TestGuard:
         model, cfg = silent_model(m=8), SolverConfig(dt=0.01)
         u0 = mode_field(basis, 1, 1e200)
         xis = np.zeros((30, 8))
-        hist = run_on_increments(model, cfg, u0, xis)
-        assert len(hist) == 31 and np.isfinite(hist).all()
+        hist, trip = run_on_increments(model, cfg, u0, xis)
+        assert trip is None and len(hist) == 31 and np.isfinite(hist).all()
         with np.errstate(over="ignore"):
             assert np.vdot(hist[-1], hist[-1]) == np.inf
         decay, c = Stepper(model, cfg, basis).decay, u0.coeffs
@@ -853,9 +871,10 @@ class TestCoupled:
 
 
 class TestCoupledSeries:
-    """run_coupled's series, reduced a block of kept pairs at a time behind
-    the max-coefficient stop test, equal the per-step tracking they replace,
-    bit for bit, wherever a stop or trip falls against the block."""
+    """run_coupled's series and records, reduced a block of kept pairs at a
+    time behind the max-coefficient stop test, equal a loop that steps the
+    pair and computes each step's values as it is made, bit for bit,
+    wherever a stop or trip falls against the block."""
 
     FLUXES = {"burgers": FluxSpec("burgers"),
               "cubic": FluxSpec("polynomial", coefficients=[0.0, 0.5, -0.2, 1.0 / 3.0])}
@@ -863,32 +882,43 @@ class TestCoupledSeries:
 
     @classmethod
     def reference(cls, model, cfg, u0, v0, seed, n_steps, stop):
-        """run_coupled with its series tracked at every step: an L1 distance
-        and two H1 masses computed from each step's pair as it is made."""
+        """run_coupled one step at a time on Stepper.advance and the blow-up
+        contract of _find_trip: an L1 distance and two H1 masses per step,
+        and a record row per row at every RECORD_EVERY-th step."""
         basis = u0.basis
         stepper = Stepper(model, cfg, basis)
         path = NoisePath(model.noise, basis, seed)
-        cap = n_steps // cls.RECORD_EVERY + 4
-        bufs = (RecordBuffer(cls.LP_ORDERS, capacity=cap),
-                RecordBuffer(cls.LP_ORDERS, capacity=cap))
-        times, l1, h1 = np.empty(n_steps + 1), np.empty(n_steps + 1), np.empty((2, n_steps + 1))
+        c, t, trip = np.stack([u0.coeffs, v0.coeffs]), 0.0, None
+        states, times, l1, h1 = [], [], [], []
 
-        def track(k, t, c):
-            times[k] = t
-            l1[k] = float(np.mean(np.abs(synthesize(c[0] - c[1], stepper.n_fine))))
-            h1[:, k] = [stepper.h1_sq(row) for row in c]
-            return stop is not None and l1[k] < stop
+        def track(c, t):
+            states.append(c)
+            times.append(t)
+            l1.append(float(np.mean(np.abs(synthesize(c[0] - c[1], stepper.n_fine)))))
+            h1.append([stepper.h1_sq(row) for row in c])
+            return stop is not None and l1[-1] < stop
 
-        c = np.stack([u0.coeffs, v0.coeffs])
-        track(0, 0.0, c)
-        c, t, k, trip, _ = integrator._drive(
-            stepper, c, partial(path.ou_increment, model.nu, cfg.dt), n_steps, bufs,
-            cls.RECORD_EVERY, on_step=track)
-        for buf in bufs:
-            buf.set_column("l1_dist", l1[: k + 1 : cls.RECORD_EVERY])
+        track(c, t)  # the initial distance is never tested against stop
+        for _ in range(n_steps):
+            out = stepper.advance(c, path.ou_increment(model.nu, cfg.dt))
+            trip = integrator._find_trip(stepper, c, out, t)
+            if trip is not None:
+                break
+            c, t = out, t + cfg.dt
+            if track(c, t):
+                break
+        kept = slice(None, None, cls.RECORD_EVERY)
+        bufs = (RecordBuffer(cls.LP_ORDERS), RecordBuffer(cls.LP_ORDERS))
+        for r, buf in enumerate(bufs):
+            rows = TestRecordBlock.reference_rows(stepper, [s[r] for s in states[kept]],
+                                                  times[kept], cls.LP_ORDERS,
+                                                  cfg.guard_radius)
+            buf.append(rows[:, 0], rows[:, 1], rows[:, 2], rows[:, 3], rows[:, 4:-1].T,
+                       l1_dist=l1[kept], guard_margin=rows[:, -1])
             integrator._fill_residual_column(buf, model, basis, 64)
-        return dict(times=times[: k + 1], l1=l1[: k + 1], h1_a=h1[0, : k + 1],
-                    h1_b=h1[1, : k + 1], c=c, t=t, step=k, trip=trip, bufs=bufs)
+        h1 = np.array(h1).T
+        return dict(times=np.array(times), l1=np.array(l1), h1_a=h1[0], h1_b=h1[1], c=c,
+                    t=t, step=len(states) - 1, trip=trip, bufs=bufs)
 
     @staticmethod
     def outputs(res):
@@ -934,7 +964,9 @@ class TestCoupledSeries:
         cfg = SolverConfig(dt=1e-3, scheme=scheme, guard_radius=radius)
         for stop in stops:
             with pytest.MonkeyPatch.context() as mp:
-                mp.setattr(integrator, "_RECORD_BLOCK_POINTS", block * DEFAULT_FINE_FACTOR * m)
+                # blocks of `block` pairs: a (2, m) block row reduces 2 n_fine points
+                mp.setattr(integrator, "_RECORD_BLOCK_POINTS",
+                           2 * block * DEFAULT_FINE_FACTOR * m)
                 want = self.reference(model, cfg, u0, v0, seed, n_steps, stop)
                 got = self.outputs(run_coupled(
                     model, cfg, u0, v0, seed=seed, n_steps=n_steps,
@@ -949,6 +981,73 @@ class TestCoupledSeries:
                 assert buf.column_names() == ref.column_names()
                 for name in buf.column_names():
                     assert buf.column(name).tobytes() == ref.column(name).tobytes(), name
+
+
+class TestTripMidBlock:
+    """A guard trip inside the second block, after the first was reduced,
+    leaves each reducer (records, coupled series, histories) exactly the
+    output of the same run stopped untripped at the step before the trip."""
+
+    MODEL = ModelSpec(0.1, FluxSpec("burgers"), NoiseSpec(c=0.5, q=3.0))
+    CFG, ROWS, SEED = SolverConfig(dt=1e-3), 4, 0
+
+    def fields(self, basis):
+        return random_field(basis, 0, amp=1e-3), random_field(basis, 1, amp=1e-3)
+
+    def radius(self, h1):
+        """The largest H1 mass up to step 6, which the noise reaches there
+        first, and the step that reaches it: inside the second block of
+        ROWS kept states (steps ROWS to 2 ROWS - 1 of a fresh start)."""
+        r = float(h1[1:7].max())
+        trip_step = int(np.argmax(h1[1:] >= r)) + 1
+        assert self.ROWS < trip_step < 2 * self.ROWS
+        return r, trip_step
+
+    @pytest.mark.parametrize("reducer", ["records", "series", "history"])
+    def test_trip_keeps_the_rows_before_it(self, monkeypatch, reducer):
+        basis = ModeBasis(8)
+        u0, v0 = self.fields(basis)
+        n_fine = DEFAULT_FINE_FACTOR * basis.m_max
+        pair = reducer == "series"
+        monkeypatch.setattr(integrator, "_RECORD_BLOCK_POINTS",
+                            (1 + pair) * self.ROWS * n_fine)
+        if pair:
+            free = run_coupled(self.MODEL, self.CFG, u0, v0, seed=self.SEED, n_steps=20)
+            r, trip_step = self.radius(np.maximum(free.h1_sq_a, free.h1_sq_b))
+        else:
+            free = run_single(self.MODEL, self.CFG, u0, seed=self.SEED, n_steps=20)
+            r, trip_step = self.radius(free.records.column("h1_sq"))
+        cfg = SolverConfig(dt=self.CFG.dt, guard_radius=r)
+
+        def outputs(n_steps):
+            if reducer == "history":
+                path = NoisePath(self.MODEL.noise, basis, self.SEED)
+                xis = np.array([path.ou_increment(self.MODEL.nu, cfg.dt)
+                                for _ in range(n_steps)])
+                hist, trip = run_on_increments(self.MODEL, cfg, u0, xis)
+                return trip, [hist]
+            if pair:
+                res = run_coupled(self.MODEL, cfg, u0, v0, seed=self.SEED, n_steps=n_steps,
+                                  lp_orders=(2,))
+                bufs = (res.records_a, res.records_b)
+                arrays = [res.times, res.l1_series, res.h1_sq_a, res.h1_sq_b,
+                          res.state_a.u.coeffs, res.state_b.u.coeffs]
+            else:
+                res = run_single(self.MODEL, cfg, u0, seed=self.SEED, n_steps=n_steps,
+                                 lp_orders=(2,))
+                bufs, arrays = (res.records,), [res.state.u.coeffs]
+            arrays += [buf.column(name) for buf in bufs for name in buf.column_names()]
+            return res.trip, arrays
+
+        trip, got = outputs(20)
+        assert trip.reason == "guard" and trip.h1_sq >= r
+        assert trip.t == (free.times if pair else free.records.column("t"))[trip_step]
+        untripped, want = outputs(trip_step - 1)
+        assert untripped is None
+        assert len(got) == len(want)
+        for a, b in zip(got, want):
+            assert a.tobytes() == b.tobytes()
+        assert len(got[-1]) == trip_step  # the states of steps 0 .. trip_step - 1
 
 
 class TestPicard:
@@ -999,7 +1098,7 @@ class TestPicard:
                               w_grid=w[::stride])
             assert pr.converged
             xis = increments_from_grid(w, model.nu, basis, ddt, stride)
-            traj = run_on_increments(model, cfg, u0, xis)
+            traj, _ = run_on_increments(model, cfg, u0, xis)
             gaps.append(np.max(h1_norm(basis, traj - pr.coeffs)))
         assert gaps[0] / gaps[1] > 1.8
 
@@ -1123,15 +1222,21 @@ class TestRunDrivers:
         np.testing.assert_allclose(np.diff(res.records.column("t")), 0.1,
                                    atol=1e-12)
 
-    def test_coeff_history_endpoints(self):
+    def test_history_endpoints(self):
         basis = ModeBasis(8)
         model = ModelSpec(0.1, FluxSpec("burgers"), NoiseSpec(c=0.3, q=3.0))
+        cfg = SolverConfig(dt=0.01)
         u0 = random_field(basis, 6)
-        res = run_single(model, SolverConfig(dt=0.01), u0, seed=1, n_steps=50,
-                         keep_coeffs=True)
-        assert res.coeff_history.shape == (51, 8)
-        assert np.array_equal(res.coeff_history[0], u0.coeffs)
-        assert np.array_equal(res.coeff_history[-1], res.state.u.coeffs)
+        path = NoisePath(model.noise, basis, 1)
+        xis = np.array([path.ou_increment(model.nu, cfg.dt) for _ in range(50)])
+        hist, trip = run_on_increments(model, cfg, u0, xis)
+        states = [u0.coeffs]
+        res = run_single(model, cfg, u0, seed=1, n_steps=50,
+                         on_step=lambda step, t, c: states.append(c.copy()))
+        assert trip is None and hist.shape == (51, 8)
+        assert np.array_equal(hist[0], u0.coeffs)
+        assert np.array_equal(hist[-1], res.state.u.coeffs)
+        assert hist.tobytes() == np.array(states).tobytes()
 
     def test_column_discipline(self):
         basis = ModeBasis(8)

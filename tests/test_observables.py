@@ -47,6 +47,15 @@ class TestRecordBuffer:
             "l1_dist", "energy_residual", "guard_margin",
         ]
 
+    def test_huge_capacity_allocates_a_bounded_first_block(self):
+        # the expected row count of a 10^16-step run: the first allocation
+        # is capped and the buffer grows only as rows arrive
+        buf = RecordBuffer(lp_orders=(2,), capacity=10**16)
+        n = RecordBuffer.FIRST_CAPACITY_MAX + 5
+        buf.append(np.arange(n, dtype=float), 1.0, 2.0, 3.0, (4.0,))
+        assert len(buf) == n
+        np.testing.assert_array_equal(buf.column("t"), np.arange(n))
+
     def test_append_and_views(self):
         buf = RecordBuffer(lp_orders=(2,), capacity=2)
         for i in range(5):  # force growth past the tiny capacity

@@ -82,6 +82,14 @@ class TestModeBasis:
         assert samples[2, 2] == pytest.approx(s2, rel=1e-14)  # e_3 at 1/8
         assert samples[0, 0] == pytest.approx(0.0, abs=1e-15)  # e_1 at 0
 
+    def test_mode_field_checks_its_index(self):
+        basis = ModeBasis(4)
+        assert mode_field(basis, 1, 2.0).coeffs.tolist() == [2.0, 0.0, 0.0, 0.0]
+        assert mode_field(basis, 4).coeffs.tolist() == [0.0, 0.0, 0.0, 1.0]
+        for m in (0, -1, 5):
+            with pytest.raises(ValueError, match=f"mode index m = {m} is outside 1..4"):
+                mode_field(basis, m)
+
     def test_orthonormality_quadrature(self):
         """analyze(synthesize(e_m, n)) = e_m for every m, and the sampled
         basis has the identity Gram matrix, on resolving grids even and odd."""

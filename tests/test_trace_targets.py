@@ -96,7 +96,7 @@ def test_coupled_series_synthesizes_once_per_block(monkeypatch, stop):
     for _ in range(steps):
         c = stepper.advance(c, np.zeros(16))
         gated += bool(np.abs(c[0] - c[1]).max() < gate)
-    rows = integrator._RECORD_BLOCK_POINTS // stepper.n_fine
+    rows = integrator._RECORD_BLOCK_POINTS // (2 * stepper.n_fine)  # (2, m) rows
     blocks = -(-(steps + 1) // rows)
     assert counts["synthesize"] == blocks + gated
     assert counts["synthesize"] < steps // 10
