@@ -197,13 +197,6 @@ class RunResult:
 # bounds its temporaries (a few of this many float64s) whatever m_max is
 _RECORD_BLOCK_POINTS = 1 << 15
 
-# run_coupled's stop test: each coefficient of a difference d is a
-# fine-grid mean of d times a basis function bounded by sqrt(2), so its L1
-# distance is at least max|d_m| / sqrt(2), and a step with max|d_m| at or
-# above _STOP_GATE * stop cannot stop; the 1e-6 margin is orders of
-# magnitude above the transform's rounding
-_STOP_GATE = np.sqrt(2.0) * (1.0 + 1e-6)
-
 
 def _record_rows(bufs, stepper: Stepper, times, states):
     """Append one record row per kept state: states[k], kept at times[k], is
@@ -257,18 +250,23 @@ def _drive(stepper: Stepper, c, draw, n_steps, t, step0, every, reduce, on_step=
 
     The state of a fresh start and of every `every`-th step is kept in one
     block of max(1, _RECORD_BLOCK_POINTS // (R n_fine)) rows, and
-    reduce(times, states) consumes the kept rows when the block fills and
-    once when the run ends, inside this errstate; the rows are reused after
-    the call returns.  on_step(step, t, c) runs after each step and stops
-    the run by returning True.  Returns (c, t, step, trip).
+    reduce(times, states) consumes the kept rows as soon as the block fills
+    and once when the run ends, inside this errstate; the rows are reused
+    after the call returns.  reduce stops the run by returning how many
+    leading rows it keeps: the run returns the last, at the step its
+    position gives, with no trip, and drops the steps past it (at most
+    rows - 1), a trip among them included.  on_step(step, t, c) runs after
+    each step.  Returns (c, t, step, trip).
     """
     rows = max(1, _RECORD_BLOCK_POINTS // (c.size // c.shape[-1] * stepper.n_fine))
     kept, times, k = np.empty((rows, *c.shape)), np.empty(rows), 0
     if step0 == 0:
         kept[0], times[0], k = c, t, 1
+        if k == rows:  # a block of one row, the initial state's
+            reduce(times, kept)
+            k = 0
     dt, advance, guarded = stepper.dt, stepper.advance, stepper.cfg.guard_radius is not None
-    trip = None
-    step = step0
+    trip, keep, step = None, None, step0
     for n in range(step0, step0 + n_steps):
         out = advance(c, draw())
         # on a trip every row keeps its state from before the step, so each
@@ -281,16 +279,22 @@ def _drive(stepper: Stepper, c, draw, n_steps, t, step0, every, reduce, on_step=
         t += dt
         step = n + 1
         if step % every == 0:
-            if k == rows:
-                reduce(times, kept)
-                k = 0
             kept[k], times[k] = c, t
             k += 1
-        if on_step is not None and on_step(step, t, c):
-            break
-    if k:
-        reduce(times[:k], kept[:k])
-    return c, t, step, trip
+            if k == rows:
+                keep = reduce(times, kept)
+                if keep is not None:
+                    break
+                k = 0
+        if on_step is not None:
+            on_step(step, t, c)
+    if k and keep is None:
+        keep = reduce(times[:k], kept[:k])
+    if keep is None:
+        return c, t, step, trip
+    # the last kept row is the last kept step's, a multiple of every
+    return (kept[keep - 1].copy(), float(times[keep - 1]),
+            step - step % every - every * (k - keep), None)
 
 
 def run_single(
@@ -315,8 +319,7 @@ def run_single(
     start, which keeps resumed CSV output concatenable; residual_history
     carries the (t, l2_sq, h1_sq) tail of the rows already on disk so the
     windowed residual column also continues bitwise.  on_step(step, t, c)
-    runs after each step (the CLI writes its snapshots there) and stops the
-    run by returning True.
+    runs after each step; the CLI writes its snapshots there.
     """
     basis = u0.basis
     stepper = Stepper(model, cfg, basis)
@@ -366,11 +369,11 @@ def run_coupled(
     while full records keep the configured cadence: each block of kept
     pairs is reduced to its series, one batched synthesize and row-wise
     vecdot, bit for bit the values of one step at a time, and to the record
-    rows among its steps.  The series are this run's output, sized by
-    n_steps.  Stops at the first step whose distance is below
-    stop_l1_below, if given: a step whose largest coefficient difference
-    rules that out (see _STOP_GATE) skips the test, and only the others
-    compute their own distance first.
+    rows among its steps.  The series grow a block at a time, so nothing is
+    sized by n_steps.  Stops at the first step whose distance is below
+    stop_l1_below, if given, found in the series of each reduced block (the
+    initial distance is never tested); the pair-steps of that block past
+    the stop, at most one block of them, are computed and discarded.
     """
     if stop_l1_below is not None and not stop_l1_below > 0:
         raise ValueError("stop_l1_below must be positive")
@@ -380,39 +383,36 @@ def run_coupled(
     cap = n_steps // max(record_every, 1) + 4
     bufs = (observables.RecordBuffer(lp_orders, capacity=cap),
             observables.RecordBuffer(lp_orders, capacity=cap))
-    times = np.empty(n_steps + 1)
-    l1 = np.empty(n_steps + 1)
-    h1 = np.empty((2, n_steps + 1))
-    n_fine = stepper.n_fine
-    gate = None if stop_l1_below is None else _STOP_GATE * stop_l1_below
-    done = 0  # steps whose series entries are filled
+    stop = -math.inf if stop_l1_below is None else stop_l1_below
+    parts = []  # per reduced block: its times, l1 and both h1 series
+    done = 0  # steps whose series are reduced
 
     def reduce(ts, pairs):
-        """The series at the block's steps, and the record rows among them."""
+        """The series at the block's steps up to a stop, and the record rows
+        among them; returns the rows kept if the block holds a stop."""
         nonlocal done
-        k = done + len(ts)
-        times[done:k] = ts
-        l1[done:k] = observables.l1_norms(pairs[:, 0] - pairs[:, 1], n_fine)
-        h1[:, done:k] = np.vecdot(pairs * pairs, stepper.neg_lam).T
-        first = -done % record_every
-        if first < len(ts):
-            _record_rows(bufs, stepper, ts[first::record_every], pairs[first::record_every])
-        done = k
-
-    def stop(step, t, c):
-        d = c[0] - c[1]
-        return np.abs(d).max() < gate and observables.l1_norms(d, n_fine) < stop_l1_below
+        l1 = observables.l1_norms(pairs[:, 0] - pairs[:, 1], stepper.n_fine)
+        first = int(not done)  # the initial distance is never tested
+        hit = np.flatnonzero(l1[first:] < stop)
+        keep = first + int(hit[0]) + 1 if hit.size else None
+        ts, pairs, l1 = ts[:keep], pairs[:keep], l1[:keep]
+        parts.append(np.vstack([ts, l1, np.vecdot(pairs * pairs, stepper.neg_lam).T]))
+        rec = -done % record_every
+        if rec < len(ts):
+            _record_rows(bufs, stepper, ts[rec::record_every], pairs[rec::record_every])
+        done += len(ts)
+        return keep
 
     c, t, k, trip = _drive(stepper, np.stack([u0.coeffs, v0.coeffs]),
                            partial(path.ou_increment, model.nu, cfg.dt), n_steps, 0.0, 0, 1,
-                           reduce, None if gate is None else stop)
+                           reduce)
+    times, l1, h1_a, h1_b = np.concatenate(parts, axis=1)
     for buf in bufs:
-        buf.set_column("l1_dist", l1[: k + 1 : record_every])
+        buf.set_column("l1_dist", l1[::record_every])
         _fill_residual_column(buf, model, basis, residual_window)
     states = [State(SpectralField(row, basis), t, k) for row in c]
-    return CoupledRunResult(*bufs, *states, seed=seed, times=times[: k + 1],
-                            l1_series=l1[: k + 1], h1_sq_a=h1[0, : k + 1],
-                            h1_sq_b=h1[1, : k + 1], trip=trip)
+    return CoupledRunResult(*bufs, *states, seed=seed, times=times, l1_series=l1,
+                            h1_sq_a=h1_a, h1_sq_b=h1_b, trip=trip)
 
 
 # --- fixed-realization refinement helpers ---------------------------------

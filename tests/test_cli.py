@@ -307,6 +307,15 @@ dir = {tmp_path / 'cp'}
         assert res["monotone"] and res["reached_target"]
         assert res["final_l1"] < 0.2
 
+    def test_huge_horizon_trip_exits_3(self, tmp_path):
+        # 10^16 pair-steps is a valid step count; the series grow as the
+        # run goes, so it starts and the guard stops it at step 1
+        cfgp = self.make_config(tmp_path, horizon="1e13")
+        cfgp.write_text(cfgp.read_text().replace("dt = 0.001", "dt = 0.001\nguard = 1.0"))
+        assert entry(["couple", "--config", str(cfgp)]) == EXIT_BLOWUP
+        res = json.loads((tmp_path / "cp" / "summary.json").read_text())["results"]
+        assert res["trip"]["reason"] == "guard" and res["steps"] == 0
+
     def test_unreached_epsilon_serializes_as_null(self, tmp_path):
         cfgp = self.make_config(tmp_path, epsilons="1e-9", horizon="0.05")
         assert entry(["couple", "--config", str(cfgp)]) == EXIT_OK

@@ -861,6 +861,21 @@ class TestCoupled:
         assert res.l1_series[-1] < 1e-4
         assert len(res.l1_series) < 50001
 
+    def test_huge_step_count_returns_at_its_stop(self):
+        # the series grow a block at a time: a pair of 10^16 steps that
+        # stops early equals the same run given only the steps it needs
+        basis = ModeBasis(8)
+        args = (silent_model(m=8), SolverConfig(dt=1e-2), mode_field(basis, 1, 1.0),
+                mode_field(basis, 1, -1.0))
+        res = run_coupled(*args, seed=0, n_steps=10**16, stop_l1_below=1.0)
+        ref = run_coupled(*args, seed=0, n_steps=1000, stop_l1_below=1.0)
+        assert 0 < res.state_a.step == ref.state_a.step < 1000 and res.trip is None
+        assert res.l1_series[-1] < 1.0 <= res.l1_series[-2]
+        for a, b in ((res.times, ref.times), (res.l1_series, ref.l1_series),
+                     (res.h1_sq_b, ref.h1_sq_b), (res.state_a.u.coeffs, ref.state_a.u.coeffs),
+                     (res.records_a.column("l2_sq"), ref.records_a.column("l2_sq"))):
+            assert a.tobytes() == b.tobytes()
+
     @pytest.mark.parametrize("stop", [math.nan, 0.0, -1e-3, -math.inf])
     def test_rejects_a_stop_threshold_that_is_not_positive(self, stop):
         # a NaN would pass no step's stop test and run to the horizon
@@ -872,7 +887,7 @@ class TestCoupled:
 
 class TestCoupledSeries:
     """run_coupled's series and records, reduced a block of kept pairs at a
-    time behind the max-coefficient stop test, equal a loop that steps the
+    time, which also finds the stop, equal a loop that steps the
     pair and computes each step's values as it is made, bit for bit,
     wherever a stop or trip falls against the block."""
 
@@ -981,6 +996,88 @@ class TestCoupledSeries:
                 assert buf.column_names() == ref.column_names()
                 for name in buf.column_names():
                     assert buf.column(name).tobytes() == ref.column(name).tobytes(), name
+
+
+class TestCoupledStopInBlock:
+    """run_coupled finds its stop in the series of a reduced block: a trip
+    after the stop in the same block is dropped with the block's later
+    pair-steps, a trip before it still ends the run, and at most one block
+    of pair-steps past the stop is computed; each run equals
+    TestCoupledSeries.reference, bit for bit."""
+
+    MODEL = ModelSpec(0.05, FluxSpec("burgers"), NoiseSpec(c=0.2, q=3.0))
+    SEED, BLOCK = 4, 8  # the second block of 8 pairs holds steps 8 to 15
+
+    def run(self, monkeypatch, u0, v0, n_steps, stop, radius=None, block=None):
+        basis = u0.basis
+        if block is not None:  # blocks of `block` pairs
+            monkeypatch.setattr(integrator, "_RECORD_BLOCK_POINTS",
+                                2 * block * DEFAULT_FINE_FACTOR * basis.m_max)
+        cfg = SolverConfig(dt=1e-3, guard_radius=radius)
+        want = TestCoupledSeries.reference(self.MODEL, cfg, u0, v0, self.SEED, n_steps, stop)
+        got = TestCoupledSeries.outputs(run_coupled(
+            self.MODEL, cfg, u0, v0, seed=self.SEED, n_steps=n_steps,
+            record_every=TestCoupledSeries.RECORD_EVERY,
+            lp_orders=TestCoupledSeries.LP_ORDERS, stop_l1_below=stop))
+        assert got["step"] == want["step"] and got["t"] == want["t"]
+        assert got["trip"] == want["trip"]
+        for key in ("times", "l1", "h1_a", "h1_b", "c"):
+            assert got[key].tobytes() == want[key].tobytes(), key
+        for buf, ref in zip(got["bufs"], want["bufs"]):
+            for name in ref.column_names():
+                assert buf.column(name).tobytes() == ref.column(name).tobytes(), name
+        return got
+
+    def thresholds(self, stop_step, trip_step):
+        """A stop threshold first passed at stop_step and a guard radius
+        first reached at trip_step, from the free run of the small pair."""
+        basis = ModeBasis(8)
+        u0, v0 = random_field(basis, 0, amp=1e-3), random_field(basis, 1, amp=1e-3)
+        free = TestCoupledSeries.reference(self.MODEL, SolverConfig(dt=1e-3), u0, v0,
+                                           self.SEED, 24, None)
+        l1, h1 = free["l1"], np.maximum(free["h1_a"], free["h1_b"])
+        stop = np.nextafter(l1[stop_step], np.inf)
+        assert (l1[1:stop_step] >= stop).all()
+        assert (h1[1:trip_step] < h1[trip_step]).all()
+        return u0, v0, stop, float(h1[trip_step])
+
+    def test_stop_before_a_trip_in_its_block_drops_the_trip(self, monkeypatch):
+        u0, v0, stop, radius = self.thresholds(11, 13)
+        got = self.run(monkeypatch, u0, v0, 24, stop, radius, self.BLOCK)
+        assert got["trip"] is None and got["step"] == 11
+
+    def test_trip_before_a_stop_in_its_block_is_returned(self, monkeypatch):
+        u0, v0, stop, radius = self.thresholds(14, 12)
+        got = self.run(monkeypatch, u0, v0, 24, stop, radius, self.BLOCK)
+        assert got["trip"] is not None and got["trip"].reason == "guard"
+        assert got["step"] == 11
+
+    # the first tested row, and the first and last rows of the second block
+    @pytest.mark.parametrize("block,row", [(0, 1), (1, 0), (1, -1)])
+    def test_wasted_pair_steps_are_under_one_block(self, monkeypatch, block, row):
+        basis = ModeBasis(8)
+        u0, v0 = mode_field(basis, 1, 0.5), mode_field(basis, 1, -0.5)
+        rows = integrator._RECORD_BLOCK_POINTS // (2 * DEFAULT_FINE_FACTOR * basis.m_max)
+        step = block * rows + row % rows
+        n_steps = 2 * rows + 8
+        free = TestCoupledSeries.reference(self.MODEL, SolverConfig(dt=1e-3), u0, v0,
+                                           self.SEED, n_steps, None)
+        stop = np.nextafter(free["l1"][step], np.inf)
+        assert (free["l1"][1:step] >= stop).all()
+        calls = []
+        advance = Stepper.advance
+
+        def counted(stepper, c, xi):
+            calls.append(1)
+            return advance(stepper, c, xi)
+
+        with monkeypatch.context() as mp:
+            mp.setattr(Stepper, "advance", counted)
+            res = run_coupled(self.MODEL, SolverConfig(dt=1e-3), u0, v0, seed=self.SEED,
+                              n_steps=n_steps, stop_l1_below=stop)
+        assert res.state_a.step == step
+        assert len(calls) <= step + rows - 1
+        self.run(monkeypatch, u0, v0, n_steps, stop)
 
 
 class TestTripMidBlock:

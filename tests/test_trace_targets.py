@@ -78,28 +78,18 @@ def test_step_path_calls_the_traced_kernels(monkeypatch, scheme, per_advance):
 @pytest.mark.parametrize("stop", [None, 0.05])
 def test_coupled_series_synthesizes_once_per_block(monkeypatch, stop):
     # a zero flux makes no transform in the step, so every synthesize call
-    # is the coupled series': one per block of kept pairs and one per step
-    # whose largest coefficient difference lets it pass the stop threshold,
-    # not one per step
+    # is the coupled series': exactly one per block of kept pairs, which
+    # also finds the stop, not one per step
     counts = _count_kernel_calls(monkeypatch)
     basis = ModeBasis(16)
     model = ModelSpec(0.1, FluxSpec("zero"), NoiseSpec(sigma=np.zeros(16)))
     cfg = SolverConfig(dt=1e-3)
-    u0, v0 = mode_field(basis, 1, 1.0), mode_field(basis, 1, -1.0)
-    res = run_coupled(model, cfg, u0, v0, seed=0, n_steps=2000, record_every=2000,
-                      stop_l1_below=stop)
+    res = run_coupled(model, cfg, mode_field(basis, 1, 1.0), mode_field(basis, 1, -1.0),
+                      seed=0, n_steps=2000, record_every=2000, stop_l1_below=stop)
     steps = res.state_a.step
     assert (steps < 2000) == (stop is not None)
-    # the same states, stepped here without the run's series
-    stepper, c, gated = Stepper(model, cfg, basis), np.stack([u0.coeffs, v0.coeffs]), 0
-    gate = -np.inf if stop is None else integrator._STOP_GATE * stop
-    for _ in range(steps):
-        c = stepper.advance(c, np.zeros(16))
-        gated += bool(np.abs(c[0] - c[1]).max() < gate)
-    rows = integrator._RECORD_BLOCK_POINTS // (2 * stepper.n_fine)  # (2, m) rows
-    blocks = -(-(steps + 1) // rows)
-    assert counts["synthesize"] == blocks + gated
-    assert counts["synthesize"] < steps // 10
+    rows = integrator._RECORD_BLOCK_POINTS // (2 * Stepper(model, cfg, basis).n_fine)
+    assert counts["synthesize"] == -(-(steps + 1) // rows)
 
 
 @pytest.mark.parametrize("coupled", [False, True])
