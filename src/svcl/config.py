@@ -209,8 +209,16 @@ class _Reader:
             self.violations.append(f"{sec}.{key}: expected {kind}, got {raw!r} ({e})")
             return default
 
+    def _finite(self, sec, key, default, convert, kind):
+        # float() reads nan and +-inf, which no key can hold
+        value = self._typed(sec, key, default, convert, kind)
+        if value is None or np.isfinite(value).all():
+            return value
+        self.violations.append(f"{sec}.{key}: must be finite (got {self._raw(sec, key)})")
+        return default
+
     def float(self, sec, key, default):
-        return self._typed(sec, key, default, float, "a number")
+        return self._finite(sec, key, default, float, "a number")
 
     def int(self, sec, key, default):
         # base-10 only: float round-trip would corrupt large 64-bit seeds
@@ -220,7 +228,7 @@ class _Reader:
         return self._typed(sec, key, default, str, "a string")
 
     def floats(self, sec, key, default):
-        return self._typed(sec, key, default, _parse_floats, "a number list")
+        return self._finite(sec, key, default, _parse_floats, "a number list")
 
     def ints(self, sec, key, default):
         return self._typed(sec, key, default, _parse_ints, "an integer list")

@@ -119,16 +119,11 @@ def tightness_diagnostic(run, model: ModelSpec, epsilons,
 
 @dataclass
 class CouplingReport:
-    seed: int
-    u0_descriptor: str
-    v0_descriptor: str
     times: np.ndarray = field(repr=False)
     l1_series: np.ndarray = field(repr=False)
     first_passage: dict  # epsilon -> first time l1 < epsilon (nan if never)
-    guard_radius: float | None
     initial_distance: float
     final_distance: float
-    horizon: float
     reached_target: bool  # went below min(epsilons) inside the horizon
     monotone: bool  # non-increasing within 1e-8 of the current value
     trip_time: float  # nan unless a guard/overflow trip ended the run
@@ -151,12 +146,6 @@ def coupling_passage(times, l1, epsilons) -> tuple[dict, bool, bool]:
     return first, monotone, bool(l1[-1] < eps[-1])
 
 
-def _descriptor(u: SpectralField) -> str:
-    l2 = float(np.dot(u.coeffs, u.coeffs))
-    lead = int(np.argmax(np.abs(u.coeffs)))
-    return f"m_max={u.basis.m_max} l2_sq={l2:.6g} lead_coeff[{lead}]={u.coeffs[lead]:.6g}"
-
-
 def confluence_experiment(u0: SpectralField, v0: SpectralField, model: ModelSpec,
                           cfg: SolverConfig, seed: int, epsilons,
                           horizon: float) -> CouplingReport:
@@ -173,16 +162,11 @@ def confluence_experiment(u0: SpectralField, v0: SpectralField, model: ModelSpec
     times = res.times
     first, monotone, reached = coupling_passage(times, l1, eps)
     return CouplingReport(
-        seed=seed,
-        u0_descriptor=_descriptor(u0),
-        v0_descriptor=_descriptor(v0),
         times=times,
         l1_series=l1,
         first_passage=first,
-        guard_radius=cfg.guard_radius,
         initial_distance=float(l1[0]),
         final_distance=float(l1[-1]),
-        horizon=float(n_steps) * cfg.dt,
         reached_target=reached,
         monotone=monotone,
         trip_time=res.trip.t if res.trip is not None else float("nan"),

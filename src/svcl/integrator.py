@@ -421,20 +421,14 @@ def run_coupled(
 def convolution_grid(path: NoisePath, nu: float, dt: float, n: int) -> np.ndarray:
     """w(t_i) on the step grid, i = 0..n, from w(t_0) = 0 and a fork of the path.
 
-    The exact transition w' = exp(nu lam dt) w + xi for diagonal noise; for
-    a dense covariance the Euler-Maruyama step w' = w + nu lam w dt + dW,
-    with the path's own increments.
+    The exact transition w' = exp(nu lam dt) w + xi, with the path's own
+    increments.
     """
     p = path.fork()
-    lam = p.basis.eigenvalues
+    decay = np.exp(nu * p.basis.eigenvalues * dt)
     w = np.zeros((n + 1, p.basis.m_max))
-    if p.spec.diagonal:
-        decay = np.exp(nu * lam * dt)
-        for i in range(n):
-            w[i + 1] = decay * w[i] + p.ou_increment(nu, dt)
-    else:
-        for i in range(n):
-            w[i + 1] = w[i] + nu * lam * w[i] * dt + p.ou_increment(nu, dt)
+    for i in range(n):
+        w[i + 1] = decay * w[i] + p.ou_increment(nu, dt)
     return w
 
 

@@ -14,12 +14,10 @@ on:
 * coupled trajectories share one path object and therefore one realization,
 * resuming at step n only requires setting the draw index to n.
 
-The stochastic convolution w(t) = int_0^t S_{t-s} dW(s) is advanced by its
-exact Gaussian transition for diagonal covariance: mode m picks up the
-decay factor exp(nu lam_m dt) plus fresh noise of variance
-sigma_m^2 (1 - exp(2 nu lam_m dt)) / (-2 nu lam_m).  A dense covariance
-matrix G[k][m] falls back to Euler-Maruyama with distributional error
-O(dt) instead of zero.
+The covariance is diagonal in the sine/cosine basis, so the stochastic
+convolution w(t) = int_0^t S_{t-s} dW(s) is advanced by its exact Gaussian
+transition: mode m picks up the decay factor exp(nu lam_m dt) plus fresh
+noise of variance sigma_m^2 (1 - exp(2 nu lam_m dt)) / (-2 nu lam_m).
 """
 
 from __future__ import annotations
@@ -37,21 +35,16 @@ MIN_PROFILE_Q = 2.5
 
 @dataclass
 class NoiseSpec:
-    """Spectral noise description: explicit sigma array, (c, q) profile with
-    sigma_m = c (1 + mp)^(-q), or a dense covariance factor G[k][m]."""
+    """Spectral noise description: explicit sigma array or (c, q) profile
+    with sigma_m = c (1 + mp)^(-q)."""
 
     sigma: np.ndarray | None = None
     c: float | None = None
     q: float | None = None
-    matrix: np.ndarray | None = None
 
     def __post_init__(self):
-        given = [self.sigma is not None, self.c is not None or self.q is not None,
-                 self.matrix is not None]
-        if sum(given) != 1:
-            raise ValueError(
-                "specify exactly one of: sigma array, (c, q) profile, matrix"
-            )
+        if (self.sigma is not None) == (self.c is not None or self.q is not None):
+            raise ValueError("specify exactly one of: sigma array, (c, q) profile")
         if self.sigma is not None:
             self.sigma = np.asarray(self.sigma, dtype=float)
             if np.any(self.sigma < 0):
@@ -66,19 +59,9 @@ class NoiseSpec:
                     f"H2 trace diverges under the lam_m^2 weight: profile "
                     f"q = {self.q} must exceed {MIN_PROFILE_Q}"
                 )
-        if self.matrix is not None:
-            self.matrix = np.atleast_2d(np.asarray(self.matrix, dtype=float))
-
-    @property
-    def diagonal(self) -> bool:
-        return self.matrix is None
 
     def resolve(self, basis: ModeBasis) -> np.ndarray:
-        """Per-mode amplitudes sigma_m on the given basis.
-
-        For a dense matrix this returns the effective marginal amplitudes
-        sqrt(sum_k G[k][m]^2), which set variances but not correlations.
-        """
+        """Per-mode amplitudes sigma_m on the given basis."""
         if self.sigma is not None:
             if len(self.sigma) != basis.m_max:
                 raise ValueError(
@@ -86,10 +69,6 @@ class NoiseSpec:
                     f"{basis.m_max} modes"
                 )
             return self.sigma.copy()
-        if self.matrix is not None:
-            if self.matrix.shape[1] != basis.m_max:
-                raise ValueError("matrix column count must equal m_max")
-            return np.sqrt(np.sum(self.matrix**2, axis=0))
         return self.c * (1.0 + basis.pair_index) ** (-self.q)
 
 
@@ -100,12 +79,8 @@ class TraceInfo(NamedTuple):
 
 def trace_h2(spec: NoiseSpec, basis: ModeBasis) -> TraceInfo:
     """H2 and L2 traces of the covariance on the retained band."""
-    lam2 = basis.eigenvalues**2
-    if spec.matrix is not None:
-        col = np.sum(spec.matrix**2, axis=0)
-        return TraceInfo(float(np.sum(lam2 * col)), float(np.sum(col)))
     sig2 = spec.resolve(basis) ** 2
-    return TraceInfo(float(np.sum(lam2 * sig2)), float(np.sum(sig2)))
+    return TraceInfo(float(np.sum(basis.eigenvalues**2 * sig2)), float(np.sum(sig2)))
 
 
 class NoisePath:
@@ -127,7 +102,6 @@ class NoisePath:
         self.seed = int(seed) & (2**64 - 1)
         self.sigma = spec.resolve(basis)
         self.draw_index = 0
-        self._n_draws = spec.matrix.shape[0] if spec.matrix is not None else basis.m_max
         self._bg = np.random.Philox(key=self.seed)
         self._gen = np.random.Generator(self._bg)
         self._counter = [0, 0, 0, 0]  # block sets [1], the draw index
@@ -146,27 +120,14 @@ class NoisePath:
         """The fixed Gaussian block of draw index `index` (pure lookup)."""
         self._counter[1] = index
         self._bg.state = self._state
-        return self._gen.standard_normal(self._n_draws)
-
-    def wiener_increment(self, dt: float) -> np.ndarray:
-        """Raw increment W(t+dt) - W(t): mode variance sigma_m^2 dt."""
-        z = self.block(self.draw_index)
-        self.draw_index += 1
-        if self.spec.matrix is not None:
-            return np.sqrt(dt) * (z @ self.spec.matrix)
-        return np.sqrt(dt) * self.sigma * z
+        return self._gen.standard_normal(self.basis.m_max)
 
     def ou_increment(self, nu: float, dt: float) -> np.ndarray:
         """Draw one step's fresh-noise part of the convolution,
         w(t+dt) - exp(nu lam dt) w(t), exactly what the integrator adds:
         the step's block times the per-mode std, cached for the last
         (nu, dt).
-
-        Dense covariance has no diagonal transition, so it falls back to the
-        Euler-Maruyama increment, the raw Wiener increment.
         """
-        if self.spec.matrix is not None:
-            return self.wiener_increment(dt)
         if self._ou_key != (nu, dt):
             lam = self.basis.eigenvalues
             var = self.sigma**2 * (1.0 - np.exp(2.0 * nu * lam * dt)) / (-2.0 * nu * lam)

@@ -105,7 +105,8 @@ class Workspace:
     """Preallocated buffers for `synthesize` and `analyze` of one block shape
     (..., m_max) on an n-point grid, with their pair views, scale pairs and
     rfft kernel made once; the constructor makes the grid check the calls
-    on it then skip.
+    on it then skip.  A call without a workspace builds a fresh one, so its
+    result is a fresh array.
 
     The padded spectrum is zero outside the band bins 1..m_max/2, and every
     call overwrites all of those bins, so nothing carries over from one call
@@ -127,50 +128,34 @@ class Workspace:
         self.coeff_pairs = _pairs(self.coeffs, k)
         self.pack, self.unpack = _scales(n)
         self.inv_n = 1.0 / n
-        # np.fft.rfft's kernel: the even or odd one by n
+        # np.fft.rfft's call: no norm, the even or odd kernel by n
         self.rfft = _pocketfft.rfft_n_even if n % 2 == 0 else _pocketfft.rfft_n_odd
 
 
 def synthesize(coeffs: np.ndarray, n: int, work: Workspace | None = None) -> np.ndarray:
     """Evaluate coefficient vectors (last axis) on the grid j/n, j = 0..n-1.
 
-    Each row of a block comes out bitwise equal to its own call, and a call
-    on a workspace (built for coeffs' shape and n, which it checked)
-    bitwise equal to one without.  Used by the dealiased nonlinear term and
-    every quadrature-based observable.  Requires n >= m_max + 2.
+    Each row of a block comes out bitwise equal to its own call.  Without a
+    workspace (one built for coeffs' shape and n) the call builds its own,
+    which checks n >= m_max + 2.  Used by the dealiased nonlinear term and
+    every quadrature-based observable.
     """
-    if work is not None:
-        np.multiply(coeffs.reshape(work.pair_shape), work.pack, out=work.padded_band)
-        return _pocketfft.irfft(work.padded, work.inv_n, out=work.samples)
-    m_max = coeffs.shape[-1]
-    k = m_max // 2
-    if n < m_max + 2:
-        raise ValueError("grid too coarse for the retained band")
-    lead = coeffs.shape[:-1]
-    spec = np.zeros((*lead, n // 2 + 1), dtype=complex)
-    np.multiply(_pairs(coeffs, k), _scales(n)[0], out=_band(spec, k))
+    if work is None:
+        work = Workspace(coeffs.shape, n)
+    np.multiply(coeffs.reshape(work.pair_shape), work.pack, out=work.padded_band)
     # np.fft.irfft's call: the 1/n norm, with n taken from out
-    return _pocketfft.irfft(spec, 1.0 / n, out=np.empty((*lead, n)))
+    return _pocketfft.irfft(work.padded, work.inv_n, out=work.samples)
 
 
 def analyze(samples: np.ndarray, m_max: int, work: Workspace | None = None) -> np.ndarray:
     """Project samples (last axis) onto the first m_max modes; the mean is
-    dropped.  On a workspace (built for m_max and the samples' grid) the
-    result is its buffer, bitwise equal to the allocating call."""
-    if work is not None:
-        work.rfft(samples, 1, out=work.spectrum)
-        np.multiply(work.spectrum_band, work.unpack, out=work.coeff_pairs)
-        return work.coeffs
-    n = samples.shape[-1]
-    k = m_max // 2
-    if n < m_max + 2:
-        raise ValueError("grid too coarse for the retained band")
-    lead = samples.shape[:-1]
-    spec, coeffs = np.empty((*lead, n // 2 + 1), dtype=complex), np.empty((*lead, m_max))
-    # np.fft.rfft's call: no norm, the even or odd kernel by n
-    (_pocketfft.rfft_n_even if n % 2 == 0 else _pocketfft.rfft_n_odd)(samples, 1, out=spec)
-    np.multiply(_band(spec, k), _scales(n)[1], out=_pairs(coeffs, k))
-    return coeffs
+    dropped.  Without a workspace (one built for m_max and the samples'
+    grid) the call builds its own."""
+    if work is None:
+        work = Workspace((*samples.shape[:-1], m_max), samples.shape[-1])
+    work.rfft(samples, 1, out=work.spectrum)
+    np.multiply(work.spectrum_band, work.unpack, out=work.coeff_pairs)
+    return work.coeffs
 
 
 def pair_weights(w: np.ndarray) -> np.ndarray:

@@ -210,8 +210,10 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("flags,violation", [
         (["--modes", "3"], "solver.modes: need an even number"),
-        (["--horizon", "inf"], "experiment.horizon: horizon / dt is not a finite step count"),
+        (["--horizon", "1e300", "--dt", "1e-320"],
+         "experiment.horizon: horizon / dt is not a finite step count"),
         (["--horizon", "1e300"], "horizon / dt = 1e+303 steps is not below 2^64"),
+        (["--nu", "inf"], "model.nu: must be finite (got inf)"),
     ])
     def test_unrunnable_grid_exits_2_and_lists_it(self, ini, capsys, flags, violation):
         assert entry(["run", "--config", str(ini), *flags]) == EXIT_CONFIG

@@ -174,13 +174,35 @@ class TestValidation:
 
     def test_non_finite_step_count_is_a_listed_violation(self):
         # horizon / dt past the float range has no step count to round
-        for horizon, dt in (("inf", "0.001"), ("1e300", "1e-320")):
+        with pytest.raises(ConfigError) as exc:
+            parse_config_text("[model]\nnu = -1\n[solver]\ndt = 1e-320\n"
+                              "[experiment]\nhorizon = 1e300\n")
+        assert len(exc.value.violations) == 2
+        assert exc.value.violations[1].startswith(
+            "experiment.horizon: horizon / dt is not a finite step count")
+
+    def test_non_finite_numbers_are_listed_violations(self):
+        # float() reads nan and +-inf; each number key refuses them as a
+        # listed violation instead of running into a trip at t = 0
+        for text, overrides, want in (
+                ("", {"noise_profile": "nan,3"}, "noise.c: must be finite (got nan)"),
+                ("", {"noise_profile": "0.5,nan"}, "noise.q: must be finite (got nan)"),
+                ("", {"noise_profile": "inf,3"}, "noise.c: must be finite (got inf)"),
+                ("", {"flux": "polynomial:0,0,nan"},
+                 "model.flux_coefficients: must be finite (got 0,0,nan)"),
+                ("[initial]\nkind = mode\namplitude = nan\n", {},
+                 "initial.amplitude: must be finite (got nan)"),
+                ("", {"nu": "inf"}, "model.nu: must be finite (got inf)"),
+                ("[noise]\nsigma = 1,-inf\n[solver]\nmodes = 2\n", {},
+                 "noise.sigma: must be finite (got 1,-inf)")):
             with pytest.raises(ConfigError) as exc:
-                parse_config_text(f"[model]\nnu = -1\n[solver]\ndt = {dt}\n"
-                                  f"[experiment]\nhorizon = {horizon}\n")
-            assert len(exc.value.violations) == 2
-            assert exc.value.violations[1].startswith(
-                "experiment.horizon: horizon / dt is not a finite step count")
+                parse_config_text(text, overrides)
+            assert want in exc.value.violations
+        with pytest.raises(ConfigError) as exc:
+            parse_config_text("[model]\nnu = -1\n[solver]\ndt = 0.001\n"
+                              "[experiment]\nhorizon = inf\n")
+        assert exc.value.violations == ["model.nu: nu > 0 is violated (got -1.0)",
+                                         "experiment.horizon: must be finite (got inf)"]
 
     def test_step_count_past_64_bits_is_a_listed_violation(self):
         # a snapshot stores the step as an unsigned 64-bit integer

@@ -68,14 +68,6 @@ class TestNoiseSpec:
         assert tr.l2 == pytest.approx(np.sum(sig**2), rel=1e-13)
         assert tr.h2 == pytest.approx(np.sum(basis.eigenvalues**2 * sig**2), rel=1e-13)
 
-    def test_dense_matrix_traces(self):
-        basis = ModeBasis(4)
-        G = np.array([[0.5, 0.3, 0.0, 0.0], [0.0, 0.2, 0.1, 0.0]])
-        tr = trace_h2(NoiseSpec(matrix=G), basis)
-        col = np.sum(G**2, axis=0)
-        assert tr.l2 == pytest.approx(np.sum(col), rel=1e-13)
-        assert tr.h2 == pytest.approx(np.sum(basis.eigenvalues**2 * col), rel=1e-13)
-
 
 class TestDrawDiscipline:
     def test_same_seed_bitwise_identical(self):
@@ -84,13 +76,13 @@ class TestDrawDiscipline:
         a = NoisePath(spec, basis, 123)
         b = NoisePath(spec, basis, 123)
         for _ in range(50):
-            assert np.array_equal(a.wiener_increment(0.01), b.wiener_increment(0.01))
+            assert np.array_equal(a.ou_increment(0.1, 0.01), b.ou_increment(0.1, 0.01))
 
     def test_different_seeds_differ(self):
         basis = ModeBasis(8)
         spec = NoiseSpec(c=1.0, q=3.0)
-        a = NoisePath(spec, basis, 1).wiener_increment(0.01)
-        b = NoisePath(spec, basis, 2).wiener_increment(0.01)
+        a = NoisePath(spec, basis, 1).ou_increment(0.1, 0.01)
+        b = NoisePath(spec, basis, 2).ou_increment(0.1, 0.01)
         assert not np.array_equal(a, b)
 
     def test_block_matches_fresh_construction(self):
@@ -126,8 +118,8 @@ class TestDrawDiscipline:
         full = NoisePath(NoiseSpec(sigma=[1.0, 1.0, 1.0, 1.0, 1.0, 1.0]), basis, 9)
         sparse = NoisePath(NoiseSpec(sigma=[1.0, 0.0, 1.0, 0.0, 0.0, 1.0]), basis, 9)
         for _ in range(20):
-            a = full.wiener_increment(0.05)
-            b = sparse.wiener_increment(0.05)
+            a = full.ou_increment(0.1, 0.05)
+            b = sparse.ou_increment(0.1, 0.05)
             assert b[1] == 0.0 and b[3] == 0.0 and b[4] == 0.0
             for m in (0, 2, 5):
                 assert a[m] == b[m]
@@ -136,11 +128,23 @@ class TestDrawDiscipline:
         basis = ModeBasis(4)
         spec = NoiseSpec(c=1.0, q=3.0)
         a = NoisePath(spec, basis, 5)
-        seq = [a.wiener_increment(0.01) for _ in range(10)]
+        seq = [a.ou_increment(0.1, 0.01) for _ in range(10)]
         b = NoisePath(spec, basis, 5)
         b.draw_index = 6
         for k in range(6, 10):
-            assert np.array_equal(b.wiener_increment(0.01), seq[k])
+            assert np.array_equal(b.ou_increment(0.1, 0.01), seq[k])
+
+    @pytest.mark.parametrize("m", [2, 8, 16, 64])
+    def test_mode_draw_does_not_depend_on_the_truncation(self, m):
+        """A mode's increment depends only on (seed, mode, step): at every m
+        the shared modes get the m=128 increment bit for bit, so one noise
+        path serves every Galerkin truncation."""
+        spec = NoiseSpec(c=0.5, q=3.0)
+        paths = [NoisePath(spec, ModeBasis(k), 5) for k in (m, 128)]
+        for p in paths:
+            p.draw_index = 11
+        got, full = (p.ou_increment(0.05, 1e-3) for p in paths)
+        assert got.tobytes() == full[:m].tobytes()
 
     def test_fork_continues_identically(self):
         basis = ModeBasis(4)
@@ -160,44 +164,41 @@ class TestDrawDiscipline:
 
 
 class TestWienerIncrements:
+    """One step's fresh noise, the Wiener increments as the exact OU
+    transition integrates them."""
+
     def test_variance_matches_sigma(self):
+        """Mode variance sigma^2 (1 - exp(2 nu lam dt)) / (-2 nu lam)."""
         basis = ModeBasis(4)
         path = NoisePath(NoiseSpec(sigma=[2.0, 1.0, 0.5, 0.0]), basis, 202)
-        dt = 0.02
-        draws = np.array([path.wiener_increment(dt) for _ in range(40000)])
+        nu, dt = 0.1, 0.02
+        lam = basis.eigenvalues
+        draws = np.array([path.ou_increment(nu, dt) for _ in range(40000)])
         var = draws.var(axis=0)
-        expected = np.array([4.0, 1.0, 0.25, 0.0]) * dt
+        expected = (np.array([4.0, 1.0, 0.25, 0.0]) * (1.0 - np.exp(2.0 * nu * lam * dt))
+                    / (-2.0 * nu * lam))
         # relative SE of a variance estimate at n = 4e4 is sqrt(2/n) ~ 0.7%
         assert np.allclose(var[:3], expected[:3], rtol=0.05)
         assert var[3] == 0.0
 
     def test_h2_pairing_variance(self):
-        """<W(t), u>_H2 has variance t sum_k <g_k, u>_H2^2 for a unit H2 vector."""
+        """<w(t), u>_H2 has variance sum_k <g_k, u>_H2^2 (1 - exp(2 nu lam_k t))
+        / (-2 nu lam_k) for a unit H2 vector: the exact OU law at t."""
         basis = ModeBasis(4)
         sig = np.array([1.0, 0.5, 0.25, 0.0])
         lam = basis.eigenvalues
         u = np.array([0.6, 0.8, 0.3, -0.2])
         u = u / np.sqrt(np.sum(lam**2 * u**2))  # unit in H2
-        t, n_steps, n_paths = 0.1, 5, 3000
+        nu, t, n_steps, n_paths = 0.1, 0.1, 5, 3000
         dt = t / n_steps
         vals = np.empty(n_paths)
         for k in range(n_paths):
             path = NoisePath(NoiseSpec(sigma=sig), basis, 1000 + k)
-            w = np.zeros(4)
-            for _ in range(n_steps):
-                w += path.wiener_increment(dt)
+            w = convolution_grid(path, nu, dt, n_steps)[-1]
             vals[k] = np.sum(lam**2 * w * u)
-        expected = t * np.sum((lam**2 * sig * u) ** 2)
+        expected = np.sum((lam**2 * sig * u) ** 2 * (1.0 - np.exp(2.0 * nu * lam * t))
+                          / (-2.0 * nu * lam))
         assert vals.var() == pytest.approx(expected, rel=0.1)
-
-    def test_dense_matrix_covariance(self):
-        basis = ModeBasis(4)
-        G = np.array([[0.5, 0.3, 0.0, 0.0], [0.0, 0.2, 0.1, 0.0]])
-        path = NoisePath(NoiseSpec(matrix=G), basis, 11)
-        dt = 0.1
-        draws = np.array([path.wiener_increment(dt) for _ in range(30000)])
-        cov = np.cov(draws.T) / dt
-        assert np.allclose(cov, G.T @ G, atol=0.01)
 
 
 class TestOUConvolution:
@@ -246,29 +247,21 @@ class TestOUConvolution:
         silent = NoisePath(NoiseSpec(sigma=[0.0, 0.0, 0.0, 0.0]), basis, 1)
         assert np.all(convolution_grid(silent, 2.0, 0.003, 3) == 0.0)
 
-    @pytest.mark.parametrize("dense", [False, True])
-    def test_grid_equals_tracked_recursion_bitwise(self, dense):
+    def test_grid_equals_tracked_recursion_bitwise(self):
         """convolution_grid equals the convolution tracked draw by draw with
-        the same operations: exp(nu lam dt) w + xi on the diagonal path, the
-        Euler drift w + nu lam w dt + dW on the dense one."""
+        the same operations, exp(nu lam dt) w + xi."""
         basis = ModeBasis(8)
-        spec = (NoiseSpec(matrix=np.random.default_rng(4).standard_normal((3, 8)))
-                if dense else NoiseSpec(c=0.7, q=3.0))
+        spec = NoiseSpec(c=0.7, q=3.0)
         nu, dt, n = 0.3, 0.01, 50
         path = NoisePath(spec, basis, 12)
         path.draw_index = 7
         lam = basis.eigenvalues
+        sig = spec.resolve(basis)
+        std = np.sqrt(sig**2 * (1.0 - np.exp(2.0 * nu * lam * dt)) / (-2.0 * nu * lam))
         want = np.zeros((n + 1, 8))
         draws = NoisePath(spec, basis, 12)
         for i in range(n):
-            z = draws.block(7 + i)
-            w = want[i]
-            if dense:
-                want[i + 1] = w + nu * lam * w * dt + np.sqrt(dt) * (z @ spec.matrix)
-            else:
-                sig = spec.resolve(basis)
-                std = np.sqrt(sig**2 * (1.0 - np.exp(2.0 * nu * lam * dt)) / (-2.0 * nu * lam))
-                want[i + 1] = np.exp(nu * lam * dt) * w + std * z
+            want[i + 1] = np.exp(nu * lam * dt) * want[i] + std * draws.block(7 + i)
         got = convolution_grid(path, nu, dt, n)
         assert got.tobytes() == want.tobytes()
         assert path.draw_index == 7  # the grid is drawn from a fork
