@@ -298,13 +298,17 @@ def parse_config_text(text: str, overrides=None) -> RunConfig:
     r.require(nu > 0, f"model.nu: nu > 0 is violated (got {nu})")
 
     flux_kind = r.str("model", "flux", "burgers")
-    flux_coeffs = r.floats("model", "flux_coefficients", ())
+    flux_coeffs = r.floats("model", "flux_coefficients", None)
+    # an unreadable list is listed already: asking for coefficients would list it twice
+    unread = flux_coeffs is None and r.has("model", "flux_coefficients")
+    flux_coeffs = flux_coeffs or ()
     if r.require(flux_kind in CONFIG_FLUX_KINDS,
                  f"model.flux: unknown kind {flux_kind!r}, "
                  f"choose from {CONFIG_FLUX_KINDS}"):
         if flux_kind == "polynomial":
-            if r.require(len(flux_coeffs) > 0,
-                         "model.flux_coefficients: polynomial flux requires coefficients"):
+            if not unread and r.require(
+                    len(flux_coeffs) > 0,
+                    "model.flux_coefficients: polynomial flux requires coefficients"):
                 try:
                     FluxSpec("polynomial", coefficients=np.asarray(flux_coeffs))
                 except ValueError as e:

@@ -104,6 +104,7 @@ class Stepper:
         self.neg_dx = pair_weights(-basis.wavenumbers)  # rotate_pairs weights of -d/dx
         self._midpoint = cfg.scheme == "exp_midpoint_flux"
         self._plans = {}  # block shape -> (Workspace, reversed pairs, flux buffer)
+        self._lp_plan = None  # (coefficient block, n_fine Workspace, power buffer)
 
     def _plan(self, shape: tuple):
         work = Workspace(shape, self._n_pad)
@@ -154,6 +155,23 @@ class Stepper:
         out += self.decay * c
         out += xi
         return out
+
+    def lp_means(self, c: np.ndarray, orders) -> list:
+        """Mean of |u|^p on the n_fine grid for each row of c (k, m), one
+        column per order p, each row bitwise equal to its own call.  The rows
+        go through buffers built for the largest k met (zero past k), so
+        record blocks allocate no sample-sized temporaries."""
+        k = len(c)
+        if self._lp_plan is None or len(self._lp_plan[0]) < k:
+            work = Workspace(c.shape, self.n_fine)
+            self._lp_plan = (np.empty(c.shape), work, np.empty(work.samples.shape))
+        block, work, power = self._lp_plan
+        block[:k], block[k:] = c, 0.0
+        vals = np.abs(synthesize(block, self.n_fine, work), out=work.samples)[:k]
+        power = power[:k]
+        # vals**p into one buffer: ** squares for p = 2 and calls np.power otherwise
+        return [np.mean(np.square(vals, out=power) if p == 2 else np.power(vals, p, out=power),
+                        axis=-1) for p in orders]
 
     def h1_sq(self, c: np.ndarray) -> float:
         return float(np.dot(self.neg_lam, c * c))
@@ -212,8 +230,7 @@ def _record_rows(bufs, stepper: Stepper, times, states):
     cc = c * c
     cols = [np.vecdot(c, c), np.vecdot(cc, stepper.neg_lam), np.vecdot(cc, stepper.lam_sq)]
     if bufs[0].lp_orders:
-        vals = np.abs(synthesize(c, stepper.n_fine))
-        cols += [np.mean(vals**p, axis=-1) for p in bufs[0].lp_orders]
+        cols += stepper.lp_means(c, bufs[0].lp_orders)
     cols = [col.reshape(n, n_bufs) for col in cols]
     r = stepper.cfg.guard_radius
     for i, buf in enumerate(bufs):
@@ -229,16 +246,19 @@ def _fill_residual_column(buf, model, basis, window, history=None):
     (t, l2_sq, h1_sq) rows that precede this buffer (a resumed segment seeds
     it from the tail of the existing CSV), and each window sum runs over the
     same rows in the same order an uninterrupted run would use, so resumed
-    rows come out bitwise identical.
+    rows come out bitwise identical.  Only the buffer's first `window` rows
+    reach back into the history, so only they are joined to its last
+    `window` rows.
     """
     cols = [buf.column(k) for k in ("t", "l2_sq", "h1_sq")]
-    off = 0
-    if history is not None:
-        off = len(history[0])
-        cols = [np.concatenate([np.asarray(h, dtype=float), c])
-                for h, c in zip(history, cols)]
-    buf.set_column("energy_residual", observables.balance_residuals(
-        *cols, window, model.nu, trace_h2(model.noise, basis).l2, first=off))
+    hist = [np.asarray(h, dtype=float)[-window:] for h in history or ((), (), ())]
+    head = [np.concatenate([h, c[:window]]) for h, c in zip(hist, cols)]
+    tr = trace_h2(model.noise, basis).l2
+    res = buf.column("energy_residual")
+    res[:window] = observables.balance_residuals(*head, window, model.nu, tr,
+                                                 first=len(hist[0]))
+    if len(buf) > window:
+        res[window:] = observables.balance_residuals(*cols, window, model.nu, tr, first=window)
 
 
 # a blow-up is found from the step output, so the kernels may meet inf and
@@ -330,6 +350,7 @@ def run_single(
                               partial(path.ou_increment, model.nu, cfg.dt), n_steps, t0,
                               step0, record_every, partial(_record_rows, (buf,), stepper),
                               on_step)
+    del stepper  # its Lp buffers go before the residual fill's
     _fill_residual_column(buf, model, basis, residual_window, residual_history)
     return RunResult(records=buf, state=State(SpectralField(c, basis), t, step),
                      seed=seed, trip=trip)

@@ -23,6 +23,9 @@ from .spectral import SpectralField, synthesize
 FLOAT_FMT = "%.17g"
 CSV_CHUNK_ROWS = 4096  # rows rendered per write, so memory does not grow with the run
 DEFAULT_FINE_FACTOR = 8  # quadrature grid for L1/Lp rendering, per m_max
+# trapezoid areas one block of balance residual windows copies: bounds the
+# residual fill's temporaries whatever the run length or window
+_BLOCK_POINTS = 1 << 15
 
 
 class RecordBuffer:
@@ -151,26 +154,39 @@ def balance_residuals(t, l2, h1, window, nu, trace, first=0) -> np.ndarray:
     Row 0 has no window and is nan, as is a row whose window is still
     filling and spans no time.  Each window sum runs over the same
     trapezoid areas in the same order wherever the row sits, so a residual
-    does not depend on how the stream was split into segments.
+    does not depend on how the stream was split into segments (but for the
+    sign of a nan met with a nan, which numpy's SIMD loops take from one
+    operand or the other by the element's position in the call).
+
+    Full windows are summed in blocks of max(1, _BLOCK_POINTS // window)
+    rows, each from the trapezoid areas of its own input rows alone, so
+    besides the output column the temporaries hold a few times
+    max(_BLOCK_POINTS, window) floats whatever the stream's length (under
+    1 MiB for windows up to _BLOCK_POINTS).
     """
-    seg = 0.5 * (h1[1:] + h1[:-1]) * np.diff(t)  # per-interval trapezoid areas
     n = len(t)
     res = np.full(n - first, np.nan)
     nu2 = 2.0 * nu
-    for i in range(max(first, 1), min(window, n)):  # windows still filling
-        span = t[i] - t[0]
-        if span > 0:
-            res[i - first] = (l2[i] - l2[0]) / span + nu2 * np.sum(seg[:i]) / span - trace
-    full = max(first, window)
-    if n > full:
-        sw = np.lib.stride_tricks.sliding_window_view(seg, window)
-        for s0 in range(full, n, 65536):
-            s1 = min(n, s0 + 65536)
-            i = np.arange(s0, s1)
-            k = i - window
-            span = t[i] - t[k]
-            res[s0 - first : s1 - first] = (
-                (l2[i] - l2[k]) / span + nu2 * sw[k].sum(axis=1) / span - trace)
+    w = min(window, n)
+    if first < w:  # windows still filling
+        seg = 0.5 * (h1[1:w] + h1[: w - 1]) * np.diff(t[:w])  # trapezoid areas
+        for i in range(max(first, 1), w):
+            span = t[i] - t[0]
+            if span > 0:
+                res[i - first] = (l2[i] - l2[0]) / span + nu2 * np.sum(seg[:i]) / span - trace
+    rows = max(1, _BLOCK_POINTS // window)
+    for s0 in range(max(first, window), n, rows):
+        s1 = min(n, s0 + rows)
+        k0, k1 = s0 - window, s1 - window
+        seg = 0.5 * (h1[k0 + 1 : s1] + h1[k0 : s1 - 1]) * np.diff(t[k0:s1])
+        # row j views seg[j : j + window]; summed on a C-contiguous copy, so
+        # each row adds in the order of a lone window
+        sw = np.lib.stride_tricks.as_strided(seg, (s1 - s0, window), seg.strides * 2,
+                                             writeable=False)
+        sums = np.ascontiguousarray(sw).sum(axis=1)
+        span = t[s0:s1] - t[k0:k1]
+        res[s0 - first : s1 - first] = (
+            (l2[s0:s1] - l2[k0:k1]) / span + nu2 * sums / span - trace)
     return res
 
 

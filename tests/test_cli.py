@@ -220,6 +220,16 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("invalid configuration:") and violation in err
 
+    @pytest.mark.parametrize("coeffs,violation", [
+        ("0,0,nan", "must be finite (got 0,0,nan)"),
+        ("0,0,abc", "expected a number list, got '0,0,abc'"),
+    ])
+    def test_unreadable_flux_coefficients_are_listed_once(self, ini, capsys, coeffs, violation):
+        # coefficients that were given but fail to read are not also missing
+        assert entry(["run", "--config", str(ini), "--flux", f"polynomial:{coeffs}"]) == EXIT_CONFIG
+        lines = [ln for ln in capsys.readouterr().err.splitlines() if "flux_coefficients" in ln]
+        assert len(lines) == 1 and violation in lines[0]
+
     def test_resume_flag_is_refused_outside_resume(self, ini, tmp_path, capsys):
         # only `resume` reads --resume: elsewhere argparse refuses it before
         # anything runs, so the artifacts on disk stay as they are

@@ -2,6 +2,7 @@
 
 import io
 import math
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -265,10 +266,12 @@ class TestEnergyBalanceResidual:
     @given(data=st.data())
     def test_residual_column_matches_residual_function(self, data):
         """Every row of the energy_residual column, resumed or not, is the
-        balance residual over that row's trailing window alone, bit for bit."""
+        balance residual over that row's trailing window alone, bit for bit,
+        and equals the unblocked reference whatever the block size."""
         n_hist = data.draw(st.integers(0, 40), label="history rows")
         n_new = data.draw(st.integers(1, 60), label="buffer rows")
         window = data.draw(st.integers(2, 30), label="window")
+        block = data.draw(st.integers(1, 64), label="block points")
         nu = data.draw(st.floats(1e-3, 2.0), label="nu")
         n = n_hist + n_new
         t = data.draw(st.floats(0.0, 100.0), label="t0") + np.cumsum(
@@ -284,7 +287,9 @@ class TestEnergyBalanceResidual:
             buf = RecordBuffer()
             for i in range(start, n):
                 buf.append(t[i], l2[i], h1[i], 0.0)
-            _fill_residual_column(buf, model, basis, window, history)
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(observables, "_BLOCK_POINTS", block)
+                _fill_residual_column(buf, model, basis, window, history)
             return buf.column("energy_residual").view(np.int64)
 
         whole = column(0, None)
@@ -292,10 +297,14 @@ class TestEnergyBalanceResidual:
                                     h1[max(0, i - window):i + 1], nu, tr)
                     for i in range(n)]
         np.testing.assert_array_equal(whole, np.array(expected).view(np.int64))
+        np.testing.assert_array_equal(
+            whole, unblocked_residuals(t, l2, h1, window, nu, tr).view(np.int64))
         if n_hist:
-            # a resumed segment, seeded with the whole prefix or only the
-            # trailing window of it, continues the column bit for bit
-            for k in (0, max(0, n_hist - window)):
+            # a resumed segment, seeded with the whole prefix, a tail longer
+            # than the window or only the trailing window of it, continues
+            # the column bit for bit
+            longer = data.draw(st.integers(0, max(0, n_hist - window)), label="tail start")
+            for k in (0, longer, max(0, n_hist - window)):
                 tail = slice(k, n_hist)
                 resumed = column(n_hist, (t[tail], l2[tail], h1[tail]))
                 np.testing.assert_array_equal(resumed, whole[n_hist:])
@@ -305,6 +314,101 @@ class TestEnergyBalanceResidual:
         for t in ([1.0], [1.0, 1.0]):
             res = balance_residuals(np.array(t), np.ones(len(t)), np.ones(len(t)), 4, 0.1, 0.0)
             assert np.isnan(res).all()
+
+
+def unblocked_residuals(t, l2, h1, window, nu, trace, first=0):
+    """balance_residuals as it was before its windows were summed in fixed
+    row blocks: the reference the blocked one must equal bit for bit."""
+    seg = 0.5 * (h1[1:] + h1[:-1]) * np.diff(t)  # per-interval trapezoid areas
+    n = len(t)
+    res = np.full(n - first, np.nan)
+    nu2 = 2.0 * nu
+    for i in range(max(first, 1), min(window, n)):  # windows still filling
+        span = t[i] - t[0]
+        if span > 0:
+            res[i - first] = (l2[i] - l2[0]) / span + nu2 * np.sum(seg[:i]) / span - trace
+    full = max(first, window)
+    if n > full:
+        sw = np.lib.stride_tricks.sliding_window_view(seg, window)
+        for s0 in range(full, n, 65536):
+            s1 = min(n, s0 + 65536)
+            i = np.arange(s0, s1)
+            k = i - window
+            span = t[i] - t[k]
+            res[s0 - first : s1 - first] = (
+                (l2[i] - l2[k]) / span + nu2 * sw[k].sum(axis=1) / span - trace)
+    return res
+
+
+def value_bits(a):
+    """The bits of a float array with every nan made the same nan: a nan
+    met with a nan keeps one operand's sign, and which one numpy's SIMD
+    loops keep depends on the element's lane, so the unblocked function's
+    own nan signs already changed with a row's position in the call (the
+    CSV prints either as nan)."""
+    a = np.array(a)
+    a[np.isnan(a)] = np.nan
+    return a.view(np.int64)
+
+
+class TestBlockedResiduals:
+    """balance_residuals sums its full windows in blocks of
+    max(1, _BLOCK_POINTS // window) rows; every value stays the unblocked
+    reference's, bit for bit."""
+
+    @staticmethod
+    def stream(rng, n):
+        t = 3.0 + np.cumsum(rng.uniform(1e-3, 1e-2, n))
+        return t, rng.uniform(0.0, 10.0, n), rng.uniform(0.0, 100.0, n)
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(data=st.data())
+    def test_blocks_equal_the_unblocked_reference(self, data):
+        block = data.draw(st.integers(1, 64), label="block points")
+        window = data.draw(st.integers(2, 80), label="window")
+        rows = max(1, block // window)
+        edges = [0, 1, window - 1, window, window + 1]
+        edges += [window + j * rows + d for j in (1, 2) for d in (-1, 0, 1)]
+        n = data.draw(st.sampled_from(edges) | st.integers(0, 150), label="rows")
+        first = data.draw(st.integers(0, n), label="first")
+        # steps of zero length leave filling windows spanning no time
+        dt = data.draw(arrays(float, n, elements=st.sampled_from([0.0, 1e-3]) |
+                              st.floats(1e-3, 10.0)), label="dt")
+        t = data.draw(st.floats(0.0, 100.0), label="t0") + np.cumsum(dt)
+        value = st.floats(-1e3, 1e3) | st.sampled_from([np.inf, -np.inf, np.nan])
+        l2 = data.draw(arrays(float, n, elements=value), label="l2_sq")
+        h1 = data.draw(arrays(float, n, elements=value), label="h1_sq")
+        nu = data.draw(st.floats(1e-3, 2.0), label="nu")
+        tr = data.draw(st.floats(0.0, 50.0), label="trace")
+        with pytest.MonkeyPatch.context() as mp, np.errstate(all="ignore"):
+            want = unblocked_residuals(t, l2, h1, window, nu, tr, first)
+            mp.setattr(observables, "_BLOCK_POINTS", block)
+            got = balance_residuals(t, l2, h1, window, nu, tr, first)
+        np.testing.assert_array_equal(value_bits(got), value_bits(want))
+
+    @pytest.mark.parametrize("window", [2, 64, 2_000, observables._BLOCK_POINTS + 5])
+    def test_module_block_boundaries(self, window):
+        # the module's own block size, around the end of the first two blocks
+        rows = max(1, observables._BLOCK_POINTS // window)
+        t, l2, h1 = self.stream(np.random.default_rng(window), window + 2 * rows + 2)
+        first = window - 2  # two filling rows, not the whole filling loop
+        for n in (window + rows - 1, window + rows, window + rows + 1, window + 2 * rows + 1):
+            got = balance_residuals(t[:n], l2[:n], h1[:n], window, 0.3, 1.7, first)
+            want = unblocked_residuals(t[:n], l2[:n], h1[:n], window, 0.3, 1.7, first)
+            assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("n, window", [(10_000, 2_000), (200_000, 64)])
+    def test_memory_is_the_output_plus_one_block(self, n, window):
+        # the unblocked windows held rows x window floats at once (122.5 MB
+        # at window 2,000 on 10^4 rows); the blocks hold a few hundred kB
+        t, l2, h1 = self.stream(np.random.default_rng(0), n)
+        tracemalloc.start()
+        try:
+            res = balance_residuals(t, l2, h1, window, 0.1, 1.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < res.nbytes + 1_000_000
 
 
 class TestL1Distance:
