@@ -154,9 +154,9 @@ def balance_residuals(t, l2, h1, window, nu, trace, first=0) -> np.ndarray:
     Row 0 has no window and is nan, as is a row whose window is still
     filling and spans no time.  Each window sum runs over the same
     trapezoid areas in the same order wherever the row sits, so a residual
-    does not depend on how the stream was split into segments (but for the
-    sign of a nan met with a nan, which numpy's SIMD loops take from one
-    operand or the other by the element's position in the call).
+    does not depend on how the stream was split into segments.  Every nan
+    comes out as np.nan: numpy's SIMD loops take a nan's sign from one
+    operand or the other by the element's position in the call.
 
     Full windows are summed in blocks of max(1, _BLOCK_POINTS // window)
     rows, each from the trapezoid areas of its own input rows alone, so
@@ -187,6 +187,7 @@ def balance_residuals(t, l2, h1, window, nu, trace, first=0) -> np.ndarray:
         span = t[s0:s1] - t[k0:k1]
         res[s0 - first : s1 - first] = (
             (l2[s0:s1] - l2[k0:k1]) / span + nu2 * sums / span - trace)
+    res[np.isnan(res)] = np.nan
     return res
 
 

@@ -2,6 +2,8 @@
 
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -229,6 +231,27 @@ class TestExitCodes:
         assert entry(["run", "--config", str(ini), "--flux", f"polynomial:{coeffs}"]) == EXIT_CONFIG
         lines = [ln for ln in capsys.readouterr().err.splitlines() if "flux_coefficients" in ln]
         assert len(lines) == 1 and violation in lines[0]
+
+    def test_unknown_flux_kind_exits_2_naming_the_kinds(self, ini, capsys):
+        assert entry(["run", "--config", str(ini), "--flux", "callback"]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert ("model.flux: unknown kind 'callback', "
+                "choose from ('burgers', 'polynomial', 'zero')") in err
+
+    def test_huge_flux_coefficients_trip_without_warning(self, ini):
+        # 1e308 v^2 overflows on the first steps: the run trips and exits 3,
+        # and no RuntimeWarning reaches stderr on the way, from config to
+        # trip; a fresh interpreter prints warnings under Python's defaults
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONWARNINGS"}
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "svcl.cli", "run", "--config", str(ini),
+             "--flux", "polynomial:0,0,1e308", "--horizon", "0.01"],
+            capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == EXIT_BLOWUP
+        assert "blowup trip (flux_overflow)" in proc.stdout
+        assert "RuntimeWarning" not in proc.stderr, proc.stderr
 
     def test_resume_flag_is_refused_outside_resume(self, ini, tmp_path, capsys):
         # only `resume` reads --resume: elsewhere argparse refuses it before

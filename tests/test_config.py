@@ -147,6 +147,24 @@ class TestValidation:
         with pytest.raises(ConfigError, match="requires coefficients"):
             parse_config_text("[model]\nflux = polynomial\n")
 
+    def test_unknown_flux_kind_lists_the_three_kinds(self):
+        # a flux kind outside FLUX_KINDS, from the file or from --flux, is
+        # one listed violation that names the kinds there are
+        want = ("model.flux: unknown kind 'callback', "
+                "choose from ('burgers', 'polynomial', 'zero')")
+        for text, overrides in (("[model]\nflux = callback\n", {}),
+                                (MINIMAL, {"flux": "callback"})):
+            with pytest.raises(ConfigError) as exc:
+                parse_config_text(text, overrides)
+            assert exc.value.violations == [want]
+
+    def test_huge_flux_coefficients_parse_without_warning(self):
+        # the suite turns a RuntimeWarning into an error: reading the
+        # coefficients computes nothing with them
+        cfg = parse_config_text(MINIMAL, {"flux": "polynomial:0,0,1e308"})
+        assert cfg.flux_coefficients == (0.0, 0.0, 1e308)
+        assert cfg.flux().degree == 2
+
     def test_coefficients_only_for_polynomial(self):
         with pytest.raises(ConfigError, match="polynomial flux takes"):
             parse_config_text("[model]\nflux = burgers\nflux_coefficients = 1\n")

@@ -315,6 +315,17 @@ class TestEnergyBalanceResidual:
             res = balance_residuals(np.array(t), np.ones(len(t)), np.ones(len(t)), 4, 0.1, 0.0)
             assert np.isnan(res).all()
 
+    def test_nan_rows_do_not_depend_on_the_split(self):
+        # a nan met with a nan keeps one operand's sign, by the element's
+        # SIMD lane; every nan comes out as np.nan, so the column from row
+        # 3 equals rows 3.. of the whole column bit for bit
+        z, h1 = np.zeros(11), np.full(11, np.nan)
+        with np.errstate(invalid="ignore"):
+            whole = balance_residuals(z, z, h1, 2, 1.0, 0.0)
+            tail = balance_residuals(z, z, h1, 2, 1.0, 0.0, first=3)
+        assert whole[3:].tobytes() == tail.tobytes()
+        assert whole.tobytes() == np.full(11, np.nan).tobytes()
+
 
 def unblocked_residuals(t, l2, h1, window, nu, trace, first=0):
     """balance_residuals as it was before its windows were summed in fixed
@@ -341,11 +352,11 @@ def unblocked_residuals(t, l2, h1, window, nu, trace, first=0):
 
 
 def value_bits(a):
-    """The bits of a float array with every nan made the same nan: a nan
-    met with a nan keeps one operand's sign, and which one numpy's SIMD
-    loops keep depends on the element's lane, so the unblocked function's
-    own nan signs already changed with a row's position in the call (the
-    CSV prints either as nan)."""
+    """The bits of a float array with every nan made np.nan, as
+    balance_residuals returns them: a nan met with a nan keeps one
+    operand's sign, and which one numpy's SIMD loops keep depends on the
+    element's lane, so the unblocked reference's nan signs change with a
+    row's position in the call."""
     a = np.array(a)
     a[np.isnan(a)] = np.nan
     return a.view(np.int64)
@@ -384,7 +395,7 @@ class TestBlockedResiduals:
             want = unblocked_residuals(t, l2, h1, window, nu, tr, first)
             mp.setattr(observables, "_BLOCK_POINTS", block)
             got = balance_residuals(t, l2, h1, window, nu, tr, first)
-        np.testing.assert_array_equal(value_bits(got), value_bits(want))
+        np.testing.assert_array_equal(got.view(np.int64), value_bits(want))
 
     @pytest.mark.parametrize("window", [2, 64, 2_000, observables._BLOCK_POINTS + 5])
     def test_module_block_boundaries(self, window):
