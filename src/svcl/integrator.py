@@ -78,12 +78,15 @@ class GuardTrip:
 class Stepper:
     """Precomputed per-(model, cfg, basis) plan for the hot step loop.
 
-    The nonlinear term runs on one plan per block shape, (m,) for a single
-    state and (2, m) for a coupled pair, built by the first step on that
-    shape: a Workspace for the transforms, the reversed (sin, cos) pair
-    view of its coefficients that the -d/dx multiply reads, and a buffer
-    for the flux values on the padded grid.  Only temporaries inside a
-    step live there: every state `advance` returns is a fresh array.
+    The step runs on one bound kernel per block shape, (m,) for a single
+    state and (2, m) for a coupled pair, built by the first call on that
+    shape: the nonlinear term and the scheme update, closures over a
+    Workspace for the transforms, a buffer for the flux values on the
+    padded grid, the -d/dx weights in the Workspace's band order and the
+    three traced kernels `spectral.synthesize`, `spectral.analyze` and
+    `flux.flux_value`, all looked up once, when the kernel is built.  Only
+    temporaries inside a step live there: every state `advance` returns is
+    a fresh array.
     """
 
     def __init__(self, model: ModelSpec, cfg: SolverConfig, basis: ModeBasis):
@@ -97,76 +100,101 @@ class Stepper:
         self.decay = np.exp(model.nu * lam * cfg.dt)
         self.half_decay = np.exp(model.nu * lam * 0.5 * cfg.dt)
         self.dt = cfg.dt
-        self._half_dt = 0.5 * cfg.dt
-        self._dt_half_decay = cfg.dt * self.half_decay
-        self._zero_flux = model.flux.kind == "zero"
-        self._n_pad = dealias_points(model.flux, basis)
         self.neg_dx = pair_weights(-basis.wavenumbers)  # rotate_pairs weights of -d/dx
-        self._midpoint = cfg.scheme == "exp_midpoint_flux"
-        self._plans = {}  # block shape -> (Workspace, reversed pairs, flux buffer)
-        self._lp_plan = None  # (coefficient block, n_fine Workspace, power buffer)
+        self._kernels = {}  # block shape -> (nonlinear term, scheme update)
+        self._fine = {}  # use -> (coefficient block, n_fine Workspace, power buffer)
 
-    def _plan(self, shape: tuple):
-        work = Workspace(shape, self._n_pad)
-        plan = self._plans[shape] = (work, work.coeff_pairs[..., ::-1],
-                                     np.empty(work.samples.shape))
-        return plan
+    def _kernel(self, shape: tuple):
+        """Build the bound (nonlinear term, scheme update) of one block shape.
+
+        The nonlinear term pads c to the dealiasing grid, applies A
+        pointwise, projects back (the mean of A(u) is annihilated by the
+        derivative, so it is dropped) and differentiates with one multiply
+        of the analysis band, whose (cos, sin) pairs meet the -d/dx weights
+        (w, -w) of each pair: the products, into a fresh array in storage
+        order, are those of `rotate_pairs` by `neg_dx`, bit for bit.  The
+        updates run in place on the fresh nonlinear term, operand by operand
+        as (N(c) dt + c) decay + xi and (N(u*) (dt half_decay) + decay c)
+        + xi evaluate, left to right; where two nans meet in a sum, the
+        left one's sign survives.
+        """
+        decay, dt = self.decay, self.dt
+        if self.model.flux.kind == "zero":
+            nonlin = np.zeros_like
+
+            def step(c, xi):
+                return decay * c + xi
+        else:
+            spec, m = self.model.flux, self.basis.m_max
+            n = dealias_points(spec, self.basis)
+            work = Workspace(shape, n)
+            values = np.empty(work.samples.shape)
+            weights = self.neg_dx.reshape(m)
+            synthesize, analyze, flux_value = (spectral.synthesize, spectral.analyze,
+                                               flux.flux_value)
+            multiply = np.multiply
+
+            def nonlin(c):
+                return multiply(analyze(flux_value(spec, synthesize(c, n, work), values), m,
+                                        work), weights)
+
+            if self.cfg.scheme == "exp_euler":
+                def step(c, xi):
+                    out = nonlin(c)
+                    out *= dt
+                    out += c
+                    out *= decay
+                    out += xi
+                    return out
+            else:
+                half_dt, half_decay = 0.5 * dt, self.half_decay
+                dt_half_decay = dt * half_decay
+
+                def step(c, xi):
+                    out = nonlin(c)
+                    out *= half_dt
+                    out += c
+                    out *= half_decay
+                    out = nonlin(out)
+                    out *= dt_half_decay
+                    out += decay * c
+                    out += xi
+                    return out
+
+        kernel = self._kernels[shape] = (nonlin, step)
+        return kernel
 
     def nonlin(self, c: np.ndarray) -> np.ndarray:
         """N(u) = -dx A(u) on raw coefficients, one state (m,) or a block
-        (..., m), into a fresh array: the one nonlinear kernel.
-
-        Pads c to the dealiasing grid, applies A pointwise, projects back
-        (the mean of A(u) is annihilated by the derivative, so it is
-        dropped) and differentiates exactly in coefficient space, the
-        `rotate_pairs` multiply by `neg_dx`, bit for bit.
-        """
-        if self._zero_flux:
-            return np.zeros_like(c)
-        work, pairs, buf = self._plans.get(c.shape) or self._plan(c.shape)
-        values = flux.flux_value(self.model.flux, spectral.synthesize(c, self._n_pad, work),
-                                 out=buf)
-        spectral.analyze(values, self.basis.m_max, work)
-        return np.multiply(pairs, self.neg_dx).reshape(c.shape)
+        (..., m), into a fresh array: the bound kernel of c's shape."""
+        return (self._kernels.get(c.shape) or self._kernel(c.shape))[0](c)
 
     def advance(self, c: np.ndarray, xi: np.ndarray) -> np.ndarray:
         """One scheme update of c, a state (m,) or a block (R, m) of states
-        driven by the same increment xi; each row of a block comes out
-        bitwise equal to advancing it alone.
+        driven by the same increment xi, by the bound kernel of c's shape;
+        each row of a block comes out bitwise equal to advancing it alone."""
+        return (self._kernels.get(c.shape) or self._kernel(c.shape))[1](c, xi)
 
-        The updates run in place on the fresh nonlinear term, operand by
-        operand as decay * (c + dt N(c)) + xi and
-        decay * c + (dt half_decay) N(u*) + xi evaluate, so the bits match.
-        """
-        if self._zero_flux:
-            return self.decay * c + xi
-        out = self.nonlin(c)
-        if not self._midpoint:
-            out *= self.dt
-            out += c
-            out *= self.decay
-            out += xi
-            return out
-        out *= self._half_dt
-        out += c
-        out *= self.half_decay
-        out = self.nonlin(out)
-        out *= self._dt_half_decay
-        out += self.decay * c
-        out += xi
-        return out
+    def _fine_block(self, c: np.ndarray, use: str):
+        """Copy the rows of c (k, m) into the coefficient block of the
+        n_fine plan of one use ("lp" or "l1"), zero past row k, and return
+        that plan: (block, Workspace, power buffer), built for the largest k
+        the use met, so reductions of kept states allocate no sample-sized
+        temporaries."""
+        k = len(c)
+        plan = self._fine.get(use)
+        if plan is None or len(plan[0]) < k:
+            work = Workspace(c.shape, self.n_fine)
+            plan = self._fine[use] = (np.empty(c.shape), work, np.empty(work.samples.shape))
+        plan[0][:k], plan[0][k:] = c, 0.0
+        return plan
 
     def lp_means(self, c: np.ndarray, orders) -> list:
         """Mean of |u|^p on the n_fine grid for each row of c (k, m), one
-        column per order p, each row bitwise equal to its own call.  The rows
-        go through buffers built for the largest k met (zero past k), so
-        record blocks allocate no sample-sized temporaries."""
+        column per order p, each row bitwise equal to its own call, through
+        the "lp" n_fine plan."""
         k = len(c)
-        if self._lp_plan is None or len(self._lp_plan[0]) < k:
-            work = Workspace(c.shape, self.n_fine)
-            self._lp_plan = (np.empty(c.shape), work, np.empty(work.samples.shape))
-        block, work, power = self._lp_plan
-        block[:k], block[k:] = c, 0.0
+        block, work, power = self._fine_block(c, "lp")
         vals = np.abs(synthesize(block, self.n_fine, work), out=work.samples)[:k]
         power = power[:k]
         # vals**p into one buffer: ** squares for p = 2 and calls np.power otherwise
@@ -286,12 +314,14 @@ def _drive(stepper: Stepper, c, draw, n_steps, t, step0, every, reduce, on_step=
             reduce(times, kept)
             k = 0
     dt, advance, guarded = stepper.dt, stepper.advance, stepper.cfg.guard_radius is not None
+    # the output's sum of squares: ndarray.dot skips np.vdot's dispatcher on a state
+    sum_sq = np.ndarray.dot if c.ndim == 1 else np.vdot
     trip, keep, step = None, None, step0
     for n in range(step0, step0 + n_steps):
         out = advance(c, draw())
         # on a trip every row keeps its state from before the step, so each
         # row's state matches the step count and time the run reports
-        if guarded or not math.isfinite(np.vdot(out, out)):
+        if guarded or not math.isfinite(sum_sq(out, out)):
             trip = _find_trip(stepper, c, out, t)
             if trip is not None:
                 break
@@ -412,7 +442,8 @@ def run_coupled(
         """The series at the block's steps up to a stop, and the record rows
         among them; returns the rows kept if the block holds a stop."""
         nonlocal done
-        l1 = observables.l1_norms(pairs[:, 0] - pairs[:, 1], stepper.n_fine)
+        block, work, _ = stepper._fine_block(pairs[:, 0] - pairs[:, 1], "l1")
+        l1 = observables.l1_norms(block, stepper.n_fine, work)[: len(pairs)]
         first = int(not done)  # the initial distance is never tested
         hit = np.flatnonzero(l1[first:] < stop)
         keep = first + int(hit[0]) + 1 if hit.size else None

@@ -93,7 +93,8 @@ class NoisePath:
     Philox(key=seed, counter=[0, index, 0, 0]) fresh and far cheaper.  The
     state dict it is reset from holds Python lists and ints, which the
     generator's state setter reads faster than numpy arrays, and an empty
-    buffer (buffer_pos 4), as a fresh generator has.
+    buffer (buffer_pos 4), as a fresh generator has.  Draws go into one
+    buffer the path owns.
     """
 
     def __init__(self, spec: NoiseSpec, basis: ModeBasis, seed: int):
@@ -108,6 +109,7 @@ class NoisePath:
         key = self._bg.state["state"]["key"].tolist()
         self._state = {"bit_generator": "Philox", "state": {"counter": self._counter, "key": key},
                        "buffer": [0, 0, 0, 0], "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+        self._z = np.empty(basis.m_max)  # the last block drawn
         self._ou_key = self._ou_std = None  # ou_increment's std and its (nu, dt)
 
     def fork(self) -> "NoisePath":
@@ -117,16 +119,17 @@ class NoisePath:
         return other
 
     def block(self, index: int) -> np.ndarray:
-        """The fixed Gaussian block of draw index `index` (pure lookup)."""
+        """The fixed Gaussian block of draw index `index` (pure lookup),
+        drawn into the path's buffer: valid until the path's next draw."""
         self._counter[1] = index
         self._bg.state = self._state
-        return self._gen.standard_normal(self.basis.m_max)
+        return self._gen.standard_normal(out=self._z)
 
     def ou_increment(self, nu: float, dt: float) -> np.ndarray:
         """Draw one step's fresh-noise part of the convolution,
         w(t+dt) - exp(nu lam dt) w(t), exactly what the integrator adds:
         the step's block times the per-mode std, cached for the last
-        (nu, dt).
+        (nu, dt), as a fresh array.
         """
         if self._ou_key != (nu, dt):
             lam = self.basis.eigenvalues
@@ -134,5 +137,4 @@ class NoisePath:
             self._ou_key, self._ou_std = (nu, dt), np.sqrt(var)
         z = self.block(self.draw_index)
         self.draw_index += 1
-        z *= self._ou_std
-        return z
+        return z * self._ou_std

@@ -18,7 +18,7 @@ import os
 
 import numpy as np
 
-from .spectral import SpectralField, synthesize
+from .spectral import SpectralField, Workspace, synthesize
 
 FLOAT_FMT = "%.17g"
 CSV_CHUNK_ROWS = 4096  # rows rendered per write, so memory does not grow with the run
@@ -191,10 +191,12 @@ def balance_residuals(t, l2, h1, window, nu, trace, first=0) -> np.ndarray:
     return res
 
 
-def l1_norms(coeffs: np.ndarray, n: int) -> np.ndarray:
+def l1_norms(coeffs: np.ndarray, n: int, work: Workspace | None = None) -> np.ndarray:
     """L1 quadrature norms of coefficient vectors (last axis) on the n-point
-    grid; each row of a block comes out bitwise equal to its own call."""
-    return np.mean(np.abs(synthesize(coeffs, n)), axis=-1)
+    grid, on `work` (a Workspace for coeffs' shape and n) if given; each row
+    of a block comes out bitwise equal to its own call."""
+    samples = synthesize(coeffs, n, work)
+    return np.mean(np.abs(samples, out=samples), axis=-1)
 
 
 def l1_distance(a: SpectralField, b: SpectralField, n: int | None = None) -> float:

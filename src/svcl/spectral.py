@@ -78,55 +78,56 @@ def mode_field(basis: ModeBasis, m: int, amplitude: float = 1.0) -> SpectralFiel
     return SpectralField(c, basis)
 
 
-def _band(spec: np.ndarray, k: int) -> np.ndarray:
-    """Band bins 1..k of spectra (last axis) as a (..., k, 2) float view of
-    swapped (imag, real) parts, lined up with `_pairs` of the coefficients."""
-    return spec.view(float).reshape(*spec.shape, 2)[..., 1 : k + 1, ::-1]
-
-
 def _pairs(c: np.ndarray, k: int) -> np.ndarray:
     """(..., k, 2) view of coefficient vectors (last axis) as (sin, cos) pairs."""
     return c.reshape(*c.shape[:-1], k, 2)
 
 
 @cache
-def _scales(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Per-pair factors on an n-point grid: rfft bin mp holds
-    (n/sqrt(2)) * (cos_coeff - i sin_coeff), so a (sin, cos) pair packs
-    into (imag, real) times [-n/sqrt(2), n/sqrt(2)] and unpacks from it
-    times [-sqrt(2)/n, sqrt(2)/n]."""
+def _scales(n: int, m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The pair swap and the bin-order scales of m coefficients on an
+    n-point grid.  rfft bin mp holds (n/sqrt(2)) * (cos_coeff - i sin_coeff),
+    so bins 1..m/2, read as floats in their own (real, imag) order, hold the
+    swapped (cos, sin) pairs times the m/2 repeats of [n/sqrt(2), -n/sqrt(2)]
+    (the pack) and give them back times [sqrt(2)/n, -sqrt(2)/n] (the
+    unpack).  The swap is the index permutation (1, 0, 3, 2, ...), its own
+    inverse."""
     s, a = n / _SQRT2, _SQRT2 / n
-    pack, unpack = np.array([-s, s]), np.array([-a, a])
-    pack.flags.writeable = unpack.flags.writeable = False  # shared by every caller
-    return pack, unpack
+    swap = np.arange(m).reshape(m // 2, 2)[:, ::-1].ravel()
+    pack, unpack = np.tile([s, -s], m // 2), np.tile([a, -a], m // 2)
+    for x in (swap, pack, unpack):
+        x.flags.writeable = False  # shared by every caller
+    return swap, pack, unpack
 
 
 class Workspace:
     """Preallocated buffers for `synthesize` and `analyze` of one block shape
-    (..., m_max) on an n-point grid, with their pair views, scale pairs and
-    rfft kernel made once; the constructor makes the grid check the calls
-    on it then skip.  A call without a workspace builds a fresh one, so its
-    result is a fresh array.
+    (..., m_max) on an n-point grid, with their views, scales and rfft
+    kernel made once; the constructor makes the grid check the calls on it
+    then skip.
 
     The padded spectrum is zero outside the band bins 1..m_max/2, and every
     call overwrites all of those bins, so nothing carries over from one call
-    to the next.  Results are views of these buffers, valid until the next
-    call with the same workspace.
+    to the next.  Both scale multiplies run in rfft bin order over
+    contiguous (..., m_max) float views of those bins: the pack, into the
+    padded spectrum, reads the coefficients through the pair swap that
+    their (sin, cos) storage order forces, and the unpack writes the
+    analysis band `band`, the coefficients as (cos, sin) pairs.  Results
+    are these buffers, valid until the next call with the same workspace.
     """
 
     def __init__(self, shape: tuple, n: int):
         if n < shape[-1] + 2:
             raise ValueError("grid too coarse for the retained band")
-        lead, k = shape[:-1], shape[-1] // 2
-        self.pair_shape = (*lead, k, 2)
+        lead, m = shape[:-1], shape[-1]
         self.padded = np.zeros((*lead, n // 2 + 1), dtype=complex)
         self.samples = np.empty((*lead, n))
         self.spectrum = np.empty((*lead, n // 2 + 1), dtype=complex)
-        self.coeffs = np.empty(shape)
-        self.padded_band = _band(self.padded, k)
-        self.spectrum_band = _band(self.spectrum, k)
-        self.coeff_pairs = _pairs(self.coeffs, k)
-        self.pack, self.unpack = _scales(n)
+        self.band = np.empty(shape)
+        # bins 1..m/2 as (real, imag) floats
+        self.padded_band = self.padded.view(float)[..., 2 : m + 2]
+        self.spectrum_band = self.spectrum.view(float)[..., 2 : m + 2]
+        self.swap, self.pack, self.unpack = _scales(n, m)
         self.inv_n = 1.0 / n
         # np.fft.rfft's call: no norm, the even or odd kernel by n
         self.rfft = _pocketfft.rfft_n_even if n % 2 == 0 else _pocketfft.rfft_n_odd
@@ -135,27 +136,35 @@ class Workspace:
 def synthesize(coeffs: np.ndarray, n: int, work: Workspace | None = None) -> np.ndarray:
     """Evaluate coefficient vectors (last axis) on the grid j/n, j = 0..n-1.
 
-    Each row of a block comes out bitwise equal to its own call.  Without a
+    Each row of a block comes out bitwise equal to its own call, but for
+    the sign of its nans when the row holds a nan.  Without a
     workspace (one built for coeffs' shape and n) the call builds its own,
-    which checks n >= m_max + 2.  Used by the dealiased nonlinear term and
-    every quadrature-based observable.
+    which checks n >= m_max + 2, so its result is a fresh array.  Used by
+    the dealiased nonlinear term and every quadrature-based observable.
     """
     if work is None:
         work = Workspace(coeffs.shape, n)
-    np.multiply(coeffs.reshape(work.pair_shape), work.pack, out=work.padded_band)
+    np.multiply(coeffs.take(work.swap, axis=-1), work.pack, out=work.padded_band)
     # np.fft.irfft's call: the 1/n norm, with n taken from out
     return _pocketfft.irfft(work.padded, work.inv_n, out=work.samples)
 
 
 def analyze(samples: np.ndarray, m_max: int, work: Workspace | None = None) -> np.ndarray:
     """Project samples (last axis) onto the first m_max modes; the mean is
-    dropped.  Without a workspace (one built for m_max and the samples'
-    grid) the call builds its own."""
-    if work is None:
+    dropped.
+
+    On a workspace the result is its `band`: the coefficients in rfft bin
+    order, (cos, sin) in each pair, valid until the next call.  Without one
+    the call builds its own workspace (for m_max and the samples' grid) and
+    returns a fresh (..., m_max) array in storage order, (sin, cos) in each
+    pair; the values are the same bits either way.
+    """
+    fresh = work is None
+    if fresh:
         work = Workspace((*samples.shape[:-1], m_max), samples.shape[-1])
     work.rfft(samples, 1, out=work.spectrum)
-    np.multiply(work.spectrum_band, work.unpack, out=work.coeff_pairs)
-    return work.coeffs
+    band = np.multiply(work.spectrum_band, work.unpack, out=work.band)
+    return band.take(work.swap, axis=-1) if fresh else band
 
 
 def pair_weights(w: np.ndarray) -> np.ndarray:

@@ -4,9 +4,13 @@ import json
 import os
 import subprocess
 import sys
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from svcl import cli
 from svcl.cli import (
@@ -633,6 +637,32 @@ class TestResume:
         bad.write_bytes(bytes(raw))
         assert entry(["resume", "--config", str(ini), "--resume", str(bad)]) == EXIT_IO
         assert "truncated" in capsys.readouterr().err
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(data=st.data(), modes=st.sampled_from([2, 4, 8, 16]),
+           flux=st.sampled_from(["burgers", "zero", "polynomial\nflux_coefficients = 0,1,0,-0.25"]),
+           scheme=st.sampled_from(["exp_euler", "exp_midpoint_flux"]),
+           seed=st.integers(0, 2**64 - 1), steps=st.integers(2, 40),
+           record_every=st.integers(1, 3), snapshot_every=st.integers(1, 12))
+    def test_snapshot_cut_at_any_byte_exits_4_and_keeps_the_artifacts(
+            self, data, modes, flux, scheme, seed, steps, record_every, snapshot_every):
+        # every proper prefix of any snapshot a run writes is refused with
+        # exit 4 before the resume touches an artifact
+        with tempfile.TemporaryDirectory() as tmp:
+            out, ini = Path(tmp) / "out", Path(tmp) / "run.ini"
+            ini.write_text(f"[model]\nflux = {flux}\n[solver]\nmodes = {modes}\n"
+                           f"scheme = {scheme}\ndt = 0.001\n[experiment]\n"
+                           f"horizon = {steps * 0.001!r}\nseed = {seed}\n"
+                           f"record_every = {record_every}\nsnapshot_every = {snapshot_every}\n"
+                           f"[initial]\nkind = random\n[output]\ndir = {out}\n")
+            assert entry(["run", "--config", str(ini)]) == EXIT_OK
+            snap = data.draw(st.sampled_from(sorted(p.name for p in out.glob("*.snap"))))
+            raw = (out / snap).read_bytes()
+            cut = Path(tmp) / "cut.snap"
+            cut.write_bytes(raw[: data.draw(st.integers(0, len(raw) - 1))])
+            before = {p.name: p.read_bytes() for p in out.iterdir()}
+            assert entry(["resume", "--config", str(ini), "--resume", str(cut)]) == EXIT_IO
+            assert {p.name: p.read_bytes() for p in out.iterdir()} == before
 
     def test_resume_requires_the_flag(self, ini, capsys):
         assert entry(["resume", "--config", str(ini)]) == EXIT_CONFIG

@@ -2,14 +2,22 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from svcl.config import (
+    EXPERIMENT_KINDS,
+    INITIAL_KINDS,
+    RESIDUAL_WINDOW_MAX,
     ConfigError,
     InitialSpec,
     RunConfig,
     parse_config,
     parse_config_text,
 )
+from svcl.ergodic import MIN_BATCHES
+from svcl.flux import FLUX_KINDS
+from svcl.integrator import SCHEMES
 from svcl.ergodic import default_burn_in
 from svcl.spectral import ModeBasis, mode_field
 
@@ -58,7 +66,50 @@ class TestDefaults:
             assert needle in echo
 
 
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+POSITIVE = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
+NON_NEGATIVE = st.floats(min_value=0.0, allow_infinity=False)
+U64 = st.integers(0, 2**64 - 1)
+
+
+@st.composite
+def run_configs(draw):
+    """Valid RunConfigs: every key within its bounds, floats anywhere in
+    their range, subnormals and signed zeros included."""
+    modes = 2 * draw(st.integers(1, 32))
+    flux_kind = draw(st.sampled_from(FLUX_KINDS))
+    coeffs = (tuple(draw(st.lists(FINITE, min_size=1, max_size=5)))
+              if flux_kind == "polynomial" else ())
+    sigma, c, q = (), draw(NON_NEGATIVE), draw(st.floats(2.5, 1e300, exclude_min=True))
+    if draw(st.booleans()):
+        sigma = tuple(draw(st.lists(NON_NEGATIVE, min_size=modes, max_size=modes)))
+        c = q = None
+    dt = draw(st.floats(1e-12, 1e3))
+    initials = [InitialSpec(draw(st.sampled_from(INITIAL_KINDS)), draw(st.integers(1, modes)),
+                            draw(FINITE), draw(U64)) for _ in range(2)]
+    return RunConfig(
+        nu=draw(POSITIVE), flux_kind=flux_kind, flux_coefficients=coeffs,
+        noise_c=c, noise_q=q, noise_sigma=sigma, modes=modes, dt=dt,
+        scheme=draw(st.sampled_from(SCHEMES)), guard=draw(st.none() | POSITIVE),
+        experiment=draw(st.sampled_from(EXPERIMENT_KINDS)),
+        horizon=dt * draw(st.floats(1.0, 1e15)), seed=draw(U64),
+        record_every=draw(st.integers(1, 10**6)),
+        residual_window=draw(st.integers(2, RESIDUAL_WINDOW_MAX)),
+        snapshot_every=draw(st.integers(0, 10**6)),
+        observables=tuple(draw(st.lists(st.integers(1, 12), max_size=4))),
+        epsilons=tuple(draw(st.lists(POSITIVE, min_size=1, max_size=3))),
+        burn_in=draw(st.none() | NON_NEGATIVE), batches=draw(st.integers(MIN_BATCHES, 10**4)),
+        initial=initials[0], initial_b=initials[1],
+        out_dir=draw(st.text("ab09_-./ ", min_size=1, max_size=12).filter(
+            lambda d: d == d.strip())))
+
+
 class TestEchoRoundTrip:
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(cfg=run_configs())
+    def test_parse_of_echo_is_the_identity(self, cfg):
+        assert parse_config_text(cfg.echo()) == cfg
+
     CASES = [
         {},
         {"flux": "polynomial:0,0,0,0.33333333333333331", "nu": "0.25"},
@@ -232,6 +283,19 @@ class TestValidation:
                                            "is not below 2^64, the step range of a snapshot")
         cfg = parse_config_text("[solver]\ndt = 0.001\n[experiment]\nhorizon = 1.8e16\n")
         assert cfg.n_steps() == 18_000_000_000_000_000_000 < 2**64
+
+    def test_residual_window_is_a_bounded_listed_violation(self):
+        # each residual sums its window afresh, so the window bounds the
+        # residual fill's cost per record row
+        for window in (1, RESIDUAL_WINDOW_MAX + 1, 20_000):
+            with pytest.raises(ConfigError) as exc:
+                parse_config_text(f"[model]\nnu = -1\n[experiment]\nresidual_window = {window}\n")
+            assert exc.value.violations == [
+                "model.nu: nu > 0 is violated (got -1.0)",
+                f"experiment.residual_window: must lie in [2, 4096] (got {window})"]
+        for window in (2, 16, 64, RESIDUAL_WINDOW_MAX):
+            text = f"[experiment]\nresidual_window = {window}\n"
+            assert parse_config_text(text).residual_window == window
 
     def test_unparseable_text_is_one_violation(self):
         with pytest.raises(ConfigError, match="unparseable"):

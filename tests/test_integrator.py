@@ -170,35 +170,51 @@ class TestSchemes:
         np.testing.assert_allclose(traj, np.array(states), atol=1e-13)
 
 
+def _trip_bits(trip):
+    """A trip as comparable bits: a nan H1 mass equals itself."""
+    return trip and (trip.t, np.float64(trip.h1_sq).tobytes(), trip.reason)
+
+
 class TestBlock:
     FLUXES = {"burgers": FluxSpec("burgers"), "zero": FluxSpec("zero"),
               "cubic": FluxSpec("polynomial", coefficients=[0.0, 0.5, -0.2, 1.0 / 3.0])}
 
-    @settings(max_examples=80, deadline=None, derandomize=True, database=None)
-    @given(data=st.data(), rows=st.integers(1, 4), m=st.sampled_from([8, 16, 32]),
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(data=st.data(), rows=st.integers(1, 4), m=st.sampled_from([2, 8, 16, 32, 256]),
            flux=st.sampled_from(sorted(FLUXES)), scheme=st.sampled_from(SCHEMES))
     @np.errstate(over="ignore", invalid="ignore")
     def test_block_equals_rows_bitwise(self, data, rows, m, flux, scheme):
         # one call on an (R, m) block of same-noise states must give each
-        # row's own 1-D result bit for bit, as must the transforms under it;
-        # rows scaled by 1e160 overflow any nonzero flux, and the block's
-        # trip must be the first one found by stepping each row alone, with
-        # no guard or a guard at the H1 mass of one row's step
+        # row's own 1-D result bit for bit, as must the transforms under it,
+        # and the block must equal the np.fft reference; rows scaled by
+        # 1e160 overflow any nonzero flux, a few entries are signed zeros,
+        # subnormals, infinities or nan, and the block's trip must be the
+        # first one found by stepping each row alone, with no guard or a
+        # guard at the H1 mass of one row's step
         block = data.draw(arrays(float, (rows, m), elements=st.floats(-2.0, 2.0)))
         block *= data.draw(arrays(float, (rows, 1), elements=st.sampled_from([1e160, 1.0])))
+        block = with_edges(data, block)
         xi = data.draw(arrays(float, m, elements=st.floats(-0.1, 0.1)))
         basis = ModeBasis(m)
         model = ModelSpec(0.1, self.FLUXES[flux], NoiseSpec(sigma=np.zeros(m)))
         stepper = Stepper(model, SolverConfig(dt=1e-3, scheme=scheme), basis)
         out = stepper.advance(block, xi)
+        assert out.tobytes() == _ref_advance(stepper, block, xi).tobytes()
         n = dealias_points(model.flux, basis)
         samples = synthesize(block, n)
         coeffs = analyze(samples, m)
         assert out.shape == block.shape and coeffs.shape == block.shape
+
+        def bits(x):
+            # pocketfft's batched transforms can give a row that holds a nan
+            # nans of the other sign than its own call does: with a nan
+            # drawn, nans compare as nan and every other value bit for bit
+            return (np.where(np.isnan(x), np.nan, x) if np.isnan(block).any() else x).tobytes()
+
         for i, row in enumerate(block):
-            assert stepper.advance(row, xi).tobytes() == out[i].tobytes()
-            assert synthesize(row, n).tobytes() == samples[i].tobytes()
-            assert analyze(samples[i], m).tobytes() == coeffs[i].tobytes()
+            assert bits(stepper.advance(row, xi)) == bits(out[i])
+            assert bits(synthesize(row, n)) == bits(samples[i])
+            assert bits(analyze(samples[i], m)) == bits(coeffs[i])
         finite = [i for i, row in enumerate(out) if np.isfinite(row).all()]
         guard_row = data.draw(st.sampled_from([None, *finite]))
         r = None if guard_row is None else stepper.h1_sq(out[guard_row])
@@ -208,7 +224,7 @@ class TestBlock:
         trip = integrator._find_trip(checked, block, checked.advance(block, xi), 1e-3)
         alone = [integrator._find_trip(checked, row, checked.advance(row, xi), 1e-3)
                  for row in block]
-        assert trip == next((a for a in alone if a is not None), None)
+        assert _trip_bits(trip) == _trip_bits(next((a for a in alone if a is not None), None))
 
 
 def _ref_flux(spec, v):
@@ -217,16 +233,44 @@ def _ref_flux(spec, v):
     return np.polynomial.polynomial.polyval(v, spec.coefficients)
 
 
+# signed zeros, subnormals, infinities and nan
+EDGES = (0.0, -0.0, 5e-324, -5e-324, 1e-310, -2.2250738585072e-308, np.inf, -np.inf, np.nan)
+
+
+def with_edges(data, a):
+    """a with up to three entries replaced by EDGES values; most draws keep
+    most rows finite, so a layout slip still shows after the transforms."""
+    flat = a.reshape(-1)
+    hits = data.draw(st.lists(st.tuples(st.integers(0, flat.size - 1), st.sampled_from(EDGES)),
+                              max_size=3))
+    for i, v in hits:
+        flat[i] = v
+    return a
+
+
 def _ref_nonlin(spec, c, basis):
-    """N(c) with allocating transforms and polyval, no workspace."""
+    """N(c) through np.fft.irfft/rfft and explicit per-pair products, with
+    no Workspace: the (sin, cos) pair (s, k) of wavenumber w sits in rfft
+    bin p as (n/sqrt(2)) (k - i s), and -d/dx maps it to (w k, -w s)."""
     if spec.kind == "zero":
         return np.zeros_like(c)
-    v = synthesize(c, dealias_points(spec, basis))
-    return rotate_pairs(analyze(_ref_flux(spec, v), basis.m_max), pair_weights(-basis.wavenumbers))
+    n, k = dealias_points(spec, basis), basis.n_pairs
+    bins = np.zeros((*c.shape[:-1], n // 2 + 1), dtype=complex)
+    scale = n / np.sqrt(2.0)
+    bins.real[..., 1 : k + 1] = c[..., 1::2] * scale
+    bins.imag[..., 1 : k + 1] = c[..., 0::2] * -scale
+    a = np.fft.rfft(_ref_flux(spec, np.fft.irfft(bins, n)))
+    back, w = np.sqrt(2.0) / n, basis.wavenumbers[0::2]
+    out = np.empty_like(c)
+    out[..., 0::2] = (a.real[..., 1 : k + 1] * back) * w
+    out[..., 1::2] = (a.imag[..., 1 : k + 1] * -back) * -w
+    return out
 
 
 def _ref_advance(stepper, c, xi):
-    """The scheme update written out as one expression per scheme."""
+    """The scheme update written out as one expression per scheme, each sum
+    with its operands in the stepper's order: where two nans meet, the
+    first one's sign survives."""
     def n(x):
         return _ref_nonlin(stepper.model.flux, x, stepper.basis)
 
@@ -234,9 +278,9 @@ def _ref_advance(stepper, c, xi):
     if stepper.model.flux.kind == "zero":
         return stepper.decay * c + xi
     if stepper.cfg.scheme == "exp_euler":
-        return stepper.decay * (c + dt * n(c)) + xi
-    pred = stepper.half_decay * (c + 0.5 * dt * n(c))
-    return stepper.decay * c + dt * stepper.half_decay * n(pred) + xi
+        return (n(c) * dt + c) * stepper.decay + xi
+    pred = (n(c) * (0.5 * dt) + c) * stepper.half_decay
+    return n(pred) * (dt * stepper.half_decay) + stepper.decay * c + xi
 
 
 class TestPlan:
@@ -248,14 +292,15 @@ class TestPlan:
         "cubic": FluxSpec("polynomial", coefficients=[0.0, 0.5, -0.2, 1.0 / 3.0]),
     }
 
-    @settings(max_examples=120, deadline=None, derandomize=True, database=None)
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
     @given(data=st.data(), rows=st.sampled_from([None, 1, 2, 3]),
-           m=st.sampled_from([4, 8, 16, 32]), flux=st.sampled_from(sorted(FLUXES)),
+           m=st.sampled_from([2, 4, 8, 16, 32, 256]), flux=st.sampled_from(sorted(FLUXES)),
            scheme=st.sampled_from(SCHEMES), exp=st.sampled_from([*range(-5, 4), 160]))
     @np.errstate(over="ignore", invalid="ignore")
     def test_plan_matches_reference_bitwise(self, data, rows, m, flux, scheme, exp):
         shape = (m,) if rows is None else (rows, m)
         c = data.draw(arrays(float, shape, elements=st.floats(-2.0, 2.0))) * 10.0**exp
+        c = with_edges(data, c)
         xi = data.draw(arrays(float, m, elements=st.floats(-0.1, 0.1)))
         basis = ModeBasis(m)
         model = ModelSpec(0.1, self.FLUXES[flux], NoiseSpec(sigma=np.zeros(m)))
@@ -268,6 +313,10 @@ class TestPlan:
         keep = n_big.tobytes(), a_big.tobytes()
         ref = _ref_nonlin(model.flux, c, basis)
         assert stepper.nonlin(c).tobytes() == ref.tobytes()
+        if flux != "zero":  # and the allocating transforms with the reference -d/dx
+            v = synthesize(c, dealias_points(model.flux, basis))
+            d = rotate_pairs(analyze(_ref_flux(model.flux, v), m), pair_weights(-basis.wavenumbers))
+            assert d.tobytes() == ref.tobytes()
         out = stepper.advance(c, xi)
         assert out.tobytes() == _ref_advance(stepper, c, xi).tobytes()
         # returned arrays are fresh: later calls leave them as they were

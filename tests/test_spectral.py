@@ -130,9 +130,8 @@ def np_fft_analyze(samples, m_max):
 
 
 def two_multiply_synthesize(coeffs, n):
-    """The packing as written before the pair views: two multiplies into
-    the real and imaginary band of the padded spectrum.  Returns the
-    padded spectrum too."""
+    """The packing as two strided multiplies into the real and imaginary
+    band of the padded spectrum.  Returns the padded spectrum too."""
     k = coeffs.shape[-1] // 2
     spec = np.zeros((*coeffs.shape[:-1], n // 2 + 1), dtype=complex)
     scale = n / np.sqrt(2.0)
@@ -142,7 +141,8 @@ def two_multiply_synthesize(coeffs, n):
 
 
 def two_multiply_analyze(samples, m_max):
-    """The unpacking as written before the pair views."""
+    """The unpacking as two strided multiplies out of the real and
+    imaginary band, into storage order."""
     n, k = samples.shape[-1], m_max // 2
     spec = np.empty((*samples.shape[:-1], n // 2 + 1), dtype=complex)
     coeffs = np.empty((*samples.shape[:-1], m_max))
@@ -151,6 +151,14 @@ def two_multiply_analyze(samples, m_max):
     np.multiply(spec.imag[..., 1 : k + 1], -scale, out=coeffs[..., 0::2])
     np.multiply(spec.real[..., 1 : k + 1], scale, out=coeffs[..., 1::2])
     return coeffs
+
+
+def bin_order(c):
+    """Coefficients (last axis) as (cos, sin) pairs, the order of a
+    workspace's analysis band, by two strided copies."""
+    out = np.empty_like(c)
+    out[..., 0::2], out[..., 1::2] = c[..., 1::2], c[..., 0::2]
+    return out
 
 
 def two_multiply_rotate(c, w):
@@ -182,10 +190,10 @@ class TestTransforms:
            exp=st.sampled_from([-300, 0, 300]))
     @np.errstate(over="ignore", invalid="ignore")
     def test_pair_views_equal_two_multiplies_bitwise(self, data, m, rows, extra, exp):
-        # one multiply on (..., k, 2) pair views must give the bits of the
-        # separate sin and cos multiplies, signed zeros, infinities and nan
-        # included, on fresh arrays and on a workspace; n runs over even and
-        # odd sizes
+        # the pack and unpack, one multiply each in rfft bin order, and the
+        # pair rotation must give the bits of the separate sin and cos
+        # multiplies, signed zeros, infinities and nan included, on fresh
+        # arrays and on a workspace; n runs over even and odd sizes
         shape, n = (m,) if rows is None else (rows, m), m + extra
         elements = st.floats(-2.0, 2.0)
         coeffs = with_specials(data, data.draw(arrays(float, shape, elements=elements)) * 10.0**exp)
@@ -196,9 +204,11 @@ class TestTransforms:
         want_s, want_spec = two_multiply_synthesize(coeffs, n)
         want_c = two_multiply_analyze(samples, m)
         work = Workspace(shape, n)
+        assert analyze(samples, m).tobytes() == want_c.tobytes()
         for wk in (None, work, work):
             assert synthesize(coeffs, n, wk).tobytes() == want_s.tobytes()
-            assert analyze(samples, m, wk).tobytes() == want_c.tobytes()
+        for _ in range(2):  # a workspace returns its band, in bin order
+            assert analyze(samples, m, work).tobytes() == bin_order(want_c).tobytes()
         assert work.padded.tobytes() == want_spec.tobytes()
         for weights in (w, basis.wavenumbers, -basis.wavenumbers):
             got = rotate_pairs(coeffs, pair_weights(weights))
@@ -225,7 +235,7 @@ class TestTransforms:
             got_c = analyze(samples, m, w)
             assert got_s.shape == want_s.shape and got_c.shape == want_c.shape
             assert got_s.tobytes() == want_s.tobytes()
-            assert got_c.tobytes() == want_c.tobytes()
+            assert got_c.tobytes() == (want_c if w is None else bin_order(want_c)).tobytes()
 
     @pytest.mark.parametrize("m", [2, 16])
     def test_workspace_rejects_a_coarse_grid(self, m):
@@ -245,7 +255,8 @@ class TestTransforms:
             work = Workspace(shape, n)
             for _ in range(2):
                 assert synthesize(coeffs, n, work).tobytes() == synthesize(coeffs, n).tobytes()
-                assert analyze(samples, 16, work).tobytes() == analyze(samples, 16).tobytes()
+                assert (analyze(samples, 16, work).tobytes()
+                        == bin_order(analyze(samples, 16)).tobytes())
 
     @pytest.mark.parametrize("m_max", [2, 8, 32, 64])
     def test_round_trip(self, m_max):
