@@ -87,10 +87,11 @@ def _write_atomic(path: Path, write, binary: bool = False) -> None:
 
 
 def _write_summary(out: Path, cfg: RunConfig, command: str, results: dict,
-                   assumptions=()) -> None:
-    meta = {"timestamp_utc": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())}
-    if assumptions:
-        meta["assumptions"] = list(assumptions)
+                   **metadata) -> None:
+    """Write summary.json; `metadata` entries (assumptions, timings) join
+    the timestamp outside the reproducible `results` body."""
+    meta = {"timestamp_utc": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
+            **metadata}
     doc = {"run_id": cfg.run_id(), "command": command, "results": results,
            "metadata": meta, "config": cfg.echo()}
     _write_atomic(out / "summary.json", lambda fp: fp.write(_json17(doc) + "\n"))
@@ -290,7 +291,7 @@ def _ou_reference_run():
 
 def _check_ou_variance(ou):
     """Stationary L2 mass of the forced mode: sigma^2 / (-2 nu lam_1)."""
-    model, res = ou
+    model, res = ou()
     target = 1.0 / (8.0 * math.pi**2)
     est = ergodic_average(res, "l2_sq", default_burn_in(model.nu))
     gap = abs(est.value - target)
@@ -313,7 +314,7 @@ def _check_contraction():
 
 def _check_energy_balance(ou):
     """Stationarity: 2 nu E||u||_H1^2 must match the L2 noise trace."""
-    model, res = ou
+    model, res = ou()
     est = ergodic_average(res, "h1_sq", default_burn_in(model.nu))
     tr = trace_h2(model.noise, ModeBasis(2)).l2
     rel = abs(2 * model.nu * est.value - tr) / tr
@@ -322,22 +323,29 @@ def _check_energy_balance(ou):
 
 
 def _cmd_validate(cfg: RunConfig) -> int:
+    """Run each check in turn and report it with its wall time, which
+    includes the shared OU reference run for the first check that uses it;
+    the times go to the summary's metadata, outside the `results` body."""
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    ou = _ou_reference_run()
+    ou = functools.cache(_ou_reference_run)
     checks = [
-        ("heat_decay", *_check_heat_decay()),
-        ("ou_variance", *_check_ou_variance(ou)),
-        ("l1_contraction", *_check_contraction()),
-        ("energy_balance", *_check_energy_balance(ou)),
+        ("heat_decay", _check_heat_decay),
+        ("ou_variance", functools.partial(_check_ou_variance, ou)),
+        ("l1_contraction", _check_contraction),
+        ("energy_balance", functools.partial(_check_energy_balance, ou)),
     ]
-    rows = []
-    for name, ok, detail in checks:
-        print(f"{'PASS' if ok else 'FAIL'} {name}: {detail}")
+    rows, seconds = [], {}
+    for name, check in checks:
+        start = time.perf_counter()
+        ok, detail = check()
+        seconds[name] = time.perf_counter() - start
+        print(f"{'PASS' if ok else 'FAIL'} {name}: {detail} [{seconds[name]:.2f} s]")
         rows.append({"name": name, "passed": ok, "detail": detail})
-    n_fail = sum(not ok for _, ok, _ in checks)
+    n_fail = sum(not row["passed"] for row in rows)
     _write_summary(out, cfg, "validate",
-                   {"kind": "validate", "checks": rows, "failures": n_fail})
+                   {"kind": "validate", "checks": rows, "failures": n_fail},
+                   check_seconds=seconds)
     print(f"validate: {len(checks) - n_fail}/{len(checks)} checks passed")
     return EXIT_OK if n_fail == 0 else EXIT_CHECK_FAILED
 

@@ -116,9 +116,15 @@ class Stepper:
         updates run in place on the fresh nonlinear term, operand by operand
         as (N(c) dt + c) decay + xi and (N(u*) (dt half_decay) + decay c)
         + xi evaluate, left to right; where two nans meet in a sum, the
-        left one's sign survives.
+        left one's sign survives.  Every per-mode operand (the decays, dt
+        half_decay and the weights) is a C-contiguous copy at the block's
+        shape, as the Workspace's scales are, so on a block only the shared
+        increment xi broadcasts.
         """
-        decay, dt = self.decay, self.dt
+        def tiled(x):
+            return np.broadcast_to(x, shape).copy()
+
+        decay, dt = tiled(self.decay), self.dt
         if self.model.flux.kind == "zero":
             nonlin = np.zeros_like
 
@@ -129,7 +135,7 @@ class Stepper:
             n = dealias_points(spec, self.basis)
             work = Workspace(shape, n)
             values = np.empty(work.samples.shape)
-            weights = self.neg_dx.reshape(m)
+            weights = tiled(self.neg_dx.reshape(m))
             synthesize, analyze, flux_value = (spectral.synthesize, spectral.analyze,
                                                flux.flux_value)
             multiply = np.multiply
@@ -147,7 +153,7 @@ class Stepper:
                     out += xi
                     return out
             else:
-                half_dt, half_decay = 0.5 * dt, self.half_decay
+                half_dt, half_decay = 0.5 * dt, tiled(self.half_decay)
                 dt_half_decay = dt * half_decay
 
                 def step(c, xi):
@@ -289,6 +295,13 @@ def _fill_residual_column(buf, model, basis, window, history=None):
         res[window:] = observables.balance_residuals(*cols, window, model.nu, tr, first=window)
 
 
+def _flat_sum_sq(a, _):
+    """Sum of squares of a block by ndarray.dot on its flat view: the step
+    loop's finiteness test on a block, called as sum_sq(out, out)."""
+    a = a.reshape(-1)
+    return a.dot(a)
+
+
 # a blow-up is found from the step output, so the kernels may meet inf and
 # nan on the way there without a warning
 @np.errstate(over="ignore", invalid="ignore")
@@ -314,8 +327,8 @@ def _drive(stepper: Stepper, c, draw, n_steps, t, step0, every, reduce, on_step=
             reduce(times, kept)
             k = 0
     dt, advance, guarded = stepper.dt, stepper.advance, stepper.cfg.guard_radius is not None
-    # the output's sum of squares: ndarray.dot skips np.vdot's dispatcher on a state
-    sum_sq = np.ndarray.dot if c.ndim == 1 else np.vdot
+    # the output's sum of squares by ndarray.dot, on a block through a flat view
+    sum_sq = np.ndarray.dot if c.ndim == 1 else _flat_sum_sq
     trip, keep, step = None, None, step0
     for n in range(step0, step0 + n_steps):
         out = advance(c, draw())

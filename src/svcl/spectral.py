@@ -112,7 +112,11 @@ class Workspace:
     contiguous (..., m_max) float views of those bins: the pack, into the
     padded spectrum, reads the coefficients through the pair swap that
     their (sin, cos) storage order forces, and the unpack writes the
-    analysis band `band`, the coefficients as (cos, sin) pairs.  Results
+    analysis band `band`, the coefficients as (cos, sin) pairs.  The pack
+    and unpack scales are C-contiguous copies of the shared rows at the
+    block shape: with no operand broadcast, numpy runs each multiply as one
+    contiguous loop and skips building a broadcasting iterator, which at
+    small m costs more than the arithmetic.  Results
     are these buffers, valid until the next call with the same workspace.
     """
 
@@ -127,7 +131,8 @@ class Workspace:
         # bins 1..m/2 as (real, imag) floats
         self.padded_band = self.padded.view(float)[..., 2 : m + 2]
         self.spectrum_band = self.spectrum.view(float)[..., 2 : m + 2]
-        self.swap, self.pack, self.unpack = _scales(n, m)
+        self.swap, pack, unpack = _scales(n, m)
+        self.pack, self.unpack = (np.broadcast_to(x, shape).copy() for x in (pack, unpack))
         self.inv_n = 1.0 / n
         # np.fft.rfft's call: no norm, the even or odd kernel by n
         self.rfft = _pocketfft.rfft_n_even if n % 2 == 0 else _pocketfft.rfft_n_odd

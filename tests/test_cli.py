@@ -2,10 +2,13 @@
 
 import json
 import os
+import re
+import shutil
 import subprocess
 import sys
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -432,13 +435,19 @@ class TestValidate:
         code = entry(["validate", "--out", str(tmp_path / "v")])
         out = capsys.readouterr().out
         assert code == EXIT_OK
-        for name in ("heat_decay", "ou_variance", "l1_contraction",
-                     "energy_balance"):
-            assert f"PASS {name}" in out
-        assert "FAIL" not in out
+        names = ("heat_decay", "ou_variance", "l1_contraction", "energy_balance")
         doc = json.loads((tmp_path / "v" / "summary.json").read_text())
+        seconds = doc["metadata"]["check_seconds"]
+        assert list(seconds) == list(names)
+        assert all(isinstance(s, float) and s >= 0 for s in seconds.values())
+        # each check's PASS line ends with its wall time, the summary's
+        lines = re.findall(r"^PASS (\w+): .* \[(\d+\.\d\d) s\]$", out, re.M)
+        assert lines == [(name, f"{seconds[name]:.2f}") for name in names]
+        assert "FAIL" not in out
+        assert list(doc["results"]) == ["kind", "checks", "failures"]
         assert doc["results"]["failures"] == 0
-        assert len(doc["results"]["checks"]) == 4
+        assert [c["name"] for c in doc["results"]["checks"]] == list(names)
+        assert all(set(c) == {"name", "passed", "detail"} for c in doc["results"]["checks"])
 
 
 class TestResume:
@@ -638,24 +647,47 @@ class TestResume:
         assert entry(["resume", "--config", str(ini), "--resume", str(bad)]) == EXIT_IO
         assert "truncated" in capsys.readouterr().err
 
+    # generated runs: any truncation, flux, scheme, seed, length, cadence and
+    # residual window
+    RUNS = dict(modes=st.sampled_from([2, 4, 8, 16]),
+                flux=st.sampled_from(["burgers", "zero",
+                                      "polynomial\nflux_coefficients = 0,1,0,-0.25"]),
+                scheme=st.sampled_from(["exp_euler", "exp_midpoint_flux"]),
+                seed=st.integers(0, 2**64 - 1), steps=st.integers(2, 40),
+                record_every=st.integers(1, 3), snapshot_every=st.integers(1, 12),
+                residual_window=st.integers(2, 64))
+
+    @staticmethod
+    def _generated_run(tmp, modes, flux, scheme, seed, steps, record_every, snapshot_every,
+                       residual_window):
+        """Write the config of a generated run into tmp, run it and return
+        (output directory, config path)."""
+        out, ini = Path(tmp) / "out", Path(tmp) / "run.ini"
+        ini.write_text(f"[model]\nflux = {flux}\n[solver]\nmodes = {modes}\n"
+                       f"scheme = {scheme}\ndt = 0.001\n[experiment]\n"
+                       f"horizon = {steps * 0.001!r}\nseed = {seed}\n"
+                       f"record_every = {record_every}\nsnapshot_every = {snapshot_every}\n"
+                       f"residual_window = {residual_window}\n"
+                       f"[initial]\nkind = random\n[output]\ndir = {out}\n")
+        assert entry(["run", "--config", str(ini)]) == EXIT_OK
+        return out, ini
+
+    @staticmethod
+    def _artifacts(out):
+        """Every file in out by name, summary.json with its timestamp masked."""
+        files = {p.name: p.read_bytes() for p in out.iterdir()}
+        if "summary.json" in files:
+            files["summary.json"] = re.sub(rb'"timestamp_utc": "[^"]*"', b"",
+                                           files["summary.json"])
+        return files
+
     @settings(max_examples=60, deadline=None, derandomize=True, database=None)
-    @given(data=st.data(), modes=st.sampled_from([2, 4, 8, 16]),
-           flux=st.sampled_from(["burgers", "zero", "polynomial\nflux_coefficients = 0,1,0,-0.25"]),
-           scheme=st.sampled_from(["exp_euler", "exp_midpoint_flux"]),
-           seed=st.integers(0, 2**64 - 1), steps=st.integers(2, 40),
-           record_every=st.integers(1, 3), snapshot_every=st.integers(1, 12))
-    def test_snapshot_cut_at_any_byte_exits_4_and_keeps_the_artifacts(
-            self, data, modes, flux, scheme, seed, steps, record_every, snapshot_every):
+    @given(data=st.data(), **RUNS)
+    def test_snapshot_cut_at_any_byte_exits_4_and_keeps_the_artifacts(self, data, **run):
         # every proper prefix of any snapshot a run writes is refused with
         # exit 4 before the resume touches an artifact
         with tempfile.TemporaryDirectory() as tmp:
-            out, ini = Path(tmp) / "out", Path(tmp) / "run.ini"
-            ini.write_text(f"[model]\nflux = {flux}\n[solver]\nmodes = {modes}\n"
-                           f"scheme = {scheme}\ndt = 0.001\n[experiment]\n"
-                           f"horizon = {steps * 0.001!r}\nseed = {seed}\n"
-                           f"record_every = {record_every}\nsnapshot_every = {snapshot_every}\n"
-                           f"[initial]\nkind = random\n[output]\ndir = {out}\n")
-            assert entry(["run", "--config", str(ini)]) == EXIT_OK
+            out, ini = self._generated_run(tmp, **run)
             snap = data.draw(st.sampled_from(sorted(p.name for p in out.glob("*.snap"))))
             raw = (out / snap).read_bytes()
             cut = Path(tmp) / "cut.snap"
@@ -663,6 +695,72 @@ class TestResume:
             before = {p.name: p.read_bytes() for p in out.iterdir()}
             assert entry(["resume", "--config", str(ini), "--resume", str(cut)]) == EXIT_IO
             assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
+    @settings(max_examples=80, deadline=None, derandomize=True, database=None)
+    @given(data=st.data(), **RUNS)
+    def test_resume_from_any_snapshot_equals_the_uninterrupted_run(self, data, **run):
+        # cut the artifacts back to any snapshot the run wrote, final.snap
+        # included, with the CSV holding the rows through its step and
+        # maybe stale rows past it: the resume rewrites every artifact byte
+        # for byte, and the summary's results differ only by the step
+        # resumed from
+        with tempfile.TemporaryDirectory() as tmp:
+            out, ini = self._generated_run(tmp, **run)
+            full = self._artifacts(out)
+            results = json.loads(full.pop("summary.json"))["results"]
+            snap = data.draw(st.sampled_from(sorted(p.name for p in out.glob("*.snap"))))
+            with open(out / snap, "rb") as fp:
+                step = read_snapshot(fp).step
+            csv = full["observables.csv"].split(b"\n")
+            head = sum(1 for ln in csv if ln.startswith(b"#")) + 1  # echo + header
+            rows = data.draw(st.integers(step // run["record_every"] + 1, len(csv) - 1 - head))
+            (out / "observables.csv").write_bytes(b"\n".join(csv[: head + rows]) + b"\n")
+            for p in out.glob("*.snap"):
+                if p.name != snap and (p.name == "final.snap" or int(p.stem[5:]) > step):
+                    p.unlink()
+            assert entry(["resume", "--config", str(ini), "--resume", str(out / snap)]) == EXIT_OK
+            after = self._artifacts(out)
+            resumed = json.loads(after.pop("summary.json"))["results"]
+            assert after == full
+            assert resumed.pop("resumed_from_step") == step
+            assert resumed == results
+
+    @settings(max_examples=80, deadline=None, derandomize=True, database=None)
+    @given(data=st.data(), more=st.integers(1, 30), **RUNS)
+    def test_failed_replace_leaves_each_artifact_whole(self, data, more, **run):
+        # a resume that extends the horizon by `more` steps dies in its k-th
+        # os.replace, whichever artifact that moves into place: exit 4, no
+        # temporary file left, and each artifact holds its complete bytes
+        # from before the resume or those a resume that succeeds writes
+        with tempfile.TemporaryDirectory() as tmp:
+            out, ini = self._generated_run(tmp, **run)
+            resume = ["resume", "--config", str(ini), "--horizon",
+                      repr((run["steps"] + more) * 0.001), "--resume", str(out / "final.snap")]
+            old = Path(tmp) / "old"
+            shutil.copytree(out, old)
+            real_replace, calls, k = os.replace, [], 0
+
+            def replace(src, dst):  # the k-th call fails; none while k is 0
+                calls.append(dst)
+                if len(calls) == k:
+                    raise OSError("disk full")
+                real_replace(src, dst)
+
+            with mock.patch.object(os, "replace", replace):
+                # the artifacts a resume that succeeds writes, then the old ones back
+                assert entry(resume) == EXIT_OK
+                new = self._artifacts(out)
+                shutil.rmtree(out)
+                shutil.copytree(old, out)
+                before = self._artifacts(out)
+                k = data.draw(st.integers(1, len(calls)))
+                calls.clear()
+                assert entry(resume) == EXIT_IO
+            assert len(calls) == k
+            after = self._artifacts(out)
+            assert not [name for name in after if name.endswith(".part")]
+            for name in before.keys() | new.keys():
+                assert after.get(name) in (before.get(name), new.get(name)), name
 
     def test_resume_requires_the_flag(self, ini, capsys):
         assert entry(["resume", "--config", str(ini)]) == EXIT_CONFIG

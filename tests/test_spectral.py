@@ -22,6 +22,7 @@ from svcl.spectral import (
     ModeBasis,
     SpectralField,
     Workspace,
+    _scales,
     analyze,
     mode_field,
     pair_weights,
@@ -244,6 +245,18 @@ class TestTransforms:
             with pytest.raises(ValueError, match="too coarse"):
                 Workspace(shape, m + 1)
             Workspace(shape, m + 2)
+
+    @pytest.mark.parametrize("shape", [(16,), (2, 16), (128, 16), (2, 256)])
+    def test_scales_have_the_block_shape(self, shape):
+        # neither scale multiply broadcasts: the pack and unpack are
+        # C-contiguous copies of the shared rows at the workspace's shape
+        m = shape[-1]
+        n = 3 * m // 2 + 2  # Burgers' dealiasing grid
+        work = Workspace(shape, n)
+        _, pack, unpack = _scales(n, m)
+        for got, row in ((work.pack, pack), (work.unpack, unpack)):
+            assert got.shape == shape and got.flags.c_contiguous
+            assert got.tobytes() == np.broadcast_to(row, shape).tobytes()
 
     @pytest.mark.parametrize("n", [18, 19, 34, 35])
     def test_workspace_calls_equal_allocating_calls(self, n):
