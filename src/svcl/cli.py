@@ -23,7 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import ConfigError, RunConfig, parse_config, parse_config_text
+from .config import FLAGS, ConfigError, RunConfig, parse_config, parse_config_text
 from .ergodic import (coupling_passage, default_burn_in, ergodic_average,
                       tightness_diagnostic)
 from .integrator import (ModelSpec, SolverConfig, State, read_snapshot,
@@ -455,6 +455,10 @@ _HELP = {
 }
 
 
+# the subcommands that fix the experiment kind, and so take no --experiment
+_FORCED_KIND = {"couple": "coupled", "ergodic": "ergodic", "validate": "validate"}
+
+
 @functools.cache  # built by the first entry call, not on import
 def _build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
@@ -466,33 +470,19 @@ def _build_parser() -> argparse.ArgumentParser:
         sp = sub.add_parser(name, help=help_text)
         sp.add_argument("--config", default=None, metavar="FILE",
                         help="INI config file; flags override its values")
-        sp.add_argument("--seed", default=None, help="unsigned 64-bit noise seed")
-        sp.add_argument("--horizon", default=None, help="total simulated time")
-        sp.add_argument("--dt", default=None, help="time step")
-        sp.add_argument("--modes", default=None,
-                        help="number of retained spectral coefficients")
-        sp.add_argument("--nu", default=None, help="viscosity (> 0)")
-        sp.add_argument("--flux", default=None,
-                        help="burgers | zero | polynomial:a0,a1,...")
-        sp.add_argument("--noise-profile", dest="noise_profile", default=None,
-                        help="C,Q spectral amplitude profile, or zero")
-        sp.add_argument("--out", default=None, help="output directory")
-        sp.add_argument("--experiment", default=None,
-                        help="experiment kind (single|coupled|ergodic|validate)")
+        for dest, (*_, flag_help) in FLAGS.items():
+            if dest != "experiment" or name not in _FORCED_KIND:
+                sp.add_argument("--" + dest.replace("_", "-"), dest=dest, default=None,
+                                help=flag_help)
         if name == "resume":
             sp.add_argument("--resume", default=None, metavar="SNAPSHOT",
                             help="snapshot file to continue from")
     return p
 
 
-_FORCED_KIND = {"couple": "coupled", "ergodic": "ergodic", "validate": "validate"}
-
-
 def entry(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    overrides = {key: getattr(args, key) for key in
-                 ("seed", "horizon", "dt", "modes", "nu", "flux",
-                  "noise_profile", "out", "experiment")}
+    overrides = {dest: getattr(args, dest, None) for dest in FLAGS}
     if args.command in _FORCED_KIND:
         overrides["experiment"] = _FORCED_KIND[args.command]
     try:

@@ -13,7 +13,9 @@ from __future__ import annotations
 
 import configparser
 import hashlib
+import math
 from dataclasses import dataclass, field
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -26,21 +28,11 @@ from .spectral import ModeBasis, SpectralField, mode_field
 
 EXPERIMENT_KINDS = ("single", "coupled", "ergodic", "validate")
 INITIAL_KINDS = ("zero", "mode", "random")
+# the sections that each fill the InitialSpec field of their name
+INITIAL_SECTIONS = ("initial", "initial_b")
 # each residual sums its window afresh (to keep its bits), at about 1.8 ns
 # per row and window element: 4096 costs about 7 us per record row
 RESIDUAL_WINDOW_MAX = 4096
-
-_KNOWN_KEYS = {
-    "model": ("nu", "flux", "flux_coefficients"),
-    "noise": ("sigma", "c", "q"),
-    "solver": ("modes", "dt", "scheme", "guard"),
-    "experiment": ("kind", "horizon", "seed", "record_every", "residual_window",
-                   "snapshot_every", "observables", "epsilons", "burn_in",
-                   "batches"),
-    "initial": ("kind", "mode", "amplitude", "seed"),
-    "initial_b": ("kind", "mode", "amplitude", "seed"),
-    "output": ("dir",),
-}
 
 
 class ConfigError(ValueError):
@@ -50,14 +42,6 @@ class ConfigError(ValueError):
         self.violations = list(violations)
         lines = "\n".join("  - " + v for v in self.violations)
         super().__init__("invalid configuration:\n" + lines)
-
-
-def _fmt(x) -> str:
-    return FLOAT_FMT % x
-
-
-def _fmt_list(xs) -> str:
-    return ",".join(FLOAT_FMT % x for x in xs)
 
 
 @dataclass
@@ -142,49 +126,148 @@ class RunConfig:
     # --- serialization ------------------------------------------------------
 
     def echo(self) -> str:
-        """Canonical INI text; parse_config_text(echo()) == self."""
-        lines = ["[model]", f"nu = {_fmt(self.nu)}", f"flux = {self.flux_kind}"]
-        if self.flux_kind == "polynomial":
-            lines.append(f"flux_coefficients = {_fmt_list(self.flux_coefficients)}")
-        lines += ["", "[noise]"]
-        if self.noise_sigma:
-            lines.append(f"sigma = {_fmt_list(self.noise_sigma)}")
-        else:
-            lines += [f"c = {_fmt(self.noise_c)}", f"q = {_fmt(self.noise_q)}"]
-        lines += ["", "[solver]", f"modes = {self.modes}", f"dt = {_fmt(self.dt)}",
-                  f"scheme = {self.scheme}"]
-        if self.guard is not None:
-            lines.append(f"guard = {_fmt(self.guard)}")
-        lines += ["", "[experiment]", f"kind = {self.experiment}",
-                  f"horizon = {_fmt(self.horizon)}", f"seed = {self.seed}",
-                  f"record_every = {self.record_every}",
-                  f"residual_window = {self.residual_window}",
-                  f"snapshot_every = {self.snapshot_every}"]
-        if self.observables:
-            lines.append("observables = " + ",".join(str(p) for p in self.observables))
-        lines.append(f"epsilons = {_fmt_list(self.epsilons)}")
-        burn = "auto" if self.burn_in is None else _fmt(self.burn_in)
-        lines += [f"burn_in = {burn}", f"batches = {self.batches}"]
-        for name, ini in (("initial", self.initial), ("initial_b", self.initial_b)):
-            lines += ["", f"[{name}]", f"kind = {ini.kind}", f"mode = {ini.mode}",
-                      f"amplitude = {_fmt(ini.amplitude)}", f"seed = {ini.seed}"]
-        lines += ["", "[output]", f"dir = {self.out_dir}", ""]
-        return "\n".join(lines)
+        """Canonical INI text; parse_config_text(echo()) == self. A key whose
+        value is unset (None, or an empty list) is left out."""
+        lines, section = [], None
+        for row in SCHEMA:
+            if row.section != section:
+                section, owner = row.section, _owner(self, row.section)
+                lines += ["", f"[{section}]"]
+            text = row.kind.show(getattr(owner, row.attr))
+            if text:
+                lines.append(f"{row.key} = {text}")
+        return "\n".join(lines[1:]) + "\n"
 
     def run_id(self) -> str:
         """Content hash of the canonical echo, git-style short form."""
         return hashlib.sha1(self.echo().encode()).hexdigest()[:12]
 
 
+# --- the schema ------------------------------------------------------------
+# One row per INI key. The unknown-key check, reading and checking each key,
+# RunConfig(**values), echo() and the command-line flags all walk these tables.
+
+
+def _list(parse):
+    return lambda raw: tuple(parse(tok) for tok in raw.split(",") if tok.strip())
+
+
+class _Kind(NamedTuple):
+    """How a key's text is read and echoed: `finite` is None for a kind that
+    cannot hold nan or inf, and `show` gives "" for an unset value."""
+
+    parse: Callable
+    expected: str
+    finite: Callable | None
+    show: Callable
+
+
+_FLOAT = _Kind(float, "a number", math.isfinite, lambda x: "" if x is None else FLOAT_FMT % x)
+_FLOATS = _Kind(_list(float), "a number list", lambda xs: all(map(math.isfinite, xs)),
+                lambda xs: ",".join(FLOAT_FMT % x for x in xs))
+# base-10 only: float round-trip would corrupt large 64-bit seeds
+_INT = _Kind(lambda raw: int(raw, 10), "an integer", None, str)
+_INTS = _Kind(_list(_INT.parse), "an integer list", None, lambda xs: ",".join(map(str, xs)))
+_STR = _Kind(str, "a string", None, str)
+# a number, or auto for None
+_AUTO = _Kind(lambda raw: None if raw == "auto" else float(raw), "a number",
+              lambda x: x is None or math.isfinite(x),
+              lambda x: "auto" if x is None else FLOAT_FMT % x)
+
+
+class _Key(NamedTuple):
+    """One INI key: its kind, the check its value alone must pass with the
+    violation message as a str.format template of the value, and the
+    RunConfig field it fills (an InitialSpec field in INITIAL_SECTIONS),
+    given where its name is not the key."""
+
+    section: str
+    key: str
+    kind: _Kind
+    check: Callable | None = None
+    message: str = ""
+    attr: str | None = None
+
+
+def _one_of(choices, noun="kind"):
+    return (lambda v: v in choices), f"unknown {noun} {{!r}}, choose from {choices}"
+
+
+_U64 = (lambda n: 0 <= n < 2**64), "must be an unsigned 64-bit integer (got {})"
+
+# in echo order; the defaults are those of the RunConfig and InitialSpec fields
+SCHEMA = tuple(row._replace(attr=row.attr or row.key) for row in (
+    _Key("model", "nu", _FLOAT, lambda v: v > 0, "nu > 0 is violated (got {})"),
+    _Key("model", "flux", _STR, *_one_of(FLUX_KINDS), attr="flux_kind"),
+    _Key("model", "flux_coefficients", _FLOATS),
+    _Key("noise", "sigma", _FLOATS, attr="noise_sigma"),
+    _Key("noise", "c", _FLOAT, attr="noise_c"),
+    _Key("noise", "q", _FLOAT, attr="noise_q"),
+    _Key("solver", "modes", _INT, lambda v: v >= 2 and v % 2 == 0,
+         "need an even number of at least 2 retained modes (got {})"),
+    _Key("solver", "dt", _FLOAT, lambda v: v > 0, "dt > 0 is violated (got {})"),
+    _Key("solver", "scheme", _STR, *_one_of(SCHEMES, "scheme")),
+    _Key("solver", "guard", _FLOAT, lambda v: v is None or v > 0,
+         "guard radius must be positive (got {})"),
+    _Key("experiment", "kind", _STR, *_one_of(EXPERIMENT_KINDS), attr="experiment"),
+    _Key("experiment", "horizon", _FLOAT, lambda v: v > 0, "horizon > 0 is violated (got {})"),
+    _Key("experiment", "seed", _INT, *_U64),
+    _Key("experiment", "record_every", _INT, lambda v: v >= 1, "must be >= 1"),
+    _Key("experiment", "residual_window", _INT, lambda v: 2 <= v <= RESIDUAL_WINDOW_MAX,
+         f"must lie in [2, {RESIDUAL_WINDOW_MAX}] (got {{}})"),
+    _Key("experiment", "snapshot_every", _INT, lambda v: v >= 0, "must be >= 0"),
+    _Key("experiment", "observables", _INTS, lambda v: all(p >= 1 for p in v),
+         "Lp orders must be >= 1"),
+    _Key("experiment", "epsilons", _FLOATS, lambda v: len(v) > 0 and all(e > 0 for e in v),
+         "need a non-empty list of positive thresholds"),
+    _Key("experiment", "burn_in", _AUTO, lambda v: v is None or v >= 0, "must be >= 0 or auto"),
+    _Key("experiment", "batches", _INT, lambda v: v >= MIN_BATCHES,
+         f"need at least {MIN_BATCHES} for the error bar"),
+    *(row for sec in INITIAL_SECTIONS for row in (
+        _Key(sec, "kind", _STR, *_one_of(INITIAL_KINDS)),
+        _Key(sec, "mode", _INT),  # checked against modes after the loop
+        _Key(sec, "amplitude", _FLOAT),
+        _Key(sec, "seed", _INT, *_U64))),
+    _Key("output", "dir", _STR, bool, "must be non-empty", attr="out_dir"),
+))
+_SECTIONS = {row.section for row in SCHEMA}
+_KEYS = {(row.section, row.key) for row in SCHEMA}
+_DEFAULTS = RunConfig()
+
+
+def _owner(cfg, section):
+    """The object whose fields a section's keys are: cfg or its InitialSpec."""
+    return getattr(cfg, section) if section in INITIAL_SECTIONS else cfg
+
+
+def _set_flux(keys, value):
+    kind, _, coeffs = value.partition(":")
+    keys["flux"] = kind
+    if coeffs:
+        keys["flux_coefficients"] = coeffs
+
+
+def _set_noise_profile(keys, value):
+    keys.pop("sigma", None)
+    keys["c"], _, keys["q"] = ("0,3" if value == "zero" else value).partition(",")
+
+
+# dest -> (section, the key the flag overrides or a function that sets the
+# section's keys from the flag's value, help), in the order the help lists them
+FLAGS = {
+    "seed": ("experiment", "seed", "unsigned 64-bit noise seed"),
+    "horizon": ("experiment", "horizon", "total simulated time"),
+    "dt": ("solver", "dt", "time step"),
+    "modes": ("solver", "modes", "number of retained spectral coefficients"),
+    "nu": ("model", "nu", "viscosity (> 0)"),
+    "flux": ("model", _set_flux, "burgers | zero | polynomial:a0,a1,..."),
+    "noise_profile": ("noise", _set_noise_profile, "C,Q spectral amplitude profile, or zero"),
+    "out": ("output", "dir", "output directory"),
+    "experiment": ("experiment", "kind", "experiment kind (single|coupled|ergodic|validate)"),
+}
+
+
 # --- parsing ---------------------------------------------------------------
-
-
-def _parse_floats(raw: str):
-    return tuple(float(tok) for tok in raw.split(",") if tok.strip())
-
-
-def _parse_ints(raw: str):
-    return tuple(int(tok, 10) for tok in raw.split(",") if tok.strip())
 
 
 class _Reader:
@@ -194,46 +277,23 @@ class _Reader:
     def __init__(self, table):
         self.table = table
         self.violations = []
+        self.unread = set()  # (section, key) of given values that failed to read
 
-    def has(self, sec, key):
-        return key in self.table.get(sec, {})
-
-    def _raw(self, sec, key):
-        return self.table.get(sec, {}).get(key)
-
-    def _typed(self, sec, key, default, convert, kind):
-        raw = self._raw(sec, key)
+    def read(self, sec, key, default, kind):
+        raw = self.table.get(sec, {}).get(key)
         if raw is None:
             return default
         try:
-            return convert(raw)
+            value = kind.parse(raw)
         except ValueError as e:
-            self.violations.append(f"{sec}.{key}: expected {kind}, got {raw!r} ({e})")
-            return default
-
-    def _finite(self, sec, key, default, convert, kind):
-        # float() reads nan and +-inf, which no key can hold
-        value = self._typed(sec, key, default, convert, kind)
-        if value is None or np.isfinite(value).all():
-            return value
-        self.violations.append(f"{sec}.{key}: must be finite (got {self._raw(sec, key)})")
+            self.violations.append(f"{sec}.{key}: expected {kind.expected}, got {raw!r} ({e})")
+        else:
+            # float() reads nan and +-inf, which no key can hold
+            if kind.finite is None or kind.finite(value):
+                return value
+            self.violations.append(f"{sec}.{key}: must be finite (got {raw})")
+        self.unread.add((sec, key))
         return default
-
-    def float(self, sec, key, default):
-        return self._finite(sec, key, default, float, "a number")
-
-    def int(self, sec, key, default):
-        # base-10 only: float round-trip would corrupt large 64-bit seeds
-        return self._typed(sec, key, default, lambda raw: int(raw, 10), "an integer")
-
-    def str(self, sec, key, default):
-        return self._typed(sec, key, default, str, "a string")
-
-    def floats(self, sec, key, default):
-        return self._finite(sec, key, default, _parse_floats, "a number list")
-
-    def ints(self, sec, key, default):
-        return self._typed(sec, key, default, _parse_ints, "an integer list")
 
     def require(self, ok: bool, message: str):
         if not ok:
@@ -253,32 +313,17 @@ def _read_table(text: str):
 
 def _apply_overrides(table, overrides):
     """Flag values take precedence over the file; all arrive as strings."""
-    dest = {"nu": ("model", "nu"), "dt": ("solver", "dt"),
-            "modes": ("solver", "modes"), "seed": ("experiment", "seed"),
-            "horizon": ("experiment", "horizon"), "out": ("output", "dir"),
-            "experiment": ("experiment", "kind")}
     for name, value in overrides.items():
         if value is None:
             continue
-        value = str(value)
-        if name == "flux":
-            kind, _, coeffs = value.partition(":")
-            table.setdefault("model", {})["flux"] = kind
-            if coeffs:
-                table["model"]["flux_coefficients"] = coeffs
-        elif name == "noise_profile":
-            if value == "zero":
-                c, q = "0", "3"
-            else:
-                c, _, q = value.partition(",")
-            sec = table.setdefault("noise", {})
-            sec.pop("sigma", None)
-            sec["c"], sec["q"] = c, q
-        elif name in dest:
-            sec, key = dest[name]
-            table.setdefault(sec, {})[key] = value
-        else:
+        if name not in FLAGS:
             raise ValueError(f"unknown override {name!r}")
+        section, key, _ = FLAGS[name]
+        keys = table.setdefault(section, {})
+        if callable(key):
+            key(keys, str(value))
+        else:
+            keys[key] = str(value)
     return table
 
 
@@ -288,45 +333,35 @@ def parse_config_text(text: str, overrides=None) -> RunConfig:
     table = _apply_overrides(_read_table(text), overrides or {})
     r = _Reader(table)
 
-    for sec in table:
-        if sec not in _KNOWN_KEYS:
+    for sec, keys in table.items():
+        if sec not in _SECTIONS:
             r.violations.append(f"unknown section: [{sec}]")
             continue
-        for key in table[sec]:
-            if key not in _KNOWN_KEYS[sec]:
-                r.violations.append(f"unknown key: {sec}.{key}")
+        r.violations += [f"unknown key: {sec}.{key}" for key in keys if (sec, key) not in _KEYS]
 
-    nu = r.float("model", "nu", 0.1)
-    r.require(nu > 0, f"model.nu: nu > 0 is violated (got {nu})")
+    values, initials = {}, {sec: {} for sec in INITIAL_SECTIONS}
+    for row in SCHEMA:
+        sec = row.section
+        value = r.read(sec, row.key, getattr(_owner(_DEFAULTS, sec), row.attr), row.kind)
+        if row.check is not None and not row.check(value):
+            r.violations.append(f"{sec}.{row.key}: " + row.message.format(value))
+        initials.get(sec, values)[row.attr] = value
 
-    flux_kind = r.str("model", "flux", "burgers")
-    flux_coeffs = r.floats("model", "flux_coefficients", None)
-    # an unreadable list is listed already: asking for coefficients would list it twice
-    unread = flux_coeffs is None and r.has("model", "flux_coefficients")
-    flux_coeffs = flux_coeffs or ()
-    if r.require(flux_kind in FLUX_KINDS,
-                 f"model.flux: unknown kind {flux_kind!r}, "
-                 f"choose from {FLUX_KINDS}"):
-        if flux_kind == "polynomial":
-            r.require(unread or len(flux_coeffs) > 0,
-                      "model.flux_coefficients: polynomial flux requires coefficients")
-        else:
-            r.require(not flux_coeffs,
-                      "model.flux_coefficients: only the polynomial flux takes coefficients")
+    # the checks that span keys
+    flux_kind, flux_coeffs = values["flux_kind"], values["flux_coefficients"]
+    if flux_kind == "polynomial":
+        # an unreadable list is listed already: asking for coefficients would list it twice
+        r.require(("model", "flux_coefficients") in r.unread or len(flux_coeffs) > 0,
+                  "model.flux_coefficients: polynomial flux requires coefficients")
+    elif flux_kind in FLUX_KINDS:
+        r.require(not flux_coeffs,
+                  "model.flux_coefficients: only the polynomial flux takes coefficients")
 
-    modes = r.int("solver", "modes", 32)
-    r.require(modes >= 2 and modes % 2 == 0,
-              f"solver.modes: need an even number of at least 2 retained modes "
-              f"(got {modes})")
-
-    sigma = r.floats("noise", "sigma", ())
-    has_profile = r.has("noise", "c") or r.has("noise", "q")
-    noise_c = r.float("noise", "c", 0.5)
-    noise_q = r.float("noise", "q", 3.0)
-    if r.has("noise", "sigma") and has_profile:
+    modes, sigma, noise = values["modes"], values["noise_sigma"], table.get("noise", {})
+    if "sigma" in noise and ("c" in noise or "q" in noise):
         r.violations.append("noise: give either sigma or the (c, q) profile, not both")
-    elif r.has("noise", "sigma"):
-        noise_c = noise_q = None
+    elif "sigma" in noise:
+        values["noise_c"] = values["noise_q"] = None
         try:
             NoiseSpec(sigma=np.asarray(sigma))
         except ValueError as e:
@@ -335,26 +370,12 @@ def parse_config_text(text: str, overrides=None) -> RunConfig:
                   f"noise.sigma: needs one amplitude per retained mode "
                   f"({len(sigma)} given, modes = {modes})")
     else:
-        sigma = ()
         try:
-            NoiseSpec(c=noise_c, q=noise_q)
+            NoiseSpec(c=values["noise_c"], q=values["noise_q"])
         except ValueError as e:
             r.violations.append(f"noise: {e}")
 
-    dt = r.float("solver", "dt", 1e-3)
-    r.require(dt > 0, f"solver.dt: dt > 0 is violated (got {dt})")
-    scheme = r.str("solver", "scheme", "exp_euler")
-    r.require(scheme in SCHEMES,
-              f"solver.scheme: unknown scheme {scheme!r}, choose from {SCHEMES}")
-    guard = r.float("solver", "guard", None)
-    if guard is not None:
-        r.require(guard > 0, f"solver.guard: guard radius must be positive (got {guard})")
-
-    kind = r.str("experiment", "kind", "single")
-    r.require(kind in EXPERIMENT_KINDS,
-              f"experiment.kind: unknown kind {kind!r}, choose from {EXPERIMENT_KINDS}")
-    horizon = r.float("experiment", "horizon", 1.0)
-    r.require(horizon > 0, f"experiment.horizon: horizon > 0 is violated (got {horizon})")
+    horizon, dt = values["horizon"], values["dt"]
     if horizon > 0 and dt > 0 and r.require(
             np.isfinite(horizon / dt),
             f"experiment.horizon: horizon / dt is not a finite step count "
@@ -364,62 +385,15 @@ def parse_config_text(text: str, overrides=None) -> RunConfig:
         r.require(n_steps < 2**64,
                   f"experiment.horizon: horizon / dt = {horizon / dt:.6g} steps is not "
                   f"below 2^64, the step range of a snapshot")
-    seed = r.int("experiment", "seed", 0)
-    r.require(0 <= seed < 2**64,
-              f"experiment.seed: must be an unsigned 64-bit integer (got {seed})")
-    record_every = r.int("experiment", "record_every", 1)
-    r.require(record_every >= 1, "experiment.record_every: must be >= 1")
-    residual_window = r.int("experiment", "residual_window", 64)
-    r.require(2 <= residual_window <= RESIDUAL_WINDOW_MAX,
-              f"experiment.residual_window: must lie in [2, {RESIDUAL_WINDOW_MAX}] "
-              f"(got {residual_window})")
-    snapshot_every = r.int("experiment", "snapshot_every", 0)
-    r.require(snapshot_every >= 0, "experiment.snapshot_every: must be >= 0")
-    observables = r.ints("experiment", "observables", ())
-    r.require(all(p >= 1 for p in observables),
-              "experiment.observables: Lp orders must be >= 1")
-    epsilons = r.floats("experiment", "epsilons", (1e-3,))
-    r.require(len(epsilons) > 0 and all(e > 0 for e in epsilons),
-              "experiment.epsilons: need a non-empty list of positive thresholds")
-    burn_raw = r.str("experiment", "burn_in", "auto")
-    burn_in = None
-    if burn_raw != "auto":
-        burn_in = r.float("experiment", "burn_in", None)
-        if burn_in is not None:
-            r.require(burn_in >= 0, "experiment.burn_in: must be >= 0 or auto")
-    batches = r.int("experiment", "batches", 16)
-    r.require(batches >= MIN_BATCHES,
-              f"experiment.batches: need at least {MIN_BATCHES} for the error bar")
 
-    initials = []
-    for sec in ("initial", "initial_b"):
-        ikind = r.str(sec, "kind", "zero")
-        imode = r.int(sec, "mode", 1)
-        iamp = r.float(sec, "amplitude", 1.0)
-        iseed = r.int(sec, "seed", 0)
-        r.require(ikind in INITIAL_KINDS,
-                  f"{sec}.kind: unknown kind {ikind!r}, choose from {INITIAL_KINDS}")
-        r.require(1 <= imode <= modes,
-                  f"{sec}.mode: mode index must lie in [1, modes] (got {imode})")
-        r.require(0 <= iseed < 2**64,
-                  f"{sec}.seed: must be an unsigned 64-bit integer (got {iseed})")
-        initials.append(InitialSpec(ikind, imode, iamp, iseed))
-
-    out_dir = r.str("output", "dir", "out")
-    r.require(bool(out_dir), "output.dir: must be non-empty")
+    for sec, spec in initials.items():
+        r.require(1 <= spec["mode"] <= modes,
+                  f"{sec}.mode: mode index must lie in [1, modes] (got {spec['mode']})")
+        values[sec] = InitialSpec(**spec)
 
     if r.violations:
         raise ConfigError(r.violations)
-    return RunConfig(
-        nu=nu, flux_kind=flux_kind, flux_coefficients=flux_coeffs,
-        noise_c=noise_c, noise_q=noise_q, noise_sigma=sigma,
-        modes=modes, dt=dt, scheme=scheme, guard=guard,
-        experiment=kind, horizon=horizon, seed=seed,
-        record_every=record_every, residual_window=residual_window,
-        snapshot_every=snapshot_every, observables=observables,
-        epsilons=epsilons, burn_in=burn_in, batches=batches,
-        initial=initials[0], initial_b=initials[1], out_dir=out_dir,
-    )
+    return RunConfig(**values)
 
 
 def parse_config(path=None, overrides=None) -> RunConfig:

@@ -295,13 +295,6 @@ def _fill_residual_column(buf, model, basis, window, history=None):
         res[window:] = observables.balance_residuals(*cols, window, model.nu, tr, first=window)
 
 
-def _flat_sum_sq(a, _):
-    """Sum of squares of a block by ndarray.dot on its flat view: the step
-    loop's finiteness test on a block, called as sum_sq(out, out)."""
-    a = a.reshape(-1)
-    return a.dot(a)
-
-
 # a blow-up is found from the step output, so the kernels may meet inf and
 # nan on the way there without a warning
 @np.errstate(over="ignore", invalid="ignore")
@@ -327,8 +320,8 @@ def _drive(stepper: Stepper, c, draw, n_steps, t, step0, every, reduce, on_step=
             reduce(times, kept)
             k = 0
     dt, advance, guarded = stepper.dt, stepper.advance, stepper.cfg.guard_radius is not None
-    # the output's sum of squares by ndarray.dot, on a block through a flat view
-    sum_sq = np.ndarray.dot if c.ndim == 1 else _flat_sum_sq
+    # the output's sum of squares: ndarray.dot skips np.vdot's dispatcher on a state
+    sum_sq = np.ndarray.dot if c.ndim == 1 else np.vdot
     trip, keep, step = None, None, step0
     for n in range(step0, step0 + n_steps):
         out = advance(c, draw())

@@ -273,6 +273,17 @@ class TestExitCodes:
             assert "--resume" in capsys.readouterr().err
         assert {p.name: p.read_bytes() for p in out.iterdir()} == before
 
+    def test_experiment_flag_is_refused_where_the_subcommand_fixes_the_kind(
+            self, ini, tmp_path, capsys):
+        # couple, ergodic and validate each fix the experiment kind: argparse
+        # refuses --experiment there instead of running the fixed kind anyway
+        for command in ("couple", "ergodic", "validate"):
+            with pytest.raises(SystemExit) as exc:
+                entry([command, "--config", str(ini), "--experiment", "single"])
+            assert exc.value.code == 2
+            assert "--experiment" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_missing_snapshot_exits_4(self, ini, tmp_path, capsys):
         code = entry(["resume", "--config", str(ini),
                       "--resume", str(tmp_path / "nope.snap")])

@@ -1,5 +1,10 @@
 """Config parsing, validation completeness, echo round-trip, overrides."""
 
+import re
+from collections import Counter
+from dataclasses import fields
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,11 +12,14 @@ from hypothesis import strategies as st
 
 from svcl.config import (
     EXPERIMENT_KINDS,
+    FLAGS,
     INITIAL_KINDS,
+    INITIAL_SECTIONS,
     RESIDUAL_WINDOW_MAX,
     ConfigError,
     InitialSpec,
     RunConfig,
+    SCHEMA,
     parse_config,
     parse_config_text,
 )
@@ -329,6 +337,54 @@ class TestOverrides:
     def test_unknown_override_is_a_programming_error(self):
         with pytest.raises(ValueError, match="unknown override"):
             parse_config_text(MINIMAL, {"colour": "red"})
+
+
+class TestSchema:
+    def test_every_field_has_exactly_one_row(self):
+        top = Counter(row.attr for row in SCHEMA if row.section not in INITIAL_SECTIONS)
+        assert top == Counter(f.name for f in fields(RunConfig) if f.name not in INITIAL_SECTIONS)
+        for sec in INITIAL_SECTIONS:
+            assert isinstance(getattr(RunConfig(), sec), InitialSpec)
+            rows = Counter(row.attr for row in SCHEMA if row.section == sec)
+            assert rows == Counter(f.name for f in fields(InitialSpec))
+
+    def test_no_key_is_declared_twice(self):
+        keys = [(row.section, row.key) for row in SCHEMA]
+        assert len(keys) == len(set(keys))
+
+    # a value for each flag that overrides one key, and for each flag that
+    # sets several, a value and the INI keys it stands for
+    FLAG_VALUES = {"seed": "7", "horizon": "2.5", "dt": "0.0005", "modes": "8", "nu": "0.3",
+                   "out": "runs/x", "experiment": "coupled"}
+    EXPANDED = {
+        "flux": ("polynomial:0,0,1", "[model]\nflux = polynomial\nflux_coefficients = 0,0,1\n"),
+        "noise_profile": ("zero", "[noise]\nc = 0\nq = 3\n"),
+    }
+
+    @pytest.mark.parametrize("name", list(FLAGS))
+    def test_each_flag_equals_the_keys_it_overrides(self, name):
+        section, key, _ = FLAGS[name]
+        if callable(key):
+            value, ini = self.EXPANDED[name]
+        else:
+            value = self.FLAG_VALUES[name]
+            ini = f"[{section}]\n{key} = {value}\n"
+        cfg = parse_config_text(MINIMAL, {name: value})
+        assert cfg == parse_config_text(ini) != parse_config_text(MINIMAL)
+
+    def test_readme_example_lists_every_key(self):
+        # each key appears as `key =`, commented or not, under its section
+        # header, so the README cannot drift from the schema
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        example = readme.split("### Config file", 1)[1].split("```ini\n", 1)[1].split("```")[0]
+        listed, section = [], None
+        for line in example.splitlines():
+            if m := re.match(r"#? *\[(\w+)\]", line):
+                section = m.group(1)
+            elif m := re.match(r"#? *(\w+) =", line):
+                listed.append((section, m.group(1)))
+        assert sorted(listed) == sorted((row.section, row.key) for row in SCHEMA)
+        parse_config_text(example)  # the uncommented part is a valid config
 
 
 class TestBuilders:
