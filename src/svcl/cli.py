@@ -2,7 +2,9 @@
 
 One binary with subcommands (run, couple, ergodic, validate, resume).
 Given a config and a seed, every output byte is reproducible except the
-timestamp, which lives only in the summary metadata block. Artifacts per
+timestamp and the timings, which live only in the summary metadata block
+(`metadata.timing`: the driver call's wall_s, steps and steps_per_s, in
+the summaries of run, resume, couple and ergodic). Artifacts per
 run directory: observables.csv (one comment line echoing the config, a
 header, then 17-significant-digit rows), summary.json, and snapshots.
 Exit codes: 0 success, 1 failed validation checks, 2 config error,
@@ -109,6 +111,13 @@ def _write_snap(path: Path, state: State, model: ModelSpec, solver: SolverConfig
                   binary=True)
 
 
+def _timing(start: float, steps: int) -> dict:
+    """metadata.timing of the driver call that began at perf_counter()
+    `start` and made `steps` steps (pair steps for a coupled run)."""
+    wall_s = time.perf_counter() - start
+    return {"wall_s": wall_s, "steps": steps, "steps_per_s": steps / wall_s}
+
+
 def _trip_dict(trip):
     if trip is None:
         return None
@@ -138,7 +147,8 @@ def _prepare(cfg: RunConfig):
 
 def _run_and_write(cfg: RunConfig, snap=None, kept=(), history=None):
     """Drive the single trajectory of `run`, `ergodic` and `resume` and write
-    observables.csv, the periodic snapshots and final.snap.
+    observables.csv, the periodic snapshots and final.snap; returns the run
+    and the driver call's timing.
 
     A resumed run starts from `snap` and continues the CSV data rows in
     `kept`, with `history` the (t, l2_sq, h1_sq) tail of those rows.
@@ -154,13 +164,15 @@ def _run_and_write(cfg: RunConfig, snap=None, kept=(), history=None):
             _write_snap(out / f"snap_{step:09d}.snap", State(SpectralField(c, basis), t, step),
                         model, solver, cfg.seed)
 
+    start = time.perf_counter()
     res = run_single(model, solver, u0, seed=cfg.seed, n_steps=cfg.n_steps() - step0,
                      record_every=cfg.record_every, lp_orders=cfg.observables,
                      residual_window=cfg.residual_window, residual_history=history,
                      t0=t0, step0=step0, on_step=snapshot if cfg.snapshot_every else None)
+    timing = _timing(start, res.state.step - step0)
     _write_csv(out / "observables.csv", res.records, cfg, kept)
     _write_snap(out / "final.snap", res.state, model, solver, cfg.seed)
-    return out, model, u0, res
+    return out, model, u0, res, timing
 
 
 def _blowup(trip, out: Path) -> int:
@@ -172,7 +184,7 @@ def _blowup(trip, out: Path) -> int:
 def _cmd_single(cfg: RunConfig, snap=None, rows=(), history=None) -> int:
     """`run`; also the body of `resume`, which passes the snapshot and the
     CSV data rows the new rows continue."""
-    out, model, u0, res = _run_and_write(cfg, snap, rows, history)
+    out, model, u0, res, timing = _run_and_write(cfg, snap, rows, history)
     c = res.state.u.coeffs
     with np.errstate(over="ignore", invalid="ignore"):  # as in the step loop
         l2_sq, h1_sq = float(np.dot(c, c)), float(np.dot(-u0.basis.eigenvalues, c * c))
@@ -182,7 +194,7 @@ def _cmd_single(cfg: RunConfig, snap=None, rows=(), history=None) -> int:
     if snap is not None:
         results["resumed_from_step"] = snap.step
     results["trip"] = _trip_dict(res.trip)
-    _write_summary(out, cfg, "run" if snap is None else "resume", results)
+    _write_summary(out, cfg, "run" if snap is None else "resume", results, timing=timing)
     if res.trip is not None:
         return _blowup(res.trip, out)
     if snap is None:
@@ -198,10 +210,12 @@ def _cmd_coupled(cfg: RunConfig) -> int:
     out, basis, model, solver = _prepare(cfg)
     u0 = cfg.initial.build(basis)
     v0 = cfg.initial_b.build(basis)
+    start = time.perf_counter()
     res = run_coupled(model, solver, u0, v0, seed=cfg.seed, n_steps=cfg.n_steps(),
                       record_every=cfg.record_every, lp_orders=cfg.observables,
                       residual_window=cfg.residual_window,
                       stop_l1_below=min(cfg.epsilons))
+    timing = _timing(start, res.state_a.step)
     _write_csv(out / "observables_a.csv", res.records_a, cfg)
     _write_csv(out / "observables_b.csv", res.records_b, cfg)
     _write_snap(out / "final_a.snap", res.state_a, model, solver, cfg.seed)
@@ -213,7 +227,7 @@ def _cmd_coupled(cfg: RunConfig) -> int:
                "first_passage": {FLOAT_FMT % e: v for e, v in first.items()},
                "monotone": monotone, "reached_target": reached,
                "steps": res.state_a.step, "trip": _trip_dict(res.trip)}
-    _write_summary(out, cfg, "couple", results)
+    _write_summary(out, cfg, "couple", results, timing=timing)
     if res.trip is not None:
         return _blowup(res.trip, out)
     print(f"couple {cfg.run_id()}: l1 {l1[0]:.6g} -> {l1[-1]:.6g} "
@@ -222,10 +236,10 @@ def _cmd_coupled(cfg: RunConfig) -> int:
 
 
 def _cmd_ergodic(cfg: RunConfig) -> int:
-    out, model, u0, res = _run_and_write(cfg)
+    out, model, u0, res, timing = _run_and_write(cfg)
     if res.trip is not None:
         _write_summary(out, cfg, "ergodic",
-                       {"kind": "ergodic", "trip": _trip_dict(res.trip)})
+                       {"kind": "ergodic", "trip": _trip_dict(res.trip)}, timing=timing)
         return _blowup(res.trip, out)
     burn = cfg.effective_burn_in()
     names = ["l2_sq", "h1_sq"] + [f"lp{p}_p" for p in cfg.observables]
@@ -253,7 +267,7 @@ def _cmd_ergodic(cfg: RunConfig) -> int:
             for r in tight],
         "steps": res.state.step, "trip": None,
     }
-    _write_summary(out, cfg, "ergodic", results, assumptions=(
+    _write_summary(out, cfg, "ergodic", results, timing=timing, assumptions=(
         "expectations under the invariant measure are approximated by time "
         "averages of one long trajectory; uniqueness of the invariant "
         "measure justifies the exchange",))

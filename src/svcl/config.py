@@ -241,8 +241,8 @@ def _owner(cfg, section):
 
 
 def _set_flux(keys, value):
-    kind, _, coeffs = value.partition(":")
-    keys["flux"] = kind
+    keys.pop("flux_coefficients", None)
+    keys["flux"], _, coeffs = value.partition(":")
     if coeffs:
         keys["flux_coefficients"] = coeffs
 

@@ -85,8 +85,8 @@ class Stepper:
     padded grid, the -d/dx weights in the Workspace's band order and the
     three traced kernels `spectral.synthesize`, `spectral.analyze` and
     `flux.flux_value`, all looked up once, when the kernel is built.  Only
-    temporaries inside a step live there: every state `advance` returns is
-    a fresh array.
+    temporaries inside a step live there: `advance` writes the new state
+    into the caller's `out`, or else into a fresh array.
     """
 
     def __init__(self, model: ModelSpec, cfg: SolverConfig, basis: ModeBasis):
@@ -111,12 +111,14 @@ class Stepper:
         pointwise, projects back (the mean of A(u) is annihilated by the
         derivative, so it is dropped) and differentiates with one multiply
         of the analysis band, whose (cos, sin) pairs meet the -d/dx weights
-        (w, -w) of each pair: the products, into a fresh array in storage
-        order, are those of `rotate_pairs` by `neg_dx`, bit for bit.  The
-        updates run in place on the fresh nonlinear term, operand by operand
-        as (N(c) dt + c) decay + xi and (N(u*) (dt half_decay) + decay c)
-        + xi evaluate, left to right; where two nans meet in a sum, the
-        left one's sign survives.  Every per-mode operand (the decays, dt
+        (w, -w) of each pair: the products, into `out` (a fresh array when
+        it is None) in storage order, are those of `rotate_pairs` by
+        `neg_dx`, bit for bit.  The updates run in place on that nonlinear
+        term, operand by operand as (N(c) dt + c) decay + xi and
+        (N(u*) (dt half_decay) + decay c) + xi evaluate, left to right; where
+        two nans meet in a sum, the left one's sign survives.  The midpoint
+        u*, and then decay c, live in one temporary of the kernel's, so
+        `out` must not be c.  Every per-mode operand (the decays, dt
         half_decay and the weights) is a C-contiguous copy at the block's
         shape, as the Workspace's scales are, so on a block only the shared
         increment xi broadcasts.
@@ -124,12 +126,14 @@ class Stepper:
         def tiled(x):
             return np.broadcast_to(x, shape).copy()
 
-        decay, dt = tiled(self.decay), self.dt
+        decay, dt, multiply = tiled(self.decay), self.dt, np.multiply
         if self.model.flux.kind == "zero":
             nonlin = np.zeros_like
 
-            def step(c, xi):
-                return decay * c + xi
+            def step(c, xi, out):
+                out = multiply(decay, c, out=out)
+                out += xi
+                return out
         else:
             spec, m = self.model.flux, self.basis.m_max
             n = dealias_points(spec, self.basis)
@@ -138,15 +142,14 @@ class Stepper:
             weights = tiled(self.neg_dx.reshape(m))
             synthesize, analyze, flux_value = (spectral.synthesize, spectral.analyze,
                                                flux.flux_value)
-            multiply = np.multiply
 
-            def nonlin(c):
+            def nonlin(c, out=None):
                 return multiply(analyze(flux_value(spec, synthesize(c, n, work), values), m,
-                                        work), weights)
+                                        work), weights, out=out)
 
             if self.cfg.scheme == "exp_euler":
-                def step(c, xi):
-                    out = nonlin(c)
+                def step(c, xi, out):
+                    out = nonlin(c, out)
                     out *= dt
                     out += c
                     out *= decay
@@ -154,16 +157,16 @@ class Stepper:
                     return out
             else:
                 half_dt, half_decay = 0.5 * dt, tiled(self.half_decay)
-                dt_half_decay = dt * half_decay
+                dt_half_decay, tmp = dt * half_decay, np.empty(shape)
 
-                def step(c, xi):
-                    out = nonlin(c)
-                    out *= half_dt
-                    out += c
-                    out *= half_decay
-                    out = nonlin(out)
+                def step(c, xi, out):
+                    mid = nonlin(c, tmp)
+                    mid *= half_dt
+                    mid += c
+                    mid *= half_decay
+                    out = nonlin(mid, out)
                     out *= dt_half_decay
-                    out += decay * c
+                    out += multiply(decay, c, out=tmp)
                     out += xi
                     return out
 
@@ -175,11 +178,13 @@ class Stepper:
         (..., m), into a fresh array: the bound kernel of c's shape."""
         return (self._kernels.get(c.shape) or self._kernel(c.shape))[0](c)
 
-    def advance(self, c: np.ndarray, xi: np.ndarray) -> np.ndarray:
+    def advance(self, c: np.ndarray, xi: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """One scheme update of c, a state (m,) or a block (R, m) of states
-        driven by the same increment xi, by the bound kernel of c's shape;
-        each row of a block comes out bitwise equal to advancing it alone."""
-        return (self._kernels.get(c.shape) or self._kernel(c.shape))[1](c, xi)
+        driven by the same increment xi, by the bound kernel of c's shape,
+        written into out (an array of c's shape that is not c) or else into
+        a fresh array; each row of a block comes out bitwise equal to
+        advancing it alone."""
+        return (self._kernels.get(c.shape) or self._kernel(c.shape))[1](c, xi, out)
 
     def _fine_block(self, c: np.ndarray, use: str):
         """Copy the rows of c (k, m) into the coefficient block of the
@@ -300,31 +305,42 @@ def _fill_residual_column(buf, model, basis, window, history=None):
 @np.errstate(over="ignore", invalid="ignore")
 def _drive(stepper: Stepper, c, draw, n_steps, t, step0, every, reduce, on_step=None):
     """The one step loop: advance c, a state (m,) or a same-noise block
-    (R, m), by up to n_steps increments draw(), from time t and step step0.
+    (R, m), by up to n_steps increments, from time t and step step0.
 
     The state of a fresh start and of every `every`-th step is kept in one
-    block of max(1, _RECORD_BLOCK_POINTS // (R n_fine)) rows, and
+    block of max(2, _RECORD_BLOCK_POINTS // (R n_fine)) rows, and
     reduce(times, states) consumes the kept rows as soon as the block fills
     and once when the run ends, inside this errstate; the rows are reused
     after the call returns.  reduce stops the run by returning how many
     leading rows it keeps: the run returns the last, at the step its
     position gives, with no trip, and drops the steps past it (at most
-    rows - 1), a trip among them included.  on_step(step, t, c) runs after
-    each step.  Returns (c, t, step, trip).
+    rows - 1), a trip among them included.  draw(out) fills out, a block
+    of (min(rows, steps left), m), with the next steps' increments in
+    order.  Each step is written in place: into its row of the kept block
+    when it is kept, else into one of two spare states that alternate, so
+    a step's output never shares memory with its input, whichever block
+    wraps (hence at least two rows).  on_step(step, t, c) runs after each
+    step, with a c that is valid only during the call.  Returns (c, t,
+    step, trip), c a fresh array.
     """
-    rows = max(1, _RECORD_BLOCK_POINTS // (c.size // c.shape[-1] * stepper.n_fine))
+    rows = max(2, _RECORD_BLOCK_POINTS // (c.size // c.shape[-1] * stepper.n_fine))
     kept, times, k = np.empty((rows, *c.shape)), np.empty(rows), 0
+    xis = np.empty((rows, c.shape[-1]))
+    # row views made once: a list index is cheaper than an ndarray one
+    kept_rows, xi_rows, spare = list(kept), list(xis), list(np.empty((2, *c.shape)))
     if step0 == 0:
         kept[0], times[0], k = c, t, 1
-        if k == rows:  # a block of one row, the initial state's
-            reduce(times, kept)
-            k = 0
     dt, advance, guarded = stepper.dt, stepper.advance, stepper.cfg.guard_radius is not None
     # the output's sum of squares: ndarray.dot skips np.vdot's dispatcher on a state
     sum_sq = np.ndarray.dot if c.ndim == 1 else np.vdot
-    trip, keep, step = None, None, step0
-    for n in range(step0, step0 + n_steps):
-        out = advance(c, draw())
+    trip, keep, step, end, j = None, None, step0, step0 + n_steps, rows
+    for n in range(step0, end):
+        if j == rows:  # the increment block is used up
+            draw(xis[: min(rows, end - n)])
+            j = 0
+        kept_step = (n + 1) % every == 0
+        out = advance(c, xi_rows[j], kept_rows[k] if kept_step else spare[n & 1])
+        j += 1
         # on a trip every row keeps its state from before the step, so each
         # row's state matches the step count and time the run reports
         if guarded or not math.isfinite(sum_sq(out, out)):
@@ -334,8 +350,8 @@ def _drive(stepper: Stepper, c, draw, n_steps, t, step0, every, reduce, on_step=
         c = out
         t += dt
         step = n + 1
-        if step % every == 0:
-            kept[k], times[k] = c, t
+        if kept_step:
+            times[k] = t
             k += 1
             if k == rows:
                 keep = reduce(times, kept)
@@ -347,7 +363,7 @@ def _drive(stepper: Stepper, c, draw, n_steps, t, step0, every, reduce, on_step=
     if k and keep is None:
         keep = reduce(times[:k], kept[:k])
     if keep is None:
-        return c, t, step, trip
+        return c.copy(), t, step, trip
     # the last kept row is the last kept step's, a multiple of every
     return (kept[keep - 1].copy(), float(times[keep - 1]),
             step - step % every - every * (k - keep), None)
@@ -382,7 +398,7 @@ def run_single(
     path = NoisePath(model.noise, basis, seed)
     path.draw_index = step0
     buf = observables.RecordBuffer(lp_orders, capacity=n_steps // max(record_every, 1) + 4)
-    c, t, step, trip = _drive(stepper, u0.coeffs.copy(),
+    c, t, step, trip = _drive(stepper, u0.coeffs,
                               partial(path.ou_increment, model.nu, cfg.dt), n_steps, t0,
                               step0, record_every, partial(_record_rows, (buf,), stepper),
                               on_step)
@@ -480,13 +496,15 @@ def convolution_grid(path: NoisePath, nu: float, dt: float, n: int) -> np.ndarra
     """w(t_i) on the step grid, i = 0..n, from w(t_0) = 0 and a fork of the path.
 
     The exact transition w' = exp(nu lam dt) w + xi, with the path's own
-    increments.
+    increments, all n drawn by one call into w[1:] before the recursion
+    adds the decayed w to each.
     """
     p = path.fork()
     decay = np.exp(nu * p.basis.eigenvalues * dt)
     w = np.zeros((n + 1, p.basis.m_max))
+    p.ou_increment(nu, dt, out=w[1:])
     for i in range(n):
-        w[i + 1] = decay * w[i] + p.ou_increment(nu, dt)
+        w[i + 1] = decay * w[i] + w[i + 1]
     return w
 
 
@@ -509,10 +527,15 @@ def run_on_increments(model: ModelSpec, cfg: SolverConfig, u0: SpectralField,
     (n+1, M) history of u0 and each completed step, and the trip (None
     unless a guard trip or a flux overflow stopped the run after n steps).
     """
-    parts = []
-    _, _, _, trip = _drive(Stepper(model, cfg, u0.basis), u0.coeffs.copy(),
-                           iter(xis).__next__, len(xis), 0.0, 0, 1,
-                           lambda _, states: parts.append(states.copy()))
+    parts, used = [], 0
+
+    def draw(out):
+        nonlocal used
+        out[:] = xis[used : used + len(out)]
+        used += len(out)
+
+    _, _, _, trip = _drive(Stepper(model, cfg, u0.basis), u0.coeffs, draw, len(xis), 0.0, 0,
+                           1, lambda _, states: parts.append(states.copy()))
     return np.concatenate(parts), trip
 
 

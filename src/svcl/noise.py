@@ -93,8 +93,10 @@ class NoisePath:
     Philox(key=seed, counter=[0, index, 0, 0]) fresh and far cheaper.  The
     state dict it is reset from holds Python lists and ints, which the
     generator's state setter reads faster than numpy arrays, and an empty
-    buffer (buffer_pos 4), as a fresh generator has.  Draws go into one
-    buffer the path owns.
+    buffer (buffer_pos 4), as a fresh generator has.  A draw is a pure
+    lookup by index, so the increments of a whole block of steps can be
+    drawn at once, into the caller's block, bitwise equal to drawing them
+    one step at a time.
     """
 
     def __init__(self, spec: NoiseSpec, basis: ModeBasis, seed: int):
@@ -118,23 +120,33 @@ class NoisePath:
         other.draw_index = self.draw_index
         return other
 
-    def block(self, index: int) -> np.ndarray:
+    def block(self, index: int, out: np.ndarray | None = None) -> np.ndarray:
         """The fixed Gaussian block of draw index `index` (pure lookup),
-        drawn into the path's buffer: valid until the path's next draw."""
+        drawn into out, a C-contiguous row, or else into the path's buffer,
+        valid until the path's next draw."""
         self._counter[1] = index
         self._bg.state = self._state
-        return self._gen.standard_normal(out=self._z)
+        return self._gen.standard_normal(out=self._z if out is None else out)
 
-    def ou_increment(self, nu: float, dt: float) -> np.ndarray:
-        """Draw one step's fresh-noise part of the convolution,
-        w(t+dt) - exp(nu lam dt) w(t), exactly what the integrator adds:
-        the step's block times the per-mode std, cached for the last
-        (nu, dt), as a fresh array.
+    def ou_increment(self, nu: float, dt: float, out: np.ndarray | None = None) -> np.ndarray:
+        """Draw the fresh-noise part of the convolution,
+        w(t+dt) - exp(nu lam dt) w(t), exactly what the integrator adds, for
+        the next k steps: row i of out, a C-contiguous (k, m) block, gets
+        the block of draw index draw_index + i, and then the whole block is
+        multiplied by the per-mode std, cached for the last (nu, dt).  With
+        no out, one step into a fresh (m,) array, the one-row case.  Each
+        row equals its own one-step draw bit for bit; draw_index advances
+        by k.
         """
         if self._ou_key != (nu, dt):
             lam = self.basis.eigenvalues
             var = self.sigma**2 * (1.0 - np.exp(2.0 * nu * lam * dt)) / (-2.0 * nu * lam)
             self._ou_key, self._ou_std = (nu, dt), np.sqrt(var)
-        z = self.block(self.draw_index)
-        self.draw_index += 1
-        return z * self._ou_std
+        if out is None:
+            out = np.empty(self.basis.m_max)
+        rows, block = out.reshape(-1, self.basis.m_max), self.block
+        for index, row in enumerate(rows, self.draw_index):
+            block(index, row)
+        self.draw_index += len(rows)
+        out *= self._ou_std
+        return out

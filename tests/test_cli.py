@@ -239,6 +239,18 @@ class TestExitCodes:
         lines = [ln for ln in capsys.readouterr().err.splitlines() if "flux_coefficients" in ln]
         assert len(lines) == 1 and violation in lines[0]
 
+    def test_flux_flag_over_a_polynomial_file_drops_its_coefficients(self, tmp_path):
+        # the file's flux_coefficients belong to its flux; --flux burgers
+        # replaces both, so the run goes ahead under Burgers
+        ini = tmp_path / "poly.ini"
+        ini.write_text(BASE.replace("flux = burgers", "flux = polynomial\n"
+                                    "flux_coefficients = 0, 0, 0.5")
+                       + f"\n[output]\ndir = {tmp_path / 'out'}\n")
+        assert entry(["run", "--config", str(ini), "--flux", "burgers"]) == EXIT_OK
+        summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+        assert "flux = burgers" in summary["config"]
+        assert "flux_coefficients" not in summary["config"]
+
     def test_unknown_flux_kind_exits_2_naming_the_kinds(self, ini, capsys):
         assert entry(["run", "--config", str(ini), "--flux", "callback"]) == EXIT_CONFIG
         err = capsys.readouterr().err
@@ -439,6 +451,39 @@ dir = {tmp_path / 'erg'}
         cfgp = self.make_config(tmp_path, horizon="0.2")
         assert entry(["ergodic", "--config", str(cfgp)]) == EXIT_CONFIG
         assert "ergodic analysis impossible" in capsys.readouterr().err
+
+
+class TestTiming:
+    """run, resume, couple and ergodic time their driver call into
+    metadata.timing, outside the reproducible results body."""
+
+    @staticmethod
+    def check(out):
+        doc = json.loads((out / "summary.json").read_text())
+        timing = doc["metadata"]["timing"]
+        assert list(timing) == ["wall_s", "steps", "steps_per_s"]
+        assert timing["wall_s"] > 0
+        assert timing["steps_per_s"] == timing["steps"] / timing["wall_s"]
+        assert "timing" not in doc["results"]
+        return timing["steps"], doc["results"]
+
+    def test_run_and_resume(self, ini, tmp_path):
+        assert entry(["run", "--config", str(ini)]) == EXIT_OK
+        assert self.check(tmp_path / "out")[0] == 120
+        snap = tmp_path / "out" / "snap_000000090.snap"
+        assert entry(["resume", "--config", str(ini), "--resume", str(snap)]) == EXIT_OK
+        assert self.check(tmp_path / "out")[0] == 30  # the steps this call made
+
+    def test_couple(self, tmp_path):
+        cfgp = TestCouple().make_config(tmp_path, horizon="0.05")
+        assert entry(["couple", "--config", str(cfgp)]) == EXIT_OK
+        steps, results = self.check(tmp_path / "cp")
+        assert steps == results["steps"] == 50
+
+    def test_ergodic(self, tmp_path):
+        assert entry(["ergodic", "--config", str(TestErgodic().make_config(tmp_path))]) == EXIT_OK
+        steps, results = self.check(tmp_path / "erg")
+        assert steps == results["steps"] > 0
 
 
 class TestValidate:
@@ -685,11 +730,13 @@ class TestResume:
 
     @staticmethod
     def _artifacts(out):
-        """Every file in out by name, summary.json with its timestamp masked."""
+        """Every file in out by name, summary.json with its metadata block
+        (the timestamp and the driver's timing, which vary between runs)
+        masked."""
         files = {p.name: p.read_bytes() for p in out.iterdir()}
         if "summary.json" in files:
-            files["summary.json"] = re.sub(rb'"timestamp_utc": "[^"]*"', b"",
-                                           files["summary.json"])
+            files["summary.json"] = re.sub(rb'"metadata": \{.*?\n  \}', b'"metadata": {}',
+                                           files["summary.json"], flags=re.S)
         return files
 
     @settings(max_examples=60, deadline=None, derandomize=True, database=None)

@@ -321,6 +321,17 @@ class TestOverrides:
         assert cfg.flux_kind == "polynomial"
         assert cfg.flux_coefficients == (0.0, 0.0, 0.0, 0.5)
 
+    def test_flux_override_replaces_the_file_coefficients(self):
+        # --flux names the whole flux, as --noise-profile names the whole
+        # noise: a kind without coefficients drops those of the file
+        text = "[model]\nflux = polynomial\nflux_coefficients = 0,0,1\n"
+        cfg = parse_config_text(text, {"flux": "burgers"})
+        assert cfg.flux_kind == "burgers" and cfg.flux_coefficients == ()
+        cfg = parse_config_text(text, {"flux": "polynomial:0,0,0,0.5"})
+        assert cfg.flux_coefficients == (0.0, 0.0, 0.0, 0.5)
+        with pytest.raises(ConfigError, match="polynomial flux requires coefficients"):
+            parse_config_text(text, {"flux": "polynomial"})
+
     def test_noise_profile_override_replaces_sigma(self):
         text = "[noise]\nsigma = 1,0,0,0\n[solver]\nmodes = 4\n"
         cfg = parse_config_text(text, {"noise_profile": "0.7,2.8"})

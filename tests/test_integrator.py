@@ -200,6 +200,10 @@ class TestBlock:
         stepper = Stepper(model, SolverConfig(dt=1e-3, scheme=scheme), basis)
         out = stepper.advance(block, xi)
         assert out.tobytes() == _ref_advance(stepper, block, xi).tobytes()
+        # written into a caller's block, whatever it held: the same bits
+        into = np.full(block.shape, data.draw(st.sampled_from([np.nan, -0.0, 1e300])))
+        assert stepper.advance(block, xi, into) is into
+        assert into.tobytes() == out.tobytes()
         n = dealias_points(model.flux, basis)
         samples = synthesize(block, n)
         coeffs = analyze(samples, m)
@@ -319,6 +323,10 @@ class TestPlan:
             assert d.tobytes() == ref.tobytes()
         out = stepper.advance(c, xi)
         assert out.tobytes() == _ref_advance(stepper, c, xi).tobytes()
+        # written into a caller's array, whatever it held: the same bits
+        into = np.full(shape, data.draw(st.sampled_from([np.nan, -0.0, 1e300])))
+        assert stepper.advance(c, xi, into) is into
+        assert into.tobytes() == out.tobytes()
         # returned arrays are fresh: later calls leave them as they were
         assert (n_big.tobytes(), a_big.tobytes()) == keep
         before = out.tobytes()
@@ -432,13 +440,14 @@ class TestRecordBlock:
 
     @pytest.mark.parametrize("coupled, step0", [(False, 0), (False, 3), (True, 0)])
     def test_one_row_blocks(self, monkeypatch, coupled, step0):
-        # a flush budget below one row's fine grid gives blocks of one row,
-        # which must be reduced before the next recorded state is kept
+        # a flush budget below one row's fine grid gives the smallest blocks,
+        # of two rows (the floor), each reduced before the next state is kept
         monkeypatch.setattr(integrator, "_RECORD_BLOCK_POINTS", 1)
         self.check_against_rows(ModeBasis(8), coupled, step0, n_steps=5)
 
     def test_one_row_blocks_at_large_m(self):
-        # m = 4096: one row already fills the flush budget
+        # m = 4096: one row already fills the flush budget, so blocks hold
+        # the floor of two rows
         self.check_against_rows(ModeBasis(4096), False, 0, n_steps=2)
 
     def check_against_rows(self, basis, coupled, step0, n_steps):
@@ -562,6 +571,64 @@ class TestLeanStep:
         assert res.times.tobytes() == np.array(times).tobytes()
         for r, buf in enumerate((res.records_a, res.records_b)):
             self.check_records(ref, buf, [c[r] for c in states], times, every, radius)
+
+
+class TestTwoRowBlocks:
+    """At the floor of two kept rows a block wraps at every other kept step,
+    and each step is written in place, into its kept row or into one of the
+    two spare states: no step's output may share memory with its input.
+    Runs equal the per-step reference loop of TestLeanStep bit for bit:
+    records, final states, coupled series and the states on_step sees."""
+
+    MODEL = ModelSpec(TestLeanStep.NU, FluxSpec("burgers"), NoiseSpec(c=0.5, q=3.0))
+    SEED, N_STEPS = 7, 23
+
+    @pytest.mark.parametrize("scheme", SCHEMES)
+    @pytest.mark.parametrize("run", ["single_every_1", "single_every_3", "coupled"])
+    def test_runs_equal_reference_loop(self, monkeypatch, scheme, run):
+        lean, basis = TestLeanStep(), ModeBasis(8)
+        cfg = SolverConfig(dt=lean.DT, scheme=scheme)
+        ref = Stepper(self.MODEL, cfg, basis)
+        u0 = np.stack([random_field(basis, 5, amp=0.3).coeffs,
+                       random_field(basis, 6, amp=0.3).coeffs])
+        xis = [lean.increment(self.MODEL, basis, self.SEED, k) for k in range(self.N_STEPS)]
+        every = 3 if run == "single_every_3" else 1
+        # a budget below one row's fine grid: blocks of two kept rows
+        monkeypatch.setattr(integrator, "_RECORD_BLOCK_POINTS", 1)
+        reduced = []
+        record_rows = integrator._record_rows
+
+        def counted(bufs, stepper, times, states):
+            reduced.append(len(times))
+            return record_rows(bufs, stepper, times, states)
+
+        monkeypatch.setattr(integrator, "_record_rows", counted)
+        if run == "coupled":
+            states, times, _ = lean.ref_run(ref, u0, xis, None)
+            res = run_coupled(self.MODEL, cfg, *(SpectralField(r, basis) for r in u0),
+                              self.SEED, self.N_STEPS)
+            assert res.times.tobytes() == np.array(times).tobytes()
+            for r, (end, buf) in enumerate(((res.state_a, res.records_a),
+                                            (res.state_b, res.records_b))):
+                assert end.u.coeffs.tobytes() == states[-1][r].tobytes()
+                lean.check_records(ref, buf, [c[r] for c in states], times, 1, None)
+            l1 = [np.mean(np.abs(synthesize(c[0] - c[1], ref.n_fine))) for c in states]
+            assert res.l1_series.tobytes() == np.array(l1).tobytes()
+        else:
+            states, times, _ = lean.ref_run(ref, u0[0], xis, None)
+            seen = []
+            res = run_single(self.MODEL, cfg, SpectralField(u0[0], basis), self.SEED,
+                             self.N_STEPS, record_every=every,
+                             on_step=lambda step, t, c: seen.append((step, t, c.copy())))
+            assert res.state.u.coeffs.tobytes() == states[-1].tobytes()
+            lean.check_records(ref, res.records, states, times, every, None)
+            assert [(step, t) for step, t, _ in seen] == list(enumerate(times))[1:]
+            assert np.array([c for *_, c in seen]).tobytes() == np.array(states[1:]).tobytes()
+            hist, _ = run_on_increments(self.MODEL, cfg, SpectralField(u0[0], basis),
+                                        np.array(xis))
+            assert hist.tobytes() == np.array(states).tobytes()
+        kept = self.N_STEPS // every + 1
+        assert reduced == [2] * (kept // 2) + [1] * (kept % 2)
 
 
 class TestContinuousDependence:
@@ -1112,9 +1179,9 @@ class TestCoupledStopInBlock:
         calls = []
         advance = Stepper.advance
 
-        def counted(stepper, c, xi):
+        def counted(stepper, c, xi, out=None):
             calls.append(1)
-            return advance(stepper, c, xi)
+            return advance(stepper, c, xi, out)
 
         with monkeypatch.context() as mp:
             mp.setattr(Stepper, "advance", counted)

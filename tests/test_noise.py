@@ -7,6 +7,8 @@ they check.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from svcl.integrator import convolution_grid
@@ -155,6 +157,27 @@ class TestDrawDiscipline:
         assert np.array_equal(convolution_grid(path, 1.0, 0.01, 1),
                               convolution_grid(twin, 1.0, 0.01, 1))
         assert np.array_equal(path.ou_increment(1.0, 0.01), twin.ou_increment(1.0, 0.01))
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(seed=st.integers(0, 2**64 - 1), m=st.sampled_from([2, 8, 16, 64]),
+           k=st.integers(1, 40), start=st.one_of(st.integers(0, 1000),
+                                                 st.integers(0, 2**64 - 41)),
+           nu=st.sampled_from([0.01, 0.1, 1.0]), dt=st.sampled_from([1e-4, 5e-3, 0.1]),
+           warm=st.booleans())
+    def test_block_draw_equals_one_step_draws(self, seed, m, k, start, nu, dt, warm):
+        """k rows drawn into one block from any draw index equal k one-step
+        draws bit for bit, and advance the index by k; with warm, the std
+        was first cached for another (nu, dt)."""
+        spec = NoiseSpec(c=0.5, q=3.0)
+        block, steps = NoisePath(spec, ModeBasis(m), seed), NoisePath(spec, ModeBasis(m), seed)
+        if warm:
+            block.ou_increment(2.0 * nu, dt, out=np.empty((2, m)))
+        block.draw_index = steps.draw_index = start
+        out = np.full((k, m), np.nan)
+        assert block.ou_increment(nu, dt, out=out) is out
+        assert block.draw_index == start + k
+        want = np.array([steps.ou_increment(nu, dt) for _ in range(k)])
+        assert out.tobytes() == want.tobytes()
 
     def test_negative_seed_accepted(self):
         basis = ModeBasis(4)

@@ -96,13 +96,18 @@ def test_coupled_series_synthesizes_once_per_block(monkeypatch, stop):
 def test_one_noise_draw_per_step(monkeypatch, coupled):
     # the tracer wraps NoisePath.ou_increment on the class; a step path that
     # drew its noise some other way would drop noise.ou_increment from the
-    # benchmark's per-layer counts without failing a run
-    calls = []
+    # benchmark's per-layer counts without failing a run.  The driver draws
+    # a block of steps per call: the rows drawn cover every step once, in
+    # order
+    drawn = []
     original = NoisePath.ou_increment
 
-    def counted(self, nu, dt):
-        calls.append(dt)
-        return original(self, nu, dt)
+    def counted(self, nu, dt, out=None):
+        assert dt == cfg.dt
+        first = self.draw_index
+        out = original(self, nu, dt, out)
+        drawn.extend(range(first, self.draw_index))
+        return out
 
     monkeypatch.setattr(NoisePath, "ou_increment", counted)
     basis = ModeBasis(16)
@@ -115,4 +120,4 @@ def test_one_noise_draw_per_step(monkeypatch, coupled):
         steps = res.state_a.step
     else:
         steps = run_single(model, cfg, u0, seed=1, n_steps=300, record_every=7).state.step
-    assert steps == 300 and calls == [cfg.dt] * 300
+    assert steps == 300 and drawn == list(range(300))
