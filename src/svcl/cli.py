@@ -26,14 +26,12 @@ from pathlib import Path
 import numpy as np
 
 from .config import FLAGS, ConfigError, RunConfig, parse_config, parse_config_text
-from .ergodic import (coupling_passage, default_burn_in, ergodic_average,
-                      tightness_diagnostic)
+from .ergodic import coupling_passage, ergodic_average, tightness_diagnostic
 from .integrator import (ModelSpec, SolverConfig, State, read_snapshot,
                          run_coupled, run_single, write_snapshot)
-from .flux import FluxSpec
-from .noise import NoiseSpec, trace_h2
+from .noise import trace_h2
 from .observables import FLOAT_FMT, RecordBuffer, read_csv_columns
-from .spectral import ModeBasis, SpectralField, mode_field
+from .spectral import SpectralField
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -279,88 +277,26 @@ def _cmd_ergodic(cfg: RunConfig) -> int:
 # --- validate suite ----------------------------------------------------------
 
 
-def _check_heat_decay():
-    """A = 0, sigma = 0: each mode must follow exp(nu lam t) to round-off."""
-    basis = ModeBasis(16)
-    nu = 0.02
-    model = ModelSpec(nu, FluxSpec("zero"), NoiseSpec(sigma=np.zeros(16)))
-    rng = np.random.default_rng(3)
-    c0 = rng.standard_normal(16) / (1.0 + basis.pair_index) ** 2
-    res = run_single(model, SolverConfig(dt=5e-3), SpectralField(c0.copy(), basis),
-                     seed=0, n_steps=200, record_every=200)
-    exact = c0 * np.exp(nu * basis.eigenvalues * res.state.t)
-    rel = float(np.max(np.abs(res.state.u.coeffs - exact) / np.abs(exact)))
-    return rel < 1e-12, f"max relative mode error {rel:.3e} (tol 1e-12)"
-
-
-def _ou_reference_run():
-    basis = ModeBasis(2)
-    model = ModelSpec(1.0, FluxSpec("zero"),
-                      NoiseSpec(sigma=np.array([1.0, 0.0])))
-    res = run_single(model, SolverConfig(dt=0.01),
-                     SpectralField(basis.zeros(), basis), seed=12,
-                     n_steps=100_000)
-    return model, res
-
-
-def _check_ou_variance(ou):
-    """Stationary L2 mass of the forced mode: sigma^2 / (-2 nu lam_1)."""
-    model, res = ou()
-    target = 1.0 / (8.0 * math.pi**2)
-    est = ergodic_average(res, "l2_sq", default_burn_in(model.nu))
-    gap = abs(est.value - target)
-    ok = gap < 5 * est.stderr and gap < 0.05 * target
-    return ok, (f"mode-1 variance {est.value:.6g} vs {target:.6g} "
-                f"(gap {gap / est.stderr:.2f} se)")
-
-
-def _check_contraction():
-    """Shared noise must keep the L1 distance non-increasing per step."""
-    basis = ModeBasis(16)
-    model = ModelSpec(0.05, FluxSpec("burgers"), NoiseSpec(c=0.3, q=3.0))
-    res = run_coupled(model, SolverConfig(dt=1e-3), mode_field(basis, 1, 1.0),
-                      mode_field(basis, 1, -1.0), seed=0, n_steps=2000,
-                      record_every=2000)
-    inc = np.diff(res.l1_series)
-    worst = float(np.max(inc / res.l1_series[:-1]))
-    return worst <= 1e-8, f"worst relative l1 increase {worst:.3e} (tol 1e-8)"
-
-
-def _check_energy_balance(ou):
-    """Stationarity: 2 nu E||u||_H1^2 must match the L2 noise trace."""
-    model, res = ou()
-    est = ergodic_average(res, "h1_sq", default_burn_in(model.nu))
-    tr = trace_h2(model.noise, ModeBasis(2)).l2
-    rel = abs(2 * model.nu * est.value - tr) / tr
-    ok = rel < 0.05
-    return ok, f"2 nu <h1_sq> = {2 * model.nu * est.value:.6g} vs trace {tr:.6g} ({rel:.2%})"
-
-
 def _cmd_validate(cfg: RunConfig) -> int:
-    """Run each check in turn and report it with its wall time, which
-    includes the shared OU reference run for the first check that uses it;
-    the times go to the summary's metadata, outside the `results` body."""
+    """Run the desk size of each check of `checks.CHECKS` that has one and
+    report it with its seconds, which include the build time of each shared
+    run it reads; the seconds go to the summary's metadata, outside the
+    `results` body."""
+    from . import checks  # kept off the import of the other commands
+
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    ou = functools.cache(_ou_reference_run)
-    checks = [
-        ("heat_decay", _check_heat_decay),
-        ("ou_variance", functools.partial(_check_ou_variance, ou)),
-        ("l1_contraction", _check_contraction),
-        ("energy_balance", functools.partial(_check_energy_balance, ou)),
-    ]
-    rows, seconds = [], {}
-    for name, check in checks:
-        start = time.perf_counter()
-        ok, detail = check()
-        seconds[name] = time.perf_counter() - start
-        print(f"{'PASS' if ok else 'FAIL'} {name}: {detail} [{seconds[name]:.2f} s]")
-        rows.append({"name": name, "passed": ok, "detail": detail})
+    runner, rows, seconds = checks.Runner("desk"), [], {}
+    for check in (c for c in checks.CHECKS if c.desk is not None):
+        ok, numbers, seconds[check.name], detail = runner.run(check)
+        print(f"{'PASS' if ok else 'FAIL'} {check.name}: {detail} [{seconds[check.name]:.2f} s]")
+        rows.append({"name": check.name, "passed": ok, "detail": detail,
+                     "numbers": {k: float(v) for k, v in numbers.items()}})
     n_fail = sum(not row["passed"] for row in rows)
     _write_summary(out, cfg, "validate",
                    {"kind": "validate", "checks": rows, "failures": n_fail},
                    check_seconds=seconds)
-    print(f"validate: {len(checks) - n_fail}/{len(checks)} checks passed")
+    print(f"validate: {len(rows) - n_fail}/{len(rows)} checks passed")
     return EXIT_OK if n_fail == 0 else EXIT_CHECK_FAILED
 
 

@@ -111,7 +111,6 @@ class NoisePath:
         key = self._bg.state["state"]["key"].tolist()
         self._state = {"bit_generator": "Philox", "state": {"counter": self._counter, "key": key},
                        "buffer": [0, 0, 0, 0], "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
-        self._z = np.empty(basis.m_max)  # the last block drawn
         self._ou_key = self._ou_std = None  # ou_increment's std and its (nu, dt)
 
     def fork(self) -> "NoisePath":
@@ -120,13 +119,12 @@ class NoisePath:
         other.draw_index = self.draw_index
         return other
 
-    def block(self, index: int, out: np.ndarray | None = None) -> np.ndarray:
+    def block(self, index: int, out: np.ndarray) -> np.ndarray:
         """The fixed Gaussian block of draw index `index` (pure lookup),
-        drawn into out, a C-contiguous row, or else into the path's buffer,
-        valid until the path's next draw."""
+        drawn into out, a C-contiguous (m,) row."""
         self._counter[1] = index
         self._bg.state = self._state
-        return self._gen.standard_normal(out=self._z if out is None else out)
+        return self._gen.standard_normal(out=out)
 
     def ou_increment(self, nu: float, dt: float, out: np.ndarray | None = None) -> np.ndarray:
         """Draw the fresh-noise part of the convolution,

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from svcl import cli
+from svcl import checks, cli
 from svcl.cli import (
     EXIT_BLOWUP,
     EXIT_CONFIG,
@@ -487,7 +487,10 @@ class TestTiming:
 
 
 class TestValidate:
-    def test_all_checks_pass(self, tmp_path, capsys):
+    def test_all_checks_pass(self, tmp_path, capsys, monkeypatch):
+        measured, run = {}, checks.Runner.run
+        monkeypatch.setattr(checks.Runner, "run", lambda runner, check: measured.setdefault(
+            check.name, run(runner, check)))
         code = entry(["validate", "--out", str(tmp_path / "v")])
         out = capsys.readouterr().out
         assert code == EXIT_OK
@@ -503,7 +506,15 @@ class TestValidate:
         assert list(doc["results"]) == ["kind", "checks", "failures"]
         assert doc["results"]["failures"] == 0
         assert [c["name"] for c in doc["results"]["checks"]] == list(names)
-        assert all(set(c) == {"name", "passed", "detail"} for c in doc["results"]["checks"])
+        assert all(set(c) == {"name", "passed", "detail", "numbers"}
+                   for c in doc["results"]["checks"])
+        # each finite measured value round-trips through the summary's 17
+        # digits, and a non-finite one is null
+        for row in doc["results"]["checks"]:
+            _, numbers, _, _ = measured[row["name"]]
+            assert list(row["numbers"]) == list(numbers)
+            for k, v in numbers.items():
+                assert row["numbers"][k] == (float(v) if np.isfinite(v) else None)
 
 
 class TestResume:

@@ -95,7 +95,7 @@ class TestDrawDiscipline:
             fresh = np.random.Generator(
                 np.random.Philox(key=77, counter=[0, idx, 0, 0])
             ).standard_normal(8)
-            assert np.array_equal(path.block(idx), fresh)
+            assert np.array_equal(path.block(idx, np.empty(8)), fresh)
 
     @pytest.mark.parametrize("seed", [0, 2**64 - 1])
     def test_block_matches_fresh_construction_at_extreme_indices(self, seed):
@@ -105,14 +105,14 @@ class TestDrawDiscipline:
         casts it to 0."""
         basis = ModeBasis(16)
         path = NoisePath(NoiseSpec(c=1.0, q=3.0), basis, seed)
-        path.block(5)
+        path.block(5, np.empty(16))
         twin = path.fork()
         for idx in (2**63, 0, 2**64 - 1, 2**32, 0, 2**63):
             counter = np.array([0, idx, 0, 0], dtype=np.uint64)
             fresh = np.random.Generator(np.random.Philox(key=seed, counter=counter))
             want = fresh.standard_normal(16).tobytes()
-            assert path.block(idx).tobytes() == want
-            assert twin.block(idx).tobytes() == want
+            assert path.block(idx, np.empty(16)).tobytes() == want
+            assert twin.block(idx, np.empty(16)).tobytes() == want
 
     def test_silent_modes_exact_zero_and_stable(self):
         """sigma_m = 0 gives exactly 0.0 and does not shift other modes."""
@@ -183,7 +183,7 @@ class TestDrawDiscipline:
         basis = ModeBasis(4)
         a = NoisePath(e1_spec(), basis, -7)
         b = NoisePath(e1_spec(), basis, -7)
-        assert np.array_equal(a.block(0), b.block(0))
+        assert np.array_equal(a.block(0, np.empty(4)), b.block(0, np.empty(4)))
 
 
 class TestWienerIncrements:
@@ -284,7 +284,7 @@ class TestOUConvolution:
         want = np.zeros((n + 1, 8))
         draws = NoisePath(spec, basis, 12)
         for i in range(n):
-            want[i + 1] = np.exp(nu * lam * dt) * want[i] + std * draws.block(7 + i)
+            want[i + 1] = np.exp(nu * lam * dt) * want[i] + std * draws.block(7 + i, np.empty(8))
         got = convolution_grid(path, nu, dt, n)
         assert got.tobytes() == want.tobytes()
         assert path.draw_index == 7  # the grid is drawn from a fork

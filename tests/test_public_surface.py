@@ -19,10 +19,6 @@ SCANNED = SOURCES + sorted((ROOT / "bench").glob("*.py"))
 ALLOWED = {
     # the reference -d/dx that Stepper.nonlin is pinned against bit for bit
     "rotate_pairs",
-    # the shared-path refinement study of acceptance criterion 6 drives the
-    # stepper on the coarse increments of one fine Brownian grid
-    "increments_from_grid",
-    "run_on_increments",
 }
 
 
