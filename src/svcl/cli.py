@@ -45,7 +45,8 @@ EXIT_IO = 4
 
 def _json17(obj, indent: int = 0) -> str:
     """Fixed-format JSON: floats carry 17 significant digits (stdlib json
-    prints shortest-repr floats) and non-finite values become null."""
+    prints shortest-repr floats) and a point or an exponent, so an integral
+    float reads back as a float, and non-finite values become null."""
     pad = "  " * indent
     if obj is None or obj is True or obj is False:
         return "null" if obj is None else ("true" if obj else "false")
@@ -54,8 +55,10 @@ def _json17(obj, indent: int = 0) -> str:
     if isinstance(obj, (int, np.integer)):
         return str(int(obj))
     if isinstance(obj, (float, np.floating)):
-        v = float(obj)
-        return FLOAT_FMT % v if math.isfinite(v) else "null"
+        if not math.isfinite(obj):
+            return "null"
+        text = FLOAT_FMT % obj
+        return text if "." in text or "e" in text else text + ".0"
     if isinstance(obj, dict):
         if not obj:
             return "{}"

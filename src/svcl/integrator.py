@@ -49,8 +49,6 @@ class SolverConfig:
     dt: float
     scheme: str = "exp_euler"
     guard_radius: float | None = None  # halt when ||u||_H1^2 reaches this
-    picard_tol: float = 1e-10
-    picard_max_iter: int = 64
 
     def __post_init__(self):
         if self.dt <= 0:
@@ -492,20 +490,21 @@ def run_coupled(
 # --- fixed-realization refinement helpers ---------------------------------
 
 
-def convolution_grid(path: NoisePath, nu: float, dt: float, n: int) -> np.ndarray:
-    """w(t_i) on the step grid, i = 0..n, from w(t_0) = 0 and a fork of the path.
+def _transition(decay: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """The exact linear transition y' = decay y + inc down the rows of x, in
+    place: row 0 is the start and row i + 1 holds the increment into it."""
+    for i in range(len(x) - 1):
+        x[i + 1] = decay * x[i] + x[i + 1]
+    return x
 
-    The exact transition w' = exp(nu lam dt) w + xi, with the path's own
-    increments, all n drawn by one call into w[1:] before the recursion
-    adds the decayed w to each.
-    """
-    p = path.fork()
-    decay = np.exp(nu * p.basis.eigenvalues * dt)
-    w = np.zeros((n + 1, p.basis.m_max))
-    p.ou_increment(nu, dt, out=w[1:])
-    for i in range(n):
-        w[i + 1] = decay * w[i] + w[i + 1]
-    return w
+
+def convolution_grid(path: NoisePath, nu: float, dt: float, n: int) -> np.ndarray:
+    """w(t_i) on the step grid, i = 0..n, from w(t_0) = 0 and the next n
+    increments of the path, drawn by one call into w[1:], which advances it
+    by n; the transition then adds the decayed w to each."""
+    w = np.zeros((n + 1, path.basis.m_max))
+    path.ou_increment(nu, dt, out=w[1:])
+    return _transition(np.exp(nu * path.basis.eigenvalues * dt), w)
 
 
 def increments_from_grid(w: np.ndarray, nu: float, basis: ModeBasis,
@@ -541,102 +540,56 @@ def run_on_increments(model: ModelSpec, cfg: SolverConfig, u0: SpectralField,
 
 # --- mild-form fixed point -------------------------------------------------
 
+PICARD_TOL = 1e-12  # sup-t H1 update distance that ends the iteration
+PICARD_MAX_ITER = 64
+
 
 @dataclass
 class PicardResult:
-    times: np.ndarray
     coeffs: np.ndarray  # (n+1, m_max) trajectory of the fixed point
     converged: bool
     iterations: int
-    gap: float  # last sup-t H1 update distance
     gaps: np.ndarray  # sup-t H1 update distance per iteration
-    horizon: float  # horizon actually used after halving
-    halvings: int
 
 
-@np.errstate(over="ignore", invalid="ignore")  # an overflow fails the attempt
-def picard_solve(
-    u0: SpectralField,
-    model: ModelSpec,
-    cfg: SolverConfig,
-    horizon: float,
-    path: NoisePath,
-    w_grid: np.ndarray | None = None,
-) -> PicardResult:
-    """Fixed point of v -> S u0 - int S dx A(v) + w on the step grid.
+@np.errstate(over="ignore", invalid="ignore")  # an overflow fails the solve
+def picard_solve(u0: SpectralField, model: ModelSpec, cfg: SolverConfig,
+                 w: np.ndarray) -> PicardResult:
+    """Fixed point of v -> S u0 - int S dx A(v) + w on the step grid of w,
+    the (n+1, m_max) convolution grid at step cfg.dt: `convolution_grid`,
+    or a stride of a finer one, so the fixed point and a stepper fed the
+    grid's increments see the same realization.
 
-    The convolution grid is taken from a fork of `path`, so the fixed point
-    and an exponential-Euler run from the same seed see the same
-    realization.  The time integral uses the integrating-factor trapezoid
-    rule; when the map fails to contract the horizon is halved (up to 8
-    times) and the attempt repeated, with failure reported in `converged`
-    rather than raised.  An attempt whose flux overflows fails after 0
-    iterations with gap inf; if the last one does, `coeffs` holds u0 at
-    every time.
+    The time integral uses the integrating-factor trapezoid rule.  Each
+    iteration evaluates F = dx A(v) = -N(v) on the whole trajectory by one
+    `Stepper.nonlin` call, and the integral I_i = E I_{i-1} + dt/2 (E F_{i-1}
+    + F_i) by the exact transition.  A map that fails to contract is
+    reported in `converged` rather than raised; a flux that overflows fails
+    after 0 iterations with gaps [inf], and `coeffs` holds u0 at every time.
     """
-    basis = u0.basis
-    dt = cfg.dt
-    n = max(2, int(round(horizon / dt)))
-    if w_grid is None:
-        w_grid = convolution_grid(path, model.nu, dt, n)
-    stepper = Stepper(model, cfg, basis)
-    neg_lam = -basis.eigenvalues
-    decay = np.exp(model.nu * basis.eigenvalues * dt)
-
-    def attempt(n_grid):
-        w = w_grid[: n_grid + 1]
-        # S_{t_i} u0 by repeated exact decay
-        su0 = np.empty((n_grid + 1, basis.m_max))
-        su0[0] = u0.coeffs
-        for i in range(n_grid):
-            su0[i + 1] = decay * su0[i]
-        v = su0 + w
-        v[0] = u0.coeffs
-        gaps = []
-        for it in range(1, cfg.picard_max_iter + 1):
-            # F_i = dx A(v_i) = -N(v_i); recursion I_i = E I_{i-1} + dt/2 (E F_{i-1} + F_i)
-            f_prev = -stepper.nonlin(v[0])
-            integral = np.zeros(basis.m_max)
-            new = np.empty_like(v)
-            new[0] = u0.coeffs
-            for i in range(1, n_grid + 1):
-                f_i = -stepper.nonlin(v[i])
-                integral = decay * integral + 0.5 * dt * (decay * f_prev + f_i)
-                new[i] = su0[i] - integral + w[i]
-                f_prev = f_i
-            if not np.isfinite(integral).all():
-                return None, False, 0, [np.inf]  # the flux overflowed
-            gap = float(
-                np.sqrt(np.max(np.sum(neg_lam * (new - v) ** 2, axis=1)))
-            )
-            gaps.append(gap)
-            v = new
-            if gap < cfg.picard_tol:
-                return v, True, it, gaps
-            if it > 2 and gap > 4.0 * gaps[-2]:
-                return v, False, it, gaps  # clearly expanding: horizon too long
-        return v, False, cfg.picard_max_iter, gaps
-
-    halvings = 0
-    while True:
-        v, ok, iters, gaps = attempt(n)
-        if ok or halvings >= 8 or n // 2 < 2:
-            break
-        n //= 2
-        halvings += 1
-    times = dt * np.arange(n + 1)
-    if v is None:
-        v = np.tile(u0.coeffs, (n + 1, 1))
-    return PicardResult(
-        times=times,
-        coeffs=v,
-        converged=ok,
-        iterations=iters,
-        gap=gaps[-1],
-        gaps=np.asarray(gaps),
-        horizon=n * dt,
-        halvings=halvings,
-    )
+    stepper = Stepper(model, cfg, u0.basis)
+    decay, half_dt = stepper.decay, 0.5 * cfg.dt
+    # S_{t_i} u0 by repeated exact decay
+    su0 = np.multiply.accumulate(np.vstack([u0.coeffs, np.tile(decay, (len(w) - 1, 1))]))
+    v = su0 + w
+    v[0] = u0.coeffs
+    gaps = []
+    for it in range(1, PICARD_MAX_ITER + 1):
+        f = -stepper.nonlin(v)
+        integral = np.zeros_like(v)
+        integral[1:] = half_dt * (decay * f[:-1] + f[1:])
+        _transition(decay, integral)
+        if not np.isfinite(integral[-1]).all():  # the flux overflowed
+            return PicardResult(np.tile(u0.coeffs, (len(w), 1)), False, 0, np.array([np.inf]))
+        new = su0 - integral + w
+        new[0] = u0.coeffs
+        gaps.append(observables.sup_h1(new - v, u0.basis))
+        v = new
+        if gaps[-1] < PICARD_TOL:
+            return PicardResult(v, True, it, np.asarray(gaps))
+        if it > 2 and gaps[-1] > 4.0 * gaps[-2]:
+            break  # clearly expanding
+    return PicardResult(v, False, it, np.asarray(gaps))
 
 
 # --- snapshots --------------------------------------------------------------

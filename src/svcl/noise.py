@@ -100,7 +100,6 @@ class NoisePath:
     """
 
     def __init__(self, spec: NoiseSpec, basis: ModeBasis, seed: int):
-        self.spec = spec
         self.basis = basis
         self.seed = int(seed) & (2**64 - 1)
         self.sigma = spec.resolve(basis)
@@ -112,12 +111,6 @@ class NoisePath:
         self._state = {"bit_generator": "Philox", "state": {"counter": self._counter, "key": key},
                        "buffer": [0, 0, 0, 0], "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
         self._ou_key = self._ou_std = None  # ou_increment's std and its (nu, dt)
-
-    def fork(self) -> "NoisePath":
-        """Independent handle on the same realization at the same position."""
-        other = NoisePath(self.spec, self.basis, self.seed)
-        other.draw_index = self.draw_index
-        return other
 
     def block(self, index: int, out: np.ndarray) -> np.ndarray:
         """The fixed Gaussian block of draw index `index` (pure lookup),

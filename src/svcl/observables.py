@@ -18,7 +18,7 @@ import os
 
 import numpy as np
 
-from .spectral import SpectralField, Workspace, synthesize
+from .spectral import ModeBasis, SpectralField, Workspace, synthesize
 
 FLOAT_FMT = "%.17g"
 CSV_CHUNK_ROWS = 4096  # rows rendered per write, so memory does not grow with the run
@@ -189,6 +189,12 @@ def balance_residuals(t, l2, h1, window, nu, trace, first=0) -> np.ndarray:
             (l2[s0:s1] - l2[k0:k1]) / span + nu2 * sums / span - trace)
     res[np.isnan(res)] = np.nan
     return res
+
+
+def sup_h1(d: np.ndarray, basis: ModeBasis) -> float:
+    """sup over rows of the H1 seminorm of d (n, m_max), coefficient rows of
+    a trajectory, e.g. the difference of two: the distance in C([0, T]; H1)."""
+    return float(np.sqrt(np.max(np.sum(-basis.eigenvalues * d**2, axis=1))))
 
 
 def l1_norms(coeffs: np.ndarray, n: int, work: Workspace | None = None) -> np.ndarray:

@@ -147,18 +147,14 @@ def test_a_shared_run_is_built_once_and_counted_in_each_readers_seconds():
     assert all(ok and seconds >= 0.05 for ok, _, seconds, _ in results)
 
 
-def test_mild_vs_stepper_fails_on_a_halved_horizon(monkeypatch):
-    """A fixed point that converged only on a halved horizon has no gap over
-    the whole horizon: the check fails with nan gaps and does not compare a
-    prefix."""
+def test_mild_vs_stepper_fails_on_an_unconverged_fixed_point(monkeypatch):
+    """A fixed point that did not converge has no gap over the horizon: the
+    check fails with nan gaps and does not compare a non-converged iterate."""
     real = checks.picard_solve
-
-    def halved(*args, **kwargs):
-        res = real(*args, **kwargs)
-        return replace(res, coeffs=res.coeffs[: len(res.coeffs) // 2 + 1], halvings=1)
-
-    monkeypatch.setattr(checks, "picard_solve", halved)
+    monkeypatch.setattr(checks, "picard_solve",
+                        lambda *args: replace(real(*args), converged=False))
     check = next(c for c in CHECKS if c.name == "mild_vs_stepper")
     ok, numbers = check.measure(**check.full.params)
-    assert not ok and numbers["converged"] and numbers["halvings"] == 2
+    assert not ok and not numbers["converged"] and not numbers["tripped"]
+    assert math.isnan(numbers["gap_coarse"]) and math.isnan(numbers["gap_fine"])
     assert math.isnan(numbers["ratio"])

@@ -515,6 +515,9 @@ class TestValidate:
             assert list(row["numbers"]) == list(numbers)
             for k, v in numbers.items():
                 assert row["numbers"][k] == (float(v) if np.isfinite(v) else None)
+        # an integral float reads back as a float, not an int
+        trace = doc["results"]["checks"][3]["numbers"]["trace"]
+        assert type(trace) is float and trace == 1.0
 
 
 class TestResume:

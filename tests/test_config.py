@@ -25,7 +25,7 @@ from svcl.config import (
 )
 from svcl.ergodic import MIN_BATCHES
 from svcl.flux import FLUX_KINDS
-from svcl.integrator import SCHEMES
+from svcl.integrator import SCHEMES, SolverConfig
 from svcl.ergodic import default_burn_in
 from svcl.spectral import ModeBasis, mode_field
 
@@ -404,6 +404,19 @@ class TestBuilders:
         model, solver, basis = cfg.model(), cfg.solver(), cfg.basis()
         assert model.nu == 0.2 and model.flux.kind == "burgers"
         assert solver.dt == cfg.dt and basis.m_max == 8
+
+    def test_every_solver_setting_is_a_solver_row_of_the_schema(self):
+        """SolverConfig holds exactly dt, scheme and guard_radius, and
+        solver() fills each from the field of a [solver] row, so no solver
+        setting lives outside the config schema."""
+        rows = {row.key: row.attr for row in SCHEMA if row.section == "solver"}
+        source = {"dt": "dt", "scheme": "scheme", "guard_radius": "guard"}
+        assert [f.name for f in fields(SolverConfig)] == list(source)
+        values = {"dt": 0.0125, "scheme": "exp_midpoint_flux", "guard": 7.5}
+        solver = RunConfig(**{rows[key]: v for key, v in values.items()}).solver()
+        for name, key in source.items():
+            assert getattr(solver, name) == values[key]
+            assert getattr(solver, name) != getattr(RunConfig().solver(), name)
 
     def test_initial_kinds(self):
         basis = ModeBasis(8)

@@ -5,10 +5,11 @@ import io
 import math
 import warnings
 from functools import partial
+from unittest.mock import patch
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -31,7 +32,7 @@ from svcl.integrator import (
     write_snapshot,
 )
 from svcl.noise import NoisePath, NoiseSpec
-from svcl.observables import DEFAULT_FINE_FACTOR, RecordBuffer
+from svcl.observables import DEFAULT_FINE_FACTOR, RecordBuffer, sup_h1
 from svcl.spectral import (ModeBasis, SpectralField, analyze, mode_field, pair_weights,
                            rotate_pairs, synthesize)
 
@@ -1259,7 +1260,79 @@ class TestTripMidBlock:
         assert len(got[-1]) == trip_step  # the states of steps 0 .. trip_step - 1
 
 
+@np.errstate(over="ignore", invalid="ignore")
+def picard_reference(u0, model, cfg, w):
+    """The mild-form fixed point one row at a time: the per-row trapezoid
+    recursion and nonlinear term that `picard_solve` evaluates by blocks,
+    kept as the reference it must match bit for bit.  Returns (coeffs,
+    converged, iterations, gaps)."""
+    basis, dt, n = u0.basis, cfg.dt, len(w) - 1
+    stepper = Stepper(model, cfg, basis)
+    neg_lam = -basis.eigenvalues
+    decay = np.exp(model.nu * basis.eigenvalues * dt)
+    su0 = np.empty((n + 1, basis.m_max))
+    su0[0] = u0.coeffs
+    for i in range(n):
+        su0[i + 1] = decay * su0[i]
+    v = su0 + w
+    v[0] = u0.coeffs
+    gaps = []
+    for it in range(1, integrator.PICARD_MAX_ITER + 1):
+        f_prev = -stepper.nonlin(v[0])
+        integral = np.zeros(basis.m_max)
+        new = np.empty_like(v)
+        new[0] = u0.coeffs
+        for i in range(1, n + 1):
+            f_i = -stepper.nonlin(v[i])
+            integral = decay * integral + 0.5 * dt * (decay * f_prev + f_i)
+            new[i] = su0[i] - integral + w[i]
+            f_prev = f_i
+        if not np.isfinite(integral).all():
+            return np.tile(u0.coeffs, (n + 1, 1)), False, 0, [np.inf]
+        gap = float(np.sqrt(np.max(np.sum(neg_lam * (new - v) ** 2, axis=1))))
+        gaps.append(gap)
+        v = new
+        if gap < integrator.PICARD_TOL:
+            return v, True, it, gaps
+        if it > 2 and gap > 4.0 * gaps[-2]:
+            return v, False, it, gaps
+    return v, False, integrator.PICARD_MAX_ITER, gaps
+
+
+PICARD_FLUXES = {"zero": FluxSpec("zero"), "burgers": FluxSpec("burgers"),
+                 "linear": FluxSpec("polynomial", coefficients=[0.0, 3.0]),
+                 "cubic": FluxSpec("polynomial", coefficients=[0.0, 0.0, 0.0, 1.0 / 3.0])}
+
+
 class TestPicard:
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(m=st.sampled_from([2, 8, 16, 32]), flux=st.sampled_from(sorted(PICARD_FLUXES)),
+           scheme=st.sampled_from(SCHEMES), n=st.integers(2, 60),
+           dt=st.sampled_from([1e-4, 1e-3, 5e-3, 0.02]), seed=st.integers(0, 2**32),
+           amp=st.sampled_from([0.0, 0.1, 1.0, 10.0]))
+    @example(m=16, flux="burgers", scheme="exp_euler", n=60, dt=0.02, seed=1,
+             amp=50.0)  # does not contract
+    @example(m=8, flux="cubic", scheme="exp_euler", n=10, dt=0.01, seed=0,
+             amp=1e110)  # the flux overflows
+    def test_block_solver_equals_row_reference(self, m, flux, scheme, n, dt, seed, amp):
+        """The block solver reproduces the per-row reference bit for bit,
+        coefficients, gaps, iteration count and convergence, with one block
+        Stepper.nonlin call per iteration (the overflowing one among them)."""
+        basis = ModeBasis(m)
+        model = ModelSpec(0.05, PICARD_FLUXES[flux], NoiseSpec(c=0.3, q=3.0))
+        cfg = SolverConfig(dt=dt, scheme=scheme)
+        u0 = random_field(basis, seed, amp=amp)
+        w = convolution_grid(NoisePath(model.noise, basis, seed), model.nu, dt, n)
+        want = picard_reference(u0, model, cfg, w)
+        shapes, nonlin = [], Stepper.nonlin
+        with patch.object(Stepper, "nonlin",
+                          lambda self, c: shapes.append(c.shape) or nonlin(self, c)):
+            got = picard_solve(u0, model, cfg, w)
+        assert got.coeffs.tobytes() == want[0].tobytes()
+        assert (got.converged, got.iterations) == want[1:3]
+        assert got.gaps.tobytes() == np.asarray(want[3], dtype=float).tobytes()
+        assert shapes == [(n + 1, m)] * len(got.gaps)
+
     def test_zero_flux_converges_in_one_iteration(self):
         # A = 0: G does not depend on v, so the first iterate is the answer.
         basis = ModeBasis(8)
@@ -1267,26 +1340,27 @@ class TestPicard:
         model = ModelSpec(0.2, FluxSpec("zero"), spec)
         cfg = SolverConfig(dt=0.01)
         u0 = random_field(basis, 5)
-        pr = picard_solve(u0, model, cfg, horizon=0.1, path=NoisePath(spec, basis, 31))
-        assert pr.converged and pr.iterations == 1 and pr.gap < 1e-14
-        # fixed point is S_t u0 + w(t) reconstructed from the same realization
         w = convolution_grid(NoisePath(spec, basis, 31), model.nu, cfg.dt, 10)
+        fixed = picard_solve(u0, model, cfg, w)
+        assert fixed.converged and fixed.iterations == 1 and fixed.gaps[-1] < 1e-14
+        # fixed point is S_t u0 + w(t) from the same realization
         decay = np.exp(model.nu * basis.eigenvalues * cfg.dt)
         su0 = u0.coeffs.copy()
         for i in range(1, 11):
             su0 = decay * su0
-            np.testing.assert_allclose(pr.coeffs[i], su0 + w[i], atol=1e-15)
+            np.testing.assert_allclose(fixed.coeffs[i], su0 + w[i], atol=1e-15)
 
     def test_gap_sequence_contracts_geometrically(self):
         basis = ModeBasis(16)
         model = ModelSpec(0.05, FluxSpec("burgers"), NoiseSpec(c=0.3, q=3.0))
-        cfg = SolverConfig(dt=1e-3, picard_tol=1e-12)
+        cfg = SolverConfig(dt=1e-3)
         u0 = random_field(basis, 7)
-        pr = picard_solve(u0, model, cfg, horizon=0.1,
-                          path=NoisePath(model.noise, basis, 11))
-        assert pr.converged and pr.halvings == 0
-        gaps = pr.gaps
-        live = gaps > 100 * cfg.picard_tol  # above the rounding floor
+        fixed = picard_solve(u0, model, cfg,
+                          convolution_grid(NoisePath(model.noise, basis, 11), model.nu, cfg.dt,
+                                           100))
+        assert fixed.converged
+        gaps = fixed.gaps
+        live = gaps > 100 * integrator.PICARD_TOL  # above the rounding floor
         ratios = gaps[1:][live[1:]] / gaps[:-1][live[1:]]
         assert np.all(ratios < 0.5)
 
@@ -1300,43 +1374,36 @@ class TestPicard:
         w = convolution_grid(NoisePath(model.noise, basis, 5), model.nu, dtc / 2, nf)
         gaps = []
         for ddt, stride in ((dtc, 2), (dtc / 2, 1)):
-            nn = nf // stride
-            cfg = SolverConfig(dt=ddt, picard_tol=1e-12)
-            pr = picard_solve(u0, model, cfg, horizon=nn * ddt,
-                              path=NoisePath(model.noise, basis, 5),
-                              w_grid=w[::stride])
-            assert pr.converged
+            cfg = SolverConfig(dt=ddt)
+            fixed = picard_solve(u0, model, cfg, w[::stride])
+            assert fixed.converged
             xis = increments_from_grid(w, model.nu, basis, ddt, stride)
             traj, _ = run_on_increments(model, cfg, u0, xis)
-            gaps.append(np.max(h1_norm(basis, traj - pr.coeffs)))
+            gaps.append(sup_h1(traj - fixed.coeffs, basis))
         assert gaps[0] / gaps[1] > 1.8
 
     def test_non_contraction_reported_not_raised(self):
-        # Violent data on a long horizon: the solver halves and reports.
+        # Violent data on a long horizon: the map expands, and the solver
+        # reports it on the whole grid.
         basis = ModeBasis(16)
         model = ModelSpec(0.05, FluxSpec("burgers"), NoiseSpec(sigma=np.zeros(16)))
-        cfg = SolverConfig(dt=0.01, picard_max_iter=12)
         u0 = random_field(basis, 13, amp=50.0)
-        pr = picard_solve(u0, model, cfg, horizon=2.0,
-                          path=NoisePath(model.noise, basis, 1))
-        assert pr.halvings > 0 or not pr.converged
-        assert pr.horizon <= 2.0
+        fixed = picard_solve(u0, model, SolverConfig(dt=0.01), np.zeros((201, 16)))
+        assert not fixed.converged and fixed.coeffs.shape == (201, 16)
+        assert len(fixed.gaps) == fixed.iterations < integrator.PICARD_MAX_ITER
+        assert fixed.gaps[-1] > 4.0 * fixed.gaps[-2]
 
     def test_overflow_in_every_attempt_is_reported(self):
-        # the cubic flux of 1e110 e1 overflows at once: every attempt fails
-        # after 0 iterations until the horizon can halve no further, and the
-        # reported trajectory holds u0 at every time
+        # the cubic flux of 1e110 e1 overflows at once: the solve fails
+        # after 0 iterations, and the reported trajectory holds u0 at every time
         basis = ModeBasis(8)
         cubic = FluxSpec("polynomial", coefficients=[0.0, 0.0, 0.0, 1.0 / 3.0])
         model = ModelSpec(0.1, cubic, NoiseSpec(sigma=np.zeros(8)))
         u0 = mode_field(basis, 1, 1e110)
-        pr = picard_solve(u0, model, SolverConfig(dt=0.01), horizon=0.1,
-                          path=NoisePath(model.noise, basis, 0))
-        assert not pr.converged and pr.iterations == 0
-        assert pr.gap == np.inf and pr.gaps.tolist() == [np.inf]
-        assert pr.halvings == 2 and pr.horizon == 0.02  # 10 -> 5 -> 2 steps
-        assert pr.times.tolist() == [0.0, 0.01, 0.02]
-        assert pr.coeffs.tobytes() == np.tile(u0.coeffs, (3, 1)).tobytes()
+        fixed = picard_solve(u0, model, SolverConfig(dt=0.01), np.zeros((11, 8)))
+        assert not fixed.converged and fixed.iterations == 0
+        assert fixed.gaps.tolist() == [np.inf]
+        assert fixed.coeffs.tobytes() == np.tile(u0.coeffs, (11, 1)).tobytes()
 
 
 class TestSnapshotResume:

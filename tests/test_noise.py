@@ -100,13 +100,14 @@ class TestDrawDiscipline:
     @pytest.mark.parametrize("seed", [0, 2**64 - 1])
     def test_block_matches_fresh_construction_at_extreme_indices(self, seed):
         """The reset from a dict of Python ints holds over the whole 64-bit
-        index range, out of order and on a fork.  The fresh counter is a
-        uint64 array: numpy turns a list holding 2^64 - 1 into float64 and
-        casts it to 0."""
+        index range, out of order and on a second path set to the same draw
+        index.  The fresh counter is a uint64 array: numpy turns a list
+        holding 2^64 - 1 into float64 and casts it to 0."""
         basis = ModeBasis(16)
         path = NoisePath(NoiseSpec(c=1.0, q=3.0), basis, seed)
         path.block(5, np.empty(16))
-        twin = path.fork()
+        twin = NoisePath(NoiseSpec(c=1.0, q=3.0), basis, seed)
+        twin.draw_index = path.draw_index
         for idx in (2**63, 0, 2**64 - 1, 2**32, 0, 2**63):
             counter = np.array([0, idx, 0, 0], dtype=np.uint64)
             fresh = np.random.Generator(np.random.Philox(key=seed, counter=counter))
@@ -149,13 +150,16 @@ class TestDrawDiscipline:
         assert got.tobytes() == full[:m].tobytes()
 
     def test_fork_continues_identically(self):
+        """A fresh path set to another's draw index continues its realization."""
         basis = ModeBasis(4)
         path = NoisePath(e1_spec(), basis, 3)
         for _ in range(4):
             path.ou_increment(1.0, 0.01)
-        twin = path.fork()
+        twin = NoisePath(e1_spec(), basis, 3)
+        twin.draw_index = path.draw_index
         assert np.array_equal(convolution_grid(path, 1.0, 0.01, 1),
                               convolution_grid(twin, 1.0, 0.01, 1))
+        assert path.draw_index == twin.draw_index == 5
         assert np.array_equal(path.ou_increment(1.0, 0.01), twin.ou_increment(1.0, 0.01))
 
     @settings(max_examples=60, deadline=None, derandomize=True, database=None)
@@ -264,7 +268,9 @@ class TestOUConvolution:
         basis = ModeBasis(4)
         path = NoisePath(NoiseSpec(sigma=[1.0, 1.0, 1.0, 1.0]), basis, 1)
         w = convolution_grid(path, 2.0, 0.003, 2)
-        xi = [path.ou_increment(2.0, 0.003) for _ in range(2)]
+        assert path.draw_index == 2
+        draws = NoisePath(NoiseSpec(sigma=[1.0, 1.0, 1.0, 1.0]), basis, 1)
+        xi = [draws.ou_increment(2.0, 0.003) for _ in range(2)]
         assert np.array_equal(w[1], xi[0])
         assert np.array_equal(w[2], np.exp(2.0 * basis.eigenvalues * 0.003) * w[1] + xi[1])
         silent = NoisePath(NoiseSpec(sigma=[0.0, 0.0, 0.0, 0.0]), basis, 1)
@@ -287,7 +293,7 @@ class TestOUConvolution:
             want[i + 1] = np.exp(nu * lam * dt) * want[i] + std * draws.block(7 + i, np.empty(8))
         got = convolution_grid(path, nu, dt, n)
         assert got.tobytes() == want.tobytes()
-        assert path.draw_index == 7  # the grid is drawn from a fork
+        assert path.draw_index == 7 + n
 
 
 class TestContinuity:
