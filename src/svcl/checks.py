@@ -20,7 +20,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .config import InitialSpec
-from .ergodic import (confluence_experiment, default_burn_in, dissipation_entry_time,
+from .ergodic import (balance_gap, confluence_experiment, default_burn_in, dissipation_entry_time,
                       entry_time_bound, ergodic_average, estimates_agree)
 from .flux import FluxSpec
 from .integrator import (ModelSpec, SolverConfig, convolution_grid, increments_from_grid,
@@ -74,7 +74,7 @@ def _energy_balance(ou_run, tol):
     model, res = ou_run
     two_nu_h1 = 2 * model.nu * ergodic_average(res, "h1_sq", default_burn_in(model.nu)).value
     tr = trace_h2(model.noise, ModeBasis(2)).l2
-    rel = abs(two_nu_h1 - tr) / tr
+    rel = balance_gap(two_nu_h1, tr)
     return rel < tol, {"two_nu_h1": two_nu_h1, "trace": tr, "rel_gap": rel}
 
 
@@ -101,7 +101,7 @@ def _stationary_balance(balance_run, cubic_seed, tol, n_sigma):
     tr = trace_h2(model.noise, ModeBasis(16)).l2
     burn = float(res_b.records.column("t")[-1]) / 2
     est_b, est_c = (ergodic_average(r, "h1_sq", burn_in=burn) for r in (res_b, res_c))
-    rel_b, rel_c = (abs(2.0 * model.nu * e.value - tr) / tr for e in (est_b, est_c))
+    rel_b, rel_c = (balance_gap(2.0 * model.nu * e.value, tr) for e in (est_b, est_c))
     agree = estimates_agree(est_b, est_c, n_sigma)
     return rel_b < tol and rel_c < tol and agree, {
         "burgers_gap": rel_b, "cubic_gap": rel_c, "agree": agree}
@@ -168,8 +168,8 @@ def _entry_time(seeds, n_steps, radius_factor):
     u0, v0 = mode_field(basis, 1, 2.0), mode_field(basis, 1, -2.0)
     radius = radius_factor * trace_h2(model.noise, basis).l2 / model.nu
     taus = np.array([dissipation_entry_time(
-        run_coupled(model, SolverConfig(dt=1e-3), u0, v0, seed=seed, n_steps=n_steps,
-                    record_every=n_steps), radius) for seed in range(seeds)])
+        run_coupled(model, SolverConfig(dt=1e-3), u0, v0, seed=seed, n_steps=n_steps),
+        radius) for seed in range(seeds)])
     mean_tau, finite = float(np.mean(taus)), bool(np.all(np.isfinite(taus)))
     bound = entry_time_bound(u0, v0, model, basis, radius)
     return finite and mean_tau <= bound, {"mean_tau": mean_tau, "bound": bound,

@@ -26,11 +26,11 @@ from pathlib import Path
 import numpy as np
 
 from .config import FLAGS, ConfigError, RunConfig, parse_config, parse_config_text
-from .ergodic import coupling_passage, ergodic_average, tightness_diagnostic
+from .ergodic import balance_gap, coupling_passage, ergodic_average, tightness_diagnostic
 from .integrator import (ModelSpec, SolverConfig, State, read_snapshot,
                          run_coupled, run_single, write_snapshot)
 from .noise import trace_h2
-from .observables import FLOAT_FMT, RecordBuffer, read_csv_columns
+from .observables import FLOAT_FMT, RecordBuffer, Reducer, read_csv_columns
 from .spectral import SpectralField
 
 EXIT_OK = 0
@@ -188,7 +188,7 @@ def _cmd_single(cfg: RunConfig, snap=None, rows=(), history=None) -> int:
     out, model, u0, res, timing = _run_and_write(cfg, snap, rows, history)
     c = res.state.u.coeffs
     with np.errstate(over="ignore", invalid="ignore"):  # as in the step loop
-        l2_sq, h1_sq = float(np.dot(c, c)), float(np.dot(-u0.basis.eigenvalues, c * c))
+        l2_sq, h1_sq = float(np.dot(c, c)), float(Reducer(u0.basis).h1_sq(c))
     results = {"kind": "single", "steps": res.state.step,
                "final_time": res.state.t, "final_l2_sq": l2_sq, "final_h1_sq": h1_sq,
                "rows": len(rows) + len(res.records)}
@@ -261,7 +261,7 @@ def _cmd_ergodic(cfg: RunConfig) -> int:
         "kind": "ergodic", "burn_in": burn, "estimates": estimates,
         "stationary_balance": {
             "two_nu_h1_mean": two_nu_h1, "noise_trace_l2": tr,
-            "relative_gap": abs(two_nu_h1 - tr) / tr if tr else float("nan")},
+            "relative_gap": balance_gap(two_nu_h1, tr)},
         "tightness": [
             {"epsilon": r.epsilon, "threshold": r.threshold,
              "fraction": r.fraction, "bound": r.bound, "satisfied": r.satisfied}

@@ -30,11 +30,8 @@ def default_burn_in(nu: float) -> float:
 
 @dataclass
 class ErgodicEstimate:
-    observable: str
     value: float  # time average after burn-in
     stderr: float  # batch-means standard error
-    horizon: float  # averaged span (after burn-in)
-    burn_in: float
     n_batches: int
 
 
@@ -54,20 +51,17 @@ def ergodic_average(run, observable: str, burn_in: float,
             f"insufficient samples: {np.count_nonzero(keep)} rows after burn-in, "
             f"need at least {2 * n_batches}")
     series = series[keep]
-    tk = t[keep]
     n_use = len(series) - len(series) % n_batches
     series = series[-n_use:]
     batches = series.reshape(n_batches, -1).mean(axis=1)
     value = float(series.mean())
     stderr = float(batches.std(ddof=1) / math.sqrt(n_batches))
-    return ErgodicEstimate(
-        observable=observable,
-        value=value,
-        stderr=stderr,
-        horizon=float(tk[-1] - tk[0]),
-        burn_in=float(burn_in),
-        n_batches=n_batches,
-    )
+    return ErgodicEstimate(value=value, stderr=stderr, n_batches=n_batches)
+
+
+def balance_gap(two_nu_h1: float, trace: float) -> float:
+    """The stationary balance gap |2 nu <h1_sq> - trace| / trace; nan for a zero trace."""
+    return abs(two_nu_h1 - trace) / trace if trace else math.nan
 
 
 def estimates_agree(a: ErgodicEstimate, b: ErgodicEstimate,
@@ -122,8 +116,6 @@ class CouplingReport:
     times: np.ndarray = field(repr=False)
     l1_series: np.ndarray = field(repr=False)
     first_passage: dict  # epsilon -> first time l1 < epsilon (nan if never)
-    initial_distance: float
-    final_distance: float
     reached_target: bool  # went below min(epsilons) inside the horizon
     monotone: bool  # non-increasing within 1e-8 of the current value
     trip_time: float  # nan unless a guard/overflow trip ended the run
@@ -158,15 +150,11 @@ def confluence_experiment(u0: SpectralField, v0: SpectralField, model: ModelSpec
     res = run_coupled(model, cfg, u0, v0, seed, n_steps,
                       record_every=max(1, n_steps),  # full records not needed
                       stop_l1_below=float(eps[-1]))
-    l1 = res.l1_series
-    times = res.times
-    first, monotone, reached = coupling_passage(times, l1, eps)
+    first, monotone, reached = coupling_passage(res.times, res.l1_series, eps)
     return CouplingReport(
-        times=times,
-        l1_series=l1,
+        times=res.times,
+        l1_series=res.l1_series,
         first_passage=first,
-        initial_distance=float(l1[0]),
-        final_distance=float(l1[-1]),
         reached_target=reached,
         monotone=monotone,
         trip_time=res.trip.t if res.trip is not None else float("nan"),
@@ -174,13 +162,14 @@ def confluence_experiment(u0: SpectralField, v0: SpectralField, model: ModelSpec
 
 
 def dissipation_entry_time(run: CoupledRunResult, R: float) -> float:
-    """First time ||u||_H1^2 + ||v||_H1^2 <= R along a coupled run (nan if
-    the run never enters the dissipation region)."""
+    """First record time with ||u||_H1^2 + ||v||_H1^2 <= R along a coupled
+    run, from the h1_sq columns of its records, so it resolves at the record
+    cadence (nan if no record is inside the dissipation region)."""
     if R <= 0:
         raise ValueError("entry radius must be positive")
-    total = run.h1_sq_a + run.h1_sq_b
+    total = run.records_a.column("h1_sq") + run.records_b.column("h1_sq")
     hit = np.nonzero(total <= R)[0]
-    return float(run.times[hit[0]]) if hit.size else float("nan")
+    return float(run.records_a.column("t")[hit[0]]) if hit.size else float("nan")
 
 
 def entry_time_bound(u0: SpectralField, v0: SpectralField, model: ModelSpec,

@@ -26,7 +26,7 @@ import numpy as np
 from . import flux, observables, spectral
 from .flux import FluxSpec, dealias_points
 from .noise import NoisePath, NoiseSpec, trace_h2
-from .spectral import ModeBasis, SpectralField, Workspace, pair_weights, synthesize
+from .spectral import ModeBasis, SpectralField, Workspace, pair_weights
 
 SCHEMES = ("exp_euler", "exp_midpoint_flux")
 
@@ -40,8 +40,8 @@ class ModelSpec:
     noise: NoiseSpec
 
     def __post_init__(self):
-        if self.nu <= 0:
-            raise ValueError("viscosity nu must be positive")
+        if not 0 < self.nu < math.inf:
+            raise ValueError("viscosity nu must be positive and finite")
 
 
 @dataclass
@@ -51,11 +51,12 @@ class SolverConfig:
     guard_radius: float | None = None  # halt when ||u||_H1^2 reaches this
 
     def __post_init__(self):
-        if self.dt <= 0:
-            raise ValueError("dt must be positive")
+        if not 0 < self.dt < math.inf:
+            raise ValueError("dt must be positive and finite")
         if self.scheme not in SCHEMES:
             raise ValueError(f"unknown scheme {self.scheme!r}; choose from {SCHEMES}")
-        if self.guard_radius is not None and self.guard_radius <= 0:
+        # inf is a guard that trips once the H1 mass overflows; nan would never trip
+        if self.guard_radius is not None and not self.guard_radius > 0:
             raise ValueError("guard radius must be positive")
 
 
@@ -92,15 +93,11 @@ class Stepper:
         self.cfg = cfg
         self.basis = basis
         lam = basis.eigenvalues
-        self.neg_lam = -lam
-        self.lam_sq = lam * lam
-        self.n_fine = observables.DEFAULT_FINE_FACTOR * basis.m_max
         self.decay = np.exp(model.nu * lam * cfg.dt)
         self.half_decay = np.exp(model.nu * lam * 0.5 * cfg.dt)
         self.dt = cfg.dt
         self.neg_dx = pair_weights(-basis.wavenumbers)  # rotate_pairs weights of -d/dx
         self._kernels = {}  # block shape -> (nonlinear term, scheme update)
-        self._fine = {}  # use -> (coefficient block, n_fine Workspace, power buffer)
 
     def _kernel(self, shape: tuple):
         """Build the bound (nonlinear term, scheme update) of one block shape.
@@ -184,42 +181,13 @@ class Stepper:
         advancing it alone."""
         return (self._kernels.get(c.shape) or self._kernel(c.shape))[1](c, xi, out)
 
-    def _fine_block(self, c: np.ndarray, use: str):
-        """Copy the rows of c (k, m) into the coefficient block of the
-        n_fine plan of one use ("lp" or "l1"), zero past row k, and return
-        that plan: (block, Workspace, power buffer), built for the largest k
-        the use met, so reductions of kept states allocate no sample-sized
-        temporaries."""
-        k = len(c)
-        plan = self._fine.get(use)
-        if plan is None or len(plan[0]) < k:
-            work = Workspace(c.shape, self.n_fine)
-            plan = self._fine[use] = (np.empty(c.shape), work, np.empty(work.samples.shape))
-        plan[0][:k], plan[0][k:] = c, 0.0
-        return plan
 
-    def lp_means(self, c: np.ndarray, orders) -> list:
-        """Mean of |u|^p on the n_fine grid for each row of c (k, m), one
-        column per order p, each row bitwise equal to its own call, through
-        the "lp" n_fine plan."""
-        k = len(c)
-        block, work, power = self._fine_block(c, "lp")
-        vals = np.abs(synthesize(block, self.n_fine, work), out=work.samples)[:k]
-        power = power[:k]
-        # vals**p into one buffer: ** squares for p = 2 and calls np.power otherwise
-        return [np.mean(np.square(vals, out=power) if p == 2 else np.power(vals, p, out=power),
-                        axis=-1) for p in orders]
-
-    def h1_sq(self, c: np.ndarray) -> float:
-        return float(np.dot(self.neg_lam, c * c))
-
-
-def _find_trip(stepper: Stepper, c, out, t):
+def _find_trip(stepper: Stepper, reducer: observables.Reducer, c, out, t):
     """The blow-up contract of the step from c (at time t) to out, row by
     row: the first row in order that fails trips.  A row whose output is
     not finite trips as "flux_overflow" at t with its pre-step H1 mass,
-    then a row reaching the guard radius trips as "guard" at t + dt.
-    Returns the trip or None.
+    then a row reaching the guard radius trips as "guard" at t + dt; each
+    mass is the reducer's.  Returns the trip or None.
 
     The flux never raises, so this is the one blow-up check.  `_drive`
     calls it only with a guard set or when one dot, the output's sum of
@@ -229,9 +197,9 @@ def _find_trip(stepper: Stepper, c, out, t):
     r = stepper.cfg.guard_radius
     for row, new in zip(np.atleast_2d(c), np.atleast_2d(out)):
         if not np.isfinite(new).all():
-            return GuardTrip(t, stepper.h1_sq(row), "flux_overflow")
+            return GuardTrip(t, float(reducer.h1_sq(row)), "flux_overflow")
         if r is not None:
-            h1 = stepper.h1_sq(new)
+            h1 = float(reducer.h1_sq(new))
             if h1 >= r:
                 return GuardTrip(t + stepper.dt, h1)
     return None
@@ -244,72 +212,22 @@ def _find_trip(stepper: Stepper, c, out, t):
 class RunResult:
     records: observables.RecordBuffer
     state: State
-    seed: int
     trip: GuardTrip | None = None
-
-
-# fine-grid samples one reduction of the kept-state block synthesizes:
-# bounds its temporaries (a few of this many float64s) whatever m_max is
-_RECORD_BLOCK_POINTS = 1 << 15
-
-
-def _record_rows(bufs, stepper: Stepper, times, states):
-    """Append one record row per kept state: states[k], kept at times[k], is
-    a state (m,) or a block (R, m) whose row r goes to bufs[r].
-
-    Each column is reduced over all kept states at once, one batched
-    synthesize for the Lp columns and row-wise vecdot for the norms; every
-    value equals the one reduced from its state alone, bit for bit (unlike
-    a matrix-vector product or einsum, which sum in another order).
-    """
-    n, n_bufs = len(times), len(bufs)
-    c = states.reshape(n * n_bufs, -1)
-    cc = c * c
-    cols = [np.vecdot(c, c), np.vecdot(cc, stepper.neg_lam), np.vecdot(cc, stepper.lam_sq)]
-    if bufs[0].lp_orders:
-        cols += stepper.lp_means(c, bufs[0].lp_orders)
-    cols = [col.reshape(n, n_bufs) for col in cols]
-    r = stepper.cfg.guard_radius
-    for i, buf in enumerate(bufs):
-        l2, h1, h2, *lp = (col[:, i] for col in cols)
-        buf.append(times, l2, h1, h2, lp, guard_margin=np.nan if r is None else r - h1)
-
-
-@np.errstate(over="ignore", invalid="ignore")  # rows whose norms overflowed
-def _fill_residual_column(buf, model, basis, window, history=None):
-    """Windowed balance residual over the trailing `window` records.
-
-    The window is aligned to the absolute record stream: `history` carries
-    (t, l2_sq, h1_sq) rows that precede this buffer (a resumed segment seeds
-    it from the tail of the existing CSV), and each window sum runs over the
-    same rows in the same order an uninterrupted run would use, so resumed
-    rows come out bitwise identical.  Only the buffer's first `window` rows
-    reach back into the history, so only they are joined to its last
-    `window` rows.
-    """
-    cols = [buf.column(k) for k in ("t", "l2_sq", "h1_sq")]
-    hist = [np.asarray(h, dtype=float)[-window:] for h in history or ((), (), ())]
-    head = [np.concatenate([h, c[:window]]) for h, c in zip(hist, cols)]
-    tr = trace_h2(model.noise, basis).l2
-    res = buf.column("energy_residual")
-    res[:window] = observables.balance_residuals(*head, window, model.nu, tr,
-                                                 first=len(hist[0]))
-    if len(buf) > window:
-        res[window:] = observables.balance_residuals(*cols, window, model.nu, tr, first=window)
 
 
 # a blow-up is found from the step output, so the kernels may meet inf and
 # nan on the way there without a warning
 @np.errstate(over="ignore", invalid="ignore")
-def _drive(stepper: Stepper, c, draw, n_steps, t, step0, every, reduce, on_step=None):
+def _drive(stepper: Stepper, reducer: observables.Reducer, c, draw, n_steps, t, step0, every,
+           reduce, on_step=None):
     """The one step loop: advance c, a state (m,) or a same-noise block
     (R, m), by up to n_steps increments, from time t and step step0.
 
     The state of a fresh start and of every `every`-th step is kept in one
-    block of max(2, _RECORD_BLOCK_POINTS // (R n_fine)) rows, and
-    reduce(times, states) consumes the kept rows as soon as the block fills
-    and once when the run ends, inside this errstate; the rows are reused
-    after the call returns.  reduce stops the run by returning how many
+    block of reducer.block_rows(c) rows, and reduce(times, states)
+    consumes the kept rows as soon as the block fills and once when the
+    run ends, inside this errstate; the rows are reused after the call
+    returns.  reduce stops the run by returning how many
     leading rows it keeps: the run returns the last, at the step its
     position gives, with no trip, and drops the steps past it (at most
     rows - 1), a trip among them included.  draw(out) fills out, a block
@@ -321,7 +239,7 @@ def _drive(stepper: Stepper, c, draw, n_steps, t, step0, every, reduce, on_step=
     step, with a c that is valid only during the call.  Returns (c, t,
     step, trip), c a fresh array.
     """
-    rows = max(2, _RECORD_BLOCK_POINTS // (c.size // c.shape[-1] * stepper.n_fine))
+    rows = reducer.block_rows(c)
     kept, times, k = np.empty((rows, *c.shape)), np.empty(rows), 0
     xis = np.empty((rows, c.shape[-1]))
     # row views made once: a list index is cheaper than an ndarray one
@@ -342,7 +260,7 @@ def _drive(stepper: Stepper, c, draw, n_steps, t, step0, every, reduce, on_step=
         # on a trip every row keeps its state from before the step, so each
         # row's state matches the step count and time the run reports
         if guarded or not math.isfinite(sum_sq(out, out)):
-            trip = _find_trip(stepper, c, out, t)
+            trip = _find_trip(stepper, reducer, c, out, t)
             if trip is not None:
                 break
         c = out
@@ -392,18 +310,19 @@ def run_single(
     runs after each step; the CLI writes its snapshots there.
     """
     basis = u0.basis
-    stepper = Stepper(model, cfg, basis)
+    reducer = observables.Reducer(basis)
     path = NoisePath(model.noise, basis, seed)
     path.draw_index = step0
     buf = observables.RecordBuffer(lp_orders, capacity=n_steps // max(record_every, 1) + 4)
-    c, t, step, trip = _drive(stepper, u0.coeffs,
+    c, t, step, trip = _drive(Stepper(model, cfg, basis), reducer, u0.coeffs,
                               partial(path.ou_increment, model.nu, cfg.dt), n_steps, t0,
-                              step0, record_every, partial(_record_rows, (buf,), stepper),
-                              on_step)
-    del stepper  # its Lp buffers go before the residual fill's
-    _fill_residual_column(buf, model, basis, residual_window, residual_history)
+                              step0, record_every,
+                              partial(reducer.record_rows, (buf,), cfg.guard_radius), on_step)
+    del reducer  # its Lp buffers go before the residual fill's
+    buf.fill_residuals(residual_window, model.nu, trace_h2(model.noise, basis).l2,
+                       residual_history)
     return RunResult(records=buf, state=State(SpectralField(c, basis), t, step),
-                     seed=seed, trip=trip)
+                     trip=trip)
 
 
 @dataclass
@@ -412,11 +331,8 @@ class CoupledRunResult:
     records_b: observables.RecordBuffer
     state_a: State
     state_b: State
-    seed: int
     times: np.ndarray
     l1_series: np.ndarray  # per step, not per record
-    h1_sq_a: np.ndarray
-    h1_sq_b: np.ndarray
     trip: GuardTrip | None = None
 
 
@@ -435,56 +351,57 @@ def run_coupled(
     """Drive two trajectories under one realization of the forcing.
 
     The pair is stepped as one (2, m) block by the shared driver, which
-    keeps every step's pair.  The L1 distance and both H1 masses are series
-    over every step (the contraction property is a per-step statement),
-    while full records keep the configured cadence: each block of kept
-    pairs is reduced to its series, one batched synthesize and row-wise
-    vecdot, bit for bit the values of one step at a time, and to the record
-    rows among its steps.  The series grow a block at a time, so nothing is
-    sized by n_steps.  Stops at the first step whose distance is below
-    stop_l1_below, if given, found in the series of each reduced block (the
-    initial distance is never tested); the pair-steps of that block past
-    the stop, at most one block of them, are computed and discarded.
+    keeps every step's pair.  The times and the L1 distance are series over
+    every step (the contraction property is a per-step statement), while
+    full records keep the configured cadence: each block of kept pairs is
+    reduced to its L1 distances, one batched synthesize, bit for bit the
+    values of one step at a time, and to the record rows among its steps.
+    The series grow a block at a time, so nothing is sized by n_steps.
+    Stops at the first step whose distance is below stop_l1_below, if
+    given, found in the series of each reduced block (the initial distance
+    is never tested); the pair-steps of that block past the stop, at most
+    one block of them, are computed and discarded.
     """
     if stop_l1_below is not None and not stop_l1_below > 0:
         raise ValueError("stop_l1_below must be positive")
     basis = u0.basis
-    stepper = Stepper(model, cfg, basis)
+    reducer = observables.Reducer(basis)
     path = NoisePath(model.noise, basis, seed)
     cap = n_steps // max(record_every, 1) + 4
     bufs = (observables.RecordBuffer(lp_orders, capacity=cap),
             observables.RecordBuffer(lp_orders, capacity=cap))
     stop = -math.inf if stop_l1_below is None else stop_l1_below
-    parts = []  # per reduced block: its times, l1 and both h1 series
+    parts = []  # per reduced block: its times and l1 series
     done = 0  # steps whose series are reduced
 
     def reduce(ts, pairs):
         """The series at the block's steps up to a stop, and the record rows
         among them; returns the rows kept if the block holds a stop."""
         nonlocal done
-        block, work, _ = stepper._fine_block(pairs[:, 0] - pairs[:, 1], "l1")
-        l1 = observables.l1_norms(block, stepper.n_fine, work)[: len(pairs)]
+        l1 = reducer.l1_distances(pairs)
         first = int(not done)  # the initial distance is never tested
         hit = np.flatnonzero(l1[first:] < stop)
         keep = first + int(hit[0]) + 1 if hit.size else None
         ts, pairs, l1 = ts[:keep], pairs[:keep], l1[:keep]
-        parts.append(np.vstack([ts, l1, np.vecdot(pairs * pairs, stepper.neg_lam).T]))
+        parts.append(np.vstack([ts, l1]))
         rec = -done % record_every
         if rec < len(ts):
-            _record_rows(bufs, stepper, ts[rec::record_every], pairs[rec::record_every])
+            reducer.record_rows(bufs, cfg.guard_radius, ts[rec::record_every],
+                                pairs[rec::record_every])
         done += len(ts)
         return keep
 
-    c, t, k, trip = _drive(stepper, np.stack([u0.coeffs, v0.coeffs]),
+    c, t, k, trip = _drive(Stepper(model, cfg, basis), reducer,
+                           np.stack([u0.coeffs, v0.coeffs]),
                            partial(path.ou_increment, model.nu, cfg.dt), n_steps, 0.0, 0, 1,
                            reduce)
-    times, l1, h1_a, h1_b = np.concatenate(parts, axis=1)
+    times, l1 = np.concatenate(parts, axis=1)
+    tr = trace_h2(model.noise, basis).l2
     for buf in bufs:
         buf.set_column("l1_dist", l1[::record_every])
-        _fill_residual_column(buf, model, basis, residual_window)
+        buf.fill_residuals(residual_window, model.nu, tr, None)
     states = [State(SpectralField(row, basis), t, k) for row in c]
-    return CoupledRunResult(*bufs, *states, seed=seed, times=times, l1_series=l1,
-                            h1_sq_a=h1_a, h1_sq_b=h1_b, trip=trip)
+    return CoupledRunResult(*bufs, *states, times=times, l1_series=l1, trip=trip)
 
 
 # --- fixed-realization refinement helpers ---------------------------------
@@ -533,8 +450,9 @@ def run_on_increments(model: ModelSpec, cfg: SolverConfig, u0: SpectralField,
         out[:] = xis[used : used + len(out)]
         used += len(out)
 
-    _, _, _, trip = _drive(Stepper(model, cfg, u0.basis), u0.coeffs, draw, len(xis), 0.0, 0,
-                           1, lambda _, states: parts.append(states.copy()))
+    _, _, _, trip = _drive(Stepper(model, cfg, u0.basis), observables.Reducer(u0.basis),
+                           u0.coeffs, draw, len(xis), 0.0, 0, 1,
+                           lambda _, states: parts.append(states.copy()))
     return np.concatenate(parts), trip
 
 

@@ -49,9 +49,13 @@ class NoiseSpec:
             self.sigma = np.asarray(self.sigma, dtype=float)
             if np.any(self.sigma < 0):
                 raise ValueError("sigma amplitudes must be >= 0")
+            if not np.isfinite(self.sigma).all():
+                raise ValueError("sigma amplitudes must be finite")
         if self.c is not None or self.q is not None:
             if self.c is None or self.q is None:
                 raise ValueError("profile needs both c and q")
+            if not np.isfinite([self.c, self.q]).all():
+                raise ValueError(f"profile c = {self.c}, q = {self.q} must be finite")
             if self.c < 0:
                 raise ValueError("profile amplitude c must be >= 0")
             if self.q <= MIN_PROFILE_Q:

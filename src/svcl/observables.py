@@ -26,6 +26,9 @@ DEFAULT_FINE_FACTOR = 8  # quadrature grid for L1/Lp rendering, per m_max
 # trapezoid areas one block of balance residual windows copies: bounds the
 # residual fill's temporaries whatever the run length or window
 _BLOCK_POINTS = 1 << 15
+# fine-grid samples one reduction of the kept-state block synthesizes:
+# bounds its temporaries (a few of this many float64s) whatever m_max is
+_RECORD_BLOCK_POINTS = 1 << 15
 
 
 class RecordBuffer:
@@ -59,11 +62,12 @@ class RecordBuffer:
             new[: self.n] = v[: self.n]
             self._cols[k] = new
 
-    def append(self, t, l2_sq, h1_sq, h2_sq, lp_powers=(),
-               l1_dist=np.nan, energy_residual=np.nan, guard_margin=np.nan):
+    def append(self, t, l2_sq, h1_sq, h2_sq, lp_powers=(), guard_margin=np.nan):
         """Append a block of rows: t holds one time per row (a scalar is a
         block of one), every other column one value per row or one value
-        broadcast to all, and lp_powers one such column per Lp order."""
+        broadcast to all, and lp_powers one such column per Lp order.  The
+        l1_dist and energy_residual columns start as nan: a coupled run sets
+        the first, `fill_residuals` the second."""
         t = np.atleast_1d(t)
         i, j = self.n, self.n + len(t)
         if j > self._cap:
@@ -75,8 +79,7 @@ class RecordBuffer:
         c["h2_sq"][i:j] = h2_sq
         for p, v in zip(self.lp_orders, lp_powers):
             c[f"lp{p}_p"][i:j] = v
-        c["l1_dist"][i:j] = l1_dist
-        c["energy_residual"][i:j] = energy_residual
+        c["l1_dist"][i:j] = c["energy_residual"][i:j] = np.nan
         c["guard_margin"][i:j] = guard_margin
         self.n = j
 
@@ -88,6 +91,27 @@ class RecordBuffer:
 
     def set_column(self, name, values):
         self._cols[name][: self.n] = values
+
+    @np.errstate(over="ignore", invalid="ignore")  # rows whose norms overflowed
+    def fill_residuals(self, window, nu, trace, history):
+        """Fill the energy_residual column: each row's balance residual over
+        its trailing `window` records.
+
+        The window is aligned to the absolute record stream: `history`, None
+        or (t, l2_sq, h1_sq) rows that precede this buffer (a resumed segment
+        seeds it from the tail of the existing CSV), so each window sum runs
+        over the same rows in the same order an uninterrupted run would use,
+        and resumed rows come out bitwise identical.  Only the buffer's first
+        `window` rows reach back into the history, so only they are joined to
+        its last `window` rows.
+        """
+        cols = [self.column(k) for k in ("t", "l2_sq", "h1_sq")]
+        hist = [np.asarray(h, dtype=float)[-window:] for h in history or ((), (), ())]
+        head = [np.concatenate([h, c[:window]]) for h, c in zip(hist, cols)]
+        res = self.column("energy_residual")
+        res[:window] = balance_residuals(*head, window, nu, trace, first=len(hist[0]))
+        if self.n > window:
+            res[window:] = balance_residuals(*cols, window, nu, trace, first=window)
 
     def write_csv(self, fp, config_echo: str | None = None, kept=()):
         """Stream the buffer as delimited text; fp is a writable text file.
@@ -205,10 +229,74 @@ def l1_norms(coeffs: np.ndarray, n: int, work: Workspace | None = None) -> np.nd
     return np.mean(np.abs(samples, out=samples), axis=-1)
 
 
-def l1_distance(a: SpectralField, b: SpectralField, n: int | None = None) -> float:
-    """L1 quadrature distance between two fields on a dealiased fine grid."""
+def l1_distance(a: SpectralField, b: SpectralField) -> float:
+    """L1 quadrature distance between two fields on the n_fine grid."""
     if a.basis.m_max != b.basis.m_max:
         raise ValueError("fields live on different bands")
-    if n is None:
-        n = DEFAULT_FINE_FACTOR * a.basis.m_max
-    return float(l1_norms(a.coeffs - b.coeffs, n))
+    return float(l1_norms(a.coeffs - b.coeffs, DEFAULT_FINE_FACTOR * a.basis.m_max))
+
+
+class Reducer:
+    """Every reduction of a run's coefficient states on one basis: the H1
+    mass, record rows, a coupled pair's L1 distances and the size of the
+    kept-state block the step loop hands them.  A block of states reduces
+    at once, each row bit for bit as its state alone: the norms by row-wise
+    vecdot (a matrix product or einsum sums in another order), the Lp and
+    L1 columns by one synthesize on the n_fine grid, through the plan of
+    its use ("lp" or "l1"): a coefficient block, Workspace and power
+    buffer sized for the largest block the use met.
+    """
+
+    def __init__(self, basis: ModeBasis):
+        lam = basis.eigenvalues
+        self.neg_lam = -lam
+        self.lam_sq = lam * lam
+        self.n_fine = DEFAULT_FINE_FACTOR * basis.m_max
+        self._fine = {}  # use -> (coefficient block, n_fine Workspace, power buffer)
+
+    def block_rows(self, c: np.ndarray) -> int:
+        """Rows of the kept-state block for c, a state (m,) or a block
+        (R, m): max(2, _RECORD_BLOCK_POINTS // (R n_fine))."""
+        return max(2, _RECORD_BLOCK_POINTS // (c.size // c.shape[-1] * self.n_fine))
+
+    def h1_sq(self, c: np.ndarray):
+        """The H1 mass of a state c (m,), or of each row of a block (k, m)."""
+        return np.vecdot(c * c, self.neg_lam)
+
+    def _fine_block(self, c: np.ndarray, use: str):
+        """Copy the rows of c (k, m) into the coefficient block of the plan
+        of `use`, zero past row k, and return that plan."""
+        k = len(c)
+        plan = self._fine.get(use)
+        if plan is None or len(plan[0]) < k:
+            work = Workspace(c.shape, self.n_fine)
+            plan = self._fine[use] = (np.empty(c.shape), work, np.empty(work.samples.shape))
+        plan[0][:k], plan[0][k:] = c, 0.0
+        return plan
+
+    def l1_distances(self, pairs: np.ndarray) -> np.ndarray:
+        """The L1 distance of each kept pair, rows of pairs (k, 2, m)."""
+        block, work, _ = self._fine_block(pairs[:, 0] - pairs[:, 1], "l1")
+        return l1_norms(block, self.n_fine, work)[: len(pairs)]
+
+    def record_rows(self, bufs, radius, times, states):
+        """Append one record row per kept state: states[k], kept at times[k],
+        is a state (m,) or a block (R, m) whose row r goes to bufs[r].  An Lp
+        column is the mean of |u|^p on the n_fine grid, and the guard margin
+        is radius - h1_sq, nan when radius is None."""
+        n, n_bufs = len(times), len(bufs)
+        c = states.reshape(n * n_bufs, -1)
+        cols = [np.vecdot(c, c), self.h1_sq(c), np.vecdot(c * c, self.lam_sq)]
+        if bufs[0].lp_orders:
+            block, work, power = self._fine_block(c, "lp")
+            vals = np.abs(synthesize(block, self.n_fine, work), out=work.samples)[: len(c)]
+            power = power[: len(c)]
+            # vals**p into one buffer: ** squares for p = 2 and calls np.power otherwise
+            cols += [np.mean(np.square(vals, out=power) if p == 2
+                             else np.power(vals, p, out=power), axis=-1)
+                     for p in bufs[0].lp_orders]
+        cols = [col.reshape(n, n_bufs) for col in cols]
+        for i, buf in enumerate(bufs):
+            l2, h1, h2, *lp = (col[:, i] for col in cols)
+            buf.append(times, l2, h1, h2, lp,
+                       guard_margin=np.nan if radius is None else radius - h1)

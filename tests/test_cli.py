@@ -404,8 +404,8 @@ dir = {tmp_path / 'cp'}
         assert res["first_passage"][FLOAT_FMT % 0.2] is not None
         assert res["monotone"] == rep.monotone
         assert res["reached_target"] == rep.reached_target
-        assert res["initial_l1"] == rep.initial_distance
-        assert res["final_l1"] == rep.final_distance
+        assert res["initial_l1"] == rep.l1_series[0]
+        assert res["final_l1"] == rep.l1_series[-1]
 
 
 class TestErgodic:
@@ -545,6 +545,24 @@ class TestResume:
         assert (out / "observables.csv").read_bytes() == full_csv
         assert (out / "final.snap").read_bytes() == full_snap
         assert (out / "snap_000000090.snap").exists()
+
+    def test_summary_norms_are_those_of_the_final_snapshot(self, ini, tmp_path):
+        # after a run and after a resume, the summary's final_l2_sq and
+        # final_h1_sq are the norms of final.snap's coefficients, bit for bit
+        out, lam = tmp_path / "out", parse_config(ini).basis().eigenvalues
+
+        def check():
+            results = json.loads((out / "summary.json").read_text())["results"]
+            with open(out / "final.snap", "rb") as fp:
+                c = read_snapshot(fp).coeffs
+            assert results["final_l2_sq"] == float(np.dot(c, c))
+            assert results["final_h1_sq"] == float(np.dot(-lam, c * c))
+
+        assert entry(["run", "--config", str(ini)]) == EXIT_OK
+        check()
+        snap = self.interrupt(tmp_path, keep_rows=61, snap_step=60)
+        assert entry(["resume", "--config", str(ini), "--resume", str(snap)]) == EXIT_OK
+        check()
 
     def test_failed_rewrite_keeps_the_old_artifacts(self, ini, tmp_path, monkeypatch):
         # the resumed run dies while moving its new CSV into place: the CSV

@@ -83,11 +83,6 @@ class TestErgodicAverage:
         with pytest.raises(ValueError, match="batches"):
             ergodic_average(ou_runs[0], "l2_sq", BURN, n_batches=4)
 
-    def test_observable_name_recorded(self, ou_runs):
-        est = ergodic_average(ou_runs[0], "h2_sq", BURN)
-        assert est.observable == "h2_sq"
-        assert est.burn_in == BURN and est.horizon > 0
-
 
 class TestTightness:
     def test_decaying_run_fraction_vanishes(self):
@@ -129,8 +124,7 @@ class TestConfluence:
         u0 = mode_field(BASIS, 1, 1.0)
         rep = confluence_experiment(u0, u0, model, SolverConfig(dt=1e-3),
                                     seed=0, epsilons=[1e-2, 1e-6], horizon=1.0)
-        assert rep.initial_distance == 0.0
-        assert rep.final_distance == 0.0
+        assert rep.l1_series[0] == rep.l1_series[-1] == 0.0
         assert rep.reached_target and rep.monotone
         assert all(t == 0.0 for t in rep.first_passage.values())
 
@@ -143,7 +137,7 @@ class TestConfluence:
                                     epsilons=[1e-2, 1e-3], horizon=6.0)
         assert rep.monotone and rep.reached_target
         assert rep.first_passage[1e-2] < rep.first_passage[1e-3]
-        assert rep.final_distance < 1e-3
+        assert rep.l1_series[-1] < 1e-3
         assert math.isnan(rep.trip_time)  # no trip ended the run
 
     def test_noisy_confluence_across_seeds(self):
@@ -153,7 +147,7 @@ class TestConfluence:
                                         mode_field(BASIS, 1, -1.0), model,
                                         SolverConfig(dt=1e-3), seed=seed,
                                         epsilons=[1.8e-3], horizon=10.0)
-            assert rep.reached_target, f"seed {seed} stalled at {rep.final_distance}"
+            assert rep.reached_target, f"seed {seed} stalled at {rep.l1_series[-1]}"
             assert rep.monotone
 
     def test_epsilons_validated(self):
@@ -185,6 +179,17 @@ class TestDissipationEntry:
         exact = math.log((1.0 + 0.25) * (-lam1) / R) / (-2 * nu * lam1)
         tau = dissipation_entry_time(run, R)
         assert abs(tau - exact) <= 1e-3  # resolved to one step
+
+    def test_resolves_at_the_record_cadence(self):
+        # the entry time is the first record inside the region: with a
+        # record every 10 steps, the first one at or after the per-step entry
+        model = ModelSpec(0.1, FluxSpec("zero"), NoiseSpec(sigma=np.zeros(8)))
+        args = (model, SolverConfig(dt=1e-3), mode_field(BASIS, 1, 1.0),
+                mode_field(BASIS, 1, -0.5))
+        fine = dissipation_entry_time(run_coupled(*args, seed=0, n_steps=5000), 1.0)
+        coarse_run = run_coupled(*args, seed=0, n_steps=5000, record_every=10)
+        t = coarse_run.records_a.column("t")
+        assert dissipation_entry_time(coarse_run, 1.0) == t[np.searchsorted(t, fine)] > fine
 
     def test_never_entering_is_nan(self):
         model = ModelSpec(0.1, FluxSpec("zero"), NoiseSpec(sigma=np.zeros(8)))

@@ -13,10 +13,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from svcl import integrator
+from svcl import integrator, observables
 from svcl.flux import FluxSpec, dealias_points, flux_value
 from svcl.integrator import (
-    _RECORD_BLOCK_POINTS,
     SCHEMES,
     ModelSpec,
     SolverConfig,
@@ -31,8 +30,8 @@ from svcl.integrator import (
     run_single,
     write_snapshot,
 )
-from svcl.noise import NoisePath, NoiseSpec
-from svcl.observables import DEFAULT_FINE_FACTOR, RecordBuffer, sup_h1
+from svcl.noise import NoisePath, NoiseSpec, trace_h2
+from svcl.observables import DEFAULT_FINE_FACTOR, RecordBuffer, Reducer, sup_h1
 from svcl.spectral import (ModeBasis, SpectralField, analyze, mode_field, pair_weights,
                            rotate_pairs, synthesize)
 
@@ -49,6 +48,11 @@ def h1_norm(basis, coeffs):
     return np.sqrt(np.sum(-basis.eigenvalues * coeffs**2, axis=-1))
 
 
+def h1_sq(basis, c):
+    """The H1 mass of one state, summed by np.dot."""
+    return float(np.dot(-basis.eigenvalues, c * c))
+
+
 def silent_model(nu=0.1, m=16):
     return ModelSpec(nu, FluxSpec("zero"), NoiseSpec(sigma=np.zeros(m)))
 
@@ -57,6 +61,27 @@ class TestValidation:
     def test_model_requires_positive_viscosity(self):
         with pytest.raises(ValueError, match="nu"):
             ModelSpec(0.0, FluxSpec("zero"), NoiseSpec(sigma=np.zeros(4)))
+
+    NON_FINITE = {
+        "nu_nan": lambda: ModelSpec(math.nan, FluxSpec("zero"), NoiseSpec(sigma=np.zeros(4))),
+        "nu_inf": lambda: ModelSpec(math.inf, FluxSpec("zero"), NoiseSpec(sigma=np.zeros(4))),
+        "dt_nan": lambda: SolverConfig(dt=math.nan),
+        "dt_inf": lambda: SolverConfig(dt=math.inf),
+        "guard_nan": lambda: SolverConfig(dt=1e-3, guard_radius=math.nan),
+        "c_nan": lambda: NoiseSpec(c=math.nan, q=3.0),
+        "c_inf": lambda: NoiseSpec(c=math.inf, q=3.0),
+        "q_nan": lambda: NoiseSpec(c=0.5, q=math.nan),
+        "q_inf": lambda: NoiseSpec(c=0.5, q=math.inf),
+        "sigma_nan": lambda: NoiseSpec(sigma=[1.0, math.nan]),
+        "sigma_inf": lambda: NoiseSpec(sigma=[math.inf, 0.0]),
+    }
+
+    @pytest.mark.parametrize("spec", sorted(NON_FINITE))
+    def test_specs_refuse_nan_and_inf(self, spec):
+        # the config layer refuses these values before any spec is built;
+        # the library specs refuse them too, rather than run on them
+        with pytest.raises(ValueError):
+            self.NON_FINITE[spec]()
 
     def test_solver_config_rejects_bad_inputs(self):
         with pytest.raises(ValueError, match="dt"):
@@ -222,12 +247,12 @@ class TestBlock:
             assert bits(analyze(samples[i], m)) == bits(coeffs[i])
         finite = [i for i, row in enumerate(out) if np.isfinite(row).all()]
         guard_row = data.draw(st.sampled_from([None, *finite]))
-        r = None if guard_row is None else stepper.h1_sq(out[guard_row])
+        r = None if guard_row is None else h1_sq(basis, out[guard_row])
         cfg = SolverConfig(dt=1e-3, scheme=scheme,
                            guard_radius=r if r is not None and 0 < r < np.inf else None)
-        checked = Stepper(model, cfg, basis)
-        trip = integrator._find_trip(checked, block, checked.advance(block, xi), 1e-3)
-        alone = [integrator._find_trip(checked, row, checked.advance(row, xi), 1e-3)
+        checked, reducer = Stepper(model, cfg, basis), Reducer(basis)
+        trip = integrator._find_trip(checked, reducer, block, checked.advance(block, xi), 1e-3)
+        alone = [integrator._find_trip(checked, reducer, row, checked.advance(row, xi), 1e-3)
                  for row in block]
         assert _trip_bits(trip) == _trip_bits(next((a for a in alone if a is not None), None))
 
@@ -361,13 +386,14 @@ class TestRecordBlock:
 
     @staticmethod
     def reference_rows(stepper, states, times, lp_orders, r):
-        """The record columns but l1_dist and energy_residual, per state."""
-        rows = []
+        """The record columns but l1_dist and energy_residual, per state of
+        the stepper's basis."""
+        lam, rows = stepper.basis.eigenvalues, []
         for t, c in zip(times, states):
             cc = c * c
-            h1 = np.dot(stepper.neg_lam, cc)
-            vals = np.abs(synthesize(c, stepper.n_fine))
-            rows.append([t, np.dot(c, c), h1, np.dot(stepper.lam_sq, cc)]
+            h1 = np.dot(-lam, cc)
+            vals = np.abs(synthesize(c, DEFAULT_FINE_FACTOR * stepper.basis.m_max))
+            rows.append([t, np.dot(c, c), h1, np.dot(lam * lam, cc)]
                         + [np.mean(vals**p) for p in lp_orders]
                         + [np.nan if r is None else r - h1])
         return np.array(rows, dtype=float).reshape(len(rows), 5 + len(lp_orders))
@@ -380,7 +406,7 @@ class TestRecordBlock:
     def test_block_records_equal_per_row_records(self, data, coupled, m, every,
                                                  lp_orders, guard):
         n_bufs = 2 if coupled else 1
-        rows = _RECORD_BLOCK_POINTS // (n_bufs * DEFAULT_FINE_FACTOR * m)
+        rows = observables._RECORD_BLOCK_POINTS // (n_bufs * DEFAULT_FINE_FACTOR * m)
         n_rec = data.draw(st.sampled_from([rows - 1, rows, rows + 1, 2 * rows + 3]),
                           label="records")
         step0 = 0 if coupled else data.draw(st.sampled_from([0, 1, 5, 40]), label="step0")
@@ -404,7 +430,7 @@ class TestRecordBlock:
             xi = path.ou_increment(self.MODEL.nu, self.DT)
             states[k + 1] = [stepper.advance(c, xi) for c in states[k]]
             times.append(times[-1] + self.DT)
-        h1 = np.array([[stepper.h1_sq(c) for c in s] for s in states])
+        h1 = np.array([[h1_sq(basis, c) for c in s] for s in states])
         radius, stop = None, n_steps  # stop: last step the run completes
         if guard == "loose":
             radius = 2.0 * h1.max()
@@ -443,7 +469,7 @@ class TestRecordBlock:
     def test_one_row_blocks(self, monkeypatch, coupled, step0):
         # a flush budget below one row's fine grid gives the smallest blocks,
         # of two rows (the floor), each reduced before the next state is kept
-        monkeypatch.setattr(integrator, "_RECORD_BLOCK_POINTS", 1)
+        monkeypatch.setattr(observables, "_RECORD_BLOCK_POINTS", 1)
         self.check_against_rows(ModeBasis(8), coupled, step0, n_steps=5)
 
     def test_one_row_blocks_at_large_m(self):
@@ -549,7 +575,7 @@ class TestLeanStep:
             # half: the runs trip at the first step a row reaches it
             states = self.ref_run(ref, u0, xis, None)[0]
             last = data.draw(st.integers(max(1, n_steps // 2), n_steps), label="last")
-            radius = max(ref.h1_sq(row) for c in states[1 : last + 1] for row in c)
+            radius = max(h1_sq(basis, row) for c in states[1 : last + 1] for row in c)
         cfg = SolverConfig(dt=self.DT, scheme=scheme, guard_radius=radius)
         fields = [SpectralField(row, basis) for row in u0]
 
@@ -595,15 +621,15 @@ class TestTwoRowBlocks:
         xis = [lean.increment(self.MODEL, basis, self.SEED, k) for k in range(self.N_STEPS)]
         every = 3 if run == "single_every_3" else 1
         # a budget below one row's fine grid: blocks of two kept rows
-        monkeypatch.setattr(integrator, "_RECORD_BLOCK_POINTS", 1)
+        monkeypatch.setattr(observables, "_RECORD_BLOCK_POINTS", 1)
         reduced = []
-        record_rows = integrator._record_rows
+        record_rows = Reducer.record_rows
 
-        def counted(bufs, stepper, times, states):
+        def counted(reducer, bufs, radius, times, states):
             reduced.append(len(times))
-            return record_rows(bufs, stepper, times, states)
+            return record_rows(reducer, bufs, radius, times, states)
 
-        monkeypatch.setattr(integrator, "_record_rows", counted)
+        monkeypatch.setattr(Reducer, "record_rows", counted)
         if run == "coupled":
             states, times, _ = lean.ref_run(ref, u0, xis, None)
             res = run_coupled(self.MODEL, cfg, *(SpectralField(r, basis) for r in u0),
@@ -613,7 +639,8 @@ class TestTwoRowBlocks:
                                             (res.state_b, res.records_b))):
                 assert end.u.coeffs.tobytes() == states[-1][r].tobytes()
                 lean.check_records(ref, buf, [c[r] for c in states], times, 1, None)
-            l1 = [np.mean(np.abs(synthesize(c[0] - c[1], ref.n_fine))) for c in states]
+            n_fine = DEFAULT_FINE_FACTOR * basis.m_max
+            l1 = [np.mean(np.abs(synthesize(c[0] - c[1], n_fine))) for c in states]
             assert res.l1_series.tobytes() == np.array(l1).tobytes()
         else:
             states, times, _ = lean.ref_run(ref, u0[0], xis, None)
@@ -669,7 +696,7 @@ class TestGuard:
         model = silent_model(m=8)
         u0 = mode_field(basis, 1, 1.0)
         stepper = Stepper(model, SolverConfig(dt=0.01), basis)
-        r = stepper.h1_sq(stepper.advance(u0.coeffs, np.zeros(8)))
+        r = h1_sq(basis, stepper.advance(u0.coeffs, np.zeros(8)))
         res = run_single(model, SolverConfig(dt=0.01, guard_radius=r), u0,
                          seed=0, n_steps=20)
         assert res.trip is not None and res.trip.reason == "guard" and res.trip.h1_sq == r
@@ -704,7 +731,7 @@ class TestGuard:
         model = silent_model(m=8)
         u0 = mode_field(basis, 1, 1.0)
         stepper = Stepper(model, SolverConfig(dt=0.01), basis)
-        r = stepper.h1_sq(stepper.advance(u0.coeffs, np.zeros(8)))
+        r = h1_sq(basis, stepper.advance(u0.coeffs, np.zeros(8)))
         res = run_single(model, SolverConfig(dt=0.01, guard_radius=r), u0,
                          seed=0, n_steps=10**16, lp_orders=(2,))
         assert res.trip is not None and res.trip.reason == "guard"
@@ -875,7 +902,7 @@ class TestCoupled:
         basis = ModeBasis(8)
         b0 = mode_field(basis, 1, 2.0).coeffs
         stepper = Stepper(silent_model(m=8), SolverConfig(dt=0.01), basis)
-        r = stepper.h1_sq(stepper.advance(b0, np.zeros(8)))
+        r = h1_sq(basis, stepper.advance(b0, np.zeros(8)))
         _, res = self._trip_pair(FluxSpec("zero"), r, basis.zeros(), b0)
         assert res.trip.reason == "guard" and res.trip.h1_sq == r
         assert res.trip.t == 0.01 and res.state_a.step == res.state_b.step == 0
@@ -889,7 +916,7 @@ class TestCoupled:
         b0 = mode_field(basis, 1, 1e110).coeffs
         stepper, res = self._trip_pair(cubic, None, basis.zeros(), b0)
         assert res.trip.reason == "flux_overflow"
-        assert res.trip.h1_sq == stepper.h1_sq(b0) and res.trip.t == 0.0
+        assert res.trip.h1_sq == h1_sq(basis, b0) and res.trip.t == 0.0
         assert np.array_equal(res.state_b.u.coeffs, b0)
 
     def test_nan_in_second_row_trips_at_its_step(self, monkeypatch):
@@ -922,7 +949,7 @@ class TestCoupled:
         assert res.trip.t == res.state_a.t == ref.state_a.t
         assert res.state_a.u.coeffs.tobytes() == ref.state_a.u.coeffs.tobytes()
         assert res.state_b.u.coeffs.tobytes() == ref.state_b.u.coeffs.tobytes()
-        assert res.trip.h1_sq == Stepper(burgers, cfg, basis).h1_sq(ref.state_b.u.coeffs)
+        assert res.trip.h1_sq == h1_sq(basis, ref.state_b.u.coeffs)
         assert res.l1_series.tobytes() == ref.l1_series.tobytes()
 
     def test_first_row_guard_wins_over_second_row_overflow(self):
@@ -932,7 +959,7 @@ class TestCoupled:
         a0 = mode_field(basis, 1, 1.0).coeffs
         stepper, res = self._trip_pair(cubic, 1.0, a0, mode_field(basis, 1, 1e110).coeffs)
         assert res.trip.reason == "guard"
-        assert res.trip.h1_sq == stepper.h1_sq(stepper.advance(a0, np.zeros(8)))
+        assert res.trip.h1_sq == h1_sq(basis, stepper.advance(a0, np.zeros(8)))
         assert res.trip.t == 0.01
 
     def test_second_row_trip_keeps_both_rows_before_the_step(self):
@@ -961,7 +988,8 @@ class TestCoupled:
             res = run_coupled(model, SolverConfig(dt=2e-3), mode_field(basis, 1, 1.0),
                               mode_field(basis, 2, 1e150), seed=1, n_steps=20)
         assert res.trip.reason == "flux_overflow" and res.state_b.step == 1
-        assert res.h1_sq_b[-1] == np.inf and np.isfinite(res.l1_series).all()
+        assert res.records_b.column("h1_sq")[-1] == np.inf
+        assert np.isfinite(res.l1_series).all()
         assert res.records_b.column("l2_sq")[-1] == np.inf
 
     def test_early_stop_on_confluence(self):
@@ -985,7 +1013,8 @@ class TestCoupled:
         assert 0 < res.state_a.step == ref.state_a.step < 1000 and res.trip is None
         assert res.l1_series[-1] < 1.0 <= res.l1_series[-2]
         for a, b in ((res.times, ref.times), (res.l1_series, ref.l1_series),
-                     (res.h1_sq_b, ref.h1_sq_b), (res.state_a.u.coeffs, ref.state_a.u.coeffs),
+                     (res.records_b.column("h1_sq"), ref.records_b.column("h1_sq")),
+                     (res.state_a.u.coeffs, ref.state_a.u.coeffs),
                      (res.records_a.column("l2_sq"), ref.records_a.column("l2_sq"))):
             assert a.tobytes() == b.tobytes()
 
@@ -1022,14 +1051,15 @@ class TestCoupledSeries:
         def track(c, t):
             states.append(c)
             times.append(t)
-            l1.append(float(np.mean(np.abs(synthesize(c[0] - c[1], stepper.n_fine)))))
-            h1.append([stepper.h1_sq(row) for row in c])
+            l1.append(float(np.mean(np.abs(synthesize(c[0] - c[1],
+                                                      DEFAULT_FINE_FACTOR * basis.m_max)))))
+            h1.append([h1_sq(basis, row) for row in c])
             return stop is not None and l1[-1] < stop
 
         track(c, t)  # the initial distance is never tested against stop
         for _ in range(n_steps):
             out = stepper.advance(c, path.ou_increment(model.nu, cfg.dt))
-            trip = integrator._find_trip(stepper, c, out, t)
+            trip = integrator._find_trip(stepper, Reducer(basis), c, out, t)
             if trip is not None:
                 break
             c, t = out, t + cfg.dt
@@ -1042,15 +1072,16 @@ class TestCoupledSeries:
                                                   times[kept], cls.LP_ORDERS,
                                                   cfg.guard_radius)
             buf.append(rows[:, 0], rows[:, 1], rows[:, 2], rows[:, 3], rows[:, 4:-1].T,
-                       l1_dist=l1[kept], guard_margin=rows[:, -1])
-            integrator._fill_residual_column(buf, model, basis, 64)
+                       guard_margin=rows[:, -1])
+            buf.set_column("l1_dist", l1[kept])
+            buf.fill_residuals(64, model.nu, trace_h2(model.noise, basis).l2, None)
         h1 = np.array(h1).T
         return dict(times=np.array(times), l1=np.array(l1), h1_a=h1[0], h1_b=h1[1], c=c,
                     t=t, step=len(states) - 1, trip=trip, bufs=bufs)
 
     @staticmethod
     def outputs(res):
-        return dict(times=res.times, l1=res.l1_series, h1_a=res.h1_sq_a, h1_b=res.h1_sq_b,
+        return dict(times=res.times, l1=res.l1_series,
                     c=np.stack([res.state_a.u.coeffs, res.state_b.u.coeffs]),
                     t=res.state_a.t, step=res.state_a.step, trip=res.trip,
                     bufs=(res.records_a, res.records_b))
@@ -1093,7 +1124,7 @@ class TestCoupledSeries:
         for stop in stops:
             with pytest.MonkeyPatch.context() as mp:
                 # blocks of `block` pairs: a (2, m) block row reduces 2 n_fine points
-                mp.setattr(integrator, "_RECORD_BLOCK_POINTS",
+                mp.setattr(observables, "_RECORD_BLOCK_POINTS",
                            2 * block * DEFAULT_FINE_FACTOR * m)
                 want = self.reference(model, cfg, u0, v0, seed, n_steps, stop)
                 got = self.outputs(run_coupled(
@@ -1103,7 +1134,7 @@ class TestCoupledSeries:
             assert (got["trip"] is not None) == (case == "trip")
             assert got["step"] == want["step"] and got["t"] == want["t"]
             assert got["trip"] == want["trip"]
-            for key in ("times", "l1", "h1_a", "h1_b", "c"):
+            for key in ("times", "l1", "c"):
                 assert got[key].tobytes() == want[key].tobytes(), key
             for buf, ref in zip(got["bufs"], want["bufs"]):
                 assert buf.column_names() == ref.column_names()
@@ -1124,7 +1155,7 @@ class TestCoupledStopInBlock:
     def run(self, monkeypatch, u0, v0, n_steps, stop, radius=None, block=None):
         basis = u0.basis
         if block is not None:  # blocks of `block` pairs
-            monkeypatch.setattr(integrator, "_RECORD_BLOCK_POINTS",
+            monkeypatch.setattr(observables, "_RECORD_BLOCK_POINTS",
                                 2 * block * DEFAULT_FINE_FACTOR * basis.m_max)
         cfg = SolverConfig(dt=1e-3, guard_radius=radius)
         want = TestCoupledSeries.reference(self.MODEL, cfg, u0, v0, self.SEED, n_steps, stop)
@@ -1134,7 +1165,7 @@ class TestCoupledStopInBlock:
             lp_orders=TestCoupledSeries.LP_ORDERS, stop_l1_below=stop))
         assert got["step"] == want["step"] and got["t"] == want["t"]
         assert got["trip"] == want["trip"]
-        for key in ("times", "l1", "h1_a", "h1_b", "c"):
+        for key in ("times", "l1", "c"):
             assert got[key].tobytes() == want[key].tobytes(), key
         for buf, ref in zip(got["bufs"], want["bufs"]):
             for name in ref.column_names():
@@ -1170,7 +1201,7 @@ class TestCoupledStopInBlock:
     def test_wasted_pair_steps_are_under_one_block(self, monkeypatch, block, row):
         basis = ModeBasis(8)
         u0, v0 = mode_field(basis, 1, 0.5), mode_field(basis, 1, -0.5)
-        rows = integrator._RECORD_BLOCK_POINTS // (2 * DEFAULT_FINE_FACTOR * basis.m_max)
+        rows = observables._RECORD_BLOCK_POINTS // (2 * DEFAULT_FINE_FACTOR * basis.m_max)
         step = block * rows + row % rows
         n_steps = 2 * rows + 8
         free = TestCoupledSeries.reference(self.MODEL, SolverConfig(dt=1e-3), u0, v0,
@@ -1219,11 +1250,12 @@ class TestTripMidBlock:
         u0, v0 = self.fields(basis)
         n_fine = DEFAULT_FINE_FACTOR * basis.m_max
         pair = reducer == "series"
-        monkeypatch.setattr(integrator, "_RECORD_BLOCK_POINTS",
+        monkeypatch.setattr(observables, "_RECORD_BLOCK_POINTS",
                             (1 + pair) * self.ROWS * n_fine)
         if pair:
             free = run_coupled(self.MODEL, self.CFG, u0, v0, seed=self.SEED, n_steps=20)
-            r, trip_step = self.radius(np.maximum(free.h1_sq_a, free.h1_sq_b))
+            r, trip_step = self.radius(np.maximum(free.records_a.column("h1_sq"),
+                                                  free.records_b.column("h1_sq")))
         else:
             free = run_single(self.MODEL, self.CFG, u0, seed=self.SEED, n_steps=20)
             r, trip_step = self.radius(free.records.column("h1_sq"))
@@ -1240,8 +1272,7 @@ class TestTripMidBlock:
                 res = run_coupled(self.MODEL, cfg, u0, v0, seed=self.SEED, n_steps=n_steps,
                                   lp_orders=(2,))
                 bufs = (res.records_a, res.records_b)
-                arrays = [res.times, res.l1_series, res.h1_sq_a, res.h1_sq_b,
-                          res.state_a.u.coeffs, res.state_b.u.coeffs]
+                arrays = [res.times, res.l1_series, res.state_a.u.coeffs, res.state_b.u.coeffs]
             else:
                 res = run_single(self.MODEL, cfg, u0, seed=self.SEED, n_steps=n_steps,
                                  lp_orders=(2,))
@@ -1548,4 +1579,4 @@ class TestRunDrivers:
         assert np.all(np.isfinite(d))
         np.testing.assert_array_equal(d, res.records_b.column("l1_dist"))
         assert len(res.times) == 41 and len(res.l1_series) == 41
-        assert len(res.h1_sq_a) == 41
+        assert len(res.records_a) == len(res.records_b) == 5

@@ -5,7 +5,8 @@ implementation: eigenvalues -(2 pi mp)^2, heat factors exp(nu lam t),
 Parseval against direct quadrature, and the mode-wise smoothing envelope
 sup_x sqrt(x) exp(-nu x t) = (2 e nu t)^(-1/2).  The derivative, heat and
 norm checks run on what the step loop uses: `rotate_pairs` with a
-`Stepper`'s weights, `Stepper.decay`, and `Stepper.h1_sq` / `np.vecdot`.
+`Stepper`'s weights, `Stepper.decay`, and the H1 mass and H2 weights of the
+`Reducer` behind every record row.
 """
 
 import numpy as np
@@ -18,6 +19,7 @@ from numpy.fft import _pocketfft_umath as pocketfft
 from svcl.flux import FluxSpec
 from svcl.integrator import ModelSpec, SolverConfig, Stepper
 from svcl.noise import NoiseSpec
+from svcl.observables import Reducer
 from svcl.spectral import (
     ModeBasis,
     SpectralField,
@@ -38,7 +40,7 @@ HEAT_FACTOR_001 = 0.6738254512314336  # exp(-4 pi^2 * 0.01)
 
 def silent_stepper(basis, nu=1.0, dt=1.0):
     """A Stepper with no flux and no noise: its decay is S_dt, and its
-    derivative weights and norm weights are those every run uses."""
+    derivative weights are those every run uses."""
     model = ModelSpec(nu, FluxSpec("zero"), NoiseSpec(sigma=np.zeros(basis.m_max)))
     return Stepper(model, SolverConfig(dt=dt), basis)
 
@@ -409,9 +411,9 @@ class TestHeatSemigroup:
         def h2_after(c, t):
             st = silent_stepper(basis, nu=nu, dt=t)
             g = st.decay * c
-            return float(np.sqrt(np.vecdot(g * g, st.lam_sq)))
+            return float(np.sqrt(np.vecdot(g * g, Reducer(basis).lam_sq)))
 
-        h1_of = silent_stepper(basis).h1_sq
+        h1_of = Reducer(basis).h1_sq
         fitted = 0.0
         for seed in range(8):
             f = random_field(basis, seed, decay=1.0).coeffs
@@ -445,21 +447,21 @@ class TestNorms:
     def test_h1_frozen_value(self):
         """||e_1||_H1^2 = 4 pi^2."""
         basis = ModeBasis(8)
-        assert silent_stepper(basis).h1_sq(mode_field(basis, 1).coeffs) == pytest.approx(
+        assert Reducer(basis).h1_sq(mode_field(basis, 1).coeffs) == pytest.approx(
             -LAM1, rel=1e-14
         )
 
     def test_h2_weights(self):
         basis = ModeBasis(8)
         c = mode_field(basis, 3, 2.0).coeffs
-        h2_sq = np.vecdot(c * c, silent_stepper(basis).lam_sq)
+        h2_sq = np.vecdot(c * c, Reducer(basis).lam_sq)
         assert np.sqrt(h2_sq) == pytest.approx(2.0 * (-LAM3), rel=1e-13)
 
     @pytest.mark.parametrize("p", [1, 2, 4])
     def test_poincare_chain(self, p):
         """||v||_Lp <= ||v||_Linf <= ||v||_H1 on random fields."""
         basis = ModeBasis(32)
-        h1_sq = silent_stepper(basis).h1_sq
+        h1_sq = Reducer(basis).h1_sq
         for seed in range(6):
             f = random_field(basis, seed, decay=1.2)
             vp = quad_lp(f, 4 * basis.m_max, p)

@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from svcl import integrator
+from svcl import observables
 from svcl.flux import FluxSpec
 from svcl.integrator import ModelSpec, SolverConfig, Stepper, run_coupled, run_single
 from svcl.noise import NoisePath, NoiseSpec
@@ -88,7 +88,7 @@ def test_coupled_series_synthesizes_once_per_block(monkeypatch, stop):
                       seed=0, n_steps=2000, record_every=2000, stop_l1_below=stop)
     steps = res.state_a.step
     assert (steps < 2000) == (stop is not None)
-    rows = integrator._RECORD_BLOCK_POINTS // (2 * Stepper(model, cfg, basis).n_fine)
+    rows = observables._RECORD_BLOCK_POINTS // (2 * observables.DEFAULT_FINE_FACTOR * 16)
     assert counts["synthesize"] == -(-(steps + 1) // rows)
 
 
