@@ -188,7 +188,8 @@ def _cmd_single(cfg: RunConfig, snap=None, rows=(), history=None) -> int:
     out, model, u0, res, timing = _run_and_write(cfg, snap, rows, history)
     c = res.state.u.coeffs
     with np.errstate(over="ignore", invalid="ignore"):  # as in the step loop
-        l2_sq, h1_sq = float(np.dot(c, c)), float(Reducer(u0.basis).h1_sq(c))
+        reducer = Reducer(u0.basis)
+        l2_sq, h1_sq = float(reducer.l2_sq(c)), float(reducer.h1_sq(c))
     results = {"kind": "single", "steps": res.state.step,
                "final_time": res.state.t, "final_l2_sq": l2_sq, "final_h1_sq": h1_sq,
                "rows": len(rows) + len(res.records)}

@@ -17,6 +17,7 @@ import numpy as np
 
 from .integrator import CoupledRunResult, ModelSpec, SolverConfig, run_coupled
 from .noise import trace_h2
+from .observables import Reducer
 from .spectral import ModeBasis, SpectralField
 
 MIN_BATCHES = 8
@@ -95,7 +96,7 @@ def tightness_diagnostic(run, model: ModelSpec, epsilons,
     span = float(t[-1] - t[0])
     basis = u0.basis
     tr = trace_h2(model.noise, basis).l2
-    u0_sq = float(np.dot(u0.coeffs, u0.coeffs))
+    u0_sq = float(Reducer.l2_sq(u0.coeffs))
     rows = []
     for eps in np.atleast_1d(np.asarray(epsilons, dtype=float)):
         threshold = 1.0 / eps
@@ -183,5 +184,5 @@ def entry_time_bound(u0: SpectralField, v0: SpectralField, model: ModelSpec,
     margin = model.nu * R - tr
     if margin <= 0:
         raise ValueError("need nu * R above the L2 noise trace for a finite bound")
-    num = float(np.dot(u0.coeffs, u0.coeffs) + np.dot(v0.coeffs, v0.coeffs))
+    num = float(Reducer.l2_sq(u0.coeffs) + Reducer.l2_sq(v0.coeffs))
     return num / (2.0 * margin)

@@ -115,8 +115,8 @@ class Stepper:
         u*, and then decay c, live in one temporary of the kernel's, so
         `out` must not be c.  Every per-mode operand (the decays, dt
         half_decay and the weights) is a C-contiguous copy at the block's
-        shape, as the Workspace's scales are, so on a block only the shared
-        increment xi broadcasts.
+        shape, as the Workspace's unpack scales are, and the step loop
+        passes xi at the state's shape, so no operand of a step broadcasts.
         """
         def tiled(x):
             return np.broadcast_to(x, shape).copy()
@@ -175,10 +175,10 @@ class Stepper:
 
     def advance(self, c: np.ndarray, xi: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """One scheme update of c, a state (m,) or a block (R, m) of states
-        driven by the same increment xi, by the bound kernel of c's shape,
-        written into out (an array of c's shape that is not c) or else into
-        a fresh array; each row of a block comes out bitwise equal to
-        advancing it alone."""
+        driven by the increment xi, at c's shape or one (m,) row shared by
+        every state, by the bound kernel of c's shape, written into out (an
+        array of c's shape that is not c) or else into a fresh array; each
+        row of a block comes out bitwise equal to advancing it alone."""
         return (self._kernels.get(c.shape) or self._kernel(c.shape))[1](c, xi, out)
 
 
@@ -231,35 +231,39 @@ def _drive(stepper: Stepper, reducer: observables.Reducer, c, draw, n_steps, t, 
     leading rows it keeps: the run returns the last, at the step its
     position gives, with no trip, and drops the steps past it (at most
     rows - 1), a trip among them included.  draw(out) fills out, a block
-    of (min(rows, steps left), m), with the next steps' increments in
-    order.  Each step is written in place: into its row of the kept block
-    when it is kept, else into one of two spare states that alternate, so
-    a step's output never shares memory with its input, whichever block
-    wraps (hence at least two rows).  on_step(step, t, c) runs after each
-    step, with a c that is valid only during the call.  Returns (c, t,
-    step, trip), c a fresh array.
+    of (min(rows, steps left), *c.shape), with the next steps' increments
+    in order, each at the state's shape, so the scheme update adds arrays
+    of one shape.  Each step is written in place: into its row of the kept
+    block when it is kept, else into one of two spare states that
+    alternate, so a step's output never shares memory with its input,
+    whichever block wraps (hence at least two rows).  The blow-up test is
+    one dot of the output's flat view with itself.  on_step(step, t, c)
+    runs after each step, with a c that is valid only during the call.
+    Returns (c, t, step, trip), c a fresh array.
     """
     rows = reducer.block_rows(c)
     kept, times, k = np.empty((rows, *c.shape)), np.empty(rows), 0
-    xis = np.empty((rows, c.shape[-1]))
-    # row views made once: a list index is cheaper than an ndarray one
-    kept_rows, xi_rows, spare = list(kept), list(xis), list(np.empty((2, *c.shape)))
+    xis = np.empty((rows, *c.shape))
+    # row views, each paired with its flat view, made once: a list index is
+    # cheaper than an ndarray one
+    kept_rows, spare = ([(x, x.reshape(-1)) for x in block]
+                        for block in (kept, np.empty((2, *c.shape))))
+    xi_rows = list(xis)
     if step0 == 0:
         kept[0], times[0], k = c, t, 1
     dt, advance, guarded = stepper.dt, stepper.advance, stepper.cfg.guard_radius is not None
-    # the output's sum of squares: ndarray.dot skips np.vdot's dispatcher on a state
-    sum_sq = np.ndarray.dot if c.ndim == 1 else np.vdot
     trip, keep, step, end, j = None, None, step0, step0 + n_steps, rows
     for n in range(step0, end):
         if j == rows:  # the increment block is used up
             draw(xis[: min(rows, end - n)])
             j = 0
         kept_step = (n + 1) % every == 0
-        out = advance(c, xi_rows[j], kept_rows[k] if kept_step else spare[n & 1])
+        out, flat = kept_rows[k] if kept_step else spare[n & 1]
+        advance(c, xi_rows[j], out)
         j += 1
         # on a trip every row keeps its state from before the step, so each
         # row's state matches the step count and time the run reports
-        if guarded or not math.isfinite(sum_sq(out, out)):
+        if guarded or not math.isfinite(flat.dot(flat)):
             trip = _find_trip(stepper, reducer, c, out, t)
             if trip is not None:
                 break
@@ -351,12 +355,14 @@ def run_coupled(
     """Drive two trajectories under one realization of the forcing.
 
     The pair is stepped as one (2, m) block by the shared driver, which
-    keeps every step's pair.  The times and the L1 distance are series over
-    every step (the contraction property is a per-step statement), while
-    full records keep the configured cadence: each block of kept pairs is
-    reduced to its L1 distances, one batched synthesize, bit for bit the
-    values of one step at a time, and to the record rows among its steps.
-    The series grow a block at a time, so nothing is sized by n_steps.
+    keeps every step's pair; each block of increments is drawn once from
+    the path and copied into both rows.  The times and the L1 distance are
+    series over every step (the contraction property is a per-step
+    statement), while full records keep the configured cadence: each block
+    of kept pairs is reduced to its L1 distances, one batched synthesize,
+    bit for bit the values of one step at a time, and to the record rows
+    among its steps.  The series grow a block at a time, so nothing is
+    sized by n_steps.
     Stops at the first step whose distance is below stop_l1_below, if
     given, found in the series of each reduced block (the initial distance
     is never tested); the pair-steps of that block past the stop, at most
@@ -391,10 +397,14 @@ def run_coupled(
         done += len(ts)
         return keep
 
+    def draw(out):
+        """The pair's shared increments: one (k, m) block from the path,
+        copied into both rows of out (k, 2, m)."""
+        shared = path.ou_increment(model.nu, cfg.dt, out=np.empty((len(out), basis.m_max)))
+        out[:] = shared[:, None]
+
     c, t, k, trip = _drive(Stepper(model, cfg, basis), reducer,
-                           np.stack([u0.coeffs, v0.coeffs]),
-                           partial(path.ou_increment, model.nu, cfg.dt), n_steps, 0.0, 0, 1,
-                           reduce)
+                           np.stack([u0.coeffs, v0.coeffs]), draw, n_steps, 0.0, 0, 1, reduce)
     times, l1 = np.concatenate(parts, axis=1)
     tr = trace_h2(model.noise, basis).l2
     for buf in bufs:

@@ -131,7 +131,8 @@ class NoisePath:
         multiplied by the per-mode std, cached for the last (nu, dt).  With
         no out, one step into a fresh (m,) array, the one-row case.  Each
         row equals its own one-step draw bit for bit; draw_index advances
-        by k.
+        by k.  Any other out raises ValueError: a block that reshapes to
+        (k, m) only by a copy would get its draws in that copy.
         """
         if self._ou_key != (nu, dt):
             lam = self.basis.eigenvalues
@@ -139,6 +140,9 @@ class NoisePath:
             self._ou_key, self._ou_std = (nu, dt), np.sqrt(var)
         if out is None:
             out = np.empty(self.basis.m_max)
+        elif not out.flags.c_contiguous or out.shape[-1:] != (self.basis.m_max,):
+            raise ValueError(f"out must be a C-contiguous block of rows of "
+                             f"{self.basis.m_max} modes, not {out.shape}")
         rows, block = out.reshape(-1, self.basis.m_max), self.block
         for index, row in enumerate(rows, self.draw_index):
             block(index, row)

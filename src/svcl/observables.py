@@ -237,9 +237,9 @@ def l1_distance(a: SpectralField, b: SpectralField) -> float:
 
 
 class Reducer:
-    """Every reduction of a run's coefficient states on one basis: the H1
-    mass, record rows, a coupled pair's L1 distances and the size of the
-    kept-state block the step loop hands them.  A block of states reduces
+    """Every reduction of a run's coefficient states on one basis: the L2
+    and H1 masses, record rows, a coupled pair's L1 distances and the size
+    of the kept-state block the step loop hands them.  A block of states reduces
     at once, each row bit for bit as its state alone: the norms by row-wise
     vecdot (a matrix product or einsum sums in another order), the Lp and
     L1 columns by one synthesize on the n_fine grid, through the plan of
@@ -258,6 +258,11 @@ class Reducer:
         """Rows of the kept-state block for c, a state (m,) or a block
         (R, m): max(2, _RECORD_BLOCK_POINTS // (R n_fine))."""
         return max(2, _RECORD_BLOCK_POINTS // (c.size // c.shape[-1] * self.n_fine))
+
+    @staticmethod
+    def l2_sq(c: np.ndarray):
+        """The L2 mass of a state c (m,), or of each row of a block (k, m)."""
+        return np.vecdot(c, c)
 
     def h1_sq(self, c: np.ndarray):
         """The H1 mass of a state c (m,), or of each row of a block (k, m)."""
@@ -286,7 +291,7 @@ class Reducer:
         is radius - h1_sq, nan when radius is None."""
         n, n_bufs = len(times), len(bufs)
         c = states.reshape(n * n_bufs, -1)
-        cols = [np.vecdot(c, c), self.h1_sq(c), np.vecdot(c * c, self.lam_sq)]
+        cols = [self.l2_sq(c), self.h1_sq(c), np.vecdot(c * c, self.lam_sq)]
         if bufs[0].lp_orders:
             block, work, power = self._fine_block(c, "lp")
             vals = np.abs(synthesize(block, self.n_fine, work), out=work.samples)[: len(c)]

@@ -19,6 +19,7 @@ strictly below the Nyquist bin.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cache
 
@@ -106,33 +107,46 @@ class Workspace:
     kernel made once; the constructor makes the grid check the calls on it
     then skip.
 
-    The padded spectrum is zero outside the band bins 1..m_max/2, and every
-    call overwrites all of those bins, so nothing carries over from one call
-    to the next.  Both scale multiplies run in rfft bin order over
-    contiguous (..., m_max) float views of those bins: the pack, into the
-    padded spectrum, reads the coefficients through the pair swap that
-    their (sin, cos) storage order forces, and the unpack writes the
-    analysis band `band`, the coefficients as (cos, sin) pairs.  The pack
-    and unpack scales are C-contiguous copies of the shared rows at the
-    block shape: with no operand broadcast, numpy runs each multiply as one
-    contiguous loop and skips building a broadcasting iterator, which at
-    small m costs more than the arithmetic.  Results
-    are these buffers, valid until the next call with the same workspace.
+    The padded spectrum is kept bin-major: one (n/2 + 1, rows) complex
+    buffer, rows the block's row count (1 for a state), whose transpose at
+    the block shape, `padded`, is the irfft input.  It is zero outside the
+    band bins 1..m_max/2, and every call overwrites all of those bins, so
+    nothing carries over from one call to the next.  The band bins of every
+    row are one C-contiguous run of rows m_max floats in (bin, row,
+    real/imag) order, `padded_band`; the pack gathers the coefficients into
+    that order by one flat take of `pack_index` and multiplies them by
+    `pack`, a scale run in the same order, n/sqrt(2) on each real part and
+    -n/sqrt(2) on each imaginary one.  For a state the index is the pair
+    swap.  The unpack writes the analysis band `band`, the coefficients as
+    (cos, sin) pairs, from a (..., m_max) float view of the spectrum's band
+    bins times `unpack`, a C-contiguous copy of the shared row at the block
+    shape.  With no operand broadcast, numpy runs each multiply without
+    building a broadcasting iterator, which at small m costs more than the
+    arithmetic.  Results are these buffers, valid until the next call with
+    the same workspace.
     """
 
     def __init__(self, shape: tuple, n: int):
         if n < shape[-1] + 2:
             raise ValueError("grid too coarse for the retained band")
         lead, m = shape[:-1], shape[-1]
-        self.padded = np.zeros((*lead, n // 2 + 1), dtype=complex)
+        rows = math.prod(lead)
+        bins = np.zeros((n // 2 + 1, rows), dtype=complex)
+        # pocketfft copies each row into its own buffer, so the strided
+        # transpose gives the bits of a row-major spectrum
+        self.padded = bins.T.reshape(*lead, n // 2 + 1)
         self.samples = np.empty((*lead, n))
         self.spectrum = np.empty((*lead, n // 2 + 1), dtype=complex)
         self.band = np.empty(shape)
         # bins 1..m/2 as (real, imag) floats
-        self.padded_band = self.padded.view(float)[..., 2 : m + 2]
+        self.padded_band = bins[1 : m // 2 + 1].view(float).reshape(-1)
         self.spectrum_band = self.spectrum.view(float)[..., 2 : m + 2]
         self.swap, pack, unpack = _scales(n, m)
-        self.pack, self.unpack = (np.broadcast_to(x, shape).copy() for x in (pack, unpack))
+        # flat position (bin b, row r, e) reads coefficient r m + swap[2b + e]
+        self.pack_index = (np.arange(0, rows * m, m)[:, None]
+                           + self.swap.reshape(m // 2, 1, 2)).reshape(-1)
+        self.pack = np.tile(pack, rows)
+        self.unpack = np.broadcast_to(unpack, shape).copy()
         self.inv_n = 1.0 / n
         # np.fft.rfft's call: no norm, the even or odd kernel by n
         self.rfft = _pocketfft.rfft_n_even if n % 2 == 0 else _pocketfft.rfft_n_odd
@@ -142,14 +156,16 @@ def synthesize(coeffs: np.ndarray, n: int, work: Workspace | None = None) -> np.
     """Evaluate coefficient vectors (last axis) on the grid j/n, j = 0..n-1.
 
     Each row of a block comes out bitwise equal to its own call, but for
-    the sign of its nans when the row holds a nan.  Without a
+    the sign of its nans when the row holds a nan.  The pack is one flat
+    take of the coefficients in the workspace's bin-major band order and
+    one contiguous multiply into its padded band.  Without a
     workspace (one built for coeffs' shape and n) the call builds its own,
     which checks n >= m_max + 2, so its result is a fresh array.  Used by
     the dealiased nonlinear term and every quadrature-based observable.
     """
     if work is None:
         work = Workspace(coeffs.shape, n)
-    np.multiply(coeffs.take(work.swap, axis=-1), work.pack, out=work.padded_band)
+    np.multiply(coeffs.take(work.pack_index), work.pack, out=work.padded_band)
     # np.fft.irfft's call: the 1/n norm, with n taken from out
     return _pocketfft.irfft(work.padded, work.inv_n, out=work.samples)
 

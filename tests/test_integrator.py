@@ -865,6 +865,29 @@ class TestCoupled:
         sres = run_single(model, cfg, u0, seed=23, n_steps=150)
         assert np.array_equal(cres.state_a.u.coeffs, sres.state.u.coeffs)
 
+    def test_pair_steps_on_one_shared_increment_at_its_shape(self, monkeypatch):
+        # the step loop hands advance an increment at the pair's (2, m) shape,
+        # so no operand of the update broadcasts; its two rows are the
+        # path's one-step draws, bit for bit, step after step
+        basis = ModeBasis(16)
+        model = ModelSpec(0.05, FluxSpec("burgers"), NoiseSpec(c=0.5, q=3.0))
+        cfg = SolverConfig(dt=1e-3)
+        seen, original = [], Stepper.advance
+
+        def advance(self, c, xi, out=None):
+            assert xi.shape == c.shape == (2, 16)
+            seen.append(xi.copy())
+            return original(self, c, xi, out)
+
+        monkeypatch.setattr(Stepper, "advance", advance)
+        run_coupled(model, cfg, random_field(basis, 1), random_field(basis, 2), seed=9,
+                    n_steps=300)
+        path = NoisePath(model.noise, basis, 9)
+        assert len(seen) == 300
+        for xi in seen:
+            want = path.ou_increment(model.nu, cfg.dt)
+            assert xi[0].tobytes() == xi[1].tobytes() == want.tobytes()
+
     def test_noiseless_l1_contraction_is_monotone(self):
         basis = ModeBasis(16)
         model = ModelSpec(0.05, FluxSpec("burgers"), NoiseSpec(sigma=np.zeros(16)))

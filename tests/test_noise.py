@@ -183,6 +183,19 @@ class TestDrawDiscipline:
         want = np.array([steps.ou_increment(nu, dt) for _ in range(k)])
         assert out.tobytes() == want.tobytes()
 
+    def test_block_draw_refuses_a_block_it_cannot_fill_in_place(self):
+        """An out that reshapes to (k, m) only by a copy would get its draws
+        in that copy: a strided view, a wrong row length and a 0-d array
+        raise before drawing, and draw_index stays."""
+        path = NoisePath(NoiseSpec(c=0.5, q=3.0), ModeBasis(16), 7)
+        for out in (np.empty((2, 4, 16))[:, :2], np.empty((4, 32))[:, ::2],
+                    np.empty((4, 8)), np.empty(())):
+            with pytest.raises(ValueError, match="C-contiguous"):
+                path.ou_increment(0.1, 0.01, out=out)
+            assert path.draw_index == 0
+        assert path.ou_increment(0.1, 0.01, out=np.empty((4, 16))).shape == (4, 16)
+        assert path.draw_index == 4
+
     def test_negative_seed_accepted(self):
         basis = ModeBasis(4)
         a = NoisePath(e1_spec(), basis, -7)

@@ -249,16 +249,45 @@ class TestTransforms:
             Workspace(shape, m + 2)
 
     @pytest.mark.parametrize("shape", [(16,), (2, 16), (128, 16), (2, 256)])
-    def test_scales_have_the_block_shape(self, shape):
-        # neither scale multiply broadcasts: the pack and unpack are
-        # C-contiguous copies of the shared rows at the workspace's shape
+    def test_pack_runs_over_one_contiguous_band(self, shape):
+        # the pack is one multiply of C-contiguous runs of rows m floats:
+        # the band bins of every row in the bin-major padded spectrum, in
+        # (bin, row, real/imag) order, and the scales in the same order; the
+        # unpack scale is a C-contiguous copy of the shared row at the shape
         m = shape[-1]
-        n = 3 * m // 2 + 2  # Burgers' dealiasing grid
+        rows, n = int(np.prod(shape[:-1])), 3 * m // 2 + 2  # Burgers' dealiasing grid
         work = Workspace(shape, n)
-        _, pack, unpack = _scales(n, m)
-        for got, row in ((work.pack, pack), (work.unpack, unpack)):
-            assert got.shape == shape and got.flags.c_contiguous
-            assert got.tobytes() == np.broadcast_to(row, shape).tobytes()
+        swap, pack, unpack = _scales(n, m)
+        band = work.padded_band
+        assert band.shape == (rows * m,) and band.flags.c_contiguous
+        assert np.shares_memory(band, work.padded)
+        assert work.pack.shape == band.shape and work.pack.flags.c_contiguous
+        assert work.pack.tobytes() == np.tile(pack, rows).tobytes()
+        # bin b + 1 of row r holds (cos, sin) of pair b of row r
+        coeffs = np.arange(rows * m, dtype=float).reshape(shape)
+        want = coeffs.reshape(rows, m)[:, swap].reshape(rows, m // 2, 2).transpose(1, 0, 2)
+        assert coeffs.take(work.pack_index).tobytes() == want.tobytes()
+        assert work.unpack.shape == shape and work.unpack.flags.c_contiguous
+        assert work.unpack.tobytes() == np.broadcast_to(unpack, shape).tobytes()
+
+    @pytest.mark.parametrize("use", ["state", "pair", "picard"])
+    def test_many_row_blocks_equal_rows_and_np_fft_bitwise(self, use):
+        # the bin-major spectrum makes irfft read each row with a core
+        # stride of `rows` bins: blocks of the reducer plans' row counts at
+        # n_fine (256 rows for a state, 128 for a pair) and a Picard
+        # trajectory of 201 states on Burgers' grid must give each row's
+        # own call and the np.fft reference bit for bit
+        basis = ModeBasis(16)
+        m, reducer = basis.m_max, Reducer(basis)
+        rows, n = {"state": (reducer.block_rows(np.zeros(m)), reducer.n_fine),
+                   "pair": (reducer.block_rows(np.zeros((2, m))), reducer.n_fine),
+                   "picard": (201, 3 * m // 2 + 2)}[use]
+        assert rows == {"state": 256, "pair": 128, "picard": 201}[use]
+        block = np.random.default_rng(rows).standard_normal((rows, m)) / basis.pair_index**1.5
+        got = synthesize(block, n, Workspace(block.shape, n))
+        assert got.tobytes() == np_fft_synthesize(block, n).tobytes()
+        for i, row in enumerate(block):
+            assert synthesize(row, n).tobytes() == got[i].tobytes()
 
     @pytest.mark.parametrize("n", [18, 19, 34, 35])
     def test_workspace_calls_equal_allocating_calls(self, n):
