@@ -19,6 +19,8 @@ import numpy as np
 from .spectral import ModeBasis
 
 FLUX_KINDS = ("burgers", "polynomial", "zero")
+_HALF = np.array(0.5)  # Burgers' factor, a 0-d array so no call converts it
+_HALF.flags.writeable = False
 
 
 @dataclass
@@ -71,16 +73,15 @@ def flux_value(spec: FluxSpec, v: np.ndarray, out: np.ndarray | None = None) -> 
 
     out, a float array of v's shape other than v itself, receives the
     values bit for bit as the allocating call returns them, and is
-    returned.  Burgers squares directly; every other kind, "zero" with its
-    coefficients [0.0] included, goes through Horner's rule.
+    returned.  Burgers squares directly, into out by two multiplies with
+    positional outputs, (0.5 v) v, the 0.5 a 0-d array; every other kind,
+    "zero" with its coefficients [0.0] included, goes through Horner's rule.
     """
     v = np.asarray(v, dtype=float)
     if spec.kind == "burgers":
         if out is None:
             return 0.5 * v * v
-        np.multiply(0.5, v, out=out)
-        out *= v
-        return out
+        return np.multiply(np.multiply(_HALF, v, out), v, out)
     return _horner(spec.coefficients, v, out)
 
 

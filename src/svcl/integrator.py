@@ -113,22 +113,24 @@ class Stepper:
         (N(u*) (dt half_decay) + decay c) + xi evaluate, left to right; where
         two nans meet in a sum, the left one's sign survives.  The midpoint
         u*, and then decay c, live in one temporary of the kernel's, so
-        `out` must not be c.  Every per-mode operand (the decays, dt
-        half_decay and the weights) is a C-contiguous copy at the block's
-        shape, as the Workspace's unpack scales are, and the step loop
-        passes xi at the state's shape, so no operand of a step broadcasts.
+        `out` must not be c.  Every per-mode operand (the decays, dt,
+        dt/2, dt half_decay and the weights) is a C-contiguous copy at the
+        block's shape, as the Workspace's unpack scales are, and the step
+        loop passes xi at the state's shape, so no operand of a step
+        broadcasts.  Each update is an explicit `np.multiply` or `np.add`
+        call with its output positional, so no operand is a Python number
+        that numpy converts on every call.
         """
         def tiled(x):
             return np.broadcast_to(x, shape).copy()
 
-        decay, dt, multiply = tiled(self.decay), self.dt, np.multiply
+        decay, dt, multiply, add = tiled(self.decay), tiled(self.dt), np.multiply, np.add
         if self.model.flux.kind == "zero":
             nonlin = np.zeros_like
 
             def step(c, xi, out):
-                out = multiply(decay, c, out=out)
-                out += xi
-                return out
+                out = multiply(decay, c, out)
+                return add(out, xi, out)
         else:
             spec, m = self.model.flux, self.basis.m_max
             n = dealias_points(spec, self.basis)
@@ -140,30 +142,28 @@ class Stepper:
 
             def nonlin(c, out=None):
                 return multiply(analyze(flux_value(spec, synthesize(c, n, work), values), m,
-                                        work), weights, out=out)
+                                        work), weights, out)
 
             if self.cfg.scheme == "exp_euler":
                 def step(c, xi, out):
                     out = nonlin(c, out)
-                    out *= dt
-                    out += c
-                    out *= decay
-                    out += xi
-                    return out
+                    multiply(out, dt, out)
+                    add(out, c, out)
+                    multiply(out, decay, out)
+                    return add(out, xi, out)
             else:
-                half_dt, half_decay = 0.5 * dt, tiled(self.half_decay)
+                half_dt, half_decay = tiled(0.5 * self.dt), tiled(self.half_decay)
                 dt_half_decay, tmp = dt * half_decay, np.empty(shape)
 
                 def step(c, xi, out):
                     mid = nonlin(c, tmp)
-                    mid *= half_dt
-                    mid += c
-                    mid *= half_decay
+                    multiply(mid, half_dt, mid)
+                    add(mid, c, mid)
+                    multiply(mid, half_decay, mid)
                     out = nonlin(mid, out)
-                    out *= dt_half_decay
-                    out += multiply(decay, c, out=tmp)
-                    out += xi
-                    return out
+                    multiply(out, dt_half_decay, out)
+                    add(out, multiply(decay, c, tmp), out)
+                    return add(out, xi, out)
 
         kernel = self._kernels[shape] = (nonlin, step)
         return kernel

@@ -10,11 +10,13 @@ pairwise, on the real coefficient vector.
 Coefficient storage is a flat float64 array of length m_max with the sine
 member first inside each pair.  Transforms call the pocketfft gufuncs
 under numpy's real FFT (`numpy.fft._pocketfft_umath`, numpy >= 2.0)
-directly, with the arguments `np.fft.rfft`/`irfft` pass them, so the
+directly, with the norm factors `np.fft.rfft`/`irfft` pass them (1 and
+1/n) held as 0-d arrays and the output passed positionally, so the
 results are theirs bit for bit without their per-call norm, dtype and axis
-handling; on a grid of n points the pair mp occupies the complex rfft bin
-mp, which requires n >= m_max + 2 so the highest retained pair stays
-strictly below the Nyquist bin.
+handling and without converting a Python number on every call; on a grid
+of n points the pair mp occupies the complex rfft bin mp, which requires
+n >= m_max + 2 so the highest retained pair stays strictly below the
+Nyquist bin.
 """
 
 from __future__ import annotations
@@ -27,6 +29,8 @@ import numpy as np
 from numpy.fft import _pocketfft_umath as _pocketfft
 
 _SQRT2 = np.sqrt(2.0)  # once here, not one ufunc call per transform
+_ONE = np.array(1.0)  # rfft's norm factor, shared by every workspace
+_ONE.flags.writeable = False
 
 
 class ModeBasis:
@@ -122,8 +126,10 @@ class Workspace:
     bins times `unpack`, a C-contiguous copy of the shared row at the block
     shape.  With no operand broadcast, numpy runs each multiply without
     building a broadcasting iterator, which at small m costs more than the
-    arithmetic.  Results are these buffers, valid until the next call with
-    the same workspace.
+    arithmetic.  The norm factors are 0-d arrays, `inv_n` (1/n) for irfft
+    and a shared 1.0 for rfft, so no call converts a Python number.
+    Results are these buffers, valid until the next call with the same
+    workspace.
     """
 
     def __init__(self, shape: tuple, n: int):
@@ -147,7 +153,7 @@ class Workspace:
                            + self.swap.reshape(m // 2, 1, 2)).reshape(-1)
         self.pack = np.tile(pack, rows)
         self.unpack = np.broadcast_to(unpack, shape).copy()
-        self.inv_n = 1.0 / n
+        self.inv_n = np.array(1.0 / n)
         # np.fft.rfft's call: no norm, the even or odd kernel by n
         self.rfft = _pocketfft.rfft_n_even if n % 2 == 0 else _pocketfft.rfft_n_odd
 
@@ -165,9 +171,9 @@ def synthesize(coeffs: np.ndarray, n: int, work: Workspace | None = None) -> np.
     """
     if work is None:
         work = Workspace(coeffs.shape, n)
-    np.multiply(coeffs.take(work.pack_index), work.pack, out=work.padded_band)
+    np.multiply(coeffs.take(work.pack_index), work.pack, work.padded_band)
     # np.fft.irfft's call: the 1/n norm, with n taken from out
-    return _pocketfft.irfft(work.padded, work.inv_n, out=work.samples)
+    return _pocketfft.irfft(work.padded, work.inv_n, work.samples)
 
 
 def analyze(samples: np.ndarray, m_max: int, work: Workspace | None = None) -> np.ndarray:
@@ -183,8 +189,8 @@ def analyze(samples: np.ndarray, m_max: int, work: Workspace | None = None) -> n
     fresh = work is None
     if fresh:
         work = Workspace((*samples.shape[:-1], m_max), samples.shape[-1])
-    work.rfft(samples, 1, out=work.spectrum)
-    band = np.multiply(work.spectrum_band, work.unpack, out=work.band)
+    work.rfft(samples, _ONE, work.spectrum)
+    band = np.multiply(work.spectrum_band, work.unpack, work.band)
     return band.take(work.swap, axis=-1) if fresh else band
 
 

@@ -1,16 +1,18 @@
 """The benchmark tracer's contract: every name in bench/spans.py's TARGETS
-resolves in svcl, so renaming or deleting a traced layer fails here, and the
-step path still goes through the traced kernels."""
+resolves in svcl, so renaming or deleting a traced layer fails here, the
+step path still goes through the traced kernels, and its ufunc calls take
+array operands only."""
 
 import importlib
 import importlib.util
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from svcl import observables
+from svcl import observables, spectral
 from svcl.flux import FluxSpec
 from svcl.integrator import ModelSpec, SolverConfig, Stepper, run_coupled, run_single
 from svcl.noise import NoisePath, NoiseSpec
@@ -73,6 +75,43 @@ def test_step_path_calls_the_traced_kernels(monkeypatch, scheme, per_advance):
             counts.update(dict.fromkeys(counts, 0))
             stepper.advance(np.broadcast_to(c, shape).copy(), xi)
             assert counts == dict.fromkeys(counts, per_advance), shape
+
+
+@pytest.mark.parametrize("flux", ["burgers", "zero"])
+@pytest.mark.parametrize("scheme", ["exp_euler", "exp_midpoint_flux"])
+def test_step_ufuncs_take_array_operands_and_positional_outputs(monkeypatch, scheme, flux):
+    # a Python number given to a ufunc is converted to an array on every
+    # call, which at m = 16 costs about as much as the arithmetic: every
+    # operand of a step's multiply, add and transform is an ndarray (0-d
+    # allowed), and every output is passed positionally.  The wrappers sit
+    # where the kernels look the ufuncs up: np.multiply and np.add when a
+    # kernel is built or called, and spectral._pocketfft, whose rfft a
+    # Workspace binds when it is made
+    calls = []
+
+    def watched(fn, name):
+        def call(*args, **kwargs):
+            calls.append(name)
+            bad = [type(a).__name__ for a in args if not isinstance(a, np.ndarray)]
+            assert not bad and not kwargs, f"{name}: operands {bad}, keywords {sorted(kwargs)}"
+            return fn(*args, **kwargs)
+        return call
+
+    for name in ("multiply", "add"):
+        monkeypatch.setattr(np, name, watched(getattr(np, name), name))
+    fft = spectral._pocketfft
+    monkeypatch.setattr(spectral, "_pocketfft", SimpleNamespace(**{
+        name: watched(getattr(fft, name), name) for name in ("irfft", "rfft_n_even", "rfft_n_odd")}))
+    basis = ModeBasis(16)
+    model = ModelSpec(0.1, FluxSpec(flux), NoiseSpec(c=0.5, q=3.0))
+    stepper = Stepper(model, SolverConfig(dt=1e-3, scheme=scheme), basis)
+    c = mode_field(basis, 1).coeffs
+    for shape in ((16,), (2, 16)):
+        block = np.broadcast_to(c, shape).copy()
+        calls.clear()
+        stepper.advance(block, np.full(shape, 1e-3), np.empty(shape))
+        assert {"multiply", "add"} <= set(calls), shape
+        assert (flux == "burgers") == ({"irfft", "rfft_n_even"} <= set(calls)), shape
 
 
 @pytest.mark.parametrize("stop", [None, 0.05])
