@@ -12,15 +12,24 @@ flux on the grid it has always had, and so keeps its output bit for bit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .spectral import ModeBasis
 
 FLUX_KINDS = ("burgers", "polynomial", "zero")
-_HALF = np.array(0.5)  # Burgers' factor, a 0-d array so no call converts it
-_HALF.flags.writeable = False
+
+
+def _constant(x) -> np.ndarray:
+    """x as a read-only 0-d float array, an operand no ufunc call converts."""
+    a = np.array(x, dtype=float)
+    a.flags.writeable = False
+    return a
+
+
+_HALF = _constant(0.5)  # Burgers' factor
+_ZERO = _constant(0.0)  # polyval's x * 0
 
 
 @dataclass
@@ -30,11 +39,14 @@ class FluxSpec:
     kind = "burgers" is A(v) = v^2/2, "zero" switches the nonlinearity off
     and "polynomial" takes coefficients [a_0, a_1, ...] meaning sum a_j v^j.
     Past the float range A comes out inf or nan rather than raise; the step
-    loop finds a blow-up from the step's output.
+    loop finds a blow-up from the step's output.  The coefficients are read
+    once, into `horner_terms`, the 0-d operands of Horner's rule from the
+    leading coefficient down.
     """
 
     kind: str = "burgers"
     coefficients: np.ndarray | None = None
+    horner_terms: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.kind not in FLUX_KINDS:
@@ -47,6 +59,7 @@ class FluxSpec:
             raise ValueError("polynomial flux requires coefficients")
         else:
             self.coefficients = np.atleast_1d(np.asarray(self.coefficients, dtype=float))
+        self.horner_terms = tuple(map(_constant, self.coefficients[::-1]))
 
     @property
     def degree(self) -> int:
@@ -55,15 +68,16 @@ class FluxSpec:
         return int(nz[-1]) if len(nz) else 1
 
 
-def _horner(c: np.ndarray, v: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """sum c_j v^j by Horner's rule in polyval's order, so the result equals
-    np.polynomial.polynomial.polyval(v, c) bit for bit, inf and nan included,
-    without its per-call argument handling; into out if given."""
-    acc = np.multiply(v, 0, out=out)
-    acc += c[-1]
-    for a in c[-2::-1]:
-        acc *= v
-        acc += a
+def _horner(terms: tuple, v: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """sum c_j v^j from terms, the 0-d coefficients c_d, ..., c_0, by
+    Horner's rule with polyval's operations in polyval's order,
+    c_d + v * 0 and then c_j + acc * v, so the result equals
+    np.polynomial.polynomial.polyval(v, c) bit for bit, where two nans
+    meet too; into out if given, else into fresh arrays as polyval does."""
+    multiply, add = np.multiply, np.add
+    acc = add(terms[0], multiply(v, _ZERO, out), out)
+    for a in terms[1:]:
+        acc = add(a, multiply(acc, v, out), out)
     return acc
 
 
@@ -71,18 +85,21 @@ def flux_value(spec: FluxSpec, v: np.ndarray, out: np.ndarray | None = None) -> 
     """A(v), elementwise; past the float range the value is inf or nan and
     nothing is raised (callers set numpy's error state for the warning).
 
-    out, a float array of v's shape other than v itself, receives the
-    values bit for bit as the allocating call returns them, and is
-    returned.  Burgers squares directly, into out by two multiplies with
-    positional outputs, (0.5 v) v, the 0.5 a 0-d array; every other kind,
-    "zero" with its coefficients [0.0] included, goes through Horner's rule.
+    out, a float array of v's shape other than v itself, with v a float
+    array, receives the values bit for bit as the allocating call returns
+    them, and is returned; every operand is an array and every output
+    positional.  Burgers squares directly, into out by two multiplies,
+    (0.5 v) v, the 0.5 a 0-d array; every other kind, "zero" with its
+    coefficients [0.0] included, goes through Horner's rule on the spec's
+    0-d terms.
     """
-    v = np.asarray(v, dtype=float)
-    if spec.kind == "burgers":
-        if out is None:
+    if out is None:
+        v = np.asarray(v, dtype=float)
+        if spec.kind == "burgers":
             return 0.5 * v * v
+    elif spec.kind == "burgers":
         return np.multiply(np.multiply(_HALF, v, out), v, out)
-    return _horner(spec.coefficients, v, out)
+    return _horner(spec.horner_terms, v, out)
 
 
 def dealias_points(spec: FluxSpec, basis: ModeBasis) -> int:

@@ -26,7 +26,7 @@ import numpy as np
 from . import flux, observables, spectral
 from .flux import FluxSpec, dealias_points
 from .noise import NoisePath, NoiseSpec, trace_h2
-from .spectral import ModeBasis, SpectralField, Workspace, pair_weights
+from .spectral import ModeBasis, SpectralField, Workspace
 
 SCHEMES = ("exp_euler", "exp_midpoint_flux")
 
@@ -81,7 +81,7 @@ class Stepper:
     state and (2, m) for a coupled pair, built by the first call on that
     shape: the nonlinear term and the scheme update, closures over a
     Workspace for the transforms, a buffer for the flux values on the
-    padded grid, the -d/dx weights in the Workspace's band order and the
+    padded grid, the wavenumbers at the block shape and the
     three traced kernels `spectral.synthesize`, `spectral.analyze` and
     `flux.flux_value`, all looked up once, when the kernel is built.  Only
     temporaries inside a step live there: `advance` writes the new state
@@ -96,7 +96,6 @@ class Stepper:
         self.decay = np.exp(model.nu * lam * cfg.dt)
         self.half_decay = np.exp(model.nu * lam * 0.5 * cfg.dt)
         self.dt = cfg.dt
-        self.neg_dx = pair_weights(-basis.wavenumbers)  # rotate_pairs weights of -d/dx
         self._kernels = {}  # block shape -> (nonlinear term, scheme update)
 
     def _kernel(self, shape: tuple):
@@ -105,21 +104,22 @@ class Stepper:
         The nonlinear term pads c to the dealiasing grid, applies A
         pointwise, projects back (the mean of A(u) is annihilated by the
         derivative, so it is dropped) and differentiates with one multiply
-        of the analysis band, whose (cos, sin) pairs meet the -d/dx weights
-        (w, -w) of each pair: the products, into `out` (a fresh array when
-        it is None) in storage order, are those of `rotate_pairs` by
-        `neg_dx`, bit for bit.  The updates run in place on that nonlinear
-        term, operand by operand as (N(c) dt + c) decay + xi and
-        (N(u*) (dt half_decay) + decay c) + xi evaluate, left to right; where
-        two nans meet in a sum, the left one's sign survives.  The midpoint
-        u*, and then decay c, live in one temporary of the kernel's, so
-        `out` must not be c.  Every per-mode operand (the decays, dt,
-        dt/2, dt half_decay and the weights) is a C-contiguous copy at the
-        block's shape, as the Workspace's unpack scales are, and the step
-        loop passes xi at the state's shape, so no operand of a step
-        broadcasts.  Each update is an explicit `np.multiply` or `np.add`
-        call with its output positional, so no operand is a Python number
-        that numpy converts on every call.
+        of the analysis band, whose (cos, -sin) pairs meet the wavenumbers
+        (w, w) of each pair: the products, into `out` (a fresh array when
+        it is None) in storage order, are those of `rotate_pairs` by -w,
+        bit for bit, since both negations are exact and a multiply passes
+        a nan operand through with its own sign.  The updates run in place
+        on that nonlinear term, operand by operand as (N(c) dt + c) decay +
+        xi and (N(u*) (dt half_decay) + decay c) + xi evaluate, left to
+        right; where two nans meet in a sum, the left one's sign survives.
+        The midpoint u*, and then decay c, live in one temporary of the
+        kernel's, so `out` must not be c.  Every per-mode operand (the
+        decays, dt, dt/2, dt half_decay and the wavenumbers) is a
+        C-contiguous copy at the block's shape, and the step loop passes xi
+        at the state's shape, so no operand of a step broadcasts.  Each
+        update is an explicit `np.multiply` or `np.add` call with its output
+        positional, so no operand is a Python number that numpy converts on
+        every call.
         """
         def tiled(x):
             return np.broadcast_to(x, shape).copy()
@@ -136,13 +136,13 @@ class Stepper:
             n = dealias_points(spec, self.basis)
             work = Workspace(shape, n)
             values = np.empty(work.samples.shape)
-            weights = tiled(self.neg_dx.reshape(m))
+            wavenumbers = tiled(self.basis.wavenumbers)
             synthesize, analyze, flux_value = (spectral.synthesize, spectral.analyze,
                                                flux.flux_value)
 
             def nonlin(c, out=None):
                 return multiply(analyze(flux_value(spec, synthesize(c, n, work), values), m,
-                                        work), weights, out)
+                                        work), wavenumbers, out)
 
             if self.cfg.scheme == "exp_euler":
                 def step(c, xi, out):
@@ -178,8 +178,13 @@ class Stepper:
         driven by the increment xi, at c's shape or one (m,) row shared by
         every state, by the bound kernel of c's shape, written into out (an
         array of c's shape that is not c) or else into a fresh array; each
-        row of a block comes out bitwise equal to advancing it alone."""
-        return (self._kernels.get(c.shape) or self._kernel(c.shape))[1](c, xi, out)
+        row of a block comes out bitwise equal to advancing it alone.  The
+        kernel is found by one dict subscript, the hot path's lookup."""
+        try:
+            kernel = self._kernels[c.shape]
+        except KeyError:
+            kernel = self._kernel(c.shape)
+        return kernel[1](c, xi, out)
 
 
 def _find_trip(stepper: Stepper, reducer: observables.Reducer, c, out, t):

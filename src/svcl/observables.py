@@ -224,9 +224,10 @@ def sup_h1(d: np.ndarray, basis: ModeBasis) -> float:
 def l1_norms(coeffs: np.ndarray, n: int, work: Workspace | None = None) -> np.ndarray:
     """L1 quadrature norms of coefficient vectors (last axis) on the n-point
     grid, on `work` (a Workspace for coeffs' shape and n) if given; each row
-    of a block comes out bitwise equal to its own call."""
+    of a block comes out bitwise equal to its own call.  The mean is the
+    sum and true divide np.mean runs, without its Python layer."""
     samples = synthesize(coeffs, n, work)
-    return np.mean(np.abs(samples, out=samples), axis=-1)
+    return np.add.reduce(np.abs(samples, out=samples), axis=-1) / n
 
 
 def l1_distance(a: SpectralField, b: SpectralField) -> float:
@@ -296,9 +297,10 @@ class Reducer:
             block, work, power = self._fine_block(c, "lp")
             vals = np.abs(synthesize(block, self.n_fine, work), out=work.samples)[: len(c)]
             power = power[: len(c)]
-            # vals**p into one buffer: ** squares for p = 2 and calls np.power otherwise
-            cols += [np.mean(np.square(vals, out=power) if p == 2
-                             else np.power(vals, p, out=power), axis=-1)
+            # vals**p into one buffer: ** squares for p = 2 and calls np.power
+            # otherwise; each mean as np.mean sums and divides
+            cols += [np.add.reduce(np.square(vals, out=power) if p == 2
+                                   else np.power(vals, p, out=power), axis=-1) / self.n_fine
                      for p in bufs[0].lp_orders]
         cols = [col.reshape(n, n_bufs) for col in cols]
         for i, buf in enumerate(bufs):

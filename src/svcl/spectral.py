@@ -10,13 +10,16 @@ pairwise, on the real coefficient vector.
 Coefficient storage is a flat float64 array of length m_max with the sine
 member first inside each pair.  Transforms call the pocketfft gufuncs
 under numpy's real FFT (`numpy.fft._pocketfft_umath`, numpy >= 2.0)
-directly, with the norm factors `np.fft.rfft`/`irfft` pass them (1 and
-1/n) held as 0-d arrays and the output passed positionally, so the
-results are theirs bit for bit without their per-call norm, dtype and axis
-handling and without converting a Python number on every call; on a grid
-of n points the pair mp occupies the complex rfft bin mp, which requires
-n >= m_max + 2 so the highest retained pair stays strictly below the
-Nyquist bin.
+directly, with 0-d norm factors and the output passed positionally, so
+the results are theirs bit for bit without their per-call norm, dtype and
+axis handling and without converting a Python number on every call: irfft
+gets the 1/n that `np.fft.irfft` passes it, and rfft the analysis scale
+sqrt(2)/n in place of `np.fft.rfft`'s 1.  pocketfft applies its norm
+factor as one final multiply of each output float, so that rfft is the
+unit-norm one times sqrt(2)/n bit for bit, and the scale costs no pass of
+its own.  On a grid of n points the pair mp occupies the complex rfft bin
+mp, which requires n >= m_max + 2 so the highest retained pair stays
+strictly below the Nyquist bin.
 """
 
 from __future__ import annotations
@@ -28,9 +31,7 @@ from functools import cache
 import numpy as np
 from numpy.fft import _pocketfft_umath as _pocketfft
 
-_SQRT2 = np.sqrt(2.0)  # once here, not one ufunc call per transform
-_ONE = np.array(1.0)  # rfft's norm factor, shared by every workspace
-_ONE.flags.writeable = False
+_SQRT2 = np.sqrt(2.0)  # once here, not one ufunc call per workspace
 
 
 class ModeBasis:
@@ -90,19 +91,20 @@ def _pairs(c: np.ndarray, k: int) -> np.ndarray:
 
 @cache
 def _scales(n: int, m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The pair swap and the bin-order scales of m coefficients on an
-    n-point grid.  rfft bin mp holds (n/sqrt(2)) * (cos_coeff - i sin_coeff),
-    so bins 1..m/2, read as floats in their own (real, imag) order, hold the
-    swapped (cos, sin) pairs times the m/2 repeats of [n/sqrt(2), -n/sqrt(2)]
-    (the pack) and give them back times [sqrt(2)/n, -sqrt(2)/n] (the
-    unpack).  The swap is the index permutation (1, 0, 3, 2, ...), its own
-    inverse."""
-    s, a = n / _SQRT2, _SQRT2 / n
+    """The pair swap, the pack scales and the analysis signs of m
+    coefficients on an n-point grid.  rfft bin mp holds
+    (n/sqrt(2)) * (cos_coeff - i sin_coeff), so bins 1..m/2, read as floats
+    in their own (real, imag) order, hold the swapped (cos, sin) pairs
+    times the m/2 repeats of [n/sqrt(2), -n/sqrt(2)] (the pack), and an
+    rfft scaled by sqrt(2)/n gives them back as (cos, -sin) pairs, which
+    the m/2 repeats of [1, -1] (the signs) turn into (cos, sin).  The swap
+    is the index permutation (1, 0, 3, 2, ...), its own inverse."""
+    s = n / _SQRT2
     swap = np.arange(m).reshape(m // 2, 2)[:, ::-1].ravel()
-    pack, unpack = np.tile([s, -s], m // 2), np.tile([a, -a], m // 2)
-    for x in (swap, pack, unpack):
+    pack, signs = np.tile([s, -s], m // 2), np.tile([1.0, -1.0], m // 2)
+    for x in (swap, pack, signs):
         x.flags.writeable = False  # shared by every caller
-    return swap, pack, unpack
+    return swap, pack, signs
 
 
 class Workspace:
@@ -121,16 +123,18 @@ class Workspace:
     that order by one flat take of `pack_index` and multiplies them by
     `pack`, a scale run in the same order, n/sqrt(2) on each real part and
     -n/sqrt(2) on each imaginary one.  For a state the index is the pair
-    swap.  The unpack writes the analysis band `band`, the coefficients as
-    (cos, sin) pairs, from a (..., m_max) float view of the spectrum's band
-    bins times `unpack`, a C-contiguous copy of the shared row at the block
-    shape.  With no operand broadcast, numpy runs each multiply without
+    swap.  With no operand broadcast, numpy runs that multiply without
     building a broadcasting iterator, which at small m costs more than the
-    arithmetic.  The norm factors are 0-d arrays, `inv_n` (1/n) for irfft
-    and a shared 1.0 for rfft, so no call converts a Python number.
-    Results are these buffers, valid until the next call with the same
-    workspace.
+    arithmetic.  The analysis band `spectrum_band` is a (..., m_max) float
+    view of the rfft output's band bins, which rfft fills already scaled
+    by `rfft_norm` (sqrt(2)/n): the coefficients as (cos, -sin) pairs, with
+    no pass of its own.  The norm factors are 0-d arrays, `inv_n` (1/n) for
+    irfft and `rfft_norm`, so no call converts a Python number.  Results
+    are these buffers, valid until the next call with the same workspace.
     """
+
+    __slots__ = ("padded", "samples", "spectrum", "padded_band", "spectrum_band", "swap",
+                 "signs", "pack_index", "pack", "inv_n", "rfft_norm", "rfft")
 
     def __init__(self, shape: tuple, n: int):
         if n < shape[-1] + 2:
@@ -143,18 +147,17 @@ class Workspace:
         self.padded = bins.T.reshape(*lead, n // 2 + 1)
         self.samples = np.empty((*lead, n))
         self.spectrum = np.empty((*lead, n // 2 + 1), dtype=complex)
-        self.band = np.empty(shape)
         # bins 1..m/2 as (real, imag) floats
         self.padded_band = bins[1 : m // 2 + 1].view(float).reshape(-1)
         self.spectrum_band = self.spectrum.view(float)[..., 2 : m + 2]
-        self.swap, pack, unpack = _scales(n, m)
+        self.swap, pack, self.signs = _scales(n, m)
         # flat position (bin b, row r, e) reads coefficient r m + swap[2b + e]
         self.pack_index = (np.arange(0, rows * m, m)[:, None]
                            + self.swap.reshape(m // 2, 1, 2)).reshape(-1)
         self.pack = np.tile(pack, rows)
-        self.unpack = np.broadcast_to(unpack, shape).copy()
         self.inv_n = np.array(1.0 / n)
-        # np.fft.rfft's call: no norm, the even or odd kernel by n
+        self.rfft_norm = np.array(_SQRT2 / n)
+        # np.fft.rfft's kernel for the parity of n
         self.rfft = _pocketfft.rfft_n_even if n % 2 == 0 else _pocketfft.rfft_n_odd
 
 
@@ -180,34 +183,34 @@ def analyze(samples: np.ndarray, m_max: int, work: Workspace | None = None) -> n
     """Project samples (last axis) onto the first m_max modes; the mean is
     dropped.
 
-    On a workspace the result is its `band`: the coefficients in rfft bin
-    order, (cos, sin) in each pair, valid until the next call.  Without one
-    the call builds its own workspace (for m_max and the samples' grid) and
-    returns a fresh (..., m_max) array in storage order, (sin, cos) in each
-    pair; the values are the same bits either way.
+    On a workspace the result is its `spectrum_band`: the coefficients in
+    rfft bin order with the sine negated, (cos, -sin) in each pair, valid
+    until the next call.  Without one the call builds its own workspace
+    (for m_max and the samples' grid) and returns a fresh (..., m_max)
+    array in storage order, (sin, cos) in each pair: the band times the
+    signs [1, -1], a multiply, since np.negative would flip the sign bit
+    of a nan, then swapped.  Its bits are those of the unit-norm rfft's
+    band times [sqrt(2)/n, -sqrt(2)/n].
     """
     fresh = work is None
     if fresh:
         work = Workspace((*samples.shape[:-1], m_max), samples.shape[-1])
-    work.rfft(samples, _ONE, work.spectrum)
-    band = np.multiply(work.spectrum_band, work.unpack, work.band)
-    return band.take(work.swap, axis=-1) if fresh else band
+    work.rfft(samples, work.rfft_norm, work.spectrum)
+    if fresh:
+        return np.multiply(work.spectrum_band, work.signs).take(work.swap, axis=-1)
+    return work.spectrum_band
 
 
-def pair_weights(w: np.ndarray) -> np.ndarray:
-    """`rotate_pairs` weights for per-mode wavenumbers w: the (m_max/2, 2)
-    pairs (-w_cos, w_sin), built once per operator."""
-    return np.stack([-w[1::2], w[0::2]], axis=-1)
-
-
-def rotate_pairs(c: np.ndarray, wp: np.ndarray) -> np.ndarray:
-    """d/dx on raw coefficients (last axis) with weights wp = pair_weights(w),
+def rotate_pairs(c: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """d/dx on raw coefficients (last axis) with per-mode wavenumbers w,
     into a fresh array.
 
-    Each (sin, cos) pair (s, k) maps to (-w k, w s), the swapped pair times
-    wp.  Weights of -w yield -d/dx bit for bit, since IEEE negation is exact.
+    Each (sin, cos) pair (s, k) maps to (-w k, w s): one multiply of the
+    swapped pair by the pair weights (-w_cos, w_sin).  Wavenumbers -w yield
+    -d/dx bit for bit, since IEEE negation is exact.
     """
     out = np.empty(c.shape)
     k = c.shape[-1] // 2
-    np.multiply(_pairs(c, k)[..., ::-1], wp, out=_pairs(out, k))
+    np.multiply(_pairs(c, k)[..., ::-1], np.stack([-w[1::2], w[0::2]], axis=-1),
+                out=_pairs(out, k))
     return out

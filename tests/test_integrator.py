@@ -32,8 +32,8 @@ from svcl.integrator import (
 )
 from svcl.noise import NoisePath, NoiseSpec, trace_h2
 from svcl.observables import DEFAULT_FINE_FACTOR, RecordBuffer, Reducer, sup_h1
-from svcl.spectral import (ModeBasis, SpectralField, analyze, mode_field, pair_weights,
-                           rotate_pairs, synthesize)
+from svcl.spectral import (ModeBasis, SpectralField, analyze, mode_field, rotate_pairs,
+                           synthesize)
 
 FOUR_PI_SQ = 39.47841760435743
 
@@ -263,8 +263,9 @@ def _ref_flux(spec, v):
     return np.polynomial.polynomial.polyval(v, spec.coefficients)
 
 
-# signed zeros, subnormals, infinities and nan
-EDGES = (0.0, -0.0, 5e-324, -5e-324, 1e-310, -2.2250738585072e-308, np.inf, -np.inf, np.nan)
+# signed zeros, subnormals, infinities and nans of both signs
+EDGES = (0.0, -0.0, 5e-324, -5e-324, 1e-310, -2.2250738585072e-308, np.inf, -np.inf, np.nan,
+         -np.nan)
 
 
 def with_edges(data, a):
@@ -345,7 +346,7 @@ class TestPlan:
         assert stepper.nonlin(c).tobytes() == ref.tobytes()
         if flux != "zero":  # and the allocating transforms with the reference -d/dx
             v = synthesize(c, dealias_points(model.flux, basis))
-            d = rotate_pairs(analyze(_ref_flux(model.flux, v), m), pair_weights(-basis.wavenumbers))
+            d = rotate_pairs(analyze(_ref_flux(model.flux, v), m), -basis.wavenumbers)
             assert d.tobytes() == ref.tobytes()
         out = stepper.advance(c, xi)
         assert out.tobytes() == _ref_advance(stepper, c, xi).tobytes()
@@ -360,21 +361,28 @@ class TestPlan:
         stepper.nonlin(c)
         assert out.tobytes() == before
 
-    def test_horner_matches_polyval_bitwise(self):
-        # coefficient counts 1..5 with signed zeros, magnitudes to 1e80 so
-        # that some values overflow, and inf and nan inputs
-        rng = np.random.default_rng(2)
-        v = np.concatenate([rng.standard_normal(200) * 10.0 ** rng.integers(-5, 81, 200),
-                            [0.0, -0.0, np.inf, -np.inf, np.nan]])
-        for _ in range(300):
-            n = int(rng.integers(1, 6))
-            coef = rng.standard_normal(n) * 10.0 ** rng.integers(-3, 4, n)
-            coef[rng.random(n) < 0.3] = rng.choice([0.0, -0.0])
-            spec = FluxSpec("polynomial", coefficients=coef)
-            with np.errstate(over="ignore", invalid="ignore"):
-                got = flux_value(spec, v)
-                want = np.polynomial.polynomial.polyval(v, coef)
-            assert got.tobytes() == want.tobytes()
+    # polyval's inputs: normal values, huge ones whose powers overflow,
+    # subnormals, signed zeros, infinities and nans of both signs
+    HORNER_VALUES = st.floats(-1e3, 1e3) | st.sampled_from(
+        [1e80, -1e80, 1e200, -1e200, 5e-324, -5e-324, 1e-310, -2.2250738585072e-308,
+         0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan])
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(data=st.data(), n_coef=st.integers(1, 5))
+    @np.errstate(over="ignore", invalid="ignore")
+    def test_horner_matches_polyval_bitwise(self, data, n_coef):
+        # coefficient counts 1..5 drawn from the same values: where two
+        # nans meet in a sum, polyval's operand order decides the sign, so
+        # Horner's rule must run its operations in that order, into fresh
+        # arrays and into out alike
+        coef = data.draw(arrays(float, n_coef, elements=self.HORNER_VALUES), label="coef")
+        v = data.draw(arrays(float, st.integers(1, 24), elements=self.HORNER_VALUES), label="v")
+        spec = FluxSpec("polynomial", coefficients=coef)
+        want = np.polynomial.polynomial.polyval(v, coef)
+        assert flux_value(spec, v).tobytes() == want.tobytes()
+        into = np.full(v.shape, np.nan)
+        assert flux_value(spec, v, out=into) is into
+        assert into.tobytes() == want.tobytes()
 
 
 class TestRecordBlock:

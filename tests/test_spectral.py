@@ -4,9 +4,9 @@ Frozen oracle values are computed from closed forms independent of the
 implementation: eigenvalues -(2 pi mp)^2, heat factors exp(nu lam t),
 Parseval against direct quadrature, and the mode-wise smoothing envelope
 sup_x sqrt(x) exp(-nu x t) = (2 e nu t)^(-1/2).  The derivative, heat and
-norm checks run on what the step loop uses: `rotate_pairs` with a
-`Stepper`'s weights, `Stepper.decay`, and the H1 mass and H2 weights of the
-`Reducer` behind every record row.
+norm checks run on what the step loop uses: the analysis band times the
+wavenumbers, pinned to `rotate_pairs`, `Stepper.decay`, and the H1 mass and
+H2 weights of the `Reducer` behind every record row.
 """
 
 import numpy as np
@@ -27,7 +27,6 @@ from svcl.spectral import (
     _scales,
     analyze,
     mode_field,
-    pair_weights,
     rotate_pairs,
     synthesize,
 )
@@ -39,8 +38,7 @@ HEAT_FACTOR_001 = 0.6738254512314336  # exp(-4 pi^2 * 0.01)
 
 
 def silent_stepper(basis, nu=1.0, dt=1.0):
-    """A Stepper with no flux and no noise: its decay is S_dt, and its
-    derivative weights are those every run uses."""
+    """A Stepper with no flux and no noise: its decay is S_dt."""
     model = ModelSpec(nu, FluxSpec("zero"), NoiseSpec(sigma=np.zeros(basis.m_max)))
     return Stepper(model, SolverConfig(dt=dt), basis)
 
@@ -122,14 +120,16 @@ def np_fft_synthesize(coeffs, n):
 
 
 def np_fft_analyze(samples, m_max):
-    """analyze through the public np.fft.rfft."""
+    """analyze through the public np.fft.rfft: the coefficients in storage
+    order, and the workspace band, (cos, -sin) in each pair."""
     n, k = samples.shape[-1], m_max // 2
     spec = np.fft.rfft(samples)
-    coeffs = np.empty((*samples.shape[:-1], m_max))
+    coeffs, band = np.empty((2, *samples.shape[:-1], m_max))
     scale = np.sqrt(2.0) / n
     coeffs[..., 0::2] = spec.imag[..., 1 : k + 1] * -scale
-    coeffs[..., 1::2] = spec.real[..., 1 : k + 1] * scale
-    return coeffs
+    coeffs[..., 1::2] = band[..., 0::2] = spec.real[..., 1 : k + 1] * scale
+    band[..., 1::2] = spec.imag[..., 1 : k + 1] * scale
+    return coeffs, band
 
 
 def two_multiply_synthesize(coeffs, n):
@@ -144,23 +144,33 @@ def two_multiply_synthesize(coeffs, n):
 
 
 def two_multiply_analyze(samples, m_max):
-    """The unpacking as two strided multiplies out of the real and
-    imaginary band, into storage order."""
+    """The unpacking as two strided multiplies of the unit-norm rfft's real
+    and imaginary band by +-sqrt(2)/n: into storage order, and into the
+    workspace band, (cos, -sin) in each pair."""
     n, k = samples.shape[-1], m_max // 2
     spec = np.empty((*samples.shape[:-1], n // 2 + 1), dtype=complex)
-    coeffs = np.empty((*samples.shape[:-1], m_max))
-    (pocketfft.rfft_n_even if n % 2 == 0 else pocketfft.rfft_n_odd)(samples, 1, out=spec)
+    coeffs, band = np.empty((2, *samples.shape[:-1], m_max))
+    rfft(n)(samples, 1, out=spec)
     scale = np.sqrt(2.0) / n
     np.multiply(spec.imag[..., 1 : k + 1], -scale, out=coeffs[..., 0::2])
     np.multiply(spec.real[..., 1 : k + 1], scale, out=coeffs[..., 1::2])
-    return coeffs
+    np.multiply(spec.real[..., 1 : k + 1], scale, out=band[..., 0::2])
+    np.multiply(spec.imag[..., 1 : k + 1], scale, out=band[..., 1::2])
+    return coeffs, band
 
 
-def bin_order(c):
-    """Coefficients (last axis) as (cos, sin) pairs, the order of a
-    workspace's analysis band, by two strided copies."""
+def rfft(n):
+    """np.fft.rfft's gufunc for the parity of n."""
+    return pocketfft.rfft_n_even if n % 2 == 0 else pocketfft.rfft_n_odd
+
+
+def band_order(c):
+    """Coefficients (last axis) as (cos, -sin) pairs, the layout of a
+    workspace's analysis band: a strided copy, and a multiply by -1, which
+    keeps a nan's sign where np.negative would flip it."""
     out = np.empty_like(c)
-    out[..., 0::2], out[..., 1::2] = c[..., 1::2], c[..., 0::2]
+    out[..., 0::2] = c[..., 1::2]
+    np.multiply(c[..., 0::2], -1.0, out=out[..., 1::2])
     return out
 
 
@@ -172,7 +182,7 @@ def two_multiply_rotate(c, w):
     return out
 
 
-SPECIALS = (0.0, -0.0, np.inf, -np.inf, np.nan)
+SPECIALS = (0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan)
 
 
 def with_specials(data, a):
@@ -193,10 +203,12 @@ class TestTransforms:
            exp=st.sampled_from([-300, 0, 300]))
     @np.errstate(over="ignore", invalid="ignore")
     def test_pair_views_equal_two_multiplies_bitwise(self, data, m, rows, extra, exp):
-        # the pack and unpack, one multiply each in rfft bin order, and the
-        # pair rotation must give the bits of the separate sin and cos
-        # multiplies, signed zeros, infinities and nan included, on fresh
-        # arrays and on a workspace; n runs over even and odd sizes
+        # the pack, one multiply in rfft bin order, the scaled rfft's band
+        # and the pair rotation must give the bits of the separate sin and
+        # cos multiplies, signed zeros, infinities and nans of both signs
+        # included, on fresh arrays and on a workspace, and the step
+        # kernel's -d/dx, the band times the wavenumbers, those of
+        # rotate_pairs by -w; n runs over even and odd sizes
         shape, n = (m,) if rows is None else (rows, m), m + extra
         elements = st.floats(-2.0, 2.0)
         coeffs = with_specials(data, data.draw(arrays(float, shape, elements=elements)) * 10.0**exp)
@@ -205,16 +217,20 @@ class TestTransforms:
         w = data.draw(arrays(float, m, elements=st.floats(-50.0, 50.0)))
         basis = ModeBasis(m)
         want_s, want_spec = two_multiply_synthesize(coeffs, n)
-        want_c = two_multiply_analyze(samples, m)
+        want_c, want_band = two_multiply_analyze(samples, m)
         work = Workspace(shape, n)
         assert analyze(samples, m).tobytes() == want_c.tobytes()
         for wk in (None, work, work):
             assert synthesize(coeffs, n, wk).tobytes() == want_s.tobytes()
-        for _ in range(2):  # a workspace returns its band, in bin order
-            assert analyze(samples, m, work).tobytes() == bin_order(want_c).tobytes()
+        wavenumbers = np.broadcast_to(basis.wavenumbers, shape).copy()
+        for _ in range(2):  # a workspace returns its band, (cos, -sin) pairs
+            band = analyze(samples, m, work)
+            assert band.tobytes() == want_band.tobytes()
+            assert (np.multiply(band, wavenumbers).tobytes()
+                    == rotate_pairs(want_c, -basis.wavenumbers).tobytes())
         assert work.padded.tobytes() == want_spec.tobytes()
         for weights in (w, basis.wavenumbers, -basis.wavenumbers):
-            got = rotate_pairs(coeffs, pair_weights(weights))
+            got = rotate_pairs(coeffs, weights)
             assert got.shape == coeffs.shape
             assert got.tobytes() == two_multiply_rotate(coeffs, weights).tobytes()
 
@@ -231,14 +247,36 @@ class TestTransforms:
         samples = data.draw(arrays(float, (*shape[:-1], n), elements=st.floats(-2.0, 2.0)))
         samples *= 10.0**exp
         want_s = np_fft_synthesize(coeffs, n)
-        want_c = np_fft_analyze(samples, m)
+        want_c, want_band = np_fft_analyze(samples, m)
         work = Workspace(shape, n)
         for w in (None, work, work):  # a reused workspace too
             got_s = synthesize(coeffs, n, w)
             got_c = analyze(samples, m, w)
             assert got_s.shape == want_s.shape and got_c.shape == want_c.shape
             assert got_s.tobytes() == want_s.tobytes()
-            assert got_c.tobytes() == (want_c if w is None else bin_order(want_c)).tobytes()
+            assert got_c.tobytes() == (want_c if w is None else want_band).tobytes()
+
+    @pytest.mark.parametrize("n", [26, 34, 50, 386, 27, 35, 51, 193, 387])
+    @np.errstate(over="ignore", invalid="ignore")
+    def test_rfft_norm_factor_is_one_final_multiply(self, n):
+        # analyze passes sqrt(2)/n to rfft as its norm factor in place of a
+        # multiply of its own.  pocketfft multiplies each output float by
+        # the factor last (copy_and_norm in rfftp, the last *fct in
+        # Bluestein), so the scaled transform is the unit-norm one times
+        # the factor, bit for bit, nans of both signs, infinities, signed
+        # zeros and the ends of the float range included; a numpy that
+        # applies the factor elsewhere fails here
+        rng = np.random.default_rng(n)
+        x = rng.standard_normal((12, n)) * 10.0 ** rng.choice([-300, 0, 300], (12, 1))
+        specials = [np.nan, -np.nan, np.inf, -np.inf, 0.0, -0.0, 1e300, -1e-300]
+        for row, v in enumerate(specials):  # one row per special, the rest finite
+            x[row, rng.integers(n)] = v
+        x[8, :2] = np.nan, -np.nan
+        kernel, out = rfft(n), np.empty((12, n // 2 + 1), dtype=complex)
+        unit = kernel(x, np.array(1.0), out).view(float).copy()
+        for a in (np.sqrt(2.0) / n, 1.0 / n, 3.7):
+            got = kernel(x, np.array(a), out).view(float)
+            assert got.tobytes() == (unit * a).tobytes(), a
 
     @pytest.mark.parametrize("m", [2, 16])
     def test_workspace_rejects_a_coarse_grid(self, m):
@@ -253,11 +291,12 @@ class TestTransforms:
         # the pack is one multiply of C-contiguous runs of rows m floats:
         # the band bins of every row in the bin-major padded spectrum, in
         # (bin, row, real/imag) order, and the scales in the same order; the
-        # unpack scale is a C-contiguous copy of the shared row at the shape
+        # analysis band is a view of the rfft output, which rfft scales by
+        # its 0-d norm factor sqrt(2)/n
         m = shape[-1]
         rows, n = int(np.prod(shape[:-1])), 3 * m // 2 + 2  # Burgers' dealiasing grid
         work = Workspace(shape, n)
-        swap, pack, unpack = _scales(n, m)
+        swap, pack, signs = _scales(n, m)
         band = work.padded_band
         assert band.shape == (rows * m,) and band.flags.c_contiguous
         assert np.shares_memory(band, work.padded)
@@ -267,8 +306,10 @@ class TestTransforms:
         coeffs = np.arange(rows * m, dtype=float).reshape(shape)
         want = coeffs.reshape(rows, m)[:, swap].reshape(rows, m // 2, 2).transpose(1, 0, 2)
         assert coeffs.take(work.pack_index).tobytes() == want.tobytes()
-        assert work.unpack.shape == shape and work.unpack.flags.c_contiguous
-        assert work.unpack.tobytes() == np.broadcast_to(unpack, shape).tobytes()
+        assert work.spectrum_band.shape == shape
+        assert np.shares_memory(work.spectrum_band, work.spectrum)
+        assert work.rfft_norm.shape == () and work.rfft_norm == np.sqrt(2.0) / n
+        assert signs.tolist() == [1.0, -1.0] * (m // 2)
 
     @pytest.mark.parametrize("use", ["state", "pair", "picard"])
     def test_many_row_blocks_equal_rows_and_np_fft_bitwise(self, use):
@@ -300,7 +341,7 @@ class TestTransforms:
             for _ in range(2):
                 assert synthesize(coeffs, n, work).tobytes() == synthesize(coeffs, n).tobytes()
                 assert (analyze(samples, 16, work).tobytes()
-                        == bin_order(analyze(samples, 16)).tobytes())
+                        == band_order(analyze(samples, 16)).tobytes())
 
     @pytest.mark.parametrize("m_max", [2, 8, 32, 64])
     def test_round_trip(self, m_max):
@@ -349,9 +390,9 @@ class TestTransforms:
 
 
 def ddx(c, basis):
-    """d/dx as the step loop applies it: the nonlinear term rotates by the
-    Stepper's -d/dx weights, and IEEE negation is exact."""
-    return -rotate_pairs(c, silent_stepper(basis).neg_dx)
+    """d/dx by the reference pair rotation, which the step kernel's -d/dx
+    is pinned to bit for bit."""
+    return rotate_pairs(c, basis.wavenumbers)
 
 
 class TestDerivative:
@@ -366,8 +407,13 @@ class TestDerivative:
         expected = np.zeros(8)
         expected[0] = -TWO_PI
         assert np.max(np.abs(d2 - expected)) < 1e-13
-        assert silent_stepper(basis).neg_dx.tobytes() == pair_weights(
-            -basis.wavenumbers).tobytes()
+        # the step kernel's -d/dx: the workspace band of a block's samples,
+        # (cos, -sin) pairs, times the wavenumbers at the block's shape
+        n = 3 * 8 // 2 + 2  # Burgers' dealiasing grid
+        samples = synthesize(np.eye(8), n)  # row m - 1 samples e_m
+        band = analyze(samples, 8, Workspace((8, 8), n))
+        got = np.multiply(band, np.broadcast_to(basis.wavenumbers, (8, 8)).copy())
+        assert got.tobytes() == rotate_pairs(analyze(samples, 8), -basis.wavenumbers).tobytes()
 
     def test_matches_finite_differences(self):
         basis = ModeBasis(16)
