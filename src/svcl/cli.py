@@ -30,7 +30,7 @@ from .ergodic import balance_gap, coupling_passage, ergodic_average, tightness_d
 from .integrator import (ModelSpec, SolverConfig, State, read_snapshot,
                          run_coupled, run_single, write_snapshot)
 from .noise import trace_h2
-from .observables import FLOAT_FMT, RecordBuffer, Reducer, read_csv_columns
+from .observables import FLOAT_FMT, RecordBuffer, Reducer, count_comments, read_csv_columns
 from .spectral import SpectralField
 
 EXIT_OK = 0
@@ -160,16 +160,20 @@ def _run_and_write(cfg: RunConfig, snap=None, kept=(), history=None):
     else:
         u0, t0, step0 = SpectralField(snap.coeffs.copy(), basis), snap.t, snap.step
 
-    def snapshot(step, t, c):
-        if step % cfg.snapshot_every == 0:
-            _write_snap(out / f"snap_{step:09d}.snap", State(SpectralField(c, basis), t, step),
-                        model, solver, cfg.seed)
+    def snapshots(first, times, states):
+        """The periodic snapshots among a block of kept states, never step 0."""
+        for k in range(-first % cfg.snapshot_every, len(times), cfg.snapshot_every):
+            step = first + k
+            if step:
+                _write_snap(out / f"snap_{step:09d}.snap",
+                            State(SpectralField(states[k], basis), float(times[k]), step),
+                            model, solver, cfg.seed)
 
     start = time.perf_counter()
     res = run_single(model, solver, u0, seed=cfg.seed, n_steps=cfg.n_steps() - step0,
                      record_every=cfg.record_every, lp_orders=cfg.observables,
                      residual_window=cfg.residual_window, residual_history=history,
-                     t0=t0, step0=step0, on_step=snapshot if cfg.snapshot_every else None)
+                     t0=t0, step0=step0, on_block=snapshots if cfg.snapshot_every else None)
     timing = _timing(start, res.state.step - step0)
     _write_csv(out / "observables.csv", res.records, cfg, kept)
     _write_snap(out / "final.snap", res.state, model, solver, cfg.seed)
@@ -354,9 +358,7 @@ def _cmd_resume(cfg: RunConfig, snap_path) -> int:
         return EXIT_IO
     with open(csv_path, "r", encoding="utf-8", newline="") as fp:
         lines = fp.read().splitlines(keepends=True)
-    n_comment = 0
-    while n_comment < len(lines) and lines[n_comment].startswith("#"):
-        n_comment += 1
+    n_comment = count_comments(lines)
     # the CSV carries the config it was written under; everything except
     # the horizon (extending a run is the point of resume) and the output
     # location (run directories get copied around) must match
@@ -375,7 +377,7 @@ def _cmd_resume(cfg: RunConfig, snap_path) -> int:
     # the kept rows are copied as they stand under the header the config
     # writes, so each must be a whole row of its fields; only the residual
     # tail is parsed
-    header = ",".join(RecordBuffer(cfg.observables).column_names()) + "\n"
+    header = RecordBuffer(cfg.observables).header_line()
     if lines[n_comment] != header:
         print(f"cannot resume: the header of {csv_path} is not {header.strip()}",
               file=sys.stderr)

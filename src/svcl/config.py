@@ -19,7 +19,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .ergodic import MIN_BATCHES, default_burn_in
+from .ergodic import DEFAULT_BATCHES, MIN_BATCHES, default_burn_in
 from .flux import FLUX_KINDS, FluxSpec
 from .integrator import SCHEMES, ModelSpec, SolverConfig
 from .noise import NoiseSpec
@@ -91,7 +91,7 @@ class RunConfig:
     observables: tuple = ()
     epsilons: tuple = (1e-3,)
     burn_in: float | None = None  # None means 10 relaxation times of mode 1
-    batches: int = 16
+    batches: int = DEFAULT_BATCHES
     initial: InitialSpec = field(default_factory=InitialSpec)
     initial_b: InitialSpec = field(default_factory=InitialSpec)
     out_dir: str = "out"

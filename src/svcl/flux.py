@@ -59,6 +59,8 @@ class FluxSpec:
             raise ValueError("polynomial flux requires coefficients")
         else:
             self.coefficients = np.atleast_1d(np.asarray(self.coefficients, dtype=float))
+            if not np.isfinite(self.coefficients).all():
+                raise ValueError("flux coefficients must be finite")
         self.horner_terms = tuple(map(_constant, self.coefficients[::-1]))
 
     @property

@@ -223,47 +223,43 @@ class RunResult:
 # a blow-up is found from the step output, so the kernels may meet inf and
 # nan on the way there without a warning
 @np.errstate(over="ignore", invalid="ignore")
-def _drive(stepper: Stepper, reducer: observables.Reducer, c, draw, n_steps, t, step0, every,
-           reduce, on_step=None):
+def _drive(stepper: Stepper, reducer: observables.Reducer, c, draw, n_steps, t, step0, reduce):
     """The one step loop: advance c, a state (m,) or a same-noise block
     (R, m), by up to n_steps increments, from time t and step step0.
 
-    The state of a fresh start and of every `every`-th step is kept in one
-    block of reducer.block_rows(c) rows, and reduce(times, states)
-    consumes the kept rows as soon as the block fills and once when the
-    run ends, inside this errstate; the rows are reused after the call
-    returns.  reduce stops the run by returning how many
-    leading rows it keeps: the run returns the last, at the step its
-    position gives, with no trip, and drops the steps past it (at most
-    rows - 1), a trip among them included.  draw(out) fills out, a block
-    of (min(rows, steps left), *c.shape), with the next steps' increments
-    in order, each at the state's shape, so the scheme update adds arrays
-    of one shape.  Each step is written in place: into its row of the kept
-    block when it is kept, else into one of two spare states that
-    alternate, so a step's output never shares memory with its input,
-    whichever block wraps (hence at least two rows).  The blow-up test is
-    one dot of the output's flat view with itself.  on_step(step, t, c)
-    runs after each step, with a c that is valid only during the call.
-    Returns (c, t, step, trip), c a fresh array.
+    Every step's state, and a fresh start's, is kept in one block of
+    reducer.block_rows(c) rows, and reduce(first, times, states), first
+    the step of row 0, consumes the kept rows as soon as the block fills
+    and once when the run ends, inside this errstate; the rows are reused
+    after the call returns.  reduce stops the run by returning how many
+    leading rows it keeps: the run returns the last, step first + keep - 1,
+    with no trip, and drops the steps past it (at most rows - 1), a trip
+    among them included.  draw(out) fills out, a block of
+    (min(rows, steps left), *c.shape), with the next steps' increments in
+    order, each at the state's shape, so the scheme update adds arrays of
+    one shape.  Each step is written in place into the next kept row, so
+    a step's output never shares memory with its input, whichever block
+    wraps (hence at least two rows).  The blow-up test is one dot of the
+    output's flat view with itself.  Returns (c, t, step, trip), c a fresh
+    array.
     """
     rows = reducer.block_rows(c)
     kept, times, k = np.empty((rows, *c.shape)), np.empty(rows), 0
     xis = np.empty((rows, *c.shape))
     # row views, each paired with its flat view, made once: a list index is
     # cheaper than an ndarray one
-    kept_rows, spare = ([(x, x.reshape(-1)) for x in block]
-                        for block in (kept, np.empty((2, *c.shape))))
+    kept_rows = [(x, x.reshape(-1)) for x in kept]
     xi_rows = list(xis)
+    first = step0 + 1
     if step0 == 0:
-        kept[0], times[0], k = c, t, 1
+        kept[0], times[0], k, first = c, t, 1, 0
     dt, advance, guarded = stepper.dt, stepper.advance, stepper.cfg.guard_radius is not None
     trip, keep, step, end, j = None, None, step0, step0 + n_steps, rows
     for n in range(step0, end):
         if j == rows:  # the increment block is used up
             draw(xis[: min(rows, end - n)])
             j = 0
-        kept_step = (n + 1) % every == 0
-        out, flat = kept_rows[k] if kept_step else spare[n & 1]
+        out, flat = kept_rows[k]
         advance(c, xi_rows[j], out)
         j += 1
         # on a trip every row keeps its state from before the step, so each
@@ -275,23 +271,18 @@ def _drive(stepper: Stepper, reducer: observables.Reducer, c, draw, n_steps, t, 
         c = out
         t += dt
         step = n + 1
-        if kept_step:
-            times[k] = t
-            k += 1
-            if k == rows:
-                keep = reduce(times, kept)
-                if keep is not None:
-                    break
-                k = 0
-        if on_step is not None:
-            on_step(step, t, c)
+        times[k] = t
+        k += 1
+        if k == rows:
+            keep = reduce(first, times, kept)
+            if keep is not None:
+                break
+            first, k = first + rows, 0
     if k and keep is None:
-        keep = reduce(times[:k], kept[:k])
+        keep = reduce(first, times[:k], kept[:k])
     if keep is None:
         return c.copy(), t, step, trip
-    # the last kept row is the last kept step's, a multiple of every
-    return (kept[keep - 1].copy(), float(times[keep - 1]),
-            step - step % every - every * (k - keep), None)
+    return kept[keep - 1].copy(), float(times[keep - 1]), first + keep - 1, None
 
 
 def run_single(
@@ -306,7 +297,7 @@ def run_single(
     residual_history=None,
     t0: float = 0.0,
     step0: int = 0,
-    on_step=None,
+    on_block=None,
 ) -> RunResult:
     """Drive one trajectory for n_steps, recording at the given cadence.
 
@@ -315,18 +306,26 @@ def run_single(
     uninterrupted run.  The initial record row is only written for a fresh
     start, which keeps resumed CSV output concatenable; residual_history
     carries the (t, l2_sq, h1_sq) tail of the rows already on disk so the
-    windowed residual column also continues bitwise.  on_step(step, t, c)
-    runs after each step; the CLI writes its snapshots there.
+    windowed residual column also continues bitwise.  on_block(first,
+    times, states) gets each block `_drive` keeps, after its record rows
+    are made; the CLI writes its snapshots there.
     """
+    if record_every < 1:
+        raise ValueError(f"record_every must be at least 1, not {record_every}")
     basis = u0.basis
     reducer = observables.Reducer(basis)
     path = NoisePath(model.noise, basis, seed)
     path.draw_index = step0
-    buf = observables.RecordBuffer(lp_orders, capacity=n_steps // max(record_every, 1) + 4)
+    buf = observables.RecordBuffer(lp_orders, capacity=n_steps // record_every + 4)
+
+    def reduce(first, times, states):
+        reducer.record_rows((buf,), cfg.guard_radius, record_every, first, times, states)
+        if on_block is not None:
+            on_block(first, times, states)
+
     c, t, step, trip = _drive(Stepper(model, cfg, basis), reducer, u0.coeffs,
                               partial(path.ou_increment, model.nu, cfg.dt), n_steps, t0,
-                              step0, record_every,
-                              partial(reducer.record_rows, (buf,), cfg.guard_radius), on_step)
+                              step0, reduce)
     del reducer  # its Lp buffers go before the residual fill's
     buf.fill_residuals(residual_window, model.nu, trace_h2(model.noise, basis).l2,
                        residual_history)
@@ -375,31 +374,27 @@ def run_coupled(
     """
     if stop_l1_below is not None and not stop_l1_below > 0:
         raise ValueError("stop_l1_below must be positive")
+    if record_every < 1:
+        raise ValueError(f"record_every must be at least 1, not {record_every}")
     basis = u0.basis
     reducer = observables.Reducer(basis)
     path = NoisePath(model.noise, basis, seed)
-    cap = n_steps // max(record_every, 1) + 4
+    cap = n_steps // record_every + 4
     bufs = (observables.RecordBuffer(lp_orders, capacity=cap),
             observables.RecordBuffer(lp_orders, capacity=cap))
     stop = -math.inf if stop_l1_below is None else stop_l1_below
     parts = []  # per reduced block: its times and l1 series
-    done = 0  # steps whose series are reduced
 
-    def reduce(ts, pairs):
+    def reduce(first, ts, pairs):
         """The series at the block's steps up to a stop, and the record rows
         among them; returns the rows kept if the block holds a stop."""
-        nonlocal done
         l1 = reducer.l1_distances(pairs)
-        first = int(not done)  # the initial distance is never tested
-        hit = np.flatnonzero(l1[first:] < stop)
-        keep = first + int(hit[0]) + 1 if hit.size else None
+        skip = int(first == 0)  # the initial distance is never tested
+        hit = np.flatnonzero(l1[skip:] < stop)
+        keep = skip + int(hit[0]) + 1 if hit.size else None
         ts, pairs, l1 = ts[:keep], pairs[:keep], l1[:keep]
         parts.append(np.vstack([ts, l1]))
-        rec = -done % record_every
-        if rec < len(ts):
-            reducer.record_rows(bufs, cfg.guard_radius, ts[rec::record_every],
-                                pairs[rec::record_every])
-        done += len(ts)
+        reducer.record_rows(bufs, cfg.guard_radius, record_every, first, ts, pairs)
         return keep
 
     def draw(out):
@@ -409,7 +404,7 @@ def run_coupled(
         out[:] = shared[:, None]
 
     c, t, k, trip = _drive(Stepper(model, cfg, basis), reducer,
-                           np.stack([u0.coeffs, v0.coeffs]), draw, n_steps, 0.0, 0, 1, reduce)
+                           np.stack([u0.coeffs, v0.coeffs]), draw, n_steps, 0.0, 0, reduce)
     times, l1 = np.concatenate(parts, axis=1)
     tr = trace_h2(model.noise, basis).l2
     for buf in bufs:
@@ -466,8 +461,8 @@ def run_on_increments(model: ModelSpec, cfg: SolverConfig, u0: SpectralField,
         used += len(out)
 
     _, _, _, trip = _drive(Stepper(model, cfg, u0.basis), observables.Reducer(u0.basis),
-                           u0.coeffs, draw, len(xis), 0.0, 0, 1,
-                           lambda _, states: parts.append(states.copy()))
+                           u0.coeffs, draw, len(xis), 0.0, 0,
+                           lambda _, __, states: parts.append(states.copy()))
     return np.concatenate(parts), trip
 
 

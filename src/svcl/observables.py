@@ -54,6 +54,10 @@ class RecordBuffer:
         names += ["l1_dist", "energy_residual", "guard_margin"]
         return names
 
+    def header_line(self) -> str:
+        """The CSV header: the column names, comma-separated, and a newline."""
+        return ",".join(self.column_names()) + "\n"
+
     def _grow(self, need):
         while self._cap < need:
             self._cap *= 2
@@ -127,13 +131,21 @@ class RecordBuffer:
             for ln in lines[1:]:
                 fp.write("# " + ln + "\n")
         names = self.column_names()
-        fp.write(",".join(names) + "\n")
+        fp.write(self.header_line())
         fp.writelines(kept)
         row = ",".join([FLOAT_FMT] * len(names)) + "\n"
         for i in range(0, self.n, CSV_CHUNK_ROWS):
             j = min(self.n, i + CSV_CHUNK_ROWS)
             cols = [self._cols[k][i:j].tolist() for k in names]
             fp.write("".join([row % r for r in zip(*cols)]))
+
+
+def count_comments(lines) -> int:
+    """How many leading lines of a run CSV's lines are `#` comments."""
+    n = 0
+    while n < len(lines) and lines[n].startswith("#"):
+        n += 1
+    return n
 
 
 def read_csv_columns(source, rows=slice(None)):
@@ -147,9 +159,7 @@ def read_csv_columns(source, rows=slice(None)):
     if isinstance(source, (str, os.PathLike)):
         with open(source, encoding="utf-8", newline="") as fp:
             source = fp.read().splitlines(keepends=True)
-    head = 0
-    while head < len(source) and source[head].startswith("#"):
-        head += 1
+    head = count_comments(source)
     if head == len(source):
         raise ValueError("no header line")
     names = source[head].rstrip("\r\n").split(",")
@@ -285,12 +295,16 @@ class Reducer:
         block, work, _ = self._fine_block(pairs[:, 0] - pairs[:, 1], "l1")
         return l1_norms(block, self.n_fine, work)[: len(pairs)]
 
-    def record_rows(self, bufs, radius, times, states):
-        """Append one record row per kept state: states[k], kept at times[k],
-        is a state (m,) or a block (R, m) whose row r goes to bufs[r].  An Lp
-        column is the mean of |u|^p on the n_fine grid, and the guard margin
-        is radius - h1_sq, nan when radius is None."""
+    def record_rows(self, bufs, radius, every, first, times, states):
+        """Append one record row per kept state whose step is a multiple of
+        every: states[k], of step first + k at times[k], is a state (m,) or
+        a block (R, m) whose row r goes to bufs[r].  An Lp column is the
+        mean of |u|^p on the n_fine grid, and the guard margin is
+        radius - h1_sq, nan when radius is None."""
+        times, states = times[-first % every :: every], states[-first % every :: every]
         n, n_bufs = len(times), len(bufs)
+        if not n:
+            return
         c = states.reshape(n * n_bufs, -1)
         cols = [self.l2_sq(c), self.h1_sq(c), np.vecdot(c * c, self.lam_sq)]
         if bufs[0].lp_orders:

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from svcl import integrator, observables
-from svcl.flux import FluxSpec, dealias_points, flux_value
+from svcl.flux import FluxSpec, _constant, _horner, dealias_points, flux_value
 from svcl.integrator import (
     SCHEMES,
     ModelSpec,
@@ -74,6 +74,9 @@ class TestValidation:
         "q_inf": lambda: NoiseSpec(c=0.5, q=math.inf),
         "sigma_nan": lambda: NoiseSpec(sigma=[1.0, math.nan]),
         "sigma_inf": lambda: NoiseSpec(sigma=[math.inf, 0.0]),
+        "flux_nan": lambda: FluxSpec("polynomial", coefficients=[0.0, math.nan]),
+        "flux_inf": lambda: FluxSpec("polynomial", coefficients=[math.inf]),
+        "flux_minus_inf": lambda: FluxSpec("polynomial", coefficients=[0.0, 0.5, -math.inf]),
     }
 
     @pytest.mark.parametrize("spec", sorted(NON_FINITE))
@@ -82,6 +85,20 @@ class TestValidation:
         # the library specs refuse them too, rather than run on them
         with pytest.raises(ValueError):
             self.NON_FINITE[spec]()
+
+    @pytest.mark.parametrize("every", [0, -2])
+    @pytest.mark.parametrize("coupled", [False, True])
+    def test_drivers_refuse_record_every_below_1_before_a_step(self, coupled, every):
+        basis = ModeBasis(8)
+        model, u0 = silent_model(m=8), mode_field(basis, 1, 1.0)
+        with patch.object(Stepper, "advance", side_effect=AssertionError("stepped")):
+            with pytest.raises(ValueError, match="record_every"):
+                if coupled:
+                    run_coupled(model, SolverConfig(dt=0.01), u0, mode_field(basis, 1, -1.0),
+                                seed=0, n_steps=10, record_every=every)
+                else:
+                    run_single(model, SolverConfig(dt=0.01), u0, seed=0, n_steps=10,
+                               record_every=every)
 
     def test_solver_config_rejects_bad_inputs(self):
         with pytest.raises(ValueError, match="dt"):
@@ -186,9 +203,9 @@ class TestSchemes:
         model = ModelSpec(0.1, FluxSpec("burgers"), NoiseSpec(c=0.4, q=3.0))
         cfg = SolverConfig(dt=0.005)
         u0 = random_field(basis, 9)
-        states = [u0.coeffs]
+        states = []
         run_single(model, cfg, u0, seed=21, n_steps=100,
-                   on_step=lambda step, t, c: states.append(c.copy()))
+                   on_block=lambda first, times, block: states.extend(block.copy()))
         w = convolution_grid(NoisePath(model.noise, basis, 21), model.nu, cfg.dt, 100)
         traj, trip = run_on_increments(model, cfg, u0,
                                        increments_from_grid(w, model.nu, basis, cfg.dt, 1))
@@ -377,11 +394,14 @@ class TestPlan:
         # arrays and into out alike
         coef = data.draw(arrays(float, n_coef, elements=self.HORNER_VALUES), label="coef")
         v = data.draw(arrays(float, st.integers(1, 24), elements=self.HORNER_VALUES), label="v")
-        spec = FluxSpec("polynomial", coefficients=coef)
+        if np.isfinite(coef).all():
+            value = partial(flux_value, FluxSpec("polynomial", coefficients=coef))
+        else:  # a spec refuses these: Horner's rule on the 0-d terms directly
+            value = partial(_horner, tuple(map(_constant, coef[::-1])))
         want = np.polynomial.polynomial.polyval(v, coef)
-        assert flux_value(spec, v).tobytes() == want.tobytes()
+        assert value(v).tobytes() == want.tobytes()
         into = np.full(v.shape, np.nan)
-        assert flux_value(spec, v, out=into) is into
+        assert value(v, out=into) is into
         assert into.tobytes() == want.tobytes()
 
 
@@ -609,11 +629,11 @@ class TestLeanStep:
 
 
 class TestTwoRowBlocks:
-    """At the floor of two kept rows a block wraps at every other kept step,
-    and each step is written in place, into its kept row or into one of the
-    two spare states: no step's output may share memory with its input.
-    Runs equal the per-step reference loop of TestLeanStep bit for bit:
-    records, final states, coupled series and the states on_step sees."""
+    """At the floor of two kept rows a block wraps at every other step, and
+    each step is written in place into its kept row: no step's output may
+    share memory with its input.  Runs equal the per-step reference loop of
+    TestLeanStep bit for bit: records, final states, coupled series and the
+    states on_block sees."""
 
     MODEL = ModelSpec(TestLeanStep.NU, FluxSpec("burgers"), NoiseSpec(c=0.5, q=3.0))
     SEED, N_STEPS = 7, 23
@@ -633,9 +653,9 @@ class TestTwoRowBlocks:
         reduced = []
         record_rows = Reducer.record_rows
 
-        def counted(reducer, bufs, radius, times, states):
-            reduced.append(len(times))
-            return record_rows(reducer, bufs, radius, times, states)
+        def counted(reducer, bufs, radius, every, first, times, states):
+            reduced.append((first, len(times)))
+            return record_rows(reducer, bufs, radius, every, first, times, states)
 
         monkeypatch.setattr(Reducer, "record_rows", counted)
         if run == "coupled":
@@ -655,16 +675,125 @@ class TestTwoRowBlocks:
             seen = []
             res = run_single(self.MODEL, cfg, SpectralField(u0[0], basis), self.SEED,
                              self.N_STEPS, record_every=every,
-                             on_step=lambda step, t, c: seen.append((step, t, c.copy())))
+                             on_block=lambda first, ts, block: seen.extend(
+                                 zip(range(first, first + len(ts)), ts.tolist(), block.copy())))
             assert res.state.u.coeffs.tobytes() == states[-1].tobytes()
             lean.check_records(ref, res.records, states, times, every, None)
-            assert [(step, t) for step, t, _ in seen] == list(enumerate(times))[1:]
-            assert np.array([c for *_, c in seen]).tobytes() == np.array(states[1:]).tobytes()
+            assert [(step, t) for step, t, _ in seen] == list(enumerate(times))
+            assert np.array([c for *_, c in seen]).tobytes() == np.array(states).tobytes()
             hist, _ = run_on_increments(self.MODEL, cfg, SpectralField(u0[0], basis),
                                         np.array(xis))
             assert hist.tobytes() == np.array(states).tobytes()
-        kept = self.N_STEPS // every + 1
-        assert reduced == [2] * (kept // 2) + [1] * (kept % 2)
+        # every step is kept, whatever the record cadence: one call per
+        # block of two steps
+        assert reduced == [(first, 2) for first in range(0, self.N_STEPS + 1, 2)]
+
+
+class TestBlockHook:
+    """run_single(on_block=) sees every step of the run once and in order,
+    each block after its record rows are made: fresh and resumed runs, at
+    any record cadence, across block wraps and up to a trip inside a
+    block, past which it sees nothing.  The CLI's snapshots, written from
+    the hook, are the states of their steps at any snapshot cadence."""
+
+    MODEL = ModelSpec(0.1, FluxSpec("burgers"), NoiseSpec(c=0.5, q=3.0))
+    DT, SEED, ROWS, N_STEPS = 2e-3, 3, 4, 17
+
+    def reference(self, basis, u0, step0):
+        """The states and times of steps step0 .. step0 + N_STEPS, stepped
+        one state at a time from the path's own draws."""
+        stepper = Stepper(self.MODEL, SolverConfig(dt=self.DT), basis)
+        path = NoisePath(self.MODEL.noise, basis, self.SEED)
+        path.draw_index = step0
+        states, times = [u0.coeffs], [step0 * self.DT]
+        for _ in range(self.N_STEPS):
+            states.append(stepper.advance(states[-1], path.ou_increment(self.MODEL.nu,
+                                                                        self.DT)))
+            times.append(times[-1] + self.DT)
+        return states, times
+
+    @pytest.mark.parametrize("trip", [False, True])
+    @pytest.mark.parametrize("every", [1, 3])
+    @pytest.mark.parametrize("step0", [0, 5])
+    def test_each_step_once_and_in_order(self, monkeypatch, step0, every, trip):
+        basis = ModeBasis(8)
+        # blocks of ROWS kept states: a run of N_STEPS wraps four times
+        monkeypatch.setattr(observables, "_RECORD_BLOCK_POINTS",
+                            self.ROWS * DEFAULT_FINE_FACTOR * basis.m_max)
+        u0 = random_field(basis, 5, amp=1e-3)
+        states, times = self.reference(basis, u0, step0)
+        radius, last = None, self.N_STEPS  # last: the last step the run completes
+        if trip:
+            # the first step past the second block whose H1 mass exceeds
+            # every earlier one and that is not the first row of its block
+            # (row 0 is step 0 of a fresh start, else step step0 + 1)
+            h1 = [h1_sq(basis, c) for c in states]
+            s = next(s for s in range(2 * self.ROWS, self.N_STEPS)
+                     if h1[s] > max(h1[1:s]) and (s - (step0 > 0)) % self.ROWS)
+            radius, last = h1[s], s - 1
+        events = []
+        record_rows = Reducer.record_rows
+
+        def recorded(reducer, bufs, r, rec_every, first, ts, block):
+            events.append(("records", first))
+            return record_rows(reducer, bufs, r, rec_every, first, ts, block)
+
+        def on_block(first, ts, block):
+            assert 0 < len(ts) == len(block) <= self.ROWS
+            events.append(("hook", first))
+            seen.extend(zip(range(first, first + len(ts)), ts.tolist(), block.copy()))
+
+        monkeypatch.setattr(Reducer, "record_rows", recorded)
+        seen = []
+        res = run_single(self.MODEL, SolverConfig(dt=self.DT, guard_radius=radius), u0,
+                         self.SEED, self.N_STEPS, record_every=every, t0=times[0],
+                         step0=step0, on_block=on_block)
+        assert (res.trip is not None) == trip
+        assert res.state.step == step0 + last
+        # a resumed run starts at the step after its snapshot's
+        want = range(int(step0 > 0), last + 1)
+        assert [(step, t) for step, t, _ in seen] == [(step0 + i, times[i]) for i in want]
+        assert (np.array([c for *_, c in seen]).tobytes()
+                == np.array([states[i] for i in want]).tobytes())
+        firsts = [first for kind, first in events[::2]]
+        assert events == [(kind, first) for first in firsts for kind in ("records", "hook")]
+        assert len(firsts) >= 3  # two wraps at least
+        assert len(res.records) == len([i for i in want if (step0 + i) % every == 0])
+
+    # a snapshot cadence of 7 is neither a multiple nor a divisor of the
+    # record cadence or of the block's 10 rows
+    @pytest.mark.parametrize("step0", [0, 14, 35])
+    def test_cli_snapshots_are_the_states_of_their_steps(self, monkeypatch, tmp_path, step0):
+        from svcl.cli import entry
+
+        basis, n_steps, every, snap_every = ModeBasis(8), 50, 4, 7
+        monkeypatch.setattr(observables, "_RECORD_BLOCK_POINTS",
+                            10 * DEFAULT_FINE_FACTOR * basis.m_max)
+        ini = tmp_path / "run.ini"
+        ini.write_text(f"[model]\nnu = 0.1\nflux = burgers\n[noise]\nc = 0.5\nq = 3\n"
+                       f"[solver]\nmodes = 8\ndt = {self.DT!r}\n"
+                       f"[experiment]\nkind = single\nhorizon = {n_steps * self.DT!r}\n"
+                       f"seed = {self.SEED}\nrecord_every = {every}\n"
+                       f"snapshot_every = {snap_every}\n"
+                       f"[initial]\nkind = mode\nmode = 1\namplitude = 1.0\n"
+                       f"[output]\ndir = {tmp_path / 'out'}\n")
+        flags = ["--config", str(ini)]
+        assert entry(["run", *flags]) == 0
+        if step0:  # resume from an earlier snapshot, the later ones removed
+            for p in (tmp_path / "out").glob("snap_*.snap"):
+                if int(p.stem[5:]) > step0:
+                    p.unlink()
+            resume = tmp_path / "out" / f"snap_{step0:09d}.snap"
+            assert entry(["resume", *flags, "--resume", str(resume)]) == 0
+        snaps = sorted((tmp_path / "out").glob("snap_*.snap"))
+        steps = range(snap_every, n_steps + 1, snap_every)
+        assert [p.name for p in snaps] == [f"snap_{k:09d}.snap" for k in steps]
+        u0, cfg = mode_field(basis, 1, 1.0), SolverConfig(dt=self.DT)
+        for p, k in zip(snaps, steps):
+            buf = io.BytesIO()
+            write_snapshot(buf, run_single(self.MODEL, cfg, u0, self.SEED, k).state,
+                           self.MODEL, cfg, self.SEED)
+            assert p.read_bytes() == buf.getvalue(), p.name
 
 
 class TestContinuousDependence:
@@ -725,9 +854,9 @@ class TestGuard:
         hist, trip = run_on_increments(model, cfg, u0, xis)
         assert trip.reason == "guard"
         assert trip.h1_sq >= 1e-8
-        states = [u0.coeffs]
+        states = []
         res = run_single(model, cfg, u0, seed=3, n_steps=50,
-                         on_step=lambda step, t, c: states.append(c.copy()))
+                         on_block=lambda first, times, block: states.extend(block.copy()))
         assert (trip.t, trip.h1_sq) == (res.trip.t, res.trip.h1_sq)
         assert len(hist) == res.state.step + 1 < 51
         assert hist.tobytes() == np.array(states).tobytes()
@@ -1568,9 +1697,9 @@ class TestRunDrivers:
         path = NoisePath(model.noise, basis, 1)
         xis = np.array([path.ou_increment(model.nu, cfg.dt) for _ in range(50)])
         hist, trip = run_on_increments(model, cfg, u0, xis)
-        states = [u0.coeffs]
+        states = []
         res = run_single(model, cfg, u0, seed=1, n_steps=50,
-                         on_step=lambda step, t, c: states.append(c.copy()))
+                         on_block=lambda first, times, block: states.extend(block.copy()))
         assert trip is None and hist.shape == (51, 8)
         assert np.array_equal(hist[0], u0.coeffs)
         assert np.array_equal(hist[-1], res.state.u.coeffs)

@@ -165,3 +165,34 @@ def test_one_noise_draw_per_step(monkeypatch, coupled):
     else:
         steps = run_single(model, cfg, u0, seed=1, n_steps=300, record_every=7).state.step
     assert steps == 300 and drawn == list(range(300))
+
+
+@pytest.mark.parametrize("coupled", [False, True])
+@pytest.mark.parametrize("every", [1, 100])
+def test_record_rows_once_per_kept_block(monkeypatch, coupled, every):
+    # the driver keeps every step, so the record cadence is applied in
+    # record_rows alone: one call per block of kept steps, whatever the
+    # cadence, and one row per recorded step
+    calls = []
+    original = observables.Reducer.record_rows
+
+    def counted(self, bufs, radius, rec_every, first, times, states):
+        calls.append((first, len(times)))
+        return original(self, bufs, radius, rec_every, first, times, states)
+
+    monkeypatch.setattr(observables.Reducer, "record_rows", counted)
+    basis, n_steps = ModeBasis(16), 1000
+    model = ModelSpec(0.1, FluxSpec("burgers"), NoiseSpec(c=0.5, q=3.0))
+    u0 = mode_field(basis, 1, 1.0)
+    if coupled:
+        res = run_coupled(model, SolverConfig(dt=1e-3), u0, mode_field(basis, 1, -1.0), seed=1,
+                          n_steps=n_steps, record_every=every)
+        records = res.records_a
+    else:
+        records = run_single(model, SolverConfig(dt=1e-3), u0, seed=1, n_steps=n_steps,
+                             record_every=every).records
+    rows = observables._RECORD_BLOCK_POINTS // ((1 + coupled) * observables.DEFAULT_FINE_FACTOR
+                                                * 16)
+    assert calls == [(first, min(rows, n_steps + 1 - first))
+                     for first in range(0, n_steps + 1, rows)]
+    assert len(records) == n_steps // every + 1
