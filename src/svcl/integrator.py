@@ -178,8 +178,9 @@ class Stepper:
         driven by the increment xi, at c's shape or one (m,) row shared by
         every state, by the bound kernel of c's shape, written into out (an
         array of c's shape that is not c) or else into a fresh array; each
-        row of a block comes out bitwise equal to advancing it alone.  The
-        kernel is found by one dict subscript, the hot path's lookup."""
+        row of a block comes out bitwise equal to advancing it alone, but for
+        the sign of its nans when the row holds a nan, as with `synthesize`.
+        The kernel is found by one dict subscript, the hot path's lookup."""
         try:
             kernel = self._kernels[c.shape]
         except KeyError:
@@ -194,10 +195,9 @@ def _find_trip(stepper: Stepper, reducer: observables.Reducer, c, out, t):
     then a row reaching the guard radius trips as "guard" at t + dt; each
     mass is the reducer's.  Returns the trip or None.
 
-    The flux never raises, so this is the one blow-up check.  `_drive`
-    calls it only with a guard set or when one dot, the output's sum of
-    squares, is not finite; an output with no non-finite entry whose
-    squares passed the float range walks its rows and goes on.
+    The flux never raises, so this is the one blow-up contract.  `_drive`
+    calls it once per run at most, on the first step of a kept block that
+    its block scan finds failing, from the state and time before that step.
     """
     r = stepper.cfg.guard_radius
     for row, new in zip(np.atleast_2d(c), np.atleast_2d(out)):
@@ -234,55 +234,66 @@ def _drive(stepper: Stepper, reducer: observables.Reducer, c, draw, n_steps, t, 
     after the call returns.  reduce stops the run by returning how many
     leading rows it keeps: the run returns the last, step first + keep - 1,
     with no trip, and drops the steps past it (at most rows - 1), a trip
-    among them included.  draw(out) fills out, a block of
-    (min(rows, steps left), *c.shape), with the next steps' increments in
-    order, each at the state's shape, so the scheme update adds arrays of
-    one shape.  Each step is written in place into the next kept row, so
-    a step's output never shares memory with its input, whichever block
-    wraps (hence at least two rows).  The blow-up test is one dot of the
-    output's flat view with itself.  Returns (c, t, step, trip), c a fresh
-    array.
+    among them included.
+
+    A step does nothing but advance(c, xi, out): all else is done once per
+    kept block.  draw(out) fills out, the block's rows of increments
+    (k, *c.shape), with the next k steps' increments in order, each at the
+    state's shape, so the scheme update adds arrays of one shape.  Each
+    step is written in place into the next kept row, so a step's output
+    never shares memory with its input, whichever block wraps (hence at
+    least two rows).  The block's times are one np.add.accumulate of
+    [t + dt, dt, dt, ...], bitwise repeated t += dt.  The blow-up test is
+    one dot of the block's new rows with itself; only when it is not
+    finite, or a guard is set, are the rows scanned (finiteness, and the
+    H1 mass against the radius) for the first failing step, whose trip
+    `_find_trip` gives from the state before it.  The steps before the
+    trip are reduced, so a stop among them still wins, and the block's
+    steps past it (at most rows - 1) are computed and discarded.  Returns
+    (c, t, step, trip), c a fresh array.
     """
-    rows = reducer.block_rows(c)
-    kept, times, k = np.empty((rows, *c.shape)), np.empty(rows), 0
+    rows, radius = reducer.block_rows(c), stepper.cfg.guard_radius
+    kept, times = np.empty((rows, *c.shape)), np.empty(rows)
     xis = np.empty((rows, *c.shape))
-    # row views, each paired with its flat view, made once: a list index is
-    # cheaper than an ndarray one
-    kept_rows = [(x, x.reshape(-1)) for x in kept]
-    xi_rows = list(xis)
-    first = step0 + 1
+    # row views made once: a list slice is cheaper than ndarray indexing
+    kept_rows, xi_rows = list(kept), list(xis)
+    clock = np.full(rows, stepper.dt)
+    k0, first = 0, step0 + 1
     if step0 == 0:
-        kept[0], times[0], k, first = c, t, 1, 0
-    dt, advance, guarded = stepper.dt, stepper.advance, stepper.cfg.guard_radius is not None
-    trip, keep, step, end, j = None, None, step0, step0 + n_steps, rows
-    for n in range(step0, end):
-        if j == rows:  # the increment block is used up
-            draw(xis[: min(rows, end - n)])
-            j = 0
-        out, flat = kept_rows[k]
-        advance(c, xi_rows[j], out)
-        j += 1
-        # on a trip every row keeps its state from before the step, so each
-        # row's state matches the step count and time the run reports
-        if guarded or not math.isfinite(flat.dot(flat)):
-            trip = _find_trip(stepper, reducer, c, out, t)
-            if trip is not None:
-                break
-        c = out
-        t += dt
-        step = n + 1
-        times[k] = t
-        k += 1
-        if k == rows:
-            keep = reduce(first, times, kept)
+        kept[0], times[0], k0, first = c, t, 1, 0
+    advance, left, trip = stepper.advance, n_steps, None
+    while True:
+        k1 = min(rows, k0 + left)
+        left -= k1 - k0
+        # the state before row k0: a wrapped block overwrites the row c views
+        start = c.copy()
+        if k1 > k0:
+            draw(xis[k0:k1])
+            for out, xi in zip(kept_rows[k0:k1], xi_rows[k0:k1]):
+                advance(c, xi, out)
+                c = out
+            clock[0] = t + stepper.dt
+            np.add.accumulate(clock[: k1 - k0], out=times[k0:k1])
+            block = kept[k0:k1]
+            new = block.reshape(-1)
+            if not math.isfinite(np.dot(new, new)) or radius is not None:
+                fail = ~np.isfinite(block).all(axis=-1)
+                if radius is not None:
+                    fail |= reducer.h1_sq(block) >= radius
+                fail = fail.reshape(k1 - k0, -1).any(axis=1)
+                if fail.any():
+                    k1 = k0 + int(fail.argmax())
+                    trip = _find_trip(stepper, reducer, kept[k1 - 1] if k1 else start,
+                                      kept[k1], float(times[k1 - 1]) if k1 else t)
+            if k1:
+                t = float(times[k1 - 1])
+        if k1:
+            keep = reduce(first, times[:k1], kept[:k1])
             if keep is not None:
-                break
-            first, k = first + rows, 0
-    if k and keep is None:
-        keep = reduce(first, times[:k], kept[:k])
-    if keep is None:
-        return c.copy(), t, step, trip
-    return kept[keep - 1].copy(), float(times[keep - 1]), first + keep - 1, None
+                return kept[keep - 1].copy(), float(times[keep - 1]), first + keep - 1, None
+        if trip is not None or not left:
+            return (kept[k1 - 1].copy() if k1 else start), t, first + k1 - 1, trip
+        first, k0 = first + rows, 0
 
 
 def run_single(
@@ -365,8 +376,9 @@ def run_coupled(
     statement), while full records keep the configured cadence: each block
     of kept pairs is reduced to its L1 distances, one batched synthesize,
     bit for bit the values of one step at a time, and to the record rows
-    among its steps.  The series grow a block at a time, so nothing is
-    sized by n_steps.
+    among its steps, whose l1_dist those distances fill (one more column
+    of the block for `Reducer.record_rows`).  The series grow a block at a
+    time, so nothing is sized by n_steps.
     Stops at the first step whose distance is below stop_l1_below, if
     given, found in the series of each reduced block (the initial distance
     is never tested); the pair-steps of that block past the stop, at most
@@ -392,9 +404,9 @@ def run_coupled(
         skip = int(first == 0)  # the initial distance is never tested
         hit = np.flatnonzero(l1[skip:] < stop)
         keep = skip + int(hit[0]) + 1 if hit.size else None
-        ts, pairs, l1 = ts[:keep], pairs[:keep], l1[:keep]
-        parts.append(np.vstack([ts, l1]))
-        reducer.record_rows(bufs, cfg.guard_radius, record_every, first, ts, pairs)
+        series = np.column_stack([ts[:keep], l1[:keep]])
+        parts.append(series)
+        reducer.record_rows(bufs, cfg.guard_radius, record_every, first, series, pairs[:keep])
         return keep
 
     def draw(out):
@@ -405,10 +417,9 @@ def run_coupled(
 
     c, t, k, trip = _drive(Stepper(model, cfg, basis), reducer,
                            np.stack([u0.coeffs, v0.coeffs]), draw, n_steps, 0.0, 0, reduce)
-    times, l1 = np.concatenate(parts, axis=1)
+    times, l1 = np.concatenate(parts).T.copy()
     tr = trace_h2(model.noise, basis).l2
     for buf in bufs:
-        buf.set_column("l1_dist", l1[::record_every])
         buf.fill_residuals(residual_window, model.nu, tr, None)
     states = [State(SpectralField(row, basis), t, k) for row in c]
     return CoupledRunResult(*bufs, *states, times=times, l1_series=l1, trip=trip)

@@ -66,12 +66,13 @@ class RecordBuffer:
             new[: self.n] = v[: self.n]
             self._cols[k] = new
 
-    def append(self, t, l2_sq, h1_sq, h2_sq, lp_powers=(), guard_margin=np.nan):
+    def append(self, t, l2_sq, h1_sq, h2_sq, lp_powers=(), guard_margin=np.nan,
+               l1_dist=np.nan):
         """Append a block of rows: t holds one time per row (a scalar is a
         block of one), every other column one value per row or one value
-        broadcast to all, and lp_powers one such column per Lp order.  The
-        l1_dist and energy_residual columns start as nan: a coupled run sets
-        the first, `fill_residuals` the second."""
+        broadcast to all, and lp_powers one such column per Lp order.
+        l1_dist is nan outside a coupled run; the energy_residual column
+        starts as nan, for `fill_residuals` to set."""
         t = np.atleast_1d(t)
         i, j = self.n, self.n + len(t)
         if j > self._cap:
@@ -83,7 +84,8 @@ class RecordBuffer:
         c["h2_sq"][i:j] = h2_sq
         for p, v in zip(self.lp_orders, lp_powers):
             c[f"lp{p}_p"][i:j] = v
-        c["l1_dist"][i:j] = c["energy_residual"][i:j] = np.nan
+        c["l1_dist"][i:j] = l1_dist
+        c["energy_residual"][i:j] = np.nan
         c["guard_margin"][i:j] = guard_margin
         self.n = j
 
@@ -93,8 +95,9 @@ class RecordBuffer:
     def column(self, name) -> np.ndarray:
         return self._cols[name][: self.n]
 
-    def set_column(self, name, values):
-        self._cols[name][: self.n] = values
+    def set_column(self, name, values, start=0):
+        """Write the array values into rows start, start + 1, ... of a column."""
+        self._cols[name][start : start + len(values)] = values
 
     @np.errstate(over="ignore", invalid="ignore")  # rows whose norms overflowed
     def fill_residuals(self, window, nu, trace, history):
@@ -112,10 +115,11 @@ class RecordBuffer:
         cols = [self.column(k) for k in ("t", "l2_sq", "h1_sq")]
         hist = [np.asarray(h, dtype=float)[-window:] for h in history or ((), (), ())]
         head = [np.concatenate([h, c[:window]]) for h, c in zip(hist, cols)]
-        res = self.column("energy_residual")
-        res[:window] = balance_residuals(*head, window, nu, trace, first=len(hist[0]))
+        self.set_column("energy_residual",
+                        balance_residuals(*head, window, nu, trace, first=len(hist[0])))
         if self.n > window:
-            res[window:] = balance_residuals(*cols, window, nu, trace, first=window)
+            self.set_column("energy_residual",
+                            balance_residuals(*cols, window, nu, trace, first=window), window)
 
     def write_csv(self, fp, config_echo: str | None = None, kept=()):
         """Stream the buffer as delimited text; fp is a writable text file.
@@ -298,10 +302,16 @@ class Reducer:
     def record_rows(self, bufs, radius, every, first, times, states):
         """Append one record row per kept state whose step is a multiple of
         every: states[k], of step first + k at times[k], is a state (m,) or
-        a block (R, m) whose row r goes to bufs[r].  An Lp column is the
-        mean of |u|^p on the n_fine grid, and the guard margin is
-        radius - h1_sq, nan when radius is None."""
+        a block (R, m) whose row r goes to bufs[r].  times is the block's
+        time column (k,), or (k, 2) with a coupled pair's L1 distance as its
+        second column, which goes to every buffer's l1_dist, chosen by the
+        same cadence as every other column.  An Lp column is the mean of
+        |u|^p on the n_fine grid, and the guard margin is radius - h1_sq,
+        nan when radius is None."""
         times, states = times[-first % every :: every], states[-first % every :: every]
+        l1 = np.nan
+        if times.ndim == 2:
+            times, l1 = times.T
         n, n_bufs = len(times), len(bufs)
         if not n:
             return
@@ -320,4 +330,4 @@ class Reducer:
         for i, buf in enumerate(bufs):
             l2, h1, h2, *lp = (col[:, i] for col in cols)
             buf.append(times, l2, h1, h2, lp,
-                       guard_margin=np.nan if radius is None else radius - h1)
+                       guard_margin=np.nan if radius is None else radius - h1, l1_dist=l1)

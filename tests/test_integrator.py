@@ -1084,7 +1084,9 @@ class TestCoupled:
         # its 4th call, the 4th exp_euler step: the rows are checked in
         # order, so a passes and b trips as flux_overflow from the state
         # time and H1 mass before that step, and both rows keep their
-        # states from before it, those of a 3-step burgers run
+        # states from before it, those of a 3-step burgers run.  The trip
+        # is found once its kept block is stepped, so the block's steps
+        # past it are computed and discarded: at most one block of calls
         basis = ModeBasis(8)
         calls = []
         flux_value = integrator.flux.flux_value
@@ -1103,7 +1105,8 @@ class TestCoupled:
         res = run_coupled(burgers, cfg, u0, v0, seed=4, n_steps=10)
         monkeypatch.undo()  # the reference run's calls are not counted
         ref = run_coupled(burgers, cfg, u0, v0, seed=4, n_steps=3)
-        assert len(calls) == 4 and calls[-1][0] == 2
+        rows = Reducer(basis).block_rows(np.empty((2, 8)))
+        assert 4 <= len(calls) <= rows and calls[3][0] == 2
         assert res.trip.reason == "flux_overflow"
         assert res.state_a.step == res.state_b.step == 3
         assert res.trip.t == res.state_a.t == ref.state_a.t
@@ -1449,6 +1452,165 @@ class TestTripMidBlock:
         for a, b in zip(got, want):
             assert a.tobytes() == b.tobytes()
         assert len(got[-1]) == trip_step  # the states of steps 0 .. trip_step - 1
+
+
+class TestTripAtEachRow:
+    """The step loop tests a kept block for blow-up once, after stepping it:
+    a guard trip or a nan put into the flux at any row of a block (the
+    first tested row, the last row, the first row of a wrapped block, at
+    the floor of two rows and at four) gives the run of a per-step loop,
+    bit for bit: records, coupled series, final state, t, step and trip.
+    on_block sees nothing at or past the trip."""
+
+    MODEL = ModelSpec(0.1, FluxSpec("burgers"), NoiseSpec(c=0.5, q=3.0))
+    DT, SEED, N_STEPS, STEP0 = 2e-3, 3, 40, 5
+
+    def free(self, basis, c, step0):
+        """States and times of the untripped run, one step at a time from
+        the path's own draws."""
+        stepper = Stepper(self.MODEL, SolverConfig(dt=self.DT), basis)
+        path = NoisePath(self.MODEL.noise, basis, self.SEED)
+        path.draw_index = step0
+        states, times = [c], [step0 * self.DT]
+        for _ in range(self.N_STEPS):
+            xi = np.broadcast_to(path.ou_increment(self.MODEL.nu, self.DT), c.shape).copy()
+            states.append(stepper.advance(states[-1], xi))
+            times.append(times[-1] + self.DT)
+        return stepper, states, times
+
+    @pytest.mark.parametrize("cause", ["guard", "nan"])
+    @pytest.mark.parametrize("run", ["single", "resumed", "coupled"])
+    @pytest.mark.parametrize("rows", [2, 4])
+    def test_trip_equals_per_step_reference(self, monkeypatch, rows, run, cause):
+        basis, pair = ModeBasis(8), run == "coupled"
+        step0 = self.STEP0 if run == "resumed" else 0
+        n_fine = DEFAULT_FINE_FACTOR * basis.m_max
+        # a budget below one row's fine grid gives the floor of two rows
+        budget = 1 if rows == 2 else rows * (1 + pair) * n_fine
+        monkeypatch.setattr(observables, "_RECORD_BLOCK_POINTS", budget)
+        u0 = np.stack([random_field(basis, 5, amp=1e-3).coeffs,
+                       random_field(basis, 6, amp=1e-3).coeffs])
+        stepper, states, times = self.free(basis, u0 if pair else u0[0], step0)
+        h1 = [[h1_sq(basis, row) for row in np.atleast_2d(c)] for c in states]
+
+        def row_of(s):  # the kept row of step step0 + s
+            return (s - (step0 > 0)) % rows
+
+        if cause == "nan":
+            trip_steps = range(1, 2 * rows + 1)
+        else:
+            # the steps whose H1 mass passes every earlier one: a radius
+            # there is first reached there, at every row position past the
+            # first block and at the first tested row
+            top = [max(m) for m in h1]
+            trip_steps = [s for s in range(1, self.N_STEPS + 1) if top[s] > max(top[1:s] or [0])]
+            assert {row_of(s) for s in trip_steps if s > rows} == set(range(rows))
+        assert row_of(trip_steps[0]) == int(step0 == 0)
+        for s in trip_steps:
+            radius, flux_value, calls = None, integrator.flux.flux_value, []
+
+            def value(spec, v, out=None, _s=s):
+                calls.append(1)
+                out = flux_value(spec, v, out)
+                if len(calls) == _s:  # one flux call per exp_euler step
+                    np.atleast_2d(out)[int(pair), 3] = np.nan  # row b of a pair
+                return out
+
+            if cause == "guard":
+                radius = max(h1[s])
+                r = next(r for r, v in enumerate(h1[s]) if v >= radius)
+                want_trip = (times[s - 1] + self.DT, h1[s][r], "guard")
+            else:
+                want_trip = (times[s - 1], h1[s - 1][int(pair)], "flux_overflow")
+            cfg = SolverConfig(dt=self.DT, guard_radius=radius)
+            seen, kept = [], range(int(step0 > 0), s)
+            with monkeypatch.context() as mp:
+                if cause == "nan":
+                    mp.setattr(integrator.flux, "flux_value", value)
+                if pair:
+                    res = run_coupled(self.MODEL, cfg, *(SpectralField(c, basis) for c in u0),
+                                      self.SEED, self.N_STEPS)
+                else:
+                    res = run_single(self.MODEL, cfg, SpectralField(u0[0], basis), self.SEED,
+                                     self.N_STEPS, t0=times[0], step0=step0,
+                                     on_block=lambda first, ts, block: seen.extend(
+                                         zip(range(first, first + len(ts)), ts.tolist(),
+                                             block.copy())))
+            if pair:
+                ends, bufs = (res.state_a, res.state_b), (res.records_a, res.records_b)
+                l1 = [np.mean(np.abs(synthesize(states[k][0] - states[k][1], n_fine)))
+                      for k in kept]
+                assert res.times.tobytes() == np.array(times[:s]).tobytes()
+                assert res.l1_series.tobytes() == np.array(l1).tobytes()
+            else:
+                ends, bufs = (res.state,), (res.records,)
+                assert [(k, t) for k, t, _ in seen] == [(step0 + k, times[k]) for k in kept]
+                assert (np.array([c for *_, c in seen]).tobytes()
+                        == np.array([states[k] for k in kept]).tobytes())
+            assert TestLeanStep.trip_of(res.trip) == want_trip, s
+            for i, (end, buf) in enumerate(zip(ends, bufs)):
+                assert (end.step, end.t) == (step0 + s - 1, times[s - 1])
+                rows_i = [np.atleast_2d(states[k])[i] for k in kept]
+                assert end.u.coeffs.tobytes() == np.atleast_2d(states[s - 1])[i].tobytes()
+                want = TestRecordBlock.reference_rows(stepper, rows_i,
+                                                      [times[k] for k in kept], (), radius)
+                names = ("t", "l2_sq", "h1_sq", "h2_sq", "guard_margin")
+                got = np.column_stack([buf.column(k) for k in names])
+                assert got.tobytes() == want.tobytes(), s
+
+
+class TestBlockClock:
+    """The step loop sets a kept block's times by one np.add.accumulate of
+    [t + dt, dt, dt, ...]: bitwise the repeated t += dt of a per-step loop,
+    for fresh and resumed start times and any block size."""
+
+    @pytest.mark.parametrize("dt", [1e-3, 2e-3, 0.01, 1.0 / 3.0, 7e-5, 0.1])
+    @pytest.mark.parametrize("t0", [0.0, 1.7999999999999126, 123.456])
+    def test_accumulate_equals_repeated_addition(self, dt, t0):
+        n = 20_000
+        want, t = np.empty(n), t0
+        for k in range(n):
+            t += dt
+            want[k] = t
+        for block in (2, 3, 256, 4096):
+            got, t = np.empty(n), t0
+            clock = np.full(block, dt)
+            for k0 in range(0, n, block):
+                k1 = min(n, k0 + block)
+                clock[0] = t + dt
+                np.add.accumulate(clock[: k1 - k0], out=got[k0:k1])
+                t = float(got[k1 - 1])
+            assert got.tobytes() == want.tobytes(), block
+
+
+class TestCoupledL1Column:
+    """A coupled run's l1_dist column is chosen by the record cadence of
+    every other column: each record row holds the L1 distance of its own
+    step, the l1_series value there, also when a stop ends a block early."""
+
+    MODEL = ModelSpec(0.05, FluxSpec("burgers"), NoiseSpec(c=0.2, q=3.0))
+
+    @pytest.mark.parametrize("every", [1, 3, 7])
+    def test_l1_dist_is_the_series_at_each_record_step(self, monkeypatch, every):
+        basis, rows = ModeBasis(8), 16
+        monkeypatch.setattr(observables, "_RECORD_BLOCK_POINTS",
+                            2 * rows * DEFAULT_FINE_FACTOR * basis.m_max)
+        u0, v0 = mode_field(basis, 1, 0.5), mode_field(basis, 1, -0.5)
+        cfg, n_steps = SolverConfig(dt=1e-3), 5 * rows
+        free = run_coupled(self.MODEL, cfg, u0, v0, seed=4, n_steps=n_steps)
+        step = 2 * rows + rows // 2 + 1  # the middle of the third block
+        stop = np.nextafter(free.l1_series[step], np.inf)
+        assert (free.l1_series[1:step] >= stop).all()
+        res = run_coupled(self.MODEL, cfg, u0, v0, seed=4, n_steps=n_steps,
+                          record_every=every, stop_l1_below=stop)
+        assert res.state_a.step == step and res.trip is None
+        for buf in (res.records_a, res.records_b):
+            steps = np.searchsorted(res.times, buf.column("t"))
+            assert steps.tolist() == list(range(0, step + 1, every))
+            assert buf.column("t").tobytes() == res.times[steps].tobytes()
+            assert buf.column("l1_dist").tobytes() == res.l1_series[steps].tobytes()
+            # the cadence the column was written with before record_rows chose it
+            assert buf.column("l1_dist").tobytes() == res.l1_series[::every].tobytes()
 
 
 @np.errstate(over="ignore", invalid="ignore")

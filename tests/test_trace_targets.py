@@ -196,3 +196,42 @@ def test_record_rows_once_per_kept_block(monkeypatch, coupled, every):
     assert calls == [(first, min(rows, n_steps + 1 - first))
                      for first in range(0, n_steps + 1, rows)]
     assert len(records) == n_steps // every + 1
+
+
+@pytest.mark.parametrize("guard", [None, 1e6])
+@pytest.mark.parametrize("coupled", [False, True])
+def test_blow_up_test_once_per_kept_block(monkeypatch, coupled, guard):
+    # a step only advances: the step loop tests each kept block for blow-up
+    # after stepping it, by one dot of the block's new rows with itself,
+    # guarded or not, and with a guard by one H1 mass of the block next to
+    # the one record_rows takes, not by a check per step
+    dots, masses = [], []
+    dot, h1_sq = np.dot, observables.Reducer.h1_sq
+
+    def counted_dot(a, b, *args):
+        dots.append(a.size)
+        return dot(a, b, *args)
+
+    def counted_h1_sq(self, c):
+        masses.append(len(c))
+        return h1_sq(self, c)
+
+    monkeypatch.setattr(np, "dot", counted_dot)
+    monkeypatch.setattr(observables.Reducer, "h1_sq", counted_h1_sq)
+    basis, n_steps = ModeBasis(16), 1000
+    model = ModelSpec(0.1, FluxSpec("burgers"), NoiseSpec(c=0.5, q=3.0))
+    cfg = SolverConfig(dt=1e-3, guard_radius=guard)
+    u0 = mode_field(basis, 1, 1.0)
+    if coupled:
+        res = run_coupled(model, cfg, u0, mode_field(basis, 1, -1.0), seed=1, n_steps=n_steps)
+        steps = res.state_a.step
+    else:
+        res = run_single(model, cfg, u0, seed=1, n_steps=n_steps)
+        steps = res.state.step
+    assert res.trip is None and steps == n_steps
+    rows = observables._RECORD_BLOCK_POINTS // ((1 + coupled) * observables.DEFAULT_FINE_FACTOR
+                                                * 16)
+    # the kept blocks' new rows: a fresh start's first block holds step 0
+    new = [min(rows, n_steps + 1 - first) - (first == 0) for first in range(0, n_steps + 1, rows)]
+    assert dots == [k * (1 + coupled) * 16 for k in new]
+    assert len(masses) == len(new) * (1 + (guard is not None))
