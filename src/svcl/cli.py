@@ -27,7 +27,7 @@ import numpy as np
 
 from .config import FLAGS, ConfigError, RunConfig, parse_config, parse_config_text
 from .ergodic import balance_gap, coupling_passage, ergodic_average, tightness_diagnostic
-from .integrator import (ModelSpec, SolverConfig, State, read_snapshot,
+from .integrator import (ModelSpec, SolverConfig, read_snapshot,
                          run_coupled, run_single, write_snapshot)
 from .noise import trace_h2
 from .observables import FLOAT_FMT, RecordBuffer, Reducer, count_comments, read_csv_columns
@@ -106,9 +106,9 @@ def _write_csv(path: Path, buf, cfg: RunConfig, kept=()) -> None:
     _write_atomic(path, lambda fp: buf.write_csv(fp, cfg.echo(), kept))
 
 
-def _write_snap(path: Path, state: State, model: ModelSpec, solver: SolverConfig,
-                seed: int) -> None:
-    _write_atomic(path, lambda fp: write_snapshot(fp, state, model, solver, seed),
+def _write_snap(path: Path, coeffs, t: float, step: int, model: ModelSpec,
+                solver: SolverConfig, seed: int) -> None:
+    _write_atomic(path, lambda fp: write_snapshot(fp, coeffs, t, step, model, solver, seed),
                   binary=True)
 
 
@@ -165,8 +165,7 @@ def _run_and_write(cfg: RunConfig, snap=None, kept=(), history=None):
         for k in range(-first % cfg.snapshot_every, len(times), cfg.snapshot_every):
             step = first + k
             if step:
-                _write_snap(out / f"snap_{step:09d}.snap",
-                            State(SpectralField(states[k], basis), float(times[k]), step),
+                _write_snap(out / f"snap_{step:09d}.snap", states[k], float(times[k]), step,
                             model, solver, cfg.seed)
 
     start = time.perf_counter()
@@ -176,7 +175,8 @@ def _run_and_write(cfg: RunConfig, snap=None, kept=(), history=None):
                      t0=t0, step0=step0, on_block=snapshots if cfg.snapshot_every else None)
     timing = _timing(start, res.state.step - step0)
     _write_csv(out / "observables.csv", res.records, cfg, kept)
-    _write_snap(out / "final.snap", res.state, model, solver, cfg.seed)
+    end = res.state
+    _write_snap(out / "final.snap", end.u.coeffs, end.t, end.step, model, solver, cfg.seed)
     return out, model, u0, res, timing
 
 
@@ -224,8 +224,8 @@ def _cmd_coupled(cfg: RunConfig) -> int:
     timing = _timing(start, res.state_a.step)
     _write_csv(out / "observables_a.csv", res.records_a, cfg)
     _write_csv(out / "observables_b.csv", res.records_b, cfg)
-    _write_snap(out / "final_a.snap", res.state_a, model, solver, cfg.seed)
-    _write_snap(out / "final_b.snap", res.state_b, model, solver, cfg.seed)
+    for name, end in (("final_a.snap", res.state_a), ("final_b.snap", res.state_b)):
+        _write_snap(out / name, end.u.coeffs, end.t, end.step, model, solver, cfg.seed)
     l1 = res.l1_series
     first, monotone, reached = coupling_passage(res.times, l1, cfg.epsilons)
     results = {"kind": "coupled",

@@ -87,19 +87,15 @@ def flux_value(spec: FluxSpec, v: np.ndarray, out: np.ndarray | None = None) -> 
     """A(v), elementwise; past the float range the value is inf or nan and
     nothing is raised (callers set numpy's error state for the warning).
 
-    out, a float array of v's shape other than v itself, with v a float
-    array, receives the values bit for bit as the allocating call returns
-    them, and is returned; every operand is an array and every output
-    positional.  Burgers squares directly, into out by two multiplies,
-    (0.5 v) v, the 0.5 a 0-d array; every other kind, "zero" with its
-    coefficients [0.0] included, goes through Horner's rule on the spec's
-    0-d terms.
+    One expression serves both calls, every operand an array and every
+    output positional: Burgers squares by two multiplies, (0.5 v) v with
+    a 0-d 0.5, bit for bit 0.5 * v * v on v as a float array; every other
+    kind, "zero" with its coefficients [0.0] included, goes through
+    Horner's rule on the spec's 0-d terms.  out, a float array of v's
+    shape other than v itself, with v a float array, receives the values
+    of the fresh call and is returned.
     """
-    if out is None:
-        v = np.asarray(v, dtype=float)
-        if spec.kind == "burgers":
-            return 0.5 * v * v
-    elif spec.kind == "burgers":
+    if spec.kind == "burgers":
         return np.multiply(np.multiply(_HALF, v, out), v, out)
     return _horner(spec.horner_terms, v, out)
 

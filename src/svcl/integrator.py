@@ -92,9 +92,8 @@ class Stepper:
         self.model = model
         self.cfg = cfg
         self.basis = basis
-        lam = basis.eigenvalues
-        self.decay = np.exp(model.nu * lam * cfg.dt)
-        self.half_decay = np.exp(model.nu * lam * 0.5 * cfg.dt)
+        self.decay = basis.heat_decay(model.nu, cfg.dt)
+        self.half_decay = basis.heat_decay(model.nu, 0.5 * cfg.dt)
         self.dt = cfg.dt
         self._kernels = {}  # block shape -> (nonlinear term, scheme update)
 
@@ -376,9 +375,9 @@ def run_coupled(
     statement), while full records keep the configured cadence: each block
     of kept pairs is reduced to its L1 distances, one batched synthesize,
     bit for bit the values of one step at a time, and to the record rows
-    among its steps, whose l1_dist those distances fill (one more column
-    of the block for `Reducer.record_rows`).  The series grow a block at a
-    time, so nothing is sized by n_steps.
+    among its steps, whose l1_dist those distances fill (`Reducer.record_rows`
+    selects them by the cadence of every other column).  The series grow
+    a block at a time, so nothing is sized by n_steps.
     Stops at the first step whose distance is below stop_l1_below, if
     given, found in the series of each reduced block (the initial distance
     is never tested); the pair-steps of that block past the stop, at most
@@ -395,7 +394,7 @@ def run_coupled(
     bufs = (observables.RecordBuffer(lp_orders, capacity=cap),
             observables.RecordBuffer(lp_orders, capacity=cap))
     stop = -math.inf if stop_l1_below is None else stop_l1_below
-    parts = []  # per reduced block: its times and l1 series
+    times, l1s = [], []  # per reduced block: its times and l1 series
 
     def reduce(first, ts, pairs):
         """The series at the block's steps up to a stop, and the record rows
@@ -404,9 +403,10 @@ def run_coupled(
         skip = int(first == 0)  # the initial distance is never tested
         hit = np.flatnonzero(l1[skip:] < stop)
         keep = skip + int(hit[0]) + 1 if hit.size else None
-        series = np.column_stack([ts[:keep], l1[:keep]])
-        parts.append(series)
-        reducer.record_rows(bufs, cfg.guard_radius, record_every, first, series, pairs[:keep])
+        ts, l1 = ts[:keep].copy(), l1[:keep]  # the driver reuses its times
+        times.append(ts)
+        l1s.append(l1)
+        reducer.record_rows(bufs, cfg.guard_radius, record_every, first, ts, pairs[:keep], l1)
         return keep
 
     def draw(out):
@@ -417,12 +417,12 @@ def run_coupled(
 
     c, t, k, trip = _drive(Stepper(model, cfg, basis), reducer,
                            np.stack([u0.coeffs, v0.coeffs]), draw, n_steps, 0.0, 0, reduce)
-    times, l1 = np.concatenate(parts).T.copy()
     tr = trace_h2(model.noise, basis).l2
     for buf in bufs:
         buf.fill_residuals(residual_window, model.nu, tr, None)
     states = [State(SpectralField(row, basis), t, k) for row in c]
-    return CoupledRunResult(*bufs, *states, times=times, l1_series=l1, trip=trip)
+    return CoupledRunResult(*bufs, *states, times=np.concatenate(times),
+                            l1_series=np.concatenate(l1s), trip=trip)
 
 
 # --- fixed-realization refinement helpers ---------------------------------
@@ -442,7 +442,7 @@ def convolution_grid(path: NoisePath, nu: float, dt: float, n: int) -> np.ndarra
     by n; the transition then adds the decayed w to each."""
     w = np.zeros((n + 1, path.basis.m_max))
     path.ou_increment(nu, dt, out=w[1:])
-    return _transition(np.exp(nu * path.basis.eigenvalues * dt), w)
+    return _transition(path.basis.heat_decay(nu, dt), w)
 
 
 def increments_from_grid(w: np.ndarray, nu: float, basis: ModeBasis,
@@ -453,9 +453,8 @@ def increments_from_grid(w: np.ndarray, nu: float, basis: ModeBasis,
     is generated once and every coarser level consumes exact functionals of
     it, so refinement studies measure pure time-discretization error.
     """
-    decay = np.exp(nu * basis.eigenvalues * dt_coarse)
     end = (len(w) - 1) // stride * stride
-    return w[stride : end + 1 : stride] - decay * w[:end:stride]
+    return w[stride : end + 1 : stride] - basis.heat_decay(nu, dt_coarse) * w[:end:stride]
 
 
 def run_on_increments(model: ModelSpec, cfg: SolverConfig, u0: SpectralField,
@@ -549,32 +548,22 @@ class Snapshot:
     coeffs: np.ndarray
 
 
-def write_snapshot(fp, state: State, model: ModelSpec, cfg: SolverConfig, seed: int):
-    """Binary state dump: pinned header plus little-endian float64 coefficients."""
-    fp.write(
-        struct.pack(
-            _HEADER_FMT,
-            SNAPSHOT_MAGIC,
-            SNAPSHOT_VERSION,
-            state.u.basis.m_max,
-            state.t,
-            model.nu,
-            SCHEMES.index(cfg.scheme),
-            int(seed) & (2**64 - 1),
-            state.step,
-        )
-    )
-    fp.write(state.u.coeffs.astype("<f8").tobytes())
+def write_snapshot(fp, coeffs: np.ndarray, t: float, step: int, model: ModelSpec,
+                   cfg: SolverConfig, seed: int):
+    """Binary dump of the raw record `read_snapshot` returns, a state coeffs (m,)
+    at time t and step `step`: pinned header plus little-endian float64 coefficients."""
+    fp.write(struct.pack(_HEADER_FMT, SNAPSHOT_MAGIC, SNAPSHOT_VERSION, len(coeffs), t,
+                         model.nu, SCHEMES.index(cfg.scheme), int(seed) & (2**64 - 1), step))
+    fp.write(coeffs.astype("<f8").tobytes())
 
 
 def read_snapshot(fp) -> Snapshot:
+    """The raw record of a file that is a header and its m_max coefficients exactly."""
     size = struct.calcsize(_HEADER_FMT)
     raw = fp.read(size)
     if len(raw) != size:
         raise ValueError("snapshot truncated: header incomplete")
-    magic, version, m_max, t, nu, scheme_code, seed, step_n = struct.unpack(
-        _HEADER_FMT, raw
-    )
+    magic, version, m_max, t, nu, scheme_code, seed, step_n = struct.unpack(_HEADER_FMT, raw)
     if magic != SNAPSHOT_MAGIC:
         raise ValueError("not a snapshot file (bad magic)")
     if version != SNAPSHOT_VERSION:
@@ -585,13 +574,8 @@ def read_snapshot(fp) -> Snapshot:
     raw = fp.read()
     if len(raw) < 8 * m_max:
         raise ValueError("snapshot truncated: coefficient block incomplete")
-    coeffs = np.frombuffer(raw, dtype="<f8", count=m_max).astype(float)
-    return Snapshot(
-        m_max=m_max,
-        t=t,
-        nu=nu,
-        scheme=SCHEMES[scheme_code],
-        seed=seed,
-        step=step_n,
-        coeffs=coeffs,
-    )
+    if len(raw) > 8 * m_max:
+        raise ValueError(f"snapshot holds {len(raw) - 8 * m_max} bytes past its "
+                         f"{m_max} coefficients")
+    coeffs = np.frombuffer(raw, dtype="<f8").astype(float)
+    return Snapshot(m_max, t, nu, SCHEMES[scheme_code], seed, step_n, coeffs)

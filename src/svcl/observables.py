@@ -257,9 +257,9 @@ class Reducer:
     of the kept-state block the step loop hands them.  A block of states reduces
     at once, each row bit for bit as its state alone: the norms by row-wise
     vecdot (a matrix product or einsum sums in another order), the Lp and
-    L1 columns by one synthesize on the n_fine grid, through the plan of
-    its use ("lp" or "l1"): a coefficient block, Workspace and power
-    buffer sized for the largest block the use met.
+    L1 columns by one synthesize of the block where it lies, on the n_fine
+    grid, through the fine-grid plan of its shape (`_plan`), kept by shape
+    as `Stepper` keeps its kernels.
     """
 
     def __init__(self, basis: ModeBasis):
@@ -267,7 +267,7 @@ class Reducer:
         self.neg_lam = -lam
         self.lam_sq = lam * lam
         self.n_fine = DEFAULT_FINE_FACTOR * basis.m_max
-        self._fine = {}  # use -> (coefficient block, n_fine Workspace, power buffer)
+        self._plans = {}  # block shape -> (n_fine Workspace, power buffer)
 
     def block_rows(self, c: np.ndarray) -> int:
         """Rows of the kept-state block for c, a state (m,) or a block
@@ -283,50 +283,49 @@ class Reducer:
         """The H1 mass of a state c (m,), or of each row of a block (k, m)."""
         return np.vecdot(c * c, self.neg_lam)
 
-    def _fine_block(self, c: np.ndarray, use: str):
-        """Copy the rows of c (k, m) into the coefficient block of the plan
-        of `use`, zero past row k, and return that plan."""
-        k = len(c)
-        plan = self._fine.get(use)
-        if plan is None or len(plan[0]) < k:
-            work = Workspace(c.shape, self.n_fine)
-            plan = self._fine[use] = (np.empty(c.shape), work, np.empty(work.samples.shape))
-        plan[0][:k], plan[0][k:] = c, 0.0
+    def _plan(self, shape: tuple):
+        """The fine-grid plan of a (k, m) block: its Workspace and power
+        buffer, built by the first block of that shape.  It replaces the
+        plans of longer blocks: a block shorter than one planned is a run's
+        last, or the shorter of the cadence's two selections from a block,
+        so a run's last block adds no plan to its full blocks' ones."""
+        plan = self._plans.get(shape)
+        if plan is None:
+            self._plans = {s: p for s, p in self._plans.items() if s[0] < shape[0]}
+            work = Workspace(shape, self.n_fine)
+            plan = self._plans[shape] = (work, np.empty(work.samples.shape))
         return plan
 
     def l1_distances(self, pairs: np.ndarray) -> np.ndarray:
         """The L1 distance of each kept pair, rows of pairs (k, 2, m)."""
-        block, work, _ = self._fine_block(pairs[:, 0] - pairs[:, 1], "l1")
-        return l1_norms(block, self.n_fine, work)[: len(pairs)]
+        d = pairs[:, 0] - pairs[:, 1]
+        return l1_norms(d, self.n_fine, self._plan(d.shape)[0])
 
-    def record_rows(self, bufs, radius, every, first, times, states):
+    def record_rows(self, bufs, radius, every, first, times, states, l1=None):
         """Append one record row per kept state whose step is a multiple of
         every: states[k], of step first + k at times[k], is a state (m,) or
-        a block (R, m) whose row r goes to bufs[r].  times is the block's
-        time column (k,), or (k, 2) with a coupled pair's L1 distance as its
-        second column, which goes to every buffer's l1_dist, chosen by the
-        same cadence as every other column.  An Lp column is the mean of
-        |u|^p on the n_fine grid, and the guard margin is radius - h1_sq,
-        nan when radius is None."""
-        times, states = times[-first % every :: every], states[-first % every :: every]
-        l1 = np.nan
-        if times.ndim == 2:
-            times, l1 = times.T
+        a block (R, m) whose row r goes to bufs[r], and l1[k], a coupled
+        pair's L1 distance, goes to every buffer's l1_dist (nan when l1 is
+        None); every column is chosen by that one cadence.  An Lp column is
+        the mean of |u|^p on the n_fine grid, and the guard margin is
+        radius - h1_sq, nan when radius is None."""
+        sel = slice(-first % every, None, every)
+        times, states = times[sel], states[sel]
         n, n_bufs = len(times), len(bufs)
         if not n:
             return
         c = states.reshape(n * n_bufs, -1)
         cols = [self.l2_sq(c), self.h1_sq(c), np.vecdot(c * c, self.lam_sq)]
         if bufs[0].lp_orders:
-            block, work, power = self._fine_block(c, "lp")
-            vals = np.abs(synthesize(block, self.n_fine, work), out=work.samples)[: len(c)]
-            power = power[: len(c)]
+            work, power = self._plan(c.shape)
+            vals = np.abs(synthesize(c, self.n_fine, work), out=work.samples)
             # vals**p into one buffer: ** squares for p = 2 and calls np.power
             # otherwise; each mean as np.mean sums and divides
             cols += [np.add.reduce(np.square(vals, out=power) if p == 2
                                    else np.power(vals, p, out=power), axis=-1) / self.n_fine
                      for p in bufs[0].lp_orders]
         cols = [col.reshape(n, n_bufs) for col in cols]
+        l1 = np.nan if l1 is None else l1[sel]
         for i, buf in enumerate(bufs):
             l2, h1, h2, *lp = (col[:, i] for col in cols)
             buf.append(times, l2, h1, h2, lp,

@@ -55,6 +55,10 @@ class ModeBasis:
     def zeros(self) -> np.ndarray:
         return np.zeros(self.m_max)
 
+    def heat_decay(self, nu: float, dt: float) -> np.ndarray:
+        """exp(nu lam dt) per mode: the one heat-semigroup factor over dt."""
+        return np.exp(nu * self.eigenvalues * dt)
+
     def __repr__(self):
         return f"ModeBasis(m_max={self.m_max})"
 

@@ -724,6 +724,20 @@ class TestResume:
             assert code == EXIT_IO, f"snapshot cut at byte {n}"
         assert "truncated" in capsys.readouterr().err
 
+    def test_snapshot_with_bytes_past_its_coefficients_exits_4(self, ini, tmp_path, capsys):
+        # a valid m=8 snapshot with bytes appended is not read as its first
+        # 8 coefficients: resume reports it unusable and touches no artifact
+        entry(["run", "--config", str(ini)])
+        out = tmp_path / "out"
+        raw = (out / "final.snap").read_bytes()
+        before = {p.name: p.read_bytes() for p in out.iterdir()}
+        long = tmp_path / "long.snap"
+        for extra in (b"\x00", bytes(24)):
+            long.write_bytes(raw + extra)
+            assert entry(["resume", "--config", str(ini), "--resume", str(long)]) == EXIT_IO
+            assert "unusable snapshot" in capsys.readouterr().err
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
     def test_snapshot_claiming_more_modes_than_it_holds_exits_4(self, ini, tmp_path, capsys):
         # the header's m_max (bytes 8..12) says 2^32 - 1 coefficients, 32 GiB,
         # while the file holds 8: a truncated snapshot, not a MemoryError

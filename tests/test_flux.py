@@ -61,6 +61,24 @@ class TestFluxSpec:
         v = np.array([-2.0, 0.0, 3.0])
         assert np.allclose(flux_value(f, v), [2.0, 0.0, 4.5])
 
+    @pytest.mark.parametrize("v", [
+        np.array([-3, 0, 7, 2**40 + 1, -(2**53) - 3]),
+        [-2.5, 0, 3, 1e200, -0.0, 2**53 + 1],
+        np.array(-1.25),
+        np.array(3),
+        7,
+    ], ids=["int_array", "list", "0d_float", "0d_int", "python_int"])
+    def test_fresh_burgers_reads_any_numbers_as_floats(self, v):
+        # the fresh call is the out= expression, (0.5 v) v with a 0-d 0.5:
+        # ints, lists and 0-d input give the type and bits of 0.5 * v * v
+        # on v as a float array
+        f = np.asarray(v, dtype=float)
+        with np.errstate(over="ignore"):
+            want = 0.5 * f * f
+            got = flux_value(FluxSpec("burgers"), v)
+        assert type(got) is type(want) and np.asarray(got).dtype == float
+        assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+
     def test_zero_flux(self):
         f = FluxSpec("zero")
         v = np.linspace(-5, 5, 11)

@@ -19,7 +19,6 @@ from svcl.integrator import (
     SCHEMES,
     ModelSpec,
     SolverConfig,
-    State,
     Stepper,
     convolution_grid,
     increments_from_grid,
@@ -653,9 +652,9 @@ class TestTwoRowBlocks:
         reduced = []
         record_rows = Reducer.record_rows
 
-        def counted(reducer, bufs, radius, every, first, times, states):
+        def counted(reducer, bufs, radius, every, first, times, states, l1=None):
             reduced.append((first, len(times)))
-            return record_rows(reducer, bufs, radius, every, first, times, states)
+            return record_rows(reducer, bufs, radius, every, first, times, states, l1)
 
         monkeypatch.setattr(Reducer, "record_rows", counted)
         if run == "coupled":
@@ -734,9 +733,9 @@ class TestBlockHook:
         events = []
         record_rows = Reducer.record_rows
 
-        def recorded(reducer, bufs, r, rec_every, first, ts, block):
+        def recorded(reducer, bufs, r, rec_every, first, ts, block, l1=None):
             events.append(("records", first))
-            return record_rows(reducer, bufs, r, rec_every, first, ts, block)
+            return record_rows(reducer, bufs, r, rec_every, first, ts, block, l1)
 
         def on_block(first, ts, block):
             assert 0 < len(ts) == len(block) <= self.ROWS
@@ -791,8 +790,8 @@ class TestBlockHook:
         u0, cfg = mode_field(basis, 1, 1.0), SolverConfig(dt=self.DT)
         for p, k in zip(snaps, steps):
             buf = io.BytesIO()
-            write_snapshot(buf, run_single(self.MODEL, cfg, u0, self.SEED, k).state,
-                           self.MODEL, cfg, self.SEED)
+            end = run_single(self.MODEL, cfg, u0, self.SEED, k).state
+            write_snapshot(buf, end.u.coeffs, end.t, end.step, self.MODEL, cfg, self.SEED)
             assert p.read_bytes() == buf.getvalue(), p.name
 
 
@@ -1771,7 +1770,7 @@ class TestSnapshotResume:
         res = run_single(model, cfg, u0, seed=5, n_steps=40)
         path = tmp_path / "state.snap"
         with open(path, "wb") as fp:
-            write_snapshot(fp, res.state, model, cfg, 5)
+            write_snapshot(fp, res.state.u.coeffs, res.state.t, res.state.step, model, cfg, 5)
         with open(path, "rb") as fp:
             snap = read_snapshot(fp)
         assert snap.m_max == 16 and snap.scheme == "exp_euler"
@@ -1782,7 +1781,7 @@ class TestSnapshotResume:
     def test_corrupt_inputs_rejected(self):
         basis, model, cfg, u0 = self._setup()
         buf = io.BytesIO()
-        write_snapshot(buf, State(u0), model, cfg, 1)
+        write_snapshot(buf, u0.coeffs, 0.0, 0, model, cfg, 1)
         raw = buf.getvalue()
         with pytest.raises(ValueError, match="magic"):
             read_snapshot(io.BytesIO(b"XXXX" + raw[4:]))
@@ -1791,6 +1790,19 @@ class TestSnapshotResume:
         with pytest.raises(ValueError, match="truncated"):
             read_snapshot(io.BytesIO(raw[:-8]))
 
+    def test_bytes_past_the_coefficients_rejected(self):
+        # a snapshot is its header and the header's m_max coefficients: a
+        # valid m=8 one with bytes appended is refused, not read as its head
+        _, model, cfg, _ = self._setup()
+        c = random_field(ModeBasis(8), 3).coeffs
+        buf = io.BytesIO()
+        write_snapshot(buf, c, 0.25, 250, model, cfg, 1)
+        raw = buf.getvalue()
+        assert read_snapshot(io.BytesIO(raw)).coeffs.tobytes() == c.tobytes()
+        for extra in (b"\x00", bytes(24)):
+            with pytest.raises(ValueError, match="past its 8 coefficients"):
+                read_snapshot(io.BytesIO(raw + extra))
+
     @pytest.mark.parametrize("m_max", [2**24, 2**32 - 1])
     def test_header_m_max_never_sizes_a_read(self, m_max):
         # a header claiming more coefficients than the file holds (bytes
@@ -1798,7 +1810,7 @@ class TestSnapshotResume:
         # the file for more than it holds
         basis, model, cfg, u0 = self._setup()
         buf = io.BytesIO()
-        write_snapshot(buf, State(u0), model, cfg, 1)
+        write_snapshot(buf, u0.coeffs, 0.0, 0, model, cfg, 1)
         raw = bytearray(buf.getvalue())
         raw[8:12] = m_max.to_bytes(4, "little")
 

@@ -18,6 +18,7 @@ from svcl.noise import NoiseSpec, trace_h2
 from svcl.observables import (
     FLOAT_FMT,
     RecordBuffer,
+    Reducer,
     balance_residuals,
     l1_distance,
     l1_norms,
@@ -463,6 +464,73 @@ class TestL1Distance:
         b = random_field(ModeBasis(16), 1)
         with pytest.raises(ValueError, match="band"):
             l1_distance(a, b)
+
+
+class TestReducerBlocks:
+    """A block of kept states reduces, where it lies, to the record rows and
+    L1 distances of its states reduced one at a time, bit for bit, whatever
+    the block's length and the cadence's stride through it, on one Reducer
+    whose fine-grid plans serve every block shape it meets."""
+
+    LP = (2, 3, 4, 6)
+    # shorter blocks replace the plans of longer ones, which are built again
+    BLOCKS = (256, 17, 1, 17, 256)
+
+    @staticmethod
+    def table(buf):
+        return np.column_stack([buf.column(k) for k in buf.column_names()])
+
+    def blocks(self, seed, pair):
+        rng = np.random.default_rng(seed)
+        for k in self.BLOCKS:
+            scale = 10.0 ** rng.uniform(-3, 1, (k, 1, 1))
+            states = rng.standard_normal((k, 2, 16)) * scale
+            yield 0.5 + 1e-3 * np.arange(k), states if pair else states[:, 0]
+
+    @pytest.mark.parametrize("every, first", [(1, 0), (3, 0), (3, 5), (7, 2)])
+    @pytest.mark.parametrize("radius", [None, 5.0])
+    def test_rows_equal_their_own_calls(self, every, first, radius):
+        basis = ModeBasis(16)
+        reducer, n_fine = Reducer(basis), 8 * basis.m_max
+        for times, pairs in self.blocks(every + first, pair=True):
+            l1 = reducer.l1_distances(pairs)
+            bufs = (RecordBuffer(self.LP), RecordBuffer(self.LP))
+            reducer.record_rows(bufs, radius, every, first, times, pairs, l1)
+            kept = [i for i in range(len(times)) if (first + i) % every == 0]
+            for i in range(len(times)):  # every distance, recorded or not
+                own = l1_norms(pairs[i, 0] - pairs[i, 1], n_fine)
+                assert np.float64(l1[i]).tobytes() == own.tobytes()
+            for r, buf in enumerate(bufs):
+                got = self.table(buf)
+                assert len(got) == len(kept)
+                for j, i in enumerate(kept):
+                    one = RecordBuffer(self.LP)
+                    Reducer(basis).record_rows((one,), radius, 1, 0, times[i : i + 1],
+                                               pairs[i : i + 1, r], l1[i : i + 1])
+                    assert got[j].tobytes() == self.table(one)[0].tobytes()
+
+    @pytest.mark.parametrize("every, first", [(1, 0), (3, 5), (7, 2)])
+    def test_single_state_rows_equal_their_own_calls(self, every, first):
+        basis = ModeBasis(16)
+        reducer = Reducer(basis)
+        for times, states in self.blocks(every * first + 1, pair=False):
+            buf = RecordBuffer(self.LP)
+            reducer.record_rows((buf,), None, every, first, times, states)
+            kept = [i for i in range(len(times)) if (first + i) % every == 0]
+            got = self.table(buf)
+            assert len(got) == len(kept) and np.isnan(buf.column("l1_dist")).all()
+            for j, i in enumerate(kept):
+                one = RecordBuffer(self.LP)
+                Reducer(basis).record_rows((one,), None, 1, 0, times[i : i + 1],
+                                           states[i : i + 1])
+                assert got[j].tobytes() == self.table(one)[0].tobytes()
+
+    def test_a_shorter_block_replaces_longer_plans(self):
+        # a run's last, partial block adds no plan beside its full blocks'
+        reducer = Reducer(ModeBasis(16))
+        for k in (256, 256, 17):
+            reducer.l1_distances(np.zeros((k, 2, 16)))
+        assert list(reducer._plans) == [(17, 16)]
 
 
 class TestMomentBoundCheck:

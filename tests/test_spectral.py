@@ -467,6 +467,42 @@ class TestHeatSemigroup:
             for s in (0.0, 0.5, 1.0, 2.0):
                 assert hs_norm(basis, g, s) <= hs_norm(basis, f, s) * (1 + 1e-14)
 
+    # every m, nu and dt the suites step or grid with: each stepper's dt,
+    # its half and the fine grids of the refinement checks
+    DECAY_MS = (2, 4, 6, 8, 16, 32, 64, 256, 4096)
+    DECAY_NUS = (0.01, 0.02, 0.05, 0.08, 0.1, 0.2, 0.3, 0.5, 0.7, 1.0, 2.0)
+    DECAY_DTS = (
+        5e-06, 1e-05, 1.4240179342178995e-05, 1.5e-05, 2.848035868435799e-05, 3e-05,
+        4.055654153948436e-05, 5e-05, 6.962383250419169e-05, 7.8125e-05,
+        8.111308307896872e-05, 0.0001, 0.0001155064850041579, 0.000125,
+        0.00013924766500838338, 0.00015625, 0.0002, 0.0002310129700083158, 0.00025,
+        0.0003125, 0.00032316520350478246, 0.0003289666123287841, 0.0005, 0.000625,
+        0.0006463304070095649, 0.0006579332246575682, 0.0009369087114301915, 0.001,
+        0.00125, 0.0015000000000000005, 0.001873817422860383, 0.002, 0.0025,
+        0.0026683496156031535, 0.003, 0.003000000000000001, 0.004, 0.005,
+        0.005336699231206307, 0.006962383250419169, 0.007599555414764665, 0.01,
+        0.013924766500838338, 0.015, 0.01519911082952933, 0.02, 0.021643806405415286,
+        0.03, 0.032316520350478245, 0.035, 0.04, 0.04328761281083057,
+        0.06164233697210329, 0.06463304070095649, 0.07, 0.1, 0.12328467394420659, 0.15,
+        0.17555958671075636, 0.3, 0.3511191734215127, 0.5, 1.0)
+
+    @pytest.mark.parametrize("scheme", ["exp_euler", "exp_midpoint_flux"])
+    @pytest.mark.parametrize("m", DECAY_MS)
+    def test_decay_bits_equal_the_spelled_out_factors(self, m, scheme):
+        # heat_decay, the one decay factor, at dt and dt/2 against the
+        # expressions the stepper, convolution_grid and increments_from_grid
+        # each spelled out, exp(nu lam dt) and exp(nu lam 0.5 dt)
+        basis = ModeBasis(m)
+        lam = basis.eigenvalues
+        for nu in self.DECAY_NUS:
+            model = ModelSpec(nu, FluxSpec("burgers"), NoiseSpec(c=0.5, q=3.0))
+            for dt in self.DECAY_DTS:
+                stepper = Stepper(model, SolverConfig(dt=dt, scheme=scheme), basis)
+                full, half = np.exp(nu * lam * dt), np.exp(nu * lam * 0.5 * dt)
+                assert basis.heat_decay(nu, dt).tobytes() == full.tobytes()
+                assert stepper.decay.tobytes() == full.tobytes()
+                assert stepper.half_decay.tobytes() == half.tobytes()
+
     def test_negative_time_rejected(self):
         # a semigroup step needs dt > 0: the solver config refuses the rest
         for dt in (-0.1, 0.0):

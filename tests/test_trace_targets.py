@@ -176,9 +176,9 @@ def test_record_rows_once_per_kept_block(monkeypatch, coupled, every):
     calls = []
     original = observables.Reducer.record_rows
 
-    def counted(self, bufs, radius, rec_every, first, times, states):
+    def counted(self, bufs, radius, rec_every, first, times, states, l1=None):
         calls.append((first, len(times)))
-        return original(self, bufs, radius, rec_every, first, times, states)
+        return original(self, bufs, radius, rec_every, first, times, states, l1)
 
     monkeypatch.setattr(observables.Reducer, "record_rows", counted)
     basis, n_steps = ModeBasis(16), 1000
