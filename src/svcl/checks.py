@@ -171,7 +171,7 @@ def _entry_time(seeds, n_steps, radius_factor):
         run_coupled(model, SolverConfig(dt=1e-3), u0, v0, seed=seed, n_steps=n_steps),
         radius) for seed in range(seeds)])
     mean_tau, finite = float(np.mean(taus)), bool(np.all(np.isfinite(taus)))
-    bound = entry_time_bound(u0, v0, model, basis, radius)
+    bound = entry_time_bound(u0, v0, model, radius)
     return finite and mean_tau <= bound, {"mean_tau": mean_tau, "bound": bound,
                                           "all_finite": finite}
 

@@ -18,7 +18,7 @@ import numpy as np
 from .integrator import CoupledRunResult, ModelSpec, SolverConfig, run_coupled
 from .noise import trace_h2
 from .observables import Reducer
-from .spectral import ModeBasis, SpectralField
+from .spectral import SpectralField
 
 MIN_BATCHES = 8
 DEFAULT_BATCHES = 16
@@ -174,13 +174,14 @@ def dissipation_entry_time(run: CoupledRunResult, R: float) -> float:
 
 
 def entry_time_bound(u0: SpectralField, v0: SpectralField, model: ModelSpec,
-                     basis: ModeBasis, R: float) -> float:
-    """E[tau_R] <= (||u0||^2 + ||v0||^2) / (2 (nu R - L2 trace)).
+                     R: float) -> float:
+    """E[tau_R] <= (||u0||^2 + ||v0||^2) / (2 (nu R - L2 trace)), the trace
+    on the fields' basis.
 
     Valid once nu R exceeds the L2 noise trace; below that the expected-entry
     argument has no margin and the bound is undefined.
     """
-    tr = trace_h2(model.noise, basis).l2
+    tr = trace_h2(model.noise, u0.basis).l2
     margin = model.nu * R - tr
     if margin <= 0:
         raise ValueError("need nu * R above the L2 noise trace for a finite bound")

@@ -187,28 +187,6 @@ class Stepper:
         return kernel[1](c, xi, out)
 
 
-def _find_trip(stepper: Stepper, reducer: observables.Reducer, c, out, t):
-    """The blow-up contract of the step from c (at time t) to out, row by
-    row: the first row in order that fails trips.  A row whose output is
-    not finite trips as "flux_overflow" at t with its pre-step H1 mass,
-    then a row reaching the guard radius trips as "guard" at t + dt; each
-    mass is the reducer's.  Returns the trip or None.
-
-    The flux never raises, so this is the one blow-up contract.  `_drive`
-    calls it once per run at most, on the first step of a kept block that
-    its block scan finds failing, from the state and time before that step.
-    """
-    r = stepper.cfg.guard_radius
-    for row, new in zip(np.atleast_2d(c), np.atleast_2d(out)):
-        if not np.isfinite(new).all():
-            return GuardTrip(t, float(reducer.h1_sq(row)), "flux_overflow")
-        if r is not None:
-            h1 = float(reducer.h1_sq(new))
-            if h1 >= r:
-                return GuardTrip(t + stepper.dt, h1)
-    return None
-
-
 # --- run drivers ----------------------------------------------------------
 
 
@@ -226,30 +204,32 @@ def _drive(stepper: Stepper, reducer: observables.Reducer, c, draw, n_steps, t, 
     """The one step loop: advance c, a state (m,) or a same-noise block
     (R, m), by up to n_steps increments, from time t and step step0.
 
-    Every step's state, and a fresh start's, is kept in one block of
-    reducer.block_rows(c) rows, and reduce(first, times, states), first
-    the step of row 0, consumes the kept rows as soon as the block fills
-    and once when the run ends, inside this errstate; the rows are reused
-    after the call returns.  reduce stops the run by returning how many
-    leading rows it keeps: the run returns the last, step first + keep - 1,
-    with no trip, and drops the steps past it (at most rows - 1), a trip
-    among them included.
+    A fresh start (step0 0) reduces its state alone, as reduce(0, [t],
+    c[None]), whose return is ignored.  Then each block of
+    reducer.block_rows(c) kept rows holds the next min(rows, steps left)
+    steps from row 0, and reduce(first, times, states), first the step of
+    row 0, consumes them as soon as they are stepped, inside this
+    errstate; the rows are reused after it returns.  reduce stops the run
+    by returning how many leading rows it keeps: the run ends at the last,
+    with no trip, and the block's later steps, a trip among them, go.
 
-    A step does nothing but advance(c, xi, out): all else is done once per
-    kept block.  draw(out) fills out, the block's rows of increments
-    (k, *c.shape), with the next k steps' increments in order, each at the
-    state's shape, so the scheme update adds arrays of one shape.  Each
-    step is written in place into the next kept row, so a step's output
-    never shares memory with its input, whichever block wraps (hence at
-    least two rows).  The block's times are one np.add.accumulate of
-    [t + dt, dt, dt, ...], bitwise repeated t += dt.  The blow-up test is
-    one dot of the block's new rows with itself; only when it is not
-    finite, or a guard is set, are the rows scanned (finiteness, and the
-    H1 mass against the radius) for the first failing step, whose trip
-    `_find_trip` gives from the state before it.  The steps before the
-    trip are reduced, so a stop among them still wins, and the block's
-    steps past it (at most rows - 1) are computed and discarded.  Returns
-    (c, t, step, trip), c a fresh array.
+    A step does nothing but advance(c, xi, out), written in place into the
+    next kept row, so its output never shares memory with its input (hence
+    at least two rows); all else is done once per block.  draw(out) fills
+    out (k, *c.shape) with the next k steps' increments, each at the
+    state's shape, and the times are one np.add.accumulate of
+    [t + dt, dt, ...], bitwise repeated t += dt.
+
+    The blow-up test is one dot of the block's new rows with themselves.
+    When it is not finite, or a guard is set, the block is scanned as
+    (k, R, m), and the first (step, row) in that order that is not finite
+    or whose H1 mass reaches the radius trips: as "flux_overflow" at the
+    step's start time with the row's H1 mass before the step (for row 0,
+    from the block's copy of its start), else as "guard" at the step's
+    time with its mass.  The flux never raises, so this is the one blow-up
+    contract.  The steps before the trip are reduced, so a stop among them
+    still wins, and the steps past it (at most rows - 1) are discarded.
+    Returns (c, t, step, trip), c a fresh array.
     """
     rows, radius = reducer.block_rows(c), stepper.cfg.guard_radius
     kept, times = np.empty((rows, *c.shape)), np.empty(rows)
@@ -257,42 +237,43 @@ def _drive(stepper: Stepper, reducer: observables.Reducer, c, draw, n_steps, t, 
     # row views made once: a list slice is cheaper than ndarray indexing
     kept_rows, xi_rows = list(kept), list(xis)
     clock = np.full(rows, stepper.dt)
-    k0, first = 0, step0 + 1
     if step0 == 0:
-        kept[0], times[0], k0, first = c, t, 1, 0
-    advance, left, trip = stepper.advance, n_steps, None
-    while True:
-        k1 = min(rows, k0 + left)
-        left -= k1 - k0
-        # the state before row k0: a wrapped block overwrites the row c views
+        kept[0], times[0] = c, t
+        reduce(0, times[:1], kept[:1])
+    advance, first, left, trip = stepper.advance, step0 + 1, n_steps, None
+    while left:
+        k = min(rows, left)
+        left -= k
+        # the state before row 0: a wrapped block overwrites the row c views
         start = c.copy()
-        if k1 > k0:
-            draw(xis[k0:k1])
-            for out, xi in zip(kept_rows[k0:k1], xi_rows[k0:k1]):
-                advance(c, xi, out)
-                c = out
-            clock[0] = t + stepper.dt
-            np.add.accumulate(clock[: k1 - k0], out=times[k0:k1])
-            block = kept[k0:k1]
-            new = block.reshape(-1)
-            if not math.isfinite(np.dot(new, new)) or radius is not None:
-                fail = ~np.isfinite(block).all(axis=-1)
-                if radius is not None:
-                    fail |= reducer.h1_sq(block) >= radius
-                fail = fail.reshape(k1 - k0, -1).any(axis=1)
-                if fail.any():
-                    k1 = k0 + int(fail.argmax())
-                    trip = _find_trip(stepper, reducer, kept[k1 - 1] if k1 else start,
-                                      kept[k1], float(times[k1 - 1]) if k1 else t)
-            if k1:
-                t = float(times[k1 - 1])
-        if k1:
-            keep = reduce(first, times[:k1], kept[:k1])
+        draw(xis[:k])
+        for out, xi in zip(kept_rows[:k], xi_rows[:k]):
+            advance(c, xi, out)
+            c = out
+        clock[0] = t + stepper.dt
+        np.add.accumulate(clock[:k], out=times[:k])
+        new = kept[:k].reshape(-1)
+        if not math.isfinite(np.dot(new, new)) or radius is not None:
+            block = kept[:k].reshape(k, -1, c.shape[-1])
+            bad = ~np.isfinite(block).all(axis=-1)
+            h1 = reducer.h1_sq(block)
+            fail = bad if radius is None else bad | (h1 >= radius)
+            if fail.any():
+                i, r = divmod(int(fail.argmax()), fail.shape[1])
+                if bad[i, r]:
+                    before = (kept[i - 1] if i else start).reshape(-1, c.shape[-1])[r]
+                    trip = GuardTrip(float(times[i - 1]) if i else t,
+                                     float(reducer.h1_sq(before)), "flux_overflow")
+                else:
+                    trip = GuardTrip(float(times[i]), float(h1[i, r]))
+                k, left, c = i, 0, start
+        if k:
+            keep = reduce(first, times[:k], kept[:k])
             if keep is not None:
-                return kept[keep - 1].copy(), float(times[keep - 1]), first + keep - 1, None
-        if trip is not None or not left:
-            return (kept[k1 - 1].copy() if k1 else start), t, first + k1 - 1, trip
-        first, k0 = first + rows, 0
+                k, left, trip = keep, 0, None
+            c, t = kept[k - 1], float(times[k - 1])
+        first += k
+    return c.copy(), t, first - 1, trip
 
 
 def run_single(
@@ -379,9 +360,10 @@ def run_coupled(
     selects them by the cadence of every other column).  The series grow
     a block at a time, so nothing is sized by n_steps.
     Stops at the first step whose distance is below stop_l1_below, if
-    given, found in the series of each reduced block (the initial distance
-    is never tested); the pair-steps of that block past the stop, at most
-    one block of them, are computed and discarded.
+    given, found in the series of each reduced block (the initial pair is
+    reduced alone, and its distance never stops the run); the pair-steps
+    of that block past the stop, at most one block of them, are computed
+    and discarded.
     """
     if stop_l1_below is not None and not stop_l1_below > 0:
         raise ValueError("stop_l1_below must be positive")
@@ -400,9 +382,8 @@ def run_coupled(
         """The series at the block's steps up to a stop, and the record rows
         among them; returns the rows kept if the block holds a stop."""
         l1 = reducer.l1_distances(pairs)
-        skip = int(first == 0)  # the initial distance is never tested
-        hit = np.flatnonzero(l1[skip:] < stop)
-        keep = skip + int(hit[0]) + 1 if hit.size else None
+        hit = np.flatnonzero(l1 < stop)
+        keep = int(hit[0]) + 1 if hit.size else None
         ts, l1 = ts[:keep].copy(), l1[:keep]  # the driver reuses its times
         times.append(ts)
         l1s.append(l1)
@@ -558,7 +539,8 @@ def write_snapshot(fp, coeffs: np.ndarray, t: float, step: int, model: ModelSpec
 
 
 def read_snapshot(fp) -> Snapshot:
-    """The raw record of a file that is a header and its m_max coefficients exactly."""
+    """The raw record of a file that is a header and its m_max coefficients
+    exactly, m_max a mode count a `ModeBasis` can hold."""
     size = struct.calcsize(_HEADER_FMT)
     raw = fp.read(size)
     if len(raw) != size:
@@ -577,5 +559,7 @@ def read_snapshot(fp) -> Snapshot:
     if len(raw) > 8 * m_max:
         raise ValueError(f"snapshot holds {len(raw) - 8 * m_max} bytes past its "
                          f"{m_max} coefficients")
+    if m_max < 2 or m_max % 2:
+        raise ValueError(f"snapshot m_max {m_max} is not an even mode count of at least 2")
     coeffs = np.frombuffer(raw, dtype="<f8").astype(float)
     return Snapshot(m_max, t, nu, SCHEMES[scheme_code], seed, step_n, coeffs)

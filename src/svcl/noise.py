@@ -136,7 +136,7 @@ class NoisePath:
         """
         if self._ou_key != (nu, dt):
             lam = self.basis.eigenvalues
-            var = self.sigma**2 * (1.0 - np.exp(2.0 * nu * lam * dt)) / (-2.0 * nu * lam)
+            var = self.sigma**2 * (1.0 - self.basis.heat_decay(nu, 2.0 * dt)) / (-2.0 * nu * lam)
             self._ou_key, self._ou_std = (nu, dt), np.sqrt(var)
         if out is None:
             out = np.empty(self.basis.m_max)

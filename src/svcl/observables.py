@@ -288,7 +288,8 @@ class Reducer:
         buffer, built by the first block of that shape.  It replaces the
         plans of longer blocks: a block shorter than one planned is a run's
         last, or the shorter of the cadence's two selections from a block,
-        so a run's last block adds no plan to its full blocks' ones."""
+        so a run's last block adds no plan to its full blocks' ones (and a
+        fresh start's one-row block, reduced first, keeps its own)."""
         plan = self._plans.get(shape)
         if plan is None:
             self._plans = {s: p for s, p in self._plans.items() if s[0] < shape[0]}

@@ -738,6 +738,21 @@ class TestResume:
             assert "unusable snapshot" in capsys.readouterr().err
         assert {p.name: p.read_bytes() for p in out.iterdir()} == before
 
+    def test_snapshot_of_a_mode_count_no_basis_holds_exits_4(self, ini, tmp_path, capsys):
+        # a valid m=8 snapshot whose header m_max (bytes 8..12) is patched
+        # to 7, and then to 0, and cut to that many coefficients: unusable,
+        # not a config mismatch on modes, and no artifact moves
+        entry(["run", "--config", str(ini)])
+        out = tmp_path / "out"
+        raw = (out / "final.snap").read_bytes()
+        before = {p.name: p.read_bytes() for p in out.iterdir()}
+        bad = tmp_path / "bad.snap"
+        for m_max in (7, 0):
+            bad.write_bytes(raw[:8] + m_max.to_bytes(4, "little") + raw[12 : 48 + 8 * m_max])
+            assert entry(["resume", "--config", str(ini), "--resume", str(bad)]) == EXIT_IO
+            assert "unusable snapshot" in capsys.readouterr().err
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
     def test_snapshot_claiming_more_modes_than_it_holds_exits_4(self, ini, tmp_path, capsys):
         # the header's m_max (bytes 8..12) says 2^32 - 1 coefficients, 32 GiB,
         # while the file holds 8: a truncated snapshot, not a MemoryError

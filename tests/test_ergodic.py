@@ -205,7 +205,7 @@ class TestDissipationEntry:
         v0 = mode_field(BASIS, 1, -2.0)
         tr = trace_h2(model.noise, BASIS).l2
         R = 4.0 * tr / nu
-        bound = entry_time_bound(u0, v0, model, BASIS, R)
+        bound = entry_time_bound(u0, v0, model, R)
         taus = []
         for seed in range(10):
             run = run_coupled(model, SolverConfig(dt=1e-3), u0, v0, seed=seed,
@@ -219,7 +219,7 @@ class TestDissipationEntry:
         tr = trace_h2(SPEC, BASIS).l2
         with pytest.raises(ValueError, match="trace"):
             entry_time_bound(mode_field(BASIS, 1, 1.0), mode_field(BASIS, 1, -1.0),
-                             model, BASIS, R=0.5 * tr / 0.1)
+                             model, R=0.5 * tr / 0.1)
 
     def test_radius_validated(self):
         model = ModelSpec(0.1, FluxSpec("zero"), NoiseSpec(sigma=np.zeros(8)))

@@ -212,6 +212,24 @@ class TestSchemes:
         np.testing.assert_allclose(traj, np.array(states), atol=1e-13)
 
 
+def trip_reference(stepper, c, out, t):
+    """The blow-up contract of one step from c (at time t) to out, a state
+    or a block, checked row by row as a per-step loop would: the first row
+    in order that fails trips.  A row whose output is not finite trips as
+    "flux_overflow" at t with its H1 mass before the step, then a row
+    reaching the guard radius trips as "guard" at t + dt, each mass the
+    Reducer's of that row alone.  Returns the trip or None."""
+    reducer, radius = Reducer(stepper.basis), stepper.cfg.guard_radius
+    for row, new in zip(np.atleast_2d(c), np.atleast_2d(out)):
+        if not np.isfinite(new).all():
+            return integrator.GuardTrip(t, float(reducer.h1_sq(row)), "flux_overflow")
+        if radius is not None:
+            h1 = float(reducer.h1_sq(new))
+            if h1 >= radius:
+                return integrator.GuardTrip(t + stepper.dt, h1)
+    return None
+
+
 def _trip_bits(trip):
     """A trip as comparable bits: a nan H1 mass equals itself."""
     return trip and (trip.t, np.float64(trip.h1_sq).tobytes(), trip.reason)
@@ -266,10 +284,15 @@ class TestBlock:
         r = None if guard_row is None else h1_sq(basis, out[guard_row])
         cfg = SolverConfig(dt=1e-3, scheme=scheme,
                            guard_radius=r if r is not None and 0 < r < np.inf else None)
-        checked, reducer = Stepper(model, cfg, basis), Reducer(basis)
-        trip = integrator._find_trip(checked, reducer, block, checked.advance(block, xi), 1e-3)
-        alone = [integrator._find_trip(checked, reducer, row, checked.advance(row, xi), 1e-3)
-                 for row in block]
+        checked = Stepper(model, cfg, basis)
+
+        def draw(out):
+            out[:] = xi
+
+        # the step loop's trip of one step of the block, from step 1 at t = 1e-3
+        trip = integrator._drive(checked, Reducer(basis), block, draw, 1, 1e-3, 1,
+                                 lambda *_: None)[3]
+        alone = [trip_reference(checked, row, checked.advance(row, xi), 1e-3) for row in block]
         assert _trip_bits(trip) == _trip_bits(next((a for a in alone if a is not None), None))
 
 
@@ -639,7 +662,7 @@ class TestTwoRowBlocks:
 
     @pytest.mark.parametrize("scheme", SCHEMES)
     @pytest.mark.parametrize("run", ["single_every_1", "single_every_3", "coupled"])
-    def test_runs_equal_reference_loop(self, monkeypatch, scheme, run):
+    def test_runs_equal_reference_loop(self, monkeypatch, kept_blocks, scheme, run):
         lean, basis = TestLeanStep(), ModeBasis(8)
         cfg = SolverConfig(dt=lean.DT, scheme=scheme)
         ref = Stepper(self.MODEL, cfg, basis)
@@ -684,8 +707,8 @@ class TestTwoRowBlocks:
                                         np.array(xis))
             assert hist.tobytes() == np.array(states).tobytes()
         # every step is kept, whatever the record cadence: one call per
-        # block of two steps
-        assert reduced == [(first, 2) for first in range(0, self.N_STEPS + 1, 2)]
+        # block of two steps, after the fresh start's own
+        assert reduced == kept_blocks(self.N_STEPS, 2)
 
 
 class TestBlockHook:
@@ -725,10 +748,10 @@ class TestBlockHook:
         if trip:
             # the first step past the second block whose H1 mass exceeds
             # every earlier one and that is not the first row of its block
-            # (row 0 is step 0 of a fresh start, else step step0 + 1)
+            # (row 0 is step step0 + 1 of a block of steps)
             h1 = [h1_sq(basis, c) for c in states]
-            s = next(s for s in range(2 * self.ROWS, self.N_STEPS)
-                     if h1[s] > max(h1[1:s]) and (s - (step0 > 0)) % self.ROWS)
+            s = next(s for s in range(2 * self.ROWS + 1, self.N_STEPS)
+                     if h1[s] > max(h1[1:s]) and (s - 1) % self.ROWS)
             radius, last = h1[s], s - 1
         events = []
         record_rows = Reducer.record_rows
@@ -1202,7 +1225,7 @@ class TestCoupledSeries:
     @classmethod
     def reference(cls, model, cfg, u0, v0, seed, n_steps, stop):
         """run_coupled one step at a time on Stepper.advance and the blow-up
-        contract of _find_trip: an L1 distance and two H1 masses per step,
+        contract of trip_reference: an L1 distance and two H1 masses per step,
         and a record row per row at every RECORD_EVERY-th step."""
         basis = u0.basis
         stepper = Stepper(model, cfg, basis)
@@ -1221,7 +1244,7 @@ class TestCoupledSeries:
         track(c, t)  # the initial distance is never tested against stop
         for _ in range(n_steps):
             out = stepper.advance(c, path.ou_increment(model.nu, cfg.dt))
-            trip = integrator._find_trip(stepper, Reducer(basis), c, out, t)
+            trip = trip_reference(stepper, c, out, t)
             if trip is not None:
                 break
             c, t = out, t + cfg.dt
@@ -1312,7 +1335,7 @@ class TestCoupledStopInBlock:
     TestCoupledSeries.reference, bit for bit."""
 
     MODEL = ModelSpec(0.05, FluxSpec("burgers"), NoiseSpec(c=0.2, q=3.0))
-    SEED, BLOCK = 4, 8  # the second block of 8 pairs holds steps 8 to 15
+    SEED, BLOCK = 4, 8  # the second block of 8 pairs holds steps 9 to 16
 
     def run(self, monkeypatch, u0, v0, n_steps, stop, radius=None, block=None):
         basis = u0.basis
@@ -1358,8 +1381,9 @@ class TestCoupledStopInBlock:
         assert got["trip"] is not None and got["trip"].reason == "guard"
         assert got["step"] == 11
 
-    # the first tested row, and the first and last rows of the second block
-    @pytest.mark.parametrize("block,row", [(0, 1), (1, 0), (1, -1)])
+    # steps 1, rows, rows + 1 and 2 rows - 1: the first and last rows of
+    # the first block of steps, and the first and next to last of the second
+    @pytest.mark.parametrize("block,row", [(0, 1), (1, 0), (1, 1), (1, -1)])
     def test_wasted_pair_steps_are_under_one_block(self, monkeypatch, block, row):
         basis = ModeBasis(8)
         u0, v0 = mode_field(basis, 1, 0.5), mode_field(basis, 1, -0.5)
@@ -1400,7 +1424,7 @@ class TestTripMidBlock:
     def radius(self, h1):
         """The largest H1 mass up to step 6, which the noise reaches there
         first, and the step that reaches it: inside the second block of
-        ROWS kept states (steps ROWS to 2 ROWS - 1 of a fresh start)."""
+        ROWS kept states (steps ROWS + 1 to 2 ROWS)."""
         r = float(h1[1:7].max())
         trip_step = int(np.argmax(h1[1:] >= r)) + 1
         assert self.ROWS < trip_step < 2 * self.ROWS
@@ -1493,7 +1517,7 @@ class TestTripAtEachRow:
         h1 = [[h1_sq(basis, row) for row in np.atleast_2d(c)] for c in states]
 
         def row_of(s):  # the kept row of step step0 + s
-            return (s - (step0 > 0)) % rows
+            return (s - 1) % rows
 
         if cause == "nan":
             trip_steps = range(1, 2 * rows + 1)
@@ -1504,7 +1528,7 @@ class TestTripAtEachRow:
             top = [max(m) for m in h1]
             trip_steps = [s for s in range(1, self.N_STEPS + 1) if top[s] > max(top[1:s] or [0])]
             assert {row_of(s) for s in trip_steps if s > rows} == set(range(rows))
-        assert row_of(trip_steps[0]) == int(step0 == 0)
+        assert row_of(trip_steps[0]) == 0
         for s in trip_steps:
             radius, flux_value, calls = None, integrator.flux.flux_value, []
 
@@ -1803,6 +1827,18 @@ class TestSnapshotResume:
             with pytest.raises(ValueError, match="past its 8 coefficients"):
                 read_snapshot(io.BytesIO(raw + extra))
 
+    @pytest.mark.parametrize("m_max", [7, 1, 0])
+    def test_m_max_no_basis_holds_rejected(self, m_max):
+        # a header m_max (bytes 8..12) that is odd or below 2, with the file
+        # cut to that many coefficients, is no snapshot of any ModeBasis
+        _, model, cfg, _ = self._setup()
+        buf = io.BytesIO()
+        write_snapshot(buf, random_field(ModeBasis(8), 3).coeffs, 0.25, 250, model, cfg, 1)
+        raw = bytearray(buf.getvalue()[: 48 + 8 * m_max])
+        raw[8:12] = m_max.to_bytes(4, "little")
+        with pytest.raises(ValueError, match=f"m_max {m_max} is not an even mode count"):
+            read_snapshot(io.BytesIO(bytes(raw)))
+
     @pytest.mark.parametrize("m_max", [2**24, 2**32 - 1])
     def test_header_m_max_never_sizes_a_read(self, m_max):
         # a header claiming more coefficients than the file holds (bytes
@@ -1914,3 +1950,60 @@ class TestRunDrivers:
         np.testing.assert_array_equal(d, res.records_b.column("l1_dist"))
         assert len(res.times) == 41 and len(res.l1_series) == 41
         assert len(res.records_a) == len(res.records_b) == 5
+
+
+class TestZeroSteps:
+    """A run of no steps returns its start at its own step, as a Python
+    int, with no trip: a fresh start with its one record row, series entry
+    or history row, a resumed one with no record row."""
+
+    MODEL = ModelSpec(0.1, FluxSpec("burgers"), NoiseSpec(c=0.3, q=3.0))
+    CFG = SolverConfig(dt=0.01, guard_radius=1e6)
+
+    @pytest.mark.parametrize("step0", [0, 7])
+    def test_run_single(self, step0):
+        basis = ModeBasis(8)
+        u0 = random_field(basis, 1)
+        seen = []
+        res = run_single(self.MODEL, self.CFG, u0, seed=1, n_steps=0, t0=step0 * self.CFG.dt,
+                         step0=step0, on_block=lambda first, ts, block: seen.append(first))
+        assert res.trip is None and type(res.state.step) is int and res.state.step == step0
+        assert res.state.t == step0 * self.CFG.dt
+        assert res.state.u.coeffs.tobytes() == u0.coeffs.tobytes()
+        assert res.state.u.coeffs is not u0.coeffs
+        assert len(res.records) == seen.count(0) == (step0 == 0)
+
+    def test_run_coupled(self):
+        basis = ModeBasis(8)
+        u0, v0 = random_field(basis, 1), random_field(basis, 2)
+        res = run_coupled(self.MODEL, self.CFG, u0, v0, seed=1, n_steps=0, stop_l1_below=1e9)
+        assert res.trip is None
+        for end, start in ((res.state_a, u0), (res.state_b, v0)):
+            assert type(end.step) is int and (end.step, end.t) == (0, 0.0)
+            assert end.u.coeffs.tobytes() == start.coeffs.tobytes()
+        assert res.times.tolist() == [0.0] and len(res.l1_series) == 1
+        assert len(res.records_a) == len(res.records_b) == 1
+
+    def test_run_on_increments(self):
+        basis = ModeBasis(8)
+        u0 = random_field(basis, 1)
+        hist, trip = run_on_increments(self.MODEL, self.CFG, u0, np.empty((0, 8)))
+        assert trip is None and hist.tobytes() == u0.coeffs[None].tobytes()
+
+
+class TestStopBelowAtStart:
+    def test_pair_starting_below_the_stop_stops_at_its_first_step_below(self):
+        # the initial pair is reduced alone and never stops the run: a pair
+        # whose start is already below the threshold runs to its first
+        # step below it, and equals the free run up to there
+        basis = ModeBasis(8)
+        model = ModelSpec(0.1, FluxSpec("burgers"), NoiseSpec(c=0.3, q=3.0))
+        cfg, u0, v0 = SolverConfig(dt=0.01), mode_field(basis, 1, 0.5), mode_field(basis, 2, 0.5)
+        free = run_coupled(model, cfg, u0, v0, seed=3, n_steps=40)
+        stop = np.nextafter(free.l1_series[0], np.inf)
+        first = 1 + int(np.argmax(free.l1_series[1:] < stop))
+        assert free.l1_series[first] < stop
+        res = run_coupled(model, cfg, u0, v0, seed=3, n_steps=40, stop_l1_below=stop)
+        assert res.trip is None and res.state_a.step == first
+        assert res.l1_series.tobytes() == free.l1_series[: first + 1].tobytes()
+        assert res.times.tobytes() == free.times[: first + 1].tobytes()

@@ -18,7 +18,7 @@ from numpy.fft import _pocketfft_umath as pocketfft
 
 from svcl.flux import FluxSpec
 from svcl.integrator import ModelSpec, SolverConfig, Stepper
-from svcl.noise import NoiseSpec
+from svcl.noise import NoisePath, NoiseSpec
 from svcl.observables import Reducer
 from svcl.spectral import (
     ModeBasis,
@@ -502,6 +502,20 @@ class TestHeatSemigroup:
                 assert basis.heat_decay(nu, dt).tobytes() == full.tobytes()
                 assert stepper.decay.tobytes() == full.tobytes()
                 assert stepper.half_decay.tobytes() == half.tobytes()
+
+    @pytest.mark.parametrize("m", DECAY_MS)
+    def test_ou_variance_bits_equal_the_spelled_out_factor(self, m):
+        # NoisePath.ou_increment takes its OU variance from heat_decay over
+        # 2 dt: its draws are those of the std it spelled out,
+        # exp(2 nu lam dt), bit for bit
+        basis = ModeBasis(m)
+        lam, spec = basis.eigenvalues, NoiseSpec(c=0.5, q=3.0)
+        sig2, block = spec.resolve(basis) ** 2, NoisePath(spec, basis, 1).block(0, np.empty(m))
+        for nu in self.DECAY_NUS:
+            for dt in self.DECAY_DTS:
+                std = np.sqrt(sig2 * (1.0 - np.exp(2.0 * nu * lam * dt)) / (-2.0 * nu * lam))
+                got = NoisePath(spec, basis, 1).ou_increment(nu, dt)
+                assert got.tobytes() == (block * std).tobytes(), (nu, dt)
 
     def test_negative_time_rejected(self):
         # a semigroup step needs dt > 0: the solver config refuses the rest

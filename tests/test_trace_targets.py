@@ -120,7 +120,7 @@ def test_step_ufuncs_take_array_operands_and_positional_outputs(monkeypatch, sch
 
 
 @pytest.mark.parametrize("stop", [None, 0.05])
-def test_coupled_series_synthesizes_once_per_block(monkeypatch, stop):
+def test_coupled_series_synthesizes_once_per_block(monkeypatch, kept_blocks, stop):
     # a zero flux makes no transform in the step, so every synthesize call
     # is the coupled series': exactly one per block of kept pairs, which
     # also finds the stop, not one per step
@@ -133,7 +133,7 @@ def test_coupled_series_synthesizes_once_per_block(monkeypatch, stop):
     steps = res.state_a.step
     assert (steps < 2000) == (stop is not None)
     rows = observables._RECORD_BLOCK_POINTS // (2 * observables.DEFAULT_FINE_FACTOR * 16)
-    assert counts["synthesize"] == -(-(steps + 1) // rows)
+    assert counts["synthesize"] == len(kept_blocks(steps, rows))
 
 
 @pytest.mark.parametrize("coupled", [False, True])
@@ -169,7 +169,7 @@ def test_one_noise_draw_per_step(monkeypatch, coupled):
 
 @pytest.mark.parametrize("coupled", [False, True])
 @pytest.mark.parametrize("every", [1, 100])
-def test_record_rows_once_per_kept_block(monkeypatch, coupled, every):
+def test_record_rows_once_per_kept_block(monkeypatch, kept_blocks, coupled, every):
     # the driver keeps every step, so the record cadence is applied in
     # record_rows alone: one call per block of kept steps, whatever the
     # cadence, and one row per recorded step
@@ -193,18 +193,18 @@ def test_record_rows_once_per_kept_block(monkeypatch, coupled, every):
                              record_every=every).records
     rows = observables._RECORD_BLOCK_POINTS // ((1 + coupled) * observables.DEFAULT_FINE_FACTOR
                                                 * 16)
-    assert calls == [(first, min(rows, n_steps + 1 - first))
-                     for first in range(0, n_steps + 1, rows)]
+    assert calls == kept_blocks(n_steps, rows)
     assert len(records) == n_steps // every + 1
 
 
 @pytest.mark.parametrize("guard", [None, 1e6])
 @pytest.mark.parametrize("coupled", [False, True])
-def test_blow_up_test_once_per_kept_block(monkeypatch, coupled, guard):
-    # a step only advances: the step loop tests each kept block for blow-up
-    # after stepping it, by one dot of the block's new rows with itself,
-    # guarded or not, and with a guard by one H1 mass of the block next to
-    # the one record_rows takes, not by a check per step
+def test_blow_up_test_once_per_kept_block(monkeypatch, kept_blocks, coupled, guard):
+    # a step only advances: the step loop tests each kept block of steps
+    # for blow-up after stepping it, by one dot of the block's new rows
+    # with itself, guarded or not, and with a guard by one H1 mass of the
+    # block next to the one record_rows takes, not by a check per step; a
+    # fresh start's state, reduced alone, is not tested
     dots, masses = [], []
     dot, h1_sq = np.dot, observables.Reducer.h1_sq
 
@@ -231,7 +231,6 @@ def test_blow_up_test_once_per_kept_block(monkeypatch, coupled, guard):
     assert res.trip is None and steps == n_steps
     rows = observables._RECORD_BLOCK_POINTS // ((1 + coupled) * observables.DEFAULT_FINE_FACTOR
                                                 * 16)
-    # the kept blocks' new rows: a fresh start's first block holds step 0
-    new = [min(rows, n_steps + 1 - first) - (first == 0) for first in range(0, n_steps + 1, rows)]
-    assert dots == [k * (1 + coupled) * 16 for k in new]
-    assert len(masses) == len(new) * (1 + (guard is not None))
+    _, *steps = kept_blocks(n_steps, rows)  # the first is the start
+    assert dots == [k * (1 + coupled) * 16 for _, k in steps]
+    assert len(masses) == 1 + len(steps) * (1 + (guard is not None))
