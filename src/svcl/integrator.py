@@ -104,10 +104,9 @@ class Stepper:
         pointwise, projects back (the mean of A(u) is annihilated by the
         derivative, so it is dropped) and differentiates with one multiply
         of the analysis band, whose (cos, -sin) pairs meet the wavenumbers
-        (w, w) of each pair: the products, into `out` (a fresh array when
-        it is None) in storage order, are those of `rotate_pairs` by -w,
-        bit for bit, since both negations are exact and a multiply passes
-        a nan operand through with its own sign.  The updates run in place
+        (w, w) of each pair: the products (w cos, -w sin), into `out` (a
+        fresh array when it is None) in storage order, are -d/dx of A(u)'s
+        (sin, cos) pairs.  The updates run in place
         on that nonlinear term, operand by operand as (N(c) dt + c) decay +
         xi and (N(u*) (dt half_decay) + decay c) + xi evaluate, left to
         right; where two nans meet in a sum, the left one's sign survives.
@@ -276,6 +275,15 @@ def _drive(stepper: Stepper, reducer: observables.Reducer, c, draw, n_steps, t, 
     return c.copy(), t, first - 1, trip
 
 
+def _check_counts(n_steps: int, record_every: int):
+    """A driver's refusal, before any step, of a negative step count or a
+    record cadence below 1."""
+    if n_steps < 0:
+        raise ValueError(f"n_steps must be at least 0, not {n_steps}")
+    if record_every < 1:
+        raise ValueError(f"record_every must be at least 1, not {record_every}")
+
+
 def run_single(
     model: ModelSpec,
     cfg: SolverConfig,
@@ -301,8 +309,7 @@ def run_single(
     times, states) gets each block `_drive` keeps, after its record rows
     are made; the CLI writes its snapshots there.
     """
-    if record_every < 1:
-        raise ValueError(f"record_every must be at least 1, not {record_every}")
+    _check_counts(n_steps, record_every)
     basis = u0.basis
     reducer = observables.Reducer(basis)
     path = NoisePath(model.noise, basis, seed)
@@ -367,8 +374,7 @@ def run_coupled(
     """
     if stop_l1_below is not None and not stop_l1_below > 0:
         raise ValueError("stop_l1_below must be positive")
-    if record_every < 1:
-        raise ValueError(f"record_every must be at least 1, not {record_every}")
+    _check_counts(n_steps, record_every)
     basis = u0.basis
     reducer = observables.Reducer(basis)
     path = NoisePath(model.noise, basis, seed)

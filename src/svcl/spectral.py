@@ -88,27 +88,21 @@ def mode_field(basis: ModeBasis, m: int, amplitude: float = 1.0) -> SpectralFiel
     return SpectralField(c, basis)
 
 
-def _pairs(c: np.ndarray, k: int) -> np.ndarray:
-    """(..., k, 2) view of coefficient vectors (last axis) as (sin, cos) pairs."""
-    return c.reshape(*c.shape[:-1], k, 2)
-
-
 @cache
-def _scales(n: int, m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The pair swap, the pack scales and the analysis signs of m
-    coefficients on an n-point grid.  rfft bin mp holds
-    (n/sqrt(2)) * (cos_coeff - i sin_coeff), so bins 1..m/2, read as floats
-    in their own (real, imag) order, hold the swapped (cos, sin) pairs
-    times the m/2 repeats of [n/sqrt(2), -n/sqrt(2)] (the pack), and an
-    rfft scaled by sqrt(2)/n gives them back as (cos, -sin) pairs, which
-    the m/2 repeats of [1, -1] (the signs) turn into (cos, sin).  The swap
-    is the index permutation (1, 0, 3, 2, ...), its own inverse."""
+def _scales(n: int, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """The pair swap and the pack scales of m coefficients on an n-point
+    grid.  rfft bin mp holds (n/sqrt(2)) * (cos_coeff - i sin_coeff), so
+    bins 1..m/2, read as floats in their own (real, imag) order, hold the
+    swapped (cos, sin) pairs times the m/2 repeats of [n/sqrt(2),
+    -n/sqrt(2)] (the pack), and an rfft scaled by sqrt(2)/n gives them
+    back as (cos, -sin) pairs.  The swap is the index permutation (1, 0,
+    3, 2, ...), its own inverse."""
     s = n / _SQRT2
     swap = np.arange(m).reshape(m // 2, 2)[:, ::-1].ravel()
-    pack, signs = np.tile([s, -s], m // 2), np.tile([1.0, -1.0], m // 2)
-    for x in (swap, pack, signs):
+    pack = np.tile([s, -s], m // 2)
+    for x in (swap, pack):
         x.flags.writeable = False  # shared by every caller
-    return swap, pack, signs
+    return swap, pack
 
 
 class Workspace:
@@ -137,8 +131,8 @@ class Workspace:
     are these buffers, valid until the next call with the same workspace.
     """
 
-    __slots__ = ("padded", "samples", "spectrum", "padded_band", "spectrum_band", "swap",
-                 "signs", "pack_index", "pack", "inv_n", "rfft_norm", "rfft")
+    __slots__ = ("padded", "samples", "spectrum", "padded_band", "spectrum_band", "pack_index",
+                 "pack", "inv_n", "rfft_norm", "rfft")
 
     def __init__(self, shape: tuple, n: int):
         if n < shape[-1] + 2:
@@ -154,10 +148,10 @@ class Workspace:
         # bins 1..m/2 as (real, imag) floats
         self.padded_band = bins[1 : m // 2 + 1].view(float).reshape(-1)
         self.spectrum_band = self.spectrum.view(float)[..., 2 : m + 2]
-        self.swap, pack, self.signs = _scales(n, m)
+        swap, pack = _scales(n, m)
         # flat position (bin b, row r, e) reads coefficient r m + swap[2b + e]
         self.pack_index = (np.arange(0, rows * m, m)[:, None]
-                           + self.swap.reshape(m // 2, 1, 2)).reshape(-1)
+                           + swap.reshape(m // 2, 1, 2)).reshape(-1)
         self.pack = np.tile(pack, rows)
         self.inv_n = np.array(1.0 / n)
         self.rfft_norm = np.array(_SQRT2 / n)
@@ -183,38 +177,13 @@ def synthesize(coeffs: np.ndarray, n: int, work: Workspace | None = None) -> np.
     return _pocketfft.irfft(work.padded, work.inv_n, work.samples)
 
 
-def analyze(samples: np.ndarray, m_max: int, work: Workspace | None = None) -> np.ndarray:
-    """Project samples (last axis) onto the first m_max modes; the mean is
-    dropped.
-
-    On a workspace the result is its `spectrum_band`: the coefficients in
-    rfft bin order with the sine negated, (cos, -sin) in each pair, valid
-    until the next call.  Without one the call builds its own workspace
-    (for m_max and the samples' grid) and returns a fresh (..., m_max)
-    array in storage order, (sin, cos) in each pair: the band times the
-    signs [1, -1], a multiply, since np.negative would flip the sign bit
-    of a nan, then swapped.  Its bits are those of the unit-norm rfft's
-    band times [sqrt(2)/n, -sqrt(2)/n].
+def analyze(samples: np.ndarray, m_max: int, work: Workspace) -> np.ndarray:
+    """Project samples (last axis) onto the first m_max modes, on `work`, a
+    Workspace for the samples' block shape at m_max and their grid; the
+    mean is dropped.  The result is the workspace's `spectrum_band`: the
+    coefficients in rfft bin order with the sine negated, (cos, -sin) in
+    each pair, the bits of the unit-norm rfft's band times sqrt(2)/n,
+    valid until the next call.
     """
-    fresh = work is None
-    if fresh:
-        work = Workspace((*samples.shape[:-1], m_max), samples.shape[-1])
     work.rfft(samples, work.rfft_norm, work.spectrum)
-    if fresh:
-        return np.multiply(work.spectrum_band, work.signs).take(work.swap, axis=-1)
     return work.spectrum_band
-
-
-def rotate_pairs(c: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """d/dx on raw coefficients (last axis) with per-mode wavenumbers w,
-    into a fresh array.
-
-    Each (sin, cos) pair (s, k) maps to (-w k, w s): one multiply of the
-    swapped pair by the pair weights (-w_cos, w_sin).  Wavenumbers -w yield
-    -d/dx bit for bit, since IEEE negation is exact.
-    """
-    out = np.empty(c.shape)
-    k = c.shape[-1] // 2
-    np.multiply(_pairs(c, k)[..., ::-1], np.stack([-w[1::2], w[0::2]], axis=-1),
-                out=_pairs(out, k))
-    return out

@@ -12,6 +12,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
+from conftest import spy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -90,7 +91,6 @@ class TestRun:
     def test_summary_config_echo_round_trips(self, ini, tmp_path):
         entry(["run", "--config", str(ini)])
         summary = json.loads((tmp_path / "out" / "summary.json").read_text())
-        from svcl.config import parse_config_text
         assert parse_config_text(summary["config"]) == parse_config(ini)
 
     def test_floats_use_17_significant_digits(self, ini, tmp_path):
@@ -131,32 +131,12 @@ class TestRun:
         # are inf, written as null, with no RuntimeWarning on the way (the
         # suite turns one into an error)
         p = tmp_path / "big.ini"
-        p.write_text(f"""
-[model]
-nu = 0.1
-flux = zero
-
-[noise]
-c = 0.5
-q = 3
-
-[solver]
-modes = 8
-dt = 0.01
-
-[experiment]
-kind = single
-horizon = 0.3
-seed = 1
-
-[initial]
-kind = mode
-mode = 1
-amplitude = 1e200
-
-[output]
-dir = {tmp_path / 'out'}
-""")
+        edits = {"flux = burgers": "flux = zero", "amplitude = 1.0": "amplitude = 1e200",
+                 "dt = 0.001": "dt = 0.01", "horizon = 0.12": "horizon = 0.3"}
+        text = BASE
+        for old, new in edits.items():
+            text = text.replace(old, new)
+        p.write_text(text + f"\n[output]\ndir = {tmp_path / 'out'}\n")
         assert entry(["run", "--config", str(p)]) == EXIT_OK
         results = json.loads((tmp_path / "out" / "summary.json").read_text())["results"]
         assert results["steps"] == 30 and results["trip"] is None
@@ -167,6 +147,16 @@ dir = {tmp_path / 'out'}
         deep = tmp_path / "a" / "b" / "c"
         assert entry(["run", "--config", str(ini), "--out", str(deep)]) == EXIT_OK
         assert (deep / "summary.json").exists()
+
+
+def hot_ini(tmp_path):
+    """BASE at amplitude 3 on mode 1, whose h1_sq = 9 * 4 pi^2 is above
+    its guard of 200, writing into tmp_path / "g"."""
+    p = tmp_path / "hot.ini"
+    p.write_text(BASE.replace("amplitude = 1.0", "amplitude = 3.0")
+                 .replace("dt = 0.001", "dt = 0.001\nguard = 200")
+                 + f"\n[output]\ndir = {tmp_path / 'g'}\n")
+    return p
 
 
 class TestExitCodes:
@@ -192,12 +182,7 @@ class TestExitCodes:
         assert code == EXIT_CONFIG
 
     def test_guard_trip_exits_3_with_trip_in_summary(self, tmp_path, capsys):
-        p = tmp_path / "hot.ini"
-        # amplitude 3 on mode 1 puts h1_sq = 9 * 4 pi^2 above the guard
-        text = (BASE.replace("amplitude = 1.0", "amplitude = 3.0")
-                .replace("dt = 0.001", "dt = 0.001\nguard = 200"))
-        p.write_text(text + f"\n[output]\ndir = {tmp_path / 'g'}\n")
-        assert entry(["run", "--config", str(p)]) == EXIT_BLOWUP
+        assert entry(["run", "--config", str(hot_ini(tmp_path))]) == EXIT_BLOWUP
         summary = json.loads((tmp_path / "g" / "summary.json").read_text())
         trip = summary["results"]["trip"]
         assert trip["reason"] == "guard" and trip["t"] == pytest.approx(0.001)
@@ -208,11 +193,8 @@ class TestExitCodes:
     def test_huge_horizon_trip_exits_3(self, tmp_path, capsys):
         # 10^16 steps is a valid step count; nothing is sized by it, so the
         # run starts and the guard stops it at step 1
-        p = tmp_path / "hot.ini"
-        text = (BASE.replace("amplitude = 1.0", "amplitude = 3.0")
-                .replace("dt = 0.001", "dt = 0.001\nguard = 200"))
-        p.write_text(text + f"\n[output]\ndir = {tmp_path / 'g'}\n")
-        assert entry(["run", "--config", str(p), "--horizon", "1e13"]) == EXIT_BLOWUP
+        flags = ["--config", str(hot_ini(tmp_path)), "--horizon", "1e13"]
+        assert entry(["run", *flags]) == EXIT_BLOWUP
         summary = json.loads((tmp_path / "g" / "summary.json").read_text())
         assert summary["results"]["trip"]["reason"] == "guard"
         assert summary["results"]["steps"] == 0
@@ -488,9 +470,9 @@ class TestTiming:
 
 class TestValidate:
     def test_all_checks_pass(self, tmp_path, capsys, monkeypatch):
-        measured, run = {}, checks.Runner.run
-        monkeypatch.setattr(checks.Runner, "run", lambda runner, check: measured.setdefault(
-            check.name, run(runner, check)))
+        measured = {}
+        spy(monkeypatch, checks.Runner, "run",
+            lambda out, _, runner, check: measured.setdefault(check.name, out))
         code = entry(["validate", "--out", str(tmp_path / "v")])
         out = capsys.readouterr().out
         assert code == EXIT_OK
@@ -616,16 +598,9 @@ class TestResume:
         entry(["run", "--config", str(ini)])
         snap = self.interrupt(tmp_path, keep_rows=97, snap_step=90)
         full = read_csv_columns(tmp_path / "out" / "observables.csv")
-        seen = []
-        real = cli._cmd_single
-
-        def spy(cfg, snap=None, rows=(), history=None):
-            seen.append(history)
-            return real(cfg, snap, rows, history)
-
-        monkeypatch.setattr(cli, "_cmd_single", spy)
+        calls = spy(monkeypatch, cli, "_cmd_single")
         assert entry(["resume", "--config", str(ini), "--resume", str(snap)]) == EXIT_OK
-        (history,) = seen
+        ((*_, history),) = calls
         for got, name in zip(history, ("t", "l2_sq", "h1_sq")):
             assert got.tobytes() == full[name][27:91].tobytes(), name
 
@@ -689,29 +664,23 @@ class TestResume:
         err = self._corrupt_resume(ini, tmp_path, capsys, edit)
         assert "header" in err
 
-    def test_mismatched_seed_exits_2(self, ini, tmp_path, capsys):
+    @staticmethod
+    def _refused(ini, tmp_path, capsys, flags, message):
+        """A resume from final.snap under flags exits 2 with message."""
         entry(["run", "--config", str(ini)])
-        snap = tmp_path / "out" / "final.snap"
-        code = entry(["resume", "--config", str(ini), "--seed", "9",
-                      "--resume", str(snap)])
-        assert code == EXIT_CONFIG
-        assert "mismatch on seed" in capsys.readouterr().err
+        snap = str(tmp_path / "out" / "final.snap")
+        assert entry(["resume", "--config", str(ini), *flags, "--resume", snap]) == EXIT_CONFIG
+        assert message in capsys.readouterr().err
+
+    def test_mismatched_seed_exits_2(self, ini, tmp_path, capsys):
+        self._refused(ini, tmp_path, capsys, ["--seed", "9"], "mismatch on seed")
 
     def test_mismatched_dt_exits_2(self, ini, tmp_path, capsys):
-        entry(["run", "--config", str(ini)])
-        snap = tmp_path / "out" / "final.snap"
-        code = entry(["resume", "--config", str(ini), "--dt", "0.0005",
-                      "--horizon", "0.18", "--resume", str(snap)])
-        assert code == EXIT_CONFIG
-        assert "mismatch on dt" in capsys.readouterr().err
+        self._refused(ini, tmp_path, capsys, ["--dt", "0.0005", "--horizon", "0.18"],
+                      "mismatch on dt")
 
     def test_resume_requires_single_kind(self, ini, tmp_path, capsys):
-        entry(["run", "--config", str(ini)])
-        snap = tmp_path / "out" / "final.snap"
-        code = entry(["resume", "--config", str(ini), "--experiment", "coupled",
-                      "--resume", str(snap)])
-        assert code == EXIT_CONFIG
-        assert "single-run" in capsys.readouterr().err
+        self._refused(ini, tmp_path, capsys, ["--experiment", "coupled"], "single-run")
 
     def test_truncated_snapshot_exits_4(self, ini, tmp_path, capsys):
         entry(["run", "--config", str(ini)])
@@ -800,7 +769,7 @@ class TestResume:
                                            files["summary.json"], flags=re.S)
         return files
 
-    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @settings(max_examples=60)
     @given(data=st.data(), **RUNS)
     def test_snapshot_cut_at_any_byte_exits_4_and_keeps_the_artifacts(self, data, **run):
         # every proper prefix of any snapshot a run writes is refused with
@@ -844,7 +813,7 @@ class TestResume:
             assert resumed.pop("resumed_from_step") == step
             assert resumed == results
 
-    @settings(max_examples=80, deadline=None, derandomize=True, database=None)
+    @settings(max_examples=80)
     @given(data=st.data(), more=st.integers(1, 30), **RUNS)
     def test_failed_replace_leaves_each_artifact_whole(self, data, more, **run):
         # a resume that extends the horizon by `more` steps dies in its k-th

@@ -113,7 +113,7 @@ def run_configs(draw):
 
 
 class TestEchoRoundTrip:
-    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @settings(max_examples=200)
     @given(cfg=run_configs())
     def test_parse_of_echo_is_the_identity(self, cfg):
         assert parse_config_text(cfg.echo()) == cfg

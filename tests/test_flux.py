@@ -254,7 +254,7 @@ class TestEnergyPairing:
     def test_burgers_p2_vanishes(self):
         self.assert_pairing_vanishes(FluxSpec("burgers"), 3)
 
-    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @settings(max_examples=60)
     @given(coefficients=POLYNOMIALS, m_max=st.sampled_from([8, 16, 64]),
            seed=st.integers(0, 2**32 - 1))
     @example(coefficients=[0, 0, 0, 1 / 3], m_max=64, seed=5)

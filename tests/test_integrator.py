@@ -1,19 +1,23 @@
 """Integrator: scheme exactness, convergence orders, guards, coupling,
-the Picard cross-check, and snapshot/resume determinism."""
+the Picard cross-check, and snapshot/resume determinism.
+
+Every driver is held to the per-step reference model of tests/reference.py
+bit for bit: by a property over its parameters (`draw_case`), and by named
+cases at the edges the property must not miss, each one call of `drive`.
+"""
 
 import io
 import math
-import warnings
-from functools import partial
-from unittest.mock import patch
 
 import numpy as np
 import pytest
+import reference as ref
+from conftest import FLUXES, kept_blocks, random_field, spy, with_edges
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from svcl import integrator, observables
+from svcl import flux, integrator, observables
 from svcl.flux import FluxSpec, _constant, _horner, dealias_points, flux_value
 from svcl.integrator import (
     SCHEMES,
@@ -29,31 +33,173 @@ from svcl.integrator import (
     run_single,
     write_snapshot,
 )
-from svcl.noise import NoisePath, NoiseSpec, trace_h2
-from svcl.observables import DEFAULT_FINE_FACTOR, RecordBuffer, Reducer, sup_h1
-from svcl.spectral import (ModeBasis, SpectralField, analyze, mode_field, rotate_pairs,
-                           synthesize)
+from svcl.noise import NoisePath, NoiseSpec
+from svcl.observables import Reducer, sup_h1
+from svcl.spectral import ModeBasis, SpectralField, Workspace, analyze, mode_field, synthesize
 
 FOUR_PI_SQ = 39.47841760435743
+NOISE = NoiseSpec(c=0.5, q=3.0)
+MODEL = ModelSpec(0.1, FluxSpec("burgers"), NOISE)
+B8, B16, DT = ModeBasis(8), ModeBasis(16), 2e-3
 
 
-def random_field(basis, seed, decay=1.5, amp=1.0):
-    rng = np.random.default_rng(seed)
-    c = amp * rng.standard_normal(basis.m_max) / basis.pair_index.astype(float) ** decay
-    return SpectralField(c, basis)
+def pair(basis, a, b, amp=1.0):
+    """The pair (2, m) of random_field(basis, a) and random_field(basis, b)."""
+    return np.stack([random_field(basis, s, amp=amp).coeffs for s in (a, b)])
+
+
+def modes(*amps, m=8):
+    """The state a e_i, or the pair of rows a e_i, of each (i, a) of amps."""
+    return np.squeeze(np.stack([mode_field(ModeBasis(m), i, a).coeffs for i, a in amps]))
 
 
 def h1_norm(basis, coeffs):
     return np.sqrt(np.sum(-basis.eigenvalues * coeffs**2, axis=-1))
 
 
-def h1_sq(basis, c):
-    """The H1 mass of one state, summed by np.dot."""
-    return float(np.dot(-basis.eigenvalues, c * c))
-
-
 def silent_model(nu=0.1, m=16):
     return ModelSpec(nu, FluxSpec("zero"), NoiseSpec(sigma=np.zeros(m)))
+
+
+def top_h1(basis, states):
+    """The largest H1 mass among the rows of each state."""
+    return [max(ref.h1_sq(basis, r) for r in np.atleast_2d(c)) for c in states]
+
+
+def drive(driver, u0, model=MODEL, dt=DT, scheme="exp_euler", radius=None, seed=3, n_steps=20,
+          every=1, lp=(), window=64, stop=None, step0=0, resume=None, rows=None, poison=None,
+          on_block=None):
+    """Run `driver` on one case, and the reference model on the same case,
+    and assert that they agree bit for bit; returns (result, reference).
+
+    driver is "single" (run_single, whose on_block must see each kept step
+    once and in order, after on_block's own call), "coupled" (u0 a pair),
+    "history" (run_on_increments on the reference's draws; its result is
+    (history, trip)) or "resumed" (run_single cut after `resume` steps and
+    resumed from its end).  A run from step0 starts at t0 = step0 dt.  rows
+    sets the kept block's row count through the record budget, and poison
+    (step, row) puts a nan into that row's flux samples at that step's
+    first flux call.
+    """
+    u0 = np.asarray(u0, dtype=float)
+    basis, t0 = ModeBasis(u0.shape[-1]), step0 * dt
+    cfg = SolverConfig(dt=dt, scheme=scheme, guard_radius=radius)
+    xis = None
+    if driver == "history":
+        xis = np.array([ref.increment(model.noise, basis, model.nu, dt, seed, k)
+                        for k in range(n_steps)]).reshape(n_steps, basis.m_max)
+    want = ref.run(model, cfg, u0, seed, n_steps, every, lp, window, stop, t0, step0, xis=xis,
+                   poison=poison)
+    fields = [SpectralField(row, basis) for row in np.atleast_2d(u0)]
+    seen = []
+
+    def hook(first, ts, block):
+        if on_block is not None:
+            on_block(first, ts, block)
+        seen.extend(zip(range(first, first + len(ts)), ts.tolist(), block.copy()))
+
+    with pytest.MonkeyPatch.context() as mp:
+        if rows is not None:  # a budget below one state's fine grid gives the floor of two
+            mp.setattr(observables, "_RECORD_BLOCK_POINTS",
+                       1 if rows == 2 else rows * len(fields) * ref.FINE * basis.m_max)
+        if poison is not None:
+            call = (poison[0] - step0 - 1) * (1 if scheme == "exp_euler" else 2) + 1
+
+            def nan_row(out, calls, *_):
+                if len(calls) == call:
+                    np.atleast_2d(out)[poison[1], 3] = np.nan
+                return out
+
+            spy(mp, flux, "flux_value", nan_row)
+        if driver == "history":
+            hist, trip = run_on_increments(model, cfg, fields[0], xis)
+            assert ref.trip_bits(trip) == ref.trip_bits(want.trip)
+            assert hist.tobytes() == np.array(want.states).tobytes()
+            return (hist, trip), want
+        if driver == "coupled":
+            res = run_coupled(model, cfg, *fields, seed, n_steps, every, lp, window, stop)
+        elif driver == "resumed":  # a cut at step 0 is a fresh start, not a resume
+            cut = min(resume, n_steps) if step0 + resume else n_steps
+            res = run_single(model, cfg, fields[0], seed, cut, every, lp, window, t0=t0,
+                             step0=step0)
+            if res.trip is None and cut < n_steps:
+                half = ref.table(res.records)
+                tail = tuple(res.records.column(k)[-window:] for k in ("t", "l2_sq", "h1_sq"))
+                res = run_single(model, cfg, res.state.u, seed, n_steps - cut, every, lp,
+                                 window, tail, res.state.t, res.state.step)
+                ref.assert_matches(want, res, [np.concatenate([half, ref.table(res.records)])])
+                return res, want
+        else:
+            res = run_single(model, cfg, fields[0], seed, n_steps, every, lp, window, t0=t0,
+                             step0=step0, on_block=hook)
+            start = int(step0 > 0)
+            assert [(k, t) for k, t, _ in seen] == list(zip(range(step0 + start, want.step + 1),
+                                                            want.times[start:]))
+            states = np.array([c for *_, c in seen])
+            assert states.tobytes() == np.array(want.states[start:]).tobytes()
+    ref.assert_matches(want, res)
+    return res, want
+
+
+DRIVERS = ("single", "coupled", "history", "resumed")
+
+
+def draw_case(data, **fixed):
+    """The arguments of one `drive` call, each parameter not fixed drawn:
+    the driver, m, flux, scheme, the kept block's rows, the steps, cadence,
+    Lp orders, residual window, step0, resume point, seed and start (with a
+    row past the float range, or not), and a guard radius, a pair's stop
+    threshold and a poisoned row first reached at a drawn step of the free
+    run."""
+    def draw(name, strategy):
+        return fixed[name] if name in fixed else data.draw(strategy, label=name)
+
+    driver = draw("driver", st.sampled_from(DRIVERS))
+    m = draw("m", st.sampled_from([2, 8, 16, 32]))
+    rows = draw("rows", st.sampled_from([None, 2, 3, 5]))
+    n_steps = draw("n_steps", st.integers(0, 3 * (rows or 4) + 6))
+    single = driver in ("single", "resumed")
+    case = dict(driver=driver, n_steps=n_steps, rows=rows,
+                model=ModelSpec(0.1, FLUXES[draw("flux", st.sampled_from(sorted(FLUXES)))], NOISE),
+                scheme=draw("scheme", st.sampled_from(SCHEMES)),
+                every=draw("every", st.sampled_from([1, 3, 7])),
+                lp=tuple(draw("lp", st.lists(st.sampled_from([1, 2, 3, 4, 6]), unique=True,
+                                             max_size=3))),
+                window=draw("window", st.sampled_from([2, 3, 5, 64])),
+                step0=draw("step0", st.sampled_from([0, 1, 5, 40])) if single else 0,
+                resume=draw("resume", st.integers(0, n_steps)) if driver == "resumed" else None,
+                seed=draw("seed", st.integers(0, 2**64 - 1)))
+    basis = ModeBasis(m)
+    u0 = (draw("amp", st.sampled_from([1e-3, 0.3]))
+          * np.random.default_rng(case["seed"] % 1000).standard_normal((2, m))
+          / basis.pair_index**1.5)
+    if draw("overflow", st.booleans()):  # squares past the float range; a nonzero flux overflows
+        u0[draw("overflow_row", st.integers(0, 1))] *= 1e160
+    case["u0"] = u0 if driver == "coupled" else u0[0]
+    free = ref.run(case["model"], SolverConfig(dt=DT, scheme=case["scheme"]), case["u0"],
+                   case["seed"], n_steps, t0=case["step0"] * DT, step0=case["step0"])
+    if len(free.states) < 2:
+        return case
+    s = draw("at", st.integers(1, len(free.states) - 1))
+    top = [x if x == x else 0.0 for x in top_h1(basis, free.states)]  # nan reaches no radius
+    guard = draw("guard", st.sampled_from(["none", "loose", "at"]))
+    radius = {"none": None, "loose": 2.0 * max(top), "at": max(top[1 : s + 1])}[guard]
+    case["radius"] = radius if radius else None
+    if driver == "coupled" and free.l1[s] > 0:
+        to = draw("stop", st.sampled_from([None, free.l1[s], np.inf, -np.inf]))
+        case["stop"] = None if to is None else np.nextafter(free.l1[s], to)
+    if case["model"].flux.kind != "zero" and draw("poison", st.booleans()):
+        row = draw("poison_row", st.integers(0, 1)) if driver == "coupled" else 0
+        case["poison"] = (case["step0"] + s, row)
+    return case
+
+
+class TestReference:
+    @settings(max_examples=300)
+    @given(data=st.data())
+    def test_every_driver_equals_reference(self, data):
+        # one property over every driver and every parameter of the contract
+        drive(**draw_case(data))
 
 
 class TestValidation:
@@ -85,19 +231,33 @@ class TestValidation:
         with pytest.raises(ValueError):
             self.NON_FINITE[spec]()
 
+    @staticmethod
+    def refused(monkeypatch, coupled, match, **counts):
+        """Both drivers, and the reference, refuse the counts before a step."""
+        model, u0, v0 = silent_model(m=8), mode_field(B8, 1, 1.0), mode_field(B8, 1, -1.0)
+        counts = {"n_steps": 10, **counts}
+        steps = spy(monkeypatch, Stepper, "advance")
+        with pytest.raises(ValueError, match=match):
+            if coupled:
+                run_coupled(model, SolverConfig(dt=0.01), u0, v0, seed=0, **counts)
+            else:
+                run_single(model, SolverConfig(dt=0.01), u0, seed=0, **counts)
+        assert not steps
+        with pytest.raises(ValueError, match=match):
+            ref.run(model, SolverConfig(dt=0.01), u0.coeffs, 0, counts["n_steps"],
+                    counts.get("record_every", 1))
+
     @pytest.mark.parametrize("every", [0, -2])
     @pytest.mark.parametrize("coupled", [False, True])
-    def test_drivers_refuse_record_every_below_1_before_a_step(self, coupled, every):
-        basis = ModeBasis(8)
-        model, u0 = silent_model(m=8), mode_field(basis, 1, 1.0)
-        with patch.object(Stepper, "advance", side_effect=AssertionError("stepped")):
-            with pytest.raises(ValueError, match="record_every"):
-                if coupled:
-                    run_coupled(model, SolverConfig(dt=0.01), u0, mode_field(basis, 1, -1.0),
-                                seed=0, n_steps=10, record_every=every)
-                else:
-                    run_single(model, SolverConfig(dt=0.01), u0, seed=0, n_steps=10,
-                               record_every=every)
+    def test_drivers_refuse_record_every_below_1_before_a_step(self, monkeypatch, coupled, every):
+        self.refused(monkeypatch, coupled, "record_every", record_every=every)
+
+    @pytest.mark.parametrize("n_steps", [-1, -3])
+    @pytest.mark.parametrize("coupled", [False, True])
+    def test_drivers_refuse_a_negative_step_count_before_a_step(self, monkeypatch, coupled,
+                                                                n_steps):
+        # the step loop would step a block of rows - 3 states for n_steps = -3
+        self.refused(monkeypatch, coupled, "n_steps must be at least 0", n_steps=n_steps)
 
     def test_solver_config_rejects_bad_inputs(self):
         with pytest.raises(ValueError, match="dt"):
@@ -122,31 +282,19 @@ class TestSchemes:
         assert np.max(rel) < 1e-13
 
     def test_ou_chain_matches_direct_recursion_bitwise(self):
-        # A = 0 with noise: each step must be exactly decay * c + xi with the
-        # path's own increments, no hidden reordering.
-        basis = ModeBasis(8)
-        spec = NoiseSpec(c=0.5, q=3.0)
-        model = ModelSpec(0.2, FluxSpec("zero"), spec)
-        cfg = SolverConfig(dt=0.01)
-        u0 = random_field(basis, 2)
-        res = run_single(model, cfg, u0, seed=77, n_steps=500, record_every=500)
-        path = NoisePath(spec, basis, 77)
-        decay = np.exp(model.nu * basis.eigenvalues * cfg.dt)
-        c = u0.coeffs.copy()
-        for _ in range(500):
-            xi = path.ou_increment(model.nu, cfg.dt)
-            c = decay * c + xi
-        assert np.array_equal(res.state.u.coeffs, c)
+        # A = 0 with noise: each step is exactly decay * c + xi with the
+        # path's own increments, no hidden reordering
+        model = ModelSpec(0.2, FluxSpec("zero"), NOISE)
+        drive("single", random_field(B8, 2).coeffs, model, dt=0.01, seed=77,
+              n_steps=500, every=500)
 
     def test_step_matches_run_single(self):
-        basis = ModeBasis(8)
+        basis, cfg = B8, SolverConfig(dt=0.01)
         model = ModelSpec(0.1, FluxSpec("burgers"), NoiseSpec(c=0.3, q=3.0))
-        cfg = SolverConfig(dt=0.01)
-        u0 = random_field(basis, 3)
-        xi = NoisePath(model.noise, basis, 5).ou_increment(model.nu, cfg.dt)
-        c = Stepper(model, cfg, basis).advance(u0.coeffs, xi)
-        res = run_single(model, cfg, u0, seed=5, n_steps=1)
-        assert np.array_equal(c, res.state.u.coeffs)
+        u0 = random_field(basis, 3).coeffs
+        res, want = drive("single", u0, model, dt=0.01, seed=5, n_steps=1)
+        xi = ref.increment(model.noise, basis, model.nu, cfg.dt, 5, 0)
+        assert Stepper(model, cfg, basis).advance(u0, xi).tobytes() == want.states[1].tobytes()
         assert res.state.t == cfg.dt and res.state.step == 1
 
     def test_mean_stays_zero(self):
@@ -198,76 +346,49 @@ class TestSchemes:
             assert errs[0] / errs[1] > 1.7  # order >= 1 strong
 
     def test_run_on_increments_matches_run_single(self):
-        basis = ModeBasis(8)
         model = ModelSpec(0.1, FluxSpec("burgers"), NoiseSpec(c=0.4, q=3.0))
-        cfg = SolverConfig(dt=0.005)
-        u0 = random_field(basis, 9)
-        states = []
-        run_single(model, cfg, u0, seed=21, n_steps=100,
-                   on_block=lambda first, times, block: states.extend(block.copy()))
-        w = convolution_grid(NoisePath(model.noise, basis, 21), model.nu, cfg.dt, 100)
-        traj, trip = run_on_increments(model, cfg, u0,
-                                       increments_from_grid(w, model.nu, basis, cfg.dt, 1))
-        assert trip is None
-        np.testing.assert_allclose(traj, np.array(states), atol=1e-13)
+        for driver in ("history", "single"):
+            drive(driver, random_field(B8, 9).coeffs, model, dt=0.005, seed=21, n_steps=100)
 
 
-def trip_reference(stepper, c, out, t):
-    """The blow-up contract of one step from c (at time t) to out, a state
-    or a block, checked row by row as a per-step loop would: the first row
-    in order that fails trips.  A row whose output is not finite trips as
-    "flux_overflow" at t with its H1 mass before the step, then a row
-    reaching the guard radius trips as "guard" at t + dt, each mass the
-    Reducer's of that row alone.  Returns the trip or None."""
-    reducer, radius = Reducer(stepper.basis), stepper.cfg.guard_radius
-    for row, new in zip(np.atleast_2d(c), np.atleast_2d(out)):
-        if not np.isfinite(new).all():
-            return integrator.GuardTrip(t, float(reducer.h1_sq(row)), "flux_overflow")
-        if radius is not None:
-            h1 = float(reducer.h1_sq(new))
-            if h1 >= radius:
-                return integrator.GuardTrip(t + stepper.dt, h1)
-    return None
-
-
-def _trip_bits(trip):
-    """A trip as comparable bits: a nan H1 mass equals itself."""
-    return trip and (trip.t, np.float64(trip.h1_sq).tobytes(), trip.reason)
+def kernel_case(data, shape, flux, scheme, scale):
+    """A stepper at m = shape[-1] and a drawn state or block c (times scale,
+    with edge entries) and increment xi.  After a state past the float range
+    fills the plan's buffers with inf and nan, advance(c, xi) equals the
+    reference's bit for bit, into a fresh array or a caller's whatever it
+    held, and the arrays returned before are left as they were.  Returns
+    (model, stepper, c, xi, out)."""
+    m = shape[-1]
+    c = with_edges(data, data.draw(arrays(float, shape, elements=st.floats(-2.0, 2.0))) * scale)
+    xi = data.draw(arrays(float, m, elements=st.floats(-0.1, 0.1)))
+    model = ModelSpec(0.1, FLUXES[flux], NoiseSpec(sigma=np.zeros(m)))
+    stepper = Stepper(model, SolverConfig(dt=1e-3, scheme=scheme), ModeBasis(m))
+    big = [stepper.nonlin(np.full(shape, 1e160)), stepper.advance(np.full(shape, 1e160), xi)]
+    keep = [b.tobytes() for b in big]
+    out = stepper.advance(c, xi)
+    assert out.tobytes() == ref.advance(model, stepper.cfg, stepper.basis, c, xi).tobytes()
+    into = np.full(shape, data.draw(st.sampled_from([np.nan, -0.0, 1e300])))
+    assert stepper.advance(c, xi, into) is into and into.tobytes() == out.tobytes()
+    assert [b.tobytes() for b in big] == keep
+    return model, stepper, c, xi, out
 
 
 class TestBlock:
-    FLUXES = {"burgers": FluxSpec("burgers"), "zero": FluxSpec("zero"),
-              "cubic": FluxSpec("polynomial", coefficients=[0.0, 0.5, -0.2, 1.0 / 3.0])}
-
-    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @settings(max_examples=100)
     @given(data=st.data(), rows=st.integers(1, 4), m=st.sampled_from([2, 8, 16, 32, 256]),
            flux=st.sampled_from(sorted(FLUXES)), scheme=st.sampled_from(SCHEMES))
     @np.errstate(over="ignore", invalid="ignore")
     def test_block_equals_rows_bitwise(self, data, rows, m, flux, scheme):
         # one call on an (R, m) block of same-noise states must give each
-        # row's own 1-D result bit for bit, as must the transforms under it,
-        # and the block must equal the np.fft reference; rows scaled by
-        # 1e160 overflow any nonzero flux, a few entries are signed zeros,
-        # subnormals, infinities or nan, and the block's trip must be the
-        # first one found by stepping each row alone, with no guard or a
-        # guard at the H1 mass of one row's step
-        block = data.draw(arrays(float, (rows, m), elements=st.floats(-2.0, 2.0)))
-        block *= data.draw(arrays(float, (rows, 1), elements=st.sampled_from([1e160, 1.0])))
-        block = with_edges(data, block)
-        xi = data.draw(arrays(float, m, elements=st.floats(-0.1, 0.1)))
-        basis = ModeBasis(m)
-        model = ModelSpec(0.1, self.FLUXES[flux], NoiseSpec(sigma=np.zeros(m)))
-        stepper = Stepper(model, SolverConfig(dt=1e-3, scheme=scheme), basis)
-        out = stepper.advance(block, xi)
-        assert out.tobytes() == _ref_advance(stepper, block, xi).tobytes()
-        # written into a caller's block, whatever it held: the same bits
-        into = np.full(block.shape, data.draw(st.sampled_from([np.nan, -0.0, 1e300])))
-        assert stepper.advance(block, xi, into) is into
-        assert into.tobytes() == out.tobytes()
-        n = dealias_points(model.flux, basis)
+        # row's own 1-D result bit for bit, as must the transforms under it;
+        # rows scaled by 1e160 overflow any nonzero flux, and the block's
+        # trip must be the first one found by stepping each row alone, with
+        # no guard or a guard at the H1 mass of one row's step
+        scale = data.draw(arrays(float, (rows, 1), elements=st.sampled_from([1e160, 1.0])))
+        model, stepper, block, xi, out = kernel_case(data, (rows, m), flux, scheme, scale)
+        basis, n = stepper.basis, dealias_points(model.flux, stepper.basis)
         samples = synthesize(block, n)
-        coeffs = analyze(samples, m)
-        assert out.shape == block.shape and coeffs.shape == block.shape
+        coeffs = analyze(samples, m, Workspace(block.shape, n))
 
         def bits(x):
             # pocketfft's batched transforms can give a row that holds a nan
@@ -278,123 +399,36 @@ class TestBlock:
         for i, row in enumerate(block):
             assert bits(stepper.advance(row, xi)) == bits(out[i])
             assert bits(synthesize(row, n)) == bits(samples[i])
-            assert bits(analyze(samples[i], m)) == bits(coeffs[i])
-        finite = [i for i, row in enumerate(out) if np.isfinite(row).all()]
-        guard_row = data.draw(st.sampled_from([None, *finite]))
-        r = None if guard_row is None else h1_sq(basis, out[guard_row])
-        cfg = SolverConfig(dt=1e-3, scheme=scheme,
-                           guard_radius=r if r is not None and 0 < r < np.inf else None)
-        checked = Stepper(model, cfg, basis)
+            assert bits(analyze(samples[i], m, Workspace((m,), n))) == bits(coeffs[i])
+        finite = [ref.h1_sq(basis, row) for row in out if np.isfinite(row).all()]
+        r = data.draw(st.sampled_from([None, *finite]))
+        cfg = SolverConfig(dt=1e-3, scheme=scheme, guard_radius=r if r and r < np.inf else None)
 
         def draw(out):
             out[:] = xi
 
         # the step loop's trip of one step of the block, from step 1 at t = 1e-3
-        trip = integrator._drive(checked, Reducer(basis), block, draw, 1, 1e-3, 1,
-                                 lambda *_: None)[3]
-        alone = [trip_reference(checked, row, checked.advance(row, xi), 1e-3) for row in block]
-        assert _trip_bits(trip) == _trip_bits(next((a for a in alone if a is not None), None))
-
-
-def _ref_flux(spec, v):
-    if spec.kind == "burgers":
-        return 0.5 * v * v
-    return np.polynomial.polynomial.polyval(v, spec.coefficients)
-
-
-# signed zeros, subnormals, infinities and nans of both signs
-EDGES = (0.0, -0.0, 5e-324, -5e-324, 1e-310, -2.2250738585072e-308, np.inf, -np.inf, np.nan,
-         -np.nan)
-
-
-def with_edges(data, a):
-    """a with up to three entries replaced by EDGES values; most draws keep
-    most rows finite, so a layout slip still shows after the transforms."""
-    flat = a.reshape(-1)
-    hits = data.draw(st.lists(st.tuples(st.integers(0, flat.size - 1), st.sampled_from(EDGES)),
-                              max_size=3))
-    for i, v in hits:
-        flat[i] = v
-    return a
-
-
-def _ref_nonlin(spec, c, basis):
-    """N(c) through np.fft.irfft/rfft and explicit per-pair products, with
-    no Workspace: the (sin, cos) pair (s, k) of wavenumber w sits in rfft
-    bin p as (n/sqrt(2)) (k - i s), and -d/dx maps it to (w k, -w s)."""
-    if spec.kind == "zero":
-        return np.zeros_like(c)
-    n, k = dealias_points(spec, basis), basis.n_pairs
-    bins = np.zeros((*c.shape[:-1], n // 2 + 1), dtype=complex)
-    scale = n / np.sqrt(2.0)
-    bins.real[..., 1 : k + 1] = c[..., 1::2] * scale
-    bins.imag[..., 1 : k + 1] = c[..., 0::2] * -scale
-    a = np.fft.rfft(_ref_flux(spec, np.fft.irfft(bins, n)))
-    back, w = np.sqrt(2.0) / n, basis.wavenumbers[0::2]
-    out = np.empty_like(c)
-    out[..., 0::2] = (a.real[..., 1 : k + 1] * back) * w
-    out[..., 1::2] = (a.imag[..., 1 : k + 1] * -back) * -w
-    return out
-
-
-def _ref_advance(stepper, c, xi):
-    """The scheme update written out as one expression per scheme, each sum
-    with its operands in the stepper's order: where two nans meet, the
-    first one's sign survives."""
-    def n(x):
-        return _ref_nonlin(stepper.model.flux, x, stepper.basis)
-
-    dt = stepper.dt
-    if stepper.model.flux.kind == "zero":
-        return stepper.decay * c + xi
-    if stepper.cfg.scheme == "exp_euler":
-        return (n(c) * dt + c) * stepper.decay + xi
-    pred = (n(c) * (0.5 * dt) + c) * stepper.half_decay
-    return n(pred) * (dt * stepper.half_decay) + stepper.decay * c + xi
+        trip = integrator._drive(Stepper(model, cfg, basis), Reducer(basis), block, draw, 1,
+                                 1e-3, 1, lambda *_: None)[3]
+        alone = [ref.blow_up(basis, row, stepper.advance(row, xi), 1e-3, 1e-3, cfg.guard_radius)
+                 for row in block]
+        assert ref.trip_bits(trip) == ref.trip_bits(next(filter(None, alone), None))
 
 
 class TestPlan:
     """Stepper's per-shape workspaces and the Horner flux reproduce the
-    allocating kernels with polyval bit for bit."""
+    reference kernels and polyval bit for bit."""
 
-    FLUXES = {
-        "burgers": FluxSpec("burgers"), "zero": FluxSpec("zero"),
-        "cubic": FluxSpec("polynomial", coefficients=[0.0, 0.5, -0.2, 1.0 / 3.0]),
-    }
-
-    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @settings(max_examples=150)
     @given(data=st.data(), rows=st.sampled_from([None, 1, 2, 3]),
            m=st.sampled_from([2, 4, 8, 16, 32, 256]), flux=st.sampled_from(sorted(FLUXES)),
            scheme=st.sampled_from(SCHEMES), exp=st.sampled_from([*range(-5, 4), 160]))
     @np.errstate(over="ignore", invalid="ignore")
     def test_plan_matches_reference_bitwise(self, data, rows, m, flux, scheme, exp):
         shape = (m,) if rows is None else (rows, m)
-        c = data.draw(arrays(float, shape, elements=st.floats(-2.0, 2.0))) * 10.0**exp
-        c = with_edges(data, c)
-        xi = data.draw(arrays(float, m, elements=st.floats(-0.1, 0.1)))
-        basis = ModeBasis(m)
-        model = ModelSpec(0.1, self.FLUXES[flux], NoiseSpec(sigma=np.zeros(m)))
-        stepper = Stepper(model, SolverConfig(dt=1e-3, scheme=scheme), basis)
-        # a state past the float range first fills the plan's buffers with
-        # inf and nan; nothing of it may reach the next call
-        big = np.full(shape, 1e160)
-        n_big = stepper.nonlin(big)
-        a_big = stepper.advance(big, xi)
-        keep = n_big.tobytes(), a_big.tobytes()
-        ref = _ref_nonlin(model.flux, c, basis)
-        assert stepper.nonlin(c).tobytes() == ref.tobytes()
-        if flux != "zero":  # and the allocating transforms with the reference -d/dx
-            v = synthesize(c, dealias_points(model.flux, basis))
-            d = rotate_pairs(analyze(_ref_flux(model.flux, v), m), -basis.wavenumbers)
-            assert d.tobytes() == ref.tobytes()
-        out = stepper.advance(c, xi)
-        assert out.tobytes() == _ref_advance(stepper, c, xi).tobytes()
-        # written into a caller's array, whatever it held: the same bits
-        into = np.full(shape, data.draw(st.sampled_from([np.nan, -0.0, 1e300])))
-        assert stepper.advance(c, xi, into) is into
-        assert into.tobytes() == out.tobytes()
+        model, stepper, c, xi, out = kernel_case(data, shape, flux, scheme, 10.0**exp)
+        assert stepper.nonlin(c).tobytes() == ref.nonlin(model.flux, c, stepper.basis).tobytes()
         # returned arrays are fresh: later calls leave them as they were
-        assert (n_big.tobytes(), a_big.tobytes()) == keep
         before = out.tobytes()
         stepper.advance(out, xi)
         stepper.nonlin(c)
@@ -406,309 +440,87 @@ class TestPlan:
         [1e80, -1e80, 1e200, -1e200, 5e-324, -5e-324, 1e-310, -2.2250738585072e-308,
          0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan])
 
-    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @settings(max_examples=300)
     @given(data=st.data(), n_coef=st.integers(1, 5))
     @np.errstate(over="ignore", invalid="ignore")
     def test_horner_matches_polyval_bitwise(self, data, n_coef):
         # coefficient counts 1..5 drawn from the same values: where two
         # nans meet in a sum, polyval's operand order decides the sign, so
         # Horner's rule must run its operations in that order, into fresh
-        # arrays and into out alike
+        # arrays and into out alike; a spec refuses coefficients that are
+        # not finite, so those go to Horner's rule on the 0-d terms directly
         coef = data.draw(arrays(float, n_coef, elements=self.HORNER_VALUES), label="coef")
         v = data.draw(arrays(float, st.integers(1, 24), elements=self.HORNER_VALUES), label="v")
+        want, terms = np.polynomial.polynomial.polyval(v, coef), tuple(map(_constant, coef[::-1]))
         if np.isfinite(coef).all():
-            value = partial(flux_value, FluxSpec("polynomial", coefficients=coef))
-        else:  # a spec refuses these: Horner's rule on the 0-d terms directly
-            value = partial(_horner, tuple(map(_constant, coef[::-1])))
-        want = np.polynomial.polynomial.polyval(v, coef)
-        assert value(v).tobytes() == want.tobytes()
+            spec = FluxSpec("polynomial", coefficients=coef)
+            assert flux_value(spec, v).tobytes() == want.tobytes()
+            terms = spec.horner_terms
+        assert _horner(terms, v).tobytes() == want.tobytes()
         into = np.full(v.shape, np.nan)
-        assert value(v, out=into) is into
-        assert into.tobytes() == want.tobytes()
+        assert _horner(terms, v, into) is into and into.tobytes() == want.tobytes()
 
 
 class TestRecordBlock:
-    """Records reduced a block of kept states at a time equal rows reduced
-    from one state at a time, whatever the block boundaries."""
+    """Records reduced a block of kept states at a time equal the rows of
+    the reference, reduced one state at a time, whatever the block
+    boundaries."""
 
-    MODEL = ModelSpec(0.1, FluxSpec("burgers"), NoiseSpec(c=0.5, q=3.0))
-    DT = 4e-3
-
-    @staticmethod
-    def reference_rows(stepper, states, times, lp_orders, r):
-        """The record columns but l1_dist and energy_residual, per state of
-        the stepper's basis."""
-        lam, rows = stepper.basis.eigenvalues, []
-        for t, c in zip(times, states):
-            cc = c * c
-            h1 = np.dot(-lam, cc)
-            vals = np.abs(synthesize(c, DEFAULT_FINE_FACTOR * stepper.basis.m_max))
-            rows.append([t, np.dot(c, c), h1, np.dot(lam * lam, cc)]
-                        + [np.mean(vals**p) for p in lp_orders]
-                        + [np.nan if r is None else r - h1])
-        return np.array(rows, dtype=float).reshape(len(rows), 5 + len(lp_orders))
-
-    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
-    @given(data=st.data(), coupled=st.booleans(), m=st.sampled_from([8, 16]),
-           every=st.sampled_from([1, 3, 7]),
-           lp_orders=st.lists(st.sampled_from([1, 2, 3, 4, 6]), unique=True, max_size=3),
-           guard=st.sampled_from(["none", "loose", "trip"]))
-    def test_block_records_equal_per_row_records(self, data, coupled, m, every,
-                                                 lp_orders, guard):
-        n_bufs = 2 if coupled else 1
-        rows = observables._RECORD_BLOCK_POINTS // (n_bufs * DEFAULT_FINE_FACTOR * m)
-        n_rec = data.draw(st.sampled_from([rows - 1, rows, rows + 1, 2 * rows + 3]),
-                          label="records")
-        step0 = 0 if coupled else data.draw(st.sampled_from([0, 1, 5, 40]), label="step0")
-        # steps to the n_rec-th record (counting the initial row of a fresh
-        # start), plus a tail that records nothing
-        first = step0 // every + (step0 > 0)
-        n_steps = (first + n_rec - 1) * every - step0 + data.draw(
-            st.integers(0, every - 1), label="tail")
-        basis = ModeBasis(m)
-        u0 = [random_field(basis, 5, amp=0.01), random_field(basis, 6, amp=0.01)][:n_bufs]
-        seed = 11
-
-        # the trajectory, stepped one state at a time from the same path
-        stepper = Stepper(self.MODEL, SolverConfig(dt=self.DT), basis)
-        path = NoisePath(self.MODEL.noise, basis, seed)
-        path.draw_index = step0
-        states = np.empty((n_steps + 1, n_bufs, m))
-        states[0] = [u.coeffs for u in u0]
-        times = [step0 * self.DT]
-        for k in range(n_steps):
-            xi = path.ou_increment(self.MODEL.nu, self.DT)
-            states[k + 1] = [stepper.advance(c, xi) for c in states[k]]
-            times.append(times[-1] + self.DT)
-        h1 = np.array([[h1_sq(basis, c) for c in s] for s in states])
-        radius, stop = None, n_steps  # stop: last step the run completes
-        if guard == "loose":
-            radius = 2.0 * h1.max()
-        elif guard == "trip":
-            # the largest h1 up to a step in the second half; the run trips
-            # at the first step any row reaches it and keeps the state before
-            radius = h1[1 : data.draw(st.integers(n_steps // 2, n_steps)) + 1].max()
-            stop = int(np.argmax(h1[1:].max(axis=1) >= radius))
-
-        cfg = SolverConfig(dt=self.DT, guard_radius=radius)
-        if coupled:
-            res = run_coupled(self.MODEL, cfg, *u0, seed=seed, n_steps=n_steps,
-                              record_every=every, lp_orders=lp_orders)
-            bufs, ends = (res.records_a, res.records_b), (res.state_a, res.state_b)
-        else:
-            res = run_single(self.MODEL, cfg, u0[0], seed=seed, n_steps=n_steps,
-                             record_every=every, lp_orders=lp_orders,
-                             t0=times[0], step0=step0)
-            bufs, ends = (res.records,), (res.state,)
-        assert (res.trip is not None) == (stop < n_steps)
-        for r, end in enumerate(ends):
-            assert end.step == step0 + stop and end.t == times[stop]
-            assert end.u.coeffs.tobytes() == states[stop, r].tobytes()
-        kept = [k for k in range(stop + 1)
-                if (k == 0 and step0 == 0) or (k > 0 and (step0 + k) % every == 0)]
-        names = ["t", "l2_sq", "h1_sq", "h2_sq", *(f"lp{p}_p" for p in lp_orders),
-                 "guard_margin"]
-        for r, buf in enumerate(bufs):
-            want = self.reference_rows(stepper, states[kept, r],
-                                       [times[k] for k in kept], lp_orders, radius)
-            got = np.column_stack([buf.column(name) for name in names])
-            assert got.shape == want.shape
-            assert got.tobytes() == want.tobytes()
+    @settings(max_examples=40)
+    @given(data=st.data(), driver=st.sampled_from(["single", "coupled"]))
+    def test_block_records_equal_per_row_records(self, data, driver):
+        # m = 8 runs ending around the default block's boundaries, which
+        # hold 512 kept states of a single run and 256 of a pair
+        rows = observables._RECORD_BLOCK_POINTS // ((1 + (driver == "coupled")) * ref.FINE * 8)
+        n_steps = data.draw(st.sampled_from([rows - 1, rows, rows + 1, 2 * rows + 3]))
+        drive(**draw_case(data, driver=driver, m=8, rows=None, flux="burgers", n_steps=n_steps,
+                          overflow=False))
 
     @pytest.mark.parametrize("coupled, step0", [(False, 0), (False, 3), (True, 0)])
-    def test_one_row_blocks(self, monkeypatch, coupled, step0):
+    def test_one_row_blocks(self, coupled, step0):
         # a flush budget below one row's fine grid gives the smallest blocks,
         # of two rows (the floor), each reduced before the next state is kept
-        monkeypatch.setattr(observables, "_RECORD_BLOCK_POINTS", 1)
-        self.check_against_rows(ModeBasis(8), coupled, step0, n_steps=5)
+        u0 = pair(B8, 5, 6, amp=0.01)
+        drive("coupled" if coupled else "single", u0 if coupled else u0[0], dt=4e-3, seed=11,
+              n_steps=5, lp=(2, 4), step0=step0, rows=2)
 
     def test_one_row_blocks_at_large_m(self):
         # m = 4096: one row already fills the flush budget, so blocks hold
         # the floor of two rows
-        self.check_against_rows(ModeBasis(4096), False, 0, n_steps=2)
-
-    def check_against_rows(self, basis, coupled, step0, n_steps):
-        lp_orders = (2, 4)
-        n_bufs = 2 if coupled else 1
-        u0 = [random_field(basis, 5, amp=0.01), random_field(basis, 6, amp=0.01)][:n_bufs]
-        stepper = Stepper(self.MODEL, SolverConfig(dt=self.DT), basis)
-        path = NoisePath(self.MODEL.noise, basis, 11)
-        path.draw_index = step0
-        states = [np.stack([u.coeffs for u in u0])]
-        times = [step0 * self.DT]
-        for _ in range(n_steps):
-            states.append(stepper.advance(states[-1], path.ou_increment(self.MODEL.nu,
-                                                                        self.DT)))
-            times.append(times[-1] + self.DT)
-        if step0:  # a resumed segment records no initial row
-            states, times = states[1:], times[1:]
-        if coupled:
-            res = run_coupled(self.MODEL, stepper.cfg, *u0, seed=11, n_steps=n_steps,
-                              lp_orders=lp_orders)
-            bufs = (res.records_a, res.records_b)
-        else:
-            res = run_single(self.MODEL, stepper.cfg, u0[0], seed=11, n_steps=n_steps,
-                             lp_orders=lp_orders, t0=step0 * self.DT, step0=step0)
-            bufs = (res.records,)
-        names = ["t", "l2_sq", "h1_sq", "h2_sq", "lp2_p", "lp4_p", "guard_margin"]
-        for r, buf in enumerate(bufs):
-            want = self.reference_rows(stepper, [s[r] for s in states], times,
-                                       lp_orders, None)
-            got = np.column_stack([buf.column(name) for name in names])
-            assert got.tobytes() == want.tobytes()
+        drive("single", random_field(ModeBasis(4096), 5, amp=0.01).coeffs, dt=4e-3, seed=11,
+              n_steps=2, lp=(2, 4))
 
 
 class TestLeanStep:
-    """Whole runs, on the planned kernels with the in-place draw and the
-    inline blow-up test, equal a loop of the allocating `_ref_advance` on
-    increments drawn from freshly built Philox generators, bit for bit:
-    records, final states and trips."""
-
-    NU, DT = 0.1, 2e-3
-
-    def increment(self, model, basis, seed, step):
-        lam = basis.eigenvalues
-        var = (model.noise.resolve(basis) ** 2 * (1.0 - np.exp(2.0 * self.NU * lam * self.DT))
-               / (-2.0 * self.NU * lam))
-        gen = np.random.Generator(np.random.Philox(key=seed, counter=[0, step, 0, 0]))
-        return np.sqrt(var) * gen.standard_normal(basis.m_max)
-
-    def ref_run(self, stepper, c, xis, radius):
-        """States and times up to the last completed step, and the trip as
-        (t, h1_sq, reason): the rows of each step's output are checked in
-        order, a non-finite row trips at t with its pre-step mass, then a
-        row at the radius at t + dt."""
-        neg_lam = -stepper.basis.eigenvalues
-        states, times = [c], [0.0]
-        for xi in xis:
-            out, t = _ref_advance(stepper, c, xi), times[-1]
-            for row, new in zip(np.atleast_2d(c), np.atleast_2d(out)):
-                if not np.isfinite(new).all():
-                    return states, times, (t, float(np.dot(neg_lam, row * row)), "flux_overflow")
-                h1 = float(np.dot(neg_lam, new * new))
-                if radius is not None and h1 >= radius:
-                    return states, times, (t + self.DT, h1, "guard")
-            c = out
-            states.append(c)
-            times.append(t + self.DT)
-        return states, times, None
-
-    def check_records(self, stepper, buf, states, times, every, radius):
-        kept = range(0, len(states), every)
-        want = TestRecordBlock.reference_rows(stepper, [states[k] for k in kept],
-                                              [times[k] for k in kept], (), radius)
-        names = ("t", "l2_sq", "h1_sq", "h2_sq", "guard_margin")
-        assert np.column_stack([buf.column(k) for k in names]).tobytes() == want.tobytes()
-
-    @staticmethod
-    def trip_of(trip):
-        return None if trip is None else (trip.t, trip.h1_sq, trip.reason)
+    """Whole runs of every driver, on the planned kernels with the block
+    draw and the one blow-up test per kept block, equal the reference."""
 
     @pytest.mark.parametrize("guard", ["none", "trip", "overflow"])
-    @pytest.mark.parametrize("flux", sorted(TestPlan.FLUXES))
-    @settings(max_examples=12, deadline=None, derandomize=True, database=None)
-    @given(data=st.data(), m=st.sampled_from([8, 16]), scheme=st.sampled_from(SCHEMES),
-           n_steps=st.integers(1, 30), every=st.sampled_from([1, 4]))
-    @np.errstate(over="ignore", invalid="ignore")
-    def test_runs_equal_reference_loop(self, flux, guard, data, m, scheme, n_steps, every):
-        basis = ModeBasis(m)
-        model = ModelSpec(self.NU, TestPlan.FLUXES[flux], NoiseSpec(c=0.5, q=3.0))
-        seed = data.draw(st.integers(0, 2**64 - 1), label="seed")
-        u0 = data.draw(arrays(float, (2, m), elements=st.floats(-2.0, 2.0)), label="u0")
-        if guard == "overflow":  # squares past the float range; a nonzero flux overflows
-            u0[data.draw(st.integers(0, 1), label="row")] *= 1e160
-        xis = [self.increment(model, basis, seed, k) for k in range(n_steps)]
-        ref = Stepper(model, SolverConfig(dt=self.DT, scheme=scheme), basis)
-        radius = None
-        if guard == "trip":
-            # the largest H1 mass of either row up to a step in the second
-            # half: the runs trip at the first step a row reaches it
-            states = self.ref_run(ref, u0, xis, None)[0]
-            last = data.draw(st.integers(max(1, n_steps // 2), n_steps), label="last")
-            radius = max(h1_sq(basis, row) for c in states[1 : last + 1] for row in c)
-        cfg = SolverConfig(dt=self.DT, scheme=scheme, guard_radius=radius)
-        fields = [SpectralField(row, basis) for row in u0]
-
-        states, times, trip = self.ref_run(ref, u0[0], xis, radius)
-        res = run_single(model, cfg, fields[0], seed, n_steps, record_every=every)
-        assert self.trip_of(res.trip) == trip
-        assert (res.state.step, res.state.t) == (len(states) - 1, times[-1])
-        assert res.state.u.coeffs.tobytes() == states[-1].tobytes()
-        self.check_records(ref, res.records, states, times, every, radius)
-        hist, hist_trip = run_on_increments(model, cfg, fields[0], np.array(xis))
-        assert self.trip_of(hist_trip) == trip
-        assert hist.tobytes() == np.array(states).tobytes()
-
-        states, times, trip = self.ref_run(ref, u0, xis, radius)
-        res = run_coupled(model, cfg, *fields, seed, n_steps, record_every=every)
-        assert self.trip_of(res.trip) == trip
-        for r, end in enumerate((res.state_a, res.state_b)):
-            assert (end.step, end.t) == (len(states) - 1, times[-1])
-            assert end.u.coeffs.tobytes() == states[-1][r].tobytes()
-        assert res.times.tobytes() == np.array(times).tobytes()
-        for r, buf in enumerate((res.records_a, res.records_b)):
-            self.check_records(ref, buf, [c[r] for c in states], times, every, radius)
+    @pytest.mark.parametrize("flux", sorted(FLUXES))
+    @settings(max_examples=12)
+    @given(data=st.data())
+    def test_runs_equal_reference_loop(self, flux, guard, data):
+        drive(**draw_case(data, flux=flux, m=data.draw(st.sampled_from([8, 16])),
+                          guard="at" if guard == "trip" else "none",
+                          overflow=guard == "overflow", poison=False))
 
 
 class TestTwoRowBlocks:
     """At the floor of two kept rows a block wraps at every other step, and
     each step is written in place into its kept row: no step's output may
-    share memory with its input.  Runs equal the per-step reference loop of
-    TestLeanStep bit for bit: records, final states, coupled series and the
-    states on_block sees."""
-
-    MODEL = ModelSpec(TestLeanStep.NU, FluxSpec("burgers"), NoiseSpec(c=0.5, q=3.0))
-    SEED, N_STEPS = 7, 23
+    share memory with its input.  Runs equal the reference bit for bit."""
 
     @pytest.mark.parametrize("scheme", SCHEMES)
     @pytest.mark.parametrize("run", ["single_every_1", "single_every_3", "coupled"])
-    def test_runs_equal_reference_loop(self, monkeypatch, kept_blocks, scheme, run):
-        lean, basis = TestLeanStep(), ModeBasis(8)
-        cfg = SolverConfig(dt=lean.DT, scheme=scheme)
-        ref = Stepper(self.MODEL, cfg, basis)
-        u0 = np.stack([random_field(basis, 5, amp=0.3).coeffs,
-                       random_field(basis, 6, amp=0.3).coeffs])
-        xis = [lean.increment(self.MODEL, basis, self.SEED, k) for k in range(self.N_STEPS)]
-        every = 3 if run == "single_every_3" else 1
-        # a budget below one row's fine grid: blocks of two kept rows
-        monkeypatch.setattr(observables, "_RECORD_BLOCK_POINTS", 1)
-        reduced = []
-        record_rows = Reducer.record_rows
-
-        def counted(reducer, bufs, radius, every, first, times, states, l1=None):
-            reduced.append((first, len(times)))
-            return record_rows(reducer, bufs, radius, every, first, times, states, l1)
-
-        monkeypatch.setattr(Reducer, "record_rows", counted)
-        if run == "coupled":
-            states, times, _ = lean.ref_run(ref, u0, xis, None)
-            res = run_coupled(self.MODEL, cfg, *(SpectralField(r, basis) for r in u0),
-                              self.SEED, self.N_STEPS)
-            assert res.times.tobytes() == np.array(times).tobytes()
-            for r, (end, buf) in enumerate(((res.state_a, res.records_a),
-                                            (res.state_b, res.records_b))):
-                assert end.u.coeffs.tobytes() == states[-1][r].tobytes()
-                lean.check_records(ref, buf, [c[r] for c in states], times, 1, None)
-            n_fine = DEFAULT_FINE_FACTOR * basis.m_max
-            l1 = [np.mean(np.abs(synthesize(c[0] - c[1], n_fine))) for c in states]
-            assert res.l1_series.tobytes() == np.array(l1).tobytes()
-        else:
-            states, times, _ = lean.ref_run(ref, u0[0], xis, None)
-            seen = []
-            res = run_single(self.MODEL, cfg, SpectralField(u0[0], basis), self.SEED,
-                             self.N_STEPS, record_every=every,
-                             on_block=lambda first, ts, block: seen.extend(
-                                 zip(range(first, first + len(ts)), ts.tolist(), block.copy())))
-            assert res.state.u.coeffs.tobytes() == states[-1].tobytes()
-            lean.check_records(ref, res.records, states, times, every, None)
-            assert [(step, t) for step, t, _ in seen] == list(enumerate(times))
-            assert np.array([c for *_, c in seen]).tobytes() == np.array(states).tobytes()
-            hist, _ = run_on_increments(self.MODEL, cfg, SpectralField(u0[0], basis),
-                                        np.array(xis))
-            assert hist.tobytes() == np.array(states).tobytes()
+    def test_runs_equal_reference_loop(self, monkeypatch, scheme, run):
+        reduced = spy(monkeypatch, Reducer, "record_rows")
+        u0 = pair(B8, 5, 6, amp=0.3)
+        drive("coupled" if run == "coupled" else "single", u0 if run == "coupled" else u0[0],
+              scheme=scheme, seed=7, n_steps=23, every=3 if run == "single_every_3" else 1,
+              rows=2)
         # every step is kept, whatever the record cadence: one call per
         # block of two steps, after the fresh start's own
-        assert reduced == kept_blocks(self.N_STEPS, 2)
+        assert [(call[4], len(call[5])) for call in reduced] == kept_blocks(23, 2)
 
 
 class TestBlockHook:
@@ -718,69 +530,26 @@ class TestBlockHook:
     block, past which it sees nothing.  The CLI's snapshots, written from
     the hook, are the states of their steps at any snapshot cadence."""
 
-    MODEL = ModelSpec(0.1, FluxSpec("burgers"), NoiseSpec(c=0.5, q=3.0))
-    DT, SEED, ROWS, N_STEPS = 2e-3, 3, 4, 17
-
-    def reference(self, basis, u0, step0):
-        """The states and times of steps step0 .. step0 + N_STEPS, stepped
-        one state at a time from the path's own draws."""
-        stepper = Stepper(self.MODEL, SolverConfig(dt=self.DT), basis)
-        path = NoisePath(self.MODEL.noise, basis, self.SEED)
-        path.draw_index = step0
-        states, times = [u0.coeffs], [step0 * self.DT]
-        for _ in range(self.N_STEPS):
-            states.append(stepper.advance(states[-1], path.ou_increment(self.MODEL.nu,
-                                                                        self.DT)))
-            times.append(times[-1] + self.DT)
-        return states, times
-
     @pytest.mark.parametrize("trip", [False, True])
     @pytest.mark.parametrize("every", [1, 3])
     @pytest.mark.parametrize("step0", [0, 5])
     def test_each_step_once_and_in_order(self, monkeypatch, step0, every, trip):
-        basis = ModeBasis(8)
-        # blocks of ROWS kept states: a run of N_STEPS wraps four times
-        monkeypatch.setattr(observables, "_RECORD_BLOCK_POINTS",
-                            self.ROWS * DEFAULT_FINE_FACTOR * basis.m_max)
-        u0 = random_field(basis, 5, amp=1e-3)
-        states, times = self.reference(basis, u0, step0)
-        radius, last = None, self.N_STEPS  # last: the last step the run completes
+        u0, radius = random_field(B8, 5, amp=1e-3).coeffs, None
         if trip:
-            # the first step past the second block whose H1 mass exceeds
+            # the first step past the second block of 4 whose H1 mass exceeds
             # every earlier one and that is not the first row of its block
-            # (row 0 is step step0 + 1 of a block of steps)
-            h1 = [h1_sq(basis, c) for c in states]
-            s = next(s for s in range(2 * self.ROWS + 1, self.N_STEPS)
-                     if h1[s] > max(h1[1:s]) and (s - 1) % self.ROWS)
-            radius, last = h1[s], s - 1
+            h1 = top_h1(B8, ref.run(MODEL, SolverConfig(dt=DT), u0, 3, 17, t0=step0 * DT,
+                                       step0=step0).states)
+            radius = h1[next(s for s in range(9, 17) if h1[s] > max(h1[1:s]) and (s - 1) % 4)]
         events = []
-        record_rows = Reducer.record_rows
-
-        def recorded(reducer, bufs, r, rec_every, first, ts, block, l1=None):
-            events.append(("records", first))
-            return record_rows(reducer, bufs, r, rec_every, first, ts, block, l1)
-
-        def on_block(first, ts, block):
-            assert 0 < len(ts) == len(block) <= self.ROWS
-            events.append(("hook", first))
-            seen.extend(zip(range(first, first + len(ts)), ts.tolist(), block.copy()))
-
-        monkeypatch.setattr(Reducer, "record_rows", recorded)
-        seen = []
-        res = run_single(self.MODEL, SolverConfig(dt=self.DT, guard_radius=radius), u0,
-                         self.SEED, self.N_STEPS, record_every=every, t0=times[0],
-                         step0=step0, on_block=on_block)
+        spy(monkeypatch, Reducer, "record_rows",
+            lambda out, calls, *args: events.append(("records", args[4])))
+        res, _ = drive("single", u0, n_steps=17, every=every, step0=step0, radius=radius, rows=4,
+                       on_block=lambda first, ts, block: events.append(("hook", first)))
         assert (res.trip is not None) == trip
-        assert res.state.step == step0 + last
-        # a resumed run starts at the step after its snapshot's
-        want = range(int(step0 > 0), last + 1)
-        assert [(step, t) for step, t, _ in seen] == [(step0 + i, times[i]) for i in want]
-        assert (np.array([c for *_, c in seen]).tobytes()
-                == np.array([states[i] for i in want]).tobytes())
         firsts = [first for kind, first in events[::2]]
         assert events == [(kind, first) for first in firsts for kind in ("records", "hook")]
         assert len(firsts) >= 3  # two wraps at least
-        assert len(res.records) == len([i for i in want if (step0 + i) % every == 0])
 
     # a snapshot cadence of 7 is neither a multiple nor a divisor of the
     # record cadence or of the block's 10 rows
@@ -788,14 +557,13 @@ class TestBlockHook:
     def test_cli_snapshots_are_the_states_of_their_steps(self, monkeypatch, tmp_path, step0):
         from svcl.cli import entry
 
-        basis, n_steps, every, snap_every = ModeBasis(8), 50, 4, 7
-        monkeypatch.setattr(observables, "_RECORD_BLOCK_POINTS",
-                            10 * DEFAULT_FINE_FACTOR * basis.m_max)
+        basis, n_steps, every, snap_every, seed = B8, 50, 4, 7, 3
+        monkeypatch.setattr(observables, "_RECORD_BLOCK_POINTS", 10 * ref.FINE * basis.m_max)
         ini = tmp_path / "run.ini"
         ini.write_text(f"[model]\nnu = 0.1\nflux = burgers\n[noise]\nc = 0.5\nq = 3\n"
-                       f"[solver]\nmodes = 8\ndt = {self.DT!r}\n"
-                       f"[experiment]\nkind = single\nhorizon = {n_steps * self.DT!r}\n"
-                       f"seed = {self.SEED}\nrecord_every = {every}\n"
+                       f"[solver]\nmodes = 8\ndt = {DT!r}\n"
+                       f"[experiment]\nkind = single\nhorizon = {n_steps * DT!r}\n"
+                       f"seed = {seed}\nrecord_every = {every}\n"
                        f"snapshot_every = {snap_every}\n"
                        f"[initial]\nkind = mode\nmode = 1\namplitude = 1.0\n"
                        f"[output]\ndir = {tmp_path / 'out'}\n")
@@ -810,11 +578,11 @@ class TestBlockHook:
         snaps = sorted((tmp_path / "out").glob("snap_*.snap"))
         steps = range(snap_every, n_steps + 1, snap_every)
         assert [p.name for p in snaps] == [f"snap_{k:09d}.snap" for k in steps]
-        u0, cfg = mode_field(basis, 1, 1.0), SolverConfig(dt=self.DT)
+        cfg = SolverConfig(dt=DT)
+        want = ref.run(MODEL, cfg, mode_field(basis, 1, 1.0).coeffs, seed, n_steps)
         for p, k in zip(snaps, steps):
             buf = io.BytesIO()
-            end = run_single(self.MODEL, cfg, u0, self.SEED, k).state
-            write_snapshot(buf, end.u.coeffs, end.t, end.step, self.MODEL, cfg, self.SEED)
+            write_snapshot(buf, want.states[k], want.times[k], k, MODEL, cfg, seed)
             assert p.read_bytes() == buf.getvalue(), p.name
 
 
@@ -840,84 +608,51 @@ class TestContinuousDependence:
         assert max(ratios) / min(ratios) < 1.5
 
 
+CUBIC = FluxSpec("polynomial", coefficients=[0.0, 0.0, 0.0, 1.0 / 3.0])
+
+
 class TestGuard:
+    E1 = mode_field(B8, 1, 1.0)
+    # the silent step of e_1 is E e_1: its H1 mass is the radius it reaches
+    E1_RADIUS = ref.h1_sq(B8, np.exp(0.1 * B8.eigenvalues * 0.01) * E1.coeffs)
+
     def test_zero_field_never_trips(self):
-        basis = ModeBasis(8)
-        cfg = SolverConfig(dt=0.01, guard_radius=1e-6)
-        res = run_single(silent_model(m=8), cfg, SpectralField(basis.zeros(), basis),
-                         seed=0, n_steps=50)
+        res, _ = drive("single", np.zeros(8), silent_model(m=8), dt=0.01, radius=1e-6, n_steps=50)
         assert res.trip is None and res.state.step == 50
 
     def test_single_mode_trips_exactly_at_threshold(self):
-        # A = 0, sigma = 0: the first stepped state is E e_1, and a radius
-        # equal to its H1 mass trips at step 1 while a hair more never does
-        basis = ModeBasis(8)
-        model = silent_model(m=8)
-        u0 = mode_field(basis, 1, 1.0)
-        stepper = Stepper(model, SolverConfig(dt=0.01), basis)
-        r = h1_sq(basis, stepper.advance(u0.coeffs, np.zeros(8)))
-        res = run_single(model, SolverConfig(dt=0.01, guard_radius=r), u0,
-                         seed=0, n_steps=20)
-        assert res.trip is not None and res.trip.reason == "guard" and res.trip.h1_sq == r
-        assert res.trip.t == 0.01 and res.state.step == 0
-        res = run_single(model, SolverConfig(dt=0.01, guard_radius=r * (1 + 1e-12)),
-                         u0, seed=0, n_steps=20)
-        assert res.trip is None and res.state.step == 20
+        # a radius equal to the H1 mass of step 1 trips there, while a hair
+        # more never does
+        for r, steps in ((self.E1_RADIUS, 0), (self.E1_RADIUS * (1 + 1e-12), 20)):
+            res, _ = drive("single", self.E1.coeffs, silent_model(m=8), dt=0.01, radius=r,
+                           n_steps=20)
+            assert res.state.step == steps and (res.trip is None) == bool(steps)
 
     def test_guard_trip_ends_the_history(self):
-        # the path's own draws: the history is run_single's states, up to
-        # the state before the step that reached the radius
-        basis = ModeBasis(8)
+        # the history and run_single end at the state before the step that
+        # reached the radius
         model = ModelSpec(0.1, FluxSpec("zero"), NoiseSpec(c=2.0, q=3.0))
-        cfg = SolverConfig(dt=0.01, guard_radius=1e-8)
-        path = NoisePath(model.noise, basis, 3)
-        xis = np.array([path.ou_increment(model.nu, cfg.dt) for _ in range(50)])
-        u0 = SpectralField(basis.zeros(), basis)
-        hist, trip = run_on_increments(model, cfg, u0, xis)
-        assert trip.reason == "guard"
-        assert trip.h1_sq >= 1e-8
-        states = []
-        res = run_single(model, cfg, u0, seed=3, n_steps=50,
-                         on_block=lambda first, times, block: states.extend(block.copy()))
-        assert (trip.t, trip.h1_sq) == (res.trip.t, res.trip.h1_sq)
-        assert len(hist) == res.state.step + 1 < 51
-        assert hist.tobytes() == np.array(states).tobytes()
+        for driver in ("history", "single"):
+            _, want = drive(driver, np.zeros(8), model, dt=0.01, radius=1e-8, n_steps=50)
+        assert want.trip[2] == "guard" and want.trip[1] >= 1e-8 and want.step < 50
 
     def test_huge_step_count_returns_at_its_trip(self):
         # nothing is sized by n_steps: a run of 10^16 steps whose guard
         # trips at step 1 returns at once
-        basis = ModeBasis(8)
-        model = silent_model(m=8)
-        u0 = mode_field(basis, 1, 1.0)
-        stepper = Stepper(model, SolverConfig(dt=0.01), basis)
-        r = h1_sq(basis, stepper.advance(u0.coeffs, np.zeros(8)))
-        res = run_single(model, SolverConfig(dt=0.01, guard_radius=r), u0,
-                         seed=0, n_steps=10**16, lp_orders=(2,))
-        assert res.trip is not None and res.trip.reason == "guard"
-        assert res.state.step == 0 and len(res.records) == 1
+        res, _ = drive("single", self.E1.coeffs, silent_model(m=8), dt=0.01,
+                       radius=self.E1_RADIUS, n_steps=10**16, lp=(2,))
+        assert res.trip.reason == "guard" and res.state.step == 0 and len(res.records) == 1
 
     def test_run_single_captures_trip(self):
-        basis = ModeBasis(8)
         model = ModelSpec(0.1, FluxSpec("zero"), NoiseSpec(c=2.0, q=3.0))
-        cfg = SolverConfig(dt=0.01, guard_radius=1e-8)
-        res = run_single(model, cfg, SpectralField(basis.zeros(), basis),
-                         seed=3, n_steps=100)
-        assert res.trip is not None and res.trip.reason == "guard"
-        assert res.state.t < 100 * 0.01  # halted early
-        assert len(res.records) < 101
+        res, _ = drive("single", np.zeros(8), model, dt=0.01, radius=1e-8, n_steps=100)
+        assert res.trip.reason == "guard" and len(res.records) < 101
 
     def test_flux_overflow_becomes_trip(self):
-        basis = ModeBasis(8)
-        cubic = FluxSpec("polynomial", coefficients=[0.0, 0.0, 0.0, 1.0 / 3.0])
-        model = ModelSpec(0.1, cubic, NoiseSpec(sigma=np.zeros(8)))
-        cfg = SolverConfig(dt=0.01)
-        u0 = mode_field(basis, 1, 1e110)
-        hist, trip = run_on_increments(model, cfg, u0, np.zeros((1, 8)))
-        assert trip.reason == "flux_overflow"
-        assert hist.tobytes() == u0.coeffs.tobytes()  # only the start
-        res = run_single(model, cfg, u0, seed=0, n_steps=10)
-        assert res.trip is not None and res.trip.reason == "flux_overflow"
-        assert res.state.step == 0  # nothing advanced
+        model = ModelSpec(0.1, CUBIC, NoiseSpec(sigma=np.zeros(8)))
+        for driver in ("history", "single"):
+            _, want = drive(driver, modes((1, 1e110)), model, dt=0.01, n_steps=10)
+        assert want.trip[2] == "flux_overflow" and want.step == 0  # nothing advanced
 
     @pytest.mark.parametrize("guard", [None, 1.0])
     def test_non_finite_step_trips_before_the_guard(self, guard):
@@ -926,24 +661,17 @@ class TestGuard:
         # holds +-inf but no nan, so its H1 mass (inf) is past any guard.
         # The non-finite check comes first: the run stops before the step
         # with its last finite state, whether a guard is set or not
-        basis = ModeBasis(8)
         model = ModelSpec(0.1, FluxSpec("burgers"), NoiseSpec(sigma=np.zeros(8)))
-        u0 = mode_field(basis, 1, 1e154)
-        res = run_single(model, SolverConfig(dt=0.01, guard_radius=guard), u0,
-                         seed=0, n_steps=10)
-        assert res.trip.reason == "flux_overflow" and res.trip.t == 0.0
-        assert res.trip.h1_sq == np.inf  # 4 pi^2 1e308 is past the float range too
-        assert res.state.step == 0 and res.state.u.coeffs.tobytes() == u0.coeffs.tobytes()
+        _, want = drive("single", modes((1, 1e154)), model, dt=0.01, radius=guard, n_steps=10)
+        # 4 pi^2 1e308 is past the float range too
+        assert want.trip == (0.0, np.inf, "flux_overflow") and want.step == 0
 
     def test_flux_overflow_trip_time_is_the_state_time(self):
         # the cubic overflows at step 2, after t = 0.01 + 0.01; the trip
         # reports the pre-step time itself, not (t + dt) - dt, which here
         # is one ulp below it
-        basis = ModeBasis(8)
-        cubic = FluxSpec("polynomial", coefficients=[0.0, 0.0, 0.0, 1.0 / 3.0])
-        model = ModelSpec(0.1, cubic, NoiseSpec(sigma=np.zeros(8)))
-        res = run_single(model, SolverConfig(dt=0.01), mode_field(basis, 1, 1.149e12),
-                         seed=0, n_steps=10)
+        model = ModelSpec(0.1, CUBIC, NoiseSpec(sigma=np.zeros(8)))
+        res, _ = drive("single", modes((1, 1.149e12)), model, dt=0.01, n_steps=10)
         assert res.trip.reason == "flux_overflow" and res.state.step == 2
         assert res.trip.t == res.state.t
 
@@ -952,31 +680,17 @@ class TestGuard:
         # of squares is past the float range, so the one-dot check cannot
         # clear the step and the row walk must; with no guard the run goes
         # to its end, each state exactly the decayed one before it
-        basis = ModeBasis(8)
-        model, cfg = silent_model(m=8), SolverConfig(dt=0.01)
-        u0 = mode_field(basis, 1, 1e200)
-        xis = np.zeros((30, 8))
-        hist, trip = run_on_increments(model, cfg, u0, xis)
+        (hist, trip), _ = drive("history", modes((1, 1e200)),
+                                silent_model(m=8), dt=0.01, n_steps=30)
         assert trip is None and len(hist) == 31 and np.isfinite(hist).all()
-        with np.errstate(over="ignore"):
-            assert np.vdot(hist[-1], hist[-1]) == np.inf
-        decay, c = Stepper(model, cfg, basis).decay, u0.coeffs
-        for row, xi in zip(hist[1:], xis):
-            c = decay * c + xi
-            assert row.tobytes() == c.tobytes()
 
     def test_overflowing_norms_fill_records_without_a_warning(self):
         # the same 1e200 e1 state through run_single: every recorded norm is
         # inf and every windowed residual nan (inf - inf), and the residual
         # fill after the step loop must not leak a RuntimeWarning
-        basis = ModeBasis(8)
-        model = ModelSpec(0.1, FluxSpec("zero"), NoiseSpec(c=0.5, q=3.0))
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", RuntimeWarning)
-            res = run_single(model, SolverConfig(dt=0.01), mode_field(basis, 1, 1e200),
-                             seed=1, n_steps=30)
+        res, _ = drive("single", modes((1, 1e200)),
+                       ModelSpec(0.1, FluxSpec("zero"), NOISE), dt=0.01, seed=1, n_steps=30)
         assert res.trip is None and res.state.step == 30
-        assert np.isfinite(res.state.u.coeffs).all()
         assert np.all(res.records.column("l2_sq") == np.inf)
         assert np.isnan(res.records.column("energy_residual")).all()
 
@@ -1028,154 +742,89 @@ class TestCoupled:
         # the step loop hands advance an increment at the pair's (2, m) shape,
         # so no operand of the update broadcasts; its two rows are the
         # path's one-step draws, bit for bit, step after step
-        basis = ModeBasis(16)
         model = ModelSpec(0.05, FluxSpec("burgers"), NoiseSpec(c=0.5, q=3.0))
-        cfg = SolverConfig(dt=1e-3)
-        seen, original = [], Stepper.advance
-
-        def advance(self, c, xi, out=None):
-            assert xi.shape == c.shape == (2, 16)
-            seen.append(xi.copy())
-            return original(self, c, xi, out)
-
-        monkeypatch.setattr(Stepper, "advance", advance)
-        run_coupled(model, cfg, random_field(basis, 1), random_field(basis, 2), seed=9,
-                    n_steps=300)
-        path = NoisePath(model.noise, basis, 9)
+        seen = []
+        spy(monkeypatch, Stepper, "advance",
+            lambda out, calls, stepper, c, xi, *_: seen.append((c.shape, xi.copy())) or out)
+        run_coupled(model, SolverConfig(dt=1e-3), random_field(B16, 1), random_field(B16, 2),
+                    seed=9, n_steps=300)
         assert len(seen) == 300
-        for xi in seen:
-            want = path.ou_increment(model.nu, cfg.dt)
+        for k, (shape, xi) in enumerate(seen):
+            want = ref.increment(model.noise, B16, model.nu, 1e-3, 9, k)
+            assert shape == xi.shape == (2, 16)
             assert xi[0].tobytes() == xi[1].tobytes() == want.tobytes()
 
+    @staticmethod
+    def rises(noise, seeds, n_steps):
+        """The largest step increase of the L1 series of each pair of
+        random fields, relative to the distance before the step."""
+        model = ModelSpec(0.05, FluxSpec("burgers"), noise)
+        return [np.max(np.diff(l1) / l1[:-1]) for l1 in (run_coupled(
+            model, SolverConfig(dt=1e-3), random_field(B16, a),
+            random_field(B16, a + 1), seed=s, n_steps=n_steps,
+            record_every=500).l1_series for s, a in seeds)]
+
     def test_noiseless_l1_contraction_is_monotone(self):
-        basis = ModeBasis(16)
-        model = ModelSpec(0.05, FluxSpec("burgers"), NoiseSpec(sigma=np.zeros(16)))
-        cfg = SolverConfig(dt=1e-3)
-        for seed in range(5):
-            u0 = random_field(basis, 3 * seed)
-            v0 = random_field(basis, 3 * seed + 1)
-            res = run_coupled(model, cfg, u0, v0, seed=seed, n_steps=2000,
-                              record_every=500)
-            assert np.all(np.diff(res.l1_series) <= 0.0)
+        assert max(self.rises(NoiseSpec(sigma=np.zeros(16)), [(s, 3 * s) for s in range(5)],
+                              2000)) <= 0.0
 
     def test_noisy_l1_contraction_within_step_tolerance(self):
         # Same-noise coupling: non-increasing up to 1e-8 of the current value.
-        basis = ModeBasis(16)
-        model = ModelSpec(0.05, FluxSpec("burgers"), NoiseSpec(c=0.2, q=3.0))
-        cfg = SolverConfig(dt=1e-3)
-        for seed in range(5):
-            u0 = random_field(basis, 100 + 3 * seed)
-            v0 = random_field(basis, 101 + 3 * seed)
-            res = run_coupled(model, cfg, u0, v0, seed=seed, n_steps=1000,
-                              record_every=500)
-            inc = np.diff(res.l1_series)
-            assert np.all(inc <= 1e-8 * res.l1_series[:-1])
+        assert max(self.rises(NoiseSpec(c=0.2, q=3.0), [(s, 100 + 3 * s) for s in range(5)],
+                              1000)) <= 1e-8
 
-    def _trip_pair(self, flux, guard_radius, a0, b0):
-        basis = ModeBasis(8)
+    @staticmethod
+    def trip_pair(flux, radius, a0, b0, **kw):
+        """A noiseless pair of m = 8 runs of 10 steps of 0.01 from (a0, b0)."""
         model = ModelSpec(0.1, flux, NoiseSpec(sigma=np.zeros(8)))
-        cfg = SolverConfig(dt=0.01, guard_radius=guard_radius)
-        res = run_coupled(model, cfg, SpectralField(a0, basis), SpectralField(b0, basis),
-                          seed=0, n_steps=10)
-        return Stepper(model, SolverConfig(dt=0.01), basis), res
+        return drive("coupled", np.stack([a0, b0]), model, dt=0.01, radius=radius, n_steps=10,
+                     **kw)[1]
 
     def test_guard_trip_in_second_row(self):
         # a is the zero state, which the silent step keeps; b trips at step 1
-        basis = ModeBasis(8)
-        b0 = mode_field(basis, 1, 2.0).coeffs
-        stepper = Stepper(silent_model(m=8), SolverConfig(dt=0.01), basis)
-        r = h1_sq(basis, stepper.advance(b0, np.zeros(8)))
-        _, res = self._trip_pair(FluxSpec("zero"), r, basis.zeros(), b0)
-        assert res.trip.reason == "guard" and res.trip.h1_sq == r
-        assert res.trip.t == 0.01 and res.state_a.step == res.state_b.step == 0
-        assert np.array_equal(res.state_a.u.coeffs, basis.zeros())
-        assert np.array_equal(res.state_b.u.coeffs, b0)
-        assert len(res.l1_series) == 1 and len(res.records_b) == 1
+        b0 = modes((1, 2.0))
+        r = ref.h1_sq(B8, np.exp(0.1 * B8.eigenvalues * 0.01) * b0)
+        want = self.trip_pair(FluxSpec("zero"), r, B8.zeros(), b0)
+        assert want.trip == (0.01, r, "guard") and want.step == 0
 
     def test_flux_overflow_in_second_row(self):
-        basis = ModeBasis(8)
-        cubic = FluxSpec("polynomial", coefficients=[0.0, 0.0, 0.0, 1.0 / 3.0])
-        b0 = mode_field(basis, 1, 1e110).coeffs
-        stepper, res = self._trip_pair(cubic, None, basis.zeros(), b0)
-        assert res.trip.reason == "flux_overflow"
-        assert res.trip.h1_sq == h1_sq(basis, b0) and res.trip.t == 0.0
-        assert np.array_equal(res.state_b.u.coeffs, b0)
+        b0 = modes((1, 1e110))
+        want = self.trip_pair(CUBIC, None, B8.zeros(), b0)
+        assert want.trip == (0.0, ref.h1_sq(B8, b0), "flux_overflow")
 
     def test_nan_in_second_row_trips_at_its_step(self, monkeypatch):
-        # burgers' flux, wrapped to put a nan into row b's flux samples on
-        # its 4th call, the 4th exp_euler step: the rows are checked in
-        # order, so a passes and b trips as flux_overflow from the state
-        # time and H1 mass before that step, and both rows keep their
-        # states from before it, those of a 3-step burgers run.  The trip
-        # is found once its kept block is stepped, so the block's steps
-        # past it are computed and discarded: at most one block of calls
-        basis = ModeBasis(8)
-        calls = []
-        flux_value = integrator.flux.flux_value
-
-        def value(spec, v, out=None):
-            calls.append(v.shape)
-            out = flux_value(spec, v, out)
-            if len(calls) == 4:
-                out[1, 3] = np.nan
-            return out
-
-        monkeypatch.setattr(integrator.flux, "flux_value", value)
-        noise, cfg = NoiseSpec(c=0.5, q=3.0), SolverConfig(dt=0.01)
-        u0, v0 = mode_field(basis, 1, 0.5), mode_field(basis, 2, -0.7)
-        burgers = ModelSpec(0.1, FluxSpec("burgers"), noise)
-        res = run_coupled(burgers, cfg, u0, v0, seed=4, n_steps=10)
-        monkeypatch.undo()  # the reference run's calls are not counted
-        ref = run_coupled(burgers, cfg, u0, v0, seed=4, n_steps=3)
-        rows = Reducer(basis).block_rows(np.empty((2, 8)))
-        assert 4 <= len(calls) <= rows and calls[3][0] == 2
-        assert res.trip.reason == "flux_overflow"
-        assert res.state_a.step == res.state_b.step == 3
-        assert res.trip.t == res.state_a.t == ref.state_a.t
-        assert res.state_a.u.coeffs.tobytes() == ref.state_a.u.coeffs.tobytes()
-        assert res.state_b.u.coeffs.tobytes() == ref.state_b.u.coeffs.tobytes()
-        assert res.trip.h1_sq == h1_sq(basis, ref.state_b.u.coeffs)
-        assert res.l1_series.tobytes() == ref.l1_series.tobytes()
+        # a nan put into row b's flux samples on the 4th call, the 4th
+        # exp_euler step: the rows are checked in order, so a passes and b
+        # trips as flux_overflow from the state before that step, and both
+        # rows keep their states from before it.  The trip is found once
+        # its kept block is stepped, so the block's steps past it are
+        # computed and discarded: at most one block of calls
+        calls = spy(monkeypatch, flux, "flux_value")
+        _, want = drive("coupled", modes((1, 0.5), (2, -0.7)),
+                        dt=0.01, seed=4, n_steps=10, poison=(4, 1))
+        assert want.trip[2] == "flux_overflow" and want.step == 3
+        assert 4 <= len(calls) <= Reducer(B8).block_rows(np.empty((2, 8)))
+        assert calls[3][1].shape[0] == 2
 
     def test_first_row_guard_wins_over_second_row_overflow(self):
         # rows trip in row order: a's guard is reported, not b's overflow
-        basis = ModeBasis(8)
-        cubic = FluxSpec("polynomial", coefficients=[0.0, 0.0, 0.0, 1.0 / 3.0])
-        a0 = mode_field(basis, 1, 1.0).coeffs
-        stepper, res = self._trip_pair(cubic, 1.0, a0, mode_field(basis, 1, 1e110).coeffs)
-        assert res.trip.reason == "guard"
-        assert res.trip.h1_sq == h1_sq(basis, stepper.advance(a0, np.zeros(8)))
-        assert res.trip.t == 0.01
+        want = self.trip_pair(CUBIC, 1.0, modes((1, 1.0)), modes((1, 1e110)))
+        assert want.trip[0::2] == (0.01, "guard")
 
     def test_second_row_trip_keeps_both_rows_before_the_step(self):
         # b reaches the guard at step 1 while a is still below it; both
         # states must be the ones at step 0, the step and time reported
-        basis = ModeBasis(8)
-        model = ModelSpec(0.1, FluxSpec("burgers"), NoiseSpec(c=0.5, q=3.0))
-        a0 = mode_field(basis, 1, 0.3).coeffs
-        b0 = mode_field(basis, 1, 0.9).coeffs
-        res = run_coupled(model, SolverConfig(dt=0.01, guard_radius=30.0),
-                          SpectralField(a0, basis), SpectralField(b0, basis),
-                          seed=3, n_steps=10)
-        assert res.trip.reason == "guard" and res.trip.t == 0.01
-        assert res.state_a.step == res.state_b.step == 0 and res.state_a.t == 0.0
-        assert res.state_a.u.coeffs.tobytes() == a0.tobytes()
-        assert res.state_b.u.coeffs.tobytes() == b0.tobytes()
+        _, want = drive("coupled", modes((1, 0.3), (1, 0.9)), dt=0.01, radius=30.0, n_steps=10)
+        assert want.trip[0::2] == (0.01, "guard") and want.step == 0
 
     def test_overflowing_squares_leak_no_warning(self):
         # b = 1e150 e2 is finite but its squares are not: the series and
         # residuals reduced after the step loop overflow, and must do so
         # under the same errstate as the loop instead of warning
-        basis = ModeBasis(8)
-        model = ModelSpec(0.08, FluxSpec("burgers"), NoiseSpec(c=0.5, q=3.0))
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", RuntimeWarning)
-            res = run_coupled(model, SolverConfig(dt=2e-3), mode_field(basis, 1, 1.0),
-                              mode_field(basis, 2, 1e150), seed=1, n_steps=20)
+        res, _ = drive("coupled", modes((1, 1.0), (2, 1e150)),
+                       ModelSpec(0.08, FluxSpec("burgers"), NOISE), seed=1, n_steps=20)
         assert res.trip.reason == "flux_overflow" and res.state_b.step == 1
         assert res.records_b.column("h1_sq")[-1] == np.inf
-        assert np.isfinite(res.l1_series).all()
-        assert res.records_b.column("l2_sq")[-1] == np.inf
 
     def test_early_stop_on_confluence(self):
         basis = ModeBasis(16)
@@ -1189,19 +838,11 @@ class TestCoupled:
 
     def test_huge_step_count_returns_at_its_stop(self):
         # the series grow a block at a time: a pair of 10^16 steps that
-        # stops early equals the same run given only the steps it needs
-        basis = ModeBasis(8)
-        args = (silent_model(m=8), SolverConfig(dt=1e-2), mode_field(basis, 1, 1.0),
-                mode_field(basis, 1, -1.0))
-        res = run_coupled(*args, seed=0, n_steps=10**16, stop_l1_below=1.0)
-        ref = run_coupled(*args, seed=0, n_steps=1000, stop_l1_below=1.0)
-        assert 0 < res.state_a.step == ref.state_a.step < 1000 and res.trip is None
+        # stops early returns at its stop
+        res, want = drive("coupled", modes((1, 1.0), (1, -1.0)),
+                          silent_model(m=8), dt=1e-2, seed=0, n_steps=10**16, stop=1.0)
+        assert 0 < want.step < 1000 and want.trip is None
         assert res.l1_series[-1] < 1.0 <= res.l1_series[-2]
-        for a, b in ((res.times, ref.times), (res.l1_series, ref.l1_series),
-                     (res.records_b.column("h1_sq"), ref.records_b.column("h1_sq")),
-                     (res.state_a.u.coeffs, ref.state_a.u.coeffs),
-                     (res.records_a.column("l2_sq"), ref.records_a.column("l2_sq"))):
-            assert a.tobytes() == b.tobytes()
 
     @pytest.mark.parametrize("stop", [math.nan, 0.0, -1e-3, -math.inf])
     def test_rejects_a_stop_threshold_that_is_not_positive(self, stop):
@@ -1212,374 +853,104 @@ class TestCoupled:
                         mode_field(basis, 1, -1.0), seed=0, n_steps=5, stop_l1_below=stop)
 
 
-class TestCoupledSeries:
-    """run_coupled's series and records, reduced a block of kept pairs at a
-    time, which also finds the stop, equal a loop that steps the
-    pair and computes each step's values as it is made, bit for bit,
-    wherever a stop or trip falls against the block."""
-
-    FLUXES = {"burgers": FluxSpec("burgers"),
-              "cubic": FluxSpec("polynomial", coefficients=[0.0, 0.5, -0.2, 1.0 / 3.0])}
-    RECORD_EVERY, LP_ORDERS = 3, (2, 4)
-
-    @classmethod
-    def reference(cls, model, cfg, u0, v0, seed, n_steps, stop):
-        """run_coupled one step at a time on Stepper.advance and the blow-up
-        contract of trip_reference: an L1 distance and two H1 masses per step,
-        and a record row per row at every RECORD_EVERY-th step."""
-        basis = u0.basis
-        stepper = Stepper(model, cfg, basis)
-        path = NoisePath(model.noise, basis, seed)
-        c, t, trip = np.stack([u0.coeffs, v0.coeffs]), 0.0, None
-        states, times, l1, h1 = [], [], [], []
-
-        def track(c, t):
-            states.append(c)
-            times.append(t)
-            l1.append(float(np.mean(np.abs(synthesize(c[0] - c[1],
-                                                      DEFAULT_FINE_FACTOR * basis.m_max)))))
-            h1.append([h1_sq(basis, row) for row in c])
-            return stop is not None and l1[-1] < stop
-
-        track(c, t)  # the initial distance is never tested against stop
-        for _ in range(n_steps):
-            out = stepper.advance(c, path.ou_increment(model.nu, cfg.dt))
-            trip = trip_reference(stepper, c, out, t)
-            if trip is not None:
-                break
-            c, t = out, t + cfg.dt
-            if track(c, t):
-                break
-        kept = slice(None, None, cls.RECORD_EVERY)
-        bufs = (RecordBuffer(cls.LP_ORDERS), RecordBuffer(cls.LP_ORDERS))
-        for r, buf in enumerate(bufs):
-            rows = TestRecordBlock.reference_rows(stepper, [s[r] for s in states[kept]],
-                                                  times[kept], cls.LP_ORDERS,
-                                                  cfg.guard_radius)
-            buf.append(rows[:, 0], rows[:, 1], rows[:, 2], rows[:, 3], rows[:, 4:-1].T,
-                       guard_margin=rows[:, -1])
-            buf.set_column("l1_dist", l1[kept])
-            buf.fill_residuals(64, model.nu, trace_h2(model.noise, basis).l2, None)
-        h1 = np.array(h1).T
-        return dict(times=np.array(times), l1=np.array(l1), h1_a=h1[0], h1_b=h1[1], c=c,
-                    t=t, step=len(states) - 1, trip=trip, bufs=bufs)
-
-    @staticmethod
-    def outputs(res):
-        return dict(times=res.times, l1=res.l1_series,
-                    c=np.stack([res.state_a.u.coeffs, res.state_b.u.coeffs]),
-                    t=res.state_a.t, step=res.state_a.step, trip=res.trip,
-                    bufs=(res.records_a, res.records_b))
-
-    @settings(max_examples=80, deadline=None, derandomize=True, database=None)
-    @given(data=st.data(), m=st.sampled_from([8, 16, 32]), flux=st.sampled_from(sorted(FLUXES)),
-           scheme=st.sampled_from(SCHEMES), block=st.sampled_from([1, 2, 5, 16]),
-           case=st.sampled_from(["stop", "none", "trip"]))
-    def test_block_series_equal_per_step_reference(self, data, m, flux, scheme, block, case):
-        basis = ModeBasis(m)
-        model = ModelSpec(0.05, self.FLUXES[flux], NoiseSpec(c=0.2, q=3.0))
-        n_steps = 3 * block + 4
-        seed = data.draw(st.integers(0, 50), label="seed")
-        if case == "trip":  # states small enough for the noise to grow them
-            u0, v0 = (random_field(basis, seed, amp=1e-3),
-                      random_field(basis, seed + 1, amp=1e-3))
-        elif data.draw(st.booleans(), label="pm_e1"):  # a sine-mode difference
-            a = data.draw(st.sampled_from([0.25, 0.5, 1.0]), label="amplitude")
-            u0, v0 = mode_field(basis, 1, a), mode_field(basis, 1, -a)
-        else:
-            u0, v0 = random_field(basis, seed, amp=0.3), random_field(basis, seed + 1, amp=0.3)
-        free = self.reference(model, SolverConfig(dt=1e-3, scheme=scheme), u0, v0, seed,
-                              n_steps, None)
-        assert free["trip"] is None
-        # a step on the last row of a series block, the first or the second
-        s = max(1, data.draw(st.integers(1, 3), label="block") * block
-                + data.draw(st.sampled_from([-1, 0, 1]), label="row"))
-        radius, stops = None, [None]
-        if case == "stop":
-            # thresholds at, and one ulp either side of, that step's distance
-            stops = [free["l1"][s], np.nextafter(free["l1"][s], np.inf),
-                     np.nextafter(free["l1"][s], -np.inf)]
-        elif case == "trip":
-            # the largest H1 mass up to that step, first reached there while
-            # the noise grows the states; a stop threshold below every
-            # distance keeps the stop test running
-            radius = float(np.maximum(free["h1_a"], free["h1_b"])[1 : s + 1].max())
-            stops = [None, 0.5 * float(free["l1"].min())]
-        cfg = SolverConfig(dt=1e-3, scheme=scheme, guard_radius=radius)
-        for stop in stops:
-            with pytest.MonkeyPatch.context() as mp:
-                # blocks of `block` pairs: a (2, m) block row reduces 2 n_fine points
-                mp.setattr(observables, "_RECORD_BLOCK_POINTS",
-                           2 * block * DEFAULT_FINE_FACTOR * m)
-                want = self.reference(model, cfg, u0, v0, seed, n_steps, stop)
-                got = self.outputs(run_coupled(
-                    model, cfg, u0, v0, seed=seed, n_steps=n_steps,
-                    record_every=self.RECORD_EVERY, lp_orders=self.LP_ORDERS,
-                    stop_l1_below=stop))
-            assert (got["trip"] is not None) == (case == "trip")
-            assert got["step"] == want["step"] and got["t"] == want["t"]
-            assert got["trip"] == want["trip"]
-            for key in ("times", "l1", "c"):
-                assert got[key].tobytes() == want[key].tobytes(), key
-            for buf, ref in zip(got["bufs"], want["bufs"]):
-                assert buf.column_names() == ref.column_names()
-                for name in buf.column_names():
-                    assert buf.column(name).tobytes() == ref.column(name).tobytes(), name
+MODEL_C = ModelSpec(0.05, FluxSpec("burgers"), NoiseSpec(c=0.2, q=3.0))
 
 
 class TestCoupledStopInBlock:
     """run_coupled finds its stop in the series of a reduced block: a trip
     after the stop in the same block is dropped with the block's later
     pair-steps, a trip before it still ends the run, and at most one block
-    of pair-steps past the stop is computed; each run equals
-    TestCoupledSeries.reference, bit for bit."""
+    of pair-steps past the stop is computed."""
 
-    MODEL = ModelSpec(0.05, FluxSpec("burgers"), NoiseSpec(c=0.2, q=3.0))
-    SEED, BLOCK = 4, 8  # the second block of 8 pairs holds steps 9 to 16
-
-    def run(self, monkeypatch, u0, v0, n_steps, stop, radius=None, block=None):
-        basis = u0.basis
-        if block is not None:  # blocks of `block` pairs
-            monkeypatch.setattr(observables, "_RECORD_BLOCK_POINTS",
-                                2 * block * DEFAULT_FINE_FACTOR * basis.m_max)
-        cfg = SolverConfig(dt=1e-3, guard_radius=radius)
-        want = TestCoupledSeries.reference(self.MODEL, cfg, u0, v0, self.SEED, n_steps, stop)
-        got = TestCoupledSeries.outputs(run_coupled(
-            self.MODEL, cfg, u0, v0, seed=self.SEED, n_steps=n_steps,
-            record_every=TestCoupledSeries.RECORD_EVERY,
-            lp_orders=TestCoupledSeries.LP_ORDERS, stop_l1_below=stop))
-        assert got["step"] == want["step"] and got["t"] == want["t"]
-        assert got["trip"] == want["trip"]
-        for key in ("times", "l1", "c"):
-            assert got[key].tobytes() == want[key].tobytes(), key
-        for buf, ref in zip(got["bufs"], want["bufs"]):
-            for name in ref.column_names():
-                assert buf.column(name).tobytes() == ref.column(name).tobytes(), name
-        return got
+    CASE = dict(model=MODEL_C, dt=1e-3, seed=4)
 
     def thresholds(self, stop_step, trip_step):
         """A stop threshold first passed at stop_step and a guard radius
         first reached at trip_step, from the free run of the small pair."""
-        basis = ModeBasis(8)
-        u0, v0 = random_field(basis, 0, amp=1e-3), random_field(basis, 1, amp=1e-3)
-        free = TestCoupledSeries.reference(self.MODEL, SolverConfig(dt=1e-3), u0, v0,
-                                           self.SEED, 24, None)
-        l1, h1 = free["l1"], np.maximum(free["h1_a"], free["h1_b"])
+        u0 = pair(B8, 0, 1, amp=1e-3)
+        free = ref.run(MODEL_C, SolverConfig(dt=1e-3), u0, 4, 24)
+        l1, h1 = np.array(free.l1), top_h1(B8, free.states)
         stop = np.nextafter(l1[stop_step], np.inf)
-        assert (l1[1:stop_step] >= stop).all()
-        assert (h1[1:trip_step] < h1[trip_step]).all()
-        return u0, v0, stop, float(h1[trip_step])
+        assert (l1[1:stop_step] >= stop).all() and max(h1[1:trip_step]) < h1[trip_step]
+        return u0, stop, h1[trip_step]
 
-    def test_stop_before_a_trip_in_its_block_drops_the_trip(self, monkeypatch):
-        u0, v0, stop, radius = self.thresholds(11, 13)
-        got = self.run(monkeypatch, u0, v0, 24, stop, radius, self.BLOCK)
-        assert got["trip"] is None and got["step"] == 11
+    def test_stop_before_a_trip_in_its_block_drops_the_trip(self):
+        u0, stop, radius = self.thresholds(11, 13)
+        res, _ = drive("coupled", u0, n_steps=24, every=3, lp=(2, 4), stop=stop, radius=radius,
+                       rows=8, **self.CASE)
+        assert res.trip is None and res.state_a.step == 11
 
-    def test_trip_before_a_stop_in_its_block_is_returned(self, monkeypatch):
-        u0, v0, stop, radius = self.thresholds(14, 12)
-        got = self.run(monkeypatch, u0, v0, 24, stop, radius, self.BLOCK)
-        assert got["trip"] is not None and got["trip"].reason == "guard"
-        assert got["step"] == 11
+    def test_trip_before_a_stop_in_its_block_is_returned(self):
+        u0, stop, radius = self.thresholds(14, 12)
+        res, _ = drive("coupled", u0, n_steps=24, every=3, lp=(2, 4), stop=stop, radius=radius,
+                       rows=8, **self.CASE)
+        assert res.trip.reason == "guard" and res.state_a.step == 11
 
     # steps 1, rows, rows + 1 and 2 rows - 1: the first and last rows of
     # the first block of steps, and the first and next to last of the second
     @pytest.mark.parametrize("block,row", [(0, 1), (1, 0), (1, 1), (1, -1)])
     def test_wasted_pair_steps_are_under_one_block(self, monkeypatch, block, row):
-        basis = ModeBasis(8)
-        u0, v0 = mode_field(basis, 1, 0.5), mode_field(basis, 1, -0.5)
-        rows = observables._RECORD_BLOCK_POINTS // (2 * DEFAULT_FINE_FACTOR * basis.m_max)
-        step = block * rows + row % rows
-        n_steps = 2 * rows + 8
-        free = TestCoupledSeries.reference(self.MODEL, SolverConfig(dt=1e-3), u0, v0,
-                                           self.SEED, n_steps, None)
-        stop = np.nextafter(free["l1"][step], np.inf)
-        assert (free["l1"][1:step] >= stop).all()
-        calls = []
-        advance = Stepper.advance
-
-        def counted(stepper, c, xi, out=None):
-            calls.append(1)
-            return advance(stepper, c, xi, out)
-
-        with monkeypatch.context() as mp:
-            mp.setattr(Stepper, "advance", counted)
-            res = run_coupled(self.MODEL, SolverConfig(dt=1e-3), u0, v0, seed=self.SEED,
-                              n_steps=n_steps, stop_l1_below=stop)
-        assert res.state_a.step == step
-        assert len(calls) <= step + rows - 1
-        self.run(monkeypatch, u0, v0, n_steps, stop)
+        u0 = modes((1, 0.5), (1, -0.5))
+        rows = Reducer(B8).block_rows(u0)
+        step, n_steps = block * rows + row % rows, 2 * rows + 8
+        l1 = np.array(ref.run(MODEL_C, SolverConfig(dt=1e-3), u0, 4, step).l1)
+        stop = np.nextafter(l1[step], np.inf)
+        assert (l1[1:step] >= stop).all()
+        calls = spy(monkeypatch, Stepper, "advance")
+        res, _ = drive("coupled", u0, n_steps=n_steps, every=3, lp=(2, 4), stop=stop,
+                       **self.CASE)
+        assert res.state_a.step == step and len(calls) <= step + rows - 1
 
 
 class TestTripMidBlock:
-    """A guard trip inside the second block, after the first was reduced,
-    leaves each reducer (records, coupled series, histories) exactly the
-    output of the same run stopped untripped at the step before the trip."""
-
-    MODEL = ModelSpec(0.1, FluxSpec("burgers"), NoiseSpec(c=0.5, q=3.0))
-    CFG, ROWS, SEED = SolverConfig(dt=1e-3), 4, 0
-
-    def fields(self, basis):
-        return random_field(basis, 0, amp=1e-3), random_field(basis, 1, amp=1e-3)
-
-    def radius(self, h1):
-        """The largest H1 mass up to step 6, which the noise reaches there
-        first, and the step that reaches it: inside the second block of
-        ROWS kept states (steps ROWS + 1 to 2 ROWS)."""
-        r = float(h1[1:7].max())
-        trip_step = int(np.argmax(h1[1:] >= r)) + 1
-        assert self.ROWS < trip_step < 2 * self.ROWS
-        return r, trip_step
+    """A guard trip inside the second block of 4, after the first was
+    reduced, leaves every output (records, coupled series, histories) that
+    of the reference, which stops before the step."""
 
     @pytest.mark.parametrize("reducer", ["records", "series", "history"])
-    def test_trip_keeps_the_rows_before_it(self, monkeypatch, reducer):
-        basis = ModeBasis(8)
-        u0, v0 = self.fields(basis)
-        n_fine = DEFAULT_FINE_FACTOR * basis.m_max
-        pair = reducer == "series"
-        monkeypatch.setattr(observables, "_RECORD_BLOCK_POINTS",
-                            (1 + pair) * self.ROWS * n_fine)
-        if pair:
-            free = run_coupled(self.MODEL, self.CFG, u0, v0, seed=self.SEED, n_steps=20)
-            r, trip_step = self.radius(np.maximum(free.records_a.column("h1_sq"),
-                                                  free.records_b.column("h1_sq")))
-        else:
-            free = run_single(self.MODEL, self.CFG, u0, seed=self.SEED, n_steps=20)
-            r, trip_step = self.radius(free.records.column("h1_sq"))
-        cfg = SolverConfig(dt=self.CFG.dt, guard_radius=r)
-
-        def outputs(n_steps):
-            if reducer == "history":
-                path = NoisePath(self.MODEL.noise, basis, self.SEED)
-                xis = np.array([path.ou_increment(self.MODEL.nu, cfg.dt)
-                                for _ in range(n_steps)])
-                hist, trip = run_on_increments(self.MODEL, cfg, u0, xis)
-                return trip, [hist]
-            if pair:
-                res = run_coupled(self.MODEL, cfg, u0, v0, seed=self.SEED, n_steps=n_steps,
-                                  lp_orders=(2,))
-                bufs = (res.records_a, res.records_b)
-                arrays = [res.times, res.l1_series, res.state_a.u.coeffs, res.state_b.u.coeffs]
-            else:
-                res = run_single(self.MODEL, cfg, u0, seed=self.SEED, n_steps=n_steps,
-                                 lp_orders=(2,))
-                bufs, arrays = (res.records,), [res.state.u.coeffs]
-            arrays += [buf.column(name) for buf in bufs for name in buf.column_names()]
-            return res.trip, arrays
-
-        trip, got = outputs(20)
-        assert trip.reason == "guard" and trip.h1_sq >= r
-        assert trip.t == (free.times if pair else free.records.column("t"))[trip_step]
-        untripped, want = outputs(trip_step - 1)
-        assert untripped is None
-        assert len(got) == len(want)
-        for a, b in zip(got, want):
-            assert a.tobytes() == b.tobytes()
-        assert len(got[-1]) == trip_step  # the states of steps 0 .. trip_step - 1
+    def test_trip_keeps_the_rows_before_it(self, reducer):
+        u0 = pair(B8, 0, 1, amp=1e-3)
+        u0 = u0 if reducer == "series" else u0[0]
+        h1 = top_h1(B8, ref.run(MODEL, SolverConfig(dt=1e-3), u0, 0, 20).states)
+        # the largest H1 mass up to step 6, which the noise reaches there first
+        radius = max(h1[1:7])
+        trip_step = h1.index(radius)
+        assert 4 < trip_step < 8
+        driver = {"records": "single", "series": "coupled", "history": "history"}[reducer]
+        _, want = drive(driver, u0, dt=1e-3, radius=radius, seed=0, n_steps=20, lp=(2,), rows=4)
+        assert want.trip[2] == "guard" and want.step == trip_step - 1
 
 
 class TestTripAtEachRow:
     """The step loop tests a kept block for blow-up once, after stepping it:
     a guard trip or a nan put into the flux at any row of a block (the
     first tested row, the last row, the first row of a wrapped block, at
-    the floor of two rows and at four) gives the run of a per-step loop,
-    bit for bit: records, coupled series, final state, t, step and trip.
-    on_block sees nothing at or past the trip."""
-
-    MODEL = ModelSpec(0.1, FluxSpec("burgers"), NoiseSpec(c=0.5, q=3.0))
-    DT, SEED, N_STEPS, STEP0 = 2e-3, 3, 40, 5
-
-    def free(self, basis, c, step0):
-        """States and times of the untripped run, one step at a time from
-        the path's own draws."""
-        stepper = Stepper(self.MODEL, SolverConfig(dt=self.DT), basis)
-        path = NoisePath(self.MODEL.noise, basis, self.SEED)
-        path.draw_index = step0
-        states, times = [c], [step0 * self.DT]
-        for _ in range(self.N_STEPS):
-            xi = np.broadcast_to(path.ou_increment(self.MODEL.nu, self.DT), c.shape).copy()
-            states.append(stepper.advance(states[-1], xi))
-            times.append(times[-1] + self.DT)
-        return stepper, states, times
+    the floor of two rows and at four) gives the reference's run, bit for
+    bit, and on_block sees nothing at or past the trip."""
 
     @pytest.mark.parametrize("cause", ["guard", "nan"])
     @pytest.mark.parametrize("run", ["single", "resumed", "coupled"])
     @pytest.mark.parametrize("rows", [2, 4])
-    def test_trip_equals_per_step_reference(self, monkeypatch, rows, run, cause):
-        basis, pair = ModeBasis(8), run == "coupled"
-        step0 = self.STEP0 if run == "resumed" else 0
-        n_fine = DEFAULT_FINE_FACTOR * basis.m_max
-        # a budget below one row's fine grid gives the floor of two rows
-        budget = 1 if rows == 2 else rows * (1 + pair) * n_fine
-        monkeypatch.setattr(observables, "_RECORD_BLOCK_POINTS", budget)
-        u0 = np.stack([random_field(basis, 5, amp=1e-3).coeffs,
-                       random_field(basis, 6, amp=1e-3).coeffs])
-        stepper, states, times = self.free(basis, u0 if pair else u0[0], step0)
-        h1 = [[h1_sq(basis, row) for row in np.atleast_2d(c)] for c in states]
-
-        def row_of(s):  # the kept row of step step0 + s
-            return (s - 1) % rows
-
+    def test_trip_equals_per_step_reference(self, rows, run, cause):
+        basis, step0 = B8, 5 if run == "resumed" else 0
+        u0 = pair(basis, 5, 6, amp=1e-3)
+        u0 = u0 if run == "coupled" else u0[0]
+        top = top_h1(basis, ref.run(MODEL, SolverConfig(dt=DT), u0, 3, 40, t0=step0 * DT,
+                                    step0=step0).states)
         if cause == "nan":
             trip_steps = range(1, 2 * rows + 1)
         else:
             # the steps whose H1 mass passes every earlier one: a radius
             # there is first reached there, at every row position past the
             # first block and at the first tested row
-            top = [max(m) for m in h1]
-            trip_steps = [s for s in range(1, self.N_STEPS + 1) if top[s] > max(top[1:s] or [0])]
-            assert {row_of(s) for s in trip_steps if s > rows} == set(range(rows))
-        assert row_of(trip_steps[0]) == 0
+            trip_steps = [s for s in range(1, 41) if top[s] > max(top[1:s] or [0])]
+            assert {(s - 1) % rows for s in trip_steps if s > rows} == set(range(rows))
+        assert (trip_steps[0] - 1) % rows == 0
         for s in trip_steps:
-            radius, flux_value, calls = None, integrator.flux.flux_value, []
-
-            def value(spec, v, out=None, _s=s):
-                calls.append(1)
-                out = flux_value(spec, v, out)
-                if len(calls) == _s:  # one flux call per exp_euler step
-                    np.atleast_2d(out)[int(pair), 3] = np.nan  # row b of a pair
-                return out
-
-            if cause == "guard":
-                radius = max(h1[s])
-                r = next(r for r, v in enumerate(h1[s]) if v >= radius)
-                want_trip = (times[s - 1] + self.DT, h1[s][r], "guard")
-            else:
-                want_trip = (times[s - 1], h1[s - 1][int(pair)], "flux_overflow")
-            cfg = SolverConfig(dt=self.DT, guard_radius=radius)
-            seen, kept = [], range(int(step0 > 0), s)
-            with monkeypatch.context() as mp:
-                if cause == "nan":
-                    mp.setattr(integrator.flux, "flux_value", value)
-                if pair:
-                    res = run_coupled(self.MODEL, cfg, *(SpectralField(c, basis) for c in u0),
-                                      self.SEED, self.N_STEPS)
-                else:
-                    res = run_single(self.MODEL, cfg, SpectralField(u0[0], basis), self.SEED,
-                                     self.N_STEPS, t0=times[0], step0=step0,
-                                     on_block=lambda first, ts, block: seen.extend(
-                                         zip(range(first, first + len(ts)), ts.tolist(),
-                                             block.copy())))
-            if pair:
-                ends, bufs = (res.state_a, res.state_b), (res.records_a, res.records_b)
-                l1 = [np.mean(np.abs(synthesize(states[k][0] - states[k][1], n_fine)))
-                      for k in kept]
-                assert res.times.tobytes() == np.array(times[:s]).tobytes()
-                assert res.l1_series.tobytes() == np.array(l1).tobytes()
-            else:
-                ends, bufs = (res.state,), (res.records,)
-                assert [(k, t) for k, t, _ in seen] == [(step0 + k, times[k]) for k in kept]
-                assert (np.array([c for *_, c in seen]).tobytes()
-                        == np.array([states[k] for k in kept]).tobytes())
-            assert TestLeanStep.trip_of(res.trip) == want_trip, s
-            for i, (end, buf) in enumerate(zip(ends, bufs)):
-                assert (end.step, end.t) == (step0 + s - 1, times[s - 1])
-                rows_i = [np.atleast_2d(states[k])[i] for k in kept]
-                assert end.u.coeffs.tobytes() == np.atleast_2d(states[s - 1])[i].tobytes()
-                want = TestRecordBlock.reference_rows(stepper, rows_i,
-                                                      [times[k] for k in kept], (), radius)
-                names = ("t", "l2_sq", "h1_sq", "h2_sq", "guard_margin")
-                got = np.column_stack([buf.column(k) for k in names])
-                assert got.tobytes() == want.tobytes(), s
+            _, want = drive("coupled" if run == "coupled" else "single", u0, n_steps=40,
+                            step0=step0, rows=rows, radius=top[s] if cause == "guard" else None,
+                            poison=(step0 + s, int(run == "coupled")) if cause == "nan" else None)
+            assert want.step == step0 + s - 1 and want.trip is not None
 
 
 class TestBlockClock:
@@ -1611,29 +982,18 @@ class TestCoupledL1Column:
     every other column: each record row holds the L1 distance of its own
     step, the l1_series value there, also when a stop ends a block early."""
 
-    MODEL = ModelSpec(0.05, FluxSpec("burgers"), NoiseSpec(c=0.2, q=3.0))
-
     @pytest.mark.parametrize("every", [1, 3, 7])
-    def test_l1_dist_is_the_series_at_each_record_step(self, monkeypatch, every):
-        basis, rows = ModeBasis(8), 16
-        monkeypatch.setattr(observables, "_RECORD_BLOCK_POINTS",
-                            2 * rows * DEFAULT_FINE_FACTOR * basis.m_max)
-        u0, v0 = mode_field(basis, 1, 0.5), mode_field(basis, 1, -0.5)
-        cfg, n_steps = SolverConfig(dt=1e-3), 5 * rows
-        free = run_coupled(self.MODEL, cfg, u0, v0, seed=4, n_steps=n_steps)
+    def test_l1_dist_is_the_series_at_each_record_step(self, every):
+        basis, rows = B8, 16
+        u0 = np.stack([mode_field(basis, 1, 0.5).coeffs, mode_field(basis, 1, -0.5).coeffs])
         step = 2 * rows + rows // 2 + 1  # the middle of the third block
-        stop = np.nextafter(free.l1_series[step], np.inf)
-        assert (free.l1_series[1:step] >= stop).all()
-        res = run_coupled(self.MODEL, cfg, u0, v0, seed=4, n_steps=n_steps,
-                          record_every=every, stop_l1_below=stop)
-        assert res.state_a.step == step and res.trip is None
-        for buf in (res.records_a, res.records_b):
-            steps = np.searchsorted(res.times, buf.column("t"))
-            assert steps.tolist() == list(range(0, step + 1, every))
-            assert buf.column("t").tobytes() == res.times[steps].tobytes()
-            assert buf.column("l1_dist").tobytes() == res.l1_series[steps].tobytes()
-            # the cadence the column was written with before record_rows chose it
-            assert buf.column("l1_dist").tobytes() == res.l1_series[::every].tobytes()
+        l1 = np.array(ref.run(MODEL_C, SolverConfig(dt=1e-3), u0, 4, step).l1)
+        stop = np.nextafter(l1[step], np.inf)
+        assert (l1[1:step] >= stop).all()
+        res, _ = drive("coupled", u0, MODEL_C, dt=1e-3, seed=4, n_steps=5 * rows, every=every,
+                       stop=stop, rows=rows)
+        assert res.state_a.step == step
+        assert res.records_a.column("l1_dist").tobytes() == res.l1_series[::every].tobytes()
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -1681,7 +1041,7 @@ PICARD_FLUXES = {"zero": FluxSpec("zero"), "burgers": FluxSpec("burgers"),
 
 
 class TestPicard:
-    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @settings(max_examples=40)
     @given(m=st.sampled_from([2, 8, 16, 32]), flux=st.sampled_from(sorted(PICARD_FLUXES)),
            scheme=st.sampled_from(SCHEMES), n=st.integers(2, 60),
            dt=st.sampled_from([1e-4, 1e-3, 5e-3, 0.02]), seed=st.integers(0, 2**32),
@@ -1700,10 +1060,10 @@ class TestPicard:
         u0 = random_field(basis, seed, amp=amp)
         w = convolution_grid(NoisePath(model.noise, basis, seed), model.nu, dt, n)
         want = picard_reference(u0, model, cfg, w)
-        shapes, nonlin = [], Stepper.nonlin
-        with patch.object(Stepper, "nonlin",
-                          lambda self, c: shapes.append(c.shape) or nonlin(self, c)):
+        with pytest.MonkeyPatch.context() as mp:
+            calls = spy(mp, Stepper, "nonlin")
             got = picard_solve(u0, model, cfg, w)
+        shapes = [c.shape for _, c in calls]
         assert got.coeffs.tobytes() == want[0].tobytes()
         assert (got.converged, got.iterations) == want[1:3]
         assert got.gaps.tobytes() == np.asarray(want[3], dtype=float).tobytes()
@@ -1783,30 +1143,30 @@ class TestPicard:
 
 
 class TestSnapshotResume:
-    def _setup(self):
-        basis = ModeBasis(16)
-        model = ModelSpec(0.05, FluxSpec("burgers"), NoiseSpec(c=0.5, q=3.0))
-        cfg = SolverConfig(dt=1e-3, guard_radius=1e6)
-        return basis, model, cfg, random_field(basis, 20)
+    MODEL = ModelSpec(0.05, FluxSpec("burgers"), NOISE)
+    CFG = SolverConfig(dt=1e-3, guard_radius=1e6)
+
+    def snapshot(self, c, t=0.0, step=0):
+        """The bytes write_snapshot writes for c at (t, step), seed 1."""
+        buf = io.BytesIO()
+        write_snapshot(buf, c, t, step, self.MODEL, self.CFG, 1)
+        return buf.getvalue()
 
     def test_round_trip(self, tmp_path):
-        basis, model, cfg, u0 = self._setup()
-        res = run_single(model, cfg, u0, seed=5, n_steps=40)
+        res = run_single(self.MODEL, self.CFG, random_field(B16, 20), seed=5, n_steps=40)
         path = tmp_path / "state.snap"
         with open(path, "wb") as fp:
-            write_snapshot(fp, res.state.u.coeffs, res.state.t, res.state.step, model, cfg, 5)
+            write_snapshot(fp, res.state.u.coeffs, res.state.t, res.state.step, self.MODEL,
+                           self.CFG, 5)
         with open(path, "rb") as fp:
             snap = read_snapshot(fp)
         assert snap.m_max == 16 and snap.scheme == "exp_euler"
         assert snap.t == res.state.t and snap.step == 40 and snap.seed == 5
-        assert snap.nu == model.nu
+        assert snap.nu == self.MODEL.nu
         assert np.array_equal(snap.coeffs, res.state.u.coeffs)
 
     def test_corrupt_inputs_rejected(self):
-        basis, model, cfg, u0 = self._setup()
-        buf = io.BytesIO()
-        write_snapshot(buf, u0.coeffs, 0.0, 0, model, cfg, 1)
-        raw = buf.getvalue()
+        raw = self.snapshot(random_field(B16, 20).coeffs)
         with pytest.raises(ValueError, match="magic"):
             read_snapshot(io.BytesIO(b"XXXX" + raw[4:]))
         with pytest.raises(ValueError, match="version"):
@@ -1817,11 +1177,8 @@ class TestSnapshotResume:
     def test_bytes_past_the_coefficients_rejected(self):
         # a snapshot is its header and the header's m_max coefficients: a
         # valid m=8 one with bytes appended is refused, not read as its head
-        _, model, cfg, _ = self._setup()
-        c = random_field(ModeBasis(8), 3).coeffs
-        buf = io.BytesIO()
-        write_snapshot(buf, c, 0.25, 250, model, cfg, 1)
-        raw = buf.getvalue()
+        c = random_field(B8, 3).coeffs
+        raw = self.snapshot(c, 0.25, 250)
         assert read_snapshot(io.BytesIO(raw)).coeffs.tobytes() == c.tobytes()
         for extra in (b"\x00", bytes(24)):
             with pytest.raises(ValueError, match="past its 8 coefficients"):
@@ -1831,10 +1188,7 @@ class TestSnapshotResume:
     def test_m_max_no_basis_holds_rejected(self, m_max):
         # a header m_max (bytes 8..12) that is odd or below 2, with the file
         # cut to that many coefficients, is no snapshot of any ModeBasis
-        _, model, cfg, _ = self._setup()
-        buf = io.BytesIO()
-        write_snapshot(buf, random_field(ModeBasis(8), 3).coeffs, 0.25, 250, model, cfg, 1)
-        raw = bytearray(buf.getvalue()[: 48 + 8 * m_max])
+        raw = bytearray(self.snapshot(random_field(B8, 3).coeffs)[: 48 + 8 * m_max])
         raw[8:12] = m_max.to_bytes(4, "little")
         with pytest.raises(ValueError, match=f"m_max {m_max} is not an even mode count"):
             read_snapshot(io.BytesIO(bytes(raw)))
@@ -1844,10 +1198,7 @@ class TestSnapshotResume:
         # a header claiming more coefficients than the file holds (bytes
         # 8..12 are m_max) is a truncated snapshot, found without asking
         # the file for more than it holds
-        basis, model, cfg, u0 = self._setup()
-        buf = io.BytesIO()
-        write_snapshot(buf, u0.coeffs, 0.0, 0, model, cfg, 1)
-        raw = bytearray(buf.getvalue())
+        raw = bytearray(self.snapshot(random_field(B16, 20).coeffs))
         raw[8:12] = m_max.to_bytes(4, "little")
 
         class Reads(io.BytesIO):
@@ -1862,71 +1213,37 @@ class TestSnapshotResume:
         assert fp.asked and all(n is None or 0 <= n <= len(raw) or n == -1 for n in fp.asked)
 
     def test_resume_is_bitwise(self):
-        basis, model, cfg, u0 = self._setup()
-        full = run_single(model, cfg, u0, seed=5, n_steps=200, lp_orders=(2,))
-        half = run_single(model, cfg, u0, seed=5, n_steps=100, lp_orders=(2,))
-        hist = tuple(half.records.column(k)[-64:]
-                     for k in ("t", "l2_sq", "h1_sq"))
-        cont = run_single(model, cfg, half.state.u, seed=5, n_steps=100,
-                          lp_orders=(2,), t0=half.state.t, step0=half.state.step,
-                          residual_history=hist)
-        assert np.array_equal(full.state.u.coeffs, cont.state.u.coeffs)
-        assert full.state.t == cont.state.t
         # every record column continues bitwise, the windowed residual included
-        n_half = len(half.records)
-        for name in full.records.column_names():
-            whole = full.records.column(name)
-            glued = np.concatenate([half.records.column(name),
-                                    cont.records.column(name)])
-            np.testing.assert_array_equal(whole, glued, err_msg=name)
-            assert len(whole) == n_half + len(cont.records)
+        drive("resumed", random_field(B16, 20).coeffs, self.MODEL, dt=1e-3,
+              radius=1e6, seed=5, n_steps=200, lp=(2,), resume=100)
 
     def test_resume_skips_initial_record(self):
-        basis, model, cfg, u0 = self._setup()
-        cont = run_single(model, cfg, u0, seed=5, n_steps=10, t0=0.1, step0=100)
         # rows only at steps 101..110, no duplicate of the snapshot row
-        assert len(cont.records) == 10
-        assert cont.records.column("t")[0] > 0.1
+        res, _ = drive("single", random_field(B16, 20).coeffs, self.MODEL, dt=1e-3,
+                       radius=1e6, seed=5, n_steps=10, step0=100)
+        assert len(res.records) == 10 and res.records.column("t")[0] > 0.1
 
 
 class TestRunDrivers:
+    M = ModelSpec(0.1, FluxSpec("burgers"), NoiseSpec(c=0.3, q=3.0))
+
     def test_record_cadence(self):
-        basis = ModeBasis(8)
-        model = silent_model(m=8)
-        res = run_single(model, SolverConfig(dt=0.01), random_field(basis, 1),
-                         seed=0, n_steps=100, record_every=10)
+        res, _ = drive("single", random_field(B8, 1).coeffs, silent_model(m=8), dt=0.01,
+                       n_steps=100, every=10)
         assert len(res.records) == 11
-        np.testing.assert_allclose(np.diff(res.records.column("t")), 0.1,
-                                   atol=1e-12)
+        np.testing.assert_allclose(np.diff(res.records.column("t")), 0.1, atol=1e-12)
 
     def test_history_endpoints(self):
-        basis = ModeBasis(8)
-        model = ModelSpec(0.1, FluxSpec("burgers"), NoiseSpec(c=0.3, q=3.0))
-        cfg = SolverConfig(dt=0.01)
-        u0 = random_field(basis, 6)
-        path = NoisePath(model.noise, basis, 1)
-        xis = np.array([path.ou_increment(model.nu, cfg.dt) for _ in range(50)])
-        hist, trip = run_on_increments(model, cfg, u0, xis)
-        states = []
-        res = run_single(model, cfg, u0, seed=1, n_steps=50,
-                         on_block=lambda first, times, block: states.extend(block.copy()))
-        assert trip is None and hist.shape == (51, 8)
-        assert np.array_equal(hist[0], u0.coeffs)
-        assert np.array_equal(hist[-1], res.state.u.coeffs)
-        assert hist.tobytes() == np.array(states).tobytes()
+        for driver in ("history", "single"):
+            _, want = drive(driver, random_field(B8, 6).coeffs, self.M, dt=0.01, seed=1,
+                            n_steps=50)
+        assert want.trip is None and np.array(want.states).shape == (51, 8)
 
     def test_column_discipline(self):
-        basis = ModeBasis(8)
-        model = ModelSpec(0.1, FluxSpec("burgers"), NoiseSpec(c=0.3, q=3.0))
-        cfg = SolverConfig(dt=0.01, guard_radius=100.0)
-        res = run_single(model, cfg, random_field(basis, 2), seed=2, n_steps=30,
-                         lp_orders=(2, 4))
-        buf = res.records
-        assert np.all(np.isnan(buf.column("l1_dist")))  # single run
-        margins = buf.column("guard_margin")
-        np.testing.assert_allclose(margins, 100.0 - buf.column("h1_sq"))
-        lp2 = buf.column("lp2_p")
-        np.testing.assert_allclose(lp2, buf.column("l2_sq"), rtol=1e-10)
+        res, _ = drive("single", random_field(B8, 2).coeffs, self.M, dt=0.01, radius=100.0,
+                       seed=2, n_steps=30, lp=(2, 4))
+        np.testing.assert_allclose(res.records.column("lp2_p"), res.records.column("l2_sq"),
+                                   rtol=1e-10)
 
     def test_windowed_residual_on_heat_decay(self):
         # Pure heat: d/dt l2 = -2 nu h1 exactly, so the windowed residual is
@@ -1940,70 +1257,40 @@ class TestRunDrivers:
         assert np.nanmax(np.abs(resid)) < 2e-5  # trapezoid bias at this dt
 
     def test_coupled_records_carry_distance(self):
-        basis = ModeBasis(8)
-        model = ModelSpec(0.1, FluxSpec("burgers"), NoiseSpec(c=0.3, q=3.0))
-        res = run_coupled(model, SolverConfig(dt=0.01), random_field(basis, 1),
-                          random_field(basis, 2), seed=4, n_steps=40,
-                          record_every=10)
-        d = res.records_a.column("l1_dist")
-        assert np.all(np.isfinite(d))
-        np.testing.assert_array_equal(d, res.records_b.column("l1_dist"))
-        assert len(res.times) == 41 and len(res.l1_series) == 41
-        assert len(res.records_a) == len(res.records_b) == 5
+        res, _ = drive("coupled", pair(B8, 1, 2), self.M, dt=0.01, seed=4, n_steps=40, every=10)
+        assert np.isfinite(res.records_a.column("l1_dist")).all() and len(res.records_b) == 5
 
 
 class TestZeroSteps:
     """A run of no steps returns its start at its own step, as a Python
-    int, with no trip: a fresh start with its one record row, series entry
-    or history row, a resumed one with no record row."""
+    int, in a fresh array, with no trip: a fresh start with its one record
+    row, series entry or history row, a resumed one with no record row."""
 
-    MODEL = ModelSpec(0.1, FluxSpec("burgers"), NoiseSpec(c=0.3, q=3.0))
-    CFG = SolverConfig(dt=0.01, guard_radius=1e6)
+    CASE = dict(model=ModelSpec(0.1, FluxSpec("burgers"), NoiseSpec(c=0.3, q=3.0)), dt=0.01,
+                radius=1e6, seed=1, n_steps=0)
 
     @pytest.mark.parametrize("step0", [0, 7])
     def test_run_single(self, step0):
-        basis = ModeBasis(8)
-        u0 = random_field(basis, 1)
-        seen = []
-        res = run_single(self.MODEL, self.CFG, u0, seed=1, n_steps=0, t0=step0 * self.CFG.dt,
-                         step0=step0, on_block=lambda first, ts, block: seen.append(first))
-        assert res.trip is None and type(res.state.step) is int and res.state.step == step0
-        assert res.state.t == step0 * self.CFG.dt
-        assert res.state.u.coeffs.tobytes() == u0.coeffs.tobytes()
-        assert res.state.u.coeffs is not u0.coeffs
-        assert len(res.records) == seen.count(0) == (step0 == 0)
+        u0 = random_field(B8, 1).coeffs
+        res, _ = drive("single", u0, step0=step0, **self.CASE)
+        assert not np.shares_memory(res.state.u.coeffs, u0)
+        assert len(res.records) == (step0 == 0)
 
     def test_run_coupled(self):
-        basis = ModeBasis(8)
-        u0, v0 = random_field(basis, 1), random_field(basis, 2)
-        res = run_coupled(self.MODEL, self.CFG, u0, v0, seed=1, n_steps=0, stop_l1_below=1e9)
-        assert res.trip is None
-        for end, start in ((res.state_a, u0), (res.state_b, v0)):
-            assert type(end.step) is int and (end.step, end.t) == (0, 0.0)
-            assert end.u.coeffs.tobytes() == start.coeffs.tobytes()
-        assert res.times.tolist() == [0.0] and len(res.l1_series) == 1
-        assert len(res.records_a) == len(res.records_b) == 1
+        drive("coupled", pair(B8, 1, 2), stop=1e9, **self.CASE)
 
     def test_run_on_increments(self):
-        basis = ModeBasis(8)
-        u0 = random_field(basis, 1)
-        hist, trip = run_on_increments(self.MODEL, self.CFG, u0, np.empty((0, 8)))
-        assert trip is None and hist.tobytes() == u0.coeffs[None].tobytes()
+        drive("history", random_field(B8, 1).coeffs, **self.CASE)
 
 
 class TestStopBelowAtStart:
     def test_pair_starting_below_the_stop_stops_at_its_first_step_below(self):
         # the initial pair is reduced alone and never stops the run: a pair
         # whose start is already below the threshold runs to its first
-        # step below it, and equals the free run up to there
-        basis = ModeBasis(8)
+        # step below it
         model = ModelSpec(0.1, FluxSpec("burgers"), NoiseSpec(c=0.3, q=3.0))
-        cfg, u0, v0 = SolverConfig(dt=0.01), mode_field(basis, 1, 0.5), mode_field(basis, 2, 0.5)
-        free = run_coupled(model, cfg, u0, v0, seed=3, n_steps=40)
-        stop = np.nextafter(free.l1_series[0], np.inf)
-        first = 1 + int(np.argmax(free.l1_series[1:] < stop))
-        assert free.l1_series[first] < stop
-        res = run_coupled(model, cfg, u0, v0, seed=3, n_steps=40, stop_l1_below=stop)
-        assert res.trip is None and res.state_a.step == first
-        assert res.l1_series.tobytes() == free.l1_series[: first + 1].tobytes()
-        assert res.times.tobytes() == free.times[: first + 1].tobytes()
+        u0 = modes((1, 0.5), (2, 0.5))
+        l1 = np.array(ref.run(model, SolverConfig(dt=0.01), u0, 3, 40).l1)
+        stop = np.nextafter(l1[0], np.inf)
+        res, _ = drive("coupled", u0, model, dt=0.01, seed=3, n_steps=40, stop=stop)
+        assert res.trip is None and res.state_a.step == 1 + int(np.argmax(l1[1:] < stop))

@@ -7,6 +7,7 @@ they check.
 
 import numpy as np
 import pytest
+import reference as ref
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
@@ -162,7 +163,7 @@ class TestDrawDiscipline:
         assert path.draw_index == twin.draw_index == 5
         assert np.array_equal(path.ou_increment(1.0, 0.01), twin.ou_increment(1.0, 0.01))
 
-    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @settings(max_examples=60)
     @given(seed=st.integers(0, 2**64 - 1), m=st.sampled_from([2, 8, 16, 64]),
            k=st.integers(1, 40), start=st.one_of(st.integers(0, 1000),
                                                  st.integers(0, 2**64 - 41)),
@@ -298,12 +299,10 @@ class TestOUConvolution:
         path = NoisePath(spec, basis, 12)
         path.draw_index = 7
         lam = basis.eigenvalues
-        sig = spec.resolve(basis)
-        std = np.sqrt(sig**2 * (1.0 - np.exp(2.0 * nu * lam * dt)) / (-2.0 * nu * lam))
         want = np.zeros((n + 1, 8))
-        draws = NoisePath(spec, basis, 12)
         for i in range(n):
-            want[i + 1] = np.exp(nu * lam * dt) * want[i] + std * draws.block(7 + i, np.empty(8))
+            want[i + 1] = np.exp(nu * lam * dt) * want[i] + ref.increment(spec, basis, nu, dt, 12,
+                                                                         7 + i)
         got = convolution_grid(path, nu, dt, n)
         assert got.tobytes() == want.tobytes()
         assert path.draw_index == 7 + n

@@ -7,6 +7,8 @@ from unittest import mock
 
 import numpy as np
 import pytest
+import reference as ref
+from conftest import random_field
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
@@ -29,13 +31,6 @@ from svcl.spectral import ModeBasis, SpectralField, mode_field
 TWO_PI = 2.0 * math.pi
 LAM1 = -TWO_PI**2  # eigenvalue of the first pair
 L1_E1 = 0.9003163161571062  # int |sqrt(2) sin(2 pi x)| dx = 2 sqrt(2)/pi
-
-
-def random_field(basis, seed, decay=1.5, amp=1.0):
-    rng = np.random.default_rng(seed)
-    pair = basis.pair_index
-    c = amp * rng.standard_normal(basis.m_max) / pair.astype(float) ** decay
-    return SpectralField(c, basis)
 
 
 def heat_model(nu=0.01, m=8):
@@ -154,7 +149,7 @@ class TestCsvText:
     """write_csv renders every byte the per-value writer did, in chunks of
     any size; read_csv_columns returns the bits genfromtxt returned."""
 
-    @settings(derandomize=True, max_examples=150, deadline=None)
+    @settings(max_examples=150)
     @given(data=st.data(), lp_orders=st.sampled_from([(), (2,), (2, 4)]),
            n=st.sampled_from([0, 1, 2, 3, 6, 7, 8, 14, 15, 40]),
            chunk=st.sampled_from([1, 2, 7, observables.CSV_CHUNK_ROWS]),
@@ -182,7 +177,7 @@ class TestCsvText:
         buf.write_csv(fp, "nu = 0.1", ["1,2\n"])
         assert fp.getvalue() == _reference_csv(buf, "nu = 0.1", ["1,2\n"])
 
-    @settings(derandomize=True, max_examples=60, deadline=None)
+    @settings(max_examples=60)
     @given(data=st.data(), lp_orders=st.sampled_from([(), (2,), (2, 4)]),
            n=st.integers(1, 12), echo=st.sampled_from([None, "nu = 0.1\nseed = 3"]))
     def test_reader_bits_equal_genfromtxt(self, tmp_path_factory, data, lp_orders, n, echo):
@@ -211,21 +206,12 @@ class TestCsvText:
         ("1,2,,4\n", "could not convert"),
     ])
     def test_reader_rejects_a_malformed_selected_row(self, line, reason):
-        lines = ["# config: nu = 0.1\n", "t,l2_sq,h1_sq,h2_sq\n", "0,1,2,3\n", line,
-                 "2,1,2,3\n"]
+        lines = ["# config: nu = 0.1\n", "t,l2_sq,h1_sq,h2_sq\n", "0,1,2,3\n", line, "2,1,2,3\n"]
         with pytest.raises(ValueError, match=f"line 4: .*{reason}"):
             read_csv_columns(lines)
         # rows outside the selection are not parsed
         assert read_csv_columns(lines, slice(2, 3))["t"].tolist() == [2.0]
         assert read_csv_columns(lines, slice(0, 1))["h2_sq"].tolist() == [3.0]
-
-
-def window_residual(t, l2, h1, nu, trace):
-    """The balance residual of the last row over the whole of t as its
-    trailing window: (l2[-1] - l2[0]) / span + 2 nu (trapezoid of h1) / span
-    - trace."""
-    last = len(t) - 1
-    return balance_residuals(t, l2, h1, max(last, 1), nu, trace, first=last)[0]
 
 
 class TestEnergyBalanceResidual:
@@ -265,12 +251,12 @@ class TestEnergyBalanceResidual:
                                  16, nu, trace_h2(model.noise, basis).l2)
         assert buf.column("energy_residual").tobytes() == want.tobytes()
 
-    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @settings(max_examples=150)
     @given(data=st.data())
     def test_residual_column_matches_residual_function(self, data):
         """Every row of the energy_residual column, resumed or not, is the
         balance residual over that row's trailing window alone, bit for bit,
-        and equals the unblocked reference whatever the block size."""
+        and equals the per-row reference whatever the block size."""
         n_hist = data.draw(st.integers(0, 40), label="history rows")
         n_new = data.draw(st.integers(1, 60), label="buffer rows")
         window = data.draw(st.integers(2, 30), label="window")
@@ -296,12 +282,8 @@ class TestEnergyBalanceResidual:
             return buf.column("energy_residual").view(np.int64)
 
         whole = column(0, None)
-        expected = [window_residual(t[max(0, i - window):i + 1], l2[max(0, i - window):i + 1],
-                                    h1[max(0, i - window):i + 1], nu, tr)
-                    for i in range(n)]
-        np.testing.assert_array_equal(whole, np.array(expected).view(np.int64))
-        np.testing.assert_array_equal(
-            whole, unblocked_residuals(t, l2, h1, window, nu, tr).view(np.int64))
+        want = ref.residuals(t, l2, h1, window, nu, tr)
+        np.testing.assert_array_equal(whole, want.view(np.int64))
         if n_hist:
             # a resumed segment, seeded with the whole prefix, a tail longer
             # than the window or only the trailing window of it, continues
@@ -330,44 +312,9 @@ class TestEnergyBalanceResidual:
         assert whole.tobytes() == np.full(11, np.nan).tobytes()
 
 
-def unblocked_residuals(t, l2, h1, window, nu, trace, first=0):
-    """balance_residuals as it was before its windows were summed in fixed
-    row blocks: the reference the blocked one must equal bit for bit."""
-    seg = 0.5 * (h1[1:] + h1[:-1]) * np.diff(t)  # per-interval trapezoid areas
-    n = len(t)
-    res = np.full(n - first, np.nan)
-    nu2 = 2.0 * nu
-    for i in range(max(first, 1), min(window, n)):  # windows still filling
-        span = t[i] - t[0]
-        if span > 0:
-            res[i - first] = (l2[i] - l2[0]) / span + nu2 * np.sum(seg[:i]) / span - trace
-    full = max(first, window)
-    if n > full:
-        sw = np.lib.stride_tricks.sliding_window_view(seg, window)
-        for s0 in range(full, n, 65536):
-            s1 = min(n, s0 + 65536)
-            i = np.arange(s0, s1)
-            k = i - window
-            span = t[i] - t[k]
-            res[s0 - first : s1 - first] = (
-                (l2[i] - l2[k]) / span + nu2 * sw[k].sum(axis=1) / span - trace)
-    return res
-
-
-def value_bits(a):
-    """The bits of a float array with every nan made np.nan, as
-    balance_residuals returns them: a nan met with a nan keeps one
-    operand's sign, and which one numpy's SIMD loops keep depends on the
-    element's lane, so the unblocked reference's nan signs change with a
-    row's position in the call."""
-    a = np.array(a)
-    a[np.isnan(a)] = np.nan
-    return a.view(np.int64)
-
-
 class TestBlockedResiduals:
     """balance_residuals sums its full windows in blocks of
-    max(1, _BLOCK_POINTS // window) rows; every value stays the unblocked
+    max(1, _BLOCK_POINTS // window) rows; every value stays the per-row
     reference's, bit for bit."""
 
     @staticmethod
@@ -375,7 +322,7 @@ class TestBlockedResiduals:
         t = 3.0 + np.cumsum(rng.uniform(1e-3, 1e-2, n))
         return t, rng.uniform(0.0, 10.0, n), rng.uniform(0.0, 100.0, n)
 
-    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @settings(max_examples=300)
     @given(data=st.data())
     def test_blocks_equal_the_unblocked_reference(self, data):
         block = data.draw(st.integers(1, 64), label="block points")
@@ -395,10 +342,10 @@ class TestBlockedResiduals:
         nu = data.draw(st.floats(1e-3, 2.0), label="nu")
         tr = data.draw(st.floats(0.0, 50.0), label="trace")
         with pytest.MonkeyPatch.context() as mp, np.errstate(all="ignore"):
-            want = unblocked_residuals(t, l2, h1, window, nu, tr, first)
             mp.setattr(observables, "_BLOCK_POINTS", block)
             got = balance_residuals(t, l2, h1, window, nu, tr, first)
-        np.testing.assert_array_equal(got.view(np.int64), value_bits(want))
+        want = ref.residuals(t, l2, h1, window, nu, tr)[first:]
+        np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
 
     @pytest.mark.parametrize("window", [2, 64, 2_000, observables._BLOCK_POINTS + 5])
     def test_module_block_boundaries(self, window):
@@ -406,10 +353,10 @@ class TestBlockedResiduals:
         rows = max(1, observables._BLOCK_POINTS // window)
         t, l2, h1 = self.stream(np.random.default_rng(window), window + 2 * rows + 2)
         first = window - 2  # two filling rows, not the whole filling loop
+        want = ref.residuals(t, l2, h1, window, 0.3, 1.7)  # a row sees no later row
         for n in (window + rows - 1, window + rows, window + rows + 1, window + 2 * rows + 1):
             got = balance_residuals(t[:n], l2[:n], h1[:n], window, 0.3, 1.7, first)
-            want = unblocked_residuals(t[:n], l2[:n], h1[:n], window, 0.3, 1.7, first)
-            assert got.tobytes() == want.tobytes()
+            assert got.tobytes() == want[first:n].tobytes()
 
     @pytest.mark.parametrize("n, window", [(10_000, 2_000), (200_000, 64)])
     def test_memory_is_the_output_plus_one_block(self, n, window):
@@ -467,63 +414,40 @@ class TestL1Distance:
 
 
 class TestReducerBlocks:
-    """A block of kept states reduces, where it lies, to the record rows and
-    L1 distances of its states reduced one at a time, bit for bit, whatever
-    the block's length and the cadence's stride through it, on one Reducer
-    whose fine-grid plans serve every block shape it meets."""
+    """A block of kept states reduces, where it lies, to the reference's
+    record rows and L1 distances of its states, one at a time, bit for bit,
+    whatever the block's length and the cadence's stride through it, on one
+    Reducer whose fine-grid plans serve every block shape it meets."""
 
     LP = (2, 3, 4, 6)
     # shorter blocks replace the plans of longer ones, which are built again
     BLOCKS = (256, 17, 1, 17, 256)
 
-    @staticmethod
-    def table(buf):
-        return np.column_stack([buf.column(k) for k in buf.column_names()])
-
-    def blocks(self, seed, pair):
-        rng = np.random.default_rng(seed)
+    def check(self, seed, every, first, radius, pair):
+        basis = ModeBasis(16)
+        reducer, rng = Reducer(basis), np.random.default_rng(seed)
         for k in self.BLOCKS:
-            scale = 10.0 ** rng.uniform(-3, 1, (k, 1, 1))
-            states = rng.standard_normal((k, 2, 16)) * scale
-            yield 0.5 + 1e-3 * np.arange(k), states if pair else states[:, 0]
+            times = 0.5 + 1e-3 * np.arange(k)
+            states = rng.standard_normal((k, 2, 16)) * 10.0 ** rng.uniform(-3, 1, (k, 1, 1))
+            states, l1 = (states, reducer.l1_distances(states)) if pair else (states[:, 0], None)
+            bufs = [RecordBuffer(self.LP) for _ in range(1 + pair)]
+            reducer.record_rows(bufs, radius, every, first, times, states, l1)
+            kept = [i for i in range(k) if (first + i) % every == 0]
+            for i in range(k * pair):  # every distance, recorded or not
+                assert l1[i] == ref.l1(basis, states[i])
+            for r, buf in enumerate(bufs):
+                want = [ref.record_row(basis, times[i], np.atleast_2d(states[i])[r], self.LP,
+                                       radius, l1[i] if pair else np.nan) for i in kept]
+                assert ref.table(buf).tobytes() == np.array(want).reshape(len(kept), 11).tobytes()
 
     @pytest.mark.parametrize("every, first", [(1, 0), (3, 0), (3, 5), (7, 2)])
     @pytest.mark.parametrize("radius", [None, 5.0])
     def test_rows_equal_their_own_calls(self, every, first, radius):
-        basis = ModeBasis(16)
-        reducer, n_fine = Reducer(basis), 8 * basis.m_max
-        for times, pairs in self.blocks(every + first, pair=True):
-            l1 = reducer.l1_distances(pairs)
-            bufs = (RecordBuffer(self.LP), RecordBuffer(self.LP))
-            reducer.record_rows(bufs, radius, every, first, times, pairs, l1)
-            kept = [i for i in range(len(times)) if (first + i) % every == 0]
-            for i in range(len(times)):  # every distance, recorded or not
-                own = l1_norms(pairs[i, 0] - pairs[i, 1], n_fine)
-                assert np.float64(l1[i]).tobytes() == own.tobytes()
-            for r, buf in enumerate(bufs):
-                got = self.table(buf)
-                assert len(got) == len(kept)
-                for j, i in enumerate(kept):
-                    one = RecordBuffer(self.LP)
-                    Reducer(basis).record_rows((one,), radius, 1, 0, times[i : i + 1],
-                                               pairs[i : i + 1, r], l1[i : i + 1])
-                    assert got[j].tobytes() == self.table(one)[0].tobytes()
+        self.check(every + first, every, first, radius, pair=True)
 
     @pytest.mark.parametrize("every, first", [(1, 0), (3, 5), (7, 2)])
     def test_single_state_rows_equal_their_own_calls(self, every, first):
-        basis = ModeBasis(16)
-        reducer = Reducer(basis)
-        for times, states in self.blocks(every * first + 1, pair=False):
-            buf = RecordBuffer(self.LP)
-            reducer.record_rows((buf,), None, every, first, times, states)
-            kept = [i for i in range(len(times)) if (first + i) % every == 0]
-            got = self.table(buf)
-            assert len(got) == len(kept) and np.isnan(buf.column("l1_dist")).all()
-            for j, i in enumerate(kept):
-                one = RecordBuffer(self.LP)
-                Reducer(basis).record_rows((one,), None, 1, 0, times[i : i + 1],
-                                           states[i : i + 1])
-                assert got[j].tobytes() == self.table(one)[0].tobytes()
+        self.check(every * first + 1, every, first, None, pair=False)
 
     def test_a_shorter_block_replaces_longer_plans(self):
         # a run's last, partial block adds no plan beside its full blocks'

@@ -3,8 +3,9 @@
 A public top-level function or class, or a public method, in src/svcl/*.py
 must be referenced (as an ast.Name or ast.Attribute) somewhere in
 src/svcl/*.py or bench/*.py outside its own definition, or be listed in
-svcl.__all__, or be one of the allowlisted names below.  A helper only the
-tests call fails here: it either becomes the production path or goes.
+svcl.__all__.  A helper only the tests call fails here: it either becomes
+the production path or goes (a reference that only tests compare against
+goes to tests/reference.py).
 """
 
 import ast
@@ -15,11 +16,6 @@ import svcl
 ROOT = Path(__file__).resolve().parents[1]
 SOURCES = sorted((ROOT / "src" / "svcl").glob("*.py"))
 SCANNED = SOURCES + sorted((ROOT / "bench").glob("*.py"))
-
-ALLOWED = {
-    # the reference -d/dx that Stepper.nonlin is pinned against bit for bit
-    "rotate_pairs",
-}
 
 
 def public_definitions():
@@ -57,12 +53,6 @@ def unreferenced():
                        for p, line in refs.get(name, ()))}
 
 
-def test_every_public_name_is_used_exported_or_allowlisted():
-    unused = unreferenced() - set(svcl.__all__) - ALLOWED
+def test_every_public_name_is_used_or_exported():
+    unused = unreferenced() - set(svcl.__all__)
     assert not unused, f"public names no production code uses: {sorted(unused)}"
-
-
-def test_allowlist_holds_only_defined_unreferenced_names():
-    # an allowlisted name that production code starts to call leaves the list
-    assert ALLOWED <= unreferenced() - set(svcl.__all__)
-

@@ -5,12 +5,14 @@ implementation: eigenvalues -(2 pi mp)^2, heat factors exp(nu lam t),
 Parseval against direct quadrature, and the mode-wise smoothing envelope
 sup_x sqrt(x) exp(-nu x t) = (2 e nu t)^(-1/2).  The derivative, heat and
 norm checks run on what the step loop uses: the analysis band times the
-wavenumbers, pinned to `rotate_pairs`, `Stepper.decay`, and the H1 mass and
-H2 weights of the `Reducer` behind every record row.
+wavenumbers, pinned to the reference `rotate_pairs`, `Stepper.decay`, and
+the H1 mass and H2 weights of the `Reducer` behind every record row.
 """
 
 import numpy as np
 import pytest
+import reference as ref
+from conftest import random_field, with_edges
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
@@ -22,12 +24,10 @@ from svcl.noise import NoisePath, NoiseSpec
 from svcl.observables import Reducer
 from svcl.spectral import (
     ModeBasis,
-    SpectralField,
     Workspace,
     _scales,
     analyze,
     mode_field,
-    rotate_pairs,
     synthesize,
 )
 
@@ -47,13 +47,6 @@ def hs_norm(basis, c, s):
     """(sum_m |lambda_m|^s c_m^2)^(1/2), with np.vecdot as the record columns
     take their norms."""
     return float(np.sqrt(np.vecdot(c * c, np.abs(basis.eigenvalues) ** s)))
-
-
-def random_field(basis, seed, decay=1.5, amp=1.0):
-    """Smooth random field with coefficients amp * N(0,1) / mp^decay."""
-    rng = np.random.default_rng(seed)
-    c = amp * rng.standard_normal(basis.m_max) / basis.pair_index**decay
-    return SpectralField(c, basis)
 
 
 def closed_form_mode(m, x):
@@ -97,7 +90,7 @@ class TestModeBasis:
         m_max = 12
         for n in (14, 24, 41):
             samples = synthesize(np.eye(m_max), n)  # row m - 1 samples e_m
-            assert np.max(np.abs(analyze(samples, m_max) - np.eye(m_max))) < 1e-13
+            assert np.max(np.abs(analyzed(samples, m_max) - np.eye(m_max))) < 1e-13
             gram = samples @ samples.T / n
             assert np.max(np.abs(gram - np.eye(m_max))) < 1e-12
 
@@ -109,54 +102,10 @@ class TestModeBasis:
         assert repr(ModeBasis(16)) == "ModeBasis(m_max=16)"
 
 
-def np_fft_synthesize(coeffs, n):
-    """synthesize through the public np.fft.irfft."""
-    k = coeffs.shape[-1] // 2
-    spec = np.zeros((*coeffs.shape[:-1], n // 2 + 1), dtype=complex)
-    scale = n / np.sqrt(2.0)
-    spec.real[..., 1 : k + 1] = coeffs[..., 1::2] * scale
-    spec.imag[..., 1 : k + 1] = coeffs[..., 0::2] * -scale
-    return np.fft.irfft(spec, n)
-
-
-def np_fft_analyze(samples, m_max):
-    """analyze through the public np.fft.rfft: the coefficients in storage
-    order, and the workspace band, (cos, -sin) in each pair."""
-    n, k = samples.shape[-1], m_max // 2
-    spec = np.fft.rfft(samples)
-    coeffs, band = np.empty((2, *samples.shape[:-1], m_max))
-    scale = np.sqrt(2.0) / n
-    coeffs[..., 0::2] = spec.imag[..., 1 : k + 1] * -scale
-    coeffs[..., 1::2] = band[..., 0::2] = spec.real[..., 1 : k + 1] * scale
-    band[..., 1::2] = spec.imag[..., 1 : k + 1] * scale
-    return coeffs, band
-
-
-def two_multiply_synthesize(coeffs, n):
-    """The packing as two strided multiplies into the real and imaginary
-    band of the padded spectrum.  Returns the padded spectrum too."""
-    k = coeffs.shape[-1] // 2
-    spec = np.zeros((*coeffs.shape[:-1], n // 2 + 1), dtype=complex)
-    scale = n / np.sqrt(2.0)
-    np.multiply(coeffs[..., 1::2], scale, out=spec.real[..., 1 : k + 1])
-    np.multiply(coeffs[..., 0::2], -scale, out=spec.imag[..., 1 : k + 1])
-    return pocketfft.irfft(spec, 1.0 / n, out=np.empty((*coeffs.shape[:-1], n))), spec
-
-
-def two_multiply_analyze(samples, m_max):
-    """The unpacking as two strided multiplies of the unit-norm rfft's real
-    and imaginary band by +-sqrt(2)/n: into storage order, and into the
-    workspace band, (cos, -sin) in each pair."""
-    n, k = samples.shape[-1], m_max // 2
-    spec = np.empty((*samples.shape[:-1], n // 2 + 1), dtype=complex)
-    coeffs, band = np.empty((2, *samples.shape[:-1], m_max))
-    rfft(n)(samples, 1, out=spec)
-    scale = np.sqrt(2.0) / n
-    np.multiply(spec.imag[..., 1 : k + 1], -scale, out=coeffs[..., 0::2])
-    np.multiply(spec.real[..., 1 : k + 1], scale, out=coeffs[..., 1::2])
-    np.multiply(spec.real[..., 1 : k + 1], scale, out=band[..., 0::2])
-    np.multiply(spec.imag[..., 1 : k + 1], scale, out=band[..., 1::2])
-    return coeffs, band
+def analyzed(samples, m):
+    """analyze on a fresh workspace, in storage order."""
+    return ref.from_band(analyze(samples, m, Workspace((*samples.shape[:-1], m),
+                                                       samples.shape[-1])))
 
 
 def rfft(n):
@@ -164,97 +113,58 @@ def rfft(n):
     return pocketfft.rfft_n_even if n % 2 == 0 else pocketfft.rfft_n_odd
 
 
-def band_order(c):
-    """Coefficients (last axis) as (cos, -sin) pairs, the layout of a
-    workspace's analysis band: a strided copy, and a multiply by -1, which
-    keeps a nan's sign where np.negative would flip it."""
-    out = np.empty_like(c)
-    out[..., 0::2] = c[..., 1::2]
-    np.multiply(c[..., 0::2], -1.0, out=out[..., 1::2])
-    return out
-
-
-def two_multiply_rotate(c, w):
-    """The pair rotation as written before the pair weights."""
-    out = np.empty_like(c)
-    np.multiply(c[..., 1::2], -w[1::2], out=out[..., 0::2])
-    np.multiply(c[..., 0::2], w[0::2], out=out[..., 1::2])
-    return out
-
-
-SPECIALS = (0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan)
-
-
-def with_specials(data, a):
-    """a with a few entries replaced by signed zeros, infinities and nan;
-    most rows stay finite, so a packing error still shows after the FFT."""
-    flat = a.reshape(-1)
-    hits = data.draw(st.lists(st.tuples(st.integers(0, flat.size - 1), st.sampled_from(SPECIALS)),
-                              max_size=3))
-    for i, v in hits:
-        flat[i] = v
-    return a
-
-
 class TestTransforms:
-    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
-    @given(data=st.data(), m=st.sampled_from([2, 4, 16, 32, 256]),
-           rows=st.sampled_from([None, 1, 3]), extra=st.integers(2, 41),
-           exp=st.sampled_from([-300, 0, 300]))
+    @settings(max_examples=300)
+    @given(data=st.data(), m=st.sampled_from([2, 4, 8, 16, 32, 256]),
+           rows=st.sampled_from([None, 1, 2, 3, 5]), extra=st.integers(2, 41),
+           exp=st.sampled_from([-300, -5, 0, 5, 300]))
     @np.errstate(over="ignore", invalid="ignore")
     def test_pair_views_equal_two_multiplies_bitwise(self, data, m, rows, extra, exp):
-        # the pack, one multiply in rfft bin order, the scaled rfft's band
-        # and the pair rotation must give the bits of the separate sin and
+        # the transforms call numpy's pocketfft gufuncs directly: the pack,
+        # one multiply in rfft bin order, and the scaled rfft's band must
+        # give the bits of the reference's np.fft calls and separate sin and
         # cos multiplies, signed zeros, infinities and nans of both signs
-        # included, on fresh arrays and on a workspace, and the step
-        # kernel's -d/dx, the band times the wavenumbers, those of
-        # rotate_pairs by -w; n runs over even and odd sizes
+        # included, on fresh arrays, a fresh workspace and a reused one, and
+        # the step kernel's -d/dx, the band times the wavenumbers, those of
+        # rotate_pairs by -w; n runs over even and odd sizes from m + 2 up.
+        # A numpy whose private module no longer matches np.fft fails here
         shape, n = (m,) if rows is None else (rows, m), m + extra
         elements = st.floats(-2.0, 2.0)
-        coeffs = with_specials(data, data.draw(arrays(float, shape, elements=elements)) * 10.0**exp)
+        coeffs = with_edges(data, data.draw(arrays(float, shape, elements=elements)) * 10.0**exp)
         samples = data.draw(arrays(float, (*shape[:-1], n), elements=elements)) * 10.0**exp
-        samples = with_specials(data, samples)
-        w = data.draw(arrays(float, m, elements=st.floats(-50.0, 50.0)))
-        basis = ModeBasis(m)
-        want_s, want_spec = two_multiply_synthesize(coeffs, n)
-        want_c, want_band = two_multiply_analyze(samples, m)
-        work = Workspace(shape, n)
-        assert analyze(samples, m).tobytes() == want_c.tobytes()
+        samples = with_edges(data, samples)
+        basis, work = ModeBasis(m), Workspace(shape, n)
         for wk in (None, work, work):
-            assert synthesize(coeffs, n, wk).tobytes() == want_s.tobytes()
+            assert synthesize(coeffs, n, wk).tobytes() == ref.synthesize(coeffs, n).tobytes()
         wavenumbers = np.broadcast_to(basis.wavenumbers, shape).copy()
-        for _ in range(2):  # a workspace returns its band, (cos, -sin) pairs
-            band = analyze(samples, m, work)
-            assert band.tobytes() == want_band.tobytes()
+        for wk in (Workspace(shape, n), work, work):  # the band, (cos, -sin) pairs
+            band = analyze(samples, m, wk)
+            assert band.tobytes() == ref.band(samples, m).tobytes()
+            assert ref.from_band(band).tobytes() == ref.analyze(samples, m).tobytes()
             assert (np.multiply(band, wavenumbers).tobytes()
-                    == rotate_pairs(want_c, -basis.wavenumbers).tobytes())
-        assert work.padded.tobytes() == want_spec.tobytes()
-        for weights in (w, basis.wavenumbers, -basis.wavenumbers):
-            got = rotate_pairs(coeffs, weights)
-            assert got.shape == coeffs.shape
-            assert got.tobytes() == two_multiply_rotate(coeffs, weights).tobytes()
+                    == ref.rotate_pairs(ref.analyze(samples, m), -basis.wavenumbers).tobytes())
+        assert work.padded.tobytes() == ref.pack(coeffs, n).tobytes()
 
-    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @settings(max_examples=150)
     @given(data=st.data(), m=st.sampled_from([2, 4, 8, 16, 32]),
            rows=st.sampled_from([None, 1, 2, 5]), extra=st.integers(2, 40),
            exp=st.sampled_from([-300, -5, 0, 5, 300]))
     def test_gufunc_transforms_equal_np_fft_bitwise(self, data, m, rows, extra, exp):
         # the transforms call numpy's pocketfft gufuncs directly; a numpy
-        # whose private module no longer matches np.fft fails here.  n runs
-        # over even and odd sizes from m + 2 up
+        # whose private module no longer matches np.fft fails here, on
+        # finite data.  n runs over even and odd sizes from m + 2 up
         shape, n = (m,) if rows is None else (rows, m), m + extra
         coeffs = data.draw(arrays(float, shape, elements=st.floats(-2.0, 2.0))) * 10.0**exp
         samples = data.draw(arrays(float, (*shape[:-1], n), elements=st.floats(-2.0, 2.0)))
         samples *= 10.0**exp
-        want_s = np_fft_synthesize(coeffs, n)
-        want_c, want_band = np_fft_analyze(samples, m)
+        want_s, want_band = ref.synthesize(coeffs, n), ref.band(samples, m)
         work = Workspace(shape, n)
         for w in (None, work, work):  # a reused workspace too
             got_s = synthesize(coeffs, n, w)
-            got_c = analyze(samples, m, w)
-            assert got_s.shape == want_s.shape and got_c.shape == want_c.shape
+            got_band = analyze(samples, m, Workspace(shape, n) if w is None else w)
+            assert got_s.shape == want_s.shape and got_band.shape == want_band.shape
             assert got_s.tobytes() == want_s.tobytes()
-            assert got_c.tobytes() == (want_c if w is None else want_band).tobytes()
+            assert got_band.tobytes() == want_band.tobytes()
 
     @pytest.mark.parametrize("n", [26, 34, 50, 386, 27, 35, 51, 193, 387])
     @np.errstate(over="ignore", invalid="ignore")
@@ -296,7 +206,7 @@ class TestTransforms:
         m = shape[-1]
         rows, n = int(np.prod(shape[:-1])), 3 * m // 2 + 2  # Burgers' dealiasing grid
         work = Workspace(shape, n)
-        swap, pack, signs = _scales(n, m)
+        swap, pack = _scales(n, m)
         band = work.padded_band
         assert band.shape == (rows * m,) and band.flags.c_contiguous
         assert np.shares_memory(band, work.padded)
@@ -309,7 +219,6 @@ class TestTransforms:
         assert work.spectrum_band.shape == shape
         assert np.shares_memory(work.spectrum_band, work.spectrum)
         assert work.rfft_norm.shape == () and work.rfft_norm == np.sqrt(2.0) / n
-        assert signs.tolist() == [1.0, -1.0] * (m // 2)
 
     @pytest.mark.parametrize("use", ["state", "pair", "picard"])
     def test_many_row_blocks_equal_rows_and_np_fft_bitwise(self, use):
@@ -326,7 +235,7 @@ class TestTransforms:
         assert rows == {"state": 256, "pair": 128, "picard": 201}[use]
         block = np.random.default_rng(rows).standard_normal((rows, m)) / basis.pair_index**1.5
         got = synthesize(block, n, Workspace(block.shape, n))
-        assert got.tobytes() == np_fft_synthesize(block, n).tobytes()
+        assert got.tobytes() == ref.synthesize(block, n).tobytes()
         for i, row in enumerate(block):
             assert synthesize(row, n).tobytes() == got[i].tobytes()
 
@@ -340,8 +249,7 @@ class TestTransforms:
             work = Workspace(shape, n)
             for _ in range(2):
                 assert synthesize(coeffs, n, work).tobytes() == synthesize(coeffs, n).tobytes()
-                assert (analyze(samples, 16, work).tobytes()
-                        == band_order(analyze(samples, 16)).tobytes())
+                assert analyze(samples, 16, work).tobytes() == ref.band(samples, 16).tobytes()
 
     @pytest.mark.parametrize("m_max", [2, 8, 32, 64])
     def test_round_trip(self, m_max):
@@ -349,13 +257,13 @@ class TestTransforms:
         basis = ModeBasis(m_max)
         for seed in range(5):
             f = random_field(basis, seed)
-            back = analyze(synthesize(f.coeffs, 2 * m_max), m_max)
+            back = analyzed(synthesize(f.coeffs, 2 * m_max), m_max)
             assert np.max(np.abs(back - f.coeffs)) < 1e-12
 
     def test_round_trip_fine_grid(self):
         basis = ModeBasis(16)
         f = random_field(basis, 3)
-        back = analyze(synthesize(f.coeffs, 200), 16)
+        back = analyzed(synthesize(f.coeffs, 200), 16)
         assert np.max(np.abs(back - f.coeffs)) < 1e-12
 
     def test_single_mode_samples(self):
@@ -369,7 +277,7 @@ class TestTransforms:
         """Content above the retained band is dropped, not aliased in."""
         x = np.arange(64) / 64
         high = np.sqrt(2.0) * np.sin(2 * np.pi * 7 * x)  # pair 7 > m_max/2 = 4
-        coeffs = analyze(high, 8)
+        coeffs = analyzed(high, 8)
         assert np.max(np.abs(coeffs)) < 1e-13
 
     def test_constant_offset_stays_out_of_modes(self):
@@ -377,7 +285,7 @@ class TestTransforms:
         basis = ModeBasis(8)
         f = random_field(basis, 1)
         for offset in (5e-13, 3.0):
-            back = analyze(synthesize(f.coeffs, 16) + offset, 8)
+            back = analyzed(synthesize(f.coeffs, 16) + offset, 8)
             assert back.shape == (8,)
             assert np.max(np.abs(back - f.coeffs)) < 1e-12
 
@@ -386,34 +294,22 @@ class TestTransforms:
         with pytest.raises(ValueError):
             synthesize(random_field(basis, 0).coeffs, 17)
         with pytest.raises(ValueError):
-            analyze(np.zeros(17), 16)
+            analyzed(np.zeros(17), 16)
 
 
 def ddx(c, basis):
     """d/dx by the reference pair rotation, which the step kernel's -d/dx
     is pinned to bit for bit."""
-    return rotate_pairs(c, basis.wavenumbers)
+    return ref.rotate_pairs(c, basis.wavenumbers)
 
 
 class TestDerivative:
     def test_pair_rotation(self):
         """d/dx e_1 = 2 pi e_2 and d/dx e_2 = -2 pi e_1."""
         basis = ModeBasis(8)
-        d1 = ddx(mode_field(basis, 1).coeffs, basis)
-        expected = np.zeros(8)
-        expected[1] = TWO_PI
-        assert np.max(np.abs(d1 - expected)) < 1e-13
-        d2 = ddx(mode_field(basis, 2).coeffs, basis)
-        expected = np.zeros(8)
-        expected[0] = -TWO_PI
-        assert np.max(np.abs(d2 - expected)) < 1e-13
-        # the step kernel's -d/dx: the workspace band of a block's samples,
-        # (cos, -sin) pairs, times the wavenumbers at the block's shape
-        n = 3 * 8 // 2 + 2  # Burgers' dealiasing grid
-        samples = synthesize(np.eye(8), n)  # row m - 1 samples e_m
-        band = analyze(samples, 8, Workspace((8, 8), n))
-        got = np.multiply(band, np.broadcast_to(basis.wavenumbers, (8, 8)).copy())
-        assert got.tobytes() == rotate_pairs(analyze(samples, 8), -basis.wavenumbers).tobytes()
+        expected = np.zeros((2, 8))
+        expected[0, 1], expected[1, 0] = TWO_PI, -TWO_PI
+        assert np.max(np.abs(ddx(np.eye(8)[:2], basis) - expected)) < 1e-13
 
     def test_matches_finite_differences(self):
         basis = ModeBasis(16)
@@ -506,16 +402,14 @@ class TestHeatSemigroup:
     @pytest.mark.parametrize("m", DECAY_MS)
     def test_ou_variance_bits_equal_the_spelled_out_factor(self, m):
         # NoisePath.ou_increment takes its OU variance from heat_decay over
-        # 2 dt: its draws are those of the std it spelled out,
-        # exp(2 nu lam dt), bit for bit
-        basis = ModeBasis(m)
-        lam, spec = basis.eigenvalues, NoiseSpec(c=0.5, q=3.0)
-        sig2, block = spec.resolve(basis) ** 2, NoisePath(spec, basis, 1).block(0, np.empty(m))
+        # 2 dt: its draws are the reference's, whose std spells out
+        # exp(2 nu lam dt) in that order, bit for bit
+        basis, spec = ModeBasis(m), NoiseSpec(c=0.5, q=3.0)
         for nu in self.DECAY_NUS:
             for dt in self.DECAY_DTS:
-                std = np.sqrt(sig2 * (1.0 - np.exp(2.0 * nu * lam * dt)) / (-2.0 * nu * lam))
                 got = NoisePath(spec, basis, 1).ou_increment(nu, dt)
-                assert got.tobytes() == (block * std).tobytes(), (nu, dt)
+                want = ref.increment(spec, basis, nu, dt, 1, 0)
+                assert got.tobytes() == want.tobytes(), (nu, dt)
 
     def test_negative_time_rejected(self):
         # a semigroup step needs dt > 0: the solver config refuses the rest

@@ -4,32 +4,41 @@ step path still goes through the traced kernels, and its ufunc calls take
 array operands only."""
 
 import importlib
-import importlib.util
-import sys
 from pathlib import Path
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from conftest import FLUXES, kept_blocks, load, spy
 
-from svcl import observables, spectral
+from svcl import flux, observables, spectral
 from svcl.flux import FluxSpec
 from svcl.integrator import ModelSpec, SolverConfig, Stepper, run_coupled, run_single
 from svcl.noise import NoisePath, NoiseSpec
 from svcl.spectral import ModeBasis, mode_field
 
 SPANS = Path(__file__).resolve().parents[1] / "bench" / "spans.py"
+BASIS, MODEL = ModeBasis(16), ModelSpec(0.1, FluxSpec("burgers"), NoiseSpec(c=0.5, q=3.0))
+E1, NEG_E1 = mode_field(BASIS, 1, 1.0), mode_field(BASIS, 1, -1.0)
 
 
-def _targets():
-    spec = importlib.util.spec_from_file_location("bench_spans", SPANS)
-    mod = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(mod)
-    return mod.TARGETS
+def run(coupled, cfg, n_steps, model=MODEL, **kw):
+    """run_coupled from (e1, -e1) or run_single from e1, seed 1: (result,
+    steps taken, the first state's records)."""
+    if coupled:
+        res = run_coupled(model, cfg, E1, NEG_E1, seed=1, n_steps=n_steps, **kw)
+        return res, res.state_a.step, res.records_a
+    res = run_single(model, cfg, E1, seed=1, n_steps=n_steps, **kw)
+    return res, res.state.step, res.records
+
+
+def block_rows(coupled):
+    """The kept block's rows of a state, or of a pair, at m = 16."""
+    return observables._RECORD_BLOCK_POINTS // ((1 + coupled) * observables.DEFAULT_FINE_FACTOR
+                                                * 16)
 
 
 def test_every_traced_name_resolves():
-    targets = _targets()
+    targets = load(SPANS).TARGETS
     assert targets
     for name, modname, attr in targets:
         obj = importlib.import_module(modname)
@@ -40,24 +49,11 @@ def test_every_traced_name_resolves():
 
 
 def _count_kernel_calls(monkeypatch):
-    """Wrap each kernel under every svcl module name that holds it, as the
-    tracer does, and return the call counts they keep."""
-    counts = {}
-    for modname, attr in (("svcl.spectral", "synthesize"), ("svcl.spectral", "analyze"),
-                          ("svcl.flux", "flux_value")):
-        original = getattr(importlib.import_module(modname), attr)
-
-        def counted(*args, _fn=original, _key=attr, **kwargs):
-            counts[_key] += 1
-            return _fn(*args, **kwargs)
-
-        counts[attr] = 0
-        for name, mod in list(sys.modules.items()):
-            if (name == "svcl" or name.startswith("svcl.")) and mod is not None:
-                for key, value in list(vars(mod).items()):
-                    if value is original:
-                        monkeypatch.setattr(mod, key, counted)
-    return counts
+    """Spy on each kernel under every svcl module name that holds it, as the
+    tracer wraps it, and return the calls they keep."""
+    return {name: spy(monkeypatch, mod, name)
+            for mod, name in ((spectral, "synthesize"), (spectral, "analyze"),
+                              (flux, "flux_value"))}
 
 
 @pytest.mark.parametrize("scheme,per_advance", [("exp_euler", 1), ("exp_midpoint_flux", 2)])
@@ -65,75 +61,58 @@ def test_step_path_calls_the_traced_kernels(monkeypatch, scheme, per_advance):
     # a step path that reaches a kernel some other way than through the
     # wrapped names would drop the benchmark's per-layer counts to zero
     # without failing a run
-    counts = _count_kernel_calls(monkeypatch)
-    basis = ModeBasis(16)
-    model = ModelSpec(0.1, FluxSpec("burgers"), NoiseSpec(c=0.5, q=3.0))
-    stepper = Stepper(model, SolverConfig(dt=1e-3, scheme=scheme), basis)
-    c, xi = mode_field(basis, 1).coeffs, np.zeros(16)
+    calls = _count_kernel_calls(monkeypatch)
+    stepper, c = Stepper(MODEL, SolverConfig(dt=1e-3, scheme=scheme), BASIS), E1.coeffs
     for shape in ((16,), (2, 16)):
         for _ in range(3):  # the first call on a shape builds its workspace
-            counts.update(dict.fromkeys(counts, 0))
-            stepper.advance(np.broadcast_to(c, shape).copy(), xi)
-            assert counts == dict.fromkeys(counts, per_advance), shape
+            for kernel in calls.values():
+                kernel.clear()
+            stepper.advance(np.broadcast_to(c, shape).copy(), np.zeros(16))
+            assert {k: len(v) for k, v in calls.items()} == dict.fromkeys(calls, per_advance)
 
 
-FLUXES = {"burgers": FluxSpec("burgers"), "zero": FluxSpec("zero"),
-          "cubic": FluxSpec("polynomial", coefficients=[0.0, 0.5, -0.2, 1.0 / 3.0])}
-
-
-@pytest.mark.parametrize("flux", sorted(FLUXES))
+@pytest.mark.parametrize("flux_kind", sorted(FLUXES))
 @pytest.mark.parametrize("scheme", ["exp_euler", "exp_midpoint_flux"])
-def test_step_ufuncs_take_array_operands_and_positional_outputs(monkeypatch, scheme, flux):
+def test_step_ufuncs_take_array_operands_and_positional_outputs(monkeypatch, scheme, flux_kind):
     # a Python number given to a ufunc is converted to an array on every
     # call, which at m = 16 costs about as much as the arithmetic: every
     # operand of a step's multiply, add and transform is an ndarray (0-d
-    # allowed), and every output is passed positionally.  The wrappers sit
+    # allowed), and every output is passed positionally.  The spies sit
     # where the kernels look the ufuncs up: np.multiply and np.add when a
     # kernel is built or called, and spectral._pocketfft, whose rfft a
     # Workspace binds when it is made; Horner's rule for the polynomial
     # flux looks them up on each call
-    calls = []
+    def array_operands(out, _, *args, **kwargs):
+        bad = [type(a).__name__ for a in args if not isinstance(a, np.ndarray)]
+        assert not bad and not kwargs, f"operands {bad}, keywords {sorted(kwargs)}"
+        return out
 
-    def watched(fn, name):
-        def call(*args, **kwargs):
-            calls.append(name)
-            bad = [type(a).__name__ for a in args if not isinstance(a, np.ndarray)]
-            assert not bad and not kwargs, f"{name}: operands {bad}, keywords {sorted(kwargs)}"
-            return fn(*args, **kwargs)
-        return call
-
-    for name in ("multiply", "add"):
-        monkeypatch.setattr(np, name, watched(getattr(np, name), name))
-    fft = spectral._pocketfft
-    monkeypatch.setattr(spectral, "_pocketfft", SimpleNamespace(**{
-        name: watched(getattr(fft, name), name) for name in ("irfft", "rfft_n_even", "rfft_n_odd")}))
-    basis = ModeBasis(16)
-    model = ModelSpec(0.1, FLUXES[flux], NoiseSpec(c=0.5, q=3.0))
-    stepper = Stepper(model, SolverConfig(dt=1e-3, scheme=scheme), basis)
-    c = mode_field(basis, 1).coeffs
+    names = {"multiply": np, "add": np, "irfft": spectral._pocketfft,
+             "rfft_n_even": spectral._pocketfft, "rfft_n_odd": spectral._pocketfft}
+    calls = {name: spy(monkeypatch, owner, name, array_operands) for name, owner in names.items()}
+    model = ModelSpec(0.1, FLUXES[flux_kind], NoiseSpec(c=0.5, q=3.0))
+    stepper, c = Stepper(model, SolverConfig(dt=1e-3, scheme=scheme), BASIS), E1.coeffs
     for shape in ((16,), (2, 16)):
         block = np.broadcast_to(c, shape).copy()
-        calls.clear()
+        for kernel in calls.values():
+            kernel.clear()
         stepper.advance(block, np.full(shape, 1e-3), np.empty(shape))
-        assert {"multiply", "add"} <= set(calls), shape
-        assert (flux != "zero") == ({"irfft", "rfft_n_even"} <= set(calls)), shape
+        called = {name for name, kernel in calls.items() if kernel}
+        assert {"multiply", "add"} <= called, shape
+        assert (flux_kind != "zero") == ({"irfft", "rfft_n_even"} <= called), shape
 
 
 @pytest.mark.parametrize("stop", [None, 0.05])
-def test_coupled_series_synthesizes_once_per_block(monkeypatch, kept_blocks, stop):
+def test_coupled_series_synthesizes_once_per_block(monkeypatch, stop):
     # a zero flux makes no transform in the step, so every synthesize call
     # is the coupled series': exactly one per block of kept pairs, which
     # also finds the stop, not one per step
-    counts = _count_kernel_calls(monkeypatch)
-    basis = ModeBasis(16)
+    calls = _count_kernel_calls(monkeypatch)
     model = ModelSpec(0.1, FluxSpec("zero"), NoiseSpec(sigma=np.zeros(16)))
-    cfg = SolverConfig(dt=1e-3)
-    res = run_coupled(model, cfg, mode_field(basis, 1, 1.0), mode_field(basis, 1, -1.0),
-                      seed=0, n_steps=2000, record_every=2000, stop_l1_below=stop)
-    steps = res.state_a.step
+    _, steps, _ = run(True, SolverConfig(dt=1e-3), 2000, model, record_every=2000,
+                      stop_l1_below=stop)
     assert (steps < 2000) == (stop is not None)
-    rows = observables._RECORD_BLOCK_POINTS // (2 * observables.DEFAULT_FINE_FACTOR * 16)
-    assert counts["synthesize"] == len(kept_blocks(steps, rows))
+    assert len(calls["synthesize"]) == len(kept_blocks(steps, block_rows(True)))
 
 
 @pytest.mark.parametrize("coupled", [False, True])
@@ -144,93 +123,42 @@ def test_one_noise_draw_per_step(monkeypatch, coupled):
     # a block of steps per call: the rows drawn cover every step once, in
     # order
     drawn = []
-    original = NoisePath.ou_increment
 
-    def counted(self, nu, dt, out=None):
+    def rows_drawn(block, _, path, nu, dt, out=None):
         assert dt == cfg.dt
-        first = self.draw_index
-        out = original(self, nu, dt, out)
-        drawn.extend(range(first, self.draw_index))
-        return out
+        drawn.extend(range(path.draw_index - block.size // 16, path.draw_index))
+        return block
 
-    monkeypatch.setattr(NoisePath, "ou_increment", counted)
-    basis = ModeBasis(16)
-    model = ModelSpec(0.1, FluxSpec("burgers"), NoiseSpec(c=0.5, q=3.0))
+    spy(monkeypatch, NoisePath, "ou_increment", rows_drawn)
     cfg = SolverConfig(dt=1e-3)
-    u0 = mode_field(basis, 1, 1.0)
-    if coupled:
-        res = run_coupled(model, cfg, u0, mode_field(basis, 1, -1.0), seed=1, n_steps=300,
-                          record_every=7)
-        steps = res.state_a.step
-    else:
-        steps = run_single(model, cfg, u0, seed=1, n_steps=300, record_every=7).state.step
+    _, steps, _ = run(coupled, cfg, 300, record_every=7)
     assert steps == 300 and drawn == list(range(300))
 
 
 @pytest.mark.parametrize("coupled", [False, True])
 @pytest.mark.parametrize("every", [1, 100])
-def test_record_rows_once_per_kept_block(monkeypatch, kept_blocks, coupled, every):
+def test_record_rows_once_per_kept_block(monkeypatch, coupled, every):
     # the driver keeps every step, so the record cadence is applied in
     # record_rows alone: one call per block of kept steps, whatever the
     # cadence, and one row per recorded step
-    calls = []
-    original = observables.Reducer.record_rows
-
-    def counted(self, bufs, radius, rec_every, first, times, states, l1=None):
-        calls.append((first, len(times)))
-        return original(self, bufs, radius, rec_every, first, times, states, l1)
-
-    monkeypatch.setattr(observables.Reducer, "record_rows", counted)
-    basis, n_steps = ModeBasis(16), 1000
-    model = ModelSpec(0.1, FluxSpec("burgers"), NoiseSpec(c=0.5, q=3.0))
-    u0 = mode_field(basis, 1, 1.0)
-    if coupled:
-        res = run_coupled(model, SolverConfig(dt=1e-3), u0, mode_field(basis, 1, -1.0), seed=1,
-                          n_steps=n_steps, record_every=every)
-        records = res.records_a
-    else:
-        records = run_single(model, SolverConfig(dt=1e-3), u0, seed=1, n_steps=n_steps,
-                             record_every=every).records
-    rows = observables._RECORD_BLOCK_POINTS // ((1 + coupled) * observables.DEFAULT_FINE_FACTOR
-                                                * 16)
-    assert calls == kept_blocks(n_steps, rows)
-    assert len(records) == n_steps // every + 1
+    calls = spy(monkeypatch, observables.Reducer, "record_rows")
+    _, _, records = run(coupled, SolverConfig(dt=1e-3), 1000, record_every=every)
+    assert [(c[4], len(c[5])) for c in calls] == kept_blocks(1000, block_rows(coupled))
+    assert len(records) == 1000 // every + 1
 
 
 @pytest.mark.parametrize("guard", [None, 1e6])
 @pytest.mark.parametrize("coupled", [False, True])
-def test_blow_up_test_once_per_kept_block(monkeypatch, kept_blocks, coupled, guard):
+def test_blow_up_test_once_per_kept_block(monkeypatch, coupled, guard):
     # a step only advances: the step loop tests each kept block of steps
     # for blow-up after stepping it, by one dot of the block's new rows
     # with itself, guarded or not, and with a guard by one H1 mass of the
     # block next to the one record_rows takes, not by a check per step; a
     # fresh start's state, reduced alone, is not tested
-    dots, masses = [], []
-    dot, h1_sq = np.dot, observables.Reducer.h1_sq
-
-    def counted_dot(a, b, *args):
-        dots.append(a.size)
-        return dot(a, b, *args)
-
-    def counted_h1_sq(self, c):
-        masses.append(len(c))
-        return h1_sq(self, c)
-
-    monkeypatch.setattr(np, "dot", counted_dot)
-    monkeypatch.setattr(observables.Reducer, "h1_sq", counted_h1_sq)
-    basis, n_steps = ModeBasis(16), 1000
-    model = ModelSpec(0.1, FluxSpec("burgers"), NoiseSpec(c=0.5, q=3.0))
-    cfg = SolverConfig(dt=1e-3, guard_radius=guard)
-    u0 = mode_field(basis, 1, 1.0)
-    if coupled:
-        res = run_coupled(model, cfg, u0, mode_field(basis, 1, -1.0), seed=1, n_steps=n_steps)
-        steps = res.state_a.step
-    else:
-        res = run_single(model, cfg, u0, seed=1, n_steps=n_steps)
-        steps = res.state.step
-    assert res.trip is None and steps == n_steps
-    rows = observables._RECORD_BLOCK_POINTS // ((1 + coupled) * observables.DEFAULT_FINE_FACTOR
-                                                * 16)
-    _, *steps = kept_blocks(n_steps, rows)  # the first is the start
-    assert dots == [k * (1 + coupled) * 16 for _, k in steps]
+    dots = spy(monkeypatch, np, "dot")
+    masses = spy(monkeypatch, observables.Reducer, "h1_sq")
+    res, steps, _ = run(coupled, SolverConfig(dt=1e-3, guard_radius=guard), 1000)
+    assert res.trip is None and steps == 1000
+    _, *steps = kept_blocks(1000, block_rows(coupled))  # the first is the start
+    assert [a.size for a, *_ in dots] == [k * (1 + coupled) * 16 for _, k in steps]
     assert len(masses) == 1 + len(steps) * (1 + (guard is not None))
