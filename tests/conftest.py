@@ -2,10 +2,12 @@
 
 import importlib.util
 import sys
+import tempfile
 
 import numpy as np
 from hypothesis import settings
 from hypothesis import strategies as st
+from hypothesis.configuration import set_hypothesis_home_dir
 
 from svcl.flux import FluxSpec
 from svcl.spectral import SpectralField
@@ -14,6 +16,10 @@ from svcl.spectral import SpectralField
 # a site sets only its max_examples
 settings.register_profile("svcl", deadline=None, derandomize=True, database=None)
 settings.load_profile("svcl")
+# hypothesis caches each test module's constants in its home directory,
+# by default .hypothesis in the working directory: here a temporary one
+_HOME = tempfile.TemporaryDirectory(prefix="hypothesis-")
+set_hypothesis_home_dir(_HOME.name)
 
 # a flux of each kind the step kernels take: the quadratic, none, and a cubic
 FLUXES = {"burgers": FluxSpec("burgers"), "zero": FluxSpec("zero"),

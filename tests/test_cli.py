@@ -24,7 +24,7 @@ from svcl.cli import (
     EXIT_OK,
     entry,
 )
-from svcl.config import parse_config, parse_config_text
+from svcl.config import InitialSpec, RunConfig, parse_config, parse_config_text
 from svcl.ergodic import confluence_experiment
 from svcl.integrator import read_snapshot
 from svcl.observables import FLOAT_FMT, read_csv_columns
@@ -307,36 +307,27 @@ class TestEntry:
         cols = read_csv_columns(tmp_path / "out" / "observables.csv")
         assert len(cols["t"]) == 51
 
+    @pytest.mark.parametrize("command", ["couple", "ergodic"])
+    def test_run_dispatches_on_the_configs_kind(self, tmp_path, command):
+        # svcl run on a config of kind coupled, or with --experiment ergodic, writes
+        # what svcl couple or ergodic writes, in the same directory (the CSV echo names it)
+        suite, name = {"couple": (TestCouple, "cp"), "ergodic": (TestErgodic, "erg")}[command]
+        flags, out = ["--config", str(suite().make_config(tmp_path))], tmp_path / name
+        assert entry([command, *flags]) == EXIT_OK
+        want = TestResume._artifacts(out)
+        shutil.rmtree(out)
+        kind = ["--experiment", "ergodic"] if command == "ergodic" else []
+        assert entry(["run", *flags, *kind]) == EXIT_OK
+        assert TestResume._artifacts(out) == want
+
 
 class TestCouple:
     def make_config(self, tmp_path, epsilons="0.5,0.2", horizon="2"):
         p = tmp_path / "couple.ini"
-        p.write_text(f"""
-[model]
-nu = 0.05
-flux = burgers
-[noise]
-c = 0
-q = 3
-[solver]
-modes = 8
-dt = 0.001
-[experiment]
-kind = coupled
-horizon = {horizon}
-seed = 2
-epsilons = {epsilons}
-[initial]
-kind = mode
-mode = 1
-amplitude = 1.0
-[initial_b]
-kind = mode
-mode = 1
-amplitude = -1.0
-[output]
-dir = {tmp_path / 'cp'}
-""")
+        p.write_text(RunConfig(
+            nu=0.05, noise_c=0.0, modes=8, experiment="coupled", horizon=float(horizon), seed=2,
+            epsilons=tuple(map(float, epsilons.split(","))), initial=InitialSpec("mode"),
+            initial_b=InitialSpec("mode", 1, -1.0), out_dir=str(tmp_path / "cp")).echo())
         return p
 
     def test_coupled_artifacts_and_passage_table(self, tmp_path):
@@ -393,25 +384,9 @@ dir = {tmp_path / 'cp'}
 class TestErgodic:
     def make_config(self, tmp_path, horizon="12"):
         p = tmp_path / "ergodic.ini"
-        p.write_text(f"""
-[model]
-nu = 0.2
-flux = zero
-[noise]
-c = 0.5
-q = 3
-[solver]
-modes = 8
-dt = 0.002
-[experiment]
-kind = ergodic
-horizon = {horizon}
-seed = 1
-observables = 2
-epsilons = 100
-[output]
-dir = {tmp_path / 'erg'}
-""")
+        p.write_text(RunConfig(nu=0.2, flux_kind="zero", modes=8, dt=0.002, experiment="ergodic",
+                               horizon=float(horizon), seed=1, observables=(2,), epsilons=(100.0,),
+                               out_dir=str(tmp_path / "erg")).echo())
         return p
 
     def test_estimates_tightness_and_assumption_note(self, tmp_path):
@@ -682,56 +657,47 @@ class TestResume:
     def test_resume_requires_single_kind(self, ini, tmp_path, capsys):
         self._refused(ini, tmp_path, capsys, ["--experiment", "coupled"], "single-run")
 
-    def test_truncated_snapshot_exits_4(self, ini, tmp_path, capsys):
+    @staticmethod
+    def _unusable(ini, tmp_path, capsys, corrupt, message):
+        """Run, then resume from each snapshot corrupt makes of final.snap's
+        bytes: each exits 4 naming message, and no artifact changes."""
         entry(["run", "--config", str(ini)])
-        raw = (tmp_path / "out" / "final.snap").read_bytes()
-        assert len(raw) == 48 + 8 * 8  # header + m_max float64 coefficients
-        cut = tmp_path / "cut.snap"
-        for n in range(len(raw)):
-            cut.write_bytes(raw[:n])
-            code = entry(["resume", "--config", str(ini), "--resume", str(cut)])
-            assert code == EXIT_IO, f"snapshot cut at byte {n}"
-        assert "truncated" in capsys.readouterr().err
+        out, bad = tmp_path / "out", tmp_path / "bad.snap"
+        raw = (out / "final.snap").read_bytes()
+        before = {p.name: p.read_bytes() for p in out.iterdir()}
+        for snap in corrupt(raw):
+            bad.write_bytes(snap)
+            code = entry(["resume", "--config", str(ini), "--resume", str(bad)])
+            assert code == EXIT_IO and message in capsys.readouterr().err, len(snap)
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
+    def test_truncated_snapshot_exits_4(self, ini, tmp_path, capsys):
+        def cuts(raw):
+            assert len(raw) == 48 + 8 * 8  # header + m_max float64 coefficients
+            return [raw[:n] for n in range(len(raw))]
+
+        self._unusable(ini, tmp_path, capsys, cuts, "truncated")
 
     def test_snapshot_with_bytes_past_its_coefficients_exits_4(self, ini, tmp_path, capsys):
         # a valid m=8 snapshot with bytes appended is not read as its first
         # 8 coefficients: resume reports it unusable and touches no artifact
-        entry(["run", "--config", str(ini)])
-        out = tmp_path / "out"
-        raw = (out / "final.snap").read_bytes()
-        before = {p.name: p.read_bytes() for p in out.iterdir()}
-        long = tmp_path / "long.snap"
-        for extra in (b"\x00", bytes(24)):
-            long.write_bytes(raw + extra)
-            assert entry(["resume", "--config", str(ini), "--resume", str(long)]) == EXIT_IO
-            assert "unusable snapshot" in capsys.readouterr().err
-        assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+        self._unusable(ini, tmp_path, capsys, lambda raw: [raw + b"\x00", raw + bytes(24)],
+                       "unusable snapshot")
 
     def test_snapshot_of_a_mode_count_no_basis_holds_exits_4(self, ini, tmp_path, capsys):
         # a valid m=8 snapshot whose header m_max (bytes 8..12) is patched
         # to 7, and then to 0, and cut to that many coefficients: unusable,
         # not a config mismatch on modes, and no artifact moves
-        entry(["run", "--config", str(ini)])
-        out = tmp_path / "out"
-        raw = (out / "final.snap").read_bytes()
-        before = {p.name: p.read_bytes() for p in out.iterdir()}
-        bad = tmp_path / "bad.snap"
-        for m_max in (7, 0):
-            bad.write_bytes(raw[:8] + m_max.to_bytes(4, "little") + raw[12 : 48 + 8 * m_max])
-            assert entry(["resume", "--config", str(ini), "--resume", str(bad)]) == EXIT_IO
-            assert "unusable snapshot" in capsys.readouterr().err
-        assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+        self._unusable(ini, tmp_path, capsys, lambda raw: [
+            raw[:8] + m_max.to_bytes(4, "little") + raw[12 : 48 + 8 * m_max] for m_max in (7, 0)],
+            "unusable snapshot")
 
     def test_snapshot_claiming_more_modes_than_it_holds_exits_4(self, ini, tmp_path, capsys):
         # the header's m_max (bytes 8..12) says 2^32 - 1 coefficients, 32 GiB,
         # while the file holds 8: a truncated snapshot, not a MemoryError
-        entry(["run", "--config", str(ini)])
-        raw = bytearray((tmp_path / "out" / "final.snap").read_bytes())
-        raw[8:12] = (2**32 - 1).to_bytes(4, "little")
-        bad = tmp_path / "bad.snap"
-        bad.write_bytes(bytes(raw))
-        assert entry(["resume", "--config", str(ini), "--resume", str(bad)]) == EXIT_IO
-        assert "truncated" in capsys.readouterr().err
+        self._unusable(ini, tmp_path, capsys,
+                       lambda raw: [raw[:8] + (2**32 - 1).to_bytes(4, "little") + raw[12:]],
+                       "truncated")
 
     # generated runs: any truncation, flux, scheme, seed, length, cadence and
     # residual window
